@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,11 +27,12 @@ import (
 //
 // Each replica renders its own exposition inside its single-threaded
 // engine goroutine (a load.Config.OnTick callback) and publishes the bytes
-// through an atomic.Value; HTTP handlers only read published values, so
-// the simulations stay deterministic and race-free.
+// (obs.Page for /metrics/N, an atomic.Value for the rest); HTTP handlers
+// only read published values, so the simulations stay deterministic and
+// race-free.
 type liveFleet struct {
 	baseSeed int64
-	blobs    []atomic.Value // []byte: full per-replica exposition
+	pages    []obs.Page     // full per-replica exposition
 	ticks    []atomic.Value // load.Tick: latest progress
 	sloBlobs []atomic.Value // []byte: per-replica SLO status + alert stream
 }
@@ -40,7 +40,7 @@ type liveFleet struct {
 func newLiveFleet(replicas int, baseSeed int64) *liveFleet {
 	return &liveFleet{
 		baseSeed: baseSeed,
-		blobs:    make([]atomic.Value, replicas),
+		pages:    make([]obs.Page, replicas),
 		ticks:    make([]atomic.Value, replicas),
 		sloBlobs: make([]atomic.Value, replicas),
 	}
@@ -49,7 +49,7 @@ func newLiveFleet(replicas int, baseSeed int64) *liveFleet {
 // publish installs replica i's freshly rendered exposition and progress.
 func (lf *liveFleet) publish(i int, tk load.Tick, blob []byte) {
 	lf.ticks[i].Store(tk)
-	lf.blobs[i].Store(blob)
+	lf.pages[i].Publish(blob)
 }
 
 // publishSLO installs replica i's rendered SLO view.
@@ -61,23 +61,17 @@ func (lf *liveFleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	const prefix = "/metrics"
 	path := strings.TrimSuffix(r.URL.Path, "/")
 	if path == "" || path == prefix {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", obs.PromContentType)
 		w.Write(lf.progressExposition())
 		return
 	}
 	if rest, ok := strings.CutPrefix(path, prefix+"/"); ok {
 		i, err := strconv.Atoi(rest)
-		if err != nil || i < 0 || i >= len(lf.blobs) {
-			http.Error(w, fmt.Sprintf("replica index out of range 0..%d", len(lf.blobs)-1), http.StatusNotFound)
+		if err != nil || i < 0 || i >= len(lf.pages) {
+			http.Error(w, fmt.Sprintf("replica index out of range 0..%d", len(lf.pages)-1), http.StatusNotFound)
 			return
 		}
-		blob, _ := lf.blobs[i].Load().([]byte)
-		if blob == nil {
-			http.Error(w, "replica has not published yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(blob)
+		lf.pages[i].ServeHTTP(w, r)
 		return
 	}
 	if path == "/slo" {
@@ -148,19 +142,6 @@ func (lf *liveFleet) progressExposition() []byte {
 		}
 	}
 	return b.Bytes()
-}
-
-// serve binds addr and serves the endpoint for the life of the process.
-// It returns the bound address (useful with ":0").
-func (lf *liveFleet) serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	go func() {
-		_ = http.Serve(ln, lf)
-	}()
-	return ln.Addr().String(), nil
 }
 
 // liveTickEvery is how often each replica publishes (simulated time).

@@ -1,7 +1,6 @@
 // Command nectar-fleet drives a fleet of independent Nectar replicas at
-// saturation and reports aggregate throughput and latency, plus a
-// head-to-head micro-benchmark of the event engine against the preserved
-// baseline implementation.
+// saturation and reports aggregate throughput and latency. (How fast the
+// simulator itself runs is bench/'s question, not this command's.)
 //
 // Each replica is one complete simulated Nectar system (its own engine,
 // HUB, CABs, and software stacks) running the deterministic workload of
@@ -15,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,7 +21,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"testing"
 	"time"
 
 	"repro/internal/core"
@@ -31,11 +28,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
-	"repro/internal/sim/baseline"
 	"repro/internal/trace"
 )
-
-const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
 
 // replicaReport is one replica's measured slice of the fleet.
 type replicaReport struct {
@@ -53,17 +47,6 @@ type replicaReport struct {
 	Digest    string  `json:"digest"`
 }
 
-// engineReport is the event-engine micro-benchmark: the current 4-ary
-// pooled heap versus the preserved container/heap baseline on the same
-// schedule-and-fire churn loop.
-type engineReport struct {
-	EventsPerSec         float64 `json:"events_per_sec"`
-	BaselineEventsPerSec float64 `json:"baseline_events_per_sec"`
-	Speedup              float64 `json:"speedup"`
-	AllocsPerEvent       float64 `json:"allocs_per_event"`
-	BaselineAllocsPerEvt float64 `json:"baseline_allocs_per_event"`
-}
-
 type fleetReport struct {
 	Config struct {
 		Replicas   int     `json:"replicas"`
@@ -77,7 +60,6 @@ type fleetReport struct {
 		Threads    int     `json:"gomaxprocs"`
 		BSPSteps   int     `json:"bsp_supersteps,omitempty"`
 	} `json:"config"`
-	Engine   engineReport    `json:"engine"`
 	Replicas []replicaReport `json:"replicas"`
 	Total    struct {
 		Ops            int64   `json:"ops"`
@@ -102,54 +84,6 @@ type fleetReport struct {
 
 func us(t sim.Time) float64 { return float64(t) / 1e3 }
 
-// churn is the contended scheduling loop both engines are measured on:
-// 64 events in flight, firing in small batches — the shape of a busy
-// simulated network (timers, DMA completions, packet arrivals).
-func churnNew(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			e.After(sim.Time(j%7+1), func() {})
-		}
-		e.RunUntil(e.Now() + 8)
-	}
-	e.Run()
-}
-
-func churnBaseline(b *testing.B) {
-	b.ReportAllocs()
-	e := baseline.NewEngine()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			e.After(sim.Time(j%7+1), func() {})
-		}
-		e.RunUntil(e.Now() + 8)
-	}
-	e.Run()
-}
-
-func benchEngines() engineReport {
-	cur := testing.Benchmark(churnNew)
-	old := testing.Benchmark(churnBaseline)
-	perSec := func(r testing.BenchmarkResult) float64 {
-		if r.NsPerOp() == 0 {
-			return 0
-		}
-		return 64 * 1e9 / float64(r.NsPerOp()) // 64 events per iteration
-	}
-	rep := engineReport{
-		EventsPerSec:         perSec(cur),
-		BaselineEventsPerSec: perSec(old),
-		AllocsPerEvent:       float64(cur.AllocsPerOp()) / 64,
-		BaselineAllocsPerEvt: float64(old.AllocsPerOp()) / 64,
-	}
-	if rep.BaselineEventsPerSec > 0 {
-		rep.Speedup = rep.EventsPerSec / rep.BaselineEventsPerSec
-	}
-	return rep
-}
-
 // replicaRun holds one replica's raw results for aggregation.
 type replicaRun struct {
 	res    *load.Result
@@ -169,7 +103,6 @@ func main() {
 	short := flag.Bool("short", false, "small quick run (CI smoke): 5ms windows")
 	verify := flag.Bool("verify", false, "run every seed twice and fail on digest mismatch")
 	bsp := flag.Int("bsp", 64, "add one collective-mix replica running this many BSP supersteps (0 disables)")
-	noBench := flag.Bool("nobench", false, "skip the engine micro-benchmark")
 	out := flag.String("o", "BENCH_fleet.json", "output JSON path")
 	listen := flag.String("listen", "", "serve live Prometheus metrics on this address while running (e.g. :9464)")
 	sloOn := flag.Bool("slo", false, "arm the SLO engine on every replica (latency objectives per operation kind at -slobound); adds per-replica alert counts to the report and, with -listen, /slo and /slo/N status endpoints")
@@ -209,7 +142,7 @@ func main() {
 	var live *liveFleet
 	if *listen != "" {
 		live = newLiveFleet(total, *seed)
-		addr, err := live.serve(*listen)
+		addr, err := obs.Serve(*listen, live)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(2)
@@ -248,11 +181,7 @@ func main() {
 			}
 			c.TickEvery = liveTickEvery
 			c.OnTick = func(tk load.Tick) {
-				var b bytes.Buffer
-				_ = obs.WriteProm(&b, sys.Reg.Snapshot(), labels...)
-				obs.WriteSamplerProm(&b, sys.Sampler, labels...)
-				sys.Flows.WriteProm(&b, labels...)
-				live.publish(idx, tk, b.Bytes())
+				live.publish(idx, tk, sys.PromText(labels...))
 				if sys.SLO != nil {
 					live.publishSLO(idx, []byte(fmt.Sprintf("replica %d (seed %d) at %v\n%s",
 						idx, s, tk.Now, sys.SLO.Text())))
@@ -311,7 +240,7 @@ func main() {
 
 	mismatch := false
 	merged := trace.NewHistogram("fleet op latency")
-	combined := uint64(fnvOffset)
+	combined := trace.NewDigest()
 	for i := 0; i < total; i++ {
 		r := runs[i]
 		rr := replicaReport{
@@ -347,9 +276,7 @@ func main() {
 		merged.Merge(r.res.Latency)
 		// Fold per-replica digests in seed order: the combined digest is
 		// independent of scheduling and of GOMAXPROCS.
-		for b := 0; b < 8; b++ {
-			combined = (combined ^ (r.res.Digest >> (8 * b) & 0xff)) * fnvPrime
-		}
+		combined.Uint64(r.res.Digest)
 	}
 	// Replicas are concurrent machines: aggregate rate is total work over
 	// one replica's measured window of simulated time.
@@ -368,10 +295,6 @@ func main() {
 	}
 	rep.Total.Digest = fmt.Sprintf("%016x", combined)
 	rep.Verified = *verify && !mismatch
-
-	if !*noBench {
-		rep.Engine = benchEngines()
-	}
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -398,11 +321,6 @@ func main() {
 	}
 	fmt.Printf("  %d engine events in %.2fs wall = %.2fM events/s\n",
 		rep.Total.Events*uint64(rounds), rep.Total.WallSeconds, rep.Total.EventsPerWallS/1e6)
-	if !*noBench {
-		fmt.Printf("  engine: %.1fM events/s vs baseline %.1fM (%.1fx), %.2f allocs/event (baseline %.2f)\n",
-			rep.Engine.EventsPerSec/1e6, rep.Engine.BaselineEventsPerSec/1e6,
-			rep.Engine.Speedup, rep.Engine.AllocsPerEvent, rep.Engine.BaselineAllocsPerEvt)
-	}
 	fmt.Printf("  fleet digest %s -> %s\n", rep.Total.Digest, *out)
 	if *verify {
 		if mismatch {

@@ -12,51 +12,70 @@
 package main
 
 import (
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fiber"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: flags from args, the report on stdout,
+// diagnostics on stderr, the exit status returned. (With -listen it never
+// returns: the final snapshot is served until the process is interrupted.)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nectar-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		topoKind  = flag.String("topo", "single", "topology: single | line | mesh")
-		cabs      = flag.Int("cabs", 4, "CABs (single topology)")
-		hubs      = flag.Int("hubs", 3, "HUBs (line topology)")
-		rows      = flag.Int("rows", 2, "mesh rows")
-		cols      = flag.Int("cols", 2, "mesh cols")
-		per       = flag.Int("per", 2, "CABs per HUB (line/mesh)")
-		transport = flag.String("transport", "datagram", "datagram | stream | reqresp")
-		msgs      = flag.Int("msgs", 50, "messages per sender")
-		size      = flag.Int("size", 256, "message size in bytes")
-		ber       = flag.Float64("ber", 0, "fiber bit error rate (per byte)")
-		senders   = flag.Int("senders", 1, "concurrent sending CABs (all target CAB 0)")
-		chaos     = flag.String("chaos", "", "chaos scenario: linkflap | corruption | portstuck | crash | storm | overload | comb | random (runs a fault-injected mesh; exits 1 on any undelivered message, for overload on a critical-class SLO violation, or for comb on any inexact collective result)")
-		seed      = flag.Int64("seed", 1, "chaos scenario seed (runs are byte-reproducible per seed)")
-		dump      = flag.String("dump", "", "chaos only: also write the flight-recorder post-mortem to this file")
-		listen    = flag.String("listen", "", "serve Prometheus metrics on this address during the run, then keep serving the final snapshot until interrupted")
-		sloOn     = flag.Bool("slo", false, "arm the SLO engine with a latency objective on the workload (see -slobound) and print status, burn rates, and the alert stream")
-		sloBound  = flag.Duration("slobound", 500*time.Microsecond, "SLO latency bound for -slo")
-		sloDump   = flag.String("slodump", "", "with -slo: write the first diagnosis bundle captured at alert time to this file as JSON")
+		topoKind  = fs.String("topo", "single", "topology: single | line | mesh")
+		cabs      = fs.Int("cabs", 4, "CABs (single topology)")
+		hubs      = fs.Int("hubs", 3, "HUBs (line topology)")
+		rows      = fs.Int("rows", 2, "mesh rows")
+		cols      = fs.Int("cols", 2, "mesh cols")
+		per       = fs.Int("per", 2, "CABs per HUB (line/mesh)")
+		transport = fs.String("transport", "datagram", "datagram | stream | reqresp")
+		msgs      = fs.Int("msgs", 50, "messages per sender")
+		size      = fs.Int("size", 256, "message size in bytes")
+		ber       = fs.Float64("ber", 0, "fiber bit error rate (per byte)")
+		senders   = fs.Int("senders", 1, "concurrent sending CABs (all target CAB 0)")
+		chaos     = fs.String("chaos", "", "chaos scenario: linkflap | corruption | portstuck | crash | storm | overload | comb | random (runs a fault-injected mesh; exits 1 on any undelivered message, for overload on a critical-class SLO violation, or for comb on any inexact collective result)")
+		seed      = fs.Int64("seed", 1, "chaos scenario seed (runs are byte-reproducible per seed)")
+		dump      = fs.String("dump", "", "chaos only: also write the flight-recorder post-mortem to this file")
+		listen    = fs.String("listen", "", "serve Prometheus metrics on this address during the run, then keep serving the final snapshot until interrupted")
+		sloOn     = fs.Bool("slo", false, "arm the SLO engine with a latency objective on the workload (see -slobound) and print status, burn rates, and the alert stream")
+		sloBound  = fs.Duration("slobound", 500*time.Microsecond, "SLO latency bound for -slo")
+		sloDump   = fs.String("slodump", "", "with -slo: write the first diagnosis bundle captured at alert time to this file as JSON")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *chaos == "comb" {
-		os.Exit(runCombChaos(*seed, *rows, *cols, *msgs, *dump))
+		return runCombChaos(stdout, stderr, *seed, *rows, *cols, *msgs, *dump)
 	}
 	if *chaos != "" {
-		os.Exit(runChaos(*chaos, *seed, *rows, *cols, *msgs, *dump))
+		return runChaos(stdout, stderr, *chaos, *seed, *rows, *cols, *msgs, *dump)
+	}
+	switch *transport {
+	case "datagram", "stream", "reqresp":
+	default:
+		fmt.Fprintf(stderr, "unknown transport %q\n", *transport)
+		return 2
 	}
 
 	params := core.DefaultParams()
@@ -82,7 +101,7 @@ func main() {
 			},
 		}))
 		if *transport == "datagram" {
-			fmt.Fprintln(os.Stderr, "note: -slo observes reliable operations only; datagrams carry no objective (use -transport reqresp or stream)")
+			fmt.Fprintln(stderr, "note: -slo observes reliable operations only; datagrams carry no objective (use -transport reqresp or stream)")
 		}
 	}
 
@@ -95,8 +114,8 @@ func main() {
 	case "mesh":
 		sys = core.New(core.Mesh(*rows, *cols, *per), opts...)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoKind)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown topology %q\n", *topoKind)
+		return 2
 	}
 	n := sys.NumCABs()
 	if *senders >= n {
@@ -106,25 +125,25 @@ func main() {
 	// With -listen, publish the exposition on a periodic engine tick while
 	// other events remain (so Run still terminates) and once more at the
 	// end; the handler only ever reads published snapshots.
-	var live *liveMetrics
+	var live *obs.Page
 	if *listen != "" {
-		live = &liveMetrics{}
-		addr, err := live.serve(*listen)
+		live = &obs.Page{}
+		addr, err := obs.Serve(*listen, live)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "listen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "listen:", err)
+			return 1
 		}
-		fmt.Printf("serving live metrics on http://%s/metrics\n", addr)
+		fmt.Fprintf(stdout, "serving live metrics on http://%s/metrics\n", addr)
 		var tick func()
 		tick = func() {
-			live.publish(sys)
+			live.Publish(sys.PromText())
 			if sys.Eng.Pending() > 0 {
 				sys.Eng.After(50*sim.Microsecond, tick)
 			}
 		}
 		sys.Eng.After(50*sim.Microsecond, tick)
 	}
-	fmt.Printf("topology %s: %d HUBs, %d CABs; %d sender(s) -> CAB 0, %d x %dB via %s\n",
+	fmt.Fprintf(stdout, "topology %s: %d HUBs, %d CABs; %d sender(s) -> CAB 0, %d x %dB via %s\n",
 		*topoKind, len(sys.Net.Hubs()), n, *senders, *msgs, *size, *transport)
 
 	// Receiver on CAB 0 (not used by reqresp, which runs a server).
@@ -177,9 +196,6 @@ func main() {
 					err = st.TP.StreamSend(th, 0, 1, 0, payload)
 				case "reqresp":
 					_, err = st.TP.Request(th, 0, 7, 2, payload)
-				default:
-					fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
-					os.Exit(2)
 				}
 				sent++
 				if err != nil {
@@ -192,11 +208,11 @@ func main() {
 	}
 
 	end := sys.Run()
-	fmt.Printf("\nfinished at %v (%d events)\n", end, sys.Eng.Executed())
-	fmt.Printf("sent=%d failed=%d delivered=%d\n", sent, failed, delivered)
-	fmt.Printf("sender-side completion: %v\n", lat)
+	fmt.Fprintf(stdout, "\nfinished at %v (%d events)\n", end, sys.Eng.Executed())
+	fmt.Fprintf(stdout, "sent=%d failed=%d delivered=%d\n", sent, failed, delivered)
+	fmt.Fprintf(stdout, "sender-side completion: %v\n", lat)
 	if delivered > 0 && end > 0 {
-		fmt.Printf("aggregate goodput: %.2f Mb/s\n",
+		fmt.Fprintf(stdout, "aggregate goodput: %.2f Mb/s\n",
 			float64(delivered*(*size))*8/end.Seconds()/1e6)
 	}
 	for i, st := range sys.CABs {
@@ -205,86 +221,39 @@ func main() {
 		if dl.PacketsSent+dl.PacketsReceived == 0 {
 			continue
 		}
-		fmt.Printf("cab%-2d dl: sent=%d recv=%d framing=%d openTO=%d | tp: rtx=%d acks=%d ckdrop=%d mbdrop=%d | cpu busy=%v\n",
+		fmt.Fprintf(stdout, "cab%-2d dl: sent=%d recv=%d framing=%d openTO=%d | tp: rtx=%d acks=%d ckdrop=%d mbdrop=%d | cpu busy=%v\n",
 			i, dl.PacketsSent, dl.PacketsReceived, dl.FramingErrors, dl.OpenTimeouts,
 			tp.Retransmits, tp.AcksSent, tp.ChecksumDrops, tp.MailboxDrops,
 			st.Board.CPU.BusyTime())
 	}
 
 	if sys.SLO != nil {
-		fmt.Printf("\nSLO status (bound %v):\n%s", *sloBound, sys.SLO.Text())
+		fmt.Fprintf(stdout, "\nSLO status (bound %v):\n%s", *sloBound, sys.SLO.Text())
 		if bundles := sys.SLO.Bundles(); len(bundles) > 0 {
-			fmt.Printf("%d diagnosis bundle(s) captured\n", len(bundles))
+			fmt.Fprintf(stdout, "%d diagnosis bundle(s) captured\n", len(bundles))
 			if *sloDump != "" {
 				if err := os.WriteFile(*sloDump, bundles[0].JSON(), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "slodump:", err)
-					os.Exit(1)
+					fmt.Fprintln(stderr, "slodump:", err)
+					return 1
 				}
-				fmt.Printf("wrote diagnosis bundle to %s\n", *sloDump)
+				fmt.Fprintf(stdout, "wrote diagnosis bundle to %s\n", *sloDump)
 			}
 		} else if *sloDump != "" {
-			fmt.Fprintln(os.Stderr, "slodump: no alert fired, no bundle captured")
+			fmt.Fprintln(stderr, "slodump: no alert fired, no bundle captured")
 		}
 	}
 
 	if live != nil {
-		live.publish(sys)
-		fmt.Printf("\nrun complete; still serving the final snapshot on http://%s/metrics — interrupt to exit\n", *listen)
+		live.Publish(sys.PromText())
+		fmt.Fprintf(stdout, "\nrun complete; still serving the final snapshot on http://%s/metrics — interrupt to exit\n", *listen)
 		select {}
 	}
+	return 0
 }
 
 // chaosHorizon bounds a chaos run; ample time for every scenario's fault
 // window plus recovery of a paced message train.
 const chaosHorizon = 150 * sim.Millisecond
-
-// chaosScenario builds the named fault scenario against sys. The named
-// scenarios mirror experiment R1; "random" draws a seeded scenario from
-// fault.RandomScenario.
-func chaosScenario(name string, seed int64, sys *core.System) (fault.Scenario, error) {
-	at := 2 * sim.Millisecond
-	switch name {
-	case "linkflap":
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.LinkFlap{A: 0, B: 1, At: at, Duration: 15 * sim.Millisecond},
-		}}, nil
-	case "corruption":
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.CorruptBurst{A: 0, B: 1, At: at, Duration: 10 * sim.Millisecond,
-				Rate: 0.05, Seed: seed},
-		}}, nil
-	case "portstuck":
-		port, ok := sys.Net.EdgePort(0, 1)
-		if !ok {
-			return fault.Scenario{}, fmt.Errorf("no edge between HUB 0 and HUB 1")
-		}
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.PortStuck{Hub: 0, Port: port, At: at, Duration: 10 * sim.Millisecond},
-		}}, nil
-	case "crash":
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.CrashCAB{CAB: 0, At: 4 * sim.Millisecond, RebootAfter: 8 * sim.Millisecond},
-		}}, nil
-	case "storm":
-		n := sys.NumCABs()
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.CongestionStorm{Srcs: []int{1, 2}, Dst: n - 1,
-				At: at, Duration: 8 * sim.Millisecond, Size: 900},
-		}}, nil
-	case "overload":
-		n := sys.NumCABs()
-		return fault.Scenario{Name: name, Actions: []fault.Action{
-			fault.OverloadStorm{Srcs: []int{1, 2}, Dst: n - 1,
-				At: at, Duration: 20 * sim.Millisecond,
-				Class: transport.ClassBulk, Deadline: 500 * sim.Microsecond,
-				Rate: 30000, Size: 2048, Outstanding: 128, Seed: seed},
-		}}, nil
-	case "random":
-		return fault.RandomScenario(sys, seed, 4, 40*sim.Millisecond), nil
-	default:
-		return fault.Scenario{}, fmt.Errorf("unknown chaos scenario %q", name)
-	}
-}
 
 // overloadSLO bounds the critical-class per-message p99 in the overload
 // chaos scenario: with admission control shedding the bulk storm, critical
@@ -302,7 +271,7 @@ const overloadSLO = 2 * sim.Millisecond
 // failure the flight-recorder post-mortem (recent events plus the
 // link-state timeline) goes to stderr; dumpPath, when set, receives a copy
 // of the post-mortem whatever the outcome, so CI can archive it.
-func runChaos(name string, seed int64, rows, cols, msgs int, dumpPath string) int {
+func runChaos(stdout, stderr io.Writer, name string, seed int64, rows, cols, msgs int, dumpPath string) int {
 	if rows < 2 {
 		rows = 2
 	}
@@ -310,61 +279,40 @@ func runChaos(name string, seed int64, rows, cols, msgs int, dumpPath string) in
 		cols = 2
 	}
 	overload := name == "overload"
-	opts := []core.Option{
-		core.WithMetrics(),
-		core.WithFaultRecovery(),
-		core.WithFlightRecorder(),
-		core.WithStallWatchdog(0),
-		func(p *core.Params) {
-			p.Transport.ReqTimeout = 2 * sim.Millisecond
-			p.Transport.ReqRetries = 3
-		},
-	}
+	opts := append(fault.TrainOptions(), core.WithFlightRecorder(), core.WithStallWatchdog(0))
 	if overload {
 		opts = append(opts, core.WithOverloadControl(transport.DefaultOverloadParams()))
 	}
 	sys := core.New(core.Mesh(rows, cols, 1), opts...)
 	n := sys.NumCABs()
 
-	sc, err := chaosScenario(name, seed, sys)
+	sc, err := fault.Named(name, seed, sys)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	inj := fault.New(sys, sc)
 	inj.Schedule()
 
-	fmt.Printf("chaos %s (seed %d): %dx%d mesh, %d CABs, %d messages CAB 0 -> CAB %d\n",
+	fmt.Fprintf(stdout, "chaos %s (seed %d): %dx%d mesh, %d CABs, %d messages CAB 0 -> CAB %d\n",
 		name, seed, rows, cols, n, msgs, n-1)
 	for _, a := range sc.Actions {
-		fmt.Printf("  inject: %v\n", a)
+		fmt.Fprintf(stdout, "  inject: %v\n", a)
 	}
 
-	// Receiver on the far corner dedups by application sequence number.
-	seen := make(map[uint32]bool)
-	delivered, duplicates := 0, 0
-	rx := sys.CAB(n - 1)
-	mb := rx.Kernel.NewMailbox("chaos-server", 512*1024)
-	rx.TP.Register(9, mb)
-	rx.Kernel.SpawnDaemon("chaos-server", func(th *kernel.Thread) {
-		for {
-			req := mb.Get(th)
-			seq := binary.BigEndian.Uint32(req.Bytes())
-			if seen[seq] {
-				duplicates++
-			} else {
-				seen[seq] = true
-				delivered++
-			}
-			rx.TP.Respond(th, req, req.Bytes()[:4])
-			mb.Release(req)
-		}
-	})
+	// The train runs corner to corner. Under the overload scenario it is
+	// critical-class: the SLO says the storm must not move its p99.
+	train := fault.Train{From: 0, To: n - 1, Msgs: msgs}
+	if overload {
+		train.Opts.Class = transport.ClassCritical
+	}
+	out := fault.StartTrain(sys, train)
 
 	// The overload scenario's bulk storm needs a sink that answers, so the
 	// storm exercises the receive-side admission path rather than just
 	// timing out against an unregistered box.
 	if overload {
+		rx := sys.CAB(n - 1)
 		stormMB := rx.Kernel.NewMailbox("storm-server", 256*1024)
 		rx.TP.Register(fault.StormBox, stormMB)
 		rx.Kernel.SpawnDaemon("storm-server", func(th *kernel.Thread) {
@@ -376,47 +324,18 @@ func runChaos(name string, seed int64, rows, cols, msgs int, dumpPath string) in
 		})
 	}
 
-	// Sender: at-least-once with application retry, paced so the message
-	// train spans the fault window. Under the overload scenario the
-	// application traffic is critical-class: the SLO says the storm must
-	// not move its p99.
-	var cls transport.SendOpts
-	if overload {
-		cls.Class = transport.ClassCritical
-	}
-	critLat := trace.NewHistogram("critical-class message latency")
-	var doneAt sim.Time
-	tx := sys.CAB(0)
-	tx.Kernel.Spawn("chaos-client", func(th *kernel.Thread) {
-		body := make([]byte, 64)
-		for i := 0; i < msgs; i++ {
-			binary.BigEndian.PutUint32(body, uint32(i))
-			start := th.Proc().Now()
-			for {
-				resp, err := tx.TP.RequestOpts(th, n-1, 9, 1, body, cls)
-				if err == nil && binary.BigEndian.Uint32(resp) == uint32(i) {
-					break
-				}
-				th.Sleep(500 * sim.Microsecond)
-			}
-			critLat.Add(th.Proc().Now() - start)
-			th.Sleep(sim.Millisecond)
-		}
-		doneAt = th.Proc().Now()
-	})
-
 	sys.RunUntil(chaosHorizon)
 	sys.StopProbers()
 
-	fmt.Printf("\ndelivered=%d/%d duplicates=%d completed_at=%v\n", delivered, msgs, duplicates, doneAt)
+	fmt.Fprintf(stdout, "\ndelivered=%d/%d duplicates=%d completed_at=%v\n", out.Delivered, msgs, out.Duplicates, out.DoneAt)
 	if c := inj.DetectLatency().Count(); c > 0 {
-		fmt.Printf("fault detection: %d event(s), mean latency %v\n", c, inj.DetectLatency().Mean())
+		fmt.Fprintf(stdout, "fault detection: %d event(s), mean latency %v\n", c, inj.DetectLatency().Mean())
 	}
 	if c := inj.RecoveryTime().Count(); c > 0 {
-		fmt.Printf("recovery: %d event(s), mean time %v\n", c, inj.RecoveryTime().Mean())
+		fmt.Fprintf(stdout, "recovery: %d event(s), mean time %v\n", c, inj.RecoveryTime().Mean())
 	}
 	tp := sys.CAB(0).TP.Stats()
-	fmt.Printf("links failed=%d restored=%d; peer deaths=%d revivals=%d; crashes=%d\n",
+	fmt.Fprintf(stdout, "links failed=%d restored=%d; peer deaths=%d revivals=%d; crashes=%d\n",
 		sys.Reg.Counter("net.links_failed").Value(), sys.Reg.Counter("net.links_restored").Value(),
 		tp.PeersDied, tp.PeersRevived, sys.CAB(0).Board.Crashes())
 
@@ -427,31 +346,31 @@ func runChaos(name string, seed int64, rows, cols, msgs int, dumpPath string) in
 			expired += c.TP.OverloadExpired()
 			trips += c.TP.OverloadBreakerTrips()
 		}
-		fmt.Printf("overload control: sheds=%d expired=%d breaker-trips=%d; critical p99=%v (SLO %v)\n",
-			sheds, expired, trips, critLat.Quantile(0.99), overloadSLO)
+		fmt.Fprintf(stdout, "overload control: sheds=%d expired=%d breaker-trips=%d; critical p99=%v (SLO %v)\n",
+			sheds, expired, trips, out.Latency.Quantile(0.99), overloadSLO)
 	}
 
 	if dumpPath != "" {
 		if err := os.WriteFile(dumpPath, []byte(sys.FR.PostMortem()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dump:", err)
+			fmt.Fprintln(stderr, "dump:", err)
 		}
 	}
-	if delivered != msgs || doneAt == 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d of %d messages undelivered\n", msgs-delivered, msgs)
-		sys.FR.Dump(os.Stderr)
+	if out.Delivered != msgs || out.DoneAt == 0 {
+		fmt.Fprintf(stderr, "FAIL: %d of %d messages undelivered\n", msgs-out.Delivered, msgs)
+		sys.FR.Dump(stderr)
 		return 1
 	}
-	if p99 := critLat.Quantile(0.99); overload && p99 > overloadSLO {
-		fmt.Fprintf(os.Stderr, "FAIL: critical-class p99 %v violates the %v SLO under the bulk storm\n",
+	if p99 := out.Latency.Quantile(0.99); overload && p99 > overloadSLO {
+		fmt.Fprintf(stderr, "FAIL: critical-class p99 %v violates the %v SLO under the bulk storm\n",
 			p99, overloadSLO)
-		sys.FR.Dump(os.Stderr)
+		sys.FR.Dump(stderr)
 		return 1
 	}
 	if overload {
-		fmt.Println("PASS: all messages delivered and the critical-class SLO held under overload")
+		fmt.Fprintln(stdout, "PASS: all messages delivered and the critical-class SLO held under overload")
 		return 0
 	}
-	fmt.Println("PASS: all messages delivered after automatic recovery")
+	fmt.Fprintln(stdout, "PASS: all messages delivered after automatic recovery")
 	return 0
 }
 
@@ -463,7 +382,7 @@ func runChaos(name string, seed int64, rows, cols, msgs int, dumpPath string) in
 // double-counting, so any inexact sum — or any rank that never finishes —
 // exits 1. dumpPath, when set, receives the flight-recorder post-mortem
 // whatever the outcome.
-func runCombChaos(seed int64, rows, cols, iters int, dumpPath string) int {
+func runCombChaos(stdout, stderr io.Writer, seed int64, rows, cols, iters int, dumpPath string) int {
 	if rows < 2 {
 		rows = 2
 	}
@@ -474,83 +393,46 @@ func runCombChaos(seed int64, rows, cols, iters int, dumpPath string) int {
 		core.WithMetrics(), core.WithFaultRecovery(),
 		core.WithFlightRecorder(), core.WithHubCombining())
 	n := sys.NumCABs()
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	g := coll.NewGroup(sys, 1, members, coll.WithAlgorithm("comb"), coll.WithMaxRetries(16))
 
-	sc := fault.Scenario{Name: "comb", Actions: []fault.Action{
-		fault.LinkFlap{A: 0, B: 1, At: 2 * sim.Millisecond, Duration: 1500 * sim.Microsecond},
-	}}
+	sc, err := fault.Named("comb", seed, sys)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	inj := fault.New(sys, sc)
 	inj.Schedule()
 
-	fmt.Printf("chaos comb (seed %d): %dx%d mesh, %d CABs all in one combining group, %d iterations\n",
+	fmt.Fprintf(stdout, "chaos comb (seed %d): %dx%d mesh, %d CABs all in one combining group, %d iterations\n",
 		seed, rows, cols, n, iters)
 	for _, a := range sc.Actions {
-		fmt.Printf("  inject: %v\n", a)
+		fmt.Fprintf(stdout, "  inject: %v\n", a)
 	}
 
-	wantSum := int64(n) * int64(n+1) / 2
-	errs := make([]error, n)
-	done := make([]bool, n)
-	for r := 0; r < n; r++ {
-		r := r
-		c := g.Member(r)
-		sys.CAB(g.CABOf(r)).Kernel.Spawn(fmt.Sprintf("comb-member-%d", r), func(th *kernel.Thread) {
-			for i := 0; i < iters; i++ {
-				th.Sleep(500 * sim.Microsecond)
-				in := coll.Int64Bytes([]int64{int64(r + 1), int64(i)})
-				out, err := c.Allreduce(th, coll.SumInt64, in)
-				if err != nil {
-					errs[r] = fmt.Errorf("iter %d allreduce: %w", i, err)
-					return
-				}
-				vals := coll.BytesInt64(out)
-				if vals[0] != wantSum || vals[1] != int64(n*i) {
-					errs[r] = fmt.Errorf("iter %d: inexact result %v, want [%d %d]", i, vals, wantSum, n*i)
-					return
-				}
-				if err := c.Barrier(th); err != nil {
-					errs[r] = fmt.Errorf("iter %d barrier: %w", i, err)
-					return
-				}
-			}
-			done[r] = true
-		})
-	}
+	out := fault.StartCollTrain(sys, fault.CollTrain{Algo: "comb", Iters: iters, Lanes: 2})
 	sys.RunUntil(chaosHorizon)
 	sys.StopProbers()
 
-	fmt.Printf("\nhub_combined=%d fallback=%d; links failed=%d restored=%d\n",
+	fmt.Fprintf(stdout, "\nhub_combined=%d fallback=%d; links failed=%d restored=%d\n",
 		sys.Reg.Counter("coll.comb.hub_combined").Value(),
 		sys.Reg.Counter("coll.comb.fallback").Value(),
 		sys.Reg.Counter("net.links_failed").Value(),
 		sys.Reg.Counter("net.links_restored").Value())
 	if c := inj.DetectLatency().Count(); c > 0 {
-		fmt.Printf("fault detection: %d event(s), mean latency %v\n", c, inj.DetectLatency().Mean())
+		fmt.Fprintf(stdout, "fault detection: %d event(s), mean latency %v\n", c, inj.DetectLatency().Mean())
 	}
 
 	if dumpPath != "" {
 		if err := os.WriteFile(dumpPath, []byte(sys.FR.PostMortem()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dump:", err)
+			fmt.Fprintln(stderr, "dump:", err)
 		}
 	}
-	fail := false
-	for r := 0; r < n; r++ {
-		if errs[r] != nil {
-			fmt.Fprintf(os.Stderr, "FAIL: rank %d: %v\n", r, errs[r])
-			fail = true
-		} else if !done[r] {
-			fmt.Fprintf(os.Stderr, "FAIL: rank %d never completed\n", r)
-			fail = true
+	if fails := out.Failures(); len(fails) > 0 {
+		for _, err := range fails {
+			fmt.Fprintf(stderr, "FAIL: %v\n", err)
 		}
-	}
-	if fail {
-		sys.FR.Dump(os.Stderr)
+		sys.FR.Dump(stderr)
 		return 1
 	}
-	fmt.Println("PASS: every collective result exact across the link flap")
+	fmt.Fprintln(stdout, "PASS: every collective result exact across the link flap")
 	return 0
 }

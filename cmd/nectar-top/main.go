@@ -17,23 +17,21 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hub"
-	"repro/internal/kernel"
 	"repro/internal/obs/flow"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-const reqBox = 0x42
 
 // report is the -json shape.
 type report struct {
@@ -68,20 +66,31 @@ type pathReport struct {
 	Slices  []trace.PathSlice `json:"slices"`
 }
 
-func main() {
-	rows := flag.Int("rows", 2, "mesh rows")
-	cols := flag.Int("cols", 2, "mesh columns")
-	per := flag.Int("per", 3, "CABs per HUB")
-	durMs := flag.Float64("duration", 8, "simulated run length, ms")
-	storm := flag.Bool("storm", true, "blast the last CAB from its hub-local neighbors mid-run")
-	size := flag.Int("size", 512, "storm datagram payload bytes")
-	k := flag.Int("k", 0, "heavy-hitter sketch size (0 = default)")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
-	outPath := flag.String("out", "", "also write the report to this file")
-	sloOn := flag.Bool("slo", false, "arm the SLO engine on the request traffic (p99 < -slobound) with tail-sampled tracing; adds status, the alert stream, and bundle capture to the report")
-	sloBound := flag.Duration("slobound", 100*time.Microsecond, "SLO latency bound for -slo")
-	sloDump := flag.String("slodump", "", "with -slo: write the first diagnosis bundle captured at alert time to this file as JSON")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: flags from args, the report on stdout,
+// diagnostics on stderr, the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nectar-top", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rows := fs.Int("rows", 2, "mesh rows")
+	cols := fs.Int("cols", 2, "mesh columns")
+	per := fs.Int("per", 3, "CABs per HUB")
+	durMs := fs.Float64("duration", 8, "simulated run length, ms")
+	storm := fs.Bool("storm", true, "blast the last CAB from its hub-local neighbors mid-run")
+	size := fs.Int("size", 512, "storm datagram payload bytes")
+	k := fs.Int("k", 0, "heavy-hitter sketch size (0 = default)")
+	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
+	outPath := fs.String("out", "", "also write the report to this file")
+	sloOn := fs.Bool("slo", false, "arm the SLO engine on the request traffic (p99 < -slobound) with tail-sampled tracing; adds status, the alert stream, and bundle capture to the report")
+	sloBound := fs.Duration("slobound", 100*time.Microsecond, "SLO latency bound for -slo")
+	sloDump := fs.String("slodump", "", "with -slo: write the first diagnosis bundle captured at alert time to this file as JSON")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opts := []core.Option{
 		core.WithMetrics(),
@@ -99,65 +108,29 @@ func main() {
 	sys := core.New(core.Mesh(*rows, *cols, *per), opts...)
 	n := sys.NumCABs()
 	if n < 3 {
-		fmt.Fprintln(os.Stderr, "need at least 3 CABs (one client, one victim, one blaster)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need at least 3 CABs (one client, one victim, one blaster)")
+		return 2
 	}
 	victimID := n - 1
-	victim := sys.CAB(victimID)
 	horizon := sim.Time(*durMs * float64(sim.Millisecond))
 	stormAt, stormDur := horizon/8, horizon/2
 
-	// Request server on the victim, echoing 8 bytes back.
-	srvBox := victim.Kernel.NewMailbox("top-srv", 1<<20)
-	victim.TP.Register(reqBox, srvBox)
-	victim.Kernel.SpawnDaemon("top-srv", func(th *kernel.Thread) {
-		for {
-			m := srvBox.Get(th)
-			_ = victim.TP.Respond(th, m, m.Bytes()[:8])
-			srvBox.Release(m)
-		}
-	})
-
-	// Paced background client on CAB 0: one request every 100us, so the
-	// span trace holds a steady stream of cross-fabric messages for the
-	// critical-path post-processor.
-	requests := 0
-	client := sys.CAB(0)
-	client.Kernel.SpawnDaemon("top-client", func(th *kernel.Thread) {
-		payload := make([]byte, 64)
-		for i := 0; ; i++ {
-			next := sim.Time(i) * 100 * sim.Microsecond
-			if now := sys.Eng.Now(); next > now {
-				th.Sleep(next - now)
-			}
-			_, _ = client.TP.Request(th, victimID, reqBox, 1, payload)
-			requests++
-		}
-	})
-
-	// The storm: the victim's hub-local neighbors blast it with datagrams,
-	// so all contention converges on its HUB's output register.
-	var srcs []int
+	// The hot spot: a paced client on CAB 0 sends a request every 100us to
+	// the last CAB, so the span trace holds a steady stream of cross-fabric
+	// messages for the critical-path post-processor; the storm is the
+	// victim's hub-local neighbors blasting it with datagrams, so all
+	// contention converges on its HUB's output register.
+	hs := fault.HotSpot{Client: 0, Victim: victimID, Every: 100 * sim.Microsecond, Size: *size}
 	if *storm {
+		hs.At, hs.Duration = stormAt, stormDur
 		base := (victimID / *per) * *per
-		for c := base; c < base+*per && len(srcs) < 2; c++ {
+		for c := base; c < base+*per && len(hs.Srcs) < 2; c++ {
 			if c != victimID && c != 0 {
-				srcs = append(srcs, c)
+				hs.Srcs = append(hs.Srcs, c)
 			}
 		}
-		sink := victim.Kernel.NewMailbox("top-sink", 8<<20)
-		victim.TP.Register(fault.StormBox, sink)
-		victim.Kernel.SpawnDaemon("top-sink", func(th *kernel.Thread) {
-			for {
-				sink.Release(sink.Get(th))
-			}
-		})
-		inj := fault.New(sys, fault.Scenario{Name: "top-storm", Actions: []fault.Action{
-			fault.CongestionStorm{Srcs: srcs, Dst: victimID,
-				At: stormAt, Duration: stormDur, Size: *size},
-		}})
-		inj.Schedule()
 	}
+	hot := fault.StartHotSpot(sys, hs)
 
 	sys.RunUntil(horizon)
 	sys.StopTelemetry()
@@ -165,39 +138,19 @@ func main() {
 	if *sloDump != "" {
 		if bundles := sys.SLO.Bundles(); len(bundles) > 0 {
 			if err := os.WriteFile(*sloDump, bundles[0].JSON(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "slodump:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "slodump:", err)
+				return 1
 			}
-			fmt.Fprintf(os.Stderr, "wrote diagnosis bundle to %s\n", *sloDump)
+			fmt.Fprintf(stderr, "wrote diagnosis bundle to %s\n", *sloDump)
 		} else {
-			fmt.Fprintln(os.Stderr, "slodump: no alert fired, no bundle captured")
+			fmt.Fprintln(stderr, "slodump: no alert fired, no bundle captured")
 		}
 	}
 
-	// Post-process: client request roots inside the storm window (whole run
-	// when the storm is off).
-	lo, hi := stormAt, stormAt+stormDur
-	if !*storm {
-		lo, hi = 0, horizon
-	}
-	clientName := client.Board.Name()
-	byRoot := trace.GroupByRoot(sys.Tr.Spans())
-	var roots []*trace.Span
-	for _, r := range sys.Tr.Roots() {
-		if r.Comp() == clientName && r.Name() == "msg" &&
-			r.Ended() && r.Start() >= lo && r.Start() <= hi {
-			roots = append(roots, r)
-		}
-	}
-	breakdown := func(q float64) *trace.PathBreakdown {
-		return trace.CriticalPathIn(byRoot[trace.QuantileRoot(roots, q)],
-			trace.QuantileRoot(roots, q), hub.TransferLatency)
-	}
-	p50, p99 := breakdown(0.50), breakdown(0.99)
-	var all []*trace.PathBreakdown
-	for _, r := range roots {
-		all = append(all, trace.CriticalPathIn(byRoot[r], r, hub.TransferLatency))
-	}
+	// Post-process: the client's requests inside the storm window (whole
+	// run when the storm is off).
+	p50, p99 := hot.CriticalPath(0.50), hot.CriticalPath(0.99)
+	all := hot.CriticalPaths()
 	agg := trace.AggregatePaths(all)
 	weather := sys.Weathermap()
 
@@ -206,7 +159,7 @@ func main() {
 		rep.Config.Rows, rep.Config.Cols, rep.Config.Per = *rows, *cols, *per
 		rep.Config.DurationMs = *durMs
 		rep.Config.Storm = *storm
-		rep.Config.StormSrcs = srcs
+		rep.Config.StormSrcs = hs.Srcs
 		rep.Config.StormDst = victimID
 		for _, r := range sys.Flows.Records() {
 			rep.Flows = append(rep.Flows, flowRow{
@@ -222,7 +175,7 @@ func main() {
 		rep.P50 = pathJSON(p50)
 		rep.P99 = pathJSON(p99)
 		rep.Aggregate = agg
-		rep.Requests = requests
+		rep.Requests = hot.Requests
 		if sys.SLO != nil {
 			rep.SLO = sys.SLO.Status()
 			rep.SLOAlerts = sys.SLO.Alerts()
@@ -230,21 +183,20 @@ func main() {
 		}
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "encode:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "encode:", err)
+			return 1
 		}
 		blob = append(blob, '\n')
-		os.Stdout.Write(blob)
-		writeOut(*outPath, blob)
-		return
+		stdout.Write(blob)
+		return writeOut(stderr, *outPath, blob)
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "nectar-top: %dx%d mesh, %d CABs/HUB, %d requests over %v\n",
-		*rows, *cols, *per, requests, horizon)
+		*rows, *cols, *per, hot.Requests, horizon)
 	if *storm {
 		fmt.Fprintf(&b, "storm: CABs %v -> cab%d, %v..%v, %dB datagrams\n",
-			srcs, victimID, stormAt, stormAt+stormDur, *size)
+			hs.Srcs, victimID, stormAt, stormAt+stormDur, *size)
 	}
 	b.WriteString("\n")
 	b.WriteString(sys.Flows.Text(16))
@@ -275,8 +227,8 @@ func main() {
 	} else {
 		b.WriteString("no traced requests completed in the window\n")
 	}
-	os.Stdout.WriteString(b.String())
-	writeOut(*outPath, []byte(b.String()))
+	io.WriteString(stdout, b.String())
+	return writeOut(stderr, *outPath, []byte(b.String()))
 }
 
 func dstLabel(d uint16) string {
@@ -293,13 +245,15 @@ func pathJSON(p *trace.PathBreakdown) *pathReport {
 	return &pathReport{TotalNs: int64(p.Total), Slices: p.Slices}
 }
 
-func writeOut(path string, blob []byte) {
+// writeOut copies the report to path (when set) and returns the exit status.
+func writeOut(stderr io.Writer, path string, blob []byte) int {
 	if path == "" {
-		return
+		return 0
 	}
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "write:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "write:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "wrote report to %s\n", path)
+	fmt.Fprintf(stderr, "wrote report to %s\n", path)
+	return 0
 }

@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -32,20 +34,31 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	mode := flag.String("mode", "reqresp", "reqresp | circuit | packet | multicast")
-	limit := flag.Int("limit", 100, "max retained events")
-	size := flag.Int("size", 128, "payload bytes")
-	out := flag.String("out", "", "write spans as Chrome trace-event JSON to this file")
-	metrics := flag.Bool("metrics", false, "print the metrics registry snapshot")
-	prom := flag.Bool("prom", false, "print the metrics registry as Prometheus text exposition")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: flags from args, the report on stdout,
+// diagnostics on stderr, the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nectar-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "reqresp", "reqresp | circuit | packet | multicast")
+	limit := fs.Int("limit", 100, "max retained events")
+	size := fs.Int("size", 128, "payload bytes")
+	out := fs.String("out", "", "write spans as Chrome trace-event JSON to this file")
+	metrics := fs.Bool("metrics", false, "print the metrics registry snapshot")
+	prom := fs.Bool("prom", false, "print the metrics registry as Prometheus text exposition")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	switch *mode {
 	case "reqresp", "circuit", "packet", "multicast":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want reqresp, circuit, packet, or multicast)\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown mode %q (want reqresp, circuit, packet, or multicast)\n", *mode)
+		return 2
 	}
 
 	params := core.DefaultParams()
@@ -66,7 +79,7 @@ func main() {
 		for i := 1; i < sys.NumCABs(); i++ {
 			st := sys.CAB(i)
 			st.DL.SetReceiver(func(p []byte, _ *trace.Span) {
-				fmt.Printf("-- CAB %d datalink delivered %d bytes at %v\n",
+				fmt.Fprintf(stdout, "-- CAB %d datalink delivered %d bytes at %v\n",
 					st.Board.ID(), len(p), st.Kernel.Engine().Now())
 			})
 		}
@@ -91,10 +104,10 @@ func main() {
 			t0 := th.Proc().Now()
 			resp, err := tx.TP.Request(th, 1, 1, 2, make([]byte, *size))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
-			fmt.Printf("-- CAB 0 got %d-byte response, round trip %v\n",
+			fmt.Fprintf(stdout, "-- CAB 0 got %d-byte response, round trip %v\n",
 				len(resp), th.Proc().Now()-t0)
 		})
 	case "circuit", "packet", "multicast":
@@ -109,54 +122,55 @@ func main() {
 				err = tx.DL.SendMulticastCircuit(th, []int{1, 2, 3}, make([]byte, *size))
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		})
 	}
 	sys.Run()
 
-	fmt.Printf("\ninstrumentation board event log (%s send):\n", *mode)
-	fmt.Print(sys.Rec.Dump())
-	fmt.Printf("\nevent counts: conn-open=%d conn-close=%d command=%d packet-out=%d reply=%d drops=%d\n",
+	fmt.Fprintf(stdout, "\ninstrumentation board event log (%s send):\n", *mode)
+	fmt.Fprint(stdout, sys.Rec.Dump())
+	fmt.Fprintf(stdout, "\nevent counts: conn-open=%d conn-close=%d command=%d packet-out=%d reply=%d drops=%d\n",
 		sys.Rec.Count(trace.EvConnOpen), sys.Rec.Count(trace.EvConnClose),
 		sys.Rec.Count(trace.EvCommand), sys.Rec.Count(trace.EvPacketOut),
 		sys.Rec.Count(trace.EvReply), sys.Rec.Count(trace.EvPacketDrop))
 
 	if spans := sys.Tr.Spans(); len(spans) > 0 {
-		fmt.Printf("\nper-layer span breakdown (%d spans, %d dropped):\n", len(spans), sys.Tr.Dropped())
+		fmt.Fprintf(stdout, "\nper-layer span breakdown (%d spans, %d dropped):\n", len(spans), sys.Tr.Dropped())
 		t := trace.NewTable("", "layer", "spans", "total", "busy (merged)")
 		for _, st := range trace.Breakdown(spans) {
 			t.AddRow(st.Layer, st.Spans, st.Total, st.Busy)
 		}
-		fmt.Print(t.String())
+		fmt.Fprint(stdout, t.String())
 	}
 
 	if *metrics {
-		fmt.Printf("\nmetrics registry snapshot:\n%s", sys.Reg.Text())
+		fmt.Fprintf(stdout, "\nmetrics registry snapshot:\n%s", sys.Reg.Text())
 	}
 
 	if *prom {
-		fmt.Println()
-		if err := obs.WriteProm(os.Stdout, sys.Reg.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := obs.WriteProm(stdout, sys.Reg.Snapshot()); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := sys.Tr.WriteChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("\nwrote Chrome trace-event JSON to %s (open in chrome://tracing or ui.perfetto.dev)\n", *out)
+		fmt.Fprintf(stdout, "\nwrote Chrome trace-event JSON to %s (open in chrome://tracing or ui.perfetto.dev)\n", *out)
 	}
+	return 0
 }

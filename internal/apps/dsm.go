@@ -206,9 +206,10 @@ func RunDSM(sys *core.System, cfg DSMConfig) (*DSMResult, error) {
 				res.ReadFaults++
 				mgr.TP.Respond(th, req, d.data)
 			case dsmWriteFault:
-				// Invalidate every other shared copy.
-				for r := range d.readers {
-					if r == worker {
+				// Invalidate every other shared copy, in worker order (map
+				// order would make the run differ from one to the next).
+				for r := 0; r < cfg.Workers; r++ {
+					if r == worker || !d.readers[r] {
 						continue
 					}
 					cab, box := ctlBox(r)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -131,4 +132,16 @@ func buildTelemetry(s *System) {
 		s.Watchdog = w
 	}
 	buildSLO(s)
+}
+
+// PromText renders everything the system exposes to a Prometheus scrape —
+// the metrics registry, the sampler's latest readings and the flow table,
+// each present only when armed — with labels on every sample. Call from
+// the simulation goroutine (or after the run).
+func (s *System) PromText(labels ...obs.Label) []byte {
+	var b bytes.Buffer
+	_ = obs.WriteProm(&b, s.Reg.Snapshot(), labels...)
+	obs.WriteSamplerProm(&b, s.Sampler, labels...)
+	s.Flows.WriteProm(&b, labels...)
+	return b.Bytes()
 }

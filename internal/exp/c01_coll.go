@@ -227,47 +227,29 @@ func c1Replay() (string, error) {
 // concurrent rings leave headroom for the probe/heartbeat control traffic
 // that drives recovery.
 func c1Chaos() (string, error) {
-	const iters, lanes = 10, 256
-	sys := core.New(core.Mesh(2, 2, 2),
-		core.WithMetrics(), core.WithFaultRecovery(), core.WithFlightRecorder())
-	fault.New(sys, fault.Scenario{Name: "c1-flap", Actions: []fault.Action{
-		fault.LinkFlap{A: 0, B: 1, At: 2 * sim.Millisecond, Duration: 1500 * sim.Microsecond},
-	}}).Schedule()
+	return collChaos(fault.CollTrain{Algo: "ring", Iters: 10, Lanes: 256})
+}
 
-	cabs := make([]int, 8)
-	for i := range cabs {
-		cabs[i] = i
+// collChaos runs a train of collectives on a 2x2 mesh (HUB combining armed
+// when that is the algorithm) through a 1.5 ms flap of the link between
+// HUB 0 and HUB 1 and returns the registry snapshot, or the first rank's
+// failure.
+func collChaos(train fault.CollTrain) (string, error) {
+	opts := []core.Option{core.WithMetrics(), core.WithFaultRecovery(), core.WithFlightRecorder()}
+	if train.Algo == "comb" {
+		opts = append(opts, core.WithHubCombining())
 	}
-	g := coll.NewGroup(sys, 2, cabs, coll.WithAlgorithm("ring"), coll.WithMaxRetries(16))
-	errs := make([]error, 8)
-	for r := 0; r < 8; r++ {
-		r := r
-		c := g.Member(r)
-		sys.CAB(r).Kernel.Spawn(fmt.Sprintf("c1-chaos-%d", r), func(th *kernel.Thread) {
-			for i := 0; i < iters; i++ {
-				th.Sleep(500 * sim.Microsecond)
-				in := make([]int64, lanes)
-				for j := range in {
-					in[j] = int64((r + 1) * (i + 1))
-				}
-				out, err := c.Allreduce(th, coll.SumInt64, coll.Int64Bytes(in))
-				if err != nil {
-					errs[r] = fmt.Errorf("iter %d: %w", i, err)
-					return
-				}
-				if got, want := coll.BytesInt64(out)[0], int64(36*(i+1)); got != want {
-					errs[r] = fmt.Errorf("iter %d: sum %d, want %d", i, got, want)
-					return
-				}
-			}
-		})
+	sys := core.New(core.Mesh(2, 2, 2), opts...)
+	flap, err := fault.Named("comb", 0, sys)
+	if err != nil {
+		return "", err
 	}
+	fault.New(sys, flap).Schedule()
+	out := fault.StartCollTrain(sys, train)
 	sys.RunUntil(5 * sim.Second)
 	sys.StopTelemetry()
-	for r, err := range errs {
-		if err != nil {
-			return "", fmt.Errorf("rank %d: %w", r, err)
-		}
+	if fails := out.Failures(); len(fails) > 0 {
+		return "", fails[0]
 	}
 	return sys.Reg.Text(), nil
 }

@@ -177,21 +177,14 @@ func c2Digest(telemetry bool) (uint64, error) {
 			return 0, fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
-	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
-	digest := uint64(fnvOffset)
-	mix := func(b byte) {
-		digest ^= uint64(b)
-		digest *= fnvPrime
-	}
+	digest := trace.NewDigest()
 	for r := 0; r < 8; r++ {
 		for _, b := range outs[r] {
-			mix(b)
+			digest.Byte(b)
 		}
-		for s := 0; s < 64; s += 8 {
-			mix(byte(uint64(times[r]) >> s))
-		}
+		digest.Uint64(uint64(times[r]))
 	}
-	return digest, nil
+	return uint64(digest), nil
 }
 
 // c2Chaos drives a train of combining allreduces through an inter-HUB
@@ -199,45 +192,7 @@ func c2Digest(telemetry bool) (uint64, error) {
 // exchange reroutes and retries, every sum must come back exact, and a
 // same-seed rerun must be byte-identical.
 func c2Chaos() (string, error) {
-	const iters = 10
-	sys := core.New(core.Mesh(2, 2, 2), core.WithMetrics(), core.WithFaultRecovery(),
-		core.WithFlightRecorder(), core.WithHubCombining())
-	fault.New(sys, fault.Scenario{Name: "c2-flap", Actions: []fault.Action{
-		fault.LinkFlap{A: 0, B: 1, At: 2 * sim.Millisecond, Duration: 1500 * sim.Microsecond},
-	}}).Schedule()
-	cabs := make([]int, 8)
-	for i := range cabs {
-		cabs[i] = i
-	}
-	g := coll.NewGroup(sys, 2, cabs, coll.WithAlgorithm("comb"), coll.WithMaxRetries(16))
-	errs := make([]error, 8)
-	for r := 0; r < 8; r++ {
-		r := r
-		c := g.Member(r)
-		sys.CAB(r).Kernel.Spawn(fmt.Sprintf("c2-chaos-%d", r), func(th *kernel.Thread) {
-			for i := 0; i < iters; i++ {
-				th.Sleep(500 * sim.Microsecond)
-				out, err := c.Allreduce(th, coll.SumInt64,
-					coll.Int64Bytes([]int64{int64((r + 1) * (i + 1))}))
-				if err != nil {
-					errs[r] = fmt.Errorf("iter %d: %w", i, err)
-					return
-				}
-				if got, want := coll.BytesInt64(out)[0], int64(36*(i+1)); got != want {
-					errs[r] = fmt.Errorf("iter %d: sum %d, want %d", i, got, want)
-					return
-				}
-			}
-		})
-	}
-	sys.RunUntil(5 * sim.Second)
-	sys.StopTelemetry()
-	for r, err := range errs {
-		if err != nil {
-			return "", fmt.Errorf("rank %d: %w", r, err)
-		}
-	}
-	return sys.Reg.Text(), nil
+	return collChaos(fault.CollTrain{Algo: "comb", Iters: 10, Lanes: 1})
 }
 
 // c2Merge folds the combining sweep into the benchmark JSON file C1

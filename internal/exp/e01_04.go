@@ -81,22 +81,11 @@ func E2Bandwidth() *Result {
 				src, dst = i+8, i
 			}
 			flows++
-			rx := sys.CAB(dst)
-			box := uint16(10 + dir)
-			mb := rx.Kernel.NewMailbox(fmt.Sprintf("in-%d-%d", dst, dir), 2*1024*1024)
-			rx.TP.Register(box, mb)
-			rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-				msg := mb.Get(th)
-				mb.Release(msg)
-			})
-			st := sys.CAB(src)
-			st.Kernel.Spawn("tx", func(th *kernel.Thread) {
-				st.TP.StreamSend(th, dst, box, 0, make([]byte, per))
-			})
+			startTransfer(sys, src, dst, uint16(10+dir), per, true)
 		}
 	}
 	end := sys.Run()
-	aggregate := float64(flows*per) * 8 / end.Seconds() / 1e6
+	aggregate := mbps(flows*per, end)
 
 	t := trace.NewTable("Nectar-net bandwidth (paper abstract, section 3.2)",
 		"metric", "paper", "measured")

@@ -38,7 +38,7 @@ func E5VsLAN() *Result {
 
 	t2 := trace.NewTable("Bulk throughput",
 		"transfer", "LAN", "Nectar node-node", "Nectar CAB-CAB", "ratio (node/LAN)")
-	lanT := lanThroughput(512 * 1024)
+	lanT := mbps(512*1024, lanLatency(512*1024))
 	nodeT := nodeThroughput(512*1024, 8*1024)
 	cabT := streamThroughput(512*1024, params)
 	ratio := nodeT / lanT
@@ -114,22 +114,7 @@ func E6MultiHub() *Result {
 // datagramLatencyOn measures a one-shot datagram between two CABs of an
 // existing system.
 func datagramLatencyOn(sys *core.System, src, dst, size int) sim.Time {
-	rx := sys.CAB(dst)
-	mb := rx.Kernel.NewMailbox("in", 1024*1024)
-	rx.TP.Register(1, mb)
-	var sent, recvd sim.Time
-	rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-		msg := mb.Get(th)
-		recvd = th.Proc().Now()
-		mb.Release(msg)
-	})
-	st := sys.CAB(src)
-	st.Kernel.Spawn("tx", func(th *kernel.Thread) {
-		sent = th.Proc().Now()
-		st.TP.SendDatagram(th, dst, 1, 0, make([]byte, size))
-	})
-	sys.Run()
-	return recvd - sent
+	return transferOn(sys, src, dst, size, false)
 }
 
 // E7Multicast reproduces §4.2.2/§4.2.4: hardware multicast over the
@@ -201,10 +186,10 @@ func E8Transports() *Result {
 	dg := cabLatencyOneWay(64, params)
 	t.AddRow("datagram", "one-way 64B", dg)
 
-	st := streamLatency(64)
+	st := transferOn(core.New(core.SingleHub(2)), 0, 1, 64, true)
 	t.AddRow("byte-stream", "one-way 64B (incl. delivery)", st)
 
-	rr := requestRTT(64)
+	rr := echoRTT(64, false)
 	t.AddRow("request-response", "RTT 64B echo", rr)
 
 	thr := streamThroughput(512*1024, params)
@@ -226,43 +211,36 @@ func E8Transports() *Result {
 	}
 }
 
-// streamLatency measures one-way latency of a small byte-stream message.
-func streamLatency(size int) sim.Time {
-	sys := core.New(core.SingleHub(2))
-	rx := sys.CAB(1)
-	mb := rx.Kernel.NewMailbox("in", 1024*1024)
-	rx.TP.Register(1, mb)
-	var sent, recvd sim.Time
-	rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-		msg := mb.Get(th)
-		recvd = th.Proc().Now()
-		mb.Release(msg)
-	})
-	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		sent = th.Proc().Now()
-		sys.CAB(0).TP.StreamSend(th, 1, 1, 0, make([]byte, size))
-	})
-	sys.Run()
-	return recvd - sent
-}
-
-// requestRTT measures a request-response echo round trip.
-func requestRTT(size int) sim.Time {
+// echoRTT measures one echo round trip of size bytes against a server on
+// the other CAB of a HUB: a request-response, or a VMTP transaction.
+func echoRTT(size int, vmtp bool) sim.Time {
 	sys := core.New(core.SingleHub(2))
 	srv := sys.CAB(1)
-	smb := srv.Kernel.NewMailbox("srv", 1024*1024)
-	srv.TP.Register(7, smb)
+	mb := srv.Kernel.NewMailbox("srv", 4<<20)
+	srv.TP.Register(7, mb)
 	srv.Kernel.SpawnDaemon("server", func(th *kernel.Thread) {
 		for {
-			req := smb.Get(th)
-			srv.TP.Respond(th, req, req.Bytes())
-			smb.Release(req)
+			req := mb.Get(th)
+			if vmtp {
+				srv.TP.VRespond(th, req, req.Bytes())
+			} else {
+				srv.TP.Respond(th, req, req.Bytes())
+			}
+			mb.Release(req)
 		}
 	})
 	var rtt sim.Time
 	sys.CAB(0).Kernel.Spawn("client", func(th *kernel.Thread) {
 		start := th.Proc().Now()
-		sys.CAB(0).TP.Request(th, 1, 7, 3, make([]byte, size))
+		var err error
+		if vmtp {
+			_, err = sys.CAB(0).TP.VTransact(th, 1, 7, 3, make([]byte, size))
+		} else {
+			_, err = sys.CAB(0).TP.Request(th, 1, 7, 3, make([]byte, size))
+		}
+		if err != nil {
+			panic(err)
+		}
 		rtt = th.Proc().Now() - start
 	})
 	sys.Run()

@@ -141,9 +141,9 @@ func hotspotAggregate(k int) (agg, minShare, maxShare float64) {
 		})
 	}
 	end := sys.Run()
-	agg = float64(k*per) * 8 / end.Seconds() / 1e6
+	agg = mbps(k*per, end)
 	for i, d := range doneAt {
-		share := float64(per) * 8 / d.Seconds() / 1e6
+		share := mbps(per, d)
 		if i == 0 || share < minShare {
 			minShare = share
 		}
@@ -160,21 +160,9 @@ func crossbarAggregate(k int) float64 {
 	sys := core.New(core.SingleHub(2 * k))
 	const per = 256 * 1024
 	for i := 0; i < k; i++ {
-		src, dst := i, k+i
-		rx := sys.CAB(dst)
-		mb := rx.Kernel.NewMailbox("in", 2*1024*1024)
-		rx.TP.Register(1, mb)
-		rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-			msg := mb.Get(th)
-			mb.Release(msg)
-		})
-		st := sys.CAB(src)
-		st.Kernel.Spawn("tx", func(th *kernel.Thread) {
-			st.TP.StreamSend(th, dst, 1, 0, make([]byte, per))
-		})
+		startTransfer(sys, i, k+i, 1, per, true)
 	}
-	end := sys.Run()
-	return float64(k*per) * 8 / end.Seconds() / 1e6
+	return mbps(k*per, sys.Run())
 }
 
 // lanAggregate runs k disjoint pairs on one Ethernet segment.
@@ -192,8 +180,7 @@ func lanAggregate(k int) float64 {
 		eng.Go("rx", func(p *sim.Proc) { dst.Recv(p, 1) })
 		eng.Go("tx", func(p *sim.Proc) { src.Send(p, dst, 1, make([]byte, per)) })
 	}
-	end := eng.Run()
-	return float64(k*per) * 8 / end.Seconds() / 1e6
+	return mbps(k*per, eng.Run())
 }
 
 // E12Apps reproduces §7: the vision pipeline, the parallel production

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: it regenerates, as tables, every
 // quantitative claim and architecture figure of the paper (the experiment
 // index E1-E12/F1 of DESIGN.md). cmd/nectar-bench prints all of them;
-// bench_test.go at the repository root exposes each as a testing.B
-// benchmark; EXPERIMENTS.md records paper-vs-measured.
+// testdata/<ID>.golden pins each rendering; EXPERIMENTS.md records
+// paper-vs-measured.
 package exp
 
 import (

@@ -1,13 +1,22 @@
 package exp
 
 import (
+	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run instead of comparing")
 
 // TestAllExperimentsReproduce runs the entire experiment suite and asserts
 // every experiment reproduces the paper's shape — the repository-level
-// regression test for the reproduction itself.
+// regression test for the reproduction itself — and renders exactly
+// testdata/<ID>.golden: the simulation is deterministic, so a refactor
+// that moves any printed figure changed the modelled system
+// (`go test ./internal/exp -update` re-captures after a declared change).
 func TestAllExperimentsReproduce(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -24,6 +33,9 @@ func TestAllExperimentsReproduce(t *testing.T) {
 			}
 			if !strings.Contains(res.String(), res.ID) {
 				t.Fatal("result render missing ID")
+			}
+			if err := trace.Golden(filepath.Join("testdata", e.ID+".golden"), []byte(res.String()), *update); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

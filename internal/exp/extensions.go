@@ -22,13 +22,13 @@ func X3VMTP() *Result {
 		"metric", "request-response", "VMTP", "byte-stream")
 
 	// Small-transaction RTT.
-	rrSmall := requestRTT(64)
-	vSmall := vmtpRTT(64, core.DefaultParams())
+	rrSmall := echoRTT(64, false)
+	vSmall := echoRTT(64, true)
 	t.AddRow("64B transaction RTT", rrSmall, vSmall, "n/a (one-way)")
 
 	// Large transaction: request-response cannot carry it in one packet;
 	// VMTP blasts a packet group.
-	vLarge := vmtpRTT(24*1000, core.DefaultParams())
+	vLarge := echoRTT(24*1000, true)
 	t.AddRow("24KB transaction RTT", "n/a (>1 packet)", vLarge, "n/a")
 
 	// Wire efficiency under loss: packets sent for the same transfer.
@@ -47,31 +47,6 @@ func X3VMTP() *Result {
 		},
 		Pass: pass,
 	}
-}
-
-// vmtpRTT measures a VMTP echo transaction round trip.
-func vmtpRTT(size int, params core.Params) sim.Time {
-	sys := core.New(core.SingleHub(2), core.WithParams(params))
-	srv := sys.CAB(1)
-	mb := srv.Kernel.NewMailbox("srv", 4<<20)
-	srv.TP.Register(7, mb)
-	srv.Kernel.SpawnDaemon("server", func(th *kernel.Thread) {
-		for {
-			req := mb.Get(th)
-			srv.TP.VRespond(th, req, req.Bytes())
-			mb.Release(req)
-		}
-	})
-	var rtt sim.Time
-	sys.CAB(0).Kernel.Spawn("client", func(th *kernel.Thread) {
-		start := th.Proc().Now()
-		if _, err := sys.CAB(0).TP.VTransact(th, 1, 7, 3, make([]byte, size)); err != nil {
-			panic(err)
-		}
-		rtt = th.Proc().Now() - start
-	})
-	sys.Run()
-	return rtt
 }
 
 // lossEfficiency compares packets-on-the-wire for a lossy 28KB transfer.
@@ -100,16 +75,7 @@ func lossEfficiency() (vmtpPkts, streamPkts, minPkts int64) {
 	vmtpPkts = sysV.CAB(0).DL.Stats().PacketsSent
 
 	sysS := core.New(core.SingleHub(2), core.WithParams(lossy()))
-	rx := sysS.CAB(1)
-	mb := rx.Kernel.NewMailbox("in", 4<<20)
-	rx.TP.Register(1, mb)
-	rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-		msg := mb.Get(th)
-		mb.Release(msg)
-	})
-	sysS.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		sysS.CAB(0).TP.StreamSend(th, 1, 1, 0, make([]byte, total))
-	})
+	startTransfer(sysS, 0, 1, 1, total, true)
 	sysS.Run()
 	streamPkts = sysS.CAB(0).DL.Stats().PacketsSent
 

@@ -10,51 +10,63 @@ import (
 	"repro/internal/sim"
 )
 
-// cabLatencyOneWay builds a fresh single-HUB system and measures the
-// one-way process-to-process latency of a single datagram of `size` bytes
-// between threads on two CABs.
-func cabLatencyOneWay(size int, params core.Params) sim.Time {
-	sys := core.New(core.SingleHub(2), core.WithParams(params))
-	rx := sys.CAB(1)
-	mb := rx.Kernel.NewMailbox("in", 1024*1024)
-	rx.TP.Register(1, mb)
-	var sent, recvd sim.Time
+// oneShot times one message between two CABs: when the sender thread
+// began the send and when the receiver thread had the message. Both are
+// valid after the run.
+type oneShot struct{ sent, recvd sim.Time }
+
+func (o *oneShot) latency() sim.Time { return o.recvd - o.sent }
+
+// mbps is total bytes moved in d as Mb/s (0 when d is not positive).
+func mbps(total int, d sim.Time) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(total) * 8 / d.Seconds() / 1e6
+}
+
+// startTransfer spawns a receiver thread on CAB dst that takes one message
+// from mailbox box, and a sender thread on CAB src that sends it size bytes
+// — as a byte stream, or as one datagram.
+func startTransfer(sys *core.System, src, dst int, box uint16, size int, stream bool) *oneShot {
+	o := &oneShot{}
+	rx := sys.CAB(dst)
+	mb := rx.Kernel.NewMailbox("in", 4<<20)
+	rx.TP.Register(box, mb)
 	rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
 		msg := mb.Get(th)
-		recvd = th.Proc().Now()
+		o.recvd = th.Proc().Now()
 		mb.Release(msg)
 	})
-	payload := make([]byte, size)
-	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		sent = th.Proc().Now()
-		sys.CAB(0).TP.SendDatagram(th, 1, 1, 0, payload)
+	tx := sys.CAB(src)
+	tx.Kernel.Spawn("tx", func(th *kernel.Thread) {
+		o.sent = th.Proc().Now()
+		if stream {
+			tx.TP.StreamSend(th, dst, box, 0, make([]byte, size))
+		} else {
+			tx.TP.SendDatagram(th, dst, box, 0, make([]byte, size))
+		}
 	})
+	return o
+}
+
+// transferOn runs one transfer to completion on an otherwise idle system.
+func transferOn(sys *core.System, src, dst, size int, stream bool) sim.Time {
+	o := startTransfer(sys, src, dst, 1, size, stream)
 	sys.Run()
-	return recvd - sent
+	return o.latency()
+}
+
+// cabLatencyOneWay measures the one-way process-to-process latency of a
+// single datagram of size bytes between threads on two CABs of one HUB.
+func cabLatencyOneWay(size int, params core.Params) sim.Time {
+	return transferOn(core.New(core.SingleHub(2), core.WithParams(params)), 0, 1, size, false)
 }
 
 // streamThroughput measures one-way byte-stream throughput (Mb/s) for a
 // bulk transfer of total bytes between two CABs.
 func streamThroughput(total int, params core.Params) float64 {
-	sys := core.New(core.SingleHub(2), core.WithParams(params))
-	rx := sys.CAB(1)
-	mb := rx.Kernel.NewMailbox("in", 2*1024*1024)
-	rx.TP.Register(1, mb)
-	var start, end sim.Time
-	rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-		msg := mb.Get(th)
-		end = th.Proc().Now()
-		mb.Release(msg)
-	})
-	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		start = th.Proc().Now()
-		sys.CAB(0).TP.StreamSend(th, 1, 1, 0, make([]byte, total))
-	})
-	sys.Run()
-	if end <= start {
-		return 0
-	}
-	return float64(total) * 8 / (end - start).Seconds() / 1e6
+	return mbps(total, transferOn(core.New(core.SingleHub(2), core.WithParams(params)), 0, 1, total, true))
 }
 
 // rawEndpoint turns a CAB board into a raw fiber endpoint that records
@@ -131,31 +143,19 @@ func hubSetupMeasurement(params core.Params) (setup, transfer sim.Time) {
 
 // nodeSharedLatency measures node-process-to-node-process latency over the
 // shared-memory CAB-node interface.
-func nodeSharedLatency(size int) sim.Time {
-	sys := core.New(core.SingleHub(2))
-	a := node.New(sys.CAB(0), "nodeA", node.DefaultParams())
-	b := node.New(sys.CAB(1), "nodeB", node.DefaultParams())
-	b.OpenBox(1, node.ModeShared, 1024*1024)
-	var sent, recvd sim.Time
-	b.Go("rx", func(p *sim.Proc) {
-		b.RecvShared(p, 1)
-		recvd = p.Now()
-	})
-	a.Go("tx", func(p *sim.Proc) {
-		sent = p.Now()
-		a.SendShared(p, b.CABID(), 1, make([]byte, size))
-	})
-	sys.Run()
-	return recvd - sent
+func nodeSharedLatency(size int) sim.Time { return nodeInterfaceRun(node.ModeShared, size) }
+
+// nodeInterfaceRun measures the one-way latency of one size-byte message
+// between processes on two nodes for a given CAB-node interface mode.
+func nodeInterfaceRun(mode node.RecvMode, size int) sim.Time {
+	return nodeTransfer(mode, size, node.DefaultParams())
 }
 
-// nodeInterfaceRun measures one-way latency and bulk throughput for a given
-// CAB-node interface mode.
-func nodeInterfaceRun(mode node.RecvMode, size int) (lat sim.Time) {
+func nodeTransfer(mode node.RecvMode, size int, np node.Params) sim.Time {
 	sys := core.New(core.SingleHub(2))
-	a := node.New(sys.CAB(0), "nodeA", node.DefaultParams())
-	b := node.New(sys.CAB(1), "nodeB", node.DefaultParams())
-	b.OpenBox(1, mode, 4*1024*1024)
+	a := node.New(sys.CAB(0), "nodeA", np)
+	b := node.New(sys.CAB(1), "nodeB", np)
+	b.OpenBox(1, mode, 8*1024*1024)
 	var sent, recvd sim.Time
 	b.Go("rx", func(p *sim.Proc) {
 		switch mode {
@@ -204,52 +204,12 @@ func lanLatency(size int) sim.Time {
 	return recvd - sent
 }
 
-// lanThroughput measures bulk LAN throughput in Mb/s.
-func lanThroughput(total int) float64 {
-	eng := sim.NewEngine()
-	eth := lan.NewEthernet(eng, lan.DefaultParams())
-	a := eth.AddStation("a")
-	b := eth.AddStation("b")
-	b.OpenBox(1)
-	var sent, recvd sim.Time
-	eng.Go("rx", func(p *sim.Proc) {
-		b.Recv(p, 1)
-		recvd = p.Now()
-	})
-	eng.Go("tx", func(p *sim.Proc) {
-		sent = p.Now()
-		a.Send(p, b, 1, make([]byte, total))
-	})
-	eng.Run()
-	if recvd <= sent {
-		return 0
-	}
-	return float64(total) * 8 / (recvd - sent).Seconds() / 1e6
-}
-
 // nodeThroughput measures bulk node-to-node throughput (shared-memory
-// interface, pipelined) in Mb/s.
+// interface, pipelined in segment-byte pieces) in Mb/s.
 func nodeThroughput(total, segment int) float64 {
-	sys := core.New(core.SingleHub(2))
 	np := node.DefaultParams()
 	np.PipelineSegment = segment
-	a := node.New(sys.CAB(0), "nodeA", np)
-	b := node.New(sys.CAB(1), "nodeB", np)
-	b.OpenBox(1, node.ModeShared, 8*1024*1024)
-	var sent, recvd sim.Time
-	b.Go("rx", func(p *sim.Proc) {
-		b.RecvShared(p, 1)
-		recvd = p.Now()
-	})
-	a.Go("tx", func(p *sim.Proc) {
-		sent = p.Now()
-		a.SendShared(p, b.CABID(), 1, make([]byte, total))
-	})
-	sys.Run()
-	if recvd <= sent {
-		return 0
-	}
-	return float64(total) * 8 / (recvd - sent).Seconds() / 1e6
+	return mbps(total, nodeTransfer(node.ModeShared, total, np))
 }
 
 // coreDefaults is a test seam for the default parameter set.

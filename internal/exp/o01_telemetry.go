@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,15 +44,7 @@ func o1Run() o1Outcome {
 
 	// Sink on the victim CAB so storm datagrams are consumed, keeping the
 	// pressure on the network rather than on mailbox drops.
-	rx := sys.CAB(3)
-	mb := rx.Kernel.NewMailbox("o1-sink", 8<<20)
-	rx.TP.Register(fault.StormBox, mb)
-	rx.Kernel.SpawnDaemon("o1-sink", func(th *kernel.Thread) {
-		for {
-			m := mb.Get(th)
-			mb.Release(m)
-		}
-	})
+	fault.DrainStorm(sys.CAB(3))
 
 	// 256-byte datagrams stay under datalink.MaxPacketPayload, so the storm
 	// is packet-switched and its backlog shows up in HUB input queues.

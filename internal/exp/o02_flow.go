@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hub"
-	"repro/internal/kernel"
 	"repro/internal/obs/flow"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -26,28 +24,21 @@ import (
 // request attributes at least half its latency to queueing at the
 // congested HUB's ports.
 
-const (
-	o2Horizon  = 8 * sim.Millisecond
-	o2StormAt  = sim.Millisecond
-	o2StormDur = 4 * sim.Millisecond
-	o2StormSz  = 512
-	o2ReqEvery = 100 * sim.Microsecond
-	o2ReqBox   = 0x42
-)
+const o2Horizon = 8 * sim.Millisecond
 
-// Mesh(2,2,3): CAB = hubIdx*3 + k. Client CAB 1 (hub idx 0) sends requests
-// to CAB 11 (hub idx 3, "hub4"); storm sources CAB 9 and CAB 10 are the
-// victim's hub-local neighbors, so the only contended resource is hub4's
-// output register toward CAB 11 — queue peaks and the request's queueing
-// both concentrate on hub4's ports, nowhere else.
-var (
-	o2StormSrcs = []int{9, 10}
-	o2StormDst  = 11
-	o2Client    = 1
-)
+// o2HotSpot is the cast, on Mesh(2,2,3) where CAB = hubIdx*3 + k: client
+// CAB 1 (hub idx 0) sends a request every 100 us to CAB 11 (hub idx 3,
+// "hub4"); storm sources CAB 9 and CAB 10 are the victim's hub-local
+// neighbors, so the only contended resource is hub4's output register
+// toward CAB 11 — queue peaks and the request's queueing both concentrate
+// on hub4's ports, nowhere else.
+var o2HotSpot = fault.HotSpot{
+	Client: 1, Victim: 11, Every: 100 * sim.Microsecond,
+	Srcs: []int{9, 10}, At: sim.Millisecond, Duration: 4 * sim.Millisecond, Size: 512,
+}
 
 type o2Outcome struct {
-	digest     uint64
+	digest     trace.Digest
 	requests   int
 	flowCSV    []byte
 	samplerCSV []byte
@@ -73,72 +64,11 @@ func o2Run(observe bool) o2Outcome {
 		)
 	}
 	sys := core.New(core.Mesh(2, 2, 3), opts...)
-
-	// Storm sink, so the blast keeps pressure on the network instead of
-	// dying in mailbox drops.
-	victim := sys.CAB(o2StormDst)
-	sink := victim.Kernel.NewMailbox("o2-sink", 8<<20)
-	victim.TP.Register(fault.StormBox, sink)
-	victim.Kernel.SpawnDaemon("o2-sink", func(th *kernel.Thread) {
-		for {
-			sink.Release(sink.Get(th))
-		}
-	})
-
-	// Request server on the victim.
-	reqBox := victim.Kernel.NewMailbox("o2-srv", 1<<20)
-	victim.TP.Register(o2ReqBox, reqBox)
-	victim.Kernel.SpawnDaemon("o2-srv", func(th *kernel.Thread) {
-		for {
-			m := reqBox.Get(th)
-			_ = victim.TP.Respond(th, m, m.Bytes()[:8])
-			reqBox.Release(m)
-		}
-	})
-
-	// Paced background client: one request every o2ReqEvery, latencies
-	// folded into the digest.
-	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
-	digest := uint64(fnvOffset)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			digest ^= (v >> (8 * i)) & 0xFF
-			digest *= fnvPrime
-		}
-	}
-	requests := 0
-	client := sys.CAB(o2Client)
-	client.Kernel.SpawnDaemon("o2-client", func(th *kernel.Thread) {
-		payload := make([]byte, 64)
-		for i := 0; ; i++ {
-			next := sim.Time(i) * o2ReqEvery
-			if now := sys.Eng.Now(); next > now {
-				th.Sleep(next - now)
-			}
-			t0 := sys.Eng.Now()
-			_, err := client.TP.Request(th, o2StormDst, o2ReqBox, 1, payload)
-			lat := sys.Eng.Now() - t0
-			requests++
-			fold(uint64(i))
-			fold(uint64(lat))
-			if err != nil {
-				fold(1)
-			} else {
-				fold(0)
-			}
-		}
-	})
-
-	inj := fault.New(sys, fault.Scenario{Name: "o2-storm", Actions: []fault.Action{
-		fault.CongestionStorm{Srcs: o2StormSrcs, Dst: o2StormDst,
-			At: o2StormAt, Duration: o2StormDur, Size: o2StormSz},
-	}})
-	inj.Schedule()
-
+	run := fault.StartHotSpot(sys, o2HotSpot)
 	sys.RunUntil(o2Horizon)
 	sys.StopTelemetry()
 
-	out := o2Outcome{digest: digest, requests: requests}
+	out := o2Outcome{digest: run.Digest, requests: run.Requests}
 	if !observe {
 		return out
 	}
@@ -147,31 +77,8 @@ func o2Run(observe bool) o2Outcome {
 	out.samplerCSV = sys.Sampler.CSV()
 	out.top = sys.Flows.Top()
 	out.weather = sys.Weathermap()
-	out.p99 = o2P99(sys)
+	out.p99 = run.CriticalPath(0.99)
 	return out
-}
-
-// o2P99 picks the storm-window p99 background request message and
-// decomposes its latency. Request one-way messages are the root "msg"
-// spans originating at the client board.
-func o2P99(sys *core.System) *trace.PathBreakdown {
-	clientName := sys.CAB(o2Client).Board.Name()
-	byRoot := trace.GroupByRoot(sys.Tr.Spans())
-	var roots []*trace.Span
-	for _, r := range sys.Tr.Roots() {
-		if r.Comp() != clientName || r.Name() != "msg" || !r.Ended() {
-			continue
-		}
-		if r.Start() < o2StormAt || r.Start() > o2StormAt+o2StormDur {
-			continue
-		}
-		roots = append(roots, r)
-	}
-	p99 := trace.QuantileRoot(roots, 0.99)
-	if p99 == nil {
-		return nil
-	}
-	return trace.CriticalPathIn(byRoot[p99], p99, hub.TransferLatency)
 }
 
 // stormHub is the name of the HUB the storm converges on (CAB 11 lives on
@@ -213,19 +120,19 @@ func O2FlowObservatory() *Result {
 
 	// (b) The sketch names the storm flows heaviest.
 	want := map[flow.Key]bool{}
-	for _, src := range o2StormSrcs {
-		want[flow.Key{Src: uint16(src), Dst: uint16(o2StormDst), Proto: 1}] = true // ProtoDatagram
+	for _, src := range o2HotSpot.Srcs {
+		want[flow.Key{Src: uint16(src), Dst: uint16(o2HotSpot.Victim), Proto: 1}] = true // ProtoDatagram
 	}
 	named := 0
 	for i, e := range a.top {
-		if i >= len(o2StormSrcs) {
+		if i >= len(o2HotSpot.Srcs) {
 			break
 		}
 		if want[e.Key] {
 			named++
 		}
 	}
-	if named != len(o2StormSrcs) {
+	if named != len(o2HotSpot.Srcs) {
 		fail("top-k sketch missed the heavy hitters: top entries %v", a.top)
 	} else {
 		ok("top-k sketch names both storm flows heaviest (cab9->cab11, cab10->cab11 datagram)")

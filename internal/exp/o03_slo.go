@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -33,25 +32,19 @@ import (
 //	    tracing of the same run.
 
 const (
-	o3Horizon  = 120 * sim.Millisecond
-	o3StormAt  = sim.Millisecond
-	o3StormDur = 2 * sim.Millisecond
-	o3StormSz  = 512
-	o3ReqEvery = 100 * sim.Microsecond
-	o3ReqBox   = 0x43
+	o3Horizon = 120 * sim.Millisecond
 	// o3Bound is the declared latency objective: comfortably above the
 	// ~18us uncongested request RTT, comfortably below the ~175us RTT
 	// through the storm-saturated port.
 	o3Bound = 100 * sim.Microsecond
 )
 
-// Same cast as O2: Mesh(2,2,3), client CAB 1, storm sources 9 and 10
-// converge on CAB 11 behind stormHub ("hub4").
-var (
-	o3StormSrcs = []int{9, 10}
-	o3StormDst  = 11
-	o3Client    = 1
-)
+// o3HotSpot is O2's cast with a shorter storm: Mesh(2,2,3), client CAB 1,
+// storm sources 9 and 10 converge on CAB 11 behind stormHub ("hub4").
+var o3HotSpot = fault.HotSpot{
+	Client: 1, Victim: 11, Every: 100 * sim.Microsecond,
+	Srcs: []int{9, 10}, At: sim.Millisecond, Duration: 2 * sim.Millisecond, Size: 512,
+}
 
 // o3Mode selects the instrumentation level of one run.
 type o3Mode int
@@ -63,7 +56,7 @@ const (
 )
 
 type o3Outcome struct {
-	digest   uint64
+	digest   trace.Digest
 	requests int
 
 	alerts    []slo.Alert
@@ -103,69 +96,11 @@ func o3Run(mode o3Mode) o3Outcome {
 	}
 	sys := core.New(core.Mesh(2, 2, 3), opts...)
 
-	// Storm sink, so the blast keeps pressure on the network instead of
-	// dying in mailbox drops.
-	victim := sys.CAB(o3StormDst)
-	sink := victim.Kernel.NewMailbox("o3-sink", 8<<20)
-	victim.TP.Register(fault.StormBox, sink)
-	victim.Kernel.SpawnDaemon("o3-sink", func(th *kernel.Thread) {
-		for {
-			sink.Release(sink.Get(th))
-		}
-	})
-
-	// Request server on the victim.
-	reqBox := victim.Kernel.NewMailbox("o3-srv", 1<<20)
-	victim.TP.Register(o3ReqBox, reqBox)
-	victim.Kernel.SpawnDaemon("o3-srv", func(th *kernel.Thread) {
-		for {
-			m := reqBox.Get(th)
-			_ = victim.TP.Respond(th, m, m.Bytes()[:8])
-			reqBox.Release(m)
-		}
-	})
-
-	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
-	digest := uint64(fnvOffset)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			digest ^= (v >> (8 * i)) & 0xFF
-			digest *= fnvPrime
-		}
-	}
-	requests := 0
-	client := sys.CAB(o3Client)
-	client.Kernel.SpawnDaemon("o3-client", func(th *kernel.Thread) {
-		payload := make([]byte, 64)
-		for i := 0; ; i++ {
-			next := sim.Time(i) * o3ReqEvery
-			if now := sys.Eng.Now(); next > now {
-				th.Sleep(next - now)
-			}
-			t0 := sys.Eng.Now()
-			_, err := client.TP.Request(th, o3StormDst, o3ReqBox, 1, payload)
-			lat := sys.Eng.Now() - t0
-			requests++
-			fold(uint64(i))
-			fold(uint64(lat))
-			if err != nil {
-				fold(1)
-			} else {
-				fold(0)
-			}
-		}
-	})
-
-	inj := fault.New(sys, fault.Scenario{Name: "o3-storm", Actions: []fault.Action{
-		fault.CongestionStorm{Srcs: o3StormSrcs, Dst: o3StormDst,
-			At: o3StormAt, Duration: o3StormDur, Size: o3StormSz},
-	}})
-	inj.Schedule()
-
+	run := fault.StartHotSpot(sys, o3HotSpot)
 	sys.RunUntil(o3Horizon)
 	sys.StopTelemetry()
 
-	out := o3Outcome{digest: digest, requests: requests}
+	out := o3Outcome{digest: run.Digest, requests: run.Requests}
 	if mode == o3Dark {
 		return out
 	}
@@ -247,9 +182,9 @@ func O3SLOEngine() *Result {
 		fail("expected exactly 1 burn-rate alert, got %d (%d clears): %s", len(fires), len(clears), a.alertText)
 	case fires[0].Objective != "reqresp-p99":
 		fail("alert fired on objective %q, want reqresp-p99", fires[0].Objective)
-	case fires[0].At < o3StormAt || fires[0].At > o3StormAt+o3StormDur+sim.Millisecond:
+	case fires[0].At < o3HotSpot.At || fires[0].At > o3HotSpot.At+o3HotSpot.Duration+sim.Millisecond:
 		fail("alert fired at %v, outside the storm window [%v, %v]",
-			fires[0].At, o3StormAt, o3StormAt+o3StormDur+sim.Millisecond)
+			fires[0].At, o3HotSpot.At, o3HotSpot.At+o3HotSpot.Duration+sim.Millisecond)
 	case len(clears) != 1 || clears[0].At <= fires[0].At:
 		fail("expected exactly 1 clear after the alert, got %d: %s", len(clears), a.alertText)
 	default:

@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -28,55 +26,32 @@ const r1Horizon = 120 * sim.Millisecond
 // r1Msgs is the number of corner-to-corner application messages.
 const r1Msgs = 25
 
-// r1Scenario describes one chaos run.
+// r1Scenario is one row of the table: R1's display name and the
+// fault-catalogue scenario behind it ("" for the fault-free baseline).
 type r1Scenario struct {
-	name    string
-	actions func(sys *core.System) []fault.Action
+	name, catalogue string
 }
 
 func r1Scenarios() []r1Scenario {
 	return []r1Scenario{
-		{"baseline", func(sys *core.System) []fault.Action { return nil }},
-		{"link-flap", func(sys *core.System) []fault.Action {
-			return []fault.Action{
-				fault.LinkFlap{A: 0, B: 1, At: 2 * sim.Millisecond, Duration: 15 * sim.Millisecond},
-			}
-		}},
-		{"corruption", func(sys *core.System) []fault.Action {
-			return []fault.Action{
-				fault.CorruptBurst{A: 0, B: 1, At: 2 * sim.Millisecond,
-					Duration: 10 * sim.Millisecond, Rate: 0.05, Seed: 99},
-			}
-		}},
-		{"port-stuck", func(sys *core.System) []fault.Action {
-			port, _ := sys.Net.EdgePort(0, 1)
-			return []fault.Action{
-				fault.PortStuck{Hub: 0, Port: port, At: 2 * sim.Millisecond,
-					Duration: 10 * sim.Millisecond},
-			}
-		}},
-		{"sender-crash", func(sys *core.System) []fault.Action {
-			// The sender CAB dies mid-run and reboots cold; its
-			// application thread survives the crash (a model
-			// simplification) and resumes retrying.
-			return []fault.Action{
-				fault.CrashCAB{CAB: 0, At: 4 * sim.Millisecond, RebootAfter: 8 * sim.Millisecond},
-			}
-		}},
-		{"congestion-storm", func(sys *core.System) []fault.Action {
-			return []fault.Action{
-				fault.CongestionStorm{Srcs: []int{1, 2}, Dst: 3,
-					At: 2 * sim.Millisecond, Duration: 8 * sim.Millisecond, Size: 900},
-			}
-		}},
+		{"baseline", ""},
+		{"link-flap", "linkflap"},
+		{"corruption", "corruption"},
+		{"port-stuck", "portstuck"},
+		// The sender CAB dies mid-run and reboots cold; its application
+		// thread survives the crash (a model simplification) and resumes
+		// retrying.
+		{"sender-crash", "crash"},
+		{"congestion-storm", "storm"},
 	}
 }
 
-// r1Run executes one scenario and reports delivery and recovery figures.
+// r1Seed seeds the scenarios that draw random numbers (the corruption burst).
+const r1Seed = 99
+
+// r1Outcome reports one scenario's delivery and recovery figures.
 type r1Outcome struct {
-	delivered   int // distinct application messages accepted at the receiver
-	duplicates  int // redundant deliveries suppressed by the app-level dedup
-	doneAt      sim.Time
+	*fault.TrainOutcome
 	detectMean  sim.Time
 	recoverMean sim.Time
 	detections  int
@@ -85,67 +60,21 @@ type r1Outcome struct {
 	snapshot    string
 }
 
+// r1Run executes one scenario: the message train corner to corner (CAB 0 to
+// CAB 3), the scenario scheduled against it, all recovery automatic.
 func r1Run(sc r1Scenario) r1Outcome {
-	p := core.DefaultParams()
-	p.Metrics = true
-	p.Datalink.ProbeInterval = 200 * sim.Microsecond
-	p.Datalink.ProbeTimeout = 100 * sim.Microsecond
-	p.Datalink.ProbeMisses = 3
-	p.Transport.HeartbeatInterval = 300 * sim.Microsecond
-	p.Transport.PeerMisses = 3
-	p.Transport.ReqTimeout = 2 * sim.Millisecond
-	p.Transport.ReqRetries = 3
-	sys := core.New(core.Mesh(2, 2, 1), core.WithParams(p))
+	sys := core.New(core.Mesh(2, 2, 1), fault.TrainOptions()...)
 
-	// Receiver (CAB 3, the far corner): requests carry an application
-	// sequence number; duplicates (a response lost to a fault makes the
-	// sender retry a request the server already executed and aged out of
-	// its response cache, or re-executed after a crash wiped the cache)
-	// are detected and acknowledged without double-counting.
-	seen := make(map[uint32]bool)
-	var out r1Outcome
-	rx := sys.CAB(3)
-	mb := rx.Kernel.NewMailbox("r1-server", 512*1024)
-	rx.TP.Register(9, mb)
-	rx.Kernel.SpawnDaemon("r1-server", func(th *kernel.Thread) {
-		for {
-			req := mb.Get(th)
-			seq := binary.BigEndian.Uint32(req.Bytes())
-			if seen[seq] {
-				out.duplicates++
-			} else {
-				seen[seq] = true
-				out.delivered++
-			}
-			rx.TP.Respond(th, req, req.Bytes()[:4])
-			mb.Release(req)
+	faults := fault.Scenario{Name: sc.name}
+	if sc.catalogue != "" {
+		var err error
+		if faults, err = fault.Named(sc.catalogue, r1Seed, sys); err != nil {
+			panic(err) // a 2x2 mesh has every target the catalogue names
 		}
-	})
-
-	inj := fault.New(sys, fault.Scenario{Name: sc.name, Actions: sc.actions(sys)})
+	}
+	inj := fault.New(sys, faults)
 	inj.Schedule()
-
-	// Sender (CAB 0, the near corner): application-level at-least-once —
-	// each message is retried with a fresh request until acknowledged.
-	// Messages are paced one per millisecond so the transfer spans every
-	// scenario's fault window. Recovery must be automatic; the sender
-	// only ever retries.
-	tx := sys.CAB(0)
-	tx.Kernel.Spawn("r1-client", func(th *kernel.Thread) {
-		body := make([]byte, 64)
-		for i := 0; i < r1Msgs; i++ {
-			binary.BigEndian.PutUint32(body, uint32(i))
-			for {
-				resp, err := tx.TP.Request(th, 3, 9, 1, body)
-				if err == nil && binary.BigEndian.Uint32(resp) == uint32(i) {
-					break
-				}
-				th.Sleep(500 * sim.Microsecond)
-			}
-			th.Sleep(sim.Millisecond)
-		}
-		out.doneAt = th.Proc().Now()
-	})
+	out := r1Outcome{TrainOutcome: fault.StartTrain(sys, fault.Train{From: 0, To: 3, Msgs: r1Msgs})}
 
 	sys.RunUntil(r1Horizon)
 
@@ -167,8 +96,8 @@ func R1Fault() *Result {
 	for _, sc := range r1Scenarios() {
 		o := r1Run(sc)
 		goodput := "n/a"
-		if o.doneAt > 0 {
-			goodput = fmt.Sprintf("%.1f msg/ms", float64(o.delivered)/float64(o.doneAt)*float64(sim.Millisecond))
+		if o.DoneAt > 0 {
+			goodput = fmt.Sprintf("%.1f msg/ms", float64(o.Delivered)/float64(o.DoneAt)*float64(sim.Millisecond))
 		}
 		detect, recover := "-", "-"
 		if o.detections > 0 {
@@ -177,11 +106,11 @@ func R1Fault() *Result {
 		if o.recoveries > 0 {
 			recover = fmt.Sprint(o.recoverMean)
 		}
-		t.AddRow(sc.name, fmt.Sprintf("%d/%d", o.delivered, r1Msgs), o.duplicates,
-			o.doneAt, detect, recover, goodput)
-		if o.delivered != r1Msgs || o.doneAt == 0 {
+		t.AddRow(sc.name, fmt.Sprintf("%d/%d", o.Delivered, r1Msgs), o.Duplicates,
+			o.DoneAt, detect, recover, goodput)
+		if o.Delivered != r1Msgs || o.DoneAt == 0 {
 			pass = false
-			notes = append(notes, fmt.Sprintf("%s: %d/%d messages delivered", sc.name, o.delivered, r1Msgs))
+			notes = append(notes, fmt.Sprintf("%s: %d/%d messages delivered", sc.name, o.Delivered, r1Msgs))
 		}
 		switch sc.name {
 		case "link-flap":

@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -168,56 +166,24 @@ const s1ChaosMsgs = 20
 
 // s1ChaosOutcome reports the link-failure run under adaptive routing.
 type s1ChaosOutcome struct {
-	delivered  int
-	duplicates int
-	doneAt     sim.Time
+	*fault.TrainOutcome
 	detections int
 	stalls     int
 	snapshot   string
 }
 
-// s1Chaos drives corner-to-corner at-least-once traffic across a 3x3 torus
-// under the adaptive policy while an inter-HUB link on the preferred route
-// fails for 10 ms. The fault-recovery stack (link probing, heartbeats,
-// bounded retransmission) plus adaptive rerouting must deliver every
-// message; an armed stall watchdog must never fire (no deadlock).
+// s1Chaos drives the at-least-once message train corner to corner across a
+// 3x3 torus under the adaptive policy while an inter-HUB link on the
+// preferred route fails for 10 ms. The fault-recovery stack (link probing,
+// heartbeats, bounded retransmission) plus adaptive rerouting must deliver
+// every message; an armed stall watchdog must never fire (no deadlock).
 func s1Chaos() s1ChaosOutcome {
-	p := core.DefaultParams()
-	p.Metrics = true
-	p.Datalink.ProbeInterval = 200 * sim.Microsecond
-	p.Datalink.ProbeTimeout = 100 * sim.Microsecond
-	p.Datalink.ProbeMisses = 3
-	p.Transport.HeartbeatInterval = 300 * sim.Microsecond
-	p.Transport.PeerMisses = 3
-	p.Transport.ReqTimeout = 2 * sim.Millisecond
-	p.Transport.ReqRetries = 3
-	p.FlightEvents = 256
-	p.StallCheck = 5 * sim.Millisecond
-	sys := core.New(core.Torus(3, 3, 1), core.WithParams(p),
-		core.WithRouting(topo.PolicyAdaptive))
+	sys := core.New(core.Torus(3, 3, 1), append(fault.TrainOptions(),
+		func(p *core.Params) { p.FlightEvents = 256 },
+		core.WithStallWatchdog(0), core.WithRouting(topo.PolicyAdaptive))...)
 
 	var out s1ChaosOutcome
 	sys.OnStall = func(at sim.Time) { out.stalls++ }
-
-	// Receiver (CAB 8, the far corner) with app-level dedup.
-	seen := make(map[uint32]bool)
-	rx := sys.CAB(8)
-	mb := rx.Kernel.NewMailbox("s1-server", 512*1024)
-	rx.TP.Register(9, mb)
-	rx.Kernel.SpawnDaemon("s1-server", func(th *kernel.Thread) {
-		for {
-			req := mb.Get(th)
-			seq := binary.BigEndian.Uint32(req.Bytes())
-			if seen[seq] {
-				out.duplicates++
-			} else {
-				seen[seq] = true
-				out.delivered++
-			}
-			rx.TP.Respond(th, req, req.Bytes()[:4])
-			mb.Release(req)
-		}
-	})
 
 	// Fail the first hop of the idle-network route 0 → 8 (the x-first
 	// escape path leaves HUB 0 toward HUB 1) while messages are flowing.
@@ -225,25 +191,7 @@ func s1Chaos() s1ChaosOutcome {
 		fault.LinkFlap{A: 0, B: 1, At: 2 * sim.Millisecond, Duration: 10 * sim.Millisecond},
 	}})
 	inj.Schedule()
-
-	// Sender (CAB 0): at-least-once, paced one message per millisecond so
-	// the transfer spans the fault window.
-	tx := sys.CAB(0)
-	tx.Kernel.Spawn("s1-client", func(th *kernel.Thread) {
-		body := make([]byte, 64)
-		for i := 0; i < s1ChaosMsgs; i++ {
-			binary.BigEndian.PutUint32(body, uint32(i))
-			for {
-				resp, err := tx.TP.Request(th, 8, 9, 1, body)
-				if err == nil && binary.BigEndian.Uint32(resp) == uint32(i) {
-					break
-				}
-				th.Sleep(500 * sim.Microsecond)
-			}
-			th.Sleep(sim.Millisecond)
-		}
-		out.doneAt = th.Proc().Now()
-	})
+	out.TrainOutcome = fault.StartTrain(sys, fault.Train{From: 0, To: 8, Msgs: s1ChaosMsgs})
 
 	sys.RunUntil(60 * sim.Millisecond)
 	out.detections = inj.DetectLatency().Count()
@@ -313,9 +261,9 @@ func S1Scale() *Result {
 	ca := s1Chaos()
 	cb := s1Chaos()
 	switch {
-	case ca.delivered != s1ChaosMsgs || ca.doneAt == 0:
+	case ca.Delivered != s1ChaosMsgs || ca.DoneAt == 0:
 		pass = false
-		notes = append(notes, fmt.Sprintf("chaos: %d/%d messages delivered", ca.delivered, s1ChaosMsgs))
+		notes = append(notes, fmt.Sprintf("chaos: %d/%d messages delivered", ca.Delivered, s1ChaosMsgs))
 	case ca.stalls != 0:
 		pass = false
 		notes = append(notes, fmt.Sprintf("chaos: stall watchdog fired %d times (deadlock)", ca.stalls))
@@ -328,7 +276,7 @@ func S1Scale() *Result {
 	default:
 		notes = append(notes, fmt.Sprintf(
 			"chaos: adaptive routing rerouted around a failed inter-HUB link, %d/%d delivered by %v, 0 stalls, replay byte-identical",
-			ca.delivered, s1ChaosMsgs, ca.doneAt))
+			ca.Delivered, s1ChaosMsgs, ca.DoneAt))
 	}
 
 	if BenchScalePath != "" {

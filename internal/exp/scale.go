@@ -28,21 +28,9 @@ func X1VLSIScaleUp() *Result {
 		const per = 128 * 1024
 		flows := n / 2
 		for i := 0; i < flows; i++ {
-			src, dst := i, flows+i
-			rx := sys.CAB(dst)
-			mb := rx.Kernel.NewMailbox("in", 1<<20)
-			rx.TP.Register(1, mb)
-			rx.Kernel.Spawn("rx", func(th *kernel.Thread) {
-				msg := mb.Get(th)
-				mb.Release(msg)
-			})
-			st := sys.CAB(src)
-			st.Kernel.Spawn("tx", func(th *kernel.Thread) {
-				st.TP.StreamSend(th, dst, 1, 0, make([]byte, per))
-			})
+			startTransfer(sys, i, flows+i, 1, per, true)
 		}
-		end := sys.Run()
-		agg := float64(flows*per) * 8 / end.Seconds() / 1e6
+		agg := mbps(flows*per, sys.Run())
 		if ports == 16 {
 			first = agg
 		}

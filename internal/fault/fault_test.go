@@ -2,6 +2,8 @@ package fault_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -232,5 +234,76 @@ func TestPortStuckAndReset(t *testing.T) {
 	}
 	if drops := sys.Net.Hub(0).Port(port).Drops(); drops == 0 {
 		t.Fatal("stuck port recorded no drops")
+	}
+}
+
+// Every catalogue name resolves on the 2x2 mesh the chaos runs use, the
+// same (name, seed) yields the same scenario twice, and an unknown name is
+// an error rather than an empty scenario.
+func TestNamedCatalogue(t *testing.T) {
+	sys := core.New(core.Mesh(2, 2, 1))
+	for _, name := range fault.Names() {
+		a, err := fault.Named(name, 7, sys)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if len(a.Actions) == 0 {
+			t.Errorf("%s: no actions", name)
+		}
+		if b, _ := fault.Named(name, 7, sys); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two draws differ:\n%v\n%v", name, a, b)
+		}
+	}
+	if _, err := fault.Named("bogus", 7, sys); err == nil {
+		t.Error("unknown scenario name did not error")
+	}
+	if _, err := fault.Named("portstuck", 7, core.New(core.SingleHub(4))); err == nil {
+		t.Error("portstuck on a system with no inter-HUB edge did not error")
+	}
+}
+
+// The message train counts each message once however often a fault makes
+// the client retry it, and the hot-spot scenario's digest is a function of
+// the run alone: same scenario, same digest; no storm, different digest.
+func TestTrainAndHotSpot(t *testing.T) {
+	sys := core.New(core.Mesh(2, 2, 1), core.WithParams(chaosParams()))
+	sc, _ := fault.Named("crash", 1, sys)
+	fault.New(sys, sc).Schedule()
+	out := fault.StartTrain(sys, fault.Train{From: 0, To: 3, Msgs: 12})
+	sys.RunUntil(60 * sim.Millisecond)
+	if out.Delivered != 12 || out.DoneAt == 0 || out.Latency.Count() != 12 {
+		t.Fatalf("train: delivered %d/12 (dup %d), done at %v, %d latencies",
+			out.Delivered, out.Duplicates, out.DoneAt, out.Latency.Count())
+	}
+	if out.Latency.Max() < 2*sim.Millisecond {
+		t.Fatalf("no message waited out the crash: max latency %v", out.Latency.Max())
+	}
+
+	hot := func(dur sim.Time) *fault.HotSpotRun {
+		sys := core.New(core.Mesh(1, 2, 3), func(p *core.Params) { p.TraceSpans = 50000 })
+		run := fault.StartHotSpot(sys, fault.HotSpot{
+			Client: 0, Victim: 5, Every: 100 * sim.Microsecond,
+			Srcs: []int{3, 4}, At: sim.Millisecond, Duration: dur, Size: 512,
+		})
+		sys.RunUntil(4 * sim.Millisecond)
+		return run
+	}
+	a, b, calm := hot(2*sim.Millisecond), hot(2*sim.Millisecond), hot(0)
+	if a.Requests == 0 || a.Digest != b.Digest || a.Requests != b.Requests {
+		t.Fatalf("replay differs: %d requests %016x vs %d requests %016x", a.Requests, a.Digest, b.Requests, b.Digest)
+	}
+	if calm.Digest == a.Digest {
+		t.Fatal("the storm left no mark on the request latencies")
+	}
+	p99 := a.CriticalPath(0.99)
+	if p99 == nil || len(a.CriticalPaths()) == 0 {
+		t.Fatal("no traced request completed inside the storm window")
+	}
+	if q := p99.MaxQueue(); !strings.HasPrefix(q.Comp, "hub2.") {
+		t.Fatalf("p99 queueing hotspot %q is not on the victim's HUB", q.Comp)
+	}
+	if got, whole := len(a.CriticalPaths()), len(calm.CriticalPaths()); got >= whole {
+		t.Fatalf("storm window holds %d requests, whole calm run %d", got, whole)
 	}
 }

@@ -64,7 +64,9 @@ func (h *Hub) replyData(orig *fiber.Item, ok bool, data uint64) {
 	if orig.ReplyTo == nil {
 		return
 	}
-	h.rec.Record(trace.EvReply, h.name, "%v ok=%v data=%d", orig.Cmd, ok, data)
+	if h.rec != nil {
+		h.rec.Record(trace.EvReply, h.name, "%v ok=%v data=%d", orig.Cmd, ok, data)
+	}
 	rep := &fiber.Item{
 		Kind:      fiber.KindReply,
 		Cmd:       orig.Cmd,

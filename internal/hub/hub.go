@@ -214,7 +214,9 @@ func (h *Hub) reply(orig *fiber.Item, ok bool, val byte) {
 	if orig.ReplyTo == nil {
 		return
 	}
-	h.rec.Record(trace.EvReply, h.name, "%v ok=%v val=%d", orig.Cmd, ok, val)
+	if h.rec != nil {
+		h.rec.Record(trace.EvReply, h.name, "%v ok=%v val=%d", orig.Cmd, ok, val)
+	}
 	rep := &fiber.Item{
 		Kind:     fiber.KindReply,
 		Cmd:      orig.Cmd,
@@ -259,7 +261,9 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 		// The status table marks this output's link down: a test-open
 		// consults the status and fails at once — parking would stall
 		// the input queue forever behind a dead link.
-		h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v output failed", in.id, outID, op)
+		if h.rec != nil {
+			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v output failed", in.id, outID, op)
+		}
 		if op.replies() {
 			h.reply(it, false, 0xFF)
 		}
@@ -268,7 +272,9 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 	available := out.enabled && !h.frozen && (out.owner == nil || out.owner == in) &&
 		(!op.wantsReady() || out.ready)
 	if !available {
-		h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
+		if h.rec != nil {
+			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
+		}
 		if op.retries() {
 			out.waiters = append(out.waiters, &pendingCmd{item: it, in: in})
 			return false // input stalls behind the pending open
@@ -284,7 +290,9 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 	// The connection is usable once crossbar setup completes; the reply
 	// is generated at that point.
 	out.connReady = done
-	h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v", in.id, outID, done)
+	if h.rec != nil {
+		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v", in.id, outID, done)
+	}
 	if op.replies() {
 		h.eng.At(done, func() { h.reply(it, true, byte(outID)) })
 	}
@@ -301,7 +309,9 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 		if !lk.held {
 			lk.held = true
 			lk.holder = in.id
-			h.rec.Record(trace.EvLock, h.name, "lock%d by p%d", id, in.id)
+			if h.rec != nil {
+				h.rec.Record(trace.EvLock, h.name, "lock%d by p%d", id, in.id)
+			}
 			h.reply(it, true, byte(id))
 			return true
 		}
@@ -349,13 +359,17 @@ func (h *Hub) unlock(id int) {
 		return
 	}
 	lk.held = false
-	h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
+	if h.rec != nil {
+		h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
+	}
 	if len(lk.waiters) > 0 {
 		w := lk.waiters[0]
 		lk.waiters = lk.waiters[1:]
 		lk.held = true
 		lk.holder = w.in.id
-		h.rec.Record(trace.EvLock, h.name, "lock%d by p%d (queued)", id, w.in.id)
+		if h.rec != nil {
+			h.rec.Record(trace.EvLock, h.name, "lock%d by p%d (queued)", id, w.in.id)
+		}
 		h.reply(w.item, true, byte(id))
 		// The waiter's input port was stalled on this command; resume it
 		// one controller cycle later.
@@ -391,7 +405,9 @@ func (h *Hub) serveWaiters(out *Port) {
 			w.in.conn = append(w.in.conn, out)
 		}
 		out.connReady = done
-		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v (retried)", w.in.id, out.id, done)
+		if h.rec != nil {
+			h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v (retried)", w.in.id, out.id, done)
+		}
 		if op.replies() {
 			item := w.item
 			outID := out.id
@@ -423,7 +439,9 @@ func (h *Hub) ResetOutput(i int, ready bool) {
 		if Opcode(w.item.Cmd.Op).replies() {
 			h.reply(w.item, false, 0xFF)
 		}
-		h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d abandoned (output reset)", w.in.id, i)
+		if h.rec != nil {
+			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d abandoned (output reset)", w.in.id, i)
+		}
 		h.eng.After(CycleTime, w.in.advance)
 	}
 }
@@ -460,7 +478,9 @@ func (h *Hub) closeConn(in *Port, out *Port) {
 			break
 		}
 	}
-	h.rec.Record(trace.EvConnClose, h.name, "p%d->p%d", in.id, out.id)
+	if h.rec != nil {
+		h.rec.Record(trace.EvConnClose, h.name, "p%d->p%d", in.id, out.id)
+	}
 	// Serve parked opens after one cycle.
 	if len(out.waiters) > 0 {
 		h.eng.After(CycleTime, func() { h.serveWaiters(out) })

@@ -199,7 +199,9 @@ func (p *Port) Receive(it *fiber.Item) {
 // bit is restored here.
 func (p *Port) drop(it *fiber.Item, why string) {
 	p.drops++
-	p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: %s", it, why)
+	if p.hub.rec != nil {
+		p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: %s", it, why)
+	}
 	p.hub.fr.Note(obs.FDrop, p.name, int64(p.id), int64(it.Bytes()))
 	if it.Kind == fiber.KindPacket && p.upstreamReady != nil {
 		p.upstreamReady()
@@ -274,11 +276,15 @@ func (p *Port) execHead(it *fiber.Item) {
 		// A damaged command is not recognized by the hardware: this is
 		// the "lost HUB command" case the datalink must recover from.
 		p.frameErrs++
-		p.hub.rec.Record(trace.EvFrameError, p.name, "lost command %v", it.Cmd)
+		if p.hub.rec != nil {
+			p.hub.rec.Record(trace.EvFrameError, p.name, "lost command %v", it.Cmd)
+		}
 		p.step()
 		return
 	}
-	p.hub.rec.Record(trace.EvCommand, p.name, "%v", it.Cmd)
+	if p.hub.rec != nil {
+		p.hub.rec.Record(trace.EvCommand, p.name, "%v", it.Cmd)
+	}
 	if op.IsComb() {
 		// Combining commands execute at the controller's combining engine
 		// but never park the input: the engine either merges the operand
@@ -568,7 +574,9 @@ func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
 	if p.out == nil || p.stuck {
 		p.drops++
 		if p.stuck {
-			p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: output register stuck", it)
+			if p.hub.rec != nil {
+				p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: output register stuck", it)
+			}
 		}
 		return
 	}
@@ -583,14 +591,18 @@ func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
 		// withholding it forever. See ReadyTimeout.
 		p.hub.eng.After(ReadyTimeout, func() {
 			if !p.ready && p.readyGen == gen {
-				p.hub.rec.Record(trace.EvConnRetry, p.name, "ready credit regenerated (gen %d)", gen)
+				if p.hub.rec != nil {
+					p.hub.rec.Record(trace.EvConnRetry, p.name, "ready credit regenerated (gen %d)", gen)
+				}
 				p.hub.fr.Note(obs.FCreditLoss, p.name, int64(p.id), int64(gen))
 				p.SetReady()
 			}
 		})
 		p.pktOut++
 		p.bytesOut += int64(it.Bytes())
-		p.hub.rec.Record(trace.EvPacketOut, p.name, "%v", it)
+		if p.hub.rec != nil {
+			p.hub.rec.Record(trace.EvPacketOut, p.name, "%v", it)
+		}
 	}
 	p.out.Send(it, earliest)
 }

@@ -249,8 +249,6 @@ const (
 	boxClientBase = 16
 )
 
-const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
-
 // run carries the mutable state shared by every generator thread.
 type run struct {
 	sys     *core.System
@@ -259,7 +257,7 @@ type run struct {
 	end     sim.Time // traffic and measurement stop here
 	classed bool     // Config.Classes non-zero: draw classes and deadlines
 	res     *Result
-	digest  uint64
+	digest  trace.Digest
 }
 
 // opOpts draws the send options for one operation: its priority class from
@@ -275,14 +273,6 @@ func (r *run) opOpts(pk *picker, now sim.Time) transport.SendOpts {
 		opts.Deadline = now + d
 	}
 	return opts
-}
-
-func (r *run) fold(b byte) { r.digest = (r.digest ^ uint64(b)) * fnvPrime }
-
-func (r *run) fold64(v uint64) {
-	for i := 0; i < 8; i++ {
-		r.fold(byte(v >> (8 * i)))
-	}
 }
 
 // record accounts one completed operation (thread-safe by construction:
@@ -313,19 +303,19 @@ func (r *run) record(kind, src, dst int, start sim.Time, bytes int, err error, o
 			r.res.ClassLatency[c].Add(lat)
 		}
 	}
-	r.fold(byte(kind))
-	r.fold64(uint64(src))
-	r.fold64(uint64(dst))
-	r.fold64(uint64(lat))
+	r.digest.Byte(byte(kind))
+	r.digest.Uint64(uint64(src))
+	r.digest.Uint64(uint64(dst))
+	r.digest.Uint64(uint64(lat))
 	if err != nil {
-		r.fold(1)
+		r.digest.Byte(1)
 	} else {
-		r.fold(0)
+		r.digest.Byte(0)
 	}
 	// The class byte joins the digest only for classed runs, keeping
 	// unclassed digests byte-identical to earlier builds.
 	if r.classed {
-		r.fold(byte(opts.Class))
+		r.digest.Byte(byte(opts.Class))
 	}
 }
 
@@ -476,7 +466,7 @@ func Run(sys *core.System, cfg Config) *Result {
 		end:     start + cfg.Warmup + cfg.Duration,
 		classed: cfg.Classes.total() > 0,
 		res:     &Result{Latency: trace.NewHistogram("op latency")},
-		digest:  fnvOffset,
+		digest:  trace.NewDigest(),
 	}
 	r.res.Latency.SetCap(cfg.LatencyCap)
 	for c := range r.res.ClassLatency {
@@ -507,7 +497,7 @@ func Run(sys *core.System, cfg Config) *Result {
 	}
 	sys.Eng.RunUntil(r.end)
 	r.res.Elapsed = cfg.Duration
-	r.res.Digest = r.digest
+	r.res.Digest = uint64(r.digest)
 	return r.res
 }
 
@@ -625,10 +615,10 @@ func (r *run) startBSP() {
 					continue
 				}
 				r.res.CollSteps++
-				r.fold(0xCC)
-				r.fold64(uint64(s))
-				r.fold64(uint64(coll.BytesInt64(out)[0]))
-				r.fold64(uint64(now - stepStart))
+				r.digest.Byte(0xCC)
+				r.digest.Uint64(uint64(s))
+				r.digest.Uint64(uint64(coll.BytesInt64(out)[0]))
+				r.digest.Uint64(uint64(now - stepStart))
 			}
 		})
 	}

@@ -1,9 +1,9 @@
 // Package baseline preserves the pre-optimization event loop of
 // internal/sim: an interface{}-boxed container/heap binary heap with one
-// Event allocation per schedule. It exists only as a measuring stick — the
-// engine equivalence tests check that the 4-ary pooled heap fires events in
-// exactly the same order, and cmd/nectar-fleet benchmarks both loops to
-// record the speedup in BENCH_fleet.json. Do not use it in models.
+// Event allocation per schedule. It exists only as the reference the
+// engine equivalence tests (../equiv_test.go) replay against: the 4-ary
+// pooled heap must fire events in exactly the same order. Nothing outside
+// tests imports it; do not use it in models.
 package baseline
 
 import (

@@ -2,11 +2,9 @@ package sim
 
 import "testing"
 
-// Wall-clock micro-benchmarks of the engine itself (the substrate's own
-// speed, as opposed to the simulated-time results in the root bench file).
-// The schedule-heavy churn benchmarks have baseline twins in
-// baseline_bench_test.go; cmd/nectar-fleet runs both loops head-to-head and
-// records the speedup in BENCH_fleet.json.
+// Wall-clock micro-benchmarks of the engine itself, for measuring while
+// working on it (CI runs each once as a smoke test). The committed figure
+// for the event loop is bench/'s sim.probe.event_ns.
 
 func BenchmarkEventScheduleAndFire(b *testing.B) {
 	b.ReportAllocs()

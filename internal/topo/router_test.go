@@ -339,27 +339,6 @@ func TestNewRouterUnknownPolicyPanics(t *testing.T) {
 	NewRouter(n, Policy("teleport"))
 }
 
-// The deprecated positional builders are thin adapters over Spec.Build and
-// must produce identical networks.
-func TestDeprecatedBuildersMatchSpecs(t *testing.T) {
-	a := Mesh2D(sim.NewEngine(), nil, DefaultOptions(), 2, 3, 2)
-	b := Mesh(2, 3, 2).Build(sim.NewEngine(), nil)
-	if len(a.Hubs()) != len(b.Hubs()) || len(a.Boards()) != len(b.Boards()) || countEdges(a) != countEdges(b) {
-		t.Fatal("Mesh2D diverges from Mesh(...).Build")
-	}
-	if a.Shape() != b.Shape() {
-		t.Fatalf("shapes diverge: %v vs %v", a.Shape(), b.Shape())
-	}
-	c := Line(sim.NewEngine(), nil, DefaultOptions(), 4, 1)
-	if c.Shape() != Chain(4, 1) {
-		t.Fatalf("Line shape = %v", c.Shape())
-	}
-	d := SingleHub(sim.NewEngine(), nil, DefaultOptions(), 3)
-	if d.Shape() != Single(3) {
-		t.Fatalf("SingleHub shape = %v", d.Shape())
-	}
-}
-
 // Functional options thread through Spec.Build.
 func TestBuildOptions(t *testing.T) {
 	n := Torus(3, 3, 1).Build(sim.NewEngine(), nil, WithHubPorts(24), WithPropagation(2*sim.Microsecond))
@@ -375,5 +354,8 @@ func TestBuildOptions(t *testing.T) {
 	n2 := Single(2).Build(sim.NewEngine(), nil, WithOptions(o), WithHubPorts(18))
 	if n2.opts.HubPorts != 18 {
 		t.Fatalf("HubPorts = %d, want 18 (later option wins)", n2.opts.HubPorts)
+	}
+	if n2.Shape() != Single(2) {
+		t.Fatalf("Shape = %v, want the spec it was built from", n2.Shape())
 	}
 }

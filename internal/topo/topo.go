@@ -525,26 +525,3 @@ func (n *Network) CheckInvariants() error {
 	}
 	return nil
 }
-
-// SingleHub builds the Figure 2 system: one HUB with nCABs CABs.
-//
-// Deprecated: use Single(nCABs).Build(eng, rec, WithOptions(opts)).
-func SingleHub(eng *sim.Engine, rec *trace.Recorder, opts Options, nCABs int) *Network {
-	return Single(nCABs).Build(eng, rec, WithOptions(opts))
-}
-
-// Mesh2D builds the Figure 4 system: a rows x cols mesh of HUB clusters
-// with cabsPerHub CABs on each HUB.
-//
-// Deprecated: use Mesh(rows, cols, cabsPerHub).Build(eng, rec, WithOptions(opts)).
-func Mesh2D(eng *sim.Engine, rec *trace.Recorder, opts Options, rows, cols, cabsPerHub int) *Network {
-	return Mesh(rows, cols, cabsPerHub).Build(eng, rec, WithOptions(opts))
-}
-
-// Line builds a chain of nHubs HUBs with cabsPerHub CABs each (useful for
-// hop-count sweeps).
-//
-// Deprecated: use Chain(nHubs, cabsPerHub).Build(eng, rec, WithOptions(opts)).
-func Line(eng *sim.Engine, rec *trace.Recorder, opts Options, nHubs, cabsPerHub int) *Network {
-	return Chain(nHubs, cabsPerHub).Build(eng, rec, WithOptions(opts))
-}

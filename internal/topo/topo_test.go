@@ -11,7 +11,7 @@ import (
 
 func TestSingleHubRoute(t *testing.T) {
 	eng := sim.NewEngine()
-	n := SingleHub(eng, nil, DefaultOptions(), 4)
+	n := Single(4).Build(eng, nil)
 	hops, err := n.Route(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestSingleHubRoute(t *testing.T) {
 
 func TestRouteToSelfFails(t *testing.T) {
 	eng := sim.NewEngine()
-	n := SingleHub(eng, nil, DefaultOptions(), 2)
+	n := Single(2).Build(eng, nil)
 	if _, err := n.Route(1, 1); err == nil {
 		t.Fatal("route to self should fail")
 	}
@@ -34,7 +34,7 @@ func TestRouteToSelfFails(t *testing.T) {
 
 func TestLineRouteHopCounts(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Line(eng, nil, DefaultOptions(), 5, 1)
+	n := Chain(5, 1).Build(eng, nil)
 	// CAB i is on hub i. Route 0 -> 4 crosses all 5 hubs.
 	hops, err := n.Route(0, 4)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestLineRouteHopCounts(t *testing.T) {
 
 func TestMesh2DRouteIsShortest(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Mesh2D(eng, nil, DefaultOptions(), 3, 3, 1)
+	n := Mesh(3, 3, 1).Build(eng, nil)
 	// CAB k is on hub k (row-major). Corner to corner: manhattan distance
 	// 4, so 5 hubs on the path -> 5 hops.
 	hops, err := n.Route(0, 8)
@@ -92,7 +92,7 @@ func TestMulticastTreeSharedPrefix(t *testing.T) {
 	eng := sim.NewEngine()
 	// Line of 3 hubs; src on hub0, dsts on hub1 and hub2: the hub0->hub1
 	// edge must be opened exactly once.
-	n := Line(eng, nil, DefaultOptions(), 3, 2)
+	n := Chain(3, 2).Build(eng, nil)
 	// CABs: hub0: 0,1; hub1: 2,3; hub2: 4,5.
 	hops, err := n.MulticastTree(0, []int{2, 4})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestMulticastTreeSharedPrefix(t *testing.T) {
 
 func TestMulticastNormalization(t *testing.T) {
 	eng := sim.NewEngine()
-	n := SingleHub(eng, nil, DefaultOptions(), 3)
+	n := Single(3).Build(eng, nil)
 	// A destination equal to the source is skipped, not an error: the
 	// sender already holds the data.
 	hops, err := n.MulticastTree(0, []int{0, 1})
@@ -142,7 +142,7 @@ func TestMulticastNormalization(t *testing.T) {
 
 func TestMulticastDuplicateDestinations(t *testing.T) {
 	eng := sim.NewEngine()
-	n := SingleHub(eng, nil, DefaultOptions(), 4)
+	n := Single(4).Build(eng, nil)
 	a, err := n.MulticastTree(0, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestMulticastDuplicateDestinations(t *testing.T) {
 func TestMulticastOverlappingSetsMesh(t *testing.T) {
 	eng := sim.NewEngine()
 	// 2x2 mesh, 2 CABs per hub: hub h carries CABs 2h and 2h+1.
-	n := Mesh2D(eng, nil, DefaultOptions(), 2, 2, 2)
+	n := Mesh(2, 2, 2).Build(eng, nil)
 	// Overlapping destination sets sharing tree edges, with duplicates and
 	// the source mixed in: each normalizes to the same opens as its clean
 	// equivalent.
@@ -199,7 +199,7 @@ func TestMulticastOverlappingSetsMesh(t *testing.T) {
 
 func TestMulticastOverlappingSetsLine(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Line(eng, nil, DefaultOptions(), 3, 2)
+	n := Chain(3, 2).Build(eng, nil)
 	// CABs: hub0: 0,1; hub1: 2,3; hub2: 4,5. The far set rides the same
 	// inter-hub edges as the near set; a self+duplicate-laden variant must
 	// produce the identical tree.
@@ -231,7 +231,7 @@ func countTerm(hops []Hop) int {
 // links, ready-bit wiring and routing agree.
 func TestWiringEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Line(eng, nil, DefaultOptions(), 2, 1)
+	n := Chain(2, 1).Build(eng, nil)
 	src, dst := n.Board(0), n.Board(1)
 
 	var got []*fiber.Item
@@ -308,7 +308,7 @@ func TestPortExhaustionPanics(t *testing.T) {
 
 func TestBoardAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	n := SingleHub(eng, nil, DefaultOptions(), 3)
+	n := Single(3).Build(eng, nil)
 	if len(n.Boards()) != 3 {
 		t.Fatalf("boards = %d", len(n.Boards()))
 	}
@@ -337,7 +337,7 @@ func TestMeshRouteLengthProperty(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		net := Mesh2D(eng, nil, DefaultOptions(), rows, cols, 1)
+		net := Mesh(rows, cols, 1).Build(eng, nil)
 		hops, err := net.Route(a, b)
 		if err != nil {
 			return false
@@ -364,7 +364,7 @@ func abs(x int) int {
 func TestMulticastTreeProperty(t *testing.T) {
 	f := func(sel uint16) bool {
 		eng := sim.NewEngine()
-		net := Mesh2D(eng, nil, DefaultOptions(), 2, 3, 2) // 12 CABs
+		net := Mesh(2, 3, 2).Build(eng, nil) // 12 CABs
 		n := 12
 		var dsts []int
 		for i := 1; i < n; i++ {
@@ -400,7 +400,7 @@ func TestMulticastTreeProperty(t *testing.T) {
 
 func TestLinkDownReroutes(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Mesh2D(eng, nil, DefaultOptions(), 2, 2, 1)
+	n := Mesh(2, 2, 1).Build(eng, nil)
 	// Hubs: 0 1 / 2 3 (row-major). Route 0->3 is 3 hops via 1 or 2.
 	before, err := n.Route(0, 3)
 	if err != nil {
@@ -437,7 +437,7 @@ func TestLinkDownReroutes(t *testing.T) {
 
 func TestAllLinksDownPartitions(t *testing.T) {
 	eng := sim.NewEngine()
-	n := Line(eng, nil, DefaultOptions(), 2, 1)
+	n := Chain(2, 1).Build(eng, nil)
 	n.SetLinkState(0, 1, false)
 	if _, err := n.Route(0, 1); err == nil {
 		t.Fatal("route across a dead link should fail")

@@ -5,8 +5,10 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
 
@@ -387,4 +389,53 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
+}
+
+// Digest is a running 64-bit FNV-1a fold: the fingerprint every replay
+// check in the repository compares (load.Result.Digest, the experiments'
+// armed-versus-dark digests, the fleet's combined digest). Start one with
+// NewDigest; the zero value is not the FNV offset basis.
+type Digest uint64
+
+// NewDigest returns the FNV-1a offset basis.
+func NewDigest() Digest { return 0xcbf29ce484222325 }
+
+// Byte folds one byte.
+func (d *Digest) Byte(b byte) { *d = (*d ^ Digest(b)) * 0x100000001b3 }
+
+// Uint64 folds v, low byte first.
+func (d *Digest) Uint64(v uint64) {
+	for i := 0; i < 8; i++ {
+		d.Byte(byte(v >> (8 * i)))
+	}
+}
+
+// Golden compares a deterministic rendering with the golden file at path
+// and reports the first line at which they part: the 1-based line number
+// and both versions of the line, instead of two whole documents. With
+// update set it rewrites the file from got instead (the tests' -update
+// flag, for a declared change of behaviour).
+func Golden(path string, got []byte, update bool) error {
+	if update {
+		return os.WriteFile(path, got, 0o644)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(got, want) {
+		return nil
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(s []string) string {
+		if i < len(s) {
+			return fmt.Sprintf("%q", s[i])
+		}
+		return "<end of output>"
+	}
+	return fmt.Errorf("output drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, line(g), line(w))
 }

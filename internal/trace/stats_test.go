@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -203,5 +204,42 @@ func TestEventKindString(t *testing.T) {
 	}
 	if !strings.Contains(EventKind(99).String(), "99") {
 		t.Fatalf("unknown kind String = %q", EventKind(99).String())
+	}
+}
+
+func TestDigestIsFNV1a(t *testing.T) {
+	// FNV-1a 64 of "a" is the published test vector af63dc4c8601ec8c.
+	d := NewDigest()
+	d.Byte('a')
+	if d != 0xaf63dc4c8601ec8c {
+		t.Fatalf("digest of \"a\" = %016x", uint64(d))
+	}
+	a, b := NewDigest(), NewDigest()
+	a.Uint64(0x0807060504030201)
+	for i := byte(1); i <= 8; i++ {
+		b.Byte(i)
+	}
+	if a != b {
+		t.Fatalf("Uint64 does not fold low byte first: %016x vs %016x", uint64(a), uint64(b))
+	}
+}
+
+func TestGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.golden")
+	if err := Golden(path, []byte("a\nb\n"), false); err == nil {
+		t.Fatal("missing golden file did not error")
+	}
+	if err := Golden(path, []byte("a\nb\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := Golden(path, []byte("a\nb\n"), false); err != nil {
+		t.Fatalf("identical output: %v", err)
+	}
+	err := Golden(path, []byte("a\nB\n"), false)
+	if err == nil || !strings.Contains(err.Error(), "at line 2") || !strings.Contains(err.Error(), `"B"`) || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("drifted output: %v", err)
+	}
+	if err := Golden(path, []byte("a\n"), false); err == nil || !strings.Contains(err.Error(), "at line 2") {
+		t.Fatalf("truncated output: %v", err)
 	}
 }
