@@ -46,6 +46,11 @@ const (
 	aComb
 )
 
+// smallMax is the allreduce payload size (bytes) at or below which the
+// latency-optimal recursive doubling is chosen; larger payloads use the
+// bandwidth-optimal ring pipeline.
+const smallMax = 4096
+
 func algoName(a algo) string {
 	switch a {
 	case aTree:
@@ -153,7 +158,7 @@ func (g *Group) pick(fam string, size int, op *Op) algo {
 		case aComb:
 			if g.combEligible(op, size) {
 				a = aComb
-			} else if size <= g.smallMax {
+			} else if size <= smallMax {
 				a = aRD
 			} else {
 				a = aRing
@@ -164,7 +169,7 @@ func (g *Group) pick(fam string, size int, op *Op) algo {
 				a = aTree
 			case g.combEligible(op, size):
 				a = aComb
-			case size <= g.smallMax:
+			case size <= smallMax:
 				a = aRD
 			default:
 				a = aRing
@@ -204,8 +209,52 @@ func (c *Comm) checkOp(op Op, data []byte) error {
 // lowbit returns the lowest set bit of v (v > 0).
 func lowbit(v int) int { return v & -v }
 
-// fromV maps a virtual rank (root-relative) back to a real rank.
-func (c *Comm) fromV(v, root int) int { return (v + root) % c.g.n }
+// part names who takes part in one tree, recursive-doubling or
+// dissemination exchange, and where this member sits among them. ranks is
+// a precomputed ascending list of group ranks (shared and read-only, so
+// nothing is allocated per call), me this member's index in it, and root
+// the index that plays virtual rank 0: virtual rank v sits at
+// ranks[(v+root)%n], so rooting a tree at any participant is a rotation of
+// the list, not a new one. The whole group, one HUB's members and the HUB
+// leaders are all just parts.
+type part struct {
+	ranks    []int
+	me, root int
+}
+
+// whole is the part spanning every member of the group, rooted at root.
+func (c *Comm) whole(root int) part { return part{ranks: c.g.all, me: c.rank, root: root} }
+
+func (p part) n() int { return len(p.ranks) }
+
+// v returns this member's virtual (root-relative) rank.
+func (p part) v() int { return (p.me - p.root + p.n()) % p.n() }
+
+// at maps a virtual rank back to a group rank.
+func (p part) at(v int) int { return p.ranks[(v+p.root)%p.n()] }
+
+// subtree bounds the binomial subtree below this member: its children are
+// the virtual ranks v+m for m = subtree/2, subtree/4, ... 1 that exist,
+// and (for v > 0) its parent is v-subtree.
+func (p part) subtree() int {
+	if v := p.v(); v != 0 {
+		return lowbit(v)
+	}
+	top := 1
+	for top < p.n() {
+		top <<= 1
+	}
+	return top
+}
+
+// rdTags are the phase rounds of one recursive-doubling allreduce: the
+// power-of-two fold in and out, and the base of the per-bit exchanges.
+type rdTags struct{ foldIn, foldOut, bit uint16 }
+
+var (
+	rdFlat    = rdTags{rFoldIn, rFoldOut, rRD}
+	rdLeaders = rdTags{rCombUp, rCombDown, rCombRD}
+)
 
 // Barrier blocks until every member has entered it. Algorithms:
 // hardware-multicast release (signal tree up to rank 0, one multicast
@@ -219,19 +268,19 @@ func (c *Comm) Barrier(th *kernel.Thread) error {
 		case aComb:
 			return c.combBarrier(th, seq)
 		case aMcast:
-			if _, err := c.treeReduce(th, seq, 0, noop, rBarUp, []byte{0}); err != nil {
+			if _, err := c.treeReduce(th, seq, c.whole(0), noop, rBarUp, []byte{0}); err != nil {
 				return err
 			}
 			_, err := c.mcastBcast(th, seq, 0, rBarRel, nil)
 			return err
 		case aTree:
-			if _, err := c.treeReduce(th, seq, 0, noop, rBarUp, []byte{0}); err != nil {
+			if _, err := c.treeReduce(th, seq, c.whole(0), noop, rBarUp, []byte{0}); err != nil {
 				return err
 			}
-			_, err := c.treeBcast(th, seq, 0, rBarRel, nil)
+			_, err := c.treeBcast(th, seq, c.whole(0), rBarRel, nil)
 			return err
 		default:
-			return c.dissemBarrier(th, seq)
+			return c.dissemBarrier(th, seq, c.whole(0), rDissem)
 		}
 	})
 }
@@ -252,7 +301,7 @@ func (c *Comm) Bcast(th *kernel.Thread, root int, data []byte) (out []byte, err 
 		case aMcast:
 			out, e = c.mcastBcast(th, seq, root, rBcast, data)
 		default:
-			out, e = c.treeBcast(th, seq, root, rBcast, data)
+			out, e = c.treeBcast(th, seq, c.whole(root), rBcast, data)
 		}
 		return e
 	})
@@ -281,7 +330,7 @@ func (c *Comm) Reduce(th *kernel.Thread, root int, op Op, data []byte) (out []by
 				out = all
 			}
 		default:
-			out, e = c.treeReduce(th, seq, root, op, rReduce, data)
+			out, e = c.treeReduce(th, seq, c.whole(root), op, rReduce, data)
 		}
 		return e
 	})
@@ -308,17 +357,17 @@ func (c *Comm) Allreduce(th *kernel.Thread, op Op, data []byte) (out []byte, err
 		case aRing:
 			out, e = c.ringAllreduce(th, seq, op, data)
 		case aTree, aMcast:
-			red, re := c.treeReduce(th, seq, 0, op, rReduce, data)
+			red, re := c.treeReduce(th, seq, c.whole(0), op, rReduce, data)
 			if re != nil {
 				return re
 			}
 			if c.g.pick("bcast", len(data), nil) == aMcast {
 				out, e = c.mcastBcast(th, seq, 0, rBcast, red)
 			} else {
-				out, e = c.treeBcast(th, seq, 0, rBcast, red)
+				out, e = c.treeBcast(th, seq, c.whole(0), rBcast, red)
 			}
 		default:
-			out, e = c.rdAllreduce(th, seq, op, data)
+			out, e = c.rdAllreduce(th, seq, c.whole(0), op, rdFlat, data)
 		}
 		return e
 	})
@@ -332,7 +381,7 @@ func (c *Comm) Gather(th *kernel.Thread, root int, data []byte) (out [][]byte, e
 		if err := c.checkRoot(root); err != nil {
 			return err
 		}
-		bun, e := c.treeGather(th, seq, root, rGather, data)
+		bun, e := c.treeGather(th, seq, c.whole(root), rGather, data)
 		if e != nil || bun == nil {
 			return e
 		}
@@ -353,7 +402,7 @@ func (c *Comm) Scatter(th *kernel.Thread, root int, parts [][]byte) (out []byte,
 			return fmt.Errorf("coll: scatter needs %d parts, got %d", c.g.n, len(parts))
 		}
 		var e error
-		out, e = c.treeScatter(th, seq, root, parts)
+		out, e = c.treeScatter(th, seq, c.whole(root), parts)
 		return e
 	})
 	return out, err
@@ -390,7 +439,7 @@ func (c *Comm) Alltoall(th *kernel.Thread, parts [][]byte) (out [][]byte, err er
 // of the bundle, which uses the hardware multicast when available).
 func (c *Comm) Allgather(th *kernel.Thread, data []byte) (out [][]byte, err error) {
 	err = c.op(th, "allgather", func(seq uint32) error {
-		bun, e := c.treeGather(th, seq, 0, rGather, data)
+		bun, e := c.treeGather(th, seq, c.whole(0), rGather, data)
 		if e != nil {
 			return e
 		}
@@ -402,7 +451,7 @@ func (c *Comm) Allgather(th *kernel.Thread, data []byte) (out [][]byte, err erro
 			if c.g.pick("bcast", len(wire), nil) == aMcast {
 				wire, e = c.mcastBcast(th, seq, 0, rBcast, wire)
 			} else {
-				wire, e = c.treeBcast(th, seq, 0, rBcast, wire)
+				wire, e = c.treeBcast(th, seq, c.whole(0), rBcast, wire)
 			}
 			if e != nil {
 				return e
@@ -414,74 +463,67 @@ func (c *Comm) Allgather(th *kernel.Thread, data []byte) (out [][]byte, err erro
 	return out, err
 }
 
-// treeBcast pushes data down the binomial tree rooted at root.
-func (c *Comm) treeBcast(th *kernel.Thread, seq uint32, root int, round uint16, data []byte) ([]byte, error) {
-	n := c.g.n
-	v := (c.rank - root + n) % n
+// treeBcast pushes the root's data down the binomial tree over p and
+// returns it at every participant.
+func (c *Comm) treeBcast(th *kernel.Thread, seq uint32, p part, round uint16, data []byte) ([]byte, error) {
+	v, top := p.v(), p.subtree()
 	buf := data
-	top := 1
-	if v == 0 {
-		for top < n {
-			top <<= 1
-		}
-	} else {
-		top = lowbit(v)
-		m := c.recvFrom(th, seq, c.fromV(v-top, root), round)
-		buf = m.data
+	if v != 0 {
+		buf = c.recvFrom(th, seq, p.at(v-top), round).data
 	}
-	for m2 := top >> 1; m2 >= 1; m2 >>= 1 {
-		if v+m2 >= n {
+	for m := top >> 1; m >= 1; m >>= 1 {
+		if v+m >= p.n() {
 			continue
 		}
-		if err := c.sendTo(th, c.fromV(v+m2, root), kData, seq, round, buf); err != nil {
+		if err := c.sendTo(th, p.at(v+m), kData, seq, round, buf); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-// treeReduce folds payloads up the binomial tree; the accumulated value
-// surfaces at root (nil elsewhere). Children are combined in ascending
-// mask order, a deterministic association.
-func (c *Comm) treeReduce(th *kernel.Thread, seq uint32, root int, op Op, round uint16, data []byte) ([]byte, error) {
-	n := c.g.n
-	v := (c.rank - root + n) % n
+// treeReduce folds payloads up the binomial tree over p; the accumulated
+// value surfaces at the root (nil elsewhere). Children are combined in
+// ascending mask order, a deterministic association.
+func (c *Comm) treeReduce(th *kernel.Thread, seq uint32, p part, op Op, round uint16, data []byte) ([]byte, error) {
+	v := p.v()
 	acc := append([]byte(nil), data...)
-	for mask := 1; mask < n; mask <<= 1 {
+	for mask := 1; mask < p.n(); mask <<= 1 {
 		if v&mask != 0 {
-			return nil, c.sendTo(th, c.fromV(v-mask, root), kData, seq, round, acc)
+			return nil, c.sendTo(th, p.at(v-mask), kData, seq, round, acc)
 		}
-		if v+mask < n {
-			m := c.recvFrom(th, seq, c.fromV(v+mask, root), round)
+		if v+mask < p.n() {
+			m := c.recvFrom(th, seq, p.at(v+mask), round)
 			op.Combine(acc, m.data)
 		}
 	}
 	return acc, nil
 }
 
-// dissemBarrier runs the dissemination barrier: in round r every member
-// signals rank+2^r and waits for rank-2^r, so after ceil(log2 n) rounds
-// each member has (transitively) heard from everyone.
-func (c *Comm) dissemBarrier(th *kernel.Thread, seq uint32) error {
-	n := c.g.n
+// dissemBarrier runs the dissemination barrier over p: in round r every
+// participant signals the one 2^r places up and waits for the one 2^r
+// places down, so after ceil(log2 n) rounds each has (transitively) heard
+// from everyone. Rounds are tagged base+r.
+func (c *Comm) dissemBarrier(th *kernel.Thread, seq uint32, p part, base uint16) error {
+	v, n := p.v(), p.n()
 	for k, r := 1, 0; k < n; k, r = k<<1, r+1 {
-		round := rDissem + uint16(r)
-		if err := c.sendTo(th, (c.rank+k)%n, kData, seq, round, nil); err != nil {
+		round := base + uint16(r)
+		if err := c.sendTo(th, p.at(v+k), kData, seq, round, nil); err != nil {
 			return err
 		}
-		c.recvFrom(th, seq, (c.rank-k+n)%n, round)
+		c.recvFrom(th, seq, p.at(v-k+n), round)
 	}
 	return nil
 }
 
-// rdAllreduce is recursive doubling with the standard power-of-two fold:
-// the first 2*rem ranks pair up (evens fold into odds) so a power of two
-// remains, those run log2 rounds of pairwise exchange-and-combine, and
-// the folded-out evens get the result back. IEEE addition is commutative,
-// and every rank combines the same pairing tree, so all members return
-// bit-identical results even for floating-point sums.
-func (c *Comm) rdAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) ([]byte, error) {
-	n := c.g.n
+// rdAllreduce is recursive doubling over p with the standard power-of-two
+// fold: the first 2*rem participants pair up (evens fold into odds) so a
+// power of two remains, those run log2 rounds of pairwise
+// exchange-and-combine, and the folded-out evens get the result back. IEEE
+// addition is commutative, and every participant combines the same pairing
+// tree, so all return bit-identical results even for floating-point sums.
+func (c *Comm) rdAllreduce(th *kernel.Thread, seq uint32, p part, op Op, tags rdTags, data []byte) ([]byte, error) {
+	v, n := p.v(), p.n()
 	acc := append([]byte(nil), data...)
 	p2 := 1
 	for p2*2 <= n {
@@ -490,16 +532,16 @@ func (c *Comm) rdAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) ([
 	rem := n - p2
 	newrank := -1
 	switch {
-	case c.rank < 2*rem && c.rank%2 == 0:
-		if err := c.sendTo(th, c.rank+1, kData, seq, rFoldIn, acc); err != nil {
+	case v < 2*rem && v%2 == 0:
+		if err := c.sendTo(th, p.at(v+1), kData, seq, tags.foldIn, acc); err != nil {
 			return nil, err
 		}
-	case c.rank < 2*rem:
-		m := c.recvFrom(th, seq, c.rank-1, rFoldIn)
+	case v < 2*rem:
+		m := c.recvFrom(th, seq, p.at(v-1), tags.foldIn)
 		op.Combine(acc, m.data)
-		newrank = c.rank / 2
+		newrank = v / 2
 	default:
-		newrank = c.rank - rem
+		newrank = v - rem
 	}
 	if newrank >= 0 {
 		oldOf := func(nr int) int {
@@ -509,8 +551,8 @@ func (c *Comm) rdAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) ([
 			return nr + rem
 		}
 		for bit, mask := 0, 1; mask < p2; bit, mask = bit+1, mask<<1 {
-			partner := oldOf(newrank ^ mask)
-			round := rRD + uint16(bit)
+			partner := p.at(oldOf(newrank ^ mask))
+			round := tags.bit + uint16(bit)
 			if err := c.sendTo(th, partner, kData, seq, round, acc); err != nil {
 				return nil, err
 			}
@@ -519,11 +561,11 @@ func (c *Comm) rdAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) ([
 		}
 	}
 	switch {
-	case c.rank < 2*rem && c.rank%2 == 0:
-		m := c.recvFrom(th, seq, c.rank+1, rFoldOut)
+	case v < 2*rem && v%2 == 0:
+		m := c.recvFrom(th, seq, p.at(v+1), tags.foldOut)
 		acc = m.data
-	case c.rank < 2*rem:
-		if err := c.sendTo(th, c.rank-1, kData, seq, rFoldOut, acc); err != nil {
+	case v < 2*rem:
+		if err := c.sendTo(th, p.at(v-1), kData, seq, tags.foldOut, acc); err != nil {
 			return nil, err
 		}
 	}
@@ -569,18 +611,17 @@ func (c *Comm) ringAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 	return acc, nil
 }
 
-// treeGather folds rank-keyed bundles up the binomial tree; the full
-// bundle surfaces at root (nil elsewhere).
-func (c *Comm) treeGather(th *kernel.Thread, seq uint32, root int, round uint16, data []byte) (map[int][]byte, error) {
-	n := c.g.n
-	v := (c.rank - root + n) % n
+// treeGather folds rank-keyed bundles up the binomial tree over p; the
+// full bundle surfaces at the root (nil elsewhere).
+func (c *Comm) treeGather(th *kernel.Thread, seq uint32, p part, round uint16, data []byte) (map[int][]byte, error) {
+	v := p.v()
 	bun := map[int][]byte{c.rank: append([]byte(nil), data...)}
-	for mask := 1; mask < n; mask <<= 1 {
+	for mask := 1; mask < p.n(); mask <<= 1 {
 		if v&mask != 0 {
-			return nil, c.sendTo(th, c.fromV(v-mask, root), kData, seq, round, encodeBundle(bun))
+			return nil, c.sendTo(th, p.at(v-mask), kData, seq, round, encodeBundle(bun))
 		}
-		if v+mask < n {
-			m := c.recvFrom(th, seq, c.fromV(v+mask, root), round)
+		if v+mask < p.n() {
+			m := c.recvFrom(th, seq, p.at(v+mask), round)
 			for r, b := range decodeBundle(m.data) {
 				bun[r] = b
 			}
@@ -589,36 +630,29 @@ func (c *Comm) treeGather(th *kernel.Thread, seq uint32, root int, round uint16,
 	return bun, nil
 }
 
-// treeScatter pushes per-subtree bundles down the binomial tree. The
-// subtree below virtual rank w with receive mask m covers virtual ranks
-// [w, w+m), so each hop forwards exactly the parts its subtree needs.
-func (c *Comm) treeScatter(th *kernel.Thread, seq uint32, root int, parts [][]byte) ([]byte, error) {
-	n := c.g.n
-	v := (c.rank - root + n) % n
+// treeScatter pushes per-subtree bundles down the binomial tree over p.
+// The subtree below virtual rank w with receive mask m covers virtual
+// ranks [w, w+m), so each hop forwards exactly the parts its subtree needs.
+func (c *Comm) treeScatter(th *kernel.Thread, seq uint32, p part, parts [][]byte) ([]byte, error) {
+	v, n, top := p.v(), p.n(), p.subtree()
 	var sub map[int][]byte // keyed by virtual rank
-	top := 1
 	if v == 0 {
-		for top < n {
-			top <<= 1
-		}
 		sub = make(map[int][]byte, n)
 		for w := 0; w < n; w++ {
-			sub[w] = parts[c.fromV(w, root)]
+			sub[w] = parts[p.at(w)]
 		}
 	} else {
-		top = lowbit(v)
-		m := c.recvFrom(th, seq, c.fromV(v-top, root), rScatter)
-		sub = decodeBundle(m.data)
+		sub = decodeBundle(c.recvFrom(th, seq, p.at(v-top), rScatter).data)
 	}
-	for m2 := top >> 1; m2 >= 1; m2 >>= 1 {
-		if v+m2 >= n {
+	for m := top >> 1; m >= 1; m >>= 1 {
+		if v+m >= n {
 			continue
 		}
-		child := make(map[int][]byte, m2)
-		for w := v + m2; w < v+2*m2 && w < n; w++ {
+		child := make(map[int][]byte, m)
+		for w := v + m; w < v+2*m && w < n; w++ {
 			child[w] = sub[w]
 		}
-		if err := c.sendTo(th, c.fromV(v+m2, root), kData, seq, rScatter, encodeBundle(child)); err != nil {
+		if err := c.sendTo(th, p.at(v+m), kData, seq, rScatter, encodeBundle(child)); err != nil {
 			return nil, err
 		}
 	}

@@ -63,16 +63,15 @@ type Group struct {
 	id      int
 	n       int
 	members []int // rank -> CAB id
+	all     []int // 0..n-1: the part spanning the whole group (algos.go)
 	rankOf  []int // NewGroup input index -> rank
 	comms   []*Comm
 	base    uint16
 	mcastOK bool // all members on distinct CABs: HW multicast usable
 
-	forced     string // per-group algorithm override ("" = system params)
-	algo       algo
-	smallMax   int
-	ackTimeout sim.Time
-	retries    int
+	forced  string // per-group algorithm override ("" = system params)
+	algo    algo
+	retries int // per-link retry bound of sendTo (WithMaxRetries)
 
 	// comb is the group's placement over combining-capable HUBs
 	// (combining.go); comb.enabled only when the system armed
@@ -97,16 +96,8 @@ func WithAlgorithm(name string) Option {
 	return func(g *Group) { g.forced = name }
 }
 
-// WithAckTimeout overrides the multicast ack-aggregation timeout.
-func WithAckTimeout(d sim.Time) Option {
-	return func(g *Group) {
-		if d > 0 {
-			g.ackTimeout = d
-		}
-	}
-}
-
-// WithMaxRetries overrides the per-link stream retry bound.
+// WithMaxRetries overrides the per-link stream retry bound (default 8 —
+// enough to ride out a multi-millisecond link flap).
 func WithMaxRetries(k int) Option {
 	return func(g *Group) {
 		if k > 0 {
@@ -143,11 +134,8 @@ func NewGroup(sys *core.System, id int, cabs []int, opts ...Option) *Group {
 		reg:  sys.Reg,
 		fr:   sys.FR,
 	}
-	p := sys.Params.Coll
-	g.smallMax = p.SmallMax
-	g.ackTimeout = p.AckTimeout
-	g.retries = p.MaxRetries
-	g.forced = p.Algorithm
+	g.retries = 8
+	g.forced = sys.Params.Coll.Algorithm
 	for _, opt := range opts {
 		opt(g)
 	}
@@ -163,10 +151,12 @@ func NewGroup(sys *core.System, id int, cabs []int, opts ...Option) *Group {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return cabs[idx[a]] < cabs[idx[b]] })
 	g.members = make([]int, n)
+	g.all = make([]int, n)
 	g.rankOf = make([]int, n)
 	distinct := true
 	for r, i := range idx {
 		g.members[r] = cabs[i]
+		g.all[r] = r
 		g.rankOf[i] = r
 		if r > 0 && g.members[r] == g.members[r-1] {
 			distinct = false

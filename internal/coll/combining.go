@@ -26,6 +26,7 @@ type combPlacement struct {
 	locals  [][]int  // hub index -> member ranks on that hub, ascending
 	leaders []int    // hub index -> leader rank (== locals[i][0])
 	hubIdx  []int    // rank -> hub index
+	localAt []int    // rank -> its index in locals[hubIdx[rank]]
 }
 
 // placeComb computes the combining placement. A dark system (combining
@@ -37,6 +38,7 @@ func (g *Group) placeComb() {
 	}
 	byHub := make(map[int]int) // topo hub id -> hub index
 	g.comb.hubIdx = make([]int, g.n)
+	g.comb.localAt = make([]int, g.n)
 	for r := 0; r < g.n; r++ {
 		h := g.sys.Net.HubOf(g.members[r])
 		hi, ok := byHub[h]
@@ -46,6 +48,7 @@ func (g *Group) placeComb() {
 			g.comb.locals = append(g.comb.locals, nil)
 			g.comb.leaders = append(g.comb.leaders, r)
 		}
+		g.comb.localAt[r] = len(g.comb.locals[hi])
 		g.comb.locals[hi] = append(g.comb.locals[hi], r)
 		g.comb.hubIdx[r] = hi
 	}
@@ -85,128 +88,17 @@ func (g *Group) combEligible(op *Op, size int) bool {
 	return size >= 8 && size <= 8*CombMaxLanes
 }
 
-// combLocals returns the ranks sharing this member's HUB (ascending; the
-// first is the hub leader).
-func (c *Comm) combLocals() []int {
-	return c.g.comb.locals[c.g.comb.hubIdx[c.rank]]
+// combLocals is the part spanning the members that share this member's
+// HUB, rooted at the hub leader (the lowest local rank).
+func (c *Comm) combLocals() part {
+	pl := &c.g.comb
+	return part{ranks: pl.locals[pl.hubIdx[c.rank]], me: pl.localAt[c.rank]}
 }
 
-// subsetReduce folds data up a binomial tree spanning just ranks (which
-// must be sorted ascending and contain c.rank); the result surfaces at
-// ranks[0], nil elsewhere. Children combine in ascending mask order — the
-// same deterministic association as treeReduce.
-func (c *Comm) subsetReduce(th *kernel.Thread, seq uint32, op Op, round uint16, ranks []int, data []byte) ([]byte, error) {
-	n := len(ranks)
-	v := 0
-	for i, r := range ranks {
-		if r == c.rank {
-			v = i
-		}
-	}
-	acc := append([]byte(nil), data...)
-	for mask := 1; mask < n; mask <<= 1 {
-		if v&mask != 0 {
-			return nil, c.sendTo(th, ranks[v-mask], kData, seq, round, acc)
-		}
-		if v+mask < n {
-			m := c.recvFrom(th, seq, ranks[v+mask], round)
-			op.Combine(acc, m.data)
-		}
-	}
-	return acc, nil
-}
-
-// subsetAllreduceRD is recursive doubling over just ranks (sorted
-// ascending, containing c.rank), with the same power-of-two fold as
-// rdAllreduce: log2 rounds of pairwise exchange-and-combine instead of
-// the 2*log2 a reduce-then-broadcast tree costs. Every participant
-// returns the combined value, bit-identically.
-func (c *Comm) subsetAllreduceRD(th *kernel.Thread, seq uint32, op Op, ranks []int, data []byte) ([]byte, error) {
-	n := len(ranks)
-	v := 0
-	for i, r := range ranks {
-		if r == c.rank {
-			v = i
-		}
-	}
-	acc := append([]byte(nil), data...)
-	p2 := 1
-	for p2*2 <= n {
-		p2 *= 2
-	}
-	rem := n - p2
-	newrank := -1
-	switch {
-	case v < 2*rem && v%2 == 0:
-		if err := c.sendTo(th, ranks[v+1], kData, seq, rCombUp, acc); err != nil {
-			return nil, err
-		}
-	case v < 2*rem:
-		m := c.recvFrom(th, seq, ranks[v-1], rCombUp)
-		op.Combine(acc, m.data)
-		newrank = v / 2
-	default:
-		newrank = v - rem
-	}
-	if newrank >= 0 {
-		oldOf := func(nr int) int {
-			if nr < rem {
-				return nr*2 + 1
-			}
-			return nr + rem
-		}
-		for bit, mask := 0, 1; mask < p2; bit, mask = bit+1, mask<<1 {
-			partner := ranks[oldOf(newrank^mask)]
-			round := rCombRD + uint16(bit)
-			if err := c.sendTo(th, partner, kData, seq, round, acc); err != nil {
-				return nil, err
-			}
-			m := c.recvFrom(th, seq, partner, round)
-			op.Combine(acc, m.data)
-		}
-	}
-	switch {
-	case v < 2*rem && v%2 == 0:
-		m := c.recvFrom(th, seq, ranks[v+1], rCombDown)
-		acc = m.data
-	case v < 2*rem:
-		if err := c.sendTo(th, ranks[v-1], kData, seq, rCombDown, acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// subsetBcast pushes ranks[0]'s data down a binomial tree spanning just
-// ranks (sorted ascending, containing c.rank) and returns it everywhere.
-func (c *Comm) subsetBcast(th *kernel.Thread, seq uint32, round uint16, ranks []int, data []byte) ([]byte, error) {
-	n := len(ranks)
-	v := 0
-	for i, r := range ranks {
-		if r == c.rank {
-			v = i
-		}
-	}
-	buf := data
-	top := 1
-	if v == 0 {
-		for top < n {
-			top <<= 1
-		}
-	} else {
-		top = lowbit(v)
-		m := c.recvFrom(th, seq, ranks[v-top], round)
-		buf = m.data
-	}
-	for m2 := top >> 1; m2 >= 1; m2 >>= 1 {
-		if v+m2 >= n {
-			continue
-		}
-		if err := c.sendTo(th, ranks[v+m2], kData, seq, round, buf); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+// combLeaders is the part spanning the per-hub leaders; only a leader may
+// take part in it.
+func (c *Comm) combLeaders() part {
+	return part{ranks: c.g.comb.leaders, me: c.g.comb.hubIdx[c.rank]}
 }
 
 // combAllreduce is the hierarchical HUB-combining allreduce:
@@ -218,12 +110,16 @@ func (c *Comm) subsetBcast(th *kernel.Thread, seq uint32, round uint16, ranks []
 //     no endpoint fan-in at all;
 //  2. if any lane failed to combine (engine dark, slot flushed partial,
 //     straggler timeout), the hub's members fold their original payloads
-//     to the hub leader over the transport instead — the slot protocol
-//     guarantees all of a hub's members agree on combined-vs-fallback
-//     per lane, so nobody double-counts;
+//     to the hub leader over the transport instead (treeReduce over the
+//     locals) — the slot protocol guarantees all of a hub's members agree
+//     on combined-vs-fallback per lane, so nobody double-counts;
 //  3. on multi-HUB groups the per-hub leaders allreduce their partials
-//     among themselves with recursive doubling;
-//  4. leaders distribute the result down to their hub's members.
+//     among themselves (rdAllreduce over the leaders);
+//  4. leaders distribute the result down to their hub's members
+//     (treeBcast over the locals).
+//
+// Steps 2-4 are the flat families' own tree and recursive-doubling
+// functions run over a different part, under their own round tags.
 //
 // Degradation is total: with every HUB dark or every slot timing out this
 // is an ordinary hierarchical allreduce over the reliable transport.
@@ -231,7 +127,8 @@ func (c *Comm) combAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 	g := c.g
 	wireOp, _ := combWireOp(op)
 	locals := c.combLocals()
-	fanin := uint16(len(locals))
+	leader := locals.me == 0
+	fanin := uint16(locals.n())
 	lanes := len(data) / 8
 
 	// Phase 1: contribute every lane to the local HUB.
@@ -253,20 +150,20 @@ func (c *Comm) combAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 		g.reg.Counter("coll.comb.fallback").Inc()
 		// Phase 2: endpoint fallback — fold the hub's original payloads
 		// to the leader. Never mix hub-combined lanes with folded ones.
-		red, err := c.subsetReduce(th, seq, op, rCombFix, locals, data)
+		red, err := c.treeReduce(th, seq, locals, op, rCombFix, data)
 		if err != nil {
 			return nil, err
 		}
-		if c.rank == locals[0] {
+		if leader {
 			out = red
 		}
 	}
 
 	// Phase 3: leaders allreduce their per-hub partials across HUBs via
 	// recursive doubling (half the rounds of a reduce-then-broadcast).
-	if g.comb.multi && c.rank == locals[0] {
+	if g.comb.multi && leader {
 		var err error
-		if out, err = c.subsetAllreduceRD(th, seq, op, g.comb.leaders, out); err != nil {
+		if out, err = c.rdAllreduce(th, seq, c.combLeaders(), op, rdLeaders, out); err != nil {
 			return nil, err
 		}
 	}
@@ -276,7 +173,7 @@ func (c *Comm) combAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 	// was the global result and no endpoint traffic happens at all.
 	if g.comb.multi || !localOK {
 		var err error
-		if out, err = c.subsetBcast(th, seq, rCombRes, locals, out); err != nil {
+		if out, err = c.treeBcast(th, seq, locals, rCombRes, out); err != nil {
 			return nil, err
 		}
 	}
@@ -292,7 +189,7 @@ func (c *Comm) combAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 func (c *Comm) combBarrier(th *kernel.Thread, seq uint32) error {
 	g := c.g
 	locals := c.combLocals()
-	fanin := uint16(len(locals))
+	fanin := uint16(locals.n())
 
 	_, combined, err := c.st.DL.CombContribute(th, hub.OpCombBarrier, byte(g.id), 0,
 		g.comb.tag, fanin, seq, 0, g.comb.timeout)
@@ -302,34 +199,22 @@ func (c *Comm) combBarrier(th *kernel.Thread, seq uint32) error {
 	} else {
 		g.reg.Counter("coll.comb.fallback").Inc()
 		// Endpoint fallback: signal up to the hub leader.
-		if _, e := c.subsetReduce(th, seq, noop, rCombFix, locals, []byte{0}); e != nil {
+		if _, e := c.treeReduce(th, seq, locals, noop, rCombFix, []byte{0}); e != nil {
 			return e
 		}
 	}
 
-	if g.comb.multi && c.rank == locals[0] {
+	if g.comb.multi && locals.me == 0 {
 		// Dissemination among leaders: after ceil(log2 n) rounds every
 		// leader has transitively heard from every hub.
-		ld := g.comb.leaders
-		li := 0
-		for i, r := range ld {
-			if r == c.rank {
-				li = i
-			}
-		}
-		n := len(ld)
-		for k, r := 1, 0; k < n; k, r = k<<1, r+1 {
-			round := rCombBar + uint16(r)
-			if e := c.sendTo(th, ld[(li+k)%n], kData, seq, round, nil); e != nil {
-				return e
-			}
-			c.recvFrom(th, seq, ld[(li-k+n)%n], round)
+		if e := c.dissemBarrier(th, seq, c.combLeaders(), rCombBar); e != nil {
+			return e
 		}
 	}
 
 	if g.comb.multi || !localOK {
 		// Leaders release their hub's members.
-		if _, e := c.subsetBcast(th, seq, rCombRes, locals, nil); e != nil {
+		if _, e := c.treeBcast(th, seq, locals, rCombRes, nil); e != nil {
 			return e
 		}
 	}

@@ -3,6 +3,7 @@ package coll
 import (
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // The HUB hardware-multicast broadcast (paper §4.2.2/§4.2.4): the root
@@ -12,7 +13,7 @@ import (
 // is unreliable, so delivery is confirmed by ack aggregation:
 //
 //  1. Every member that receives the copy sets its bit in an ack bitmap,
-//     waits (bounded by AckTimeout per child) for its children's bitmaps
+//     waits (bounded by ackTimeout per child) for its children's bitmaps
 //     in a binomial tree rooted at the sender, merges them, and sends
 //     one combined ack — an unreliable datagram — to its tree parent.
 //     Aggregation keeps the root's ack load at log2(n) messages instead
@@ -29,13 +30,19 @@ import (
 // unnecessary but harmless retransmission. Either way every member ends
 // up with the payload, and the schedule stays deterministic.
 
+// ackTimeout bounds each level of multicast ack aggregation: how long a
+// member waits for a child's ack bitmap before reporting without it, and
+// how long the root's grace period for late acks lasts before it
+// retransmits to the missing members over reliable streams.
+const ackTimeout = 150 * sim.Microsecond
+
 // mcastBcast delivers data from root to every member over the hardware
 // multicast, returning the payload at every member.
 func (c *Comm) mcastBcast(th *kernel.Thread, seq uint32, root int, round uint16, data []byte) ([]byte, error) {
 	g := c.g
 	n := g.n
-	v := (c.rank - root + n) % n
-	if v == 0 {
+	p := c.whole(root)
+	if p.v() == 0 {
 		wire := c.encode(kMcast, seq, round, data)
 		dsts := make([]int, 0, n-1)
 		for r, cab := range g.members {
@@ -50,10 +57,10 @@ func (c *Comm) mcastBcast(th *kernel.Thread, seq uint32, root int, round uint16,
 
 		bits := newBitset(n)
 		bitsetSet(bits, c.rank)
-		c.collectAcks(th, seq, v, bits)
+		c.collectAcks(th, seq, p, bits)
 		// Grace period: late acks (deep trees, congested links) may still
 		// arrive and spare a retransmission.
-		deadline := th.Proc().Now() + g.ackTimeout
+		deadline := th.Proc().Now() + ackTimeout
 		for !bitsetFull(bits, n) {
 			remain := deadline - th.Proc().Now()
 			if remain <= 0 {
@@ -88,8 +95,8 @@ func (c *Comm) mcastBcast(th *kernel.Thread, seq uint32, root int, round uint16,
 	}, -1)
 	bits := newBitset(n)
 	bitsetSet(bits, c.rank)
-	c.collectAcks(th, seq, v, bits)
-	parent := c.fromV(v-lowbit(v), root)
+	c.collectAcks(th, seq, p, bits)
+	parent := p.at(p.v() - p.subtree())
 	ack := c.encode(kAck, seq, rAck, bits)
 	_ = c.st.TP.SendDatagram(th, g.members[parent], g.base+uint16(parent), c.box, ack)
 	return m.data, nil
@@ -99,21 +106,13 @@ func (c *Comm) mcastBcast(th *kernel.Thread, seq uint32, root int, round uint16,
 // and merges whatever arrives into bits. Acks are not attributed to a
 // particular child — any ack for this collective counts — so a slow
 // child's bits can ride in during a later wait slot.
-func (c *Comm) collectAcks(th *kernel.Thread, seq uint32, v int, bits []byte) {
-	n := c.g.n
-	top := 1
-	if v == 0 {
-		for top < n {
-			top <<= 1
-		}
-	} else {
-		top = lowbit(v)
-	}
-	for m2 := top >> 1; m2 >= 1; m2 >>= 1 {
+func (c *Comm) collectAcks(th *kernel.Thread, seq uint32, p part, bits []byte) {
+	v, n := p.v(), p.n()
+	for m2 := p.subtree() >> 1; m2 >= 1; m2 >>= 1 {
 		if v+m2 >= n {
 			continue
 		}
-		m, ok := c.recvMatch(th, ackPred(seq), c.g.ackTimeout)
+		m, ok := c.recvMatch(th, ackPred(seq), ackTimeout)
 		if !ok {
 			continue
 		}

@@ -47,9 +47,6 @@ type Params struct {
 	// go-back-N windows, and flow-control credit into ring-buffered time
 	// series. 0 disables it (the default: no sampling events exist).
 	SamplerPeriod sim.Time
-	// SamplerCap bounds retained points per sampler series; past it the
-	// series downsamples (0: obs.DefaultSamplerCap).
-	SamplerCap int
 	// FlightEvents enables the flight recorder (System.FR) with a ring of
 	// this many events. 0 disables it (the default: layer Note calls hit
 	// a nil recorder and cost nothing).
@@ -120,7 +117,6 @@ func (p Params) normalize() Params {
 	if p.Topo.HubPorts == 0 {
 		p.Topo = topo.DefaultOptions()
 	}
-	p.Coll = p.Coll.normalize()
 	p.HubComb = p.HubComb.normalize()
 	return p
 }

@@ -290,7 +290,7 @@ func validateOverload(p Params) {
 }
 
 // CollParams tunes the collective-communication subsystem (internal/coll).
-// The zero value selects every default.
+// The zero value selects automatic algorithm choice.
 type CollParams struct {
 	// Algorithm forces one algorithm family for every collective on the
 	// system: "tree" (binomial trees), "rd" (recursive doubling /
@@ -299,34 +299,6 @@ type CollParams struct {
 	// operation by payload size, group size, and topology. Groups can
 	// override per group with coll.WithAlgorithm.
 	Algorithm string
-	// SmallMax is the allreduce payload size (bytes) at or below which the
-	// latency-optimal recursive-doubling algorithm is chosen; larger
-	// payloads use the bandwidth-optimal ring pipeline (default 4096).
-	SmallMax int
-	// AckTimeout bounds each level of multicast ack aggregation: how long
-	// a member waits for a child's ack bitmap before reporting without it,
-	// and (doubled) how long the root waits before retransmitting to the
-	// missing members over reliable streams (default 150us).
-	AckTimeout sim.Time
-	// MaxRetries bounds per-link retries of a collective's point-to-point
-	// stream sends when the transport reports failure, with exponential
-	// backoff between attempts (default 8 — enough to ride out a
-	// multi-millisecond link flap).
-	MaxRetries int
-}
-
-// normalize fills zero-valued collective parameters with defaults.
-func (cp CollParams) normalize() CollParams {
-	if cp.SmallMax == 0 {
-		cp.SmallMax = 4096
-	}
-	if cp.AckTimeout == 0 {
-		cp.AckTimeout = 150 * sim.Microsecond
-	}
-	if cp.MaxRetries == 0 {
-		cp.MaxRetries = 8
-	}
-	return cp
 }
 
 // WithCollAlgorithm forces the collective-communication algorithm family
@@ -547,9 +519,6 @@ func validateSLO(p Params) {
 func validateTelemetry(p Params) {
 	if p.SamplerPeriod < 0 {
 		panic(fmt.Sprintf("nectar: SamplerPeriod %v is negative (0 disables the sampler; a positive period enables it)", p.SamplerPeriod))
-	}
-	if p.SamplerCap < 0 {
-		panic(fmt.Sprintf("nectar: SamplerCap %d is negative (0 selects the default capacity)", p.SamplerCap))
 	}
 	if p.FlightEvents < 0 {
 		panic(fmt.Sprintf("nectar: FlightEvents %d is negative (0 disables the flight recorder)", p.FlightEvents))

@@ -156,7 +156,6 @@ func TestNewValidatesTelemetryParams(t *testing.T) {
 		}
 	}
 	mustPanic(t, "SamplerPeriod", bad(func(p *Params) { p.SamplerPeriod = -sim.Microsecond }))
-	mustPanic(t, "SamplerCap", bad(func(p *Params) { p.SamplerCap = -1 }))
 	mustPanic(t, "FlightEvents", bad(func(p *Params) { p.FlightEvents = -1 }))
 	mustPanic(t, "StallCheck", bad(func(p *Params) { p.StallCheck = -5 }))
 	mustPanic(t, "FlowTopK", bad(func(p *Params) { p.FlowTopK = -2 }))

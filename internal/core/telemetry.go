@@ -61,7 +61,7 @@ func buildTelemetry(s *System) {
 		})
 	}
 	if p.SamplerPeriod > 0 {
-		sa := obs.NewSampler(s.Eng, p.SamplerPeriod, p.SamplerCap)
+		sa := obs.NewSampler(s.Eng, p.SamplerPeriod, obs.DefaultSamplerCap)
 		for _, h := range s.Net.Hubs() {
 			for i := 0; i < h.NumPorts(); i++ {
 				pt := h.Port(i)

@@ -134,11 +134,37 @@ type Datalink struct {
 }
 
 type pendingOpen struct {
+	token uint64
 	want  int // replies still expected
 	ok    bool
 	val   uint64 // combining result (ReplyData of the last reply)
 	cond  *kernel.Cond
-	donef bool
+}
+
+// expect registers a fresh token under which want command replies are
+// awaited; the commands carrying pend.token may then be sent.
+func (d *Datalink) expect(want int) *pendingOpen {
+	d.nextToken++
+	pend := &pendingOpen{token: d.nextToken, want: want, ok: true, cond: d.k.NewCond()}
+	d.pending[pend.token] = pend
+	return pend
+}
+
+// await blocks until every reply pend expects has arrived or timeout
+// elapses (negative: no limit), retires the token, and reports whether all
+// arrived; pend.ok and pend.val then hold the verdict. A crash counts as
+// arrival with ok false (see Crash).
+func (d *Datalink) await(th *kernel.Thread, pend *pendingOpen, timeout sim.Time) bool {
+	deadline := d.k.Engine().Now() + timeout
+	for pend.want > 0 {
+		if timeout < 0 {
+			pend.cond.Wait(th)
+		} else if !pend.cond.WaitUntil(th, deadline) {
+			break
+		}
+	}
+	delete(d.pending, pend.token)
+	return pend.want == 0
 }
 
 // New creates the datalink for a board and registers its receive interrupt
@@ -250,26 +276,14 @@ func (d *Datalink) Probe(th *kernel.Thread, hubHere, hubThere byte, port byte, t
 	d.mu.P(th)
 	defer d.mu.V()
 	th.Compute("dl-probe", d.params.SendSetup)
-	d.nextToken++
-	token := d.nextToken
-	pend := &pendingOpen{want: 1, ok: true, cond: d.k.NewCond()}
-	d.pending[token] = pend
-	defer delete(d.pending, token)
-
+	pend := d.expect(1)
 	d.stats.ProbesSent++
 	d.board.Send(
 		d.command(hub.OpOpenRetry, hubHere, port, 0),
-		d.command(hub.OpEcho, hubThere, 0, token),
+		d.command(hub.OpEcho, hubThere, 0, pend.token),
 		d.closeAll(),
 	)
-	deadline := d.k.Engine().Now() + timeout
-	for pend.want > 0 {
-		remain := deadline - d.k.Engine().Now()
-		if remain <= 0 || !pend.cond.WaitTimeout(th, remain) {
-			break
-		}
-	}
-	if pend.want > 0 || !pend.ok {
+	if !d.await(th, pend, timeout) || !pend.ok {
 		d.stats.ProbesLost++
 		return false
 	}
@@ -293,27 +307,14 @@ func (d *Datalink) CombContribute(th *kernel.Thread, op hub.Opcode, group, lane 
 	defer sp.End()
 	d.mu.P(th)
 	th.Compute("dl-comb", d.params.SendSetup)
-	d.nextToken++
-	token := d.nextToken
-	pend := &pendingOpen{want: 1, ok: true, cond: d.k.NewCond()}
-	d.pending[token] = pend
-	defer delete(d.pending, token)
-
-	hubID := d.net.Hub(d.net.HubOf(d.board.ID())).ID()
-	it := d.command(op, hubID, group, token)
+	pend := d.expect(1)
+	it := d.command(op, d.localHubID(), group, pend.token)
 	it.Comb = &fiber.CombData{Lane: lane, Tag: tag, Count: count, Seq: seq, Operand: operand}
 	it.Span = sp
 	d.board.Send(it)
 	d.mu.V()
 
-	deadline := d.k.Engine().Now() + timeout
-	for pend.want > 0 {
-		remain := deadline - d.k.Engine().Now()
-		if remain <= 0 || !pend.cond.WaitTimeout(th, remain) {
-			break
-		}
-	}
-	if pend.want > 0 {
+	if !d.await(th, pend, timeout) {
 		return 0, false, fmt.Errorf("datalink: combining reply lost")
 	}
 	return pend.val, pend.ok, nil
@@ -347,17 +348,56 @@ func (d *Datalink) closeAll() *fiber.Item {
 	return d.command(hub.OpCloseAll, 0xFF, 0, 0)
 }
 
+// localHubID returns the datalink ID of the HUB this CAB attaches to.
+func (d *Datalink) localHubID() byte {
+	return d.net.Hub(d.net.HubOf(d.board.ID())).ID()
+}
+
+// packetFrame builds a packet-switched frame (§4.2.3, §4.2.4): a test open
+// with retry per hop of the route or multicast tree, the packet, close all.
+func (d *Datalink) packetFrame(hops []topo.Hop, payload []byte, sp *trace.Span) []*fiber.Item {
+	items := make([]*fiber.Item, 0, len(hops)+2)
+	for _, hp := range hops {
+		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
+	}
+	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
+	return append(items, d.closeAll())
+}
+
+// queuedSince returns the sender-side queueing time of a send entered at
+// t0: everything up to now beyond the fixed setup cost (transmit mutex,
+// flow-control credit wait and, for circuits, the open handshakes).
+func (d *Datalink) queuedSince(t0 sim.Time) sim.Time {
+	return max(d.k.Engine().Now()-t0-d.params.SendSetup, 0)
+}
+
+// sent is the accounting every packet-switched send does once its frame is
+// on the fiber: counters, the flight-recorder note, and the frame charged
+// to its (src, dst, proto) flow. dst is -1 for a multicast.
+func (d *Datalink) sent(dst int, payload []byte, queued sim.Time) {
+	d.stats.PacketsSent++
+	d.stats.BytesSent += int64(len(payload))
+	d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
+	d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), queued)
+}
+
 // SendPacket transmits payload to dst using packet switching (§4.2.3):
 // test opens with retry enforce hop-by-hop flow control; no reply is
 // awaited. payload must fit the input queues.
 func (d *Datalink) SendPacket(th *kernel.Thread, dst int, payload []byte) error {
-	if len(payload) > MaxPacketPayload {
-		return fmt.Errorf("datalink: packet of %d bytes exceeds %d (use circuit switching)",
-			len(payload), MaxPacketPayload)
-	}
 	hops, err := d.route(dst)
 	if err != nil {
 		return err
+	}
+	return d.sendPacketHops(th, dst, hops, payload)
+}
+
+// sendPacketHops transmits one packet-switched frame over hops — a unicast
+// route, or a multicast tree with dst -1 — from the calling thread.
+func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, payload []byte) error {
+	if len(payload) > MaxPacketPayload {
+		return fmt.Errorf("datalink: packet of %d bytes exceeds %d (use circuit switching)",
+			len(payload), MaxPacketPayload)
 	}
 	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-send-packet")
 	t0 := d.k.Engine().Now()
@@ -366,25 +406,10 @@ func (d *Datalink) SendPacket(th *kernel.Thread, dst int, payload []byte) error 
 	// Our own output's flow control: the attached HUB input queue must be
 	// ready for a new packet.
 	d.board.WaitNetReady(th.Proc())
-	// Flow accounting: everything between entry and credit beyond the
-	// fixed setup cost is sender-side queueing (transmit mutex plus
-	// flow-control credit wait).
-	queued := d.k.Engine().Now() - t0 - d.params.SendSetup
-	if queued < 0 {
-		queued = 0
-	}
-	items := make([]*fiber.Item, 0, len(hops)+2)
-	for _, hp := range hops {
-		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-	}
-	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	items = append(items, d.closeAll())
+	queued := d.queuedSince(t0)
 	d.board.ClearNetReady()
-	d.board.Send(items...)
-	d.stats.PacketsSent++
-	d.stats.BytesSent += int64(len(payload))
-	d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
-	d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), queued)
+	d.board.Send(d.packetFrame(hops, payload, sp)...)
+	d.sent(dst, payload, queued)
 	sp.End()
 	d.mu.V()
 	return nil
@@ -412,19 +437,10 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
 	d.board.CPU.RunInterrupt("dl-intr-send", extra+d.params.SendSetup, func() {
-		items := make([]*fiber.Item, 0, len(hops)+2)
-		for _, hp := range hops {
-			items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-		}
-		items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-		items = append(items, d.closeAll())
-		d.board.Send(items...)
-		d.stats.PacketsSent++
-		d.stats.BytesSent += int64(len(payload))
-		d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
+		d.board.Send(d.packetFrame(hops, payload, sp)...)
 		// Interrupt-level sends only go out when credit is already
 		// there, so their queueing time is zero by construction.
-		d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), 0)
+		d.sent(dst, payload, 0)
 		sp.End()
 		d.mu.V()
 	})
@@ -457,38 +473,14 @@ func (d *Datalink) SendMulticastCircuit(th *kernel.Thread, dsts []int, payload [
 // SendMulticastPacket is the §4.2.4 packet-switched multicast: test opens
 // over the tree, then the packet.
 func (d *Datalink) SendMulticastPacket(th *kernel.Thread, dsts []int, payload []byte) error {
-	if len(payload) > MaxPacketPayload {
-		return fmt.Errorf("datalink: multicast packet too large (%d)", len(payload))
-	}
 	hops, err := d.router.MulticastTree(d.board.ID(), dsts)
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.sendPacketHops(th, -1, hops, payload)
 	}
-	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-send-packet")
-	t0 := d.k.Engine().Now()
-	defer sp.End()
-	d.mu.P(th)
-	defer d.mu.V()
-	th.Compute("dl-send-setup", d.params.SendSetup)
-	d.board.WaitNetReady(th.Proc())
-	queued := d.k.Engine().Now() - t0 - d.params.SendSetup
-	if queued < 0 {
-		queued = 0
+	if err == nil {
+		d.stats.McastsSent++
 	}
-	items := make([]*fiber.Item, 0, len(hops)+2)
-	for _, hp := range hops {
-		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-	}
-	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	items = append(items, d.closeAll())
-	d.board.ClearNetReady()
-	d.board.Send(items...)
-	d.stats.PacketsSent++
-	d.stats.BytesSent += int64(len(payload))
-	d.stats.McastsSent++
-	d.fr.Note(obs.FSend, d.frName, -1, int64(len(payload)))
-	d.fl.Account(d.board.ID(), -1, wireProto(payload), len(payload), queued)
-	return nil
+	return err
 }
 
 func countTerminals(hops []topo.Hop) int {
@@ -515,31 +507,18 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 		th.Compute("dl-send-setup", d.params.SendSetup)
 		d.board.WaitNetReady(th.Proc())
 
-		d.nextToken++
-		token := d.nextToken
-		pend := &pendingOpen{want: wantReplies, ok: true, cond: d.k.NewCond()}
-		d.pending[token] = pend
-
+		pend := d.expect(wantReplies)
 		items := make([]*fiber.Item, 0, len(hops))
 		for _, hp := range hops {
 			op := hub.OpOpenRetry
 			if hp.Terminal {
 				op = hub.OpOpenRetryReply
 			}
-			items = append(items, d.command(op, hp.HubID, hp.Port, token))
+			items = append(items, d.command(op, hp.HubID, hp.Port, pend.token))
 		}
 		d.board.Send(items...)
 
-		// Wait for all replies (or timeout).
-		deadline := d.k.Engine().Now() + d.params.OpenTimeout
-		for pend.want > 0 {
-			remain := deadline - d.k.Engine().Now()
-			if remain <= 0 || !pend.cond.WaitTimeout(th, remain) {
-				break
-			}
-		}
-		delete(d.pending, token)
-		if pend.want > 0 || !pend.ok {
+		if !d.await(th, pend, d.params.OpenTimeout) || !pend.ok {
 			// Tear down whatever was established and retry.
 			d.stats.OpenTimeouts++
 			d.fr.Note(obs.FOpenTimeout, d.frName, int64(attempt), int64(pend.want))
@@ -556,14 +535,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 		d.stats.PacketsSent++
 		d.stats.BytesSent += int64(len(payload))
 		d.fr.Note(obs.FSend, d.frName, -1, int64(len(payload)))
-		// For circuit sends the queueing time spans the mutex wait, the
-		// flow-control credit wait, and the open handshake(s) — everything
-		// between entry and the data leaving, minus the fixed setup cost.
-		queued := d.k.Engine().Now() - t0 - d.params.SendSetup
-		if queued < 0 {
-			queued = 0
-		}
-		d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), queued)
+		d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), d.queuedSince(t0))
 		return nil
 	}
 	d.stats.OpenFailures++
@@ -668,8 +640,7 @@ func (d *Datalink) TryAcquireHubLock(th *kernel.Thread, lock byte) (bool, error)
 func (d *Datalink) ReleaseHubLock(th *kernel.Thread, lock byte) {
 	d.mu.P(th)
 	defer d.mu.V()
-	hubID := d.net.Hub(d.net.HubOf(d.board.ID())).ID()
-	d.board.Send(d.command(hub.OpUnlock, hubID, lock, 0))
+	d.board.Send(d.command(hub.OpUnlock, d.localHubID(), lock, 0))
 }
 
 // errLockHeld distinguishes a contended try-lock from a transport failure.
@@ -680,25 +651,17 @@ func (d *Datalink) lockOp(th *kernel.Thread, op hub.Opcode, lock byte) error {
 	d.mu.P(th)
 	defer d.mu.V()
 	th.Compute("dl-lock", d.params.SendSetup)
-	d.nextToken++
-	token := d.nextToken
-	pend := &pendingOpen{want: 1, ok: true, cond: d.k.NewCond()}
-	d.pending[token] = pend
-	defer delete(d.pending, token)
-
-	hubID := d.net.Hub(d.net.HubOf(d.board.ID())).ID()
-	d.board.Send(d.command(op, hubID, lock, token))
+	pend := d.expect(1)
+	d.board.Send(d.command(op, d.localHubID(), lock, pend.token))
 
 	// Lock grants can legitimately take arbitrarily long (the holder
 	// decides); only the no-retry variant observes the reply timeout.
-	for pend.want > 0 {
-		if op == hub.OpLock {
-			if !pend.cond.WaitTimeout(th, d.params.OpenTimeout) {
-				return fmt.Errorf("datalink: lock reply lost")
-			}
-		} else {
-			pend.cond.Wait(th)
-		}
+	timeout := sim.Time(-1)
+	if op == hub.OpLock {
+		timeout = d.params.OpenTimeout
+	}
+	if !d.await(th, pend, timeout) {
+		return fmt.Errorf("datalink: lock reply lost")
 	}
 	if !pend.ok {
 		return errLockHeld

@@ -8,6 +8,7 @@ import (
 	"repro/internal/datalink"
 	"repro/internal/fiber"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -51,14 +52,19 @@ func TestSendPacketDelivers(t *testing.T) {
 }
 
 func TestSendPacketTooLarge(t *testing.T) {
-	sys := core.New(core.SingleHub(2))
-	var errTooBig error
+	sys := core.New(core.SingleHub(3))
+	big := pattern(datalink.MaxPacketPayload + 1)
+	var errUni, errMulti error
 	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		errTooBig = sys.CAB(0).DL.SendPacket(th, 1, pattern(datalink.MaxPacketPayload+1))
+		errUni = sys.CAB(0).DL.SendPacket(th, 1, big)
+		errMulti = sys.CAB(0).DL.SendMulticastPacket(th, []int{1, 2}, big)
 	})
 	sys.Run()
-	if errTooBig == nil {
-		t.Fatal("oversized packet-switched send should fail")
+	if errUni == nil || errMulti == nil {
+		t.Fatalf("oversized packet-switched sends should fail: unicast %v, multicast %v", errUni, errMulti)
+	}
+	if st := sys.CAB(0).DL.Stats(); st.PacketsSent != 0 || st.McastsSent != 0 {
+		t.Fatalf("rejected sends were counted: %+v", st)
 	}
 }
 
@@ -144,7 +150,7 @@ func TestMulticastCircuitDelivery(t *testing.T) {
 }
 
 func TestMulticastPacketDelivery(t *testing.T) {
-	sys := core.New(core.SingleHub(4))
+	sys := core.New(core.SingleHub(4), core.WithFlightRecorder())
 	var g1, g2, g3 [][]byte
 	collect(sys, 1, &g1)
 	collect(sys, 2, &g2)
@@ -160,6 +166,21 @@ func TestMulticastPacketDelivery(t *testing.T) {
 		if len(g) != 1 || !bytes.Equal(g[0], data) {
 			t.Fatalf("destination %d got %d copies", i+1, len(g))
 		}
+	}
+	// A multicast is accounted like any packet-switched send — one packet,
+	// its bytes — plus the multicast count, and noted with dst -1.
+	st := sys.CAB(0).DL.Stats()
+	if st.PacketsSent != 1 || st.BytesSent != int64(len(data)) || st.McastsSent != 1 {
+		t.Fatalf("sender stats = %+v, want 1 packet of %d bytes, 1 multicast", st, len(data))
+	}
+	var sends []obs.Event
+	for _, e := range sys.FR.Events() {
+		if e.Kind == obs.FSend {
+			sends = append(sends, e)
+		}
+	}
+	if len(sends) != 1 || sends[0].Where != "cab0.dl" || sends[0].A != -1 || sends[0].B != int64(len(data)) {
+		t.Fatalf("FSend notes = %+v, want one at cab0.dl with dst -1, %d bytes", sends, len(data))
 	}
 }
 

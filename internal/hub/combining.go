@@ -3,7 +3,6 @@ package hub
 import (
 	"repro/internal/fiber"
 	"repro/internal/hub/comb"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func (h *Hub) execComb(it *fiber.Item) {
 	if h.comb == nil || cd == nil {
 		// Combining dark on this HUB (or a malformed frame): decline so
 		// the contributor falls back to its endpoint algorithm.
-		h.replyData(it, false, 0)
+		h.reply(it, false, 0)
 		return
 	}
 	sp := it.Span.ChildAt(it.Start, trace.LayerHub, h.name, "comb")
@@ -53,28 +52,7 @@ func (h *Hub) execComb(it *fiber.Item) {
 	h.eng.At(done, func() {
 		h.comb.Contribute(op, key, int(cd.Count), cd.Operand, func(res comb.Result) {
 			sp.End()
-			h.replyData(it, res.Combined, res.Value)
+			h.reply(it, res.Combined, res.Value)
 		})
 	})
-}
-
-// replyData sends a combining reply carrying an 8-byte result over the
-// reverse channel (same out-of-band path as reply).
-func (h *Hub) replyData(orig *fiber.Item, ok bool, data uint64) {
-	if orig.ReplyTo == nil {
-		return
-	}
-	if h.rec != nil {
-		h.rec.Record(trace.EvReply, h.name, "%v ok=%v data=%d", orig.Cmd, ok, data)
-	}
-	rep := &fiber.Item{
-		Kind:      fiber.KindReply,
-		Cmd:       orig.Cmd,
-		ReplyOK:   ok,
-		ReplyData: data,
-		Token:     orig.Token,
-	}
-	delay := sim.Time(orig.Hops+1) * ReplyHopDelay
-	dst := orig.ReplyTo
-	h.eng.After(delay, func() { dst.Receive(rep) })
 }

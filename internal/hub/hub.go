@@ -209,20 +209,28 @@ func (h *Hub) controllerSlot(t sim.Time) sim.Time {
 }
 
 // reply sends a command reply back to the originating endpoint over the
-// (never-blocked) reverse channel.
-func (h *Hub) reply(orig *fiber.Item, ok bool, val byte) {
+// (never-blocked) reverse channel. A combining command's verdict carries its
+// 8-byte result (ReplyData); every other reply carries the low byte of val
+// (ReplyVal).
+func (h *Hub) reply(orig *fiber.Item, ok bool, val uint64) {
 	if orig.ReplyTo == nil {
 		return
 	}
-	if h.rec != nil {
-		h.rec.Record(trace.EvReply, h.name, "%v ok=%v val=%d", orig.Cmd, ok, val)
-	}
 	rep := &fiber.Item{
-		Kind:     fiber.KindReply,
-		Cmd:      orig.Cmd,
-		ReplyOK:  ok,
-		ReplyVal: val,
-		Token:    orig.Token,
+		Kind:    fiber.KindReply,
+		Cmd:     orig.Cmd,
+		ReplyOK: ok,
+		Token:   orig.Token,
+	}
+	label := "val"
+	if Opcode(orig.Cmd.Op).IsComb() {
+		rep.ReplyData, label = val, "data"
+	} else {
+		rep.ReplyVal = byte(val)
+		val = uint64(rep.ReplyVal)
+	}
+	if h.rec != nil {
+		h.rec.Record(trace.EvReply, h.name, "%v ok=%v %s=%d", orig.Cmd, ok, label, val)
 	}
 	delay := sim.Time(orig.Hops+1) * ReplyHopDelay
 	dst := orig.ReplyTo
@@ -269,9 +277,7 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 		}
 		return true
 	}
-	available := out.enabled && !h.frozen && (out.owner == nil || out.owner == in) &&
-		(!op.wantsReady() || out.ready)
-	if !available {
+	if !h.openable(in, out, op) {
 		if h.rec != nil {
 			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
 		}
@@ -282,21 +288,36 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 		h.reply(it, false, 0xFF)
 		return true
 	}
+	h.grant(in, out, it, "")
+	return true
+}
+
+// openable reports whether the controller can connect in->out now: the
+// output is enabled, free (or already in's — multicast re-opens), the
+// controller is not frozen, and a test-open finds the ready bit set.
+func (h *Hub) openable(in, out *Port, op Opcode) bool {
+	return out.enabled && !h.frozen && (out.owner == nil || out.owner == in) &&
+		(!op.wantsReady() || out.ready)
+}
+
+// grant establishes in->out for open command it at the controller's next
+// slot and returns when crossbar setup completes: the connection is usable,
+// and the reply (if the opcode asks for one) generated, at that point. note
+// is appended to the recorder line.
+func (h *Hub) grant(in, out *Port, it *fiber.Item, note string) sim.Time {
 	done := h.controllerSlot(h.eng.Now())
 	if out.owner != in {
 		out.owner = in
 		in.conn = append(in.conn, out)
 	}
-	// The connection is usable once crossbar setup completes; the reply
-	// is generated at that point.
 	out.connReady = done
 	if h.rec != nil {
-		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v", in.id, outID, done)
+		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v%s", in.id, out.id, done, note)
 	}
-	if op.replies() {
-		h.eng.At(done, func() { h.reply(it, true, byte(outID)) })
+	if Opcode(it.Cmd.Op).replies() {
+		h.eng.At(done, func() { h.reply(it, true, uint64(out.id)) })
 	}
-	return true
+	return done
 }
 
 // execLock runs the lock command family at the controller.
@@ -312,18 +333,18 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 			if h.rec != nil {
 				h.rec.Record(trace.EvLock, h.name, "lock%d by p%d", id, in.id)
 			}
-			h.reply(it, true, byte(id))
+			h.reply(it, true, uint64(id))
 			return true
 		}
 		if op == OpLockRetry {
 			lk.waiters = append(lk.waiters, &pendingCmd{item: it, in: in})
 			return false
 		}
-		h.reply(it, false, byte(lk.holder))
+		h.reply(it, false, uint64(lk.holder))
 	case OpUnlock, OpUnlockReply:
 		h.unlock(id)
 		if op == OpUnlockReply {
-			h.reply(it, true, byte(id))
+			h.reply(it, true, uint64(id))
 		}
 	case OpUnlockAll:
 		for i := range h.locks {
@@ -332,15 +353,15 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 			}
 		}
 	case OpTestLock:
-		h.reply(it, lk.held, byte(lk.holder))
+		h.reply(it, lk.held, uint64(lk.holder))
 	case OpLockHolder:
 		if lk.held {
-			h.reply(it, true, byte(lk.holder))
+			h.reply(it, true, uint64(lk.holder))
 		} else {
 			h.reply(it, false, 0xFF)
 		}
 	case OpLockCount:
-		n := byte(0)
+		n := uint64(0)
 		for i := range h.locks {
 			if h.locks[i].held {
 				n++
@@ -370,7 +391,7 @@ func (h *Hub) unlock(id int) {
 		if h.rec != nil {
 			h.rec.Record(trace.EvLock, h.name, "lock%d by p%d (queued)", id, w.in.id)
 		}
-		h.reply(w.item, true, byte(id))
+		h.reply(w.item, true, uint64(id))
 		// The waiter's input port was stalled on this command; resume it
 		// one controller cycle later.
 		h.eng.After(CycleTime, w.in.advance)
@@ -393,27 +414,11 @@ func (h *Hub) serveWaiters(out *Port) {
 			h.eng.After(CycleTime, w.in.advance)
 			continue
 		}
-		available := out.enabled && !h.frozen && (out.owner == nil || out.owner == w.in) &&
-			(!op.wantsReady() || out.ready)
-		if !available {
+		if !h.openable(w.in, out, op) {
 			return
 		}
 		out.waiters = out.waiters[1:]
-		done := h.controllerSlot(h.eng.Now())
-		if out.owner != w.in {
-			out.owner = w.in
-			w.in.conn = append(w.in.conn, out)
-		}
-		out.connReady = done
-		if h.rec != nil {
-			h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v (retried)", w.in.id, out.id, done)
-		}
-		if op.replies() {
-			item := w.item
-			outID := out.id
-			h.eng.At(done, func() { h.reply(item, true, byte(outID)) })
-		}
-		h.eng.At(done, w.in.advance)
+		h.eng.At(h.grant(w.in, out, w.item, " (retried)"), w.in.advance)
 		// A granted open with multicast semantics leaves the output
 		// owned; further waiters for this output stay parked.
 	}

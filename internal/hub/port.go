@@ -324,24 +324,24 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 			h.closeConn(p, out)
 		}
 		if op == OpCloseReply {
-			h.reply(it, true, byte(param))
+			h.reply(it, true, uint64(param))
 		}
 	case OpCloseOutput, OpCloseOutputReply:
 		if out := portParam(); out != nil && out.owner != nil {
 			h.closeConn(out.owner, out)
 		}
 		if op == OpCloseOutputReply {
-			h.reply(it, true, byte(param))
+			h.reply(it, true, uint64(param))
 		}
 	case OpStatusOutput:
 		if out := portParam(); out != nil && out.owner != nil {
-			h.reply(it, true, byte(out.owner.id))
+			h.reply(it, true, uint64(out.owner.id))
 		} else {
 			h.reply(it, false, 0xFF)
 		}
 	case OpStatusInput:
 		if in := portParam(); in != nil && len(in.conn) > 0 {
-			h.reply(it, true, byte(in.conn[0].id))
+			h.reply(it, true, uint64(in.conn[0].id))
 		} else {
 			h.reply(it, false, 0xFF)
 		}
@@ -353,12 +353,12 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		}
 	case OpStatusQueue:
 		if q := portParam(); q != nil {
-			h.reply(it, true, byte(q.inBytes/8))
+			h.reply(it, true, uint64(q.inBytes/8))
 		} else {
 			h.reply(it, false, 0xFF)
 		}
 	case OpStatusConnCnt:
-		n := byte(0)
+		n := uint64(0)
 		for _, out := range h.ports {
 			if out.owner != nil {
 				n++
@@ -367,14 +367,14 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		h.reply(it, true, n)
 	case OpStatusCounters:
 		if q := portParam(); q != nil {
-			h.reply(it, true, byte(q.pktOut))
+			h.reply(it, true, uint64(q.pktOut))
 		} else {
 			h.reply(it, false, 0xFF)
 		}
 	case OpIdent:
-		h.reply(it, true, h.id)
+		h.reply(it, true, uint64(h.id))
 	case OpPing, OpEcho:
-		h.reply(it, true, it.Cmd.Param)
+		h.reply(it, true, uint64(it.Cmd.Param))
 	case OpReadySet:
 		if out := portParam(); out != nil {
 			out.SetReady()
@@ -385,7 +385,7 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		}
 	case OpMark:
 		// The mark is at the head of the queue, i.e. it has drained.
-		h.reply(it, true, it.Cmd.Param)
+		h.reply(it, true, uint64(it.Cmd.Param))
 	case OpFlush:
 		for len(p.inq) > 0 {
 			dropped := p.pop()
@@ -470,7 +470,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 	case SupSetHubID:
 		h.id = byte(param)
 	case SupReadConfig:
-		h.reply(it, true, byte(len(h.ports)))
+		h.reply(it, true, uint64(len(h.ports)))
 	case SupClearCounters:
 		for _, q := range h.ports {
 			q.pktIn, q.pktOut, q.bytesIn, q.bytesOut, q.cmds, q.drops, q.frameErrs = 0, 0, 0, 0, 0, 0, 0
@@ -481,7 +481,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 		for _, q := range h.ports {
 			total += q.pktOut
 		}
-		h.reply(it, true, byte(total))
+		h.reply(it, true, uint64(total))
 	case SupTestPattern:
 		if out := portParam(); out != nil && out.out != nil {
 			pkt := &fiber.Item{Kind: fiber.KindPacket, Payload: []byte{0xA5, 0x5A, 0xA5, 0x5A}}

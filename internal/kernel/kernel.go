@@ -344,6 +344,16 @@ func (c *Cond) WaitTimeout(t *Thread, d sim.Time) bool {
 	return w.signaled
 }
 
+// WaitUntil blocks until signaled or until the absolute virtual time
+// deadline; it reports true if signaled, and false — without blocking —
+// once the deadline has passed. It is the body of every "re-check the
+// predicate until a deadline" loop: for !pred() { if !c.WaitUntil(t, dl) {
+// give up } }.
+func (c *Cond) WaitUntil(t *Thread, deadline sim.Time) bool {
+	remain := deadline - t.k.eng.Now()
+	return remain > 0 && c.WaitTimeout(t, remain)
+}
+
 // Signal wakes one waiting thread (FIFO).
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
@@ -392,8 +402,7 @@ func (s *Sem) P(t *Thread) {
 func (s *Sem) PTimeout(t *Thread, d sim.Time) bool {
 	deadline := t.k.eng.Now() + d
 	for s.count == 0 {
-		remain := deadline - t.k.eng.Now()
-		if remain <= 0 || !s.avail.WaitTimeout(t, remain) {
+		if !s.avail.WaitUntil(t, deadline) {
 			return false
 		}
 	}

@@ -151,6 +151,46 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 }
 
+// WaitUntil is the deadline form of WaitTimeout: a spurious signal (the
+// predicate still false) resumes the wait against the same deadline, and a
+// passed deadline returns false without blocking.
+func TestCondWaitUntil(t *testing.T) {
+	eng, k := newKernel()
+	c := k.NewCond()
+	ready := false
+	var wakes int
+	var gaveUpAt, pastAt sim.Time
+	var pastOK bool
+	k.Spawn("waiter", func(th *Thread) {
+		deadline := eng.Now() + sim.Millisecond
+		for !ready {
+			if !c.WaitUntil(th, deadline) {
+				break
+			}
+			wakes++
+		}
+		gaveUpAt = eng.Now()
+		pastOK = c.WaitUntil(th, deadline)
+		pastAt = eng.Now()
+	})
+	k.Spawn("noise", func(th *Thread) {
+		th.Sleep(300 * sim.Microsecond)
+		c.Signal() // predicate still false
+	})
+	eng.Run()
+	if wakes != 1 {
+		t.Fatalf("signaled wakes = %d, want 1", wakes)
+	}
+	// The deadline is absolute: the spurious wake does not extend it. The
+	// waiter resumes one context switch after the timer fires.
+	if lo := sim.Millisecond; gaveUpAt < lo || gaveUpAt > lo+50*sim.Microsecond {
+		t.Fatalf("gave up at %v, want just after the 1ms deadline", gaveUpAt)
+	}
+	if pastOK || pastAt != gaveUpAt {
+		t.Fatalf("WaitUntil past its deadline = %v at %v, want false without blocking (%v)", pastOK, pastAt, gaveUpAt)
+	}
+}
+
 func TestMailboxPutGetFIFO(t *testing.T) {
 	eng, k := newKernel()
 	mb := k.NewMailbox("box", 64*1024)

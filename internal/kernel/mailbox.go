@@ -225,8 +225,7 @@ func (m *Mailbox) Get(t *Thread) *Message {
 func (m *Mailbox) GetTimeout(t *Thread, d sim.Time) (*Message, bool) {
 	deadline := m.k.eng.Now() + d
 	for len(m.msgs) == 0 {
-		remain := deadline - m.k.eng.Now()
-		if remain <= 0 || !m.notEmpty.WaitTimeout(t, remain) {
+		if !m.notEmpty.WaitUntil(t, deadline) {
 			return nil, false
 		}
 	}

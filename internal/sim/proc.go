@@ -104,10 +104,8 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
-	if d == 0 {
-		// Still yield through the event queue so same-time events
-		// scheduled earlier run first.
-	}
+	// d == 0 still yields through the event queue, so same-time events
+	// scheduled earlier run first.
 	p.resumeAt(p.eng.now + d)
 	p.block()
 }

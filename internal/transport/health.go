@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -143,84 +144,25 @@ func (t *Transport) recvPong(h *Header) {
 	}
 }
 
-// markPeerDead wakes every sender blocked on the peer with ErrPeerDead:
-// pending requests, stream senders, and VMTP transactions.
+// markPeerDead wakes every sender blocked on the peer with ErrPeerDead.
 func (t *Transport) markPeerDead(peer int, ps *peerState) {
 	ps.dead = true
 	t.stats.PeersDied++
 	t.fr.Note(obs.FPeerDead, t.frName, int64(peer), int64(ps.misses))
-	err := &ErrPeerDead{Peer: peer}
-
-	ids := make([]uint32, 0, len(t.pending))
-	for id, pend := range t.pending {
-		if pend.dst == peer {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		pend := t.pending[id]
-		pend.err = err
-		pend.cond.Broadcast()
-	}
-
-	keys := make([]streamKey, 0, len(t.streamsOut))
-	for k := range t.streamsOut {
-		if k.peer == peer {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].lbox != keys[j].lbox {
-			return keys[i].lbox < keys[j].lbox
-		}
-		return keys[i].rbox < keys[j].rbox
-	})
-	for _, k := range keys {
-		s := t.streamsOut[k]
-		s.err = err
-		s.cond.Broadcast()
-	}
-
-	if t.vm != nil {
-		txns := make([]uint32, 0, len(t.vm.pending))
-		for id, pend := range t.vm.pending {
-			if pend.dst == peer {
-				txns = append(txns, id)
-			}
-		}
-		sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
-		for _, id := range txns {
-			pend := t.vm.pending[id]
-			pend.err = err
-			pend.cond.Broadcast()
-		}
-	}
+	t.failSenders(peer, &ErrPeerDead{Peer: peer})
 }
 
-// Crash discards the transport's in-flight state after a board crash:
-// client-side operations error out (their threads observe the crash),
-// server-side reassembly, duplicate-suppression caches, queued control
-// packets, and the peer watch set are lost — so a request answered before
-// the crash may be re-executed after it, exactly the at-most-once window a
-// real response-cache loss opens.
-func (t *Transport) Crash() {
-	errCrash := fmt.Errorf("transport: CAB %d crashed", t.self)
-
-	ids := make([]uint32, 0, len(t.pending))
-	for id := range t.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		pend := t.pending[id]
-		pend.err = errCrash
-		pend.cond.Broadcast()
-	}
+// failSenders wakes every sender blocked on peer (-1: on any peer) with err
+// — pending requests, stream senders, then VMTP transactions, each set in
+// ascending key order so the wake-up order is deterministic.
+func (t *Transport) failSenders(peer int, err error) {
+	failOps(t.pending, peer, err)
 
 	keys := make([]streamKey, 0, len(t.streamsOut))
 	for k := range t.streamsOut {
-		keys = append(keys, k)
+		if peer < 0 || k.peer == peer {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].peer != keys[j].peer {
@@ -233,28 +175,43 @@ func (t *Transport) Crash() {
 	})
 	for _, k := range keys {
 		s := t.streamsOut[k]
-		s.err = errCrash
+		s.err = err
 		s.cond.Broadcast()
 	}
 
 	if t.vm != nil {
-		txns := make([]uint32, 0, len(t.vm.pending))
-		for id := range t.vm.pending {
-			txns = append(txns, id)
-		}
-		sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
-		for _, id := range txns {
-			pend := t.vm.pending[id]
-			pend.err = errCrash
-			pend.cond.Broadcast()
-		}
-		t.vm = nil
+		failOps(t.vm.pending, peer, err)
 	}
+}
 
+// failOps fails, in ascending id order, the outstanding operations of one
+// protocol that are addressed to peer (-1: all of them).
+func failOps[P interface{ op() *pendingOp }](ops map[uint32]P, peer int, err error) {
+	ids := make([]uint32, 0, len(ops))
+	for id, p := range ops {
+		if peer < 0 || p.op().dst == peer {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		p := ops[id].op()
+		p.err = err
+		p.cond.Broadcast()
+	}
+}
+
+// Crash discards the transport's in-flight state after a board crash:
+// client-side operations error out (their threads observe the crash),
+// server-side reassembly, duplicate-suppression caches, queued control
+// packets, and the peer watch set are lost — so a request answered before
+// the crash may be re-executed after it, exactly the at-most-once window a
+// real response-cache loss opens.
+func (t *Transport) Crash() {
+	t.failSenders(-1, fmt.Errorf("transport: CAB %d crashed", t.self))
+	t.vm = nil
 	t.streamsIn = make(map[streamKey]*streamRecv)
-	t.inflight = make(map[reqKey]bool)
-	t.respCache = make(map[reqKey][]byte)
-	t.respOrder = nil
+	t.once = newAtMostOnce[[]byte]()
 	t.outq = nil
 	t.watch = make(map[int]*peerState)
 	if t.ovl != nil {

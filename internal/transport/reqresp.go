@@ -6,6 +6,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -15,14 +16,34 @@ import (
 // service and answers duplicates of completed requests from a bounded
 // response cache, giving at-most-once execution under loss.
 
-// pendingReq tracks a client-side outstanding request.
-type pendingReq struct {
+// pendingOp is the client side of one outstanding request or transaction:
+// what its retry loop waits on and what the answer, or an out-of-band
+// failure, sets.
+type pendingOp struct {
 	cond    *kernel.Cond
 	dst     int
-	resp    []byte
 	done    bool
 	err     error  // fatal failure (peer dead, local crash); set out of band
-	traceID uint64 // root span id of the request's trace tree (0 untraced)
+	traceID uint64 // root span id of the operation's trace tree (0 untraced)
+}
+
+func (p *pendingOp) op() *pendingOp { return p }
+
+// awaitReply blocks until the operation is answered or failed, or until
+// wait has elapsed (the caller then retransmits).
+func (t *Transport) awaitReply(th *kernel.Thread, p *pendingOp, wait sim.Time) {
+	deadline := t.k.Engine().Now() + wait
+	for !p.done && p.err == nil {
+		if !p.cond.WaitUntil(th, deadline) {
+			return
+		}
+	}
+}
+
+// pendingReq tracks a client-side outstanding request.
+type pendingReq struct {
+	pendingOp
+	resp []byte
 }
 
 // ErrTimeout is returned when a request exhausts its retries.
@@ -48,83 +69,62 @@ func (t *Transport) Request(th *kernel.Thread, dst int, dstBox, srcBox uint16, d
 // fail fast with ErrOverload or ErrDeadlineExpired; the class and deadline
 // ride the wire header to the server. The outcome — latency, success, and
 // the root trace id — is reported to the SLO engine when one is armed.
-func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) ([]byte, error) {
-	start := t.k.Engine().Now()
-	resp, traceID, err := t.requestOpts(th, dst, dstBox, srcBox, data, opts)
-	t.observe(slo.KindReqResp, opts.Class, start, err == nil, traceID)
+func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) (resp []byte, err error) {
+	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
+		t.nextReq++
+		reqID := t.nextReq
+		pend := &pendingReq{pendingOp: pendingOp{cond: t.k.NewCond(), dst: dst}}
+		t.pending[reqID] = pend
+		defer delete(t.pending, reqID)
+
+		h := &Header{
+			Proto: ProtoRequest, Src: uint16(t.self), Dst: uint16(dst),
+			SrcBox: srcBox, DstBox: dstBox,
+			MsgID: reqID, Total: uint32(len(data)),
+			Class: opts.Class, Deadline: opts.Deadline,
+		}
+		wire := Encode(h, data)
+		t.stats.Requests++
+
+		for attempt := 0; attempt <= t.params.ReqRetries; attempt++ {
+			if attempt > 0 {
+				// Deadline check at the retransmit queueing point: expired
+				// requests are not worth another round trip.
+				if err := t.expireCheck(dst, opts); err != nil {
+					return pend.traceID, err
+				}
+				t.stats.Retransmits++
+				t.fr.Note(obs.FRetransmit, t.frName, int64(dst), int64(attempt))
+				t.fl.Retrans(t.self, dst, byte(ProtoRequest))
+			}
+			if err := t.sendData(th, dst, wire, opts); err != nil {
+				return pend.traceID, err
+			}
+			t.awaitReply(th, &pend.pendingOp,
+				backoffWait(t.params.ReqTimeout, t.params.BackoffCap, attempt, t.self, dst, reqID))
+			if pend.done {
+				resp = pend.resp
+				return pend.traceID, nil
+			}
+			if pend.err != nil {
+				return pend.traceID, pend.err
+			}
+		}
+		return pend.traceID, &ErrTimeout{Dst: dst, ReqID: reqID}
+	})
 	return resp, err
-}
-
-func (t *Transport) requestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) ([]byte, uint64, error) {
-	if err := t.admit(dst, opts); err != nil {
-		return nil, 0, err
-	}
-	if err := t.peerGate(dst); err != nil {
-		return nil, 0, err
-	}
-	t.nextReq++
-	reqID := t.nextReq
-	pend := &pendingReq{cond: t.k.NewCond(), dst: dst}
-	t.pending[reqID] = pend
-	defer delete(t.pending, reqID)
-	t.watchPeer(dst)
-	defer t.unwatchPeer(dst)
-	t.opStart()
-	defer t.opDone()
-
-	h := &Header{
-		Proto: ProtoRequest, Src: uint16(t.self), Dst: uint16(dst),
-		SrcBox: srcBox, DstBox: dstBox,
-		MsgID: reqID, Total: uint32(len(data)),
-		Class: opts.Class, Deadline: opts.Deadline,
-	}
-	wire := Encode(h, data)
-	t.stats.Requests++
-
-	for attempt := 0; attempt <= t.params.ReqRetries; attempt++ {
-		if attempt > 0 {
-			// Deadline check at the retransmit queueing point: expired
-			// requests are not worth another round trip.
-			if err := t.expireCheck(dst, opts); err != nil {
-				return nil, pend.traceID, err
-			}
-			t.stats.Retransmits++
-			t.fr.Note(obs.FRetransmit, t.frName, int64(dst), int64(attempt))
-			t.fl.Retrans(t.self, dst, byte(ProtoRequest))
-		}
-		if err := t.sendData(th, dst, wire, opts); err != nil {
-			return nil, pend.traceID, err
-		}
-		wait := backoffWait(t.params.ReqTimeout, t.params.BackoffCap, attempt, t.self, dst, reqID)
-		deadline := t.k.Engine().Now() + wait
-		for !pend.done && pend.err == nil {
-			remain := deadline - t.k.Engine().Now()
-			if remain <= 0 || !pend.cond.WaitTimeout(th, remain) {
-				break
-			}
-		}
-		if pend.done {
-			return pend.resp, pend.traceID, nil
-		}
-		if pend.err != nil {
-			return nil, pend.traceID, pend.err
-		}
-	}
-	return nil, pend.traceID, &ErrTimeout{Dst: dst, ReqID: reqID}
 }
 
 // recvRequest handles an arriving request at the server (interrupt level).
 func (t *Transport) recvRequest(h *Header, payload []byte, sp *trace.Span) {
 	key := reqKey{src: h.Src, reqID: h.MsgID}
-	if wire, ok := t.respCache[key]; ok {
-		// Duplicate of an answered request: retransmit the response.
+	if wire, st := t.once.lookup(key); st != onceNew {
+		// Duplicate: of an answered request — retransmit the response —
+		// or of one still being served — suppress.
 		t.stats.DupRequests++
-		t.enqueueControl(int(h.Src), wire, sp)
-		return
-	}
-	if t.inflight[key] {
-		// Duplicate of a request still being served: suppress.
-		t.stats.DupRequests++
+		if st == onceAnswered {
+			t.enqueueControl(int(h.Src), wire, sp)
+		}
 		return
 	}
 	if !t.recvAdmit(h, sp) {
@@ -133,7 +133,7 @@ func (t *Transport) recvRequest(h *Header, payload []byte, sp *trace.Span) {
 		return
 	}
 	if t.deliver(h, payload, sp) {
-		t.inflight[key] = true
+		t.once.begin(key)
 	}
 }
 
@@ -150,9 +150,7 @@ func (t *Transport) Respond(th *kernel.Thread, req *kernel.Message, data []byte)
 		Class: Class(req.Class),
 	}
 	wire := Encode(h, data)
-	key := reqKey{src: uint16(req.Src), reqID: req.Tag}
-	delete(t.inflight, key)
-	t.cacheResponse(key, wire)
+	t.once.answer(reqKey{src: uint16(req.Src), reqID: req.Tag}, wire)
 	t.stats.Responses++
 	// Chain the response into the request's trace tree: with the request's
 	// root as the thread span, sendWire creates the response message span
@@ -163,20 +161,6 @@ func (t *Transport) Respond(th *kernel.Thread, req *kernel.Message, data []byte)
 	prev := th.SetSpan(req.Span)
 	defer th.SetSpan(prev)
 	return t.sendData(th, int(req.Src), wire, SendOpts{Class: Class(req.Class)})
-}
-
-// cacheResponse stores a response for duplicate suppression, evicting the
-// oldest entries beyond the cache bound.
-func (t *Transport) cacheResponse(key reqKey, wire []byte) {
-	if _, ok := t.respCache[key]; !ok {
-		t.respOrder = append(t.respOrder, key)
-		if len(t.respOrder) > respCacheMax {
-			evict := t.respOrder[0]
-			t.respOrder = t.respOrder[1:]
-			delete(t.respCache, evict)
-		}
-	}
-	t.respCache[key] = wire
 }
 
 // recvResponse handles an arriving response at the client (interrupt

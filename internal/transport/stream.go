@@ -96,107 +96,89 @@ func (t *Transport) StreamSend(th *kernel.Thread, dst int, dstBox, srcBox uint16
 // the class and deadline on the wire. The outcome is reported to the SLO
 // engine when one is armed (streams carry no response, so no trace id).
 func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) error {
-	start := t.k.Engine().Now()
-	err := t.streamSendOpts(th, dst, dstBox, srcBox, data, opts)
-	t.observe(slo.KindStream, opts.Class, start, err == nil, 0)
-	return err
-}
+	s := t.streamOut(streamKey{peer: dst, lbox: srcBox, rbox: dstBox})
+	return t.reliableOp(th, slo.KindStream, dst, opts, s.mu, func() (uint64, error) {
+		defer func() { s.window = 0 }()
 
-func (t *Transport) streamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) error {
-	if err := t.admit(dst, opts); err != nil {
-		return err
-	}
-	if err := t.peerGate(dst); err != nil {
-		return err
-	}
-	key := streamKey{peer: dst, lbox: srcBox, rbox: dstBox}
-	s := t.streamOut(key)
-	s.mu.P(th)
-	defer s.mu.V()
-	t.watchPeer(dst)
-	defer t.unwatchPeer(dst)
-	t.opStart()
-	defer t.opDone()
-	defer func() { s.window = 0 }()
+		msgID := s.nextMsg
+		s.nextMsg++
+		s.curMsg = msgID
+		s.acked = 0
+		s.done = false
+		s.err = nil
 
-	msgID := s.nextMsg
-	s.nextMsg++
-	s.curMsg = msgID
-	s.acked = 0
-	s.done = false
-	s.err = nil
-
-	maxExpiries := t.params.MaxRTOExpiries
-	if maxExpiries == 0 {
-		maxExpiries = 64
-	}
-	expiries := 0 // consecutive RTO expiries without ack progress
-
-	// Fragment (a stamped deadline costs its wire extension per packet).
-	seg := maxSeg(opts.Deadline)
-	n := (len(data) + seg - 1) / seg
-	if n == 0 {
-		n = 1 // empty message still sends one packet
-	}
-	sendPkt := func(i int) error {
-		lo := i * seg
-		hi := lo + seg
-		if hi > len(data) {
-			hi = len(data)
+		maxExpiries := t.params.MaxRTOExpiries
+		if maxExpiries == 0 {
+			maxExpiries = 64
 		}
-		h := &Header{
-			Proto: ProtoStream, Src: uint16(t.self), Dst: uint16(dst),
-			SrcBox: srcBox, DstBox: dstBox,
-			MsgID: msgID, Seq: uint32(i),
-			Total: uint32(len(data)), Offset: uint32(lo),
-			Class: opts.Class, Deadline: opts.Deadline,
-		}
-		return t.sendData(th, dst, Encode(h, data[lo:hi]), opts)
-	}
+		expiries := 0 // consecutive RTO expiries without ack progress
 
-	base, next := 0, 0
-	for !s.done {
-		for next < n && next < base+t.params.Window {
-			if err := sendPkt(next); err != nil {
-				return err
+		// Fragment (a stamped deadline costs its wire extension per packet).
+		seg := maxSeg(opts.Deadline)
+		n := (len(data) + seg - 1) / seg
+		if n == 0 {
+			n = 1 // empty message still sends one packet
+		}
+		sendPkt := func(i int) error {
+			lo := i * seg
+			hi := lo + seg
+			if hi > len(data) {
+				hi = len(data)
 			}
-			next++
-			s.window = next - base
-		}
-		got := s.cond.WaitTimeout(th, t.params.RTO)
-		if s.done {
-			break
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.acked > base {
-			base = s.acked
-			s.window = next - base
-			expiries = 0
-			continue
-		}
-		if !got {
-			// Deadline check at the retransmit queueing point.
-			if err := t.expireCheck(dst, opts); err != nil {
-				return err
+			h := &Header{
+				Proto: ProtoStream, Src: uint16(t.self), Dst: uint16(dst),
+				SrcBox: srcBox, DstBox: dstBox,
+				MsgID: msgID, Seq: uint32(i),
+				Total: uint32(len(data)), Offset: uint32(lo),
+				Class: opts.Class, Deadline: opts.Deadline,
 			}
-			// Retransmission timeout: go-back-N from the last
-			// cumulative ack — but not forever.
-			t.stats.Retransmits++
-			t.stats.RTOExpiries++
-			t.fr.Note(obs.FRTOExpiry, t.frName, int64(dst), int64(next-base))
-			t.fl.Retrans(t.self, dst, byte(ProtoStream))
-			expiries++
-			if expiries >= maxExpiries {
-				return &ErrStreamTimeout{Dst: dst, MsgID: msgID, Expiries: expiries}
-			}
-			next = base
-			s.window = 0
+			return t.sendData(th, dst, Encode(h, data[lo:hi]), opts)
 		}
-	}
-	t.stats.StreamMsgsSent++
-	return nil
+
+		base, next := 0, 0
+		for !s.done {
+			for next < n && next < base+t.params.Window {
+				if err := sendPkt(next); err != nil {
+					return 0, err
+				}
+				next++
+				s.window = next - base
+			}
+			got := s.cond.WaitTimeout(th, t.params.RTO)
+			if s.done {
+				break
+			}
+			if s.err != nil {
+				return 0, s.err
+			}
+			if s.acked > base {
+				base = s.acked
+				s.window = next - base
+				expiries = 0
+				continue
+			}
+			if !got {
+				// Deadline check at the retransmit queueing point.
+				if err := t.expireCheck(dst, opts); err != nil {
+					return 0, err
+				}
+				// Retransmission timeout: go-back-N from the last
+				// cumulative ack — but not forever.
+				t.stats.Retransmits++
+				t.stats.RTOExpiries++
+				t.fr.Note(obs.FRTOExpiry, t.frName, int64(dst), int64(next-base))
+				t.fl.Retrans(t.self, dst, byte(ProtoStream))
+				expiries++
+				if expiries >= maxExpiries {
+					return 0, &ErrStreamTimeout{Dst: dst, MsgID: msgID, Expiries: expiries}
+				}
+				next = base
+				s.window = 0
+			}
+		}
+		t.stats.StreamMsgsSent++
+		return 0, nil
+	})
 }
 
 // recvStream handles an arriving stream data packet (interrupt level).

@@ -117,11 +117,9 @@ type Transport struct {
 	streamsIn  map[streamKey]*streamRecv
 
 	// Request-response state.
-	nextReq   uint32
-	pending   map[uint32]*pendingReq
-	inflight  map[reqKey]bool
-	respCache map[reqKey][]byte
-	respOrder []reqKey
+	nextReq uint32
+	pending map[uint32]*pendingReq
+	once    atMostOnce[[]byte] // server side: answered and in-service requests
 
 	// Service thread: sends control packets (acks, cached responses)
 	// that originate at interrupt level.
@@ -156,13 +154,6 @@ type Transport struct {
 	stats Stats
 }
 
-type reqKey struct {
-	src   uint16
-	reqID uint32
-}
-
-const respCacheMax = 256
-
 // New creates the transport on a datalink and starts its service thread.
 func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 	t := &Transport{
@@ -174,8 +165,7 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 		streamsOut: make(map[streamKey]*streamSender),
 		streamsIn:  make(map[streamKey]*streamRecv),
 		pending:    make(map[uint32]*pendingReq),
-		inflight:   make(map[reqKey]bool),
-		respCache:  make(map[reqKey][]byte),
+		once:       newAtMostOnce[[]byte](),
 		outSem:     k.NewSem(0),
 		watch:      make(map[int]*peerState),
 	}
@@ -310,6 +300,35 @@ func (t *Transport) sendWire(th *kernel.Thread, dst int, wire []byte) error {
 		return t.dl.SendPacket(th, dst, wire)
 	}
 	return t.dl.SendCircuit(th, dst, wire)
+}
+
+// reliableOp is the frame every reliable operation (request, stream
+// message, VMTP transaction) runs in. Sender-side admission and the
+// dead-peer gate fail it fast; conn, for a protocol whose connection carries
+// one message at a time (nil otherwise), then serializes it; the peer is
+// watched and the operation counted in flight while body runs; and the
+// outcome — latency, success, and the root trace id body returns (0
+// untraced) — is reported to the SLO engine when one is armed.
+func (t *Transport) reliableOp(th *kernel.Thread, kind slo.OpKind, dst int, opts SendOpts, conn *kernel.Sem, body func() (uint64, error)) (err error) {
+	var traceID uint64
+	start := t.k.Engine().Now()
+	defer func() { t.observe(kind, opts.Class, start, err == nil, traceID) }()
+	if err = t.admit(dst, opts); err != nil {
+		return err
+	}
+	if err = t.peerGate(dst); err != nil {
+		return err
+	}
+	if conn != nil {
+		conn.P(th)
+		defer conn.V()
+	}
+	t.watchPeer(dst)
+	defer t.unwatchPeer(dst)
+	t.opStart()
+	defer t.opDone()
+	traceID, err = body()
+	return err
 }
 
 // SendDatagram transmits data to (dst, dstBox) with no delivery guarantee

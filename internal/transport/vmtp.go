@@ -90,36 +90,30 @@ func (g *vmtpGroup) assemble() []byte {
 
 // vmtpPending is a client-side outstanding transaction.
 type vmtpPending struct {
-	cond    *kernel.Cond
-	dst     int
+	pendingOp
 	resp    *vmtpGroup
-	done    bool
-	err     error  // fatal failure (peer dead, local crash); set out of band
 	ackMask uint32 // request packets the server has confirmed
 	reqPkts uint32
-	traceID uint64 // root span id of the transaction's trace tree (0 untraced)
 }
 
 // vmtpState is lazily created per transport.
 type vmtpState struct {
-	params   VMTPParams
-	nextTxn  uint32
-	pending  map[uint32]*vmtpPending
-	inflight map[reqKey]bool
-	// Server reassembly of requests and cached response groups.
-	reqs  map[reqKey]*vmtpGroup
-	cache map[reqKey][][]byte
-	order []reqKey
+	params  VMTPParams
+	nextTxn uint32
+	pending map[uint32]*vmtpPending
+	// Server side: requests under reassembly, then in service or answered
+	// (the cached answer is the response group's wire packets).
+	reqs map[reqKey]*vmtpGroup
+	once atMostOnce[[][]byte]
 }
 
 func (t *Transport) vmtp() *vmtpState {
 	if t.vm == nil {
 		t.vm = &vmtpState{
-			params:   DefaultVMTPParams(),
-			pending:  make(map[uint32]*vmtpPending),
-			inflight: make(map[reqKey]bool),
-			reqs:     make(map[reqKey]*vmtpGroup),
-			cache:    make(map[reqKey][][]byte),
+			params:  DefaultVMTPParams(),
+			pending: make(map[uint32]*vmtpPending),
+			reqs:    make(map[reqKey]*vmtpGroup),
+			once:    newAtMostOnce[[][]byte](),
 		}
 	}
 	return t.vm
@@ -165,79 +159,60 @@ func (t *Transport) VTransact(th *kernel.Thread, dst int, dstBox, srcBox uint16,
 // per-packet deadline extension slightly lowers the group's payload
 // ceiling). The outcome — latency, success, and the root trace id — is
 // reported to the SLO engine when one is armed.
-func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) ([]byte, error) {
-	start := t.k.Engine().Now()
-	resp, traceID, err := t.vtransactOpts(th, dst, dstBox, srcBox, req, opts)
-	t.observe(slo.KindVMTP, opts.Class, start, err == nil, traceID)
+func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) (resp []byte, err error) {
+	if limit := MaxGroupPackets * maxSeg(opts.Deadline); len(req) > limit {
+		return nil, fmt.Errorf("transport: request exceeds the %d-byte transaction limit", limit)
+	}
+	err = t.reliableOp(th, slo.KindVMTP, dst, opts, nil, func() (uint64, error) {
+		vm := t.vmtp()
+		vm.nextTxn++
+		txn := vm.nextTxn
+		pend := &vmtpPending{pendingOp: pendingOp{cond: t.k.NewCond(), dst: dst}}
+		vm.pending[txn] = pend
+		defer delete(vm.pending, txn)
+
+		wires := t.groupPackets(ProtoVSend, dst, dstBox, srcBox, txn, req, opts)
+		pend.reqPkts = uint32(len(wires))
+		t.stats.Requests++
+
+		send := func(mask uint32) error {
+			// Blast the group — only packets absent from mask.
+			for i, w := range wires {
+				if mask&(1<<uint(i)) != 0 {
+					continue
+				}
+				if err := t.sendData(th, dst, w, opts); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := send(0); err != nil {
+			return pend.traceID, err
+		}
+		for attempt := 0; attempt <= vm.params.Retries; attempt++ {
+			t.awaitReply(th, &pend.pendingOp,
+				backoffWait(vm.params.ClientTimeout, t.params.BackoffCap, attempt, t.self, dst, txn))
+			if pend.done {
+				resp = pend.resp.assemble()
+				return pend.traceID, nil
+			}
+			if pend.err != nil {
+				return pend.traceID, pend.err
+			}
+			// Deadline check at the retransmit queueing point.
+			if err := t.expireCheck(dst, opts); err != nil {
+				return pend.traceID, err
+			}
+			t.stats.Retransmits++
+			t.fl.Retrans(t.self, dst, byte(ProtoVSend))
+			if err := send(pend.ackMask); err != nil {
+				return pend.traceID, err
+			}
+		}
+		return pend.traceID, &ErrTimeout{Dst: dst, ReqID: txn}
+	})
 	return resp, err
-}
-
-func (t *Transport) vtransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) ([]byte, uint64, error) {
-	if len(req) > MaxGroupPackets*maxSeg(opts.Deadline) {
-		return nil, 0, fmt.Errorf("transport: request exceeds the %d-byte transaction limit", MaxGroupPackets*maxSeg(opts.Deadline))
-	}
-	if err := t.admit(dst, opts); err != nil {
-		return nil, 0, err
-	}
-	if err := t.peerGate(dst); err != nil {
-		return nil, 0, err
-	}
-	vm := t.vmtp()
-	vm.nextTxn++
-	txn := vm.nextTxn
-	pend := &vmtpPending{cond: t.k.NewCond(), dst: dst}
-	vm.pending[txn] = pend
-	defer delete(vm.pending, txn)
-	t.watchPeer(dst)
-	defer t.unwatchPeer(dst)
-	t.opStart()
-	defer t.opDone()
-
-	wires := t.groupPackets(ProtoVSend, dst, dstBox, srcBox, txn, req, opts)
-	pend.reqPkts = uint32(len(wires))
-	t.stats.Requests++
-
-	send := func(mask uint32) error {
-		// Blast the group — only packets absent from mask.
-		for i, w := range wires {
-			if mask&(1<<uint(i)) != 0 {
-				continue
-			}
-			if err := t.sendData(th, dst, w, opts); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := send(0); err != nil {
-		return nil, pend.traceID, err
-	}
-	for attempt := 0; attempt <= vm.params.Retries; attempt++ {
-		wait := backoffWait(vm.params.ClientTimeout, t.params.BackoffCap, attempt, t.self, dst, txn)
-		deadline := t.k.Engine().Now() + wait
-		for !pend.done && pend.err == nil {
-			remain := deadline - t.k.Engine().Now()
-			if remain <= 0 || !pend.cond.WaitTimeout(th, remain) {
-				break
-			}
-		}
-		if pend.done {
-			return pend.resp.assemble(), pend.traceID, nil
-		}
-		if pend.err != nil {
-			return nil, pend.traceID, pend.err
-		}
-		// Deadline check at the retransmit queueing point.
-		if err := t.expireCheck(dst, opts); err != nil {
-			return nil, pend.traceID, err
-		}
-		t.stats.Retransmits++
-		t.fl.Retrans(t.self, dst, byte(ProtoVSend))
-		if err := send(pend.ackMask); err != nil {
-			return nil, pend.traceID, err
-		}
-	}
-	return nil, pend.traceID, &ErrTimeout{Dst: dst, ReqID: txn}
 }
 
 // VRespond answers a transaction previously delivered to a server mailbox.
@@ -252,14 +227,7 @@ func (t *Transport) VRespond(th *kernel.Thread, req *kernel.Message, data []byte
 	// deadline (the client is blocked waiting; see Respond).
 	ropts := SendOpts{Class: Class(req.Class)}
 	wires := t.groupPackets(ProtoVResp, int(req.Src), req.SrcBox, 0, req.Tag, data, ropts)
-	delete(vm.inflight, key)
-	vm.cache[key] = wires
-	vm.order = append(vm.order, key)
-	if len(vm.order) > respCacheMax {
-		evict := vm.order[0]
-		vm.order = vm.order[1:]
-		delete(vm.cache, evict)
-	}
+	vm.once.answer(key, wires)
 	t.stats.Responses++
 	// Chain the response group into the transaction's trace tree (see
 	// Respond): the client's SLO exemplar then names the request tree the
@@ -278,16 +246,13 @@ func (t *Transport) VRespond(th *kernel.Thread, req *kernel.Message, data []byte
 func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 	vm := t.vmtp()
 	key := reqKey{src: h.Src, reqID: h.MsgID}
-	if wires, ok := vm.cache[key]; ok {
-		// Duplicate of an answered transaction: resend the response.
+	if wires, st := vm.once.lookup(key); st != onceNew {
+		// Duplicate: of an answered transaction — resend the response
+		// group — or of one still being served — suppress.
 		t.stats.DupRequests++
 		for _, w := range wires {
 			t.enqueueControl(int(h.Src), w, sp)
 		}
-		return
-	}
-	if vm.inflight[key] {
-		t.stats.DupRequests++
 		return
 	}
 	g := vm.reqs[key]
@@ -312,7 +277,7 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 	g.cancelTimer()
 	delete(vm.reqs, key)
 	if t.deliver(h, g.assemble(), sp) {
-		vm.inflight[key] = true
+		vm.once.begin(key)
 	}
 }
 
@@ -398,9 +363,8 @@ func (t *Transport) recvVNack(h *Header, payload []byte, sp *trace.Span) {
 	if h.Seq == 1 {
 		// NACK of a response: the server retransmits missing packets
 		// from its cache.
-		key := reqKey{src: h.Src, reqID: h.MsgID}
-		wires, ok := vm.cache[key]
-		if !ok {
+		wires, st := vm.once.lookup(reqKey{src: h.Src, reqID: h.MsgID})
+		if st != onceAnswered {
 			return
 		}
 		t.stats.Retransmits++
