@@ -462,23 +462,3 @@ func TestCPUNegativeWorkPanics(t *testing.T) {
 	}()
 	cpu.Submit(PrioThread, "bad", -1, nil)
 }
-
-func TestMemorySliceDMAView(t *testing.T) {
-	m := NewMemory()
-	a, _ := m.Alloc(32)
-	s := m.Slice(a, 32)
-	copy(s, "dma writes bytes directly")
-	got, err := m.Read(KernelDomain, a, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "dma writes bytes directly" {
-		t.Fatalf("got %q", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-region DMA slice did not panic")
-		}
-	}()
-	m.Slice(Addr(ProgBase), 16)
-}

@@ -44,12 +44,18 @@ type job struct {
 type CPU struct {
 	eng *sim.Engine
 
-	cur      *job
+	cur      job
+	running  bool // cur holds the job in progress
 	curEvent sim.Event
 	curStart sim.Time
+	finishFn func() // c.finish, bound once
 
-	intq []*job // pending interrupt-level jobs (FIFO)
-	thq  []*job // pending thread-level jobs (FIFO)
+	intq []job // pending interrupt-level jobs (FIFO)
+	thq  []job // pending thread-level jobs (FIFO)
+
+	// waits are Compute's idle completion signals, reused so a Compute
+	// allocates nothing.
+	waits []*computeWait
 
 	busy     sim.Time // accumulated busy time
 	jobsDone int64
@@ -57,7 +63,9 @@ type CPU struct {
 
 // NewCPU returns an idle CPU.
 func NewCPU(eng *sim.Engine) *CPU {
-	return &CPU{eng: eng}
+	c := &CPU{eng: eng}
+	c.finishFn = c.finish
+	return c
 }
 
 // BusyTime returns the total time the CPU has spent executing completed or
@@ -68,7 +76,7 @@ func (c *CPU) BusyTime() sim.Time { return c.busy }
 func (c *CPU) JobsDone() int64 { return c.jobsDone }
 
 // Idle reports whether the CPU has no running or queued work.
-func (c *CPU) Idle() bool { return c.cur == nil && len(c.intq) == 0 && len(c.thq) == 0 }
+func (c *CPU) Idle() bool { return !c.running && len(c.intq) == 0 && len(c.thq) == 0 }
 
 // Submit schedules work of the given duration; done runs on completion.
 // Zero-duration work completes via the event queue (preserving ordering).
@@ -76,11 +84,11 @@ func (c *CPU) Submit(prio Priority, name string, d sim.Time, done func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("cab: negative CPU work %v", d))
 	}
-	j := &job{prio: prio, remaining: d, done: done, name: name}
+	j := job{prio: prio, remaining: d, done: done, name: name}
 	if prio == PrioInterrupt {
 		c.intq = append(c.intq, j)
 		// Preempt thread-level work.
-		if c.cur != nil && c.cur.prio == PrioThread {
+		if c.running && c.cur.prio == PrioThread {
 			c.preempt()
 		}
 	} else {
@@ -99,39 +107,53 @@ func (c *CPU) preempt() {
 		c.cur.remaining = 0
 	}
 	c.eng.Cancel(c.curEvent)
-	c.thq = append([]*job{c.cur}, c.thq...)
-	c.cur = nil
+	c.thq = append(c.thq, job{})
+	copy(c.thq[1:], c.thq)
+	c.thq[0] = c.cur
+	c.cur, c.running = job{}, false
 	c.curEvent = sim.Event{}
 }
 
 // dispatch starts the next job if the CPU is free.
 func (c *CPU) dispatch() {
-	if c.cur != nil {
+	if c.running {
 		return
 	}
-	var j *job
 	switch {
 	case len(c.intq) > 0:
-		j = c.intq[0]
-		c.intq = c.intq[1:]
+		c.cur = popJob(&c.intq)
 	case len(c.thq) > 0:
-		j = c.thq[0]
-		c.thq = c.thq[1:]
+		c.cur = popJob(&c.thq)
 	default:
 		return
 	}
-	c.cur = j
+	c.running = true
 	c.curStart = c.eng.Now()
-	c.curEvent = c.eng.After(j.remaining, func() {
-		c.busy += c.eng.Now() - c.curStart
-		c.cur = nil
-		c.curEvent = sim.Event{}
-		c.jobsDone++
-		if j.done != nil {
-			j.done()
-		}
-		c.dispatch()
-	})
+	c.curEvent = c.eng.After(c.cur.remaining, c.finishFn)
+}
+
+// popJob removes the head of a job queue. It shifts rather than reslices,
+// so the queue keeps its capacity and appends stop allocating.
+func popJob(q *[]job) job {
+	j := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = job{}
+	*q = (*q)[:n]
+	return j
+}
+
+// finish completes the current job (its event fired; a preempted job's
+// event is canceled) and starts the next.
+func (c *CPU) finish() {
+	done := c.cur.done
+	c.busy += c.eng.Now() - c.curStart
+	c.cur, c.running = job{}, false
+	c.curEvent = sim.Event{}
+	c.jobsDone++
+	if done != nil {
+		done()
+	}
+	c.dispatch()
 }
 
 // RunInterrupt is a convenience for interrupt handlers: charge `d` of
@@ -140,10 +162,26 @@ func (c *CPU) RunInterrupt(name string, d sim.Time, fn func()) {
 	c.Submit(PrioInterrupt, name, d, fn)
 }
 
+// computeWait is one blocked Compute: the signal its process waits on and
+// the completion callback, bound once, that broadcasts it.
+type computeWait struct {
+	sig  *sim.Signal
+	done func()
+}
+
 // Compute blocks the calling process for d of thread-level CPU time
 // (stretched by any interrupts that arrive meanwhile).
 func (c *CPU) Compute(p *sim.Proc, name string, d sim.Time) {
-	done := sim.NewSignal(p.Engine())
-	c.Submit(PrioThread, name, d, func() { done.Broadcast() })
-	done.Wait(p)
+	var w *computeWait
+	if n := len(c.waits); n > 0 {
+		w = c.waits[n-1]
+		c.waits = c.waits[:n-1]
+	} else {
+		w = &computeWait{sig: sim.NewSignal(p.Engine())}
+		w.done = w.sig.Broadcast
+	}
+	c.Submit(PrioThread, name, d, w.done)
+	w.sig.Wait(p)
+	// The job completed and its broadcast emptied the signal: reusable.
+	c.waits = append(c.waits, w)
 }

@@ -128,19 +128,27 @@ func (d *DMA) TransferWait(p *sim.Proc, ch Channel, n int) {
 // to be set by the software with low overhead", paper §5.1).
 type Timer struct {
 	ev    sim.Event
-	eng   *sim.Engine
-	fired *bool
+	bank  *Timers
+	fn    func()
+	fired bool
 }
 
 // Cancel stops the timer if it has not fired.
 func (t *Timer) Cancel() {
 	if t != nil {
-		t.eng.Cancel(t.ev)
+		t.bank.eng.Cancel(t.ev)
 	}
 }
 
 // Fired reports whether the timer expired.
-func (t *Timer) Fired() bool { return *t.fired }
+func (t *Timer) Fired() bool { return t.fired }
+
+// expire runs the timer's function when it fires.
+func (t *Timer) expire() {
+	t.fired = true
+	t.bank.fired++
+	t.fn()
+}
 
 // Timers is the CAB's bank of hardware timers.
 type Timers struct {
@@ -157,13 +165,8 @@ func NewTimers(eng *sim.Engine) *Timers {
 // Set arms a timer to run fn after d.
 func (t *Timers) Set(d sim.Time, fn func()) *Timer {
 	t.set++
-	fired := false
-	tm := &Timer{eng: t.eng, fired: &fired}
-	tm.ev = t.eng.After(d, func() {
-		fired = true
-		t.fired++
-		fn()
-	})
+	tm := &Timer{bank: t, fn: fn}
+	tm.ev = t.eng.After(d, tm.expire)
 	return tm
 }
 

@@ -76,10 +76,19 @@ func (e *ProtectionError) Error() string {
 // region is backed by real bytes: protocol code reads and writes actual
 // message contents through it. A first-fit allocator manages the data
 // region for mailboxes and buffers.
+//
+// The modelled region is the full DataSize, but host storage is sparse: a
+// 1 KB page gets its bytes on first Write (a page never written reads as
+// zeros), and a domain's permission row exists once SetPerm first touches
+// it. A 1024-CAB system therefore holds only the pages its mailboxes used.
 type Memory struct {
-	data []byte // backing store for the data region
+	// pages[i] backs data-region page i; nil until first written. The
+	// slice grows to the highest page written, which the first-fit
+	// allocator keeps low.
+	pages []*[PageSize]byte
 
-	// perms[domain][page] is the permission set of that page.
+	// perms[domain][page] is the permission set of that page. A nil row
+	// is the domain's default: PermAll for the kernel, nothing otherwise.
 	perms [NumDomains][]Perm
 
 	// Allocator free list over the data region: sorted, coalesced.
@@ -94,22 +103,13 @@ type span struct {
 	size int
 }
 
+// numPages is the number of protection pages in the address space.
+const numPages = AddrSpace / PageSize
+
 // NewMemory returns a CAB memory with the full data region free and all
 // pages granted to the kernel domain only.
 func NewMemory() *Memory {
-	m := &Memory{
-		data: make([]byte, DataSize),
-		free: []span{{base: DataBase, size: DataSize}},
-	}
-	pages := AddrSpace / PageSize
-	for d := 0; d < NumDomains; d++ {
-		m.perms[d] = make([]Perm, pages)
-	}
-	// The kernel can touch everything.
-	for pg := range m.perms[KernelDomain] {
-		m.perms[KernelDomain][pg] = PermAll
-	}
-	return m
+	return &Memory{free: []span{{base: DataBase, size: DataSize}}}
 }
 
 // Faults returns the number of failed protection checks.
@@ -118,12 +118,31 @@ func (m *Memory) Faults() int64 { return m.faults }
 // Allocated returns the number of data-region bytes currently allocated.
 func (m *Memory) Allocated() int { return m.allocated }
 
+// defaultPerm is a domain's permission on every page until SetPerm first
+// touches its row: the kernel can touch everything, other domains nothing.
+func defaultPerm(domain int) Perm {
+	if domain == KernelDomain {
+		return PermAll
+	}
+	return 0
+}
+
 // SetPerm assigns permissions for [addr, addr+size) pages in a domain.
 func (m *Memory) SetPerm(domain int, addr Addr, size int, p Perm) {
+	row := m.perms[domain]
+	if row == nil {
+		row = make([]Perm, numPages)
+		if d := defaultPerm(domain); d != 0 {
+			for pg := range row {
+				row[pg] = d
+			}
+		}
+		m.perms[domain] = row
+	}
 	first := int(addr) / PageSize
 	last := (int(addr) + size - 1) / PageSize
 	for pg := first; pg <= last; pg++ {
-		m.perms[domain][pg] = p
+		row[pg] = p
 	}
 }
 
@@ -137,12 +156,20 @@ func (m *Memory) Check(domain int, addr Addr, n int, want Perm) error {
 	first := int(addr) / PageSize
 	last := (int(addr) + n - 1) / PageSize
 	for pg := first; pg <= last; pg++ {
-		if pg >= len(m.perms[domain]) || m.perms[domain][pg]&want != want {
+		if pg >= numPages || m.perm(domain, pg)&want != want {
 			m.faults++
 			return &ProtectionError{Domain: domain, Addr: addr, Len: n, Want: want}
 		}
 	}
 	return nil
+}
+
+// perm returns domain's permission on page pg (pg < numPages).
+func (m *Memory) perm(domain, pg int) Perm {
+	if row := m.perms[domain]; row != nil {
+		return row[pg]
+	}
+	return defaultPerm(domain)
 }
 
 // inData reports whether [addr, addr+n) lies within the data region.
@@ -159,7 +186,15 @@ func (m *Memory) Read(domain int, addr Addr, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr-DataBase:])
+	off := int(addr - DataBase)
+	for done := 0; done < n; {
+		pg, in := (off+done)/PageSize, (off+done)%PageSize
+		k := min(PageSize-in, n-done)
+		if pg < len(m.pages) && m.pages[pg] != nil {
+			copy(out[done:done+k], m.pages[pg][in:])
+		}
+		done += k
+	}
 	return out, nil
 }
 
@@ -171,18 +206,23 @@ func (m *Memory) Write(domain int, addr Addr, b []byte) error {
 	if err := m.Check(domain, addr, len(b), PermWrite); err != nil {
 		return err
 	}
-	copy(m.data[addr-DataBase:], b)
+	off := int(addr - DataBase)
+	for done := 0; done < len(b); {
+		pg, in := (off+done)/PageSize, (off+done)%PageSize
+		done += copy(m.page(pg)[in:], b[done:])
+	}
 	return nil
 }
 
-// Slice exposes the raw data-region bytes at [addr, addr+n) without a
-// protection check; it is the DMA controller's view (DMA is set up by the
-// kernel, which owns the pages it targets).
-func (m *Memory) Slice(addr Addr, n int) []byte {
-	if !inData(addr, n) {
-		panic(fmt.Sprintf("cab: DMA outside data region: [%#x,+%d)", addr, n))
+// page returns data-region page pg, allocating it on first use.
+func (m *Memory) page(pg int) *[PageSize]byte {
+	for len(m.pages) <= pg {
+		m.pages = append(m.pages, nil)
 	}
-	return m.data[addr-DataBase : int(addr-DataBase)+n]
+	if m.pages[pg] == nil {
+		m.pages[pg] = new([PageSize]byte)
+	}
+	return m.pages[pg]
 }
 
 // Alloc reserves size bytes of data memory (first fit, 8-byte aligned).

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -107,4 +108,24 @@ func TestCustomTopoOptions(t *testing.T) {
 	if sys.Net.Hub(0).NumPorts() != 32 {
 		t.Fatalf("ports = %d", sys.Net.Hub(0).NumPorts())
 	}
+}
+
+// The 1024-CAB 3-D torus must stay small: CAB memory is backed only where
+// it is written, so a freshly built system holds no 1 MB data region and no
+// protection table per CAB. Built eagerly it held about 1.6 GB.
+func TestTorus1024HeapBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys := core.New(core.Torus3D(4, 4, 8, 8), core.WithRouting(topo.PolicyAdaptive))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const limit = 100 << 20
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > limit {
+		t.Fatalf("1024-CAB torus holds %d MB of heap, want <= %d MB", grew>>20, limit>>20)
+	}
+	if sys.NumCABs() != 1024 {
+		t.Fatalf("CABs = %d, want 1024", sys.NumCABs())
+	}
+	runtime.KeepAlive(sys)
 }

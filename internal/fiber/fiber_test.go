@@ -272,3 +272,57 @@ func TestLinkSpacingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Sends interleaved with deliveries keep between zero and a dozen items on
+// the wire; every item must arrive once, in send order, at the time Send
+// stamped on it.
+func TestLinkInFlightInterleaved(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &sink{name: "dst", eng: e}
+	l := NewLink(e, "l", dst)
+	l.SetPropagation(2000)
+	var sent []*Item
+	var due []sim.Time
+	for i := 0; i < 60; i++ {
+		// Bursts of 1 to 7 items every 700 ns.
+		e.At(sim.Time(i)*700, func() {
+			for k := 0; k <= i%7; k++ {
+				it := newPacket(1 + (i*7+k)%40)
+				l.Send(it, 0)
+				sent = append(sent, it)
+				due = append(due, it.Start)
+			}
+		})
+	}
+	e.Run()
+	if len(dst.items) != len(sent) {
+		t.Fatalf("delivered %d items, sent %d", len(dst.items), len(sent))
+	}
+	for i := range sent {
+		if dst.items[i] != sent[i] || dst.times[i] != due[i] {
+			t.Fatalf("delivery %d: item %p at %v, want %p at %v", i, dst.items[i], dst.times[i], sent[i], due[i])
+		}
+	}
+}
+
+// The in-flight FIFO relies on a fixed propagation delay, so changing it
+// with items on the wire is a bug; once the wire drains it is allowed.
+func TestSetPropagationPanicsInFlight(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &sink{name: "dst", eng: e}
+	l := NewLink(e, "l", dst)
+	e.At(0, func() {
+		l.Send(newPacket(8), 0)
+		defer func() {
+			if recover() == nil {
+				t.Error("SetPropagation with an item in flight did not panic")
+			}
+		}()
+		l.SetPropagation(10)
+	})
+	e.Run()
+	l.SetPropagation(10)
+	if len(dst.items) != 1 {
+		t.Fatalf("delivered %d items, want 1", len(dst.items))
+	}
+}

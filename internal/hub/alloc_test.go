@@ -7,13 +7,15 @@ import (
 )
 
 // darkForwardAllocs is what one test-open, one forwarded packet and one
-// close-all cost on a HUB with no instrumentation board: event closures,
-// the reply item, the connection — and nothing on the recorder's account.
-// Its call sites used to box their operands (the command, the completion
-// time) to the heap before Record saw its nil receiver, three more per
-// round; each site now checks for the recorder first. Lower the figure
-// when the forwarding path itself gets cheaper.
-const darkForwardAllocs = 19
+// close-all cost on a HUB with no instrumentation board: the reply item and
+// its delivery event, the grant's reply event, the credit watchdog and the
+// test CAB's own drain event — and nothing on the recorder's account. Its
+// call sites used to box their operands (the command, the completion time)
+// to the heap before Record saw its nil receiver, three more per round;
+// each site now checks for the recorder first. The input chain schedules a
+// bound step and a unicast item travels on without a clone (19 before
+// that). Lower the figure when the forwarding path gets cheaper still.
+const darkForwardAllocs = 5
 
 func TestNilRecorderCostsNoAllocations(t *testing.T) {
 	eng := sim.NewEngine()

@@ -199,6 +199,34 @@ func TestCloseAllTearsDownRoute(t *testing.T) {
 	}
 }
 
+// TestCloseAllReplyDelayAfterForward: a close all with reply that passes
+// through the crossbar is answered from the hop count it arrived with,
+// although its forwarded copy has counted this HUB — one reverse-channel
+// hop, not two.
+func TestCloseAllReplyDelayAfterForward(t *testing.T) {
+	eng := sim.NewEngine()
+	h := New(eng, 0, 4, nil)
+	a := attachCAB(eng, h, 0, "cabA")
+	b := attachCAB(eng, h, 1, "cabB")
+	eng.At(0, func() { a.send(a.cmd(OpOpenRetry, 0, 1)) })
+	// Well after the connection is up, so the forward is not held back.
+	eng.At(10*sim.Microsecond, func() { a.send(a.cmd(OpCloseAllReply, 0xFF, 0)) })
+	eng.Run()
+	if len(b.cmds) != 1 || len(a.replies) != 1 {
+		t.Fatalf("cabB saw %d commands, cabA %d replies; want 1 and 1", len(b.cmds), len(a.replies))
+	}
+	if b.cmds[0].Hops != 1 {
+		t.Fatalf("forwarded close all has Hops %d, want 1", b.cmds[0].Hops)
+	}
+	// Both leave the HUB when the close all is forwarded: the copy after
+	// the crossbar's transfer latency and the fiber, the reply after one
+	// reverse-channel hop.
+	forwarded := b.cmds[0].Start - TransferLatency - fiber.DefaultPropagation
+	if want := forwarded + ReplyHopDelay; a.repTimes[0] != want {
+		t.Fatalf("close-all reply at %v, want %v (one reply hop after the forward at %v)", a.repTimes[0], want, forwarded)
+	}
+}
+
 // TestOpenBusyFailsAndRetryWaits: an open without retry to a busy output
 // fails (with reply); an open with retry is granted when the output frees.
 func TestOpenBusyFailsAndRetryWaits(t *testing.T) {
@@ -596,6 +624,54 @@ func TestMulticastSingleHub(t *testing.T) {
 	}
 	if len(h.Connections()) != 0 {
 		t.Fatal("close all left connections")
+	}
+}
+
+// TestMulticastCopiesDoNotAlias: the crossbar clones the item for every
+// output but the last, which takes the item itself, so each destination
+// holds its own item whose per-copy fields (Hops, Start) move alone.
+func TestMulticastCopiesDoNotAlias(t *testing.T) {
+	eng := sim.NewEngine()
+	h := New(eng, 0, 8, nil)
+	src := attachCAB(eng, h, 0, "src")
+	dsts := []*tcab{
+		attachCAB(eng, h, 1, "d1"),
+		attachCAB(eng, h, 2, "d2"),
+		attachCAB(eng, h, 3, "d3"),
+	}
+	pkt := packet(64)
+	eng.At(0, func() {
+		src.send(
+			src.cmd(OpOpenRetry, 0, 1),
+			src.cmd(OpOpenRetry, 0, 2),
+			src.cmd(OpOpenRetry, 0, 3),
+			pkt,
+			src.cmd(OpCloseAll, 0xFF, 0),
+		)
+	})
+	eng.Run()
+	got := make([]*fiber.Item, len(dsts))
+	for i, d := range dsts {
+		if len(d.packets) != 1 {
+			t.Fatalf("dst %d got %d packets", i, len(d.packets))
+		}
+		got[i] = d.packets[0]
+		if got[i].Hops != 1 {
+			t.Fatalf("dst %d copy has Hops %d, want 1", i, got[i].Hops)
+		}
+	}
+	if got[0] == got[1] || got[1] == got[2] || got[0] == got[2] {
+		t.Fatal("multicast destinations share one item")
+	}
+	if got[2] != pkt {
+		t.Fatal("the last output should carry the item itself, not a clone")
+	}
+	start := got[1].Start
+	got[0].Hops, got[0].Start = 99, start+12345
+	for i := 1; i < len(got); i++ {
+		if got[i].Hops != 1 || got[i].Start != start {
+			t.Fatalf("copy %d aliased copy 0: Hops %d Start %v", i, got[i].Hops, got[i].Start)
+		}
 	}
 }
 

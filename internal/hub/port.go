@@ -39,6 +39,8 @@ type Port struct {
 	// feeding this input) that the start of packet has emerged from this
 	// input queue (paper §4.2.3). Wired at topology-build time.
 	upstreamReady func()
+	// stepFn is p.step, bound once so scheduling it allocates nothing.
+	stepFn func()
 
 	// Output side.
 	out       *fiber.Link
@@ -82,13 +84,15 @@ type Port struct {
 }
 
 func newPort(h *Hub, id int) *Port {
-	return &Port{
+	p := &Port{
 		hub:     h,
 		id:      id,
 		name:    fmt.Sprintf("%s.p%d", h.name, id),
 		enabled: true,
 		ready:   true,
 	}
+	p.stepFn = p.step
+	return p
 }
 
 // ID returns the port number within its HUB.
@@ -239,7 +243,7 @@ func (p *Port) step() {
 	if it.Kind == fiber.KindCommand && Opcode(it.Cmd.Op) != OpCloseAll &&
 		Opcode(it.Cmd.Op) != OpCloseAllReply && it.Cmd.Hub == p.hub.id {
 		if ready := it.End(); now < ready {
-			p.hub.eng.At(ready, p.step)
+			p.hub.eng.At(ready, p.stepFn)
 			return
 		}
 		p.execHead(it)
@@ -247,7 +251,7 @@ func (p *Port) step() {
 	}
 	// Forwarded item (packet, close-all, or command for another HUB).
 	if now < it.Start {
-		p.hub.eng.At(it.Start, p.step)
+		p.hub.eng.At(it.Start, p.stepFn)
 		return
 	}
 	p.forwardHead(it)
@@ -256,7 +260,10 @@ func (p *Port) step() {
 // pop removes the head item.
 func (p *Port) pop() *fiber.Item {
 	it := p.inq[0]
-	p.inq = p.inq[1:]
+	// Shift rather than reslice, so the queue keeps its capacity.
+	n := copy(p.inq, p.inq[1:])
+	p.inq[n] = nil
+	p.inq = p.inq[:n]
 	if it.Kind == fiber.KindPacket {
 		p.inBytes -= it.Bytes()
 		p.occ.Set(int64(p.inBytes))
@@ -290,7 +297,7 @@ func (p *Port) execHead(it *fiber.Item) {
 		// but never park the input: the engine either merges the operand
 		// or declines, and the verdict arrives over the reverse channel.
 		p.hub.execComb(it)
-		p.hub.eng.After(CycleTime, p.step)
+		p.hub.eng.After(CycleTime, p.stepFn)
 		return
 	}
 	if op.serialized() {
@@ -301,11 +308,11 @@ func (p *Port) execHead(it *fiber.Item) {
 			return
 		}
 		// Completed synchronously; continue after one controller cycle.
-		p.hub.eng.After(CycleTime, p.step)
+		p.hub.eng.After(CycleTime, p.stepFn)
 		return
 	}
 	p.execLocalized(it, op)
-	p.hub.eng.After(LocalizedLatency, p.step)
+	p.hub.eng.After(LocalizedLatency, p.stepFn)
 }
 
 // execLocalized runs a localized (in-port) command.
@@ -526,8 +533,10 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		return
 	}
 
-	outs := make([]*Port, len(p.conn))
-	copy(outs, p.conn)
+	// closeConn below edits p.conn, so fan out over a copy (on the stack
+	// for the usual unicast or small multicast connection).
+	var outBuf [4]*Port
+	outs := append(outBuf[:0], p.conn...)
 	// The input queue streams the item once; the crossbar fans it out to
 	// every connected output register simultaneously. A byte enters the
 	// crossbar only when the newest of the connections is set up and
@@ -544,8 +553,15 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		it.Span.ChildAt(it.Start, trace.LayerHub, p.name, "xbar").
 			EndAt(start + TransferLatency)
 	}
-	for _, out := range outs {
-		c := it.Clone()
+	// Each copy's timing fields change as it moves on, so every output
+	// but the last gets a clone and the last takes the item itself —
+	// unless a close-all reply below still reads the item's hop count.
+	replyAfter := isCloseAll && op == OpCloseAllReply
+	for i, out := range outs {
+		c := it
+		if i < len(outs)-1 || replyAfter {
+			c = it.Clone()
+		}
 		c.Hops++
 		out.sendOut(c, start+TransferLatency)
 	}
@@ -561,7 +577,7 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		for _, out := range outs {
 			p.hub.closeConn(p, out)
 		}
-		if op == OpCloseAllReply {
+		if replyAfter {
 			p.hub.reply(it, true, 0)
 		}
 	}

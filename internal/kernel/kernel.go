@@ -158,6 +158,20 @@ type Thread struct {
 	wakeSig *sim.Signal
 	runNow  bool
 
+	// switchSpan is the span of the pending context switch into this
+	// thread (nil when untraced); switchedIn, bound once at spawn, ends it
+	// and wakes the thread when the switch's CPU time is spent. A thread
+	// has at most one switch pending: it is dispatched only when not
+	// current, and stops being current only while running.
+	switchSpan *trace.Span
+	switchedIn func()
+
+	// cw is the thread's waiter: a blocked thread waits on at most one
+	// Cond, so every wait reuses it. condTimedOut, bound once, is its
+	// timeout.
+	cw           condWaiter
+	condTimedOut func()
+
 	// span is the thread's current trace context: sends started while it
 	// is set become children of it. nil when tracing is off.
 	span *trace.Span
@@ -207,6 +221,13 @@ func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 		state:   StateReady,
 		wakeSig: sim.NewSignal(k.eng),
 	}
+	t.switchedIn = func() {
+		t.switchSpan.End()
+		t.switchSpan = nil
+		t.runNow = true
+		t.wakeSig.Broadcast()
+	}
+	t.condTimedOut = t.timedOut
 	k.spawned++
 	run := func(p *sim.Proc) {
 		t.parkUntilDispatched(p)
@@ -242,18 +263,16 @@ func (k *Kernel) dispatch() {
 		return
 	}
 	t := k.runq[0]
-	k.runq = k.runq[1:]
+	// Shift rather than reslice, so the queue keeps its capacity.
+	n := copy(k.runq, k.runq[1:])
+	k.runq[n] = nil
+	k.runq = k.runq[:n]
 	k.cur = t
 	k.switches++
-	var sp *trace.Span
 	if k.tr != nil {
-		sp = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
+		t.switchSpan = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
 	}
-	k.board.CPU.Submit(cab.PrioThread, "context-switch", k.params.ContextSwitch, func() {
-		sp.End()
-		t.runNow = true
-		t.wakeSig.Broadcast()
-	})
+	k.board.CPU.Submit(cab.PrioThread, "context-switch", k.params.ContextSwitch, t.switchedIn)
 }
 
 // ready marks a blocked thread runnable.
@@ -304,6 +323,7 @@ func (t *Thread) Sleep(d sim.Time) {
 // opposed to timed out).
 type condWaiter struct {
 	t        *Thread
+	c        *Cond
 	signaled bool
 	timer    *cab.Timer
 }
@@ -320,28 +340,34 @@ func (k *Kernel) NewCond() *Cond { return &Cond{k: k} }
 
 // Wait blocks the calling thread until signaled.
 func (c *Cond) Wait(t *Thread) {
-	c.waiters = append(c.waiters, &condWaiter{t: t})
+	t.cw = condWaiter{t: t, c: c}
+	c.waiters = append(c.waiters, &t.cw)
 	t.block()
 }
 
 // WaitTimeout blocks until signaled or until d elapses; reports true if
 // signaled.
 func (c *Cond) WaitTimeout(t *Thread, d sim.Time) bool {
-	w := &condWaiter{t: t}
-	w.timer = t.k.board.Timers.Set(d, func() {
-		for i, x := range c.waiters {
-			if x == w {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				t.ready()
-				return
-			}
-		}
-		// Already signaled: nothing to do.
-	})
-	c.waiters = append(c.waiters, w)
+	t.cw = condWaiter{t: t, c: c}
+	t.cw.timer = t.k.board.Timers.Set(d, t.condTimedOut)
+	c.waiters = append(c.waiters, &t.cw)
 	t.block()
-	w.timer.Cancel()
-	return w.signaled
+	t.cw.timer.Cancel()
+	return t.cw.signaled
+}
+
+// timedOut runs when the thread's WaitTimeout expires: it removes the
+// waiter and readies the thread, unless a signal got there first.
+func (t *Thread) timedOut() {
+	c := t.cw.c
+	for i, x := range c.waiters {
+		if x == &t.cw {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			t.ready()
+			return
+		}
+	}
+	// Already signaled: nothing to do.
 }
 
 // WaitUntil blocks until signaled or until the absolute virtual time
@@ -360,17 +386,28 @@ func (c *Cond) Signal() {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.signaled = true
-	w.timer.Cancel()
-	w.t.ready()
+	// Shift rather than reslice, so the list keeps its capacity.
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
+	w.wake()
 }
 
 // Broadcast wakes all waiting threads.
 func (c *Cond) Broadcast() {
-	for len(c.waiters) > 0 {
-		c.Signal()
+	ws := c.waiters
+	for i, w := range ws {
+		w.wake()
+		ws[i] = nil
 	}
+	c.waiters = ws[:0]
+}
+
+// wake readies a waiter already removed from its Cond.
+func (w *condWaiter) wake() {
+	w.signaled = true
+	w.timer.Cancel()
+	w.t.ready()
 }
 
 // Waiters returns the number of blocked threads.

@@ -23,6 +23,14 @@ type Proc struct {
 	// daemon processes are expected to block forever (service loops);
 	// they are excluded from the engine's deadlock accounting.
 	daemon bool
+
+	// resume runs the next slice; waitTimedOut ends a WaitTimeout. Both
+	// are bound once so scheduling them allocates nothing.
+	resume, waitTimedOut func()
+
+	// w is the process's waiter: a blocked process waits on at most one
+	// Signal, so every Wait reuses it.
+	w waiter
 }
 
 // Engine returns the engine this process runs on.
@@ -62,6 +70,8 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 		e.live = make(map[*Proc]bool)
 	}
 	e.live[p] = true
+	p.resume = func() { e.runSlice(p) }
+	p.waitTimedOut = p.timedOut
 	go func() {
 		<-p.wake // wait for the start event
 		body(p)
@@ -72,7 +82,7 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 		}
 		p.park <- struct{}{}
 	}()
-	e.At(t, func() { e.runSlice(p) })
+	e.At(t, p.resume)
 	return p
 }
 
@@ -96,7 +106,7 @@ func (p *Proc) block() {
 // resumeAt schedules the process to resume at absolute time t and returns
 // the resume event (so it can be canceled, e.g. for timeouts).
 func (p *Proc) resumeAt(t Time) Event {
-	return p.eng.At(t, func() { p.eng.runSlice(p) })
+	return p.eng.At(t, p.resume)
 }
 
 // Sleep blocks the process for d nanoseconds of simulated time.
@@ -114,9 +124,11 @@ func (p *Proc) Sleep(d Time) {
 // same-time events run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// waiter is a parked process plus an optional timeout event.
+// waiter is a parked process plus the signal it waits on and an optional
+// timeout event.
 type waiter struct {
 	p       *Proc
+	sig     *Signal
 	timeout Event
 	fired   bool // set when the signal (not the timeout) woke the waiter
 }
@@ -138,34 +150,36 @@ func (s *Signal) Waiters() int { return len(s.waiters) }
 
 // Wait blocks the process until Signal or Broadcast wakes it.
 func (s *Signal) Wait(p *Proc) {
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
+	p.w = waiter{p: p, sig: s}
+	s.waiters = append(s.waiters, &p.w)
 	p.block()
 }
 
 // WaitTimeout blocks until woken or until d elapses. It reports true if the
 // process was woken by the signal and false on timeout.
 func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
-	w := &waiter{p: p}
-	w.timeout = p.eng.At(p.eng.now+d, func() {
-		// Timeout fired before the signal: remove from waiters, resume.
-		for i, x := range s.waiters {
-			if x == w {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				break
-			}
-		}
-		p.eng.runSlice(p)
-	})
-	s.waiters = append(s.waiters, w)
+	p.w = waiter{p: p, sig: s}
+	p.w.timeout = p.eng.At(p.eng.now+d, p.waitTimedOut)
+	s.waiters = append(s.waiters, &p.w)
 	p.block()
-	return w.fired
+	return p.w.fired
 }
 
-// wakeOne removes and schedules the resume of a single waiter.
-func (s *Signal) wakeOne() {
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
+// timedOut runs when a WaitTimeout's timeout fires before the signal:
+// it removes the waiter and resumes the process.
+func (p *Proc) timedOut() {
+	s := p.w.sig
+	for i, x := range s.waiters {
+		if x == &p.w {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			break
+		}
+	}
+	p.eng.runSlice(p)
+}
+
+// wake schedules the resume of a waiter already removed from the list.
+func (s *Signal) wake(w *waiter) {
 	w.fired = true
 	s.eng.Cancel(w.timeout) // no-op for the zero Event (no timeout armed)
 	w.p.resumeAt(s.eng.now)
@@ -174,16 +188,25 @@ func (s *Signal) wakeOne() {
 // Signal wakes one waiting process (FIFO), if any. The wakeup is delivered
 // through the event queue, so the caller continues first.
 func (s *Signal) Signal() {
-	if len(s.waiters) > 0 {
-		s.wakeOne()
+	if len(s.waiters) == 0 {
+		return
 	}
+	w := s.waiters[0]
+	// Shift rather than reslice, so the list keeps its capacity.
+	n := copy(s.waiters, s.waiters[1:])
+	s.waiters[n] = nil
+	s.waiters = s.waiters[:n]
+	s.wake(w)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (s *Signal) Broadcast() {
-	for len(s.waiters) > 0 {
-		s.wakeOne()
+	ws := s.waiters
+	for i, w := range ws {
+		s.wake(w)
+		ws[i] = nil
 	}
+	s.waiters = ws[:0]
 }
 
 // Resource is a FIFO mutual-exclusion resource for processes (e.g. a shared

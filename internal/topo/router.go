@@ -113,13 +113,13 @@ func (r adaptiveRouter) Route(src, dst int) ([]Hop, error) {
 	if from == to {
 		return n.hopsForPath([]int{from}, dst), nil
 	}
-	dist := n.bfsDistancesTo(to)
-	if dist[from] < 0 {
+	f := n.fieldTo(to)
+	if f.dist[from] < 0 {
 		return nil, fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
 	}
 	path := []int{from}
 	for cur := from; cur != to; {
-		next, ok := n.adaptiveStep(cur, to, dist)
+		next, ok := n.adaptiveStep(cur, f)
 		if !ok {
 			return nil, fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
 		}
@@ -132,6 +132,42 @@ func (r adaptiveRouter) Route(src, dst int) ([]Hop, error) {
 func (r adaptiveRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
 	return r.n.MulticastTree(src, dsts)
 }
+
+// routeField is the load-independent part of adaptive routing toward one
+// destination HUB: every HUB's hop distance to it over the up links, and
+// every HUB's escape hop toward it. It depends only on the wiring, the
+// link states and the shape metadata, so one field serves every CAB pair
+// whose destination attaches to that HUB; Network drops all fields
+// whenever one of those inputs changes (invalidateRoutes).
+type routeField struct {
+	dist   []int // hop distance to the destination, -1 where unreachable
+	escape []int // first hop of the wrap-free structured path, -1 if none
+}
+
+// fieldTo returns the route field toward HUB `to`, computing it on first
+// use since the last invalidation.
+func (n *Network) fieldTo(to int) *routeField {
+	if n.fields == nil {
+		n.fields = make([]*routeField, len(n.hubs))
+	}
+	if f := n.fields[to]; f != nil {
+		return f
+	}
+	f := &routeField{dist: n.bfsDistancesTo(to), escape: make([]int, len(n.hubs))}
+	for cur := range f.escape {
+		f.escape[cur] = -1
+		if path, ok := n.structuredPath(cur, to, false); ok && len(path) > 1 {
+			f.escape[cur] = path[1]
+		}
+	}
+	n.fields[to] = f
+	return f
+}
+
+// invalidateRoutes drops the cached route fields. Everything that changes
+// their inputs — HUBs, inter-HUB edges, link states, shape metadata —
+// calls it, including the silent SetLinkState that notifies no observer.
+func (n *Network) invalidateRoutes() { n.fields = nil }
 
 // bfsDistancesTo returns each HUB's hop distance to HUB `to` over the up
 // links (-1 where unreachable).
@@ -156,14 +192,12 @@ func (n *Network) bfsDistancesTo(to int) []int {
 	return dist
 }
 
-// adaptiveStep picks the next HUB from cur toward `to`: the least-congested
-// distance-decreasing neighbor, ties broken toward the escape hop then the
-// lowest HUB index.
-func (n *Network) adaptiveStep(cur, to int, dist []int) (int, bool) {
-	escape := -1
-	if path, ok := n.structuredPath(cur, to, false); ok && len(path) > 1 {
-		escape = path[1]
-	}
+// adaptiveStep picks the next HUB from cur toward the field's destination:
+// the least-congested distance-decreasing neighbor, ties broken toward the
+// escape hop then the lowest HUB index. Congestion is read live; only the
+// field is cached.
+func (n *Network) adaptiveStep(cur int, f *routeField) (int, bool) {
+	escape, dist := f.escape[cur], f.dist
 	best, bestCost := -1, 0
 	for _, e := range n.adj[cur] {
 		if e.down || dist[e.to] < 0 || dist[e.to] != dist[cur]-1 {

@@ -359,3 +359,42 @@ func TestBuildOptions(t *testing.T) {
 		t.Fatalf("Shape = %v, want the spec it was built from", n2.Shape())
 	}
 }
+
+// The adaptive router's cached route fields must equal a fresh computation
+// for every (from, to) HUB pair on the 4x4x8 torus, and stay equal across
+// every change of link state: FailLink and RestoreLink, which notify
+// observers, and the silent SetLinkState, which does not.
+func TestRouteFieldCacheMatchesFresh(t *testing.T) {
+	n := Torus3D(4, 4, 8, 1).Build(sim.NewEngine(), nil)
+	hubs := len(n.Hubs())
+	check := func(stage string) {
+		t.Helper()
+		for to := 0; to < hubs; to++ {
+			f := n.fieldTo(to)
+			fresh := n.bfsDistancesTo(to)
+			for from := 0; from < hubs; from++ {
+				if f.dist[from] != fresh[from] {
+					t.Fatalf("%s: dist HUB%d->HUB%d cached %d, fresh %d", stage, from, to, f.dist[from], fresh[from])
+				}
+				want := -1
+				if path, ok := n.structuredPath(from, to, false); ok && len(path) > 1 {
+					want = path[1]
+				}
+				if got := f.escape[from]; got != want {
+					t.Fatalf("%s: escape hop HUB%d->HUB%d cached %d, fresh %d", stage, from, to, got, want)
+				}
+			}
+		}
+	}
+	// Every check fills the whole cache, so each later stage finds it
+	// full of fields computed before the change.
+	check("built")
+	edges := n.InterHubEdges()
+	failed, silent := edges[0], edges[len(edges)/2]
+	n.FailLink(failed[0], failed[1])
+	check("after FailLink")
+	n.RestoreLink(failed[0], failed[1])
+	check("after RestoreLink")
+	n.SetLinkState(silent[0], silent[1], false)
+	check("after silent SetLinkState")
+}

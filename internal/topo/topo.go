@@ -81,6 +81,11 @@ type Network struct {
 	levels []int
 
 	linkSeed int64
+
+	// fields[to] caches the adaptive router's route field toward HUB to
+	// (nil until first routed toward; the slice is nil after every
+	// invalidateRoutes).
+	fields []*routeField
 }
 
 type edge struct {
@@ -113,6 +118,7 @@ func (n *Network) AddHub() int {
 	h := hub.New(n.eng, id, n.opts.HubPorts, n.rec)
 	n.hubs = append(n.hubs, h)
 	n.adj = append(n.adj, nil)
+	n.invalidateRoutes()
 	n.nextCABPort = append(n.nextCABPort, 0)
 	n.nextHubPort = append(n.nextHubPort, n.opts.HubPorts-1)
 	return len(n.hubs) - 1
@@ -131,6 +137,7 @@ func (n *Network) setCoord(h, x, y, z int) {
 		n.coords = append(n.coords, [3]int{})
 	}
 	n.coords[h] = [3]int{x, y, z}
+	n.invalidateRoutes()
 }
 
 // setLevel records hub h's fat-tree level (0 leaf, 1 spine).
@@ -139,6 +146,7 @@ func (n *Network) setLevel(h, level int) {
 		n.levels = append(n.levels, 0)
 	}
 	n.levels[h] = level
+	n.invalidateRoutes()
 }
 
 // HubCoord returns hub h's grid coordinate and whether coordinates were
@@ -235,6 +243,7 @@ func (n *Network) ConnectHubs(a, b int) {
 	ha.Port(pa).SetUpstreamReady(hb.Port(pb).SetReady)
 	n.adj[a] = append(n.adj[a], edge{to: b, portHere: pa, link: lab})
 	n.adj[b] = append(n.adj[b], edge{to: a, portHere: pb, link: lba})
+	n.invalidateRoutes()
 }
 
 // SetLinkState marks the inter-HUB link between hubs a and b up or down
@@ -253,6 +262,7 @@ func (n *Network) SetLinkState(a, b int, up bool) {
 			n.adj[b][i].down = !up
 		}
 	}
+	n.invalidateRoutes()
 }
 
 // OnChange registers an observer called after FailLink or RestoreLink

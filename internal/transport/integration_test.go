@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -111,6 +112,40 @@ func TestStreamSingleAndMultiPacket(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("size %d: message corrupted (got %d bytes)", size, len(got))
 		}
+	}
+}
+
+// A valid, checksummed stream head claiming a message of 1<<32-1 bytes
+// must not make the receiver reserve that much: reassembly preallocates at
+// most the destination mailbox's capacity, since a larger message can never
+// be delivered. The head is otherwise handled like any first segment: it is
+// acked (cumulative position 1) and the rest, which never comes, is awaited.
+func TestStreamHeadHugeTotalAllocatesLittle(t *testing.T) {
+	sys := core.New(core.SingleHub(2))
+	rx := sys.CAB(1)
+	mb := rx.Kernel.NewMailbox("in", 64*1024)
+	rx.TP.Register(2, mb)
+	h := &transport.Header{
+		Proto: transport.ProtoStream, Src: 0, Dst: 1, SrcBox: 5, DstBox: 2,
+		Total: 1<<32 - 1,
+	}
+	wire := transport.Encode(h, payload(512))
+	sys.CAB(0).Kernel.Spawn("forger", func(th *kernel.Thread) {
+		if err := sys.CAB(0).DL.SendPacket(th, 1, wire); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys.Run()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("one 512-byte stream head allocated %d bytes", grew)
+	}
+	st := rx.TP.Stats()
+	if st.AcksSent != 1 || st.ChecksumDrops != 0 || st.StreamMsgsRecv != 0 || mb.Len() != 0 {
+		t.Fatalf("head handled as acks=%d checksum drops=%d msgs=%d queued=%d, want one ack and nothing else",
+			st.AcksSent, st.ChecksumDrops, st.StreamMsgsRecv, mb.Len())
 	}
 }
 

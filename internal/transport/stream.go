@@ -216,7 +216,7 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		}
 		rs.cur = h.MsgID
 		rs.expect = 0
-		rs.buf = nil
+		rs.buf = rs.buf[:0]
 	}
 	if h.Seq != rs.expect {
 		// Gap (loss) or duplicate: re-ack the cumulative position.
@@ -227,6 +227,18 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		// Corrupt sequencing; drop and re-ack.
 		ack(rs.expect)
 		return
+	}
+	if len(rs.buf) == 0 {
+		// First segment: size the buffer for the whole message once. A
+		// message larger than the destination mailbox can never be
+		// delivered, so the mailbox's capacity bounds the reservation.
+		want := 0
+		if mb := t.boxes[h.DstBox]; mb != nil {
+			want = min(int(h.Total), mb.Capacity())
+		}
+		if cap(rs.buf) < want {
+			rs.buf = make([]byte, 0, want)
+		}
 	}
 	rs.buf = append(rs.buf, payload...)
 	rs.expect++
@@ -241,7 +253,7 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		t.stats.StreamMsgsRecv++
 		rs.cur = h.MsgID + 1
 		rs.expect = 0
-		rs.buf = nil
+		rs.buf = rs.buf[:0] // deliver copied the bytes into CAB memory
 		ack(AckDone)
 	} else {
 		rs.buf = rs.buf[:len(rs.buf)-len(payload)]
