@@ -50,12 +50,8 @@ func toJSON(r *exp.Result) jsonResult {
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	asJSON := flag.Bool("json", false, "emit results as a JSON array on stdout")
-	collOut := flag.String("collout", "", "write the C1 collective sweep as JSON to this path (e.g. BENCH_coll.json)")
-	scaleOut := flag.String("scaleout", "", "write the S1 scale-out sweep as JSON to this path (e.g. BENCH_scale.json)")
 	full := flag.Bool("full", false, "run the full (slow) sweep ladders; the default is the short mode CI uses (S1 tops out at 1024 CABs)")
 	flag.Parse()
-	exp.BenchCollPath = *collOut
-	exp.BenchScalePath = *scaleOut
 	exp.S1Full = *full
 
 	if *list {

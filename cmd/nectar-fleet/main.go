@@ -154,7 +154,7 @@ func main() {
 	runReplica := func(idx int, s int64) replicaRun {
 		var opts []core.Option
 		if live != nil {
-			opts = append(opts, core.WithMetrics(), core.WithSampler(0), core.WithFlows(0))
+			opts = append(opts, core.WithMetrics(), core.WithSampler(), core.WithFlows(0))
 		}
 		if *sloOn {
 			bound := sim.Time(sloBound.Nanoseconds())

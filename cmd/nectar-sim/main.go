@@ -279,7 +279,7 @@ func runChaos(stdout, stderr io.Writer, name string, seed int64, rows, cols, msg
 		cols = 2
 	}
 	overload := name == "overload"
-	opts := append(fault.TrainOptions(), core.WithFlightRecorder(), core.WithStallWatchdog(0))
+	opts := append(fault.TrainOptions(), core.WithFlightRecorder(), core.WithStallWatchdog())
 	if overload {
 		opts = append(opts, core.WithOverloadControl(transport.DefaultOverloadParams()))
 	}

@@ -96,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		core.WithMetrics(),
 		core.WithObservatory(),
 		core.WithFlows(*k),
-		core.WithSampler(20 * sim.Microsecond),
 		func(p *core.Params) { p.TraceSpans = 400000 },
 	}
 	if *sloOn {

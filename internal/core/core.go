@@ -24,7 +24,6 @@ import (
 // the defaults documented in each package (which are the values used for
 // the paper-reproduction experiments).
 type Params struct {
-	Kernel    kernel.Params
 	Datalink  datalink.Params
 	Transport transport.Params
 	Topo      topo.Options
@@ -41,21 +40,21 @@ type Params struct {
 	// its counters and gauges on it.
 	Metrics bool
 
-	// SamplerPeriod enables the continuous-telemetry sampler (System.
-	// Sampler): every period of simulated time it snapshots HUB port
+	// Sampler enables the continuous-telemetry sampler (System.Sampler):
+	// every DefaultSamplerPeriod of simulated time it snapshots HUB port
 	// queue depths and utilization, transport in-flight operations and
 	// go-back-N windows, and flow-control credit into ring-buffered time
-	// series. 0 disables it (the default: no sampling events exist).
-	SamplerPeriod sim.Time
-	// FlightEvents enables the flight recorder (System.FR) with a ring of
-	// this many events. 0 disables it (the default: layer Note calls hit
-	// a nil recorder and cost nothing).
-	FlightEvents int
-	// StallCheck enables the stall watchdog (System.Watchdog): every
-	// interval of simulated time it checks that in-flight transport
-	// operations are making progress, and dumps the flight recorder when
-	// they are not. 0 disables it.
-	StallCheck sim.Time
+	// series. Off by default: no sampling events exist.
+	Sampler bool
+	// FlightRecorder enables the flight recorder (System.FR) with a ring
+	// of obs.DefaultFlightEvents events. Off by default: layer Note calls
+	// hit a nil recorder and cost nothing.
+	FlightRecorder bool
+	// StallWatchdog enables the stall watchdog (System.Watchdog): every
+	// DefaultStallCheck of simulated time it checks that in-flight
+	// transport operations are making progress, and dumps the flight
+	// recorder when they are not.
+	StallWatchdog bool
 	// FlowTopK enables the flow observatory (System.Flows): NetFlow-style
 	// per-(src CAB, dst CAB, protocol) accounting on the datalink and
 	// transport hot paths, with a space-saving heavy-hitter sketch of this
@@ -91,7 +90,6 @@ type Params struct {
 // DefaultParams returns the full prototype parameter set.
 func DefaultParams() Params {
 	return Params{
-		Kernel:    kernel.DefaultParams(),
 		Datalink:  datalink.DefaultParams(),
 		Transport: transport.DefaultParams(),
 		Topo:      topo.DefaultOptions(),
@@ -100,9 +98,6 @@ func DefaultParams() Params {
 
 // normalize fills zero-valued sub-parameters with defaults.
 func (p Params) normalize() Params {
-	if p.Kernel.ContextSwitch == 0 {
-		p.Kernel = kernel.DefaultParams()
-	}
 	if p.Datalink.OpenAttempts == 0 {
 		p.Datalink = datalink.DefaultParams()
 	}
@@ -248,8 +243,8 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 	if p.Metrics {
 		s.Reg = trace.NewRegistry(eng)
 	}
-	if p.FlightEvents > 0 {
-		s.FR = obs.NewFlightRecorder(eng, p.FlightEvents)
+	if p.FlightRecorder {
+		s.FR = obs.NewFlightRecorder(eng, obs.DefaultFlightEvents)
 	}
 	if p.FlowTopK > 0 {
 		s.Flows = flow.NewTable(p.FlowTopK, func(b byte) string {
@@ -265,7 +260,7 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 	}
 	router := topo.NewRouter(net, p.Routing)
 	for _, b := range net.Boards() {
-		k := kernel.New(b, p.Kernel)
+		k := kernel.New(b)
 		k.SetInstrumentation(s.Tr, s.Reg)
 		dl := datalink.New(k, net, p.Datalink)
 		dl.SetRouter(router)

@@ -45,8 +45,8 @@ func TestZeroParamsNormalized(t *testing.T) {
 	if !done {
 		t.Fatal("system with zero params did not run")
 	}
-	if sys.Params.Kernel.ContextSwitch == 0 {
-		t.Fatal("kernel params not normalized")
+	if sys.Params.Datalink.OpenAttempts == 0 {
+		t.Fatal("datalink params not normalized")
 	}
 	if sys.Params.Transport.Window == 0 {
 		t.Fatal("transport params not normalized")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hub/comb"
-	"repro/internal/obs"
 	"repro/internal/obs/flow"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
@@ -198,48 +197,36 @@ func WithFaultRecovery() Option {
 	}
 }
 
-// DefaultSamplerPeriod is the sampling period WithSampler enables.
+// DefaultSamplerPeriod is the sampling period of the sampler WithSampler
+// enables.
 const DefaultSamplerPeriod = 20 * sim.Microsecond
 
-// WithSampler enables the continuous-telemetry sampler (System.Sampler)
-// at the given simulated-time period (0: DefaultSamplerPeriod). An armed
-// sampler generates events forever — drive the system with RunUntil or
-// call StopTelemetry before Run.
-func WithSampler(period sim.Time) Option {
-	return func(p *Params) {
-		if period <= 0 {
-			period = DefaultSamplerPeriod
-		}
-		p.SamplerPeriod = period
-	}
+// WithSampler enables the continuous-telemetry sampler (System.Sampler),
+// sampling every DefaultSamplerPeriod of simulated time. An armed sampler
+// generates events forever — drive the system with RunUntil or call
+// StopTelemetry before Run.
+func WithSampler() Option {
+	return func(p *Params) { p.Sampler = true }
 }
 
 // WithFlightRecorder enables the flight recorder (System.FR): every layer
 // notes its structured events (sends, drops, link transitions, RTO
 // expiries, crashes) into a bounded ring for post-mortem dumps.
 func WithFlightRecorder() Option {
-	return func(p *Params) {
-		if p.FlightEvents == 0 {
-			p.FlightEvents = obs.DefaultFlightEvents
-		}
-	}
+	return func(p *Params) { p.FlightRecorder = true }
 }
 
-// DefaultStallCheck is the watchdog interval WithStallWatchdog enables.
+// DefaultStallCheck is the check interval of the watchdog
+// WithStallWatchdog enables.
 const DefaultStallCheck = 5 * sim.Millisecond
 
 // WithStallWatchdog enables the virtual-time stall watchdog
-// (System.Watchdog) at the given check interval (0: DefaultStallCheck):
-// if transport operations are in flight but none complete over an
-// interval, it dumps the flight recorder (or calls System.OnStall). Like
-// the sampler it generates events forever — use RunUntil or StopTelemetry.
-func WithStallWatchdog(interval sim.Time) Option {
-	return func(p *Params) {
-		if interval <= 0 {
-			interval = DefaultStallCheck
-		}
-		p.StallCheck = interval
-	}
+// (System.Watchdog): if transport operations are in flight but none
+// complete over a DefaultStallCheck interval, it dumps the flight recorder
+// (or calls System.OnStall). Like the sampler it generates events forever
+// — use RunUntil or StopTelemetry.
+func WithStallWatchdog() Option {
+	return func(p *Params) { p.StallWatchdog = true }
 }
 
 // WithOverloadControl arms the transport overload-control subsystem with
@@ -271,15 +258,6 @@ func validateOverload(p Params) {
 		if op.Burst[c] < 0 {
 			panic(fmt.Sprintf("nectar: Overload.Burst[%s] %d is negative (0 selects the default)", transport.Class(c), op.Burst[c]))
 		}
-		if op.Quantum[c] < 0 {
-			panic(fmt.Sprintf("nectar: Overload.Quantum[%s] %d is negative (0 selects the default)", transport.Class(c), op.Quantum[c]))
-		}
-	}
-	if op.SojournTarget < 0 {
-		panic(fmt.Sprintf("nectar: Overload.SojournTarget %v is negative (0 selects the default)", op.SojournTarget))
-	}
-	if op.SojournWindow < 0 {
-		panic(fmt.Sprintf("nectar: Overload.SojournWindow %v is negative (0 selects the default)", op.SojournWindow))
 	}
 	if op.BreakerTrip < 0 {
 		panic(fmt.Sprintf("nectar: Overload.BreakerTrip %d is negative (0 selects the default)", op.BreakerTrip))
@@ -373,9 +351,9 @@ func validateHubComb(p Params) {
 // sampler, flight recorder, and stall watchdog.
 func WithTelemetry() Option {
 	return func(p *Params) {
-		WithSampler(0)(p)
+		WithSampler()(p)
 		WithFlightRecorder()(p)
-		WithStallWatchdog(0)(p)
+		WithStallWatchdog()(p)
 	}
 }
 
@@ -405,21 +383,8 @@ func WithFlows(k int) Option {
 func WithObservatory() Option {
 	return func(p *Params) {
 		WithFlows(0)(p)
-		WithSampler(0)(p)
+		WithSampler()(p)
 		WithFlightRecorder()(p)
-	}
-}
-
-// WithTailSampling arms tail-based span sampling on the tracer (enabling
-// tracing if it is not already on): spans buffer per causality tree until
-// the root closes, and only trees that breach their latency bound, carry
-// an error, or fall on the deterministic 1-in-HeadEvery head sample are
-// retained. Every decision is a pure function of the span stream, so a
-// sampled run replays byte-identically.
-func WithTailSampling(cfg trace.TailConfig) Option {
-	return func(p *Params) {
-		WithTraceSpans()(p)
-		p.TraceTail = cfg
 	}
 }
 
@@ -430,8 +395,7 @@ func WithTailSampling(cfg trace.TailConfig) Option {
 // message spans whose protocol is covered by an objective are retained
 // when their latency reaches the objective's bound (the tightest bound
 // wins per protocol), plus a 1-in-DefaultTailHeadEvery head sample so the
-// baseline stays observable. An explicit WithTailSampling after WithSLO
-// overrides the derived config.
+// baseline stays observable.
 func WithSLO(sp slo.Params) Option {
 	return func(p *Params) {
 		p.SLO = sp
@@ -488,11 +452,8 @@ func validateSLO(p Params) {
 			panic(fmt.Sprintf("nectar: SLO objective %q Window %v is negative (0 selects the default)", o.Name, o.Window))
 		}
 	}
-	if p.SLO.Slices < 0 || p.SLO.SlowWindows < 0 || p.SLO.MinOps < 0 || p.SLO.MaxBundles < 0 {
-		panic("nectar: negative SLO engine parameter (0 selects each default)")
-	}
-	if p.SLO.BurnThreshold < 0 {
-		panic(fmt.Sprintf("nectar: SLO BurnThreshold %v is negative (0 selects the default)", p.SLO.BurnThreshold))
+	if p.SLO.MinOps < 0 {
+		panic(fmt.Sprintf("nectar: SLO MinOps %d is negative (0 selects the default)", p.SLO.MinOps))
 	}
 	if p.TraceTail.HeadEvery < 0 {
 		panic(fmt.Sprintf("nectar: TraceTail.HeadEvery %d is negative (0 disables head sampling)", p.TraceTail.HeadEvery))
@@ -514,18 +475,8 @@ func validateSLO(p Params) {
 // descriptive "nectar: ..." panic contract. Zero stays valid everywhere —
 // it is the documented "disabled" sentinel for each of these knobs — but a
 // negative value is always a caller bug that would otherwise silently
-// disable (FlightEvents, FlowTopK) or panic deep inside obs with a
-// non-contract message (SamplerPeriod).
+// disable the instrument.
 func validateTelemetry(p Params) {
-	if p.SamplerPeriod < 0 {
-		panic(fmt.Sprintf("nectar: SamplerPeriod %v is negative (0 disables the sampler; a positive period enables it)", p.SamplerPeriod))
-	}
-	if p.FlightEvents < 0 {
-		panic(fmt.Sprintf("nectar: FlightEvents %d is negative (0 disables the flight recorder)", p.FlightEvents))
-	}
-	if p.StallCheck < 0 {
-		panic(fmt.Sprintf("nectar: StallCheck %v is negative (0 disables the stall watchdog)", p.StallCheck))
-	}
 	if p.FlowTopK < 0 {
 		panic(fmt.Sprintf("nectar: FlowTopK %d is negative (0 disables the flow observatory)", p.FlowTopK))
 	}

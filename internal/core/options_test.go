@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,9 +156,6 @@ func TestNewValidatesTelemetryParams(t *testing.T) {
 			New(SingleHub(2), WithParams(p))
 		}
 	}
-	mustPanic(t, "SamplerPeriod", bad(func(p *Params) { p.SamplerPeriod = -sim.Microsecond }))
-	mustPanic(t, "FlightEvents", bad(func(p *Params) { p.FlightEvents = -1 }))
-	mustPanic(t, "StallCheck", bad(func(p *Params) { p.StallCheck = -5 }))
 	mustPanic(t, "FlowTopK", bad(func(p *Params) { p.FlowTopK = -2 }))
 	mustPanic(t, "TraceSpans", bad(func(p *Params) { p.TraceSpans = -1 }))
 	mustPanic(t, "RecorderLimit", bad(func(p *Params) { p.RecorderLimit = -1 }))
@@ -183,4 +181,28 @@ func TestWithFlowsAndObservatory(t *testing.T) {
 		t.Fatal("WithObservatory should arm flows, sampler, and flight recorder")
 	}
 	obs.StopTelemetry()
+}
+
+// leafFields counts the independently settable leaves of a parameter type:
+// structs are walked, and every other field (sim.Time, a bool, an array, a
+// map, a slice) counts once.
+func leafFields(t reflect.Type) int {
+	if t.Kind() != reflect.Struct {
+		return 1
+	}
+	n := 0
+	for i := 0; i < t.NumField(); i++ {
+		n += leafFields(t.Field(i).Type)
+	}
+	return n
+}
+
+// Params holds only knobs some caller sets; a cost or tuning value nobody
+// sets is a constant beside the code that reads it.
+func TestParamsLeafCount(t *testing.T) {
+	const want = 40
+	if got := leafFields(reflect.TypeOf(Params{})); got != want {
+		t.Fatalf("core.Params has %d leaf fields, want %d: a new field needs a caller that sets it "+
+			"(otherwise make it a constant next to the code that reads it)", got, want)
+	}
 }

@@ -60,8 +60,8 @@ func buildTelemetry(s *System) {
 			return float64(n)
 		})
 	}
-	if p.SamplerPeriod > 0 {
-		sa := obs.NewSampler(s.Eng, p.SamplerPeriod, obs.DefaultSamplerCap)
+	if p.Sampler {
+		sa := obs.NewSampler(s.Eng, DefaultSamplerPeriod, obs.DefaultSamplerCap)
 		for _, h := range s.Net.Hubs() {
 			for i := 0; i < h.NumPorts(); i++ {
 				pt := h.Port(i)
@@ -103,7 +103,7 @@ func buildTelemetry(s *System) {
 		sa.Start()
 		s.Sampler = sa
 	}
-	if p.StallCheck > 0 {
+	if p.StallWatchdog {
 		progress := func() int64 {
 			var n int64
 			for _, c := range s.CABs {
@@ -118,7 +118,7 @@ func buildTelemetry(s *System) {
 			}
 			return n
 		}
-		w := obs.NewWatchdog(s.Eng, p.StallCheck, progress, inflight, func(at sim.Time) {
+		w := obs.NewWatchdog(s.Eng, DefaultStallCheck, progress, inflight, func(at sim.Time) {
 			s.FR.Note(obs.FStall, "watchdog", inflight(), progress())
 			if s.OnStall != nil {
 				s.OnStall(at)

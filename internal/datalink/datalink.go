@@ -34,19 +34,24 @@ import (
 // Circuit-switched packets may be arbitrarily large.
 const MaxPacketPayload = hub.InputQueueBytes - fiber.FramingBytes
 
-// Params are the datalink software costs, charged to the CAB CPU.
-type Params struct {
-	// SendSetup: building the command packet and setting up outbound DMA
+// The datalink software costs, charged to the CAB CPU, consistent with
+// the paper's latency budget (<30us CAB-to-CAB including transport).
+const (
+	// sendSetup: building the command packet and setting up outbound DMA
 	// (procedure call in the sender's thread context).
-	SendSetup sim.Time
-	// RecvInterrupt: interrupt entry + start-of-packet handling. Kept
+	sendSetup = 2 * sim.Microsecond
+	// recvInterrupt: interrupt entry + start-of-packet handling. Kept
 	// small by the SPARC's reserved trap register window.
-	RecvInterrupt sim.Time
-	// Upcall: the transport-layer upcall that determines the destination
+	recvInterrupt = 2 * sim.Microsecond
+	// upcall: the transport-layer upcall that determines the destination
 	// mailbox from the transport header.
-	Upcall sim.Time
-	// ReplyInterrupt: handling a HUB command reply.
-	ReplyInterrupt sim.Time
+	upcall = 1500 * sim.Nanosecond
+	// replyInterrupt: handling a HUB command reply.
+	replyInterrupt = sim.Microsecond
+)
+
+// Params are the datalink protocol parameters.
+type Params struct {
 	// OpenTimeout: how long to wait for a circuit-establishment reply
 	// before tearing down and retrying.
 	OpenTimeout sim.Time
@@ -66,16 +71,11 @@ type Params struct {
 	ProbeMisses int
 }
 
-// DefaultParams returns costs consistent with the paper's latency budget
-// (<30us CAB-to-CAB including transport).
+// DefaultParams returns the prototype's protocol parameters.
 func DefaultParams() Params {
 	return Params{
-		SendSetup:      2 * sim.Microsecond,
-		RecvInterrupt:  2 * sim.Microsecond,
-		Upcall:         1500 * sim.Nanosecond,
-		ReplyInterrupt: sim.Microsecond,
-		OpenTimeout:    200 * sim.Microsecond,
-		OpenAttempts:   3,
+		OpenTimeout:  200 * sim.Microsecond,
+		OpenAttempts: 3,
 	}
 }
 
@@ -275,7 +275,7 @@ func (d *Datalink) Crash() {
 func (d *Datalink) Probe(th *kernel.Thread, hubHere, hubThere byte, port byte, timeout sim.Time) bool {
 	d.mu.P(th)
 	defer d.mu.V()
-	th.Compute("dl-probe", d.params.SendSetup)
+	th.Compute("dl-probe", sendSetup)
 	pend := d.expect(1)
 	d.stats.ProbesSent++
 	d.board.Send(
@@ -306,7 +306,7 @@ func (d *Datalink) CombContribute(th *kernel.Thread, op hub.Opcode, group, lane 
 	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-comb")
 	defer sp.End()
 	d.mu.P(th)
-	th.Compute("dl-comb", d.params.SendSetup)
+	th.Compute("dl-comb", sendSetup)
 	pend := d.expect(1)
 	it := d.command(op, d.localHubID(), group, pend.token)
 	it.Comb = &fiber.CombData{Lane: lane, Tag: tag, Count: count, Seq: seq, Operand: operand}
@@ -368,7 +368,7 @@ func (d *Datalink) packetFrame(hops []topo.Hop, payload []byte, sp *trace.Span) 
 // t0: everything up to now beyond the fixed setup cost (transmit mutex,
 // flow-control credit wait and, for circuits, the open handshakes).
 func (d *Datalink) queuedSince(t0 sim.Time) sim.Time {
-	return max(d.k.Engine().Now()-t0-d.params.SendSetup, 0)
+	return max(d.k.Engine().Now()-t0-sendSetup, 0)
 }
 
 // sent is the accounting every packet-switched send does once its frame is
@@ -402,7 +402,7 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-send-packet")
 	t0 := d.k.Engine().Now()
 	d.mu.P(th)
-	th.Compute("dl-send-setup", d.params.SendSetup)
+	th.Compute("dl-send-setup", sendSetup)
 	// Our own output's flow control: the attached HUB input queue must be
 	// ready for a new packet.
 	d.board.WaitNetReady(th.Proc())
@@ -436,7 +436,7 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	}
 	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
-	d.board.CPU.RunInterrupt("dl-intr-send", extra+d.params.SendSetup, func() {
+	d.board.CPU.RunInterrupt("dl-intr-send", extra+sendSetup, func() {
 		d.board.Send(d.packetFrame(hops, payload, sp)...)
 		// Interrupt-level sends only go out when credit is already
 		// there, so their queueing time is zero by construction.
@@ -504,7 +504,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 	d.mu.P(th)
 	defer d.mu.V()
 	for attempt := 0; attempt < d.params.OpenAttempts; attempt++ {
-		th.Compute("dl-send-setup", d.params.SendSetup)
+		th.Compute("dl-send-setup", sendSetup)
 		d.board.WaitNetReady(th.Proc())
 
 		pend := d.expect(wantReplies)
@@ -546,7 +546,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 func (d *Datalink) receiveItem(it *fiber.Item) {
 	switch it.Kind {
 	case fiber.KindReply:
-		d.board.CPU.RunInterrupt("dl-reply-intr", d.params.ReplyInterrupt, func() {
+		d.board.CPU.RunInterrupt("dl-reply-intr", replyInterrupt, func() {
 			if pend, ok := d.pending[it.Token]; ok {
 				if !it.ReplyOK {
 					pend.ok = false
@@ -582,7 +582,7 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 // to the datalink layer before incoming data overflows the CAB input
 // queue."
 func (d *Datalink) receivePacket(it *fiber.Item) {
-	cost := d.params.RecvInterrupt + d.params.Upcall
+	cost := recvInterrupt + upcall
 	rsp := it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
 	d.board.CPU.RunInterrupt("dl-recv-intr", cost, func() {
 		// DMA out of the input queue into CAB memory. The start of
@@ -650,7 +650,7 @@ var errLockHeld = fmt.Errorf("datalink: hub lock held")
 func (d *Datalink) lockOp(th *kernel.Thread, op hub.Opcode, lock byte) error {
 	d.mu.P(th)
 	defer d.mu.V()
-	th.Compute("dl-lock", d.params.SendSetup)
+	th.Compute("dl-lock", sendSetup)
 	pend := d.expect(1)
 	d.board.Send(d.command(op, d.localHubID(), lock, pend.token))
 

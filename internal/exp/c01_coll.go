@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/coll"
 	"repro/internal/core"
@@ -21,20 +19,15 @@ import (
 // single HUB and on a 2x2 mesh, a head-to-head of the HUB-multicast
 // broadcast against the point-to-point binomial tree, a determinism replay,
 // and a chaos variant that flaps an inter-HUB link in the middle of a ring
-// allreduce. With -collout, cmd/nectar-bench writes the raw sweep to a
-// JSON benchmark file (BENCH_coll.json in CI).
-
-// BenchCollPath, when non-empty, makes C1Collectives write its raw sweep
-// points as JSON to this path (set by cmd/nectar-bench -collout).
-var BenchCollPath string
+// allreduce.
 
 // c1Point is one measured collective operation.
 type c1Point struct {
-	Topo      string  `json:"topo"`
-	Group     int     `json:"group"`
-	Op        string  `json:"op"`
-	Bytes     int     `json:"bytes"`
-	LatencyUs float64 `json:"latency_us"`
+	Topo      string
+	Group     int
+	Op        string
+	Bytes     int
+	LatencyUs float64
 }
 
 // c1Payloads spans the small-message regime, the rd/ring crossover
@@ -360,24 +353,6 @@ func C1Collectives() *Result {
 		notes = append(notes, "chaos rerun was NOT byte-identical")
 	} else {
 		notes = append(notes, "ring allreduce survived an inter-HUB link flap with exact sums, replay byte-identical")
-	}
-
-	if BenchCollPath != "" {
-		blob, err := json.MarshalIndent(struct {
-			Points  []c1Point `json:"points"`
-			McastUs float64   `json:"bcast_mcast_us"`
-			TreeUs  float64   `json:"bcast_tree_us"`
-		}{all, mcastUs, treeUs}, "", "  ")
-		if err == nil {
-			blob = append(blob, '\n')
-			err = os.WriteFile(BenchCollPath, blob, 0o644)
-		}
-		if err != nil {
-			pass = false
-			notes = append(notes, fmt.Sprintf("bench output: %v", err))
-		} else {
-			notes = append(notes, fmt.Sprintf("wrote %d sweep points to %s", len(all), BenchCollPath))
-		}
 	}
 
 	return &Result{

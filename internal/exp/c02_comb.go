@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/coll"
 	"repro/internal/core"
@@ -24,8 +22,7 @@ import (
 // torus (hierarchical combining), verifies that armed telemetry does not
 // perturb combining results (FNV digest equality), and drives a
 // combining train through a link flap (exact sums, byte-identical
-// replay). With -collout, the sweep lands under the "combining" key of
-// the same JSON file C1 writes.
+// replay).
 
 // c2Sizes sweeps the group size; 254 is the coll box-space ceiling
 // (MaxMembers), standing in for the "hundreds of members" regime.
@@ -34,15 +31,6 @@ var c2Sizes = []int{8, 64, 254}
 // c2Payload is the allreduce payload: two 8-byte lanes, the latency-bound
 // small-reduction regime combining targets.
 const c2Payload = 16
-
-// c2Point is one measured (topology, group, operation, algorithm) cell.
-type c2Point struct {
-	Topo      string  `json:"topo"`
-	Group     int     `json:"group"`
-	Op        string  `json:"op"`
-	Algo      string  `json:"algo"`
-	LatencyUs float64 `json:"latency_us"`
-}
 
 // c2System builds one benchmark system with enough HUB ports for the
 // group and combining armed or dark.
@@ -195,31 +183,8 @@ func c2Chaos() (string, error) {
 	return collChaos(fault.CollTrain{Algo: "comb", Iters: 10, Lanes: 1})
 }
 
-// c2Merge folds the combining sweep into the benchmark JSON file C1
-// writes: the file keeps its existing keys and gains (or replaces) a
-// "combining" entry, so `-collout BENCH_coll.json C1 C2` composes.
-func c2Merge(path string, pts []c2Point) error {
-	doc := map[string]json.RawMessage{}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &doc); err != nil {
-			doc = map[string]json.RawMessage{}
-		}
-	}
-	blob, err := json.Marshal(pts)
-	if err != nil {
-		return err
-	}
-	doc["combining"] = blob
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
 // C2Combining runs the in-network combining benchmark.
 func C2Combining() *Result {
-	var all []c2Point
 	var notes []string
 	pass := true
 
@@ -240,9 +205,6 @@ func C2Combining() *Result {
 					return &Result{ID: "C2", Title: "in-network combining",
 						Notes: []string{err.Error()}}
 				}
-				all = append(all,
-					c2Point{Topo: topo, Group: n, Op: "allreduce", Algo: algo, LatencyUs: allUs},
-					c2Point{Topo: topo, Group: n, Op: "barrier", Algo: algo, LatencyUs: barUs})
 				if algo == "comb" {
 					comb = cell{allUs, barUs}
 				} else {
@@ -297,15 +259,6 @@ func C2Combining() *Result {
 		notes = append(notes, "chaos rerun was NOT byte-identical")
 	default:
 		notes = append(notes, "combining allreduce survived an inter-HUB link flap with exact sums, replay byte-identical")
-	}
-
-	if BenchCollPath != "" {
-		if err := c2Merge(BenchCollPath, all); err != nil {
-			pass = false
-			notes = append(notes, fmt.Sprintf("bench output: %v", err))
-		} else {
-			notes = append(notes, fmt.Sprintf("merged %d combining points into %s", len(all), BenchCollPath))
-		}
 	}
 
 	return &Result{

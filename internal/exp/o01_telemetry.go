@@ -21,9 +21,6 @@ import (
 // two runs of the same configuration produce byte-identical sampler CSV
 // exports and identical flight-recorder tallies.
 
-// o1Period is the sampling period; fine enough to catch the storm's ramp.
-const o1Period = 20 * sim.Microsecond
-
 // o1Horizon bounds the run: storm from 1ms to 5ms, then drain.
 const o1Horizon = 8 * sim.Millisecond
 
@@ -39,7 +36,7 @@ type o1Outcome struct {
 func o1Run() o1Outcome {
 	sys := core.New(core.SingleHub(4),
 		core.WithMetrics(),
-		core.WithSampler(o1Period),
+		core.WithSampler(),
 		core.WithFlightRecorder())
 
 	// Sink on the victim CAB so storm datagrams are consumed, keeping the

@@ -59,7 +59,7 @@ func o2Run(observe bool) o2Outcome {
 		opts = append(opts,
 			core.WithMetrics(),
 			core.WithObservatory(),
-			core.WithSampler(o1Period),
+			core.WithSampler(),
 			func(p *core.Params) { p.TraceSpans = 200000 },
 		)
 	}

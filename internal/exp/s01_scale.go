@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -32,29 +30,24 @@ import (
 // open-loop arrival is also the measurement discipline that avoids
 // coordinated omission in the latency curves.
 
-// BenchScalePath, when non-empty, makes S1Scale write its raw sweep points
-// as JSON to this path (set by cmd/nectar-bench -scaleout).
-var BenchScalePath string
-
 // S1Full widens the sweep to the 2048-CAB 3-D torus (set by
 // cmd/nectar-bench -full; the default short ladder tops out at 1024).
 var S1Full bool
 
 // s1Point is one measured (shape, policy) cell of the sweep.
 type s1Point struct {
-	Topo      string  `json:"topo"`
-	CABs      int     `json:"cabs"`
-	Hubs      int     `json:"hubs"`
-	Policy    string  `json:"policy"`
-	Ops       int64   `json:"ops"`
-	Errors    int64   `json:"errors"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-	AvgHops   float64 `json:"avg_hops"`
-	PerHopUs  float64 `json:"per_hop_p50_us"`
-	PeakQueue int     `json:"peak_queue_bytes"`
-	Digest    string  `json:"digest"`
-	Replay    bool    `json:"replay_identical"`
+	Topo      string
+	CABs      int
+	Hubs      int
+	Policy    string
+	Ops       int64
+	Errors    int64
+	P50Us     float64
+	P99Us     float64
+	AvgHops   float64
+	PerHopUs  float64
+	PeakQueue int
+	Replay    bool
 }
 
 // s1Shape is one rung of the CAB-count ladder.
@@ -152,7 +145,6 @@ func s1Measure(sh s1Shape, pol topo.Policy) s1Point {
 		P99Us:     float64(r.Latency.Quantile(0.99)) / float64(sim.Microsecond),
 		AvgHops:   avgHops,
 		PeakQueue: peak,
-		Digest:    fmt.Sprintf("%016x", r.Digest),
 		Replay:    r.Digest == r2.Digest && r.Ops == r2.Ops,
 	}
 	if avgHops > 0 {
@@ -179,8 +171,7 @@ type s1ChaosOutcome struct {
 // every message; an armed stall watchdog must never fire (no deadlock).
 func s1Chaos() s1ChaosOutcome {
 	sys := core.New(core.Torus(3, 3, 1), append(fault.TrainOptions(),
-		func(p *core.Params) { p.FlightEvents = 256 },
-		core.WithStallWatchdog(0), core.WithRouting(topo.PolicyAdaptive))...)
+		core.WithFlightRecorder(), core.WithStallWatchdog(), core.WithRouting(topo.PolicyAdaptive))...)
 
 	var out s1ChaosOutcome
 	sys.OnStall = func(at sim.Time) { out.stalls++ }
@@ -277,22 +268,6 @@ func S1Scale() *Result {
 		notes = append(notes, fmt.Sprintf(
 			"chaos: adaptive routing rerouted around a failed inter-HUB link, %d/%d delivered by %v, 0 stalls, replay byte-identical",
 			ca.Delivered, s1ChaosMsgs, ca.DoneAt))
-	}
-
-	if BenchScalePath != "" {
-		blob, err := json.MarshalIndent(struct {
-			Points []s1Point `json:"points"`
-		}{all}, "", "  ")
-		if err == nil {
-			blob = append(blob, '\n')
-			err = os.WriteFile(BenchScalePath, blob, 0o644)
-		}
-		if err != nil {
-			pass = false
-			notes = append(notes, fmt.Sprintf("bench output: %v", err))
-		} else {
-			notes = append(notes, fmt.Sprintf("wrote %d sweep points to %s", len(all), BenchScalePath))
-		}
 	}
 
 	return &Result{

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -22,7 +21,7 @@ func X1VLSIScaleUp() *Result {
 	var first float64
 	for _, ports := range []int{16, 32, 64, 128} {
 		params := core.DefaultParams()
-		params.Topo = topo.Options{HubPorts: ports}
+		params.Topo.HubPorts = ports
 		n := ports // one CAB per port
 		sys := core.New(core.SingleHub(n), core.WithParams(params))
 		const per = 128 * 1024

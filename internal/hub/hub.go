@@ -122,9 +122,6 @@ func (h *Hub) NumPorts() int { return len(h.ports) }
 // Port returns port i.
 func (h *Hub) Port(i int) *Port { return h.ports[i] }
 
-// Recorder returns the instrumentation recorder (may be nil).
-func (h *Hub) Recorder() *trace.Recorder { return h.rec }
-
 // RegisterMetrics registers this HUB's per-port metrics: a time-weighted
 // input-queue occupancy gauge plus packet/drop read-outs. A nil registry
 // leaves the ports' gauges nil (recording nothing).

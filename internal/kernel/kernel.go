@@ -16,18 +16,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Params are the kernel cost parameters.
-type Params struct {
-	// ContextSwitch is the thread-switch cost: "Thread switching takes
-	// between 10 and 15 microseconds; almost all of this time is spent
-	// saving and restoring the SPARC register windows."
-	ContextSwitch sim.Time
-}
-
-// DefaultParams returns the prototype's costs.
-func DefaultParams() Params {
-	return Params{ContextSwitch: 12 * sim.Microsecond}
-}
+// contextSwitch is the thread-switch cost: "Thread switching takes
+// between 10 and 15 microseconds; almost all of this time is spent
+// saving and restoring the SPARC register windows."
+const contextSwitch = 12 * sim.Microsecond
 
 // ThreadState describes a thread's scheduling state.
 type ThreadState int
@@ -58,9 +50,8 @@ func (s ThreadState) String() string {
 
 // Kernel is one CAB's kernel instance.
 type Kernel struct {
-	eng    *sim.Engine
-	board  *cab.Board
-	params Params
+	eng   *sim.Engine
+	board *cab.Board
 
 	runq []*Thread
 	cur  *Thread
@@ -82,12 +73,8 @@ type Kernel struct {
 }
 
 // New creates a kernel on the given board.
-func New(board *cab.Board, params Params) *Kernel {
-	return &Kernel{
-		eng:    board.Engine(),
-		board:  board,
-		params: params,
-	}
+func New(board *cab.Board) *Kernel {
+	return &Kernel{eng: board.Engine(), board: board}
 }
 
 // Board returns the underlying CAB board.
@@ -272,7 +259,7 @@ func (k *Kernel) dispatch() {
 	if k.tr != nil {
 		t.switchSpan = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
 	}
-	k.board.CPU.Submit(cab.PrioThread, "context-switch", k.params.ContextSwitch, t.switchedIn)
+	k.board.CPU.Submit(cab.PrioThread, "context-switch", contextSwitch, t.switchedIn)
 }
 
 // ready marks a blocked thread runnable.

@@ -13,7 +13,7 @@ var _ = cab.PageSize
 func newKernel() (*sim.Engine, *Kernel) {
 	eng := sim.NewEngine()
 	board := cab.NewBoard(eng, 0, "cab0")
-	return eng, New(board, DefaultParams())
+	return eng, New(board)
 }
 
 func TestThreadRunsWithSwitchCost(t *testing.T) {

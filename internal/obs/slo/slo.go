@@ -92,14 +92,22 @@ type Objective struct {
 	Window sim.Time
 }
 
-// Defaults for zero-valued Params fields.
+// Engine tuning. DefaultWindow and DefaultMinOps fill zero-valued
+// Objective.Window and Params.MinOps; the rest are fixed.
 const (
-	DefaultWindow        = sim.Millisecond
-	DefaultSlices        = 8
-	DefaultSlowWindows   = 6
+	DefaultWindow = sim.Millisecond
+	// DefaultSlices is the ring resolution per window: the engine
+	// evaluates every Window/DefaultSlices of virtual time.
+	DefaultSlices = 8
+	// DefaultSlowWindows sizes the slow burn window as this many fast
+	// windows.
+	DefaultSlowWindows = 6
+	// DefaultBurnThreshold is the burn rate both windows must reach to
+	// fire an alert; an alert clears when the fast burn falls below 1.
 	DefaultBurnThreshold = 2.0
 	DefaultMinOps        = 8
-	DefaultMaxBundles    = 4
+	// DefaultMaxBundles bounds retained diagnosis bundles.
+	DefaultMaxBundles = 4
 )
 
 // Params configures the engine. The zero value (no objectives) disables
@@ -107,40 +115,9 @@ const (
 type Params struct {
 	// Objectives are the declared SLOs; empty disables the engine.
 	Objectives []Objective
-	// Slices is the ring resolution per window: the engine evaluates
-	// every Window/Slices of virtual time (0: DefaultSlices).
-	Slices int
-	// SlowWindows sizes the slow burn window as this many fast windows
-	// (0: DefaultSlowWindows).
-	SlowWindows int
-	// BurnThreshold is the burn rate both windows must reach to fire an
-	// alert; an alert clears when the fast burn falls below 1
-	// (0: DefaultBurnThreshold).
-	BurnThreshold float64
 	// MinOps gates alerting until the fast window holds at least this
 	// many operations (0: DefaultMinOps).
 	MinOps int64
-	// MaxBundles bounds retained diagnosis bundles (0: DefaultMaxBundles).
-	MaxBundles int
-}
-
-func (p Params) withDefaults() Params {
-	if p.Slices == 0 {
-		p.Slices = DefaultSlices
-	}
-	if p.SlowWindows == 0 {
-		p.SlowWindows = DefaultSlowWindows
-	}
-	if p.BurnThreshold == 0 {
-		p.BurnThreshold = DefaultBurnThreshold
-	}
-	if p.MinOps == 0 {
-		p.MinOps = DefaultMinOps
-	}
-	if p.MaxBundles == 0 {
-		p.MaxBundles = DefaultMaxBundles
-	}
-	return p
 }
 
 // Alert is one burn-rate alert (or its clear) in the deterministic alert
@@ -188,7 +165,7 @@ type Exemplar struct {
 }
 
 // slice is one ring entry: outcome counts plus sketch buckets for one
-// Window/Slices interval of virtual time.
+// Window/DefaultSlices interval of virtual time.
 type slice struct {
 	ops     int64
 	breach  int64
@@ -199,7 +176,7 @@ type slice struct {
 // objState is one objective's runtime state.
 type objState struct {
 	obj Objective
-	// ring holds Slices*SlowWindows slices; cur is the index being
+	// ring holds DefaultSlices*DefaultSlowWindows slices; cur is the index being
 	// filled. Ticks advance cur and zero the reclaimed slice.
 	ring []slice
 	cur  int
@@ -221,7 +198,7 @@ type objState struct {
 // A nil *Engine is valid: Observe records nothing.
 type Engine struct {
 	eng    *sim.Engine
-	params Params
+	minOps int64
 	objs   []*objState
 	// byKind[k] lists the objectives matching operation kind k — the
 	// Observe dispatch table, preallocated so the hot path never
@@ -245,8 +222,10 @@ type Engine struct {
 // nothing — the construction layer (core) enforces the "nectar: ..."
 // panic contract before calling.
 func NewEngine(eng *sim.Engine, p Params) *Engine {
-	p = p.withDefaults()
-	e := &Engine{eng: eng, params: p}
+	e := &Engine{eng: eng, minOps: p.MinOps}
+	if e.minOps == 0 {
+		e.minOps = DefaultMinOps
+	}
 	for _, obj := range p.Objectives {
 		if obj.Quantile == 0 {
 			obj.Quantile = 0.99
@@ -259,20 +238,12 @@ func NewEngine(eng *sim.Engine, p Params) *Engine {
 		}
 		os := &objState{
 			obj:  obj,
-			ring: make([]slice, p.Slices*p.SlowWindows),
+			ring: make([]slice, DefaultSlices*DefaultSlowWindows),
 		}
 		e.objs = append(e.objs, os)
 		e.byKind[obj.Kind] = append(e.byKind[obj.Kind], os)
 	}
 	return e
-}
-
-// Params returns the engine's (defaulted) parameters.
-func (e *Engine) Params() Params {
-	if e == nil {
-		return Params{}
-	}
-	return e.params
 }
 
 // SetFlightRecorder arms alert notes into the system flight recorder.
@@ -350,7 +321,7 @@ func (e *Engine) Stop() {
 func (e *Engine) tickPeriod() sim.Time {
 	p := sim.Time(0)
 	for _, os := range e.objs {
-		sp := os.obj.Window / sim.Time(e.params.Slices)
+		sp := os.obj.Window / DefaultSlices
 		if sp <= 0 {
 			sp = 1
 		}
@@ -378,7 +349,7 @@ func (e *Engine) schedule() {
 func (e *Engine) tick() {
 	now := e.eng.Now()
 	for _, os := range e.objs {
-		slicePeriod := os.obj.Window / sim.Time(e.params.Slices)
+		slicePeriod := os.obj.Window / DefaultSlices
 		if slicePeriod <= 0 {
 			slicePeriod = 1
 		}
@@ -429,16 +400,16 @@ func burn(bad, total int64, successRate float64) float64 {
 // threshold (with at least MinOps in the fast window), clear when the fast
 // burn falls below 1.
 func (e *Engine) evaluate(os *objState, now sim.Time) {
-	fastOps, fastBreach, fastErrs, fastBuckets := os.window(e.params.Slices)
-	slowOps, slowBreach, slowErrs, _ := os.window(e.params.Slices * e.params.SlowWindows)
+	fastOps, fastBreach, fastErrs, fastBuckets := os.window(DefaultSlices)
+	slowOps, slowBreach, slowErrs, _ := os.window(DefaultSlices * DefaultSlowWindows)
 
 	os.burnFast = burn(fastBreach+fastErrs, fastOps, os.obj.SuccessRate)
 	os.burnSlow = burn(slowBreach+slowErrs, slowOps, os.obj.SuccessRate)
 	os.quantileEst = quantileOf(&fastBuckets, fastOps, os.obj.Quantile)
 
-	thr := e.params.BurnThreshold
+	thr := DefaultBurnThreshold
 	switch {
-	case !os.alerting && os.burnFast >= thr && os.burnSlow >= thr && fastOps >= e.params.MinOps:
+	case !os.alerting && os.burnFast >= thr && os.burnSlow >= thr && fastOps >= e.minOps:
 		os.alerting = true
 		os.alerts++
 		e.alertSeq++
@@ -451,7 +422,7 @@ func (e *Engine) evaluate(os *objState, now sim.Time) {
 		e.alertLog = append(e.alertLog, a)
 		e.fr.Note(obs.FSLOAlert, os.obj.Name, int64(os.burnFast*100), int64(os.quantileEst))
 		if e.bundler != nil {
-			if b := e.bundler(a); b != nil && len(e.bundles) < e.params.MaxBundles {
+			if b := e.bundler(a); b != nil && len(e.bundles) < DefaultMaxBundles {
 				e.bundles = append(e.bundles, b)
 			}
 		}

@@ -103,7 +103,7 @@ func TestAlertFireLatchClear(t *testing.T) {
 	if clear.At <= fire.At {
 		t.Fatalf("clear at %v not after fire at %v", clear.At, fire.At)
 	}
-	if fire.BurnFast < e.Params().BurnThreshold || fire.BurnSlow < e.Params().BurnThreshold {
+	if fire.BurnFast < DefaultBurnThreshold || fire.BurnSlow < DefaultBurnThreshold {
 		t.Fatalf("fire burns %.1f/%.1f below threshold", fire.BurnFast, fire.BurnSlow)
 	}
 	if e.AlertCount() != 1 {

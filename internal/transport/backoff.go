@@ -11,24 +11,18 @@ import (
 // with a small deterministic jitter hashed from the flow identity — runs
 // stay byte-reproducible while concurrent senders de-correlate.
 
+// backoffDoublings caps the exponential backoff at 8x the base wait.
+const backoffDoublings = 3
+
 // backoffWait returns the wait before giving up on retransmission round
 // `attempt` (0 = the initial transmission, which always waits exactly
-// base). The wait doubles per round up to cap (0: defaults to 8x base),
-// then jitter in (-wait/8, +wait/8] is applied.
-func backoffWait(base, cap sim.Time, attempt int, self, peer int, msgID uint32) sim.Time {
+// base). The wait doubles per round up to 8x base, then jitter in
+// (-wait/8, +wait/8] is applied.
+func backoffWait(base sim.Time, attempt int, self, peer int, msgID uint32) sim.Time {
 	if attempt <= 0 || base <= 0 {
 		return base
 	}
-	if cap <= 0 {
-		cap = 8 * base
-	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d <<= 1
-	}
-	if d > cap {
-		d = cap
-	}
+	d := base << min(attempt, backoffDoublings)
 	span := int64(d / 4)
 	if span > 0 {
 		h := jitterHash(self, peer, msgID, attempt)

@@ -10,13 +10,13 @@ func TestBackoffAttemptZeroIsExactlyBase(t *testing.T) {
 	base := 200 * sim.Microsecond
 	// The initial transmission never pays growth or jitter — a fast-reject
 	// retried immediately is not double-penalized by the backoff machinery.
-	if d := backoffWait(base, 0, 0, 3, 7, 42); d != base {
+	if d := backoffWait(base, 0, 3, 7, 42); d != base {
 		t.Fatalf("attempt 0 wait = %v, want base %v", d, base)
 	}
-	if d := backoffWait(base, 0, -1, 3, 7, 42); d != base {
+	if d := backoffWait(base, -1, 3, 7, 42); d != base {
 		t.Fatalf("negative attempt wait = %v, want base %v", d, base)
 	}
-	if d := backoffWait(0, 0, 5, 3, 7, 42); d != 0 {
+	if d := backoffWait(0, 5, 3, 7, 42); d != 0 {
 		t.Fatalf("zero base wait = %v, want 0", d)
 	}
 }
@@ -26,9 +26,9 @@ func TestBackoffExponentialGrowthWithinJitterBounds(t *testing.T) {
 	for attempt := 1; attempt <= 6; attempt++ {
 		nominal := base << uint(attempt)
 		if nominal > 8*base {
-			nominal = 8 * base // default cap
+			nominal = 8 * base // the fixed cap
 		}
-		d := backoffWait(base, 0, attempt, 1, 2, 9)
+		d := backoffWait(base, attempt, 1, 2, 9)
 		// Jitter is drawn from (-nominal/8, +nominal/8].
 		if d < nominal-nominal/8 || d > nominal+nominal/8 {
 			t.Fatalf("attempt %d wait %v outside %v +/- 1/8", attempt, d, nominal)
@@ -36,13 +36,13 @@ func TestBackoffExponentialGrowthWithinJitterBounds(t *testing.T) {
 	}
 }
 
-func TestBackoffExplicitCap(t *testing.T) {
+func TestBackoffCapIsEightTimesBase(t *testing.T) {
 	base := 100 * sim.Microsecond
-	cap := 300 * sim.Microsecond
-	for attempt := 2; attempt <= 10; attempt++ {
-		d := backoffWait(base, cap, attempt, 0, 1, 0)
-		if d > cap+cap/8 {
-			t.Fatalf("attempt %d wait %v exceeds cap %v plus jitter", attempt, d, cap)
+	cap := 8 * base
+	for attempt := 3; attempt <= 40; attempt++ {
+		d := backoffWait(base, attempt, 0, 1, uint32(attempt))
+		if d < cap-cap/8 || d > cap+cap/8 {
+			t.Fatalf("attempt %d wait %v outside the 8x cap %v +/- 1/8", attempt, d, cap)
 		}
 	}
 }
@@ -50,8 +50,8 @@ func TestBackoffExplicitCap(t *testing.T) {
 func TestBackoffDeterministicAcrossEqualSeeds(t *testing.T) {
 	base := 150 * sim.Microsecond
 	for attempt := 1; attempt <= 4; attempt++ {
-		a := backoffWait(base, 0, attempt, 2, 5, 77)
-		b := backoffWait(base, 0, attempt, 2, 5, 77)
+		a := backoffWait(base, attempt, 2, 5, 77)
+		b := backoffWait(base, attempt, 2, 5, 77)
 		if a != b {
 			t.Fatalf("attempt %d: equal flow identities gave %v vs %v", attempt, a, b)
 		}
@@ -66,7 +66,7 @@ func TestBackoffJitterDecorrelatesFlows(t *testing.T) {
 	seen := map[sim.Time]bool{}
 	for peer := 0; peer < 8; peer++ {
 		for msg := uint32(0); msg < 8; msg++ {
-			seen[backoffWait(base, 0, 3, 0, peer, msg)] = true
+			seen[backoffWait(base, 3, 0, peer, msg)] = true
 		}
 	}
 	if len(seen) < 2 {

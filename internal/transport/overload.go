@@ -54,15 +54,6 @@ type OverloadParams struct {
 	Rate [NumClasses]int64
 	// Burst is the token-bucket depth in operations (0: 8).
 	Burst [NumClasses]int64
-	// SojournTarget is the CoDel-style target sojourn time of the classed
-	// send queue (0: 100us). Sojourns above target for a full
-	// SojournWindow (0: 500us) start shedding bulk admissions; sojourns
-	// above twice the target shed normal too. Critical is never shed.
-	SojournTarget sim.Time
-	SojournWindow sim.Time
-	// Quantum is the weighted-deficit-round-robin quantum in bytes per
-	// round (0: 4096 critical / 2048 normal / 1024 bulk).
-	Quantum [NumClasses]int
 	// BreakerTrip is how many consecutive peer fast-rejects open that
 	// peer's circuit breaker (0: 8).
 	BreakerTrip int
@@ -78,19 +69,20 @@ func DefaultOverloadParams() OverloadParams {
 	return OverloadParams{Enabled: true}
 }
 
-var defaultQuantum = [NumClasses]int{ClassCritical: 4096, ClassNormal: 2048, ClassBulk: 1024}
+const (
+	// sojournTarget is the CoDel-style target sojourn time of the classed
+	// send queue. Sojourns above target for a full sojournWindow start
+	// shedding bulk admissions; sojourns above twice the target shed
+	// normal too. Critical is never shed.
+	sojournTarget = 100 * sim.Microsecond
+	sojournWindow = 500 * sim.Microsecond
+)
+
+// quantum is the weighted-deficit-round-robin quantum in bytes per round.
+var quantum = [NumClasses]int{ClassCritical: 4096, ClassNormal: 2048, ClassBulk: 1024}
 
 func (p OverloadParams) withDefaults(heartbeat sim.Time) OverloadParams {
-	if p.SojournTarget == 0 {
-		p.SojournTarget = 100 * sim.Microsecond
-	}
-	if p.SojournWindow == 0 {
-		p.SojournWindow = 500 * sim.Microsecond
-	}
 	for c := 0; c < NumClasses; c++ {
-		if p.Quantum[c] == 0 {
-			p.Quantum[c] = defaultQuantum[c]
-		}
 		if p.Burst[c] == 0 {
 			p.Burst[c] = 8
 		}
@@ -239,7 +231,7 @@ func (o *overload) dequeue() (ovItem, bool) {
 		}
 		for _, c := range classPrecedence {
 			if len(o.q[c]) > 0 {
-				o.deficit[c] += o.p.Quantum[c]
+				o.deficit[c] += quantum[c]
 			}
 		}
 	}
@@ -249,7 +241,7 @@ func (o *overload) dequeue() (ovItem, bool) {
 // sojourn. Shedding engages only after sojourns stay above target for a
 // full window, and disengages the moment one packet gets through quickly.
 func (o *overload) observeSojourn(now, sojourn sim.Time) {
-	if sojourn <= o.p.SojournTarget {
+	if sojourn <= sojournTarget {
 		o.above = 0
 		o.shedLevel = 0
 		return
@@ -258,11 +250,11 @@ func (o *overload) observeSojourn(now, sojourn sim.Time) {
 		o.above = now
 		return
 	}
-	if now-o.above < o.p.SojournWindow {
+	if now-o.above < sojournWindow {
 		return
 	}
 	lvl := 1
-	if sojourn > 2*o.p.SojournTarget {
+	if sojourn > 2*sojournTarget {
 		lvl = 2
 	}
 	if lvl > o.shedLevel {
@@ -518,14 +510,14 @@ func (t *Transport) noteFastReject(peer int, now sim.Time) {
 		if b.probing {
 			b.probing = false
 			b.trips++
-			b.reopenAt = now + backoffWait(o.p.BreakerCooldown, 0, b.trips, t.self, peer, 0)
+			b.reopenAt = now + backoffWait(o.p.BreakerCooldown, b.trips, t.self, peer, 0)
 		}
 		return
 	}
 	if b.consec >= o.p.BreakerTrip {
 		b.open = true
 		b.trips++
-		b.reopenAt = now + backoffWait(o.p.BreakerCooldown, 0, b.trips, t.self, peer, 0)
+		b.reopenAt = now + backoffWait(o.p.BreakerCooldown, b.trips, t.self, peer, 0)
 		o.breakerTrips++
 		o.breakerOpen++
 		t.fr.Note(obs.FBreakerTrip, t.frName, int64(peer), int64(b.trips))

@@ -101,7 +101,7 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 				return pend.traceID, err
 			}
 			t.awaitReply(th, &pend.pendingOp,
-				backoffWait(t.params.ReqTimeout, t.params.BackoffCap, attempt, t.self, dst, reqID))
+				backoffWait(t.params.ReqTimeout, attempt, t.self, dst, reqID))
 			if pend.done {
 				resp = pend.resp
 				return pend.traceID, nil

@@ -17,13 +17,17 @@ import (
 // requests) or are fragmented (byte streams).
 const MaxData = datalink.MaxPacketPayload - HeaderSize
 
-// Params are the transport cost and protocol parameters.
-type Params struct {
-	// ProcSend is per-packet send-side protocol processing (charged in
+// The transport's per-packet protocol costs, charged to the CAB CPU.
+const (
+	// procSend is per-packet send-side protocol processing (charged in
 	// the sending thread's context).
-	ProcSend sim.Time
-	// ProcRecv is per-packet receive-side processing (interrupt level).
-	ProcRecv sim.Time
+	procSend = 3 * sim.Microsecond
+	// procRecv is per-packet receive-side processing (interrupt level).
+	procRecv = 2500 * sim.Nanosecond
+)
+
+// Params are the transport protocol parameters.
+type Params struct {
 	// Window is the byte-stream sliding window, in packets.
 	Window int
 	// RTO is the byte-stream retransmission timeout.
@@ -31,17 +35,11 @@ type Params struct {
 	// ReqTimeout and ReqRetries govern request-response retransmission.
 	ReqTimeout sim.Time
 	ReqRetries int
-	// MailboxBytes is the capacity given to internally-created reply
-	// mailboxes.
-	MailboxBytes int
 	// MaxRTOExpiries bounds consecutive byte-stream retransmission
 	// timeouts: after this many RTO expiries with no ack progress,
 	// StreamSend gives up with ErrStreamTimeout instead of retrying
 	// forever (0: 64).
 	MaxRTOExpiries int
-	// BackoffCap caps the exponential retransmission backoff applied to
-	// request-response and VMTP retries (0: 8x the base timeout).
-	BackoffCap sim.Time
 	// HeartbeatInterval enables peer liveness heartbeats: while reliable
 	// operations are outstanding, each watched peer is pinged at this
 	// interval, and after PeerMisses unanswered pings it is declared
@@ -65,13 +63,10 @@ type Params struct {
 // DefaultParams returns parameters meeting the paper's latency budget.
 func DefaultParams() Params {
 	return Params{
-		ProcSend:     3 * sim.Microsecond,
-		ProcRecv:     2500 * sim.Nanosecond,
-		Window:       8,
-		RTO:          2 * sim.Millisecond,
-		ReqTimeout:   5 * sim.Millisecond,
-		ReqRetries:   3,
-		MailboxBytes: 256 * 1024,
+		Window:     8,
+		RTO:        2 * sim.Millisecond,
+		ReqTimeout: 5 * sim.Millisecond,
+		ReqRetries: 3,
 	}
 }
 
@@ -250,7 +245,7 @@ func (t *Transport) serviceLoop(th *kernel.Thread) {
 func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 	if !t.params.DisableAckFastPath && dst != t.self &&
 		len(wire) <= datalink.MaxPacketPayload &&
-		t.dl.TrySendPacketInterrupt(dst, wire, t.params.ProcSend, sp) {
+		t.dl.TrySendPacketInterrupt(dst, wire, procSend, sp) {
 		return
 	}
 	if t.ovl != nil {
@@ -289,7 +284,7 @@ func (t *Transport) sendWire(th *kernel.Thread, dst int, wire []byte) error {
 		defer th.SetSpan(prev)
 	}
 	tsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-send")
-	th.Compute("tp-send", t.params.ProcSend)
+	th.Compute("tp-send", procSend)
 	tsp.End()
 	if dst == t.self {
 		t.fl.Account(t.self, dst, wire[0], len(wire), 0)
@@ -352,7 +347,7 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 // trace span carried across the wire (nil when untraced).
 func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
 	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
-	t.k.Board().CPU.RunInterrupt("tp-recv", t.params.ProcRecv, func() {
+	t.k.Board().CPU.RunInterrupt("tp-recv", procRecv, func() {
 		defer rsp.End()
 		h, payload, err := Decode(wire)
 		if err != nil {
@@ -467,7 +462,7 @@ func (t *Transport) SendDatagramMulticast(th *kernel.Thread, dsts []int, dstBox,
 		MsgID: t.nextMsg, Total: uint32(len(data)),
 	}
 	wire := Encode(h, data)
-	th.Compute("tp-mcast", t.params.ProcSend)
+	th.Compute("tp-mcast", procSend)
 	t.stats.DatagramsSent++
 	t.stats.McastsSent++
 	if len(wire) <= datalink.MaxPacketPayload {

@@ -192,7 +192,7 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		}
 		for attempt := 0; attempt <= vm.params.Retries; attempt++ {
 			t.awaitReply(th, &pend.pendingOp,
-				backoffWait(vm.params.ClientTimeout, t.params.BackoffCap, attempt, t.self, dst, txn))
+				backoffWait(vm.params.ClientTimeout, attempt, t.self, dst, txn))
 			if pend.done {
 				resp = pend.resp.assemble()
 				return pend.traceID, nil

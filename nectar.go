@@ -46,13 +46,14 @@
 // one of the shape constructors — SingleHub, Mesh, Line, Torus, Torus3D,
 // or FatTree — plus functional options, and there is no other way to
 // assemble a System. All shapes share one options struct (ports per HUB,
-// propagation delay, error model, carried in Params.Topo) rather than
-// per-shape positional parameters. WithMetrics enables the metrics
-// registry, WithTraceSpans enables end-to-end span tracing,
-// WithFaultRecovery arms link probing and peer heartbeats, WithRouting
-// selects the routing policy (BFS shortest-path by default; dimension-order
-// or deadlock-free adaptive routing on request), and WithParams carries a
-// fully tuned parameter set.
+// propagation delay, error model) rather than per-shape positional
+// parameters. WithRouting selects the routing policy
+// (BFS shortest-path by default; dimension-order or deadlock-free adaptive
+// routing on request), WithCollAlgorithm forces a collective algorithm
+// family, WithHubCombining arms in-network combining, and
+// WithOverloadControl arms priority classes and admission control. The
+// telemetry options (metrics, span tracing, the observability plane, SLOs)
+// and fault recovery live in internal/core, beside the parameter set.
 //
 // # Error contract
 //
@@ -80,10 +81,8 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/nectarine"
 	"repro/internal/node"
-	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -105,15 +104,8 @@ type System = core.System
 // CABStack is one CAB's hardware board plus kernel, datalink and transport.
 type CABStack = core.CABStack
 
-// Params aggregates every model parameter (hardware constants are fixed by
-// the paper; software costs are tunable).
-type Params = core.Params
-
 // Thread is a CAB kernel thread.
 type Thread = kernel.Thread
-
-// Mailbox is the CAB kernel's message buffer abstraction.
-type Mailbox = kernel.Mailbox
 
 // Node is a Nectar node (a Sun/Warp behind a VME bus and a CAB).
 type Node = node.Node
@@ -133,25 +125,6 @@ func Bytes(data []byte) Buffer { return nectarine.Bytes(data) }
 
 // Words builds a typed 32-bit buffer in the sender's byte order.
 func Words(vals []uint32, bigEndian bool) Buffer { return nectarine.Words(vals, bigEndian) }
-
-// Histogram collects latency samples.
-type Histogram = trace.Histogram
-
-// Tracer records end-to-end message spans (enable with Params.TraceSpans);
-// Span is one layer's timed interval within a traced message.
-type (
-	Tracer = trace.Tracer
-	Span   = trace.Span
-)
-
-// Registry is the metrics registry (enable with Params.Metrics): counters,
-// time-weighted gauges, histograms and read-out functions from every layer,
-// with snapshot/diff and text/JSON export.
-type Registry = trace.Registry
-
-// DefaultParams returns the prototype parameter set used throughout the
-// paper reproduction.
-func DefaultParams() Params { return core.DefaultParams() }
 
 // Topology describes the network shape passed to New; build one with
 // SingleHub, Mesh, Line, Torus, Torus3D, or FatTree.
@@ -203,16 +176,6 @@ const (
 // identically under every policy.
 func WithRouting(policy RoutingPolicy) Option { return core.WithRouting(policy) }
 
-// WithParams replaces the whole parameter set; options after it refine the
-// replaced set.
-func WithParams(p Params) Option { return core.WithParams(p) }
-
-// WithMetrics enables the metrics registry (System.Reg).
-func WithMetrics() Option { return core.WithMetrics() }
-
-// WithTraceSpans enables end-to-end message span tracing (System.Tr).
-func WithTraceSpans() Option { return core.WithTraceSpans() }
-
 // WithCollAlgorithm forces the collective subsystem's algorithm family
 // ("tree", "rd", "ring", "mcast", or "comb") in place of automatic
 // selection.
@@ -226,19 +189,6 @@ func WithCollAlgorithm(name string) Option { return core.WithCollAlgorithm(name)
 // Disabled systems carry no combining state and replay digest-identically
 // to builds without the feature.
 func WithHubCombining() Option { return core.WithHubCombining() }
-
-// WithFaultRecovery arms automatic failure detection and recovery: link
-// probing, peer heartbeats, and bounded retransmission backoff.
-func WithFaultRecovery() Option { return core.WithFaultRecovery() }
-
-// WithFlows arms the flow-level congestion observatory (System.Flows): per
-// (src, dst, protocol) accounting with a k-entry heavy-hitter sketch
-// (k <= 0 selects the default size).
-func WithFlows(k int) Option { return core.WithFlows(k) }
-
-// WithObservatory arms the full observability plane in one option: flow
-// accounting, the virtual-time sampler, and the flight recorder.
-func WithObservatory() Option { return core.WithObservatory() }
 
 // Overload control (default-off). When armed with WithOverloadControl,
 // every transport operation may carry a priority class and a deadline
@@ -256,12 +206,6 @@ type (
 	SendOpts = transport.SendOpts
 	// OverloadParams tunes the overload-control subsystem.
 	OverloadParams = transport.OverloadParams
-	// ErrOverload is the deterministic fast-reject an admission-controlled
-	// transport returns instead of queueing doomed work.
-	ErrOverload = transport.ErrOverload
-	// ErrDeadlineExpired reports an operation shed because its deadline
-	// passed before (or while) it was sent.
-	ErrDeadlineExpired = transport.ErrDeadlineExpired
 )
 
 // Transport priority classes. ClassNormal is the zero value: unclassed
@@ -276,54 +220,6 @@ const (
 // DefaultOverloadParams returns the enabled overload-control parameter set
 // (documented defaults fill the rest).
 func DefaultOverloadParams() OverloadParams { return transport.DefaultOverloadParams() }
-
-// SLO engine (default-off). When armed with WithSLO, the transport reports
-// every reliable operation's outcome (kind, priority class, latency,
-// success) to a deterministic engine evaluated in virtual time: declared
-// objectives get streaming windowed quantile sketches, error budgets, and
-// multi-window (fast/slow) burn rates; breaching both windows fires a
-// deterministic alert carrying a diagnosis bundle — the worst retained
-// trace trees with critical-path attribution, top flows, the hottest
-// weathermap port, and the flight-recorder window. Pairs with tail-based
-// span sampling (WithTailSampling, derived automatically from the
-// objectives): only anomalous, SLO-breaching, or head-sampled trace trees
-// are retained, so tracing stays affordable at fleet scale.
-type (
-	// SLOParams configures the SLO engine: objectives plus window and
-	// burn-rate tuning.
-	SLOParams = slo.Params
-	// SLOObjective is one declared objective ("reqresp critical: p99 <
-	// 2ms, success >= 99.9% over a 50ms window").
-	SLOObjective = slo.Objective
-	// SLOEngine is the armed engine (System.SLO): status, the alert
-	// stream, and captured diagnosis bundles.
-	SLOEngine = slo.Engine
-	// SLOAlert is one burn-rate alert (or its clear).
-	SLOAlert = slo.Alert
-	// SLOBundle is one captured diagnosis artifact.
-	SLOBundle = slo.Bundle
-	// TailConfig parameterizes tail-based span sampling.
-	TailConfig = trace.TailConfig
-)
-
-// SLO operation kinds (SLOObjective.Kind) and the match-any class.
-const (
-	SLOReqResp  = slo.KindReqResp
-	SLOStream   = slo.KindStream
-	SLOVMTP     = slo.KindVMTP
-	SLOAnyClass = slo.AnyClass
-)
-
-// WithSLO arms the SLO engine with the declared objectives, plus the
-// evidence plane its diagnosis bundles draw on: the flight recorder, flow
-// accounting, and tail-sampled span tracing with per-protocol latency
-// bounds derived from the objectives.
-func WithSLO(sp SLOParams) Option { return core.WithSLO(sp) }
-
-// WithTailSampling arms tail-based span sampling with an explicit config
-// (WithSLO derives one automatically; use this for standalone sampling or
-// to override the derived bounds).
-func WithTailSampling(cfg TailConfig) Option { return core.WithTailSampling(cfg) }
 
 // WithOverloadControl arms the overload-control subsystem: priority
 // classes, deadline propagation, admission control, and circuit breaking.
@@ -353,17 +249,11 @@ func RunIPSC(sys *System, nprocs int, body func(c *ipsc.Ctx)) Time {
 // (E1-E12, F1); each returns printable tables and a pass flag.
 func Experiments() []exp.Experiment { return exp.All() }
 
-// Collective communication (internal/coll): CAB-offloaded barrier,
-// broadcast, reductions, and the gather/scatter family over the HUB
-// hardware multicast.
-type (
-	// CollGroup is a collective group (deterministic rank per member CAB).
-	CollGroup = coll.Group
-	// CollComm is one member's endpoint for the collective operations.
-	CollComm = coll.Comm
-	// CollOp is a reduction operator (SumInt64, MaxInt64, SumFloat64...).
-	CollOp = coll.Op
-)
+// CollGroup is a collective group of the CAB-offloaded collective
+// subsystem (internal/coll): barrier, broadcast, reductions, and the
+// gather/scatter family over the HUB hardware multicast, with a
+// deterministic rank per member CAB.
+type CollGroup = coll.Group
 
 // NewCollGroup declares collective group id over the given member CABs;
 // drive the operations from kernel threads via Group.Member. Nectarine
@@ -372,37 +262,18 @@ func NewCollGroup(sys *System, id int, cabs []int, opts ...coll.Option) *CollGro
 	return coll.NewGroup(sys, id, cabs, opts...)
 }
 
-// Reduction operators for Reduce/Allreduce (8-byte little-endian lanes).
-var (
-	SumInt64Op   = coll.SumInt64
-	MaxInt64Op   = coll.MaxInt64
-	SumFloat64Op = coll.SumFloat64
-)
+// SumInt64Op is the int64 sum reduction for Reduce/Allreduce (8-byte
+// little-endian lanes).
+var SumInt64Op = coll.SumInt64
 
-// Lane converters between typed slices and the byte payloads the
+// Lane converters between int64 slices and the byte payloads the
 // collective operations move.
 var (
-	Int64Bytes   = coll.Int64Bytes
-	BytesInt64   = coll.BytesInt64
-	Float64Bytes = coll.Float64Bytes
-	BytesFloat64 = coll.BytesFloat64
+	Int64Bytes = coll.Int64Bytes
+	BytesInt64 = coll.BytesInt64
 )
 
-// Application entry points and configurations (paper section 7).
-type (
-	// VisionConfig parameterizes the vision pipeline.
-	VisionConfig = apps.VisionConfig
-	// ProductionConfig parameterizes the production system.
-	ProductionConfig = apps.ProductionConfig
-	// AnnealConfig parameterizes the iPSC annealer.
-	AnnealConfig = apps.AnnealConfig
-	// TxnConfig parameterizes the distributed transaction workload.
-	TxnConfig = apps.TxnConfig
-	// DSMConfig parameterizes the shared-virtual-memory workload.
-	DSMConfig = apps.DSMConfig
-)
-
-// Application entry points and default configurations.
+// Application entry points (paper section 7).
 var (
 	// RunVision runs the Warp + distributed-spatial-database pipeline.
 	RunVision = apps.RunVision
@@ -410,14 +281,7 @@ var (
 	RunProduction = apps.RunProduction
 	// RunAnnealing runs the iPSC simulated annealer.
 	RunAnnealing = apps.RunAnnealing
-	// RunTransactions runs the Camelot-style 2PC workload.
-	RunTransactions = apps.RunTransactions
-	// RunDSM runs the shared-virtual-memory workload.
-	RunDSM = apps.RunDSM
 
-	DefaultVisionConfig     = apps.DefaultVisionConfig
-	DefaultProductionConfig = apps.DefaultProductionConfig
-	DefaultAnnealConfig     = apps.DefaultAnnealConfig
-	DefaultTxnConfig        = apps.DefaultTxnConfig
-	DefaultDSMConfig        = apps.DefaultDSMConfig
+	// DefaultVisionConfig is the vision pipeline's paper configuration.
+	DefaultVisionConfig = apps.DefaultVisionConfig
 )
