@@ -29,8 +29,8 @@ type Board struct {
 	// item's first-byte arrival (the hardware raises the interrupt on
 	// start of packet).
 	itemHandler func(*fiber.Item)
-	// drainUpstream signals the HUB output register feeding us that the
-	// start of packet emerged from our input queue (set by wiring).
+	// drainUpstream returns a drained or discarded packet's credit to the
+	// HUB output register feeding us (set by wiring).
 	drainUpstream func()
 
 	// powered is false while the board is crashed (fault injection): the
@@ -90,8 +90,8 @@ func (b *Board) Name() string { return b.name }
 func (b *Board) EndpointName() string { return b.name }
 
 // AttachNet wires the board's outgoing fiber. drainUpstream is invoked when
-// the board's input queue drains a packet, restoring the upstream HUB
-// output's ready bit.
+// the board's input queue drains or discards a packet, restoring the
+// upstream HUB output's ready bit.
 func (b *Board) AttachNet(out *fiber.Link, drainUpstream func()) {
 	b.out = out
 	b.drainUpstream = drainUpstream
@@ -109,8 +109,12 @@ func (b *Board) PowerOff() {
 	b.crashes++
 }
 
-// PowerOn restarts a crashed board's hardware.
-func (b *Board) PowerOn() { b.powered = true }
+// PowerOn restarts a crashed board's hardware. The power-on reset sets the
+// outgoing ready bit, returning the credit of any packet Send withheld.
+func (b *Board) PowerOn() {
+	b.powered = true
+	b.SetNetReady()
+}
 
 // Powered reports whether the board is running.
 func (b *Board) Powered() bool { return b.powered }
@@ -119,21 +123,25 @@ func (b *Board) Powered() bool { return b.powered }
 func (b *Board) Crashes() int64 { return b.crashes }
 
 // Receive implements fiber.Endpoint: an item arrived on the incoming fiber.
+// A packet the board cannot take is discarded and drains at once.
 func (b *Board) Receive(it *fiber.Item) {
-	if !b.powered {
-		b.itemsDropped++
-		return
+	if b.powered {
+		b.itemsIn++
+		if b.itemHandler != nil {
+			b.itemHandler(it)
+			return
+		}
 	}
-	b.itemsIn++
-	if b.itemHandler == nil {
-		b.itemsDropped++
-		return
+	b.itemsDropped++
+	if it.Kind == fiber.KindPacket {
+		b.DrainedPacket()
 	}
-	b.itemHandler(it)
 }
 
 // Send serializes items onto the outgoing fiber in order. A powered-off
-// board transmits nothing.
+// board transmits nothing, and the credit taken for a withheld packet
+// returns at PowerOn: until then the cleared ready bit parks the crashed
+// board's surviving threads, its link prober included (DESIGN §18).
 func (b *Board) Send(items ...*fiber.Item) {
 	if !b.powered {
 		return

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fiber"
 	"repro/internal/sim"
 )
 
@@ -388,6 +389,71 @@ func TestBoardNetReady(t *testing.T) {
 	eng.Run()
 	if waited != 5000 {
 		t.Fatalf("WaitNetReady returned at %v, want 5000", waited)
+	}
+}
+
+// A board that discards an arriving packet (powered off, or no datalink
+// attached) drains it at once, returning exactly one credit upstream in the
+// arrival's event; commands and replies carry none.
+func TestBoardDiscardReturnsCredit(t *testing.T) {
+	eng := sim.NewEngine()
+	b := NewBoard(eng, 0, "cab0")
+	credits := 0
+	b.AttachNet(fiber.NewLink(eng, "cab0->hub", nil), func() { credits++ })
+	items := []*fiber.Item{
+		{Kind: fiber.KindCommand},
+		{Kind: fiber.KindReply},
+		{Kind: fiber.KindPacket, Payload: make([]byte, 8)},
+	}
+	check := func(state string) {
+		credits = 0
+		for _, it := range items {
+			b.Receive(it)
+		}
+		if credits != 1 {
+			t.Errorf("%s: one discarded packet returned %d credits, want 1", state, credits)
+		}
+	}
+	check("no datalink")
+	b.SetItemHandler(func(*fiber.Item) {})
+	b.PowerOff()
+	check("powered off")
+	b.PowerOn()
+	credits = 0
+	for _, it := range items {
+		b.Receive(it)
+	}
+	if credits != 0 {
+		t.Errorf("a running board returned %d credits before its datalink drained anything", credits)
+	}
+}
+
+// A powered-off board transmits nothing and keeps the credit its datalink
+// took; the power-on reset sets the ready bit again and wakes the sender
+// parked on it.
+func TestBoardPowerOnReturnsWithheldCredit(t *testing.T) {
+	eng := sim.NewEngine()
+	b := NewBoard(eng, 0, "cab0")
+	out := fiber.NewLink(eng, "cab0->hub", nil)
+	b.AttachNet(out, nil)
+	var woke sim.Time
+	eng.At(100, func() {
+		b.PowerOff()
+		b.ClearNetReady()
+		b.Send(&fiber.Item{Kind: fiber.KindPacket, Payload: make([]byte, 8)})
+	})
+	eng.Go("datalink", func(p *sim.Proc) {
+		p.Sleep(200)
+		b.WaitNetReady(p)
+		woke = p.Now()
+	})
+	eng.At(5000, b.PowerOn)
+	eng.Run()
+	if out.Items() != 0 {
+		t.Fatalf("powered-off board put %d items on the fiber", out.Items())
+	}
+	if woke != 5000 {
+		t.Fatalf("sender parked on the withheld credit woke at %v, want 5000 (power-on)", woke)
 	}
 }
 

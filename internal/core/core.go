@@ -141,14 +141,14 @@ func (c *CABStack) Crash() {
 
 // Reboot restarts a crashed CAB with cold mailboxes: power returns, every
 // mailbox is purged (in-flight messages are lost, as after a real reboot),
-// the HUB port it hangs off is reset, and the flow-control ready state is
-// re-established so the network can deliver again.
+// and the HUB port it hangs off is reset so the network can deliver again.
+// Flow-control credit needs no repair: power-on sets the board's ready bit,
+// and the port reset returns the credit of every packet it discards.
 func (c *CABStack) Reboot(net *topo.Network) {
 	c.fr.Note(obs.FReboot, c.Board.Name(), int64(c.Board.ID()), 0)
 	c.Board.PowerOn()
 	c.Kernel.Reboot()
 	net.ResetCABPort(c.Board.ID())
-	c.Board.SetNetReady()
 	c.DL.FlushRoutes()
 }
 

@@ -98,6 +98,33 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// Run returns at the last event that does anything: once a lone datagram
+// has been delivered and its credit returned, nothing stays scheduled.
+func TestRunEndsAtLastRealEvent(t *testing.T) {
+	sys := core.New(core.SingleHub(2))
+	rx := sys.CAB(1)
+	mb := rx.Kernel.NewMailbox("rx", 4096)
+	rx.TP.Register(1, mb)
+	var delivered sim.Time
+	rx.Kernel.SpawnDaemon("rx", func(th *kernel.Thread) {
+		mb.Release(mb.Get(th))
+		delivered = th.Proc().Now()
+	})
+	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
+		sys.CAB(0).TP.SendDatagram(th, 1, 1, 0, []byte("x"))
+	})
+	end := sys.Run()
+	if delivered == 0 {
+		t.Fatal("datagram never delivered")
+	}
+	if end-delivered > 100*sim.Microsecond {
+		t.Fatalf("Run returned at %v, %v after delivery at %v; want within 100us", end, end-delivered, delivered)
+	}
+	if n := sys.Eng.Pending(); n != 0 {
+		t.Fatalf("%d events still pending after Run", n)
+	}
+}
+
 func TestCustomTopoOptions(t *testing.T) {
 	p := core.DefaultParams()
 	p.Topo = topo.Options{HubPorts: 32}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/hub"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -305,5 +306,65 @@ func TestTrainAndHotSpot(t *testing.T) {
 	}
 	if got, whole := len(a.CriticalPaths()), len(calm.CriticalPaths()); got >= whole {
 		t.Fatalf("storm window holds %d requests, whole calm run %d", got, whole)
+	}
+}
+
+// Ready credit is conserved across every catalogue fault: once a scenario
+// has run to quiescence, every HUB output register that feeds a fiber is
+// ready unless it is marked failed or stuck, and every powered board may
+// send. Each scenario also runs with link probing off, so no FailLink or
+// RestoreLink resets a register behind the fabric's back and a credit lost
+// anywhere stays lost.
+func TestCreditConservedAcrossFaults(t *testing.T) {
+	noProbes := func(p *core.Params) { p.Datalink.ProbeInterval = 0 }
+	for _, name := range fault.Names() {
+		for _, probing := range []bool{true, false} {
+			label := name
+			opts := fault.TrainOptions()
+			if !probing {
+				label += "/no-probes"
+				opts = append(opts, noProbes)
+			}
+			t.Run(label, func(t *testing.T) {
+				sys := core.New(core.Mesh(2, 2, 1), opts...)
+				sc, err := fault.Named(name, 7, sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fault.New(sys, sc).Schedule()
+				const msgs = 20
+				out := fault.StartTrain(sys, fault.Train{From: 0, To: sys.NumCABs() - 1, Msgs: msgs})
+				sys.RunUntil(60 * sim.Millisecond)
+				sys.StopProbers()
+				sys.RunUntil(80 * sim.Millisecond)
+				net := sys.Net
+				outputs := map[*hub.Port]bool{}
+				for id := range sys.CABs {
+					outputs[net.Hub(net.HubOf(id)).Port(net.PortOf(id))] = true
+				}
+				for _, e := range net.InterHubEdges() {
+					pa, _ := net.EdgePort(e[0], e[1])
+					pb, _ := net.EdgePort(e[1], e[0])
+					outputs[net.Hub(e[0]).Port(pa)] = true
+					outputs[net.Hub(e[1]).Port(pb)] = true
+				}
+				for p := range outputs {
+					if !p.Ready() && !p.Failed() && !p.Stuck() {
+						t.Errorf("%s: output register not ready at quiescence", p.EndpointName())
+					}
+				}
+				for _, c := range sys.CABs {
+					if b := c.Board; b.Powered() && !b.NetReady() {
+						t.Errorf("%s: powered board not ready at quiescence", b.Name())
+					}
+				}
+				if n := sys.Eng.Pending(); n != 0 {
+					t.Errorf("not quiescent: %d events pending", n)
+				}
+				if out.Delivered != msgs {
+					t.Errorf("delivered %d/%d", out.Delivered, msgs)
+				}
+			})
+		}
 	}
 }

@@ -326,3 +326,31 @@ func TestSetPropagationPanicsInFlight(t *testing.T) {
 		t.Fatalf("delivered %d items, want 1", len(dst.items))
 	}
 }
+
+// A packet sent into a dark fiber returns its credit to the sender in the
+// send's own event; commands and replies carry no credit.
+func TestDarkFiberReturnsCredit(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &sink{name: "dst", eng: e}
+	l := NewLink(e, "l", dst)
+	credits := 0
+	var at sim.Time
+	l.SetCreditReturn(func() { credits++; at = e.Now() })
+	l.SetDown(true)
+	e.At(500, func() {
+		l.Send(&Item{Kind: KindCommand}, 0)
+		l.Send(&Item{Kind: KindReply}, 0)
+		if credits != 0 {
+			t.Errorf("commands and replies returned %d credits, want 0", credits)
+		}
+		l.Send(newPacket(64), 0)
+		l.Send(newPacket(64), 0)
+	})
+	e.Run()
+	if credits != 2 || at != 500 {
+		t.Fatalf("2 lost packets returned %d credits, the last at %v; want 2 at 500", credits, at)
+	}
+	if len(dst.items) != 0 || l.Drops() != 4 {
+		t.Fatalf("dark fiber delivered %d items and dropped %d, want 0 and 4", len(dst.items), l.Drops())
+	}
+}

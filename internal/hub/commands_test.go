@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fiber"
 	"repro/internal/sim"
 )
 
@@ -289,17 +290,36 @@ func TestSupCountersAndTestPattern(t *testing.T) {
 	}
 }
 
+// TestSupResetPortClearsState: a port reset closes the port's connections
+// and discards its queued packets, returning each one's credit upstream at
+// the reset instant and counting it as a drop.
 func TestSupResetPortClearsState(t *testing.T) {
 	eng := sim.NewEngine()
 	h := New(eng, 0, 4, nil)
 	a := attachCAB(eng, h, 0, "cabA")
 	b := attachCAB(eng, h, 1, "cabB")
-	eng.At(0, func() { a.send(a.cmd(OpOpenRetry, 0, 1)) })
-	eng.At(5000, func() { b.send(b.cmd(SupResetPort, 0, 0)) }) // reset a's port
+	var creditAt sim.Time
+	h.Port(0).SetUpstreamReady(func() { a.readyUps++; creditAt = eng.Now() })
+	eng.At(0, func() {
+		a.send(a.cmd(OpOpenRetry, 0, 1))
+		b.send(b.cmd(OpLock, 0, 3))
+	})
+	// a's input stalls behind a lock b holds; the packet queues behind it.
+	eng.At(1000, func() { a.send(a.cmd(OpLockRetry, 0, 3), packet(16)) })
+	const resetAt = 5000
+	eng.At(resetAt, func() { b.send(b.cmd(SupResetPort, 0, 0)) }) // reset a's port
 	eng.At(10_000, func() { b.send(b.cmd(OpStatusConnCnt, 0, 0)) })
 	eng.Run()
-	if len(b.replies) != 1 || b.replies[0].ReplyVal != 0 {
+	if n := len(b.replies); n != 2 || b.replies[n-1].ReplyVal != 0 {
 		t.Fatalf("connections after port reset: %v", b.replies)
+	}
+	// The reset executes when its last command byte has arrived.
+	executed := sim.Time(resetAt) + fiber.DefaultPropagation + fiber.CommandBytes*fiber.ByteTime
+	if a.readyUps != 1 || creditAt != executed {
+		t.Fatalf("reset returned %d credits to cabA, the last at %v; want 1 at %v", a.readyUps, creditAt, executed)
+	}
+	if q := h.Port(0); q.Drops() != 1 || q.QueueBytes() != 0 {
+		t.Fatalf("reset port: %d drops, %d queued bytes; want 1 and 0", q.Drops(), q.QueueBytes())
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -43,19 +43,6 @@ const (
 	// the episode re-arms once the queue drains below half the mark.
 	CongestionHighWater = InputQueueBytes * 3 / 4
 
-	// ReadyTimeout bounds how long an output register's ready bit may stay
-	// cleared waiting for the downstream drain signal. The ready bit is a
-	// flow-control credit: when the packet that cleared it dies on a dark
-	// fiber, the drain signal it would have triggered is lost and the
-	// credit would be withheld forever — every later test-open parks on
-	// the register, stalling its input queue and, transitively, the CAB
-	// transmit path and the very liveness prober whose FailLink would have
-	// reset the port. The watchdog regenerates the credit instead; it is
-	// two orders of magnitude above any legitimate drain (a full 1 KB
-	// input queue empties in tens of microseconds), so it fires only on
-	// genuine credit loss.
-	ReadyTimeout = sim.Millisecond
-
 	// DefaultPorts is the prototype HUB's port count (16 x 16 crossbar).
 	DefaultPorts = 16
 
@@ -427,8 +414,8 @@ func (h *Hub) serveWaiters(out *Port) {
 // one) and its input resumed, and the ready bit is set as given. Recovery
 // code calls this when a link is declared dead (ready=false: nothing should
 // wait for the dead register again) and when it is restored (ready=true).
-// Without it, a packet forwarded into a dead link leaves the register
-// not-ready forever and every later test-open wedges behind it.
+// Credit needs no repair here: a packet lost on a dark fiber returns its
+// credit as it is sent (fiber.Link.ReturnCredit).
 func (h *Hub) ResetOutput(i int, ready bool) {
 	out := h.ports[i]
 	waiters := out.waiters
@@ -453,18 +440,19 @@ func (h *Hub) ResetOutput(i int, ready bool) {
 // connections in both directions and restores the ready bit, un-wedging
 // traffic stalled on a CAB that crashed while its packet sat in the queue.
 func (h *Hub) ResetPort(i int) {
-	q := h.ports[i]
 	h.ResetOutput(i, false)
+	h.resetInput(h.ports[i])
+}
+
+// resetInput closes q's outgoing connections, discards its input queue and
+// restores its ready bit, which also retries opens that parked while the
+// port was wedged.
+func (h *Hub) resetInput(q *Port) {
 	for len(q.conn) > 0 {
 		h.closeConn(q, q.conn[0])
 	}
-	for len(q.inq) > 0 {
-		dropped := q.pop()
-		q.drop(dropped, "port reset")
-	}
+	q.flushInput("port reset")
 	q.stalled = false
-	// Restoring the ready bit also retries opens that parked while the
-	// port was wedged.
 	q.SetReady()
 }
 

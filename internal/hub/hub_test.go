@@ -563,6 +563,11 @@ func TestLoopback(t *testing.T) {
 	if len(b.packets) != 0 {
 		t.Fatal("loopback leaked to cabB")
 	}
+	// The reflected packet never entered the input queue: its credit
+	// went back to cabA when it was reflected.
+	if a.readyUps != 1 {
+		t.Fatalf("loopback returned %d credits to cabA, want 1", a.readyUps)
+	}
 }
 
 func TestFrameErrorLosesCommand(t *testing.T) {

@@ -35,9 +35,8 @@ type Port struct {
 	running bool // a processing chain is active
 	stalled bool // head command parked at the controller (retry)
 	conn    []*Port
-	// upstreamReady notifies the upstream output register (on the device
-	// feeding this input) that the start of packet has emerged from this
-	// input queue (paper §4.2.3). Wired at topology-build time.
+	// upstreamReady returns a drained (paper §4.2.3) or discarded packet's
+	// credit to the upstream output register (wired to the incoming link).
 	upstreamReady func()
 	// stepFn is p.step, bound once so scheduling it allocates nothing.
 	stepFn func()
@@ -47,10 +46,7 @@ type Port struct {
 	owner     *Port
 	connReady sim.Time
 	ready     bool
-	// readyGen numbers ready-bit clears so the credit-loss watchdog can
-	// tell whether the clear it armed for is still the current one.
-	readyGen uint64
-	waiters  []*pendingCmd
+	waiters   []*pendingCmd
 	// stuck models a failed output register (paper §4: recovery from
 	// hardware failures): items reaching it are lost instead of leaving on
 	// the fiber. The fault is visible through the status table (the owner
@@ -101,8 +97,8 @@ func (p *Port) ID() int { return p.id }
 // EndpointName implements fiber.Endpoint.
 func (p *Port) EndpointName() string { return p.name }
 
-// SetUpstreamReady registers the callback that propagates this input
-// queue's drain events to the upstream output register's ready bit.
+// SetUpstreamReady registers the callback that returns a packet's credit to
+// the upstream output register when this input drains or discards it.
 func (p *Port) SetUpstreamReady(fn func()) { p.upstreamReady = fn }
 
 // Ready returns the output register's ready bit.
@@ -136,8 +132,9 @@ func (p *Port) PacketsReceived() int64 { return p.pktIn }
 func (p *Port) Drops() int64 { return p.drops }
 
 // SetStuck injects (true) or clears (false) a stuck-output-register fault:
-// while stuck, items reaching this output register are lost. Clearing the
-// fault does not repair protocol state; use Hub.ResetOutput for that.
+// while stuck, items reaching this output register are lost before they
+// take its credit. Clearing the fault leaves connections as they were;
+// Hub.ResetOutput frees them.
 func (p *Port) SetStuck(stuck bool) { p.stuck = stuck }
 
 // Stuck reports whether the output register fault is active.
@@ -170,6 +167,7 @@ func (p *Port) Receive(it *fiber.Item) {
 	if p.loopback {
 		// Supervisor loopback: reflect straight out our own output.
 		p.sendOut(it.Clone(), p.hub.eng.Now()+TransferLatency)
+		p.returnCredit(it)
 		return
 	}
 	if it.Kind == fiber.KindPacket {
@@ -199,14 +197,27 @@ func (p *Port) Receive(it *fiber.Item) {
 }
 
 // drop discards an item, keeping the flow-control protocol consistent: a
-// dropped packet will never emerge from this queue, so the upstream ready
-// bit is restored here.
+// dropped packet will never emerge from this queue, so its credit goes back
+// upstream here.
 func (p *Port) drop(it *fiber.Item, why string) {
 	p.drops++
 	if p.hub.rec != nil {
 		p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: %s", it, why)
 	}
 	p.hub.fr.Note(obs.FDrop, p.name, int64(p.id), int64(it.Bytes()))
+	p.returnCredit(it)
+}
+
+// flushInput discards every queued item (see drop).
+func (p *Port) flushInput(why string) {
+	for len(p.inq) > 0 {
+		p.drop(p.pop(), why)
+	}
+}
+
+// returnCredit gives a packet's ready credit back to the upstream output
+// register; commands and replies carry none.
+func (p *Port) returnCredit(it *fiber.Item) {
 	if it.Kind == fiber.KindPacket && p.upstreamReady != nil {
 		p.upstreamReady()
 	}
@@ -394,10 +405,7 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		// The mark is at the head of the queue, i.e. it has drained.
 		h.reply(it, true, uint64(it.Cmd.Param))
 	case OpFlush:
-		for len(p.inq) > 0 {
-			dropped := p.pop()
-			p.drop(dropped, "flushed")
-		}
+		p.flushInput("flushed")
 	case OpAbort:
 		for len(p.conn) > 0 {
 			h.closeConn(p, p.conn[0])
@@ -441,17 +449,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 			if q.owner != nil {
 				h.closeConn(q.owner, q)
 			}
-			for len(q.conn) > 0 {
-				h.closeConn(q, q.conn[0])
-			}
-			q.inq = nil
-			q.inBytes = 0
-			q.occ.Set(0)
-			q.stalled = false
-			q.congested = false
-			// Restoring the ready bit also retries opens that parked
-			// while the port was wedged.
-			q.SetReady()
+			h.resetInput(q)
 		}
 	case SupEnablePort:
 		if q := portParam(); q != nil {
@@ -565,11 +563,9 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		c.Hops++
 		out.sendOut(c, start+TransferLatency)
 	}
-	if isPacket && p.upstreamReady != nil {
-		// The start of packet has emerged from this input queue: tell
-		// the upstream output register (paper §4.2.3).
-		p.upstreamReady()
-	}
+	// The start of packet has emerged from this input queue: tell the
+	// upstream output register (paper §4.2.3).
+	p.returnCredit(it)
 	if isCloseAll {
 		// close all "is recognized at the output register of each HUB in
 		// the route. After detecting the close all, the HUB closes the
@@ -598,22 +594,8 @@ func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
 	}
 	if it.Kind == fiber.KindPacket {
 		// The start of packet passes the output register: clear the
-		// ready bit until the downstream input queue drains it.
+		// ready bit until the link returns the packet's credit.
 		p.ready = false
-		p.readyGen++
-		gen := p.readyGen
-		// Credit-loss watchdog: if the drain signal never comes back (the
-		// packet died on a dark fiber), regenerate the credit rather than
-		// withholding it forever. See ReadyTimeout.
-		p.hub.eng.After(ReadyTimeout, func() {
-			if !p.ready && p.readyGen == gen {
-				if p.hub.rec != nil {
-					p.hub.rec.Record(trace.EvConnRetry, p.name, "ready credit regenerated (gen %d)", gen)
-				}
-				p.hub.fr.Note(obs.FCreditLoss, p.name, int64(p.id), int64(gen))
-				p.SetReady()
-			}
-		})
 		p.pktOut++
 		p.bytesOut += int64(it.Bytes())
 		if p.hub.rec != nil {

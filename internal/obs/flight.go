@@ -40,7 +40,6 @@ const (
 	FSLOClear             // SLO burn-rate alert cleared     A=fast burn x100
 	FCombine              // HUB combining slot completed    A=slot tag  B=seq
 	FCombTimeout          // HUB combining slot flushed partial  A=slot tag  B=contributors present
-	FCreditLoss           // hub output ready credit regenerated  A=port  B=generation
 	kindCount
 )
 
@@ -71,7 +70,6 @@ var kindNames = [kindCount]string{
 	FSLOClear:        "slo-clear",
 	FCombine:         "combine",
 	FCombTimeout:     "comb-timeout",
-	FCreditLoss:      "credit-loss",
 }
 
 // String returns the kind's display name.

@@ -173,9 +173,11 @@ func (n *Network) HubOf(cabID int) int { return n.attachHub[cabID] }
 // PortOf returns the HUB port a CAB attaches to.
 func (n *Network) PortOf(cabID int) int { return n.attachPort[cabID] }
 
-// newLink builds a fiber link with the network's options.
-func (n *Network) newLink(name string, dst fiber.Endpoint) *fiber.Link {
+// newLink builds a fiber link with the network's options; credit restores
+// its sender's ready bit.
+func (n *Network) newLink(name string, dst fiber.Endpoint, credit func()) *fiber.Link {
 	l := fiber.NewLink(n.eng, name, dst)
+	l.SetCreditReturn(credit)
 	l.SetPropagation(n.opts.Propagation)
 	if n.opts.Errors.BitErrorRate != 0 {
 		m := n.opts.Errors
@@ -203,20 +205,18 @@ func (n *Network) AttachCAB(hubIdx int, name string) *cab.Board {
 	return b
 }
 
-// wireCAB connects board b to (hubIdx, port) with a fiber pair and the
-// ready-bit back-channels.
+// wireCAB connects board b to (hubIdx, port) with a fiber pair; each link
+// carries its sender's ready-bit back-channel.
 func (n *Network) wireCAB(b *cab.Board, hubIdx, port int) {
 	h := n.hubs[hubIdx]
-	in := h.Port(port)
-	// CAB -> HUB input queue.
-	toHub := n.newLink(b.Name()+"->"+h.Name(), in)
-	// When the HUB input queue drains our packet, our ready bit sets.
-	in.SetUpstreamReady(b.SetNetReady)
-	// HUB output register -> CAB.
-	fromHub := n.newLink(h.Name()+"->"+b.Name(), b)
+	p := h.Port(port)
+	// CAB -> HUB input queue: our ready bit sets when it returns a credit.
+	toHub := n.newLink(b.Name()+"->"+h.Name(), p, b.SetNetReady)
+	p.SetUpstreamReady(toHub.ReturnCredit)
+	// HUB output register -> CAB: the output's ready bit likewise.
+	fromHub := n.newLink(h.Name()+"->"+b.Name(), b, p.SetReady)
 	h.ConnectOutput(port, fromHub)
-	// When the CAB input queue drains, the HUB output's ready bit sets.
-	b.AttachNet(toHub, h.Port(port).SetReady)
+	b.AttachNet(toHub, fromHub.ReturnCredit)
 
 	n.cabLinks = append(n.cabLinks, [2]*fiber.Link{toHub, fromHub})
 	n.boards = append(n.boards, b)
@@ -235,12 +235,12 @@ func (n *Network) ConnectHubs(a, b int) {
 	n.nextHubPort[a]--
 	n.nextHubPort[b]--
 	ha, hb := n.hubs[a], n.hubs[b]
-	lab := n.newLink(ha.Name()+"->"+hb.Name(), hb.Port(pb))
-	lba := n.newLink(hb.Name()+"->"+ha.Name(), ha.Port(pa))
+	lab := n.newLink(ha.Name()+"->"+hb.Name(), hb.Port(pb), ha.Port(pa).SetReady)
+	lba := n.newLink(hb.Name()+"->"+ha.Name(), ha.Port(pa), hb.Port(pb).SetReady)
 	ha.ConnectOutput(pa, lab)
 	hb.ConnectOutput(pb, lba)
-	hb.Port(pb).SetUpstreamReady(ha.Port(pa).SetReady)
-	ha.Port(pa).SetUpstreamReady(hb.Port(pb).SetReady)
+	hb.Port(pb).SetUpstreamReady(lab.ReturnCredit)
+	ha.Port(pa).SetUpstreamReady(lba.ReturnCredit)
 	n.adj[a] = append(n.adj[a], edge{to: b, portHere: pa, link: lab})
 	n.adj[b] = append(n.adj[b], edge{to: a, portHere: pb, link: lba})
 	n.invalidateRoutes()
