@@ -281,7 +281,7 @@ func runChaos(stdout, stderr io.Writer, name string, seed int64, rows, cols, msg
 	overload := name == "overload"
 	opts := append(fault.TrainOptions(), core.WithFlightRecorder(), core.WithStallWatchdog())
 	if overload {
-		opts = append(opts, core.WithOverloadControl(transport.DefaultOverloadParams()))
+		opts = append(opts, core.WithOverloadControl())
 	}
 	sys := core.New(core.Mesh(rows, cols, 1), opts...)
 	n := sys.NumCABs()

@@ -18,11 +18,10 @@
 //     crossbar tree, made reliable by ack aggregation up a binomial
 //     tree with stream retransmission to the losers only (mcast.go).
 //
-// Selection is automatic by payload size x group size x placement, with
-// core.WithCollAlgorithm (system-wide) and coll.WithAlgorithm (per
-// group) overrides. Everything is instrumented: per-collective spans
-// (trace.LayerColl), coll.* metrics, and flight-recorder events for
-// multicast retransmits and stragglers.
+// Selection is automatic by payload size x group size x placement, with a
+// per-group coll.WithAlgorithm override. Everything is instrumented:
+// per-collective spans (trace.LayerColl), coll.* metrics, and
+// flight-recorder events for multicast retransmits and stragglers.
 //
 // Determinism: all scheduling happens on the system's discrete-event
 // engine and every tie (rank order, combine order, retransmit order) is
@@ -69,7 +68,7 @@ type Group struct {
 	base    uint16
 	mcastOK bool // all members on distinct CABs: HW multicast usable
 
-	forced  string // per-group algorithm override ("" = system params)
+	forced  string // per-group algorithm override ("" = automatic)
 	algo    algo
 	retries int // per-link retry bound of sendTo (WithMaxRetries)
 
@@ -87,11 +86,10 @@ type Group struct {
 type Option func(*Group)
 
 // WithAlgorithm forces this group's algorithm family ("tree", "rd",
-// "ring", "mcast", "comb"; empty or "auto" restores automatic selection),
-// overriding the system-wide core.WithCollAlgorithm. "comb" selects HUB
-// in-network combining for reduce/allreduce/barrier and requires
-// core.WithHubCombining on the system (otherwise it degrades to the
-// closest endpoint algorithm, like any other unusable override).
+// "ring", "mcast", "comb"; empty or "auto" keeps automatic selection).
+// "comb" selects HUB in-network combining for reduce/allreduce/barrier and
+// requires core.WithHubCombining on the system (otherwise it degrades to
+// the closest endpoint algorithm, like any other unusable override).
 func WithAlgorithm(name string) Option {
 	return func(g *Group) { g.forced = name }
 }
@@ -135,7 +133,6 @@ func NewGroup(sys *core.System, id int, cabs []int, opts ...Option) *Group {
 		fr:   sys.FR,
 	}
 	g.retries = 8
-	g.forced = sys.Params.Coll.Algorithm
 	for _, opt := range opts {
 		opt(g)
 	}

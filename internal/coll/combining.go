@@ -4,14 +4,19 @@ import (
 	"encoding/binary"
 
 	"repro/internal/hub"
+	"repro/internal/hub/comb"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 // CombMaxLanes bounds the payload the HUB-combining path accepts, in
 // 8-byte lanes: each lane is one combining command, so large payloads are
 // better served by the bandwidth-optimal endpoint algorithms.
 const CombMaxLanes = 16
+
+// combWait is the client-side wait bound on a combining verdict: twice the
+// HUB straggler timeout, so every member of a group observes the same
+// combined-vs-fallback verdict per lane.
+const combWait = 2 * comb.DefaultTimeout
 
 // combPlacement is the group's layout over the topology's HUBs, computed
 // once at NewGroup when the system armed core.WithHubCombining. Hubs are
@@ -20,20 +25,19 @@ const CombMaxLanes = 16
 // function of membership — fully deterministic.
 type combPlacement struct {
 	enabled bool
-	tag     uint16   // system-unique slot tag (core.System.NextCombTag)
-	timeout sim.Time // client-side wait bound (2x the HUB straggler timeout)
-	multi   bool     // members span more than one HUB
-	locals  [][]int  // hub index -> member ranks on that hub, ascending
-	leaders []int    // hub index -> leader rank (== locals[i][0])
-	hubIdx  []int    // rank -> hub index
-	localAt []int    // rank -> its index in locals[hubIdx[rank]]
+	tag     uint16  // system-unique slot tag (core.System.NextCombTag)
+	multi   bool    // members span more than one HUB
+	locals  [][]int // hub index -> member ranks on that hub, ascending
+	leaders []int   // hub index -> leader rank (== locals[i][0])
+	hubIdx  []int   // rank -> hub index
+	localAt []int   // rank -> its index in locals[hubIdx[rank]]
 }
 
 // placeComb computes the combining placement. A dark system (combining
 // off) leaves comb.enabled false and the group behaves exactly as before
 // the feature existed.
 func (g *Group) placeComb() {
-	if !g.sys.Params.HubComb.Enabled || g.n < 2 {
+	if !g.sys.Params.HubCombining || g.n < 2 {
 		return
 	}
 	byHub := make(map[int]int) // topo hub id -> hub index
@@ -54,7 +58,6 @@ func (g *Group) placeComb() {
 	}
 	g.comb.enabled = true
 	g.comb.tag = g.sys.NextCombTag()
-	g.comb.timeout = 2 * g.sys.Params.HubComb.Timeout
 	g.comb.multi = len(g.comb.locals) > 1
 }
 
@@ -137,7 +140,7 @@ func (c *Comm) combAllreduce(th *kernel.Thread, seq uint32, op Op, data []byte) 
 	for l := 0; l < lanes; l++ {
 		operand := binary.LittleEndian.Uint64(data[8*l:])
 		val, combined, err := c.st.DL.CombContribute(th, wireOp, byte(g.id), byte(l),
-			g.comb.tag, fanin, seq, operand, g.comb.timeout)
+			g.comb.tag, fanin, seq, operand, combWait)
 		if err != nil || !combined {
 			localOK = false
 			continue
@@ -192,7 +195,7 @@ func (c *Comm) combBarrier(th *kernel.Thread, seq uint32) error {
 	fanin := uint16(locals.n())
 
 	_, combined, err := c.st.DL.CombContribute(th, hub.OpCombBarrier, byte(g.id), 0,
-		g.comb.tag, fanin, seq, 0, g.comb.timeout)
+		g.comb.tag, fanin, seq, 0, combWait)
 	localOK := err == nil && combined
 	if localOK {
 		g.reg.Counter("coll.comb.hub_combined").Inc()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/hub/comb"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -157,15 +158,14 @@ func TestCombBarrierOrdering(t *testing.T) {
 }
 
 func TestCombStragglerTimeoutForcesExactFallback(t *testing.T) {
-	// Members arrive far apart relative to a tiny straggler timeout: early
-	// contributors' slots flush partial, late ones get lone watermark
-	// verdicts, and every member degrades to the endpoint fold — the
-	// results must still be exact (never mixing combined and folded lanes).
-	sys := core.New(core.SingleHub(6), core.WithMetrics(),
-		core.WithHubCombiningParams(1, 50*sim.Microsecond))
+	// Members arrive four straggler timeouts apart: early contributors'
+	// slots flush partial, late ones get lone watermark verdicts, and
+	// every member degrades to the endpoint fold — the results must still
+	// be exact (never mixing combined and folded lanes).
+	sys := core.New(core.SingleHub(6), core.WithMetrics(), core.WithHubCombining())
 	g := coll.NewGroup(sys, 1, seqCABs(6), coll.WithAlgorithm("comb"))
 	spmd(t, sys, g, func(th *kernel.Thread, c *coll.Comm) error {
-		th.Sleep(sim.Time(c.Rank()) * 200 * sim.Microsecond)
+		th.Sleep(sim.Time(c.Rank()) * 4 * comb.DefaultTimeout)
 		in := make([]int64, 4)
 		for j := range in {
 			in[j] = int64(c.Rank()+1) * int64(j+1)
@@ -182,7 +182,7 @@ func TestCombStragglerTimeoutForcesExactFallback(t *testing.T) {
 		return nil
 	})
 	if !strings.Contains(sys.Reg.Text(), "coll.comb.fallback") {
-		t.Fatal("slot exhaustion never forced the endpoint fallback")
+		t.Fatal("straggler timeouts never forced the endpoint fallback")
 	}
 }
 

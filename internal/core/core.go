@@ -65,54 +65,41 @@ type Params struct {
 	// declared latency/success objectives evaluated in virtual time with
 	// multi-window burn-rate alerting and diagnosis-bundle capture. Empty
 	// Objectives disables it (the default: transport outcome hooks hit a
-	// nil engine and cost one pointer compare). Set it with WithSLO.
+	// nil engine and cost one pointer compare). Set it with WithSLO. With
+	// span tracing on, the objectives also arm tail-based span sampling
+	// (sloTailConfig).
 	SLO slo.Params
-	// TraceTail arms tail-based span sampling on the tracer: spans buffer
-	// per causality tree and only anomalous, SLO-breaching, or
-	// head-sampled trees are retained. The zero value disables it (full
-	// tracing up to TraceSpans). WithSLO derives it from the objectives.
-	TraceTail trace.TailConfig
 
-	// Coll tunes the collective-communication subsystem (internal/coll):
-	// algorithm override, payload-size thresholds, and the multicast
-	// reliability protocol's timeouts.
-	Coll CollParams
-
-	// HubComb arms the in-network combining engine on every HUB
+	// HubCombining arms the in-network combining engine on every HUB
 	// (internal/hub/comb): reduce/allreduce/barrier operands merge at the
 	// switch instead of at the endpoints. Off by default — a dark engine
 	// declines combining commands and no combining state, metric, or
 	// event exists, so disabled systems are digest-identical to builds
 	// without the feature. Arm it with WithHubCombining.
-	HubComb HubCombParams
+	HubCombining bool
 }
 
 // DefaultParams returns the full prototype parameter set.
 func DefaultParams() Params {
 	return Params{
-		Datalink:  datalink.DefaultParams(),
 		Transport: transport.DefaultParams(),
 		Topo:      topo.DefaultOptions(),
 	}
 }
 
-// normalize fills zero-valued sub-parameters with defaults.
+// normalize fills each zero-valued field that has a nonzero default,
+// leaving every other field as the caller set it.
 func (p Params) normalize() Params {
-	if p.Datalink.OpenAttempts == 0 {
-		p.Datalink = datalink.DefaultParams()
-	}
+	def := DefaultParams()
 	if p.Transport.Window == 0 {
-		// Preserve option-set fields that DefaultParams leaves zero.
-		ov := p.Transport.Overload
-		hb, misses := p.Transport.HeartbeatInterval, p.Transport.PeerMisses
-		p.Transport = transport.DefaultParams()
-		p.Transport.Overload = ov
-		p.Transport.HeartbeatInterval, p.Transport.PeerMisses = hb, misses
+		p.Transport.Window = def.Transport.Window
+	}
+	if p.Transport.ReqTimeout == 0 {
+		p.Transport.ReqTimeout = def.Transport.ReqTimeout
 	}
 	if p.Topo.HubPorts == 0 {
-		p.Topo = topo.DefaultOptions()
+		p.Topo.HubPorts = def.Topo.HubPorts
 	}
-	p.HubComb = p.HubComb.normalize()
 	return p
 }
 
@@ -236,8 +223,8 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 	s := &System{Eng: eng, Rec: rec, Net: net, Params: p}
 	if p.TraceSpans > 0 {
 		s.Tr = trace.NewTracer(eng, p.TraceSpans)
-		if p.TraceTail.Enabled() {
-			s.Tr.EnableTailSampling(p.TraceTail)
+		if len(p.SLO.Objectives) > 0 {
+			s.Tr.EnableTailSampling(sloTailConfig(p.SLO))
 		}
 	}
 	if p.Metrics {
@@ -252,8 +239,8 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 		})
 	}
 	for _, h := range net.Hubs() {
-		if p.HubComb.Enabled {
-			h.EnableCombining(comb.Params{Slots: p.HubComb.Slots, Timeout: p.HubComb.Timeout})
+		if p.HubCombining {
+			h.EnableCombining(comb.Params{})
 		}
 		h.RegisterMetrics(s.Reg)
 		h.SetFlightRecorder(s.FR)
@@ -262,7 +249,7 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 	for _, b := range net.Boards() {
 		k := kernel.New(b)
 		k.SetInstrumentation(s.Tr, s.Reg)
-		dl := datalink.New(k, net, p.Datalink)
+		dl := datalink.New(k, net)
 		dl.SetRouter(router)
 		dl.RegisterMetrics(s.Reg)
 		dl.SetFlightRecorder(s.FR)

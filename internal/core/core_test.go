@@ -45,10 +45,7 @@ func TestZeroParamsNormalized(t *testing.T) {
 	if !done {
 		t.Fatal("system with zero params did not run")
 	}
-	if sys.Params.Datalink.OpenAttempts == 0 {
-		t.Fatal("datalink params not normalized")
-	}
-	if sys.Params.Transport.Window == 0 {
+	if sys.Params.Transport.Window == 0 || sys.Params.Transport.ReqTimeout == 0 {
 		t.Fatal("transport params not normalized")
 	}
 	if sys.Params.Topo.HubPorts == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/hub/comb"
 	"repro/internal/obs/flow"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
@@ -138,8 +137,7 @@ func WithParams(p Params) Option {
 }
 
 // WithRouting selects the route-computation policy every CAB's datalink
-// uses: topo.PolicyBFS (the deterministic default), topo.PolicyDimOrder
-// (deterministic dimension-order / up-down routing), or topo.PolicyAdaptive
+// uses: topo.PolicyBFS (the deterministic default) or topo.PolicyAdaptive
 // (deadlock-free minimal-adaptive routing by downstream queue depth, with
 // dimension-order escape paths). The empty policy selects BFS; an unknown
 // policy panics in New with the "nectar: ..." contract.
@@ -151,10 +149,10 @@ func WithRouting(policy topo.Policy) Option {
 // built (NewRouter would panic later and deeper otherwise).
 func validateRouting(p Params) {
 	switch p.Routing {
-	case "", topo.PolicyBFS, topo.PolicyDimOrder, topo.PolicyAdaptive:
+	case "", topo.PolicyBFS, topo.PolicyAdaptive:
 	default:
-		panic(fmt.Sprintf("nectar: unknown routing policy %q: use %q, %q, or %q",
-			p.Routing, topo.PolicyBFS, topo.PolicyDimOrder, topo.PolicyAdaptive))
+		panic(fmt.Sprintf("nectar: unknown routing policy %q: use %q or %q",
+			p.Routing, topo.PolicyBFS, topo.PolicyAdaptive))
 	}
 }
 
@@ -187,12 +185,9 @@ func WithFaultRecovery() Option {
 	return func(p *Params) {
 		if p.Datalink.ProbeInterval == 0 {
 			p.Datalink.ProbeInterval = 200 * sim.Microsecond
-			p.Datalink.ProbeTimeout = 100 * sim.Microsecond
-			p.Datalink.ProbeMisses = 3
 		}
 		if p.Transport.HeartbeatInterval == 0 {
 			p.Transport.HeartbeatInterval = 300 * sim.Microsecond
-			p.Transport.PeerMisses = 3
 		}
 	}
 }
@@ -229,89 +224,14 @@ func WithStallWatchdog() Option {
 	return func(p *Params) { p.StallWatchdog = true }
 }
 
-// WithOverloadControl arms the transport overload-control subsystem with
-// the given parameters (Enabled is forced on): deadline propagation
-// checked at every queueing point, priority classes with weighted-deficit
-// scheduling of the CAB send queue, token-bucket + sojourn-time admission
-// control shedding lowest-class-first with deterministic ErrOverload
-// fast-rejects, and per-peer circuit breakers with jittered half-open
-// re-admission. Pass transport.DefaultOverloadParams() (re-exported as
-// nectar.DefaultOverloadParams) for every default.
-func WithOverloadControl(op transport.OverloadParams) Option {
-	return func(p *Params) {
-		op.Enabled = true
-		p.Transport.Overload = op
-	}
-}
-
-// validateOverload rejects malformed overload-control parameters with the
-// descriptive "nectar: ..." panic contract.
-func validateOverload(p Params) {
-	op := p.Transport.Overload
-	if !op.Enabled {
-		return
-	}
-	for c := 0; c < transport.NumClasses; c++ {
-		if op.Rate[c] < 0 {
-			panic(fmt.Sprintf("nectar: Overload.Rate[%s] %d is negative (0 means unlimited)", transport.Class(c), op.Rate[c]))
-		}
-		if op.Burst[c] < 0 {
-			panic(fmt.Sprintf("nectar: Overload.Burst[%s] %d is negative (0 selects the default)", transport.Class(c), op.Burst[c]))
-		}
-	}
-	if op.BreakerTrip < 0 {
-		panic(fmt.Sprintf("nectar: Overload.BreakerTrip %d is negative (0 selects the default)", op.BreakerTrip))
-	}
-	if op.BreakerCooldown < 0 {
-		panic(fmt.Sprintf("nectar: Overload.BreakerCooldown %v is negative (0 selects the default)", op.BreakerCooldown))
-	}
-}
-
-// CollParams tunes the collective-communication subsystem (internal/coll).
-// The zero value selects automatic algorithm choice.
-type CollParams struct {
-	// Algorithm forces one algorithm family for every collective on the
-	// system: "tree" (binomial trees), "rd" (recursive doubling /
-	// dissemination), "ring" (ring pipeline), or "mcast" (HUB hardware
-	// multicast where the group allows it). Empty or "auto" selects per
-	// operation by payload size, group size, and topology. Groups can
-	// override per group with coll.WithAlgorithm.
-	Algorithm string
-}
-
-// WithCollAlgorithm forces the collective-communication algorithm family
-// ("tree", "rd", "ring", "mcast", "comb") for every group built on the
-// system, overriding the automatic payload-size x group-size x topology
-// selection. Empty or "auto" restores automatic selection.
-func WithCollAlgorithm(name string) Option {
-	return func(p *Params) { p.Coll.Algorithm = name }
-}
-
-// HubCombParams configures the in-network combining engine (arm it with
-// WithHubCombining; the zero value keeps it off).
-type HubCombParams struct {
-	// Enabled arms a combining engine on every HUB.
-	Enabled bool
-	// Slots bounds concurrent combining slots per HUB; when full, the
-	// oldest slot flushes partial to make room (0: comb.DefaultSlots).
-	Slots int
-	// Timeout is the straggler timeout: how long a slot waits for its
-	// remaining contributors before flushing partial to the present ones
-	// (0: comb.DefaultTimeout). Contributors wait twice this bound
-	// client-side, so every member of a group observes the same
-	// combined-vs-fallback verdict per lane.
-	Timeout sim.Time
-}
-
-// normalize fills zero-valued combining parameters with defaults.
-func (hp HubCombParams) normalize() HubCombParams {
-	if hp.Slots == 0 {
-		hp.Slots = comb.DefaultSlots
-	}
-	if hp.Timeout == 0 {
-		hp.Timeout = comb.DefaultTimeout
-	}
-	return hp
+// WithOverloadControl arms the transport overload-control subsystem:
+// deadline propagation checked at every queueing point, priority classes
+// with weighted-deficit scheduling of the CAB send queue, sojourn-time
+// admission control shedding lowest-class-first with deterministic
+// ErrOverload fast-rejects, and per-peer circuit breakers with jittered
+// half-open re-admission.
+func WithOverloadControl() Option {
+	return func(p *Params) { p.Transport.Overload = true }
 }
 
 // WithHubCombining arms the in-network combining engine on every HUB:
@@ -323,28 +243,7 @@ func (hp HubCombParams) normalize() HubCombParams {
 // leaders, distribute back down). Disabled systems carry no combining
 // state and replay digest-identically to builds without the feature.
 func WithHubCombining() Option {
-	return func(p *Params) { p.HubComb.Enabled = true }
-}
-
-// WithHubCombiningParams arms combining with explicit table bounds (for
-// stress scenarios; zero values select the defaults).
-func WithHubCombiningParams(slots int, timeout sim.Time) Option {
-	return func(p *Params) {
-		p.HubComb.Enabled = true
-		p.HubComb.Slots = slots
-		p.HubComb.Timeout = timeout
-	}
-}
-
-// validateHubComb rejects malformed combining parameters with the
-// descriptive "nectar: ..." panic contract.
-func validateHubComb(p Params) {
-	if p.HubComb.Slots < 0 {
-		panic(fmt.Sprintf("nectar: HubComb.Slots %d is negative (0 selects the default)", p.HubComb.Slots))
-	}
-	if p.HubComb.Timeout < 0 {
-		panic(fmt.Sprintf("nectar: HubComb.Timeout %v is negative (0 selects the default)", p.HubComb.Timeout))
-	}
+	return func(p *Params) { p.HubCombining = true }
 }
 
 // WithTelemetry arms the whole continuous-telemetry plane at defaults:
@@ -391,7 +290,7 @@ func WithObservatory() Option {
 // WithSLO arms the service-level-objective engine (System.SLO) with the
 // declared objectives and the supporting evidence plane: the flight
 // recorder (alert notes), the flow observatory (bundle top-k flows), span
-// tracing, and a tail-sampling config derived from the objectives — root
+// tracing, and tail-based span sampling derived from the objectives — root
 // message spans whose protocol is covered by an objective are retained
 // when their latency reaches the objective's bound (the tightest bound
 // wins per protocol), plus a 1-in-DefaultTailHeadEvery head sample so the
@@ -402,27 +301,13 @@ func WithSLO(sp slo.Params) Option {
 		WithTraceSpans()(p)
 		WithFlightRecorder()(p)
 		WithFlows(0)(p)
-		cfg := p.TraceTail
-		if cfg.HeadEvery == 0 {
-			cfg.HeadEvery = trace.DefaultTailHeadEvery
-		}
-		if cfg.TagBounds == nil {
-			cfg.TagBounds = make(map[uint8]sim.Time)
-		}
-		for _, o := range sp.Objectives {
-			tag := kindProto(o.Kind)
-			if b, ok := cfg.TagBounds[tag]; !ok || (o.LatencyBound > 0 && o.LatencyBound < b) {
-				cfg.TagBounds[tag] = o.LatencyBound
-			}
-		}
-		p.TraceTail = cfg
 	}
 }
 
-// validateSLO rejects malformed SLO and tail-sampling parameters with the
-// descriptive "nectar: ..." panic contract. Zero stays valid everywhere
-// (the disabled or use-the-default sentinel); negatives and out-of-range
-// fractions are caller bugs.
+// validateSLO rejects malformed SLO parameters with the descriptive
+// "nectar: ..." panic contract. Zero stays valid everywhere (the disabled
+// or use-the-default sentinel); negatives and out-of-range fractions are
+// caller bugs.
 func validateSLO(p Params) {
 	seen := make(map[string]bool)
 	for i, o := range p.SLO.Objectives {
@@ -450,23 +335,6 @@ func validateSLO(p Params) {
 		}
 		if o.Window < 0 {
 			panic(fmt.Sprintf("nectar: SLO objective %q Window %v is negative (0 selects the default)", o.Name, o.Window))
-		}
-	}
-	if p.SLO.MinOps < 0 {
-		panic(fmt.Sprintf("nectar: SLO MinOps %d is negative (0 selects the default)", p.SLO.MinOps))
-	}
-	if p.TraceTail.HeadEvery < 0 {
-		panic(fmt.Sprintf("nectar: TraceTail.HeadEvery %d is negative (0 disables head sampling)", p.TraceTail.HeadEvery))
-	}
-	if p.TraceTail.Bound < 0 {
-		panic(fmt.Sprintf("nectar: TraceTail.Bound %v is negative (0 disables latency retention)", p.TraceTail.Bound))
-	}
-	if p.TraceTail.MaxBuffered < 0 {
-		panic(fmt.Sprintf("nectar: TraceTail.MaxBuffered %d is negative (0 selects the default)", p.TraceTail.MaxBuffered))
-	}
-	for tag, b := range p.TraceTail.TagBounds {
-		if b < 0 {
-			panic(fmt.Sprintf("nectar: TraceTail.TagBounds[%d] %v is negative (0 disables latency retention for the tag)", tag, b))
 		}
 	}
 }
@@ -504,9 +372,7 @@ func New(t Topology, opts ...Option) *System {
 	t.validate(p)
 	validateRouting(p)
 	validateTelemetry(p)
-	validateOverload(p)
 	validateSLO(p)
-	validateHubComb(p)
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, p)
 	net := t.spec.Build(eng, rec, topo.WithOptions(p.Topo))

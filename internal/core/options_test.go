@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fiber"
 	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/transport"
 )
 
 func mustPanic(t *testing.T, want string, f func()) {
@@ -62,6 +65,39 @@ func TestNewValidatesAgainstOverriddenPorts(t *testing.T) {
 	}
 }
 
+// Only the known routing policies pass validation; "dimorder" is not one
+// and is rejected like any other unknown name.
+func TestNewValidatesRouting(t *testing.T) {
+	mustPanic(t, `unknown routing policy "dimorder"`, func() { New(SingleHub(2), WithRouting("dimorder")) })
+	mustPanic(t, `unknown routing policy "teleport"`, func() { New(SingleHub(2), WithRouting("teleport")) })
+	for _, policy := range []topo.Policy{"", topo.PolicyBFS, topo.PolicyAdaptive} {
+		New(SingleHub(2), WithRouting(policy))
+	}
+}
+
+// normalize fills each zero field on its own: fields set beside a zero
+// sentinel survive.
+func TestNormalizeKeepsFieldsBesideZeroOnes(t *testing.T) {
+	m := fiber.ErrorModel{BitErrorRate: 1e-6, Seed: 3}
+	sys := New(SingleHub(2), WithParams(Params{
+		Topo:      topo.Options{Errors: m},
+		Transport: transport.Params{DisableAckFastPath: true, ReqTimeout: 7},
+	}))
+	got, def := sys.Params, DefaultParams()
+	if got.Topo.Errors != m {
+		t.Errorf("Topo.Errors = %+v, want %+v", got.Topo.Errors, m)
+	}
+	if !got.Transport.DisableAckFastPath {
+		t.Error("Transport.DisableAckFastPath was reset")
+	}
+	if got.Transport.ReqTimeout != 7 {
+		t.Errorf("Transport.ReqTimeout = %v, want 7ns", got.Transport.ReqTimeout)
+	}
+	if got.Topo.HubPorts != def.Topo.HubPorts || got.Transport.Window != def.Transport.Window {
+		t.Errorf("zero fields not filled: HubPorts %d, Window %d", got.Topo.HubPorts, got.Transport.Window)
+	}
+}
+
 func TestCABOutOfRangePanics(t *testing.T) {
 	sys := New(SingleHub(2))
 	mustPanic(t, "CAB(2) out of range", func() { sys.CAB(2) })
@@ -99,14 +135,12 @@ func TestWithFaultRecoveryArmsProbersAndHeartbeats(t *testing.T) {
 	if len(sys.Probers) == 0 {
 		t.Fatal("WithFaultRecovery built no link probers on a multi-HUB mesh")
 	}
-	if sys.Params.Transport.HeartbeatInterval == 0 || sys.Params.Transport.PeerMisses == 0 {
+	if sys.Params.Transport.HeartbeatInterval == 0 {
 		t.Fatal("WithFaultRecovery left transport heartbeats disabled")
 	}
 	// Explicit tuning wins over the option's defaults.
 	p := DefaultParams()
 	p.Datalink.ProbeInterval = 999 * sim.Microsecond
-	p.Datalink.ProbeTimeout = 50 * sim.Microsecond
-	p.Datalink.ProbeMisses = 7
 	sys2 := New(Mesh(2, 2, 1), WithParams(p), WithFaultRecovery())
 	if sys2.Params.Datalink.ProbeInterval != 999*sim.Microsecond {
 		t.Fatalf("WithFaultRecovery clobbered an explicit ProbeInterval: %v",
@@ -197,12 +231,14 @@ func leafFields(t reflect.Type) int {
 	return n
 }
 
-// Params holds only knobs some caller sets; a cost or tuning value nobody
-// sets is a constant beside the code that reads it.
+// Params holds only knobs that two programs set differently; a cost or
+// tuning value every program leaves at one value is a constant beside the
+// code that reads it.
 func TestParamsLeafCount(t *testing.T) {
-	const want = 40
+	const want = 19
 	if got := leafFields(reflect.TypeOf(Params{})); got != want {
-		t.Fatalf("core.Params has %d leaf fields, want %d: a new field needs a caller that sets it "+
-			"(otherwise make it a constant next to the code that reads it)", got, want)
+		t.Fatalf("core.Params has %d leaf fields, want %d: a new field needs two programs, not counting "+
+			"tests and examples, that set it to different values (otherwise make it a constant next to "+
+			"the code that reads it)", got, want)
 	}
 }

@@ -17,9 +17,7 @@ import (
 // and retransmits, an operator CAB re-enables the port with a supervisor
 // command, and the byte stream completes with the data intact.
 func TestSupervisorFaultRecovery(t *testing.T) {
-	params := core.DefaultParams()
-	params.Transport.RTO = sim.Millisecond
-	sys := core.New(core.SingleHub(3), core.WithParams(params))
+	sys := core.New(core.SingleHub(3))
 	rx := sys.CAB(1)
 	mb := rx.Kernel.NewMailbox("in", 1<<20)
 	rx.TP.Register(1, mb)
@@ -95,10 +93,7 @@ func TestSupervisorFaultRecovery(t *testing.T) {
 // TestLinkFailureReroutingOperator below).
 func TestLinkFailureReroutingAutomatic(t *testing.T) {
 	params := core.DefaultParams()
-	params.Transport.RTO = sim.Millisecond
 	params.Datalink.ProbeInterval = 200 * sim.Microsecond
-	params.Datalink.ProbeTimeout = 100 * sim.Microsecond
-	params.Datalink.ProbeMisses = 3
 	params.Metrics = true
 	sys := core.New(core.Mesh(2, 2, 1), core.WithParams(params))
 	rx := sys.CAB(3)
@@ -157,9 +152,7 @@ func TestLinkFailureReroutingAutomatic(t *testing.T) {
 // path (paper §4: reconfiguration and recovery) — probing disabled, the
 // operator marks the link down and flushes every CAB's routes by hand.
 func TestLinkFailureReroutingOperator(t *testing.T) {
-	params := core.DefaultParams()
-	params.Transport.RTO = sim.Millisecond
-	sys := core.New(core.Mesh(2, 2, 1), core.WithParams(params))
+	sys := core.New(core.Mesh(2, 2, 1))
 	rx := sys.CAB(3)
 	mb := rx.Kernel.NewMailbox("in", 1<<20)
 	rx.TP.Register(1, mb)

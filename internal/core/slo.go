@@ -30,6 +30,25 @@ func kindProto(k slo.OpKind) byte {
 	return 0
 }
 
+// sloTailConfig derives tail-based span sampling from the objectives: root
+// message spans whose protocol is covered by an objective are retained when
+// their latency reaches the objective's bound (the tightest bound wins per
+// protocol), plus a 1-in-DefaultTailHeadEvery head sample so the baseline
+// stays observable.
+func sloTailConfig(sp slo.Params) trace.TailConfig {
+	cfg := trace.TailConfig{
+		HeadEvery: trace.DefaultTailHeadEvery,
+		TagBounds: make(map[uint8]sim.Time),
+	}
+	for _, o := range sp.Objectives {
+		tag := kindProto(o.Kind)
+		if b, ok := cfg.TagBounds[tag]; !ok || (o.LatencyBound > 0 && o.LatencyBound < b) {
+			cfg.TagBounds[tag] = o.LatencyBound
+		}
+	}
+	return cfg
+}
+
 // buildSLO assembles the SLO engine implied by the params: outcome hooks
 // on every transport, alert notes into the flight recorder, slo.* metrics,
 // and the diagnosis bundler. Called from buildTelemetry; a params set with

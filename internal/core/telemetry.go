@@ -35,7 +35,7 @@ func buildTelemetry(s *System) {
 			s.Reg.Func("flight.events", func() float64 { return float64(s.FR.Total()) })
 		}
 	}
-	if s.Reg != nil && p.Transport.Overload.Enabled {
+	if s.Reg != nil && p.Transport.Overload {
 		// System-wide overload aggregates (per-board breakdowns live
 		// under <board>.transport.overload.*).
 		s.Reg.Func("overload.sheds", func() float64 {
@@ -94,7 +94,7 @@ func buildTelemetry(s *System) {
 				}
 				return 0
 			})
-			if p.Transport.Overload.Enabled {
+			if p.Transport.Overload {
 				sa.Register(name+".overload.queued", c.TP.OverloadQueued)
 				sa.Register(name+".overload.sheds", c.TP.OverloadSheds)
 				sa.Register(name+".overload.breaker_open", c.TP.OverloadBreakerOpen)

@@ -50,33 +50,28 @@ const (
 	replyInterrupt = sim.Microsecond
 )
 
+// The datalink's failure-recovery timing (§4.2.1).
+const (
+	// openTimeout is how long to wait for a circuit-establishment reply
+	// before tearing down with close all and retrying.
+	openTimeout = 200 * sim.Microsecond
+	// openAttempts is the circuit-establishment attempts before giving up.
+	openAttempts = 3
+	// probeTimeout is how long a link probe waits for its echo reply
+	// before counting a miss.
+	probeTimeout = 100 * sim.Microsecond
+	// probeMisses is the consecutive-miss threshold at which the prober
+	// declares the link dead and fails it over.
+	probeMisses = 3
+)
+
 // Params are the datalink protocol parameters.
 type Params struct {
-	// OpenTimeout: how long to wait for a circuit-establishment reply
-	// before tearing down and retrying.
-	OpenTimeout sim.Time
-	// OpenAttempts: circuit establishment attempts before giving up.
-	OpenAttempts int
-
 	// ProbeInterval enables link liveness probing when nonzero: one CAB
 	// per HUB echo-probes each of its HUB's inter-HUB links every
 	// interval. A system with probing enabled generates events forever;
 	// drive it with RunUntil (or stop the probers) rather than Run.
 	ProbeInterval sim.Time
-	// ProbeTimeout is how long a probe waits for its echo reply before
-	// counting a miss (0: defaults to 100us).
-	ProbeTimeout sim.Time
-	// ProbeMisses is the consecutive-miss threshold at which the prober
-	// declares the link dead and fails it over (0: defaults to 3).
-	ProbeMisses int
-}
-
-// DefaultParams returns the prototype's protocol parameters.
-func DefaultParams() Params {
-	return Params{
-		OpenTimeout:  200 * sim.Microsecond,
-		OpenAttempts: 3,
-	}
 }
 
 // Receiver consumes packets delivered by the datalink. It is invoked at
@@ -107,7 +102,6 @@ type Datalink struct {
 	board  *cab.Board
 	net    *topo.Network
 	router topo.Router
-	params Params
 
 	recv Receiver
 
@@ -169,13 +163,12 @@ func (d *Datalink) await(th *kernel.Thread, pend *pendingOpen, timeout sim.Time)
 
 // New creates the datalink for a board and registers its receive interrupt
 // handler.
-func New(k *kernel.Kernel, net *topo.Network, params Params) *Datalink {
+func New(k *kernel.Kernel, net *topo.Network) *Datalink {
 	d := &Datalink{
 		k:       k,
 		board:   k.Board(),
 		net:     net,
 		router:  topo.NewRouter(net, topo.PolicyBFS),
-		params:  params,
 		mu:      k.NewSem(1),
 		pending: make(map[uint64]*pendingOpen),
 		routes:  make(map[int][]topo.Hop),
@@ -503,7 +496,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 	defer sp.End()
 	d.mu.P(th)
 	defer d.mu.V()
-	for attempt := 0; attempt < d.params.OpenAttempts; attempt++ {
+	for attempt := 0; attempt < openAttempts; attempt++ {
 		th.Compute("dl-send-setup", sendSetup)
 		d.board.WaitNetReady(th.Proc())
 
@@ -518,7 +511,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 		}
 		d.board.Send(items...)
 
-		if !d.await(th, pend, d.params.OpenTimeout) || !pend.ok {
+		if !d.await(th, pend, openTimeout) || !pend.ok {
 			// Tear down whatever was established and retry.
 			d.stats.OpenTimeouts++
 			d.fr.Note(obs.FOpenTimeout, d.frName, int64(attempt), int64(pend.want))
@@ -539,7 +532,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 		return nil
 	}
 	d.stats.OpenFailures++
-	return fmt.Errorf("datalink: circuit establishment failed after %d attempts", d.params.OpenAttempts)
+	return fmt.Errorf("datalink: circuit establishment failed after %d attempts", openAttempts)
 }
 
 // receiveItem is the board's raw item hook (hardware receive path).
@@ -658,7 +651,7 @@ func (d *Datalink) lockOp(th *kernel.Thread, op hub.Opcode, lock byte) error {
 	// decides); only the no-retry variant observes the reply timeout.
 	timeout := sim.Time(-1)
 	if op == hub.OpLock {
-		timeout = d.params.OpenTimeout
+		timeout = openTimeout
 	}
 	if !d.await(th, pend, timeout) {
 		return fmt.Errorf("datalink: lock reply lost")

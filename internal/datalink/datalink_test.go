@@ -97,8 +97,6 @@ func TestCircuitRecoversFromLostCommands(t *testing.T) {
 	// the time; with 3 attempts and this rate at least one transfer
 	// succeeds).
 	params.Topo.Errors = fiber.ErrorModel{BitErrorRate: 5e-4, Seed: 5}
-	params.Datalink.OpenTimeout = 100 * sim.Microsecond
-	params.Datalink.OpenAttempts = 8
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	var got [][]byte
 	collect(sys, 1, &got)

@@ -11,7 +11,7 @@ import (
 // Prober is the datalink's link liveness monitor — the detection half of
 // the paper's §4 "recovery from hardware failures", automated: one
 // designated CAB per HUB echo-probes each of its HUB's inter-HUB links at a
-// fixed interval. After ProbeMisses consecutive lost probes it declares the
+// fixed interval. After probeMisses consecutive lost probes it declares the
 // link dead (topo.Network.FailLink: routing fails over, wedged output
 // registers reset, route caches flush via the network's change observers).
 // Dead links keep being probed; the first successful echo restores them.
@@ -27,8 +27,6 @@ type Prober struct {
 	stopped bool
 
 	interval sim.Time
-	timeout  sim.Time
-	misses   int
 
 	failed   *trace.Counter
 	restored *trace.Counter
@@ -44,18 +42,10 @@ type probeEdge struct {
 // NewProber creates (but does not start) a prober for the links of the HUB
 // this datalink's CAB attaches to. reg may be nil.
 func NewProber(d *Datalink, p Params, reg *trace.Registry) *Prober {
-	if p.ProbeTimeout == 0 {
-		p.ProbeTimeout = 100 * sim.Microsecond
-	}
-	if p.ProbeMisses == 0 {
-		p.ProbeMisses = 3
-	}
 	pr := &Prober{
 		d:        d,
 		hubIdx:   d.net.HubOf(d.board.ID()),
 		interval: p.ProbeInterval,
-		timeout:  p.ProbeTimeout,
-		misses:   p.ProbeMisses,
 		failed:   reg.Counter("net.links_failed"),
 		restored: reg.Counter("net.links_restored"),
 	}
@@ -107,7 +97,7 @@ func (pr *Prober) loop(th *kernel.Thread) {
 				return
 			}
 			hubThere := net.Hub(e.to).ID()
-			alive := pr.d.Probe(th, hubHere, hubThere, byte(e.port), pr.timeout)
+			alive := pr.d.Probe(th, hubHere, hubThere, byte(e.port), probeTimeout)
 			if alive {
 				e.missed = 0
 				if !net.LinkUp(pr.hubIdx, e.to) {
@@ -117,7 +107,7 @@ func (pr *Prober) loop(th *kernel.Thread) {
 				continue
 			}
 			e.missed++
-			if e.missed >= pr.misses && net.LinkUp(pr.hubIdx, e.to) {
+			if e.missed >= probeMisses && net.LinkUp(pr.hubIdx, e.to) {
 				net.FailLink(pr.hubIdx, e.to)
 				pr.failed.Inc()
 			}

@@ -46,9 +46,7 @@ func c2System(topo string, n int, combining bool) *core.System {
 	default: // torus-4x4x4
 		shape = core.Torus3D(4, 4, 4, 4)
 	}
-	if combining {
-		p.HubComb.Enabled = true
-	}
+	p.HubCombining = combining
 	return core.New(shape, core.WithParams(p))
 }
 

@@ -109,10 +109,7 @@ func rawPacket(n int) *fiber.Item {
 // single HUB after the open command is received, and (b) the established-
 // circuit transfer latency, using raw HUB commands — the §4 numbers.
 func hubSetupMeasurement(params core.Params) (setup, transfer sim.Time) {
-	prop := params.Topo.Propagation
-	if prop == 0 {
-		prop = fiber.DefaultPropagation
-	}
+	prop := fiber.DefaultPropagation
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	a := sys.CAB(0)
 	b := captureRaw(sys.CAB(1))

@@ -81,13 +81,12 @@ type r2Outcome struct {
 func r2Run(rate float64, controlled bool) r2Outcome {
 	opts := []core.Option{}
 	if controlled {
-		// Brownout policy: default parameters — deadline enforcement drops
-		// dead work at every queueing point before it burns fiber credit,
-		// the sojourn controller sheds lowest-class-first when the CAB send
-		// queue stops draining, and the weighted-deficit scheduler keeps
-		// critical moving. No token rates are set: admission here is
-		// driven by measured congestion, not provisioned limits.
-		opts = append(opts, core.WithOverloadControl(transport.DefaultOverloadParams()))
+		// Brownout policy: deadline enforcement drops dead work at every
+		// queueing point before it burns fiber credit, the sojourn
+		// controller sheds lowest-class-first when the CAB send queue stops
+		// draining, and the weighted-deficit scheduler keeps critical
+		// moving.
+		opts = append(opts, core.WithOverloadControl())
 	}
 	sys := core.New(core.Mesh(2, 2, 1), opts...)
 	res := load.Run(sys, r2Config(rate))

@@ -20,10 +20,7 @@ func chaosParams() core.Params {
 	p := core.DefaultParams()
 	p.Metrics = true
 	p.Datalink.ProbeInterval = 200 * sim.Microsecond
-	p.Datalink.ProbeTimeout = 100 * sim.Microsecond
-	p.Datalink.ProbeMisses = 3
 	p.Transport.HeartbeatInterval = 200 * sim.Microsecond
-	p.Transport.PeerMisses = 3
 	return p
 }
 
@@ -93,7 +90,6 @@ func TestLinkFlapAutomaticRerouting(t *testing.T) {
 func TestCrashPeerDeathAndRevival(t *testing.T) {
 	p := chaosParams()
 	p.Transport.ReqTimeout = sim.Millisecond
-	p.Transport.ReqRetries = 50 // heartbeat death must fire first
 	sys := core.New(core.SingleHub(2), core.WithParams(p))
 	echoServer(sys.CAB(1), 7)
 
@@ -198,7 +194,6 @@ func TestRandomScenarioDeterministic(t *testing.T) {
 func TestPortStuckAndReset(t *testing.T) {
 	p := chaosParams()
 	p.Transport.ReqTimeout = sim.Millisecond
-	p.Transport.ReqRetries = 2
 	sys := core.New(core.SingleHub(2), core.WithParams(p))
 	echoServer(sys.CAB(1), 7)
 

@@ -102,13 +102,12 @@ type TrainOutcome struct {
 const trainBox = 9
 
 // TrainOptions is the system a train is run on: metrics, the automatic
-// detection and recovery stack (link probing, peer heartbeats), and
-// requests that give up after three 2 ms tries, so the client's retry loop
-// — not one request's retransmission schedule — is what rides out a fault.
+// detection and recovery stack (link probing, peer heartbeats), and a 2 ms
+// request timeout, so the client's retry loop — not one request's
+// retransmission schedule — is what rides out a fault.
 func TrainOptions() []core.Option {
 	return []core.Option{core.WithMetrics(), core.WithFaultRecovery(), func(p *core.Params) {
 		p.Transport.ReqTimeout = 2 * sim.Millisecond
-		p.Transport.ReqRetries = 3
 	}}
 }
 

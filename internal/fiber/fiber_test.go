@@ -49,19 +49,18 @@ func TestLinkSerializationDelay(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &sink{name: "dst", eng: e}
 	l := NewLink(e, "l", dst)
-	l.SetPropagation(0)
 	// 1000-byte packet (1002 with framing) at 80 ns/byte: link busy for
-	// 80160 ns; first byte arrives at t=0 (prop 0).
+	// 80160 ns; first byte arrives one propagation delay after t=0.
 	e.At(0, func() { l.Send(newPacket(1000), 0) })
 	e.Run()
 	if len(dst.items) != 1 {
 		t.Fatalf("got %d items", len(dst.items))
 	}
-	if dst.times[0] != 0 {
-		t.Fatalf("arrival (first byte) at %v, want 0", dst.times[0])
+	if dst.times[0] != DefaultPropagation {
+		t.Fatalf("arrival (first byte) at %v, want %v", dst.times[0], DefaultPropagation)
 	}
-	if got := dst.items[0].End(); got != 1002*80 {
-		t.Fatalf("End() = %v, want %v", got, sim.Time(1002*80))
+	if got, want := dst.items[0].End(), DefaultPropagation+1002*80; got != want {
+		t.Fatalf("End() = %v, want %v", got, want)
 	}
 	if l.BusyUntil() != 1002*80 {
 		t.Fatalf("BusyUntil = %v", l.BusyUntil())
@@ -72,7 +71,6 @@ func TestLinkBackToBackItemsSerialize(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &sink{name: "dst", eng: e}
 	l := NewLink(e, "l", dst)
-	l.SetPropagation(10)
 	e.At(0, func() {
 		l.Send(&Item{Kind: KindCommand}, 0) // 3 bytes: 0..240
 		l.Send(&Item{Kind: KindCommand}, 0) // must wait: 240..480
@@ -81,8 +79,8 @@ func TestLinkBackToBackItemsSerialize(t *testing.T) {
 	if len(dst.items) != 2 {
 		t.Fatalf("got %d items", len(dst.items))
 	}
-	if dst.times[0] != 10 || dst.times[1] != 250 {
-		t.Fatalf("arrivals %v, want [10 250]", dst.times)
+	if dst.times[0] != DefaultPropagation || dst.times[1] != 240+DefaultPropagation {
+		t.Fatalf("arrivals %v, want [%v %v]", dst.times, DefaultPropagation, 240+DefaultPropagation)
 	}
 }
 
@@ -90,11 +88,10 @@ func TestLinkEarliestRespected(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &sink{name: "dst", eng: e}
 	l := NewLink(e, "l", dst)
-	l.SetPropagation(0)
 	e.At(0, func() { l.Send(&Item{Kind: KindCommand}, 1000) })
 	e.Run()
-	if dst.times[0] != 1000 {
-		t.Fatalf("arrival %v, want 1000", dst.times[0])
+	if dst.times[0] != 1000+DefaultPropagation {
+		t.Fatalf("arrival %v, want %v", dst.times[0], 1000+DefaultPropagation)
 	}
 }
 
@@ -125,7 +122,6 @@ func TestLinkBandwidthIs100Mbps(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &sink{name: "dst", eng: e}
 	l := NewLink(e, "l", dst)
-	l.SetPropagation(0)
 	const n = 100
 	e.At(0, func() {
 		for i := 0; i < n; i++ {
@@ -273,14 +269,13 @@ func TestLinkSpacingProperty(t *testing.T) {
 	}
 }
 
-// Sends interleaved with deliveries keep between zero and a dozen items on
-// the wire; every item must arrive once, in send order, at the time Send
+// Sends interleaved with deliveries keep a changing number of items on the
+// wire; every item must arrive once, in send order, at the time Send
 // stamped on it.
 func TestLinkInFlightInterleaved(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &sink{name: "dst", eng: e}
 	l := NewLink(e, "l", dst)
-	l.SetPropagation(2000)
 	var sent []*Item
 	var due []sim.Time
 	for i := 0; i < 60; i++ {
@@ -302,28 +297,6 @@ func TestLinkInFlightInterleaved(t *testing.T) {
 		if dst.items[i] != sent[i] || dst.times[i] != due[i] {
 			t.Fatalf("delivery %d: item %p at %v, want %p at %v", i, dst.items[i], dst.times[i], sent[i], due[i])
 		}
-	}
-}
-
-// The in-flight FIFO relies on a fixed propagation delay, so changing it
-// with items on the wire is a bug; once the wire drains it is allowed.
-func TestSetPropagationPanicsInFlight(t *testing.T) {
-	e := sim.NewEngine()
-	dst := &sink{name: "dst", eng: e}
-	l := NewLink(e, "l", dst)
-	e.At(0, func() {
-		l.Send(newPacket(8), 0)
-		defer func() {
-			if recover() == nil {
-				t.Error("SetPropagation with an item in flight did not panic")
-			}
-		}()
-		l.SetPropagation(10)
-	})
-	e.Run()
-	l.SetPropagation(10)
-	if len(dst.items) != 1 {
-		t.Fatalf("delivered %d items, want 1", len(dst.items))
 	}
 }
 

@@ -92,8 +92,8 @@ type Objective struct {
 	Window sim.Time
 }
 
-// Engine tuning. DefaultWindow and DefaultMinOps fill zero-valued
-// Objective.Window and Params.MinOps; the rest are fixed.
+// Engine tuning. DefaultWindow fills a zero-valued Objective.Window; the
+// rest are fixed.
 const (
 	DefaultWindow = sim.Millisecond
 	// DefaultSlices is the ring resolution per window: the engine
@@ -105,7 +105,9 @@ const (
 	// DefaultBurnThreshold is the burn rate both windows must reach to
 	// fire an alert; an alert clears when the fast burn falls below 1.
 	DefaultBurnThreshold = 2.0
-	DefaultMinOps        = 8
+	// DefaultMinOps gates alerting until the fast window holds at least
+	// this many operations.
+	DefaultMinOps = 8
 	// DefaultMaxBundles bounds retained diagnosis bundles.
 	DefaultMaxBundles = 4
 )
@@ -115,9 +117,6 @@ const (
 type Params struct {
 	// Objectives are the declared SLOs; empty disables the engine.
 	Objectives []Objective
-	// MinOps gates alerting until the fast window holds at least this
-	// many operations (0: DefaultMinOps).
-	MinOps int64
 }
 
 // Alert is one burn-rate alert (or its clear) in the deterministic alert
@@ -197,9 +196,8 @@ type objState struct {
 // Engine evaluates declared objectives over the transport outcome stream.
 // A nil *Engine is valid: Observe records nothing.
 type Engine struct {
-	eng    *sim.Engine
-	minOps int64
-	objs   []*objState
+	eng  *sim.Engine
+	objs []*objState
 	// byKind[k] lists the objectives matching operation kind k — the
 	// Observe dispatch table, preallocated so the hot path never
 	// allocates.
@@ -222,10 +220,7 @@ type Engine struct {
 // nothing — the construction layer (core) enforces the "nectar: ..."
 // panic contract before calling.
 func NewEngine(eng *sim.Engine, p Params) *Engine {
-	e := &Engine{eng: eng, minOps: p.MinOps}
-	if e.minOps == 0 {
-		e.minOps = DefaultMinOps
-	}
+	e := &Engine{eng: eng}
 	for _, obj := range p.Objectives {
 		if obj.Quantile == 0 {
 			obj.Quantile = 0.99
@@ -397,8 +392,8 @@ func burn(bad, total int64, successRate float64) float64 {
 
 // evaluate recomputes one objective's burn rates and quantile estimate and
 // walks the alert state machine: fire when both windows burn past the
-// threshold (with at least MinOps in the fast window), clear when the fast
-// burn falls below 1.
+// threshold (with at least DefaultMinOps in the fast window), clear when
+// the fast burn falls below 1.
 func (e *Engine) evaluate(os *objState, now sim.Time) {
 	fastOps, fastBreach, fastErrs, fastBuckets := os.window(DefaultSlices)
 	slowOps, slowBreach, slowErrs, _ := os.window(DefaultSlices * DefaultSlowWindows)
@@ -409,7 +404,7 @@ func (e *Engine) evaluate(os *objState, now sim.Time) {
 
 	thr := DefaultBurnThreshold
 	switch {
-	case !os.alerting && os.burnFast >= thr && os.burnSlow >= thr && fastOps >= e.minOps:
+	case !os.alerting && os.burnFast >= thr && os.burnSlow >= thr && fastOps >= DefaultMinOps:
 		os.alerting = true
 		os.alerts++
 		e.alertSeq++

@@ -125,12 +125,11 @@ func TestAlertGatedByMinOps(t *testing.T) {
 			Name: "rr", Kind: KindReqResp, Class: AnyClass,
 			LatencyBound: 100 * sim.Microsecond, Window: sim.Millisecond,
 		}},
-		MinOps: 50,
 	})
 	e.Start()
-	// Every op breaches, but only 20 land per fast window: below MinOps,
+	// Every op breaches, but only DefaultMinOps-1 land in the fast window,
 	// so the alert must never fire.
-	feed(eng, e, 0, 20, 500*sim.Microsecond, true)
+	feed(eng, e, 0, DefaultMinOps-1, 500*sim.Microsecond, true)
 	eng.RunUntil(4 * sim.Millisecond)
 	e.Stop()
 	if n := e.AlertCount(); n != 0 {

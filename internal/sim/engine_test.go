@@ -258,43 +258,6 @@ func TestWaitTimeout(t *testing.T) {
 	}
 }
 
-func TestResourceMutualExclusion(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 4; i++ {
-		e.Go("worker", func(p *Proc) {
-			r.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(10)
-			inside--
-			r.Release()
-		})
-	}
-	end := e.Run()
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
-	}
-	if end != 40 {
-		t.Fatalf("end = %v, want 40 (4 serialized 10ns holds)", end)
-	}
-}
-
-func TestResourceReleaseUnheldPanics(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e)
-	defer func() {
-		if recover() == nil {
-			t.Error("Release of unheld resource did not panic")
-		}
-	}()
-	r.Release()
-}
-
 func TestQueueBlockingGet(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int](e, 0)
@@ -413,28 +376,6 @@ func TestYield(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestResourceUse(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e)
-	var done []Time
-	for i := 0; i < 3; i++ {
-		e.Go("user", func(p *Proc) {
-			r.Use(p, 20)
-			done = append(done, p.Now())
-		})
-	}
-	e.Run()
-	want := []Time{20, 40, 60}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done = %v, want %v", done, want)
-		}
-	}
-	if r.Held() {
-		t.Fatal("resource still held")
 	}
 }
 

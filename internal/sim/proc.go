@@ -208,44 +208,3 @@ func (s *Signal) Broadcast() {
 	}
 	s.waiters = ws[:0]
 }
-
-// Resource is a FIFO mutual-exclusion resource for processes (e.g. a shared
-// bus). The zero value is invalid; use NewResource.
-type Resource struct {
-	eng  *Engine
-	held bool
-	free *Signal
-}
-
-// NewResource returns an unheld resource.
-func NewResource(e *Engine) *Resource {
-	return &Resource{eng: e, free: NewSignal(e)}
-}
-
-// Held reports whether the resource is currently acquired.
-func (r *Resource) Held() bool { return r.held }
-
-// Acquire blocks until the resource is free, then takes it.
-func (r *Resource) Acquire(p *Proc) {
-	for r.held {
-		r.free.Wait(p)
-	}
-	r.held = true
-}
-
-// Release frees the resource and wakes one waiter. Releasing an unheld
-// resource panics: it is always a model bug.
-func (r *Resource) Release() {
-	if !r.held {
-		panic("sim: release of unheld resource")
-	}
-	r.held = false
-	r.free.Signal()
-}
-
-// Use acquires the resource, holds it for d, and releases it.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}

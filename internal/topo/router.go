@@ -14,12 +14,6 @@ const (
 	// PolicyBFS is the deterministic default: fewest-hop paths by
 	// breadth-first search over the up links, independent of load.
 	PolicyBFS Policy = "bfs"
-	// PolicyDimOrder routes grids dimension-order (x, then y, then z;
-	// wrap links taken when they shorten the ring distance) and fat trees
-	// up/down over the lowest-index live spine. Deterministic; falls back
-	// to BFS when a needed link is down or the network has no shape
-	// metadata.
-	PolicyDimOrder Policy = "dimorder"
 	// PolicyAdaptive is the deadlock-free minimal-adaptive policy: at each
 	// HUB it considers every distance-decreasing neighbor and picks the one
 	// whose downstream input queue is least loaded, breaking ties toward
@@ -46,13 +40,11 @@ func NewRouter(n *Network, p Policy) Router {
 	switch p {
 	case "", PolicyBFS:
 		return bfsRouter{n}
-	case PolicyDimOrder:
-		return dimOrderRouter{n}
 	case PolicyAdaptive:
 		return adaptiveRouter{n}
 	default:
-		panic(fmt.Sprintf("nectar: unknown routing policy %q: use %q, %q, or %q",
-			p, PolicyBFS, PolicyDimOrder, PolicyAdaptive))
+		panic(fmt.Sprintf("nectar: unknown routing policy %q: use %q or %q",
+			p, PolicyBFS, PolicyAdaptive))
 	}
 }
 
@@ -62,30 +54,6 @@ type bfsRouter struct{ n *Network }
 func (r bfsRouter) Name() Policy                      { return PolicyBFS }
 func (r bfsRouter) Route(src, dst int) ([]Hop, error) { return r.n.Route(src, dst) }
 func (r bfsRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
-	return r.n.MulticastTree(src, dsts)
-}
-
-// dimOrderRouter routes deterministically by dimension order (grids) or
-// up/down (fat trees), falling back to BFS when the structured path is
-// broken by a failed link or the network has no shape metadata. Multicast
-// stays on the BFS tree under every policy: the DFS open list visits many
-// destinations and gains nothing from per-pair ordering.
-type dimOrderRouter struct{ n *Network }
-
-func (r dimOrderRouter) Name() Policy { return PolicyDimOrder }
-
-func (r dimOrderRouter) Route(src, dst int) ([]Hop, error) {
-	if src == dst {
-		return nil, fmt.Errorf("topo: route from CAB %d to itself", src)
-	}
-	n := r.n
-	if path, ok := n.structuredPath(n.attachHub[src], n.attachHub[dst], n.shape.wraps()); ok {
-		return n.hopsForPath(path, dst), nil
-	}
-	return n.Route(src, dst)
-}
-
-func (r dimOrderRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
 	return r.n.MulticastTree(src, dsts)
 }
 
@@ -156,7 +124,7 @@ func (n *Network) fieldTo(to int) *routeField {
 	f := &routeField{dist: n.bfsDistancesTo(to), escape: make([]int, len(n.hubs))}
 	for cur := range f.escape {
 		f.escape[cur] = -1
-		if path, ok := n.structuredPath(cur, to, false); ok && len(path) > 1 {
+		if path, ok := n.structuredPath(cur, to); ok && len(path) > 1 {
 			f.escape[cur] = path[1]
 		}
 	}
@@ -231,12 +199,6 @@ func (n *Network) edgeCongestion(cur int, e edge) int {
 	return cost
 }
 
-// wraps reports whether the shape's escape-free structured paths may use
-// wrap links (torus shapes only).
-func (s Spec) wraps() bool {
-	return s.Kind == KindTorus || s.Kind == KindTorus3D
-}
-
 // grid reports whether the shape records grid coordinates.
 func (s Spec) grid() bool {
 	switch s.Kind {
@@ -247,14 +209,13 @@ func (s Spec) grid() bool {
 }
 
 // structuredPath returns the shape-aware HUB path from HUB `from` to HUB
-// `to`: dimension-order on grids (wrap links permitted when useWrap and
-// they shorten the ring), up/down over the lowest-index live spine on fat
-// trees. It reports false when the network has no shape metadata or a
-// needed link is down — callers fall back to BFS.
-func (n *Network) structuredPath(from, to int, useWrap bool) ([]int, bool) {
+// `to`: wrap-free dimension-order on grids, up/down over the lowest-index
+// live spine on fat trees. It reports false when the network has no shape
+// metadata or a needed link is down.
+func (n *Network) structuredPath(from, to int) ([]int, bool) {
 	switch {
 	case n.shape.grid() && len(n.coords) == len(n.hubs):
-		return n.dimOrderPath(from, to, useWrap)
+		return n.dimOrderPath(from, to)
 	case n.shape.Kind == KindFatTree && len(n.levels) == len(n.hubs):
 		return n.upDownPath(from, to)
 	}
@@ -262,12 +223,10 @@ func (n *Network) structuredPath(from, to int, useWrap bool) ([]int, bool) {
 }
 
 // dimOrderPath walks from HUB `from` to HUB `to` correcting x, then y,
-// then z. Each step moves one unit along the current dimension; with
-// useWrap the direction minimizing the ring distance wins (positive on
-// ties), otherwise the sign of the remaining offset decides.
-func (n *Network) dimOrderPath(from, to int, useWrap bool) ([]int, bool) {
+// then z. Each step moves one unit along the current dimension, in the
+// direction of the remaining offset, so wrap links are never taken.
+func (n *Network) dimOrderPath(from, to int) ([]int, bool) {
 	s := n.shape
-	size := [3]int{s.X, s.Y, s.Z}
 	at := n.coords[from]
 	want := n.coords[to]
 	idx := func(c [3]int) int { return (c[2]*s.Y+c[1])*s.X + c[0] }
@@ -275,20 +234,11 @@ func (n *Network) dimOrderPath(from, to int, useWrap bool) ([]int, bool) {
 	for d := 0; d < 3; d++ {
 		for at[d] != want[d] {
 			step := 1
-			if delta := want[d] - at[d]; delta < 0 {
+			if want[d] < at[d] {
 				step = -1
 			}
-			if useWrap && size[d] > 2 {
-				// Ring distance decides; positive direction wins ties.
-				fwd := (want[d] - at[d] + size[d]) % size[d]
-				if fwd <= size[d]-fwd {
-					step = 1
-				} else {
-					step = -1
-				}
-			}
 			next := at
-			next[d] = (at[d] + step + size[d]) % size[d]
+			next[d] = at[d] + step
 			cur, nxt := idx(at), idx(next)
 			if _, ok := n.portToward(cur, nxt); !ok {
 				return nil, false

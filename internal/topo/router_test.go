@@ -96,79 +96,6 @@ func TestFatTreeUpDownLinks(t *testing.T) {
 	}
 }
 
-// On a mesh, dimension-order routes are shortest paths: for every CAB pair
-// they match the BFS route length exactly, correct x before y, and end with
-// the terminal hop.
-func TestDimOrderMatchesBFSOnMesh(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Mesh(3, 4, 1).Build(eng, nil)
-	bfs := NewRouter(n, PolicyBFS)
-	dor := NewRouter(n, PolicyDimOrder)
-	for src := 0; src < len(n.Boards()); src++ {
-		for dst := 0; dst < len(n.Boards()); dst++ {
-			if src == dst {
-				continue
-			}
-			hb, err := bfs.Route(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hd, err := dor.Route(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hb) != len(hd) {
-				t.Fatalf("route %d->%d: BFS %d hops, dim-order %d hops", src, dst, len(hb), len(hd))
-			}
-			if !hd[len(hd)-1].Terminal {
-				t.Fatalf("route %d->%d does not end terminal", src, dst)
-			}
-		}
-	}
-}
-
-// Dimension-order on a torus takes the shorter way around each ring and
-// stays minimal (equal to BFS hop count).
-func TestDimOrderMinimalOnTorus(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Torus(4, 5, 1).Build(eng, nil)
-	bfs := NewRouter(n, PolicyBFS)
-	dor := NewRouter(n, PolicyDimOrder)
-	for src := 0; src < len(n.Boards()); src++ {
-		for dst := 0; dst < len(n.Boards()); dst++ {
-			if src == dst {
-				continue
-			}
-			hb, _ := bfs.Route(src, dst)
-			hd, err := dor.Route(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hb) != len(hd) {
-				t.Fatalf("route %d->%d: BFS %d hops, dim-order %d hops", src, dst, len(hb), len(hd))
-			}
-		}
-	}
-}
-
-// When a link on the dimension-order path dies, the policy falls back to
-// BFS over the survivors instead of failing the route.
-func TestDimOrderFallsBackOnFailedLink(t *testing.T) {
-	eng := sim.NewEngine()
-	n := Torus(3, 3, 1).Build(eng, nil)
-	dor := NewRouter(n, PolicyDimOrder)
-	// CAB 0 on hub (0,0), CAB 2 on hub (2,0): dim-order goes 0 -> 2 over
-	// the x wrap. Fail that link.
-	n.FailLink(0, 2)
-	hops, err := dor.Route(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hops) != 3 {
-		t.Fatalf("fallback route = %d hops, want 3 (two inter-HUB + terminal)", len(hops))
-	}
-}
-
 // Adaptive routes are minimal: exactly the BFS hop count for every pair,
 // and byte-identical across repeated computation on an idle network (the
 // escape tie-break makes the choice deterministic).
@@ -339,19 +266,22 @@ func TestNewRouterUnknownPolicyPanics(t *testing.T) {
 	NewRouter(n, Policy("teleport"))
 }
 
-// Functional options thread through Spec.Build.
+// Options thread through Spec.Build; without any, Build uses the defaults.
 func TestBuildOptions(t *testing.T) {
-	n := Torus(3, 3, 1).Build(sim.NewEngine(), nil, WithHubPorts(24), WithPropagation(2*sim.Microsecond))
+	if got := Torus(3, 3, 1).Build(sim.NewEngine(), nil).opts.HubPorts; got != DefaultOptions().HubPorts {
+		t.Fatalf("default HubPorts = %d, want %d", got, DefaultOptions().HubPorts)
+	}
+	o := DefaultOptions()
+	o.HubPorts = 24
+	n := Torus(3, 3, 1).Build(sim.NewEngine(), nil, WithOptions(o))
 	if got := n.opts.HubPorts; got != 24 {
 		t.Fatalf("HubPorts = %d, want 24", got)
 	}
-	if got := n.opts.Propagation; got != 2*sim.Microsecond {
-		t.Fatalf("Propagation = %v", got)
-	}
-	// WithOptions replaces wholesale; later options refine.
-	o := DefaultOptions()
+	// A later WithOptions replaces an earlier one wholesale.
 	o.HubPorts = 20
-	n2 := Single(2).Build(sim.NewEngine(), nil, WithOptions(o), WithHubPorts(18))
+	o2 := DefaultOptions()
+	o2.HubPorts = 18
+	n2 := Single(2).Build(sim.NewEngine(), nil, WithOptions(o), WithOptions(o2))
 	if n2.opts.HubPorts != 18 {
 		t.Fatalf("HubPorts = %d, want 18 (later option wins)", n2.opts.HubPorts)
 	}
@@ -377,7 +307,7 @@ func TestRouteFieldCacheMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: dist HUB%d->HUB%d cached %d, fresh %d", stage, from, to, f.dist[from], fresh[from])
 				}
 				want := -1
-				if path, ok := n.structuredPath(from, to, false); ok && len(path) > 1 {
+				if path, ok := n.structuredPath(from, to); ok && len(path) > 1 {
 					want = path[1]
 				}
 				if got := f.escape[from]; got != want {

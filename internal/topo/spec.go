@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 
-	"repro/internal/fiber"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -206,21 +205,6 @@ type Option func(*Options)
 // WithOptions replaces the whole Options struct (later options refine it).
 func WithOptions(o Options) Option {
 	return func(dst *Options) { *dst = o }
-}
-
-// WithHubPorts sets the port count per HUB.
-func WithHubPorts(n int) Option {
-	return func(o *Options) { o.HubPorts = n }
-}
-
-// WithPropagation sets the per-fiber propagation delay.
-func WithPropagation(d sim.Time) Option {
-	return func(o *Options) { o.Propagation = d }
-}
-
-// WithErrorModel applies an error model to every fiber link.
-func WithErrorModel(m fiber.ErrorModel) Option {
-	return func(o *Options) { o.Errors = m }
 }
 
 // Build realizes the spec: it creates the HUBs, wires the inter-HUB links,

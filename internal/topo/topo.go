@@ -21,8 +21,6 @@ import (
 type Options struct {
 	// HubPorts is the port count per HUB (prototype: 16).
 	HubPorts int
-	// Propagation is the per-fiber propagation delay.
-	Propagation sim.Time
 	// Errors, if non-zero, is applied to every fiber link.
 	Errors fiber.ErrorModel
 }
@@ -30,8 +28,7 @@ type Options struct {
 // DefaultOptions returns prototype parameters.
 func DefaultOptions() Options {
 	return Options{
-		HubPorts:    hub.DefaultPorts,
-		Propagation: fiber.DefaultPropagation,
+		HubPorts: hub.DefaultPorts,
 	}
 }
 
@@ -178,7 +175,6 @@ func (n *Network) PortOf(cabID int) int { return n.attachPort[cabID] }
 func (n *Network) newLink(name string, dst fiber.Endpoint, credit func()) *fiber.Link {
 	l := fiber.NewLink(n.eng, name, dst)
 	l.SetCreditReturn(credit)
-	l.SetPropagation(n.opts.Propagation)
 	if n.opts.Errors.BitErrorRate != 0 {
 		m := n.opts.Errors
 		n.linkSeed++

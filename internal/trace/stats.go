@@ -273,48 +273,6 @@ func (c *Counter) Reset() {
 	c.n = 0
 }
 
-// Meter measures throughput: bytes (or other units) accumulated over the
-// window between Start and the last Add.
-type Meter struct {
-	name  string
-	start sim.Time
-	last  sim.Time
-	total int64
-}
-
-// NewMeter returns a meter whose window opens at start.
-func NewMeter(name string, start sim.Time) *Meter {
-	return &Meter{name: name, start: start, last: start}
-}
-
-// Add records n units delivered at time t.
-func (m *Meter) Add(t sim.Time, n int64) {
-	m.total += n
-	if t > m.last {
-		m.last = t
-	}
-}
-
-// Total returns the accumulated units.
-func (m *Meter) Total() int64 { return m.total }
-
-// Elapsed returns the window length.
-func (m *Meter) Elapsed() sim.Time { return m.last - m.start }
-
-// Rate returns units per second over the window (0 if the window is empty).
-func (m *Meter) Rate() float64 {
-	if m.last <= m.start {
-		return 0
-	}
-	return float64(m.total) / (m.last - m.start).Seconds()
-}
-
-// RateMbps returns the rate in megabits per second, treating units as bytes.
-func (m *Meter) RateMbps() float64 { return m.Rate() * 8 / 1e6 }
-
-// RateMBps returns the rate in megabytes per second, treating units as bytes.
-func (m *Meter) RateMBps() float64 { return m.Rate() / 1e6 }
-
 // Table is a simple fixed-width text table builder used by the experiment
 // harness to print paper-style result tables.
 type Table struct {

@@ -103,31 +103,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	m := NewMeter("tx", 0)
-	// 1,000,000 bytes over 1 second of sim time = 1 MB/s = 8 Mb/s.
-	m.Add(sim.Second, 1_000_000)
-	if m.Total() != 1_000_000 {
-		t.Fatalf("Total = %d", m.Total())
-	}
-	if got := m.RateMBps(); got < 0.99 || got > 1.01 {
-		t.Fatalf("RateMBps = %v, want ~1", got)
-	}
-	if got := m.RateMbps(); got < 7.9 || got > 8.1 {
-		t.Fatalf("RateMbps = %v, want ~8", got)
-	}
-	if m.Elapsed() != sim.Second {
-		t.Fatalf("Elapsed = %v", m.Elapsed())
-	}
-}
-
-func TestMeterEmptyWindow(t *testing.T) {
-	m := NewMeter("rx", 100)
-	if m.Rate() != 0 {
-		t.Fatalf("Rate on empty window = %v", m.Rate())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("T1", "size", "latency", "mbps")
 	tb.AddRow(64, sim.Time(700), 99.456)

@@ -12,7 +12,7 @@ import (
 // Peer liveness. The reliable protocols retransmit on loss, but when a peer
 // CAB has crashed, retransmission alone leaves senders retrying into a
 // black hole. With Params.HeartbeatInterval set, the transport pings every
-// peer that has reliable operations outstanding; after Params.PeerMisses
+// peer that has reliable operations outstanding; after peerMisses
 // heartbeats without a pong the peer is declared dead, every blocked sender
 // to it is woken with ErrPeerDead, and new sends to it fail fast. Dead
 // peers keep being pinged so a reboot is noticed and the peer revived.
@@ -93,10 +93,6 @@ func (t *Transport) armHeartbeat() {
 // the dead, hoping for revival).
 func (t *Transport) heartbeatTick() {
 	t.hbArmed = false
-	misses := t.params.PeerMisses
-	if misses == 0 {
-		misses = 3
-	}
 	peers := make([]int, 0, len(t.watch))
 	for p := range t.watch {
 		peers = append(peers, p)
@@ -104,7 +100,7 @@ func (t *Transport) heartbeatTick() {
 	sort.Ints(peers)
 	for _, p := range peers {
 		ps := t.watch[p]
-		if !ps.dead && ps.misses >= misses {
+		if !ps.dead && ps.misses >= peerMisses {
 			t.markPeerDead(p, ps)
 		}
 		ps.misses++
@@ -215,8 +211,8 @@ func (t *Transport) Crash() {
 	t.outq = nil
 	t.watch = make(map[int]*peerState)
 	if t.ovl != nil {
-		// The classed send queue, breakers, and token buckets live in
-		// CAB memory: a crash loses them like everything else.
-		t.ovl = newOverload(t.ovl.p)
+		// The classed send queue and breakers live in CAB memory: a
+		// crash loses them like everything else.
+		t.ovl = newOverload(t.params.HeartbeatInterval)
 	}
 }

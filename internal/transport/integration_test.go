@@ -266,7 +266,6 @@ func TestRequestResponse(t *testing.T) {
 func TestRequestTimesOutWithoutServer(t *testing.T) {
 	params := core.DefaultParams()
 	params.Transport.ReqTimeout = 500 * sim.Microsecond
-	params.Transport.ReqRetries = 1
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	var err error
 	sys.CAB(0).Kernel.Spawn("client", func(th *kernel.Thread) {
@@ -285,7 +284,6 @@ func TestRequestAtMostOnceUnderLoss(t *testing.T) {
 	params := core.DefaultParams()
 	params.Topo.Errors = fiber.ErrorModel{BitErrorRate: 3e-5, Seed: 1234}
 	params.Transport.ReqTimeout = sim.Millisecond
-	params.Transport.ReqRetries = 10
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	srv := sys.CAB(1)
 	smb := srv.Kernel.NewMailbox("server", 64*1024)
@@ -468,26 +466,6 @@ func TestDatagramMulticastDirect(t *testing.T) {
 	}
 }
 
-func TestSetVMTPParams(t *testing.T) {
-	sys := core.New(core.SingleHub(2))
-	p := transport.DefaultVMTPParams()
-	p.Retries = 1
-	p.ClientTimeout = 200 * sim.Microsecond
-	sys.CAB(0).TP.SetVMTPParams(p)
-	var err error
-	sys.CAB(0).Kernel.Spawn("client", func(th *kernel.Thread) {
-		// No server: the tightened timeout gives up quickly.
-		_, err = sys.CAB(0).TP.VTransact(th, 1, 7, 3, []byte("x"))
-	})
-	end := sys.Run()
-	if err == nil {
-		t.Fatal("transaction with no server should fail")
-	}
-	if end > 10*sim.Millisecond {
-		t.Fatalf("tightened timeouts ignored (ran to %v)", end)
-	}
-}
-
 // TestDuplicateResponseSuppression exercises both duplicate directions of
 // the request-response protocol deterministically (no loss needed): the
 // server delays its answer past the client's first timeout, so the client
@@ -498,7 +476,6 @@ func TestSetVMTPParams(t *testing.T) {
 func TestDuplicateResponseSuppression(t *testing.T) {
 	params := core.DefaultParams()
 	params.Transport.ReqTimeout = 100 * sim.Microsecond
-	params.Transport.ReqRetries = 8
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	srv := sys.CAB(1)
 	smb := srv.Kernel.NewMailbox("server", 64*1024)

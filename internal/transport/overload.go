@@ -22,17 +22,17 @@ import (
 //   - priority classes (critical/normal/bulk) get weighted-deficit
 //     scheduling of the CAB send queue and class-segregated occupancy
 //     accounting in the kernel mailboxes and the CAB board;
-//   - admission control combines a per-class token bucket with a
-//     CoDel-style sojourn-time controller on the send queue, shedding
-//     lowest-class-first with a deterministic ErrOverload fast-reject
-//     (the caller learns in one RTT, not after RTO·backoff);
+//   - admission control is a CoDel-style sojourn-time controller on the
+//     send queue, shedding lowest-class-first with a deterministic
+//     ErrOverload fast-reject (the caller learns in one RTT, not after
+//     RTO·backoff);
 //   - a per-peer circuit breaker trips after consecutive fast-rejects and
 //     re-admits half-open on a jittered cooldown (reusing backoff.go), so
 //     recovery avoids a thundering herd. Critical traffic bypasses the
 //     breaker and the sojourn shedder — it is shed last by design and
 //     doubles as the half-open probe.
 //
-// When Params.Overload.Enabled is false the transport never allocates the
+// When Params.Overload is false the transport never allocates the
 // overload state: every hook is a nil-check no-op and runs are
 // byte-identical to a build without the subsystem.
 
@@ -44,31 +44,6 @@ type SendOpts struct {
 	Deadline sim.Time
 }
 
-// OverloadParams configure the overload-control subsystem.
-type OverloadParams struct {
-	// Enabled arms the subsystem. Off (the default), no overload state is
-	// allocated and behavior is byte-identical to pre-overload builds.
-	Enabled bool
-	// Rate admits at most this many operations per second per class at
-	// the sender (token bucket; 0: unlimited).
-	Rate [NumClasses]int64
-	// Burst is the token-bucket depth in operations (0: 8).
-	Burst [NumClasses]int64
-	// BreakerTrip is how many consecutive peer fast-rejects open that
-	// peer's circuit breaker (0: 8).
-	BreakerTrip int
-	// BreakerCooldown is the base half-open probe delay, grown and
-	// jittered per trip via the shared retransmission backoff (0: the
-	// heartbeat interval when heartbeats are on, else 1ms).
-	BreakerCooldown sim.Time
-}
-
-// DefaultOverloadParams returns an enabled configuration with every knob
-// at its documented default.
-func DefaultOverloadParams() OverloadParams {
-	return OverloadParams{Enabled: true}
-}
-
 const (
 	// sojournTarget is the CoDel-style target sojourn time of the classed
 	// send queue. Sojourns above target for a full sojournWindow start
@@ -76,33 +51,17 @@ const (
 	// normal too. Critical is never shed.
 	sojournTarget = 100 * sim.Microsecond
 	sojournWindow = 500 * sim.Microsecond
+	// breakerTrip is how many consecutive peer fast-rejects open that
+	// peer's circuit breaker.
+	breakerTrip = 8
 )
 
 // quantum is the weighted-deficit-round-robin quantum in bytes per round.
 var quantum = [NumClasses]int{ClassCritical: 4096, ClassNormal: 2048, ClassBulk: 1024}
 
-func (p OverloadParams) withDefaults(heartbeat sim.Time) OverloadParams {
-	for c := 0; c < NumClasses; c++ {
-		if p.Burst[c] == 0 {
-			p.Burst[c] = 8
-		}
-	}
-	if p.BreakerTrip == 0 {
-		p.BreakerTrip = 8
-	}
-	if p.BreakerCooldown == 0 {
-		if heartbeat != 0 {
-			p.BreakerCooldown = heartbeat
-		} else {
-			p.BreakerCooldown = sim.Millisecond
-		}
-	}
-	return p
-}
-
 // ErrOverload is the deterministic admission fast-reject: the operation
-// was refused — locally (rate limit, sojourn shedding, open breaker) or by
-// the peer (ProtoReject) — without consuming CAB CPU or fiber credit.
+// was refused — locally (sojourn shedding, open breaker) or by the peer
+// (ProtoReject) — without consuming CAB CPU or fiber credit.
 type ErrOverload struct {
 	Peer   int
 	Class  Class
@@ -138,15 +97,6 @@ type ovItem struct {
 	enq      sim.Time
 }
 
-// bucket is a virtual-time token bucket. Credits are in ns·(ops/sec):
-// one admitted operation costs sim.Second worth.
-type bucket struct {
-	rate    int64 // ops/sec; 0 = unlimited
-	credits int64
-	depth   int64 // cap on credits
-	last    sim.Time
-}
-
 // breaker is one peer's circuit-breaker state.
 type breaker struct {
 	consec   int // consecutive fast-rejects from this peer
@@ -159,15 +109,15 @@ type breaker struct {
 // overload is the per-transport overload-control state (nil when the
 // subsystem is disabled; every method tolerates a nil receiver).
 type overload struct {
-	p OverloadParams
+	// cooldown is the breakers' base half-open probe delay, grown and
+	// jittered per trip via the shared retransmission backoff.
+	cooldown sim.Time
 
 	// Classed CAB send queue, drained by the service thread in
 	// weighted-deficit-round-robin order.
 	q       [NumClasses][]ovItem
 	deficit [NumClasses]int
 	queued  int
-
-	tb [NumClasses]bucket
 
 	// CoDel-style sojourn controller: above is the first instant the
 	// dequeue sojourn exceeded target (0 while below), shedLevel is the
@@ -185,14 +135,15 @@ type overload struct {
 	breakerOpen  int64 // gauge: breakers currently open
 }
 
-func newOverload(p OverloadParams) *overload {
-	o := &overload{p: p, brk: make(map[int]*breaker)}
-	for c := 0; c < NumClasses; c++ {
-		o.tb[c].rate = p.Rate[c]
-		o.tb[c].depth = p.Burst[c] * int64(sim.Second)
-		o.tb[c].credits = o.tb[c].depth // buckets start full
+// newOverload builds the state for a transport with the given heartbeat
+// interval. The breaker cooldown is that interval (a peer that answers
+// pings is worth probing again that soon), or 1ms without heartbeats.
+func newOverload(heartbeat sim.Time) *overload {
+	cooldown := heartbeat
+	if cooldown == 0 {
+		cooldown = sim.Millisecond
 	}
-	return o
+	return &overload{cooldown: cooldown, brk: make(map[int]*breaker)}
 }
 
 // enqueue appends one packet to its class queue.
@@ -274,27 +225,6 @@ func (o *overload) shedByLevel(c Class) bool {
 	}
 }
 
-// takeToken draws one admission token for class c (lazy virtual-time
-// refill; integer math, deterministic).
-func (o *overload) takeToken(c Class, now sim.Time) bool {
-	tb := &o.tb[c]
-	if tb.rate <= 0 {
-		return true
-	}
-	if now > tb.last {
-		tb.credits += int64(now-tb.last) * tb.rate
-		if tb.credits > tb.depth {
-			tb.credits = tb.depth
-		}
-		tb.last = now
-	}
-	if tb.credits < int64(sim.Second) {
-		return false
-	}
-	tb.credits -= int64(sim.Second)
-	return true
-}
-
 // admit is the sender-side admission check at the top of every reliable
 // operation. With the subsystem disabled it is a single nil-compare —
 // zero allocations, zero simulated-time cost.
@@ -327,11 +257,6 @@ func (t *Transport) admit(dst int, opts SendOpts) error {
 			t.fr.Note(obs.FShed, t.frName, int64(dst), int64(opts.Class))
 			return &ErrOverload{Peer: dst, Class: opts.Class, Reason: "send-queue sojourn"}
 		}
-	}
-	if !o.takeToken(opts.Class, now) {
-		o.sheds[opts.Class]++
-		t.fr.Note(obs.FShed, t.frName, int64(dst), int64(opts.Class))
-		return &ErrOverload{Peer: dst, Class: opts.Class, Reason: "admission rate"}
 	}
 	return nil
 }
@@ -510,14 +435,14 @@ func (t *Transport) noteFastReject(peer int, now sim.Time) {
 		if b.probing {
 			b.probing = false
 			b.trips++
-			b.reopenAt = now + backoffWait(o.p.BreakerCooldown, b.trips, t.self, peer, 0)
+			b.reopenAt = now + backoffWait(o.cooldown, b.trips, t.self, peer, 0)
 		}
 		return
 	}
-	if b.consec >= o.p.BreakerTrip {
+	if b.consec >= breakerTrip {
 		b.open = true
 		b.trips++
-		b.reopenAt = now + backoffWait(o.p.BreakerCooldown, b.trips, t.self, peer, 0)
+		b.reopenAt = now + backoffWait(o.cooldown, b.trips, t.self, peer, 0)
 		o.breakerTrips++
 		o.breakerOpen++
 		t.fr.Note(obs.FBreakerTrip, t.frName, int64(peer), int64(b.trips))

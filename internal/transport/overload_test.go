@@ -26,63 +26,15 @@ func echoServer(st *core.CABStack) {
 	})
 }
 
-func TestOverloadAdmissionRateLimit(t *testing.T) {
-	var op transport.OverloadParams
-	op.Rate[transport.ClassBulk] = 1000 // one bulk op per millisecond
-	op.Burst[transport.ClassBulk] = 1
-	sys := core.New(core.SingleHub(2), core.WithOverloadControl(op))
-	echoServer(sys.CAB(1))
-
-	cl := sys.CAB(0)
-	okOps, shedOps, critOps := 0, 0, 0
-	cl.Kernel.Spawn("client", func(th *kernel.Thread) {
-		bulk := transport.SendOpts{Class: transport.ClassBulk}
-		for i := 0; i < 5; i++ {
-			_, err := cl.TP.RequestOpts(th, 1, 7, 3, []byte("bulk"), bulk)
-			var ov *transport.ErrOverload
-			switch {
-			case err == nil:
-				okOps++
-			case errors.As(err, &ov):
-				shedOps++
-			default:
-				t.Errorf("bulk request %d: %v", i, err)
-			}
-		}
-		// Critical has no configured rate: never refused.
-		crit := transport.SendOpts{Class: transport.ClassCritical}
-		for i := 0; i < 5; i++ {
-			if _, err := cl.TP.RequestOpts(th, 1, 7, 3, []byte("crit"), crit); err != nil {
-				t.Errorf("critical request %d: %v", i, err)
-			} else {
-				critOps++
-			}
-		}
-	})
-	sys.Run()
-
-	if okOps != 1 || shedOps != 4 {
-		t.Fatalf("bulk at 1/ms burst 1: %d admitted %d shed, want 1/4", okOps, shedOps)
-	}
-	if critOps != 5 {
-		t.Fatalf("critical completed %d/5", critOps)
-	}
-	if got := cl.TP.OverloadShedsClass(transport.ClassBulk); got != 4 {
-		t.Fatalf("bulk shed counter = %d, want 4", got)
-	}
-	if cl.TP.OverloadShedsClass(transport.ClassCritical) != 0 {
-		t.Fatal("critical was shed")
-	}
-}
-
 // TestOverloadPeerRejectTripsBreakerAndRecovers drives the full fast-reject
 // round trip: a pressured receiver refuses bulk admissions with ProtoReject,
-// consecutive rejects trip the sender's circuit breaker (third op fails
-// locally without touching the wire), and after the receiver drains and the
-// jittered cooldown passes, a half-open probe succeeds and closes it.
+// eight consecutive rejects (the breaker's trip threshold) trip the sender's
+// circuit breaker (the ninth op fails locally without touching the wire),
+// and after the receiver drains and the jittered cooldown passes, a
+// half-open probe succeeds and closes it.
 func TestOverloadPeerRejectTripsBreakerAndRecovers(t *testing.T) {
-	op := transport.OverloadParams{BreakerTrip: 2, BreakerCooldown: sim.Millisecond}
-	sys := core.New(core.SingleHub(2), core.WithOverloadControl(op))
+	const trip = 8
+	sys := core.New(core.SingleHub(2), core.WithOverloadControl())
 	srv := sys.CAB(1)
 	smb := srv.Kernel.NewMailbox("server", 1024)
 	srv.TP.Register(7, smb)
@@ -107,16 +59,18 @@ func TestOverloadPeerRejectTripsBreakerAndRecovers(t *testing.T) {
 
 	cl := sys.CAB(0)
 	reqTimeout := core.DefaultParams().Transport.ReqTimeout
-	var errs [3]error
+	var errs [trip + 1]error
 	var rejectRTT sim.Time
 	var probeErr error
 	cl.Kernel.Spawn("client", func(th *kernel.Thread) {
 		bulk := transport.SendOpts{Class: transport.ClassBulk}
-		start := th.Proc().Now()
-		_, errs[0] = cl.TP.RequestOpts(th, 1, 7, 3, []byte("a"), bulk)
-		rejectRTT = th.Proc().Now() - start
-		_, errs[1] = cl.TP.RequestOpts(th, 1, 7, 3, []byte("b"), bulk)
-		_, errs[2] = cl.TP.RequestOpts(th, 1, 7, 3, []byte("c"), bulk)
+		for i := range errs {
+			start := th.Proc().Now()
+			_, errs[i] = cl.TP.RequestOpts(th, 1, 7, 3, []byte("a"), bulk)
+			if i == 0 {
+				rejectRTT = th.Proc().Now() - start
+			}
+		}
 		// Past the drain and the cooldown: the next op is the half-open
 		// probe and must succeed against the now-healthy server.
 		th.Sleep(8 * sim.Millisecond)
@@ -135,14 +89,14 @@ func TestOverloadPeerRejectTripsBreakerAndRecovers(t *testing.T) {
 	if rejectRTT >= reqTimeout {
 		t.Fatalf("fast-reject took %v, not faster than the %v request timeout", rejectRTT, reqTimeout)
 	}
-	if sent, _ := srv.TP.OverloadRejects(); sent != 2 {
-		t.Fatalf("server sent %d rejects, want 2 (third op must fail at the sender)", sent)
+	if sent, _ := srv.TP.OverloadRejects(); sent != trip {
+		t.Fatalf("server sent %d rejects, want %d (the next op must fail at the sender)", sent, trip)
 	}
-	if _, recv := cl.TP.OverloadRejects(); recv != 2 {
-		t.Fatalf("client received %d rejects, want 2", recv)
+	if _, recv := cl.TP.OverloadRejects(); recv != trip {
+		t.Fatalf("client received %d rejects, want %d", recv, trip)
 	}
-	if got := srv.TP.OverloadShedsClass(transport.ClassBulk); got != 2 {
-		t.Fatalf("receiver-side bulk sheds = %d, want 2", got)
+	if got := srv.TP.OverloadShedsClass(transport.ClassBulk); got != trip {
+		t.Fatalf("receiver-side bulk sheds = %d, want %d", got, trip)
 	}
 	if got := cl.TP.OverloadShedsClass(transport.ClassBulk); got != 1 {
 		t.Fatalf("sender-side (circuit open) sheds = %d, want 1", got)
@@ -159,7 +113,7 @@ func TestOverloadPeerRejectTripsBreakerAndRecovers(t *testing.T) {
 }
 
 func TestOverloadDeadlineExpiredFastFail(t *testing.T) {
-	sys := core.New(core.SingleHub(2), core.WithOverloadControl(transport.DefaultOverloadParams()))
+	sys := core.New(core.SingleHub(2), core.WithOverloadControl())
 	cl := sys.CAB(0)
 	var err error
 	var elapsed sim.Time
@@ -185,7 +139,7 @@ func TestOverloadDeadlineExpiredFastFail(t *testing.T) {
 
 func TestStreamDeadlineExpiresAtRetransmitPoint(t *testing.T) {
 	params := core.DefaultParams()
-	params.Transport.Overload = transport.DefaultOverloadParams()
+	params.Transport.Overload = true
 	// Damage every packet: no ack ever arrives, so the deadline check at
 	// the retransmit queueing point must abandon the message.
 	params.Topo.Errors = fiber.ErrorModel{BitErrorRate: 0.5, Seed: 3}
@@ -209,9 +163,11 @@ func TestStreamDeadlineExpiresAtRetransmitPoint(t *testing.T) {
 	}
 }
 
-func TestStreamGivesUpAfterSingleRTOExpiry(t *testing.T) {
+// TestStreamGivesUpAfterMaxRTOExpiries: with every packet damaged, a stream
+// message is abandoned after exactly 64 consecutive RTO expiries.
+func TestStreamGivesUpAfterMaxRTOExpiries(t *testing.T) {
+	const maxExpiries = 64
 	params := core.DefaultParams()
-	params.Transport.MaxRTOExpiries = 1
 	params.Topo.Errors = fiber.ErrorModel{BitErrorRate: 0.5, Seed: 3}
 	sys := core.New(core.SingleHub(2), core.WithParams(params))
 	rx := sys.CAB(1)
@@ -227,11 +183,11 @@ func TestStreamGivesUpAfterSingleRTOExpiry(t *testing.T) {
 	if !errors.As(err, &st) {
 		t.Fatalf("error %v, want ErrStreamTimeout", err)
 	}
-	if st.Expiries != 1 {
-		t.Fatalf("gave up after %d expiries, want exactly MaxRTOExpiries=1", st.Expiries)
+	if st.Expiries != maxExpiries {
+		t.Fatalf("gave up after %d expiries, want exactly %d", st.Expiries, maxExpiries)
 	}
-	if got := cl.TP.Stats().RTOExpiries; got != 1 {
-		t.Fatalf("RTOExpiries stat = %d, want 1", got)
+	if got := cl.TP.Stats().RTOExpiries; got != maxExpiries {
+		t.Fatalf("RTOExpiries stat = %d, want %d", got, maxExpiries)
 	}
 }
 
@@ -242,7 +198,7 @@ func TestOverloadDisabledMatchesAbsent(t *testing.T) {
 	cfg := load.Config{Seed: 5, Workers: 1, Warmup: sim.Millisecond, Duration: 4 * sim.Millisecond}
 	absent := load.Run(core.New(core.SingleHub(3)), cfg)
 	p := core.DefaultParams()
-	p.Transport.Overload = transport.OverloadParams{} // explicitly disabled
+	p.Transport.Overload = false // explicitly disabled
 	disabled := load.Run(core.New(core.SingleHub(3), core.WithParams(p)), cfg)
 	if absent.Digest != disabled.Digest {
 		t.Fatalf("digest %x with subsystem absent, %x explicitly disabled", absent.Digest, disabled.Digest)
@@ -257,7 +213,7 @@ func TestOverloadDisabledMatchesAbsent(t *testing.T) {
 // WDRR scheduling, shedding, and breakers are all virtual-time-determined.
 func TestOverloadArmedDeterministicReplay(t *testing.T) {
 	run := func() *load.Result {
-		sys := core.New(core.SingleHub(3), core.WithOverloadControl(transport.DefaultOverloadParams()))
+		sys := core.New(core.SingleHub(3), core.WithOverloadControl())
 		cfg := load.Config{
 			Seed: 11, Arrival: load.OpenLoop, RatePerCAB: 6000,
 			Warmup: sim.Millisecond, Duration: 4 * sim.Millisecond,

@@ -7,11 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ovl builds overload state with defaults applied, as transport.New does.
-func ovl(p OverloadParams) *overload {
-	p.Enabled = true
-	return newOverload(p.withDefaults(0))
-}
+// ovl builds overload state as transport.New does without heartbeats.
+func ovl() *overload { return newOverload(0) }
 
 // item builds a queue entry whose dst doubles as a marker for the test.
 func item(marker, size int) ovItem {
@@ -19,7 +16,7 @@ func item(marker, size int) ovItem {
 }
 
 func TestWDRRDequeuePrecedence(t *testing.T) {
-	o := ovl(OverloadParams{})
+	o := ovl()
 	// Enqueued lowest-priority-first; dequeue must come back highest-first.
 	o.enqueue(item(2, 100), ClassBulk)
 	o.enqueue(item(0, 100), ClassNormal)
@@ -40,7 +37,7 @@ func TestWDRRDequeuePrecedence(t *testing.T) {
 }
 
 func TestWDRRWeightsNormalOverBulk(t *testing.T) {
-	o := ovl(OverloadParams{})
+	o := ovl()
 	// Equal-size packets; default quanta are 2048 normal / 1024 bulk, so
 	// with 1024-byte packets each round serves 2 normal then 1 bulk.
 	for i := 0; i < 6; i++ {
@@ -67,7 +64,7 @@ func TestWDRRWeightsNormalOverBulk(t *testing.T) {
 }
 
 func TestWDRRBulkNotStarved(t *testing.T) {
-	o := ovl(OverloadParams{})
+	o := ovl()
 	// A continuous critical backlog must not starve a waiting bulk packet:
 	// every backlogged class earns its quantum each round.
 	for i := 0; i < 8; i++ {
@@ -86,52 +83,8 @@ func TestWDRRBulkNotStarved(t *testing.T) {
 	t.Fatal("bulk packet starved behind critical backlog")
 }
 
-func TestTokenBucketDeterministicRefill(t *testing.T) {
-	var p OverloadParams
-	p.Rate[ClassBulk] = 1000 // one op per millisecond
-	p.Burst[ClassBulk] = 1
-	o := ovl(p)
-
-	if !o.takeToken(ClassBulk, 0) {
-		t.Fatal("full bucket refused the first op")
-	}
-	if o.takeToken(ClassBulk, 0) {
-		t.Fatal("empty bucket admitted a second op at the same instant")
-	}
-	if o.takeToken(ClassBulk, sim.Millisecond/2) {
-		t.Fatal("half a refill period produced a whole token")
-	}
-	if !o.takeToken(ClassBulk, sim.Millisecond+sim.Millisecond/2) {
-		t.Fatal("a full refill period did not produce a token")
-	}
-	// Unlimited classes (rate 0) never refuse.
-	for i := 0; i < 100; i++ {
-		if !o.takeToken(ClassCritical, 0) {
-			t.Fatal("rate-0 class refused an op")
-		}
-	}
-}
-
-func TestTokenBucketDepthCapsBurst(t *testing.T) {
-	var p OverloadParams
-	p.Rate[ClassNormal] = 1000
-	p.Burst[ClassNormal] = 2
-	o := ovl(p)
-	// A long idle period must not bank more than Burst tokens.
-	now := sim.Time(10 * sim.Second)
-	admitted := 0
-	for i := 0; i < 10; i++ {
-		if o.takeToken(ClassNormal, now) {
-			admitted++
-		}
-	}
-	if admitted != 2 {
-		t.Fatalf("admitted %d ops after long idle, want burst depth 2", admitted)
-	}
-}
-
 func TestSojournControllerEngageAndRecover(t *testing.T) {
-	o := ovl(OverloadParams{}) // target 100us, window 500us
+	o := ovl() // target 100us, window 500us
 
 	// Below target: nothing happens.
 	o.observeSojourn(sim.Millisecond, 50*sim.Microsecond)
@@ -172,18 +125,19 @@ func TestSojournControllerEngageAndRecover(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	tp := &Transport{ovl: ovl(OverloadParams{BreakerTrip: 3, BreakerCooldown: sim.Millisecond})}
+	tp := &Transport{ovl: ovl()}
 	o := tp.ovl
 	peer := 5
 
-	// Two rejects: below threshold, still closed.
-	tp.noteFastReject(peer, 0)
-	tp.noteFastReject(peer, 0)
-	if b := o.brk[peer]; b.open || b.consec != 2 {
-		t.Fatalf("breaker after 2 rejects: open=%v consec=%d", b.open, b.consec)
+	// One reject short of the threshold: still closed.
+	for i := 0; i < breakerTrip-1; i++ {
+		tp.noteFastReject(peer, 0)
+	}
+	if b := o.brk[peer]; b.open || b.consec != breakerTrip-1 {
+		t.Fatalf("breaker after %d rejects: open=%v consec=%d", breakerTrip-1, b.open, b.consec)
 	}
 
-	// Third consecutive reject trips it open with a jittered cooldown.
+	// The threshold reject trips it open with a jittered cooldown.
 	tp.noteFastReject(peer, 10*sim.Millisecond)
 	b := o.brk[peer]
 	if !b.open || o.breakerTrips != 1 || o.breakerOpen != 1 {
@@ -218,10 +172,14 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerSuccessBetweenRejectsResetsStreak(t *testing.T) {
-	tp := &Transport{ovl: ovl(OverloadParams{BreakerTrip: 2})}
-	tp.noteFastReject(1, 0)
+	tp := &Transport{ovl: ovl()}
+	for i := 0; i < breakerTrip-1; i++ {
+		tp.noteFastReject(1, 0)
+	}
 	tp.noteSuccess(1)
-	tp.noteFastReject(1, 0)
+	for i := 0; i < breakerTrip-1; i++ {
+		tp.noteFastReject(1, 0)
+	}
 	if b := tp.ovl.brk[1]; b.open {
 		t.Fatal("non-consecutive rejects tripped the breaker")
 	}
@@ -269,15 +227,15 @@ func TestOverloadAccessorsNilSafe(t *testing.T) {
 		sent != 0 || recv != 0 {
 		t.Fatal("disabled transport leaked overload state")
 	}
-	armed := &Transport{ovl: ovl(OverloadParams{})}
+	armed := &Transport{ovl: ovl()}
 	if armed.OverloadShedsClass(NumClasses) != 0 {
 		t.Fatal("out-of-range class not guarded")
 	}
 }
 
 func TestOverloadErrorStrings(t *testing.T) {
-	e := &ErrOverload{Peer: 3, Class: ClassBulk, Reason: "admission rate"}
-	if !strings.Contains(e.Error(), "bulk") || !strings.Contains(e.Error(), "admission rate") {
+	e := &ErrOverload{Peer: 3, Class: ClassBulk, Reason: "send-queue sojourn"}
+	if !strings.Contains(e.Error(), "bulk") || !strings.Contains(e.Error(), "send-queue sojourn") {
 		t.Fatalf("ErrOverload text %q", e.Error())
 	}
 	d := &ErrDeadlineExpired{Deadline: 100, Now: 200}

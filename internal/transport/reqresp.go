@@ -86,7 +86,7 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 		wire := Encode(h, data)
 		t.stats.Requests++
 
-		for attempt := 0; attempt <= t.params.ReqRetries; attempt++ {
+		for attempt := 0; attempt <= reqRetries; attempt++ {
 			if attempt > 0 {
 				// Deadline check at the retransmit queueing point: expired
 				// requests are not worth another round trip.

@@ -40,7 +40,7 @@ type streamSender struct {
 }
 
 // ErrStreamTimeout is returned when a stream message exhausts
-// Params.MaxRTOExpiries consecutive retransmission timeouts with no ack
+// maxRTOExpiries consecutive retransmission timeouts with no ack
 // progress — the receiver is unreachable or lost the message head, and
 // go-back-N alone cannot recover. The caller may retry the whole message
 // (a fresh MsgID resynchronizes the receiver).
@@ -83,7 +83,7 @@ func (t *Transport) streamIn(key streamKey) *streamRecv {
 
 // StreamSend reliably transfers data to (dst, dstBox), blocking the thread
 // until the receiver has accepted the whole message into its mailbox. It
-// gives up with ErrStreamTimeout after Params.MaxRTOExpiries consecutive
+// gives up with ErrStreamTimeout after maxRTOExpiries consecutive
 // retransmission timeouts without ack progress, and with ErrPeerDead when
 // the heartbeat monitor declares the destination dead.
 func (t *Transport) StreamSend(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte) error {
@@ -107,10 +107,6 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 		s.done = false
 		s.err = nil
 
-		maxExpiries := t.params.MaxRTOExpiries
-		if maxExpiries == 0 {
-			maxExpiries = 64
-		}
 		expiries := 0 // consecutive RTO expiries without ack progress
 
 		// Fragment (a stamped deadline costs its wire extension per packet).
@@ -144,7 +140,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 				next++
 				s.window = next - base
 			}
-			got := s.cond.WaitTimeout(th, t.params.RTO)
+			got := s.cond.WaitTimeout(th, rto)
 			if s.done {
 				break
 			}
@@ -169,7 +165,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 				t.fr.Note(obs.FRTOExpiry, t.frName, int64(dst), int64(next-base))
 				t.fl.Retrans(t.self, dst, byte(ProtoStream))
 				expiries++
-				if expiries >= maxExpiries {
+				if expiries >= maxRTOExpiries {
 					return 0, &ErrStreamTimeout{Dst: dst, MsgID: msgID, Expiries: expiries}
 				}
 				next = base

@@ -26,47 +26,52 @@ const (
 	procRecv = 2500 * sim.Nanosecond
 )
 
+// The transport's recovery timing, sized to the paper's latency budget.
+const (
+	// rto is the byte-stream retransmission timeout.
+	rto = 2 * sim.Millisecond
+	// maxRTOExpiries bounds consecutive byte-stream retransmission
+	// timeouts: after this many RTO expiries with no ack progress,
+	// StreamSend gives up with ErrStreamTimeout instead of retrying
+	// forever.
+	maxRTOExpiries = 64
+	// reqRetries is how many times a request is retransmitted after its
+	// first send before the caller gets ErrTimeout.
+	reqRetries = 3
+	// peerMisses is the unanswered-heartbeat threshold at which a peer is
+	// declared dead.
+	peerMisses = 3
+)
+
 // Params are the transport protocol parameters.
 type Params struct {
 	// Window is the byte-stream sliding window, in packets.
 	Window int
-	// RTO is the byte-stream retransmission timeout.
-	RTO sim.Time
-	// ReqTimeout and ReqRetries govern request-response retransmission.
+	// ReqTimeout is the request-response retransmission timeout.
 	ReqTimeout sim.Time
-	ReqRetries int
-	// MaxRTOExpiries bounds consecutive byte-stream retransmission
-	// timeouts: after this many RTO expiries with no ack progress,
-	// StreamSend gives up with ErrStreamTimeout instead of retrying
-	// forever (0: 64).
-	MaxRTOExpiries int
 	// HeartbeatInterval enables peer liveness heartbeats: while reliable
 	// operations are outstanding, each watched peer is pinged at this
-	// interval, and after PeerMisses unanswered pings it is declared
+	// interval, and after peerMisses unanswered pings it is declared
 	// dead (blocked senders get ErrPeerDead). 0 disables heartbeats.
 	HeartbeatInterval sim.Time
-	// PeerMisses is the unanswered-heartbeat threshold (0: 3).
-	PeerMisses int
 	// DisableAckFastPath forces all control packets (acks, cached
 	// responses) through the service thread instead of the
 	// interrupt-level datalink fast path — an ablation of the paper's
 	// "no context switching overhead at the datalink-transport
 	// interface" design point (§6.2.1).
 	DisableAckFastPath bool
-	// Overload configures the overload-control subsystem (overload.go):
+	// Overload arms the overload-control subsystem (overload.go):
 	// deadline propagation, priority classes with weighted-deficit send
-	// scheduling, token-bucket + sojourn admission control, and per-peer
-	// circuit breaking. Disabled by default.
-	Overload OverloadParams
+	// scheduling, sojourn-time admission control, and per-peer circuit
+	// breaking. Disabled by default.
+	Overload bool
 }
 
 // DefaultParams returns parameters meeting the paper's latency budget.
 func DefaultParams() Params {
 	return Params{
 		Window:     8,
-		RTO:        2 * sim.Millisecond,
 		ReqTimeout: 5 * sim.Millisecond,
-		ReqRetries: 3,
 	}
 }
 
@@ -164,8 +169,8 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 		outSem:     k.NewSem(0),
 		watch:      make(map[int]*peerState),
 	}
-	if params.Overload.Enabled {
-		t.ovl = newOverload(params.Overload.withDefaults(params.HeartbeatInterval))
+	if params.Overload {
+		t.ovl = newOverload(params.HeartbeatInterval)
 	}
 	dl.SetReceiver(t.handlePacket)
 	k.SpawnDaemon("transport-service", t.serviceLoop)

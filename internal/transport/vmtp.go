@@ -36,26 +36,17 @@ const MaxGroupPackets = 32
 // MaxTransaction is the largest request or response payload.
 const MaxTransaction = MaxGroupPackets * MaxData
 
-// VMTPParams tune the transaction protocol.
-type VMTPParams struct {
-	// GroupTimeout is how long a receiver waits for a group's missing
+// The transaction protocol's timeouts, matched to Nectar's latencies.
+const (
+	// vmtpGroupTimeout is how long a receiver waits for a group's missing
 	// packets before sending a selective NACK.
-	GroupTimeout sim.Time
-	// ClientTimeout is the transaction timeout before the client
+	vmtpGroupTimeout = 500 * sim.Microsecond
+	// vmtpClientTimeout is the transaction timeout before the client
 	// re-probes (retransmits unacknowledged request packets).
-	ClientTimeout sim.Time
-	// Retries bounds client retransmission rounds.
-	Retries int
-}
-
-// DefaultVMTPParams returns timeouts matched to Nectar's latencies.
-func DefaultVMTPParams() VMTPParams {
-	return VMTPParams{
-		GroupTimeout:  500 * sim.Microsecond,
-		ClientTimeout: 4 * sim.Millisecond,
-		Retries:       8,
-	}
-}
+	vmtpClientTimeout = 4 * sim.Millisecond
+	// vmtpRetries bounds client retransmission rounds.
+	vmtpRetries = 8
+)
 
 // vmtpGroup reassembles one packet group.
 type vmtpGroup struct {
@@ -98,7 +89,6 @@ type vmtpPending struct {
 
 // vmtpState is lazily created per transport.
 type vmtpState struct {
-	params  VMTPParams
 	nextTxn uint32
 	pending map[uint32]*vmtpPending
 	// Server side: requests under reassembly, then in service or answered
@@ -110,7 +100,6 @@ type vmtpState struct {
 func (t *Transport) vmtp() *vmtpState {
 	if t.vm == nil {
 		t.vm = &vmtpState{
-			params:  DefaultVMTPParams(),
 			pending: make(map[uint32]*vmtpPending),
 			reqs:    make(map[reqKey]*vmtpGroup),
 			once:    newAtMostOnce[[][]byte](),
@@ -118,9 +107,6 @@ func (t *Transport) vmtp() *vmtpState {
 	}
 	return t.vm
 }
-
-// SetVMTPParams overrides the transaction timeouts.
-func (t *Transport) SetVMTPParams(p VMTPParams) { t.vmtp().params = p }
 
 // groupPackets fragments data into a packet group's wire packets.
 func (t *Transport) groupPackets(proto Proto, dst int, dstBox, srcBox uint16, txn uint32, data []byte, opts SendOpts) [][]byte {
@@ -190,9 +176,9 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		if err := send(0); err != nil {
 			return pend.traceID, err
 		}
-		for attempt := 0; attempt <= vm.params.Retries; attempt++ {
+		for attempt := 0; attempt <= vmtpRetries; attempt++ {
 			t.awaitReply(th, &pend.pendingOp,
-				backoffWait(vm.params.ClientTimeout, attempt, t.self, dst, txn))
+				backoffWait(vmtpClientTimeout, attempt, t.self, dst, txn))
 			if pend.done {
 				resp = pend.resp.assemble()
 				return pend.traceID, nil
@@ -387,9 +373,8 @@ func (t *Transport) recvVNack(h *Header, payload []byte, sp *trace.Span) {
 
 // armGroupTimer (re)arms a group's gap timer.
 func (t *Transport) armGroupTimer(g *vmtpGroup, fire func()) {
-	vm := t.vmtp()
 	g.cancelTimer()
-	timer := t.k.Board().Timers.Set(vm.params.GroupTimeout, fire)
+	timer := t.k.Board().Timers.Set(vmtpGroupTimeout, fire)
 	g.timer = &timerRef{cancel: timer.Cancel}
 }
 

@@ -202,11 +202,6 @@ func TestVMTPBeatsGoBackNUnderLoss(t *testing.T) {
 func TestVMTPGroupTimeoutPermanentLoss(t *testing.T) {
 	sys := core.New(core.SingleHub(2))
 	vmtpServer(sys, 1, 7)
-	p := transport.DefaultVMTPParams()
-	p.GroupTimeout = 200 * sim.Microsecond
-	p.ClientTimeout = sim.Millisecond
-	p.Retries = 3
-	sys.CAB(0).TP.SetVMTPParams(p)
 
 	// ~12% packet survival at 1 KB packets: enough stragglers get through
 	// to open a partial group and arm its gap timer, but a 20-packet group
@@ -222,8 +217,9 @@ func TestVMTPGroupTimeoutPermanentLoss(t *testing.T) {
 		done = true
 	})
 	// The server's NACK timer re-arms while its group stays incomplete,
-	// so drive with a horizon rather than running to quiescence.
-	sys.RunUntil(50 * sim.Millisecond)
+	// so drive with a horizon rather than running to quiescence; the
+	// client's eight backed-off retries end well inside it.
+	sys.RunUntil(sim.Second)
 	if !done {
 		t.Fatal("VTransact hung after permanent packet loss")
 	}

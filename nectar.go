@@ -7,9 +7,9 @@
 //
 //   - the HUB crossbar switch with its hardware datalink command set;
 //   - fiber links, topologies (single HUB, clusters, 2-D meshes, tori,
-//     3-D tori, fat trees) and routing — deterministic BFS shortest-path,
-//     dimension-order, and deadlock-free minimal-adaptive policies —
-//     including multicast trees;
+//     3-D tori, fat trees) and routing — deterministic BFS shortest-path
+//     and deadlock-free minimal-adaptive policies — including multicast
+//     trees;
 //   - the CAB communication processor: CPU, DMA, protected memory,
 //     hardware checksum and timers;
 //   - the CAB kernel (threads, mailboxes), the datalink (circuit and
@@ -46,14 +46,14 @@
 // one of the shape constructors — SingleHub, Mesh, Line, Torus, Torus3D,
 // or FatTree — plus functional options, and there is no other way to
 // assemble a System. All shapes share one options struct (ports per HUB,
-// propagation delay, error model) rather than per-shape positional
-// parameters. WithRouting selects the routing policy
-// (BFS shortest-path by default; dimension-order or deadlock-free adaptive
-// routing on request), WithCollAlgorithm forces a collective algorithm
-// family, WithHubCombining arms in-network combining, and
-// WithOverloadControl arms priority classes and admission control. The
-// telemetry options (metrics, span tracing, the observability plane, SLOs)
-// and fault recovery live in internal/core, beside the parameter set.
+// error model) rather than per-shape positional parameters. WithRouting
+// selects the routing policy (BFS shortest-path by default; deadlock-free
+// adaptive routing on request), WithHubCombining arms in-network
+// combining, and WithOverloadControl arms priority classes and admission
+// control. A collective group picks its algorithm per operation, or takes
+// one forced per group (coll.WithAlgorithm). The telemetry options
+// (metrics, span tracing, the observability plane, SLOs) and fault
+// recovery live in internal/core, beside the parameter set.
 //
 // # Error contract
 //
@@ -161,13 +161,11 @@ func FatTree(leafHubs, spineHubs, cabsPerLeaf int) Topology {
 // RoutingPolicy names a route-computation strategy for WithRouting.
 type RoutingPolicy = topo.Policy
 
-// Routing policies: deterministic BFS shortest-path (the default),
-// deterministic dimension-order (grids) / up-down (fat trees), and
+// Routing policies: deterministic BFS shortest-path (the default) and
 // deadlock-free minimal-adaptive routing by downstream queue depth with
 // dimension-order escape paths.
 const (
 	RoutingBFS      = topo.PolicyBFS
-	RoutingDimOrder = topo.PolicyDimOrder
 	RoutingAdaptive = topo.PolicyAdaptive
 )
 
@@ -175,11 +173,6 @@ const (
 // route cache, FlushRoutes, and fault-recovery route flushes behave
 // identically under every policy.
 func WithRouting(policy RoutingPolicy) Option { return core.WithRouting(policy) }
-
-// WithCollAlgorithm forces the collective subsystem's algorithm family
-// ("tree", "rd", "ring", "mcast", or "comb") in place of automatic
-// selection.
-func WithCollAlgorithm(name string) Option { return core.WithCollAlgorithm(name) }
 
 // WithHubCombining arms the in-network combining engine on every HUB:
 // reduce, allreduce, and barrier merge their operands at the switch
@@ -194,9 +187,9 @@ func WithHubCombining() Option { return core.WithHubCombining() }
 // every transport operation may carry a priority class and a deadline
 // (the Opts variants of Request/StreamSend/VTransact): the CAB send queue
 // is weighted-deficit scheduled by class, deadlines are enforced at every
-// queueing point, admission control sheds lowest-class-first with a
-// deterministic fast-reject, and peers that keep rejecting trip a circuit
-// breaker with jittered half-open recovery.
+// queueing point, sojourn-time admission control sheds lowest-class-first
+// with a deterministic fast-reject, and peers that keep rejecting trip a
+// circuit breaker with jittered half-open recovery.
 type (
 	// Class is a transport priority class (ClassNormal, ClassCritical,
 	// ClassBulk).
@@ -204,8 +197,6 @@ type (
 	// SendOpts carries a per-operation class and deadline into the
 	// classed transport entry points.
 	SendOpts = transport.SendOpts
-	// OverloadParams tunes the overload-control subsystem.
-	OverloadParams = transport.OverloadParams
 )
 
 // Transport priority classes. ClassNormal is the zero value: unclassed
@@ -217,13 +208,9 @@ const (
 	ClassBulk     = transport.ClassBulk
 )
 
-// DefaultOverloadParams returns the enabled overload-control parameter set
-// (documented defaults fill the rest).
-func DefaultOverloadParams() OverloadParams { return transport.DefaultOverloadParams() }
-
 // WithOverloadControl arms the overload-control subsystem: priority
 // classes, deadline propagation, admission control, and circuit breaking.
-func WithOverloadControl(op OverloadParams) Option { return core.WithOverloadControl(op) }
+func WithOverloadControl() Option { return core.WithOverloadControl() }
 
 // New assembles a Nectar system from a topology and options — the only
 // construction path. It panics with a descriptive "nectar: ..." message

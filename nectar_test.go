@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/coll"
 	"repro/internal/ipsc"
 )
 
@@ -70,7 +71,7 @@ func TestFacadeTopologies(t *testing.T) {
 // policy must deliver, and the default must equal explicit BFS.
 func TestFacadeRoutingPolicies(t *testing.T) {
 	for _, pol := range []nectar.RoutingPolicy{
-		nectar.RoutingBFS, nectar.RoutingDimOrder, nectar.RoutingAdaptive,
+		nectar.RoutingBFS, nectar.RoutingAdaptive,
 	} {
 		sys := nectar.New(nectar.Torus3D(2, 2, 2, 1), nectar.WithRouting(pol))
 		last := sys.NumCABs() - 1
@@ -137,8 +138,8 @@ func TestFacadeIPSC(t *testing.T) {
 }
 
 func TestFacadeCollectives(t *testing.T) {
-	sys := nectar.New(nectar.SingleHub(4), nectar.WithCollAlgorithm("tree"))
-	g := nectar.NewCollGroup(sys, 1, []int{0, 1, 2, 3})
+	sys := nectar.New(nectar.SingleHub(4))
+	g := nectar.NewCollGroup(sys, 1, []int{0, 1, 2, 3}, coll.WithAlgorithm("tree"))
 	sums := make([]int64, 4)
 	for r := 0; r < 4; r++ {
 		r := r
