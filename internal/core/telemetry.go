@@ -136,12 +136,12 @@ func buildTelemetry(s *System) {
 
 // PromText renders everything the system exposes to a Prometheus scrape —
 // the metrics registry, the sampler's latest readings and the flow table,
-// each present only when armed — with labels on every sample. Call from
-// the simulation goroutine (or after the run).
-func (s *System) PromText(labels ...obs.Label) []byte {
+// each present only when armed. Call from the simulation goroutine (or
+// after the run).
+func (s *System) PromText() []byte {
 	var b bytes.Buffer
-	_ = obs.WriteProm(&b, s.Reg.Snapshot(), labels...)
-	obs.WriteSamplerProm(&b, s.Sampler, labels...)
-	s.Flows.WriteProm(&b, labels...)
+	_ = obs.WriteProm(&b, s.Reg.Snapshot())
+	obs.WriteSamplerProm(&b, s.Sampler)
+	s.Flows.WriteProm(&b)
 	return b.Bytes()
 }

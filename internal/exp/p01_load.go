@@ -9,12 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// P1FleetLoad exercises the deterministic workload generator behind
-// cmd/nectar-fleet: a single-HUB system at saturation under each arrival
+// P1FleetLoad exercises the deterministic workload generator of
+// internal/load: a single-HUB system at saturation under each arrival
 // mode and destination skew, with every configuration run twice to prove
-// the digest reproduces. This is the scale-out story the fleet harness
-// builds on — per-replica determinism is what lets N replicas shard
-// across OS threads without losing reproducibility.
+// the digest reproduces. Per-replica determinism is what lets independent
+// replicas run on separate OS threads without losing reproducibility;
+// load's TestReplicasShareNothing checks that under the race detector.
 func P1FleetLoad() *Result {
 	t := trace.NewTable("Saturation load generator (8 CABs, one HUB, 10ms window)",
 		"workload", "ops", "err", "shed", "ops/s", "MB/s", "p50 us", "p99 us", "deterministic")
@@ -56,7 +56,7 @@ func P1FleetLoad() *Result {
 		Tables: []*trace.Table{t},
 		Notes: []string{
 			"each workload runs twice from the same seed; 'deterministic' compares the FNV digests of every completed op",
-			"cmd/nectar-fleet shards seeded replicas of this workload across GOMAXPROCS threads and aggregates into BENCH_fleet.json",
+			"TestReplicasShareNothing (internal/load) runs seeded replicas of this workload concurrently under go test -race and requires the same digests",
 		},
 		Pass: pass,
 	}

@@ -1,16 +1,16 @@
 // Package load generates deterministic synthetic workloads against an
-// assembled Nectar system. It is the traffic source behind the fleet
-// harness (cmd/nectar-fleet): every CAB runs client threads issuing a
-// configurable mix of request-response, byte-stream, and VMTP transaction
-// operations against servers on the other CABs, with either closed-loop
-// (fixed concurrency) or open-loop (timed arrivals) injection and
-// uniform or zipfian destination popularity.
+// assembled Nectar system. It is the traffic source behind P1, R2, S1 and
+// bench/: every CAB runs client threads issuing a configurable mix of
+// request-response, byte-stream, and VMTP transaction operations against
+// servers on the other CABs, with either closed-loop (fixed concurrency)
+// or open-loop (timed arrivals) injection and uniform or zipfian
+// destination popularity.
 //
 // Determinism: all randomness comes from per-worker rand sources derived
 // from Config.Seed, and all scheduling happens on the system's
 // discrete-event engine, so a given (system, Config) pair always produces
 // byte-identical results — Result.Digest folds every completed operation
-// and is the value the fleet harness compares across runs.
+// and is the value replay checks compare across runs.
 package load
 
 import (
@@ -120,12 +120,12 @@ type Config struct {
 	// overall and per-class ones): past the cap the histogram decimates
 	// deterministically, keeping every count exact and quantiles
 	// approximate. 0 retains every sample exactly — fine for one
-	// experiment, unbounded for a long fleet run.
+	// experiment, unbounded for a long benchmark run.
 	LatencyCap int
 	// TickEvery invokes OnTick at this simulated-time period during the
-	// run (0 disables ticks). The live fleet endpoint uses it to publish
-	// fresh progress and metrics from inside the single-threaded engine
-	// goroutine; the callback must not mutate simulation state.
+	// run (0 disables ticks). bench/ uses it to time each slice of the
+	// measured window from inside the single-threaded engine goroutine;
+	// the callback must not mutate simulation state.
 	TickEvery sim.Time
 	OnTick    func(Tick)
 
@@ -146,11 +146,8 @@ type Config struct {
 
 // Tick is a mid-run progress report passed to Config.OnTick.
 type Tick struct {
-	Now    sim.Time // current simulated time
-	Ops    int64    // operations completed so far in the measured window
-	Errors int64
-	Shed   int64
-	Bytes  int64
+	Now sim.Time // current simulated time
+	Ops int64    // operations completed so far in the measured window
 }
 
 func (c Config) withDefaults() Config {
@@ -211,15 +208,15 @@ type Result struct {
 	ClassOps    [transport.NumClasses]int64
 	ClassErrors [transport.NumClasses]int64
 	// Latency is the distribution of completed-operation latencies
-	// (exact samples, so quantiles merge exactly across replicas).
+	// (exact samples unless Config.LatencyCap bounds them).
 	Latency *trace.Histogram
 	// ClassLatency splits Latency by priority class for classed runs
 	// (entries are empty histograms otherwise).
 	ClassLatency [transport.NumClasses]*trace.Histogram
 	// Digest folds (kind, src, dst, latency, error) of every completed
 	// operation, in completion order, through FNV-1a. Two runs of the
-	// same seed and config produce the same digest, whatever the host;
-	// the fleet harness keys its determinism check off this.
+	// same seed and config produce the same digest, whatever the host,
+	// and whatever else runs concurrently in the same process.
 	Digest uint64
 }
 
@@ -485,10 +482,7 @@ func Run(sys *core.System, cfg Config) *Result {
 	if cfg.TickEvery > 0 && cfg.OnTick != nil {
 		var tick func()
 		tick = func() {
-			cfg.OnTick(Tick{
-				Now: sys.Eng.Now(), Ops: r.res.Ops, Errors: r.res.Errors,
-				Shed: r.res.Shed, Bytes: r.res.Bytes,
-			})
+			cfg.OnTick(Tick{Now: sys.Eng.Now(), Ops: r.res.Ops})
 			if sys.Eng.Now() < r.end {
 				sys.Eng.After(cfg.TickEvery, tick)
 			}
@@ -573,8 +567,8 @@ const bspGroupID = 14
 
 // startBSP spawns one bulk-synchronous worker per CAB: each superstep is
 // an exponential compute phase followed by a group-wide allreduce over
-// the collective subsystem. Rank 0 verifies the global sum, counts the
-// superstep, and folds it into the determinism digest.
+// the collective subsystem. Rank 0 verifies every lane of the global sum,
+// counts the superstep, and folds it into the determinism digest.
 func (r *run) startBSP() {
 	n := r.sys.NumCABs()
 	g := coll.NewGroup(r.sys, bspGroupID, seqInts(n))
@@ -592,7 +586,7 @@ func (r *run) startBSP() {
 				th.Compute("bsp-compute", sim.Time(rng.ExpFloat64()*float64(r.cfg.BSPCompute)))
 				in := make([]int64, vals)
 				for j := range in {
-					in[j] = int64(rank+1)*int64(s+1) + int64(j)
+					in[j] = bspIn(rank, s, j)
 				}
 				stepStart := th.Proc().Now()
 				out, err := c.Allreduce(th, coll.SumInt64, coll.Int64Bytes(in))
@@ -600,10 +594,12 @@ func (r *run) startBSP() {
 					continue
 				}
 				if err == nil {
-					want := int64(n*(n+1))/2*int64(s+1) + int64(n)*0
-					if coll.BytesInt64(out)[0] != want {
-						err = fmt.Errorf("load: superstep %d sum %d, want %d",
-							s, coll.BytesInt64(out)[0], want)
+					for j, got := range coll.BytesInt64(out) {
+						if want := bspWant(n, s, j); got != want {
+							err = fmt.Errorf("load: superstep %d lane %d sum %d, want %d",
+								s, j, got, want)
+							break
+						}
 					}
 				}
 				now := th.Proc().Now()
@@ -623,6 +619,13 @@ func (r *run) startBSP() {
 		})
 	}
 }
+
+// bspIn is lane j of rank's allreduce input at superstep s.
+func bspIn(rank, s, j int) int64 { return int64(rank+1)*int64(s+1) + int64(j) }
+
+// bspWant is lane j of the exact allreduce sum over n ranks at superstep
+// s: the sum of bspIn(rank, s, j) for rank 0..n-1.
+func bspWant(n, s, j int) int64 { return int64(n*(n+1))/2*int64(s+1) + int64(n)*int64(j) }
 
 // seqInts returns 0..n-1.
 func seqInts(n int) []int {

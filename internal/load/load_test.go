@@ -2,6 +2,7 @@ package load
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -171,6 +172,66 @@ func TestBSPSuperstepsRunAndReplay(t *testing.T) {
 	plain := Run(core.New(core.SingleHub(4)), shortCfg(11))
 	if plain.Digest == a.Digest {
 		t.Fatal("BSP supersteps did not affect the determinism digest")
+	}
+}
+
+// Each BSP lane's expected sum matches a brute-force sum of the inputs.
+func TestBSPWant(t *testing.T) {
+	for _, n := range []int{2, 3, 8} {
+		for s := 0; s < 3; s++ {
+			for j := 0; j < 4; j++ {
+				var sum int64
+				for rank := 0; rank < n; rank++ {
+					sum += bspIn(rank, s, j)
+				}
+				if got := bspWant(n, s, j); got != sum {
+					t.Errorf("bspWant(%d, %d, %d) = %d, want %d", n, s, j, got, sum)
+				}
+			}
+		}
+	}
+}
+
+// Independent systems in one process share nothing: four seeds, the last
+// running BSP supersteps beside an RPC-only mix, reproduce every digest and
+// engine event count whether they run one after another or all at once on
+// their own goroutines. Under go test -race, any state two systems share
+// is reported as a race as well.
+func TestReplicasShareNothing(t *testing.T) {
+	type outcome struct {
+		digest, events uint64
+		steps          int64
+	}
+	run := func(i int) outcome {
+		cfg := Config{Seed: int64(i + 1), Warmup: 500 * sim.Microsecond, Duration: 5 * sim.Millisecond}
+		if i == 3 {
+			cfg.BSPSupersteps = 64
+			cfg.Mix = Mix{ReqResp: 1}
+		}
+		sys := core.New(core.SingleHub(8))
+		res := Run(sys, cfg)
+		return outcome{res.Digest, sys.Eng.Executed(), res.CollSteps}
+	}
+	var serial, concurrent [4]outcome
+	for i := range serial {
+		serial[i] = run(i)
+	}
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = run(i)
+		}()
+	}
+	wg.Wait()
+	if serial[3].steps == 0 {
+		t.Fatal("the BSP replica completed no supersteps")
+	}
+	for i := range serial {
+		if serial[i] != concurrent[i] {
+			t.Errorf("seed %d: serial %+v, concurrent %+v", i+1, serial[i], concurrent[i])
+		}
 	}
 }
 

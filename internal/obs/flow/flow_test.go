@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -97,20 +96,16 @@ func TestTableTextAndProtoNamer(t *testing.T) {
 	}
 }
 
-func TestWritePromLabelsDoNotAlias(t *testing.T) {
-	tb := NewTable(4, nil)
-	tb.Account(0, 1, 1, 100, 0)
+// Label values go out escaped per the exposition format: a protocol name
+// carrying a quote, backslash and newline must not break the sample line.
+func TestWritePromEscapesLabelValues(t *testing.T) {
+	tb := NewTable(4, func(byte) string { return "a\"b\\c\nd" })
 	tb.Account(2, 3, 1, 200, 0)
-	base := make([]obs.Label, 1, 8) // spare capacity invites append aliasing
-	base[0] = obs.Label{Key: "replica", Value: "0"}
 	var b bytes.Buffer
-	tb.WriteProm(&b, base...)
-	if base[0].Value != "0" || len(base) != 1 {
-		t.Fatalf("caller labels mutated: %+v", base)
-	}
-	out := b.String()
-	if !strings.Contains(out, `replica="0"`) || !strings.Contains(out, `src="cab2"`) {
-		t.Fatalf("exposition missing labels:\n%s", out)
+	tb.WriteProm(&b)
+	want := `nectar_flow_bytes{src="cab2",dst="cab3",proto="a\"b\\c\nd"} 200`
+	if !strings.Contains(b.String(), want+"\n") {
+		t.Fatalf("exposition missing %s:\n%s", want, b.String())
 	}
 }
 

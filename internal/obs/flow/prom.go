@@ -12,12 +12,12 @@ import (
 // retransmit samples labelled {src,dst,proto}. Sketch entries are emitted
 // heaviest first and label sets are ordered, so output is
 // byte-deterministic.
-func (t *Table) WriteProm(b *bytes.Buffer, labels ...obs.Label) {
+func (t *Table) WriteProm(b *bytes.Buffer) {
 	if t == nil {
 		return
 	}
 	fmt.Fprintf(b, "# TYPE %s gauge\n", obs.PromName("flows_tracked"))
-	obs.WriteSample(b, "flows_tracked", float64(t.Len()), labels...)
+	obs.WriteSample(b, "flows_tracked", float64(t.Len()))
 	top := t.Top()
 	if len(top) == 0 {
 		return
@@ -30,10 +30,11 @@ func (t *Table) WriteProm(b *bytes.Buffer, labels ...obs.Label) {
 		if !ok {
 			continue
 		}
-		fl := append(labels[:len(labels):len(labels)],
-			obs.Label{Key: "src", Value: fmt.Sprintf("cab%d", e.Key.Src)},
-			obs.Label{Key: "dst", Value: dstName(e.Key.Dst)},
-			obs.Label{Key: "proto", Value: t.ProtoName(e.Key.Proto)})
+		fl := []obs.Label{
+			{Key: "src", Value: fmt.Sprintf("cab%d", e.Key.Src)},
+			{Key: "dst", Value: dstName(e.Key.Dst)},
+			{Key: "proto", Value: t.ProtoName(e.Key.Proto)},
+		}
 		obs.WriteSample(b, "flow_bytes", float64(c.Bytes), fl...)
 		obs.WriteSample(b, "flow_frames", float64(c.Frames), fl...)
 		obs.WriteSample(b, "flow_retransmits", float64(c.Retransmits), fl...)

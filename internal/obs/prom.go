@@ -50,29 +50,20 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writeLabels renders {k="v",...} (empty string for no labels). extra are
-// appended after base, in order.
-func writeLabels(b *bytes.Buffer, base []Label, extra ...Label) {
-	if len(base)+len(extra) == 0 {
+// writeLabels renders {k="v",...} (empty string for no labels).
+func writeLabels(b *bytes.Buffer, labels []Label) {
+	if len(labels) == 0 {
 		return
 	}
 	b.WriteByte('{')
-	first := true
-	emit := func(l Label) {
-		if !first {
+	for i, l := range labels {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(l.Value))
 		b.WriteByte('"')
-	}
-	for _, l := range base {
-		emit(l)
-	}
-	for _, l := range extra {
-		emit(l)
 	}
 	b.WriteByte('}')
 }
@@ -97,7 +88,7 @@ func sortedSnapKeys[V any](m map[string]V) []string {
 }
 
 // WriteProm renders a registry snapshot in Prometheus text exposition
-// format 0.0.4, with the given labels attached to every sample:
+// format 0.0.4:
 //
 //   - counters and read-out funcs as counter/gauge samples
 //   - gauges as three samples: current value, high-water mark (_max), and
@@ -105,27 +96,27 @@ func sortedSnapKeys[V any](m map[string]V) []string {
 //   - histograms as summaries (quantile 0/0.5/0.95/1 plus _sum and _count)
 //
 // Names are emitted in sorted order, so output is byte-deterministic.
-func WriteProm(w io.Writer, snap *trace.Snapshot, labels ...Label) error {
+func WriteProm(w io.Writer, snap *trace.Snapshot) error {
 	var b bytes.Buffer
 	for _, n := range sortedSnapKeys(snap.Counters) {
 		pn := PromName(n)
 		fmt.Fprintf(&b, "# TYPE %s counter\n", pn)
-		WriteSample(&b, n, float64(snap.Counters[n]), labels...)
+		WriteSample(&b, n, float64(snap.Counters[n]))
 	}
 	for _, n := range sortedSnapKeys(snap.Funcs) {
 		pn := PromName(n)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", pn)
-		WriteSample(&b, n, snap.Funcs[n], labels...)
+		WriteSample(&b, n, snap.Funcs[n])
 	}
 	for _, n := range sortedSnapKeys(snap.Gauges) {
 		g := snap.Gauges[n]
 		pn := PromName(n)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", pn)
-		WriteSample(&b, n, float64(g.Value), labels...)
+		WriteSample(&b, n, float64(g.Value))
 		fmt.Fprintf(&b, "# TYPE %s_max gauge\n", pn)
-		WriteSample(&b, n+"_max", float64(g.Max), labels...)
+		WriteSample(&b, n+"_max", float64(g.Max))
 		fmt.Fprintf(&b, "# TYPE %s_mean gauge\n", pn)
-		WriteSample(&b, n+"_mean", g.Mean, labels...)
+		WriteSample(&b, n+"_mean", g.Mean)
 	}
 	for _, n := range sortedSnapKeys(snap.Hists) {
 		h := snap.Hists[n]
@@ -141,39 +132,28 @@ func WriteProm(w io.Writer, snap *trace.Snapshot, labels ...Label) error {
 			{"1", float64(h.Max)},
 		}
 		for _, qv := range quants {
-			b.WriteString(pn)
-			writeLabels(&b, labels, Label{"quantile", qv.q})
-			b.WriteByte(' ')
-			b.WriteString(formatFloat(qv.v))
-			b.WriteByte('\n')
+			WriteSample(&b, n, qv.v, Label{"quantile", qv.q})
 		}
-		WriteSample(&b, n+"_sum", float64(h.Mean)*float64(h.Count), labels...)
-		WriteSample(&b, n+"_count", float64(h.Count), labels...)
+		WriteSample(&b, n+"_sum", float64(h.Mean)*float64(h.Count))
+		WriteSample(&b, n+"_count", float64(h.Count))
 	}
 	_, err := w.Write(b.Bytes())
 	return err
-}
-
-// PromBytes renders the snapshot to a byte slice (see WriteProm).
-func PromBytes(snap *trace.Snapshot, labels ...Label) []byte {
-	var b bytes.Buffer
-	_ = WriteProm(&b, snap, labels...)
-	return b.Bytes()
 }
 
 // WriteSamplerProm appends one gauge sample per sampler series (its most
 // recent retained value) plus a nectar_sampler_ticks counter. Series
 // names gain a _last suffix to distinguish the point-in-time reading from
 // any registry gauge of the same name.
-func WriteSamplerProm(b *bytes.Buffer, s *Sampler, labels ...Label) {
+func WriteSamplerProm(b *bytes.Buffer, s *Sampler) {
 	if s == nil {
 		return
 	}
 	fmt.Fprintf(b, "# TYPE %s counter\n", PromName("sampler_ticks"))
-	WriteSample(b, "sampler_ticks", float64(s.Ticks()), labels...)
+	WriteSample(b, "sampler_ticks", float64(s.Ticks()))
 	for _, sr := range s.Series() {
 		name := sr.Name() + "_last"
 		fmt.Fprintf(b, "# TYPE %s gauge\n", PromName(name))
-		WriteSample(b, name, float64(sr.Last().V), labels...)
+		WriteSample(b, name, float64(sr.Last().V))
 	}
 }

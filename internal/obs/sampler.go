@@ -29,7 +29,6 @@ type Sampler struct {
 	fns    []func() int64
 	series []*Series
 
-	onTick  func(at sim.Time)
 	ev      sim.Event
 	running bool
 	ticks   int64
@@ -59,15 +58,6 @@ func (s *Sampler) Register(name string, fn func() int64) {
 	s.names = append(s.names, name)
 	s.fns = append(s.fns, fn)
 	s.series = append(s.series, newSeries(name, s.cap))
-}
-
-// OnTick installs a callback invoked after each sampling tick (used by the
-// live endpoints to publish fresh readings). Pass nil to clear.
-func (s *Sampler) OnTick(fn func(at sim.Time)) {
-	if s == nil {
-		return
-	}
-	s.onTick = fn
 }
 
 // Period returns the sampling period (0 for nil).
@@ -115,9 +105,6 @@ func (s *Sampler) tick() {
 	s.ticks++
 	for i, fn := range s.fns {
 		s.series[i].add(now, fn())
-	}
-	if s.onTick != nil {
-		s.onTick(now)
 	}
 	s.ev = s.eng.After(s.period, s.tick)
 }

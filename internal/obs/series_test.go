@@ -111,7 +111,6 @@ func TestNilSamplerSafe(t *testing.T) {
 	s.Register("x", func() int64 { return 1 })
 	s.Start()
 	s.Stop()
-	s.OnTick(nil)
 	if s.Ticks() != 0 || s.Period() != 0 || s.Series() != nil || s.Lookup("x") != nil {
 		t.Fatal("nil sampler leaked state")
 	}

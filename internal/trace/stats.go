@@ -17,7 +17,7 @@ import (
 
 // Histogram accumulates sim.Time samples (latencies) and reports summary
 // statistics. By default samples are retained exactly, so quantiles are
-// exact; the experiment harness uses modest sample counts. Long fleet runs
+// exact; the experiment harness uses modest sample counts. Long load runs
 // can bound memory with SetCap: past the cap the retained set is decimated
 // deterministically (every other retained sample dropped, retention stride
 // doubled), trading quantile resolution for constant memory. Count, Min,
@@ -127,19 +127,6 @@ func (h *Histogram) Samples() []sim.Time {
 		return nil
 	}
 	return h.samples
-}
-
-// Merge folds every sample of other into h (other may be nil or empty).
-// The fleet harness uses this to combine per-replica latency
-// distributions; because samples are retained exactly, merged quantiles
-// are exact too.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	for _, v := range other.samples {
-		h.Add(v)
-	}
 }
 
 // Count returns the number of samples added (exact even when a cap has
@@ -286,12 +273,6 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// Title returns the table's title.
-func (t *Table) Title() string { return t.title }
-
-// Headers returns the column headers. Callers must not mutate the slice.
-func (t *Table) Headers() []string { return t.headers }
-
 // Rows returns the formatted cell rows. Callers must not mutate them.
 func (t *Table) Rows() [][]string { return t.rows }
 
@@ -351,7 +332,7 @@ func (t *Table) String() string {
 
 // Digest is a running 64-bit FNV-1a fold: the fingerprint every replay
 // check in the repository compares (load.Result.Digest, the experiments'
-// armed-versus-dark digests, the fleet's combined digest). Start one with
+// armed-versus-dark digests). Start one with
 // NewDigest; the zero value is not the FNV offset basis.
 type Digest uint64
 

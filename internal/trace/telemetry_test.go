@@ -7,7 +7,7 @@ import (
 )
 
 // The continuous-telemetry plane snapshots the registry repeatedly during
-// a run (the fleet endpoint renders one exposition per tick). These tests
+// a run (nectar-sim -listen renders one exposition per tick). These tests
 // pin the semantics that makes that safe: snapshotting is read-only — a
 // gauge's time-weighted mean keeps integrating across snapshot and diff
 // boundaries exactly as if nobody had looked.
@@ -64,74 +64,5 @@ func TestGaugeAcrossDiffBoundaries(t *testing.T) {
 	// Diffing must not have disturbed the live gauge.
 	if g.Value() != 8 || g.Max() != 8 {
 		t.Fatalf("live gauge disturbed by diff: value %d max %d", g.Value(), g.Max())
-	}
-}
-
-func TestHistogramMergeEmptyAndNil(t *testing.T) {
-	h := NewHistogram("lat")
-	h.Add(100)
-	h.Add(300)
-
-	h.Merge(nil)                   // nil other: no-op
-	h.Merge(NewHistogram("empty")) // empty other: no-op
-	if h.Count() != 2 || h.Min() != 100 || h.Max() != 300 {
-		t.Fatalf("merge of nil/empty changed state: count %d min %v max %v", h.Count(), h.Min(), h.Max())
-	}
-
-	// Merging into an empty histogram adopts the other's bounds exactly
-	// (the empty side's sentinel min must not leak through).
-	into := NewHistogram("into")
-	into.Merge(h)
-	if into.Count() != 2 || into.Min() != 100 || into.Max() != 300 || into.Mean() != 200 {
-		t.Fatalf("merge into empty: count %d min %v max %v mean %v",
-			into.Count(), into.Min(), into.Max(), into.Mean())
-	}
-
-	var nilh *Histogram
-	nilh.Merge(h) // nil receiver: no-op, no panic
-	if nilh.Count() != 0 {
-		t.Fatal("nil receiver should stay empty")
-	}
-}
-
-func TestHistogramMergeMismatchedBounds(t *testing.T) {
-	// Two distributions whose ranges do not overlap: the merged min/max
-	// must span both, and quantiles must be computed over the union.
-	low := NewHistogram("low")
-	for _, v := range []sim.Time{10, 20, 30} {
-		low.Add(v)
-	}
-	high := NewHistogram("high")
-	for _, v := range []sim.Time{1000, 2000} {
-		high.Add(v)
-	}
-
-	low.Merge(high)
-	if low.Count() != 5 {
-		t.Fatalf("count = %d, want 5", low.Count())
-	}
-	if low.Min() != 10 || low.Max() != 2000 {
-		t.Fatalf("bounds = [%v, %v], want [10, 2000]", low.Min(), low.Max())
-	}
-	if got := low.Median(); got != 30 {
-		t.Fatalf("median = %v, want 30", got)
-	}
-	if want := sim.Time((10 + 20 + 30 + 1000 + 2000) / 5); low.Mean() != want {
-		t.Fatalf("mean = %v, want %v", low.Mean(), want)
-	}
-
-	// Merge in the other direction must agree.
-	high2 := NewHistogram("high2")
-	for _, v := range []sim.Time{1000, 2000} {
-		high2.Add(v)
-	}
-	low2 := NewHistogram("low2")
-	for _, v := range []sim.Time{10, 20, 30} {
-		low2.Add(v)
-	}
-	high2.Merge(low2)
-	if high2.Min() != low.Min() || high2.Max() != low.Max() || high2.Median() != low.Median() {
-		t.Fatalf("merge is order-sensitive: [%v %v %v] vs [%v %v %v]",
-			high2.Min(), high2.Median(), high2.Max(), low.Min(), low.Median(), low.Max())
 	}
 }
