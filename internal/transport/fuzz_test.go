@@ -32,7 +32,7 @@ func TestHeaderClassDeadlineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Fatalf("decoded %+v, want %+v", got, h)
 	}
 	if !bytes.Equal(gotPay, pay) {
@@ -143,7 +143,7 @@ func FuzzHeaderDecode(f *testing.F) {
 			t.Fatalf("wire helpers disagree with Decode: class %v/%v deadline %v/%v",
 				wireClass(data), h.Class, wireDeadline(data), h.Deadline)
 		}
-		re := Encode(h, payload)
+		re := Encode(&h, payload)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode not byte-identical:\n in  %x\n out %x", data, re)
 		}

@@ -183,18 +183,19 @@ func Encode(h *Header, payload []byte) []byte {
 // damaged in transit) is reported as an error; the caller drops the packet
 // and relies on protocol recovery. Malformed class or deadline fields —
 // including a deadline flag on a packet too short to carry the extension —
-// are rejected the same way, never with a panic.
-func Decode(buf []byte) (*Header, []byte, error) {
+// are rejected the same way, never with a panic. The header is returned by
+// value, so a receiver that does not keep it decodes without allocating.
+func Decode(buf []byte) (Header, []byte, error) {
 	if len(buf) < HeaderSize {
-		return nil, nil, fmt.Errorf("transport: short packet (%d bytes)", len(buf))
+		return Header{}, nil, fmt.Errorf("transport: short packet (%d bytes)", len(buf))
 	}
 	sum := binary.BigEndian.Uint16(buf[30:])
 	// Verify with the checksum field excluded from the sum, the way the
 	// hardware does on the fly during DMA — no scratch copy per packet.
 	if cab.ChecksumExcluding(buf, 30) != sum {
-		return nil, nil, fmt.Errorf("transport: checksum mismatch")
+		return Header{}, nil, fmt.Errorf("transport: checksum mismatch")
 	}
-	h := &Header{
+	h := Header{
 		Proto:  Proto(buf[0]),
 		Class:  Class(buf[1] & classMask),
 		Src:    binary.BigEndian.Uint16(buf[2:]),
@@ -207,23 +208,23 @@ func Decode(buf []byte) (*Header, []byte, error) {
 		Offset: binary.BigEndian.Uint32(buf[22:]),
 	}
 	if h.Class >= NumClasses {
-		return nil, nil, fmt.Errorf("transport: bad priority class %d", h.Class)
+		return Header{}, nil, fmt.Errorf("transport: bad priority class %d", h.Class)
 	}
 	off := HeaderSize
 	if buf[1]&flagDeadline != 0 {
 		if len(buf) < HeaderSize+DeadlineExtSize {
-			return nil, nil, fmt.Errorf("transport: truncated deadline extension (%d bytes)", len(buf))
+			return Header{}, nil, fmt.Errorf("transport: truncated deadline extension (%d bytes)", len(buf))
 		}
 		h.Deadline = sim.Time(binary.BigEndian.Uint64(buf[HeaderSize:]))
 		if h.Deadline <= 0 {
-			return nil, nil, fmt.Errorf("transport: bad deadline %d", h.Deadline)
+			return Header{}, nil, fmt.Errorf("transport: bad deadline %d", h.Deadline)
 		}
 		off += DeadlineExtSize
 	}
 	paylen := int(binary.BigEndian.Uint32(buf[26:]))
 	payload := buf[off:]
 	if paylen != len(payload) {
-		return nil, nil, fmt.Errorf("transport: length mismatch: header %d, got %d",
+		return Header{}, nil, fmt.Errorf("transport: length mismatch: header %d, got %d",
 			paylen, len(payload))
 	}
 	return h, payload, nil

@@ -21,7 +21,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Fatalf("decoded %+v, want %+v", got, h)
 	}
 	if !bytes.Equal(pl, payload) {
@@ -72,7 +72,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			MsgID: msgID, Seq: seq, Total: total, Offset: off,
 		}
 		got, pl, err := Decode(Encode(h, payload))
-		return err == nil && *got == *h && bytes.Equal(pl, payload)
+		return err == nil && got == *h && bytes.Equal(pl, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

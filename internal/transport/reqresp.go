@@ -69,6 +69,9 @@ func (t *Transport) Request(th *kernel.Thread, dst int, dstBox, srcBox uint16, d
 // fail fast with ErrOverload or ErrDeadlineExpired; the class and deadline
 // ride the wire header to the server. The outcome — latency, success, and
 // the root trace id — is reported to the SLO engine when one is armed.
+// data is copied at Encode, and retransmissions resend that copy; it is
+// never kept or written, so the caller may reuse it as soon as the call
+// returns.
 func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) (resp []byte, err error) {
 	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
 		t.nextReq++

@@ -95,6 +95,8 @@ func (t *Transport) StreamSend(th *kernel.Thread, dst int, dstBox, srcBox uint16
 // (ErrOverload / ErrDeadlineExpired fast-fail) and every fragment carries
 // the class and deadline on the wire. The outcome is reported to the SLO
 // engine when one is armed (streams carry no response, so no trace id).
+// data is copied at Encode, once per fragment sent or resent; it is never
+// kept or written, so the caller may reuse it as soon as the call returns.
 func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) error {
 	s := t.streamOut(streamKey{peer: dst, lbox: srcBox, rbox: dstBox})
 	return t.reliableOp(th, slo.KindStream, dst, opts, s.mu, func() (uint64, error) {

@@ -151,7 +151,20 @@ type Transport struct {
 	// subsystem is disabled, and every hook nil-checks it.
 	ovl *overload
 
+	// rx holds the received packets whose receive interrupt is queued,
+	// oldest first. The CPU runs interrupts in submission order and never
+	// drops one, so recvPacketFn, bound once, pops its own packet.
+	rx           []rxPacket
+	recvPacketFn func()
+
 	stats Stats
+}
+
+// rxPacket is one received wire packet: the sender's span it carries and
+// the transport's receive span under it.
+type rxPacket struct {
+	wire    []byte
+	sp, rsp *trace.Span
 }
 
 // New creates the transport on a datalink and starts its service thread.
@@ -172,6 +185,7 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 	if params.Overload {
 		t.ovl = newOverload(params.HeartbeatInterval)
 	}
+	t.recvPacketFn = t.recvPacket
 	dl.SetReceiver(t.handlePacket)
 	k.SpawnDaemon("transport-service", t.serviceLoop)
 	return t
@@ -333,7 +347,9 @@ func (t *Transport) reliableOp(th *kernel.Thread, kind slo.OpKind, dst int, opts
 
 // SendDatagram transmits data to (dst, dstBox) with no delivery guarantee
 // ("a direct interface to the datalink layer... should only be used by
-// applications that can tolerate or recover from lost packets").
+// applications that can tolerate or recover from lost packets"). data is
+// copied at Encode; it is never kept or written, so the caller may reuse it
+// as soon as the call returns.
 func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte) error {
 	t.opStart()
 	defer t.opDone()
@@ -352,41 +368,52 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 // trace span carried across the wire (nil when untraced).
 func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
 	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
-	t.k.Board().CPU.RunInterrupt("tp-recv", procRecv, func() {
-		defer rsp.End()
-		h, payload, err := Decode(wire)
-		if err != nil {
-			// Damaged or malformed: drop; peers recover by
-			// retransmission where the protocol provides it.
-			t.stats.ChecksumDrops++
-			rsp.MarkError()
-			return
-		}
-		switch h.Proto {
-		case ProtoDatagram:
-			t.recvDatagram(h, payload, sp)
-		case ProtoStream:
-			t.recvStream(h, payload, sp)
-		case ProtoStreamAck:
-			t.recvStreamAck(h)
-		case ProtoRequest:
-			t.recvRequest(h, payload, sp)
-		case ProtoResponse:
-			t.recvResponse(h, payload, sp)
-		case ProtoVSend:
-			t.recvVSend(h, payload, sp)
-		case ProtoVResp:
-			t.recvVResp(h, payload, sp)
-		case ProtoVNack:
-			t.recvVNack(h, payload, sp)
-		case ProtoPing:
-			t.recvPing(h, sp)
-		case ProtoPong:
-			t.recvPong(h)
-		case ProtoReject:
-			t.recvReject(h)
-		}
-	})
+	t.rx = append(t.rx, rxPacket{wire: wire, sp: sp, rsp: rsp})
+	t.k.Board().CPU.RunInterrupt("tp-recv", procRecv, t.recvPacketFn)
+}
+
+// recvPacket is the receive interrupt of the oldest queued packet: it
+// decodes the header, on the stack, and dispatches on the protocol.
+func (t *Transport) recvPacket() {
+	p := t.rx[0]
+	// Shift rather than reslice, so the queue keeps its capacity.
+	n := copy(t.rx, t.rx[1:])
+	t.rx[n] = rxPacket{}
+	t.rx = t.rx[:n]
+	defer p.rsp.End()
+	h, payload, err := Decode(p.wire)
+	if err != nil {
+		// Damaged or malformed: drop; peers recover by retransmission
+		// where the protocol provides it.
+		t.stats.ChecksumDrops++
+		p.rsp.MarkError()
+		return
+	}
+	sp := p.sp
+	switch h.Proto {
+	case ProtoDatagram:
+		t.recvDatagram(&h, payload, sp)
+	case ProtoStream:
+		t.recvStream(&h, payload, sp)
+	case ProtoStreamAck:
+		t.recvStreamAck(&h)
+	case ProtoRequest:
+		t.recvRequest(&h, payload, sp)
+	case ProtoResponse:
+		t.recvResponse(&h, payload, sp)
+	case ProtoVSend:
+		t.recvVSend(&h, payload, sp)
+	case ProtoVResp:
+		t.recvVResp(&h, payload, sp)
+	case ProtoVNack:
+		t.recvVNack(&h, payload, sp)
+	case ProtoPing:
+		t.recvPing(&h, sp)
+	case ProtoPong:
+		t.recvPong(&h)
+	case ProtoReject:
+		t.recvReject(&h)
+	}
 }
 
 // deliver places a complete message into a registered mailbox. It reports

@@ -144,7 +144,9 @@ func (t *Transport) VTransact(th *kernel.Thread, dst int, dstBox, srcBox uint16,
 // VTransactOpts is VTransact with a priority class and deadline (the
 // per-packet deadline extension slightly lowers the group's payload
 // ceiling). The outcome — latency, success, and the root trace id — is
-// reported to the SLO engine when one is armed.
+// reported to the SLO engine when one is armed. req is copied at Encode
+// into the request group, which retransmissions resend; it is never kept or
+// written, so the caller may reuse it as soon as the call returns.
 func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) (resp []byte, err error) {
 	if limit := MaxGroupPackets * maxSeg(opts.Deadline); len(req) > limit {
 		return nil, fmt.Errorf("transport: request exceeds the %d-byte transaction limit", limit)
@@ -251,7 +253,9 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 		}
 		g = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, deadline: h.Deadline}
 		vm.reqs[key] = g
-		t.armGroupTimer(g, func() { t.nackRequest(h, g) })
+		// The timer outlives the packet: give it its own header.
+		hc := *h
+		t.armGroupTimer(g, func() { t.nackRequest(&hc, g) })
 	}
 	if _, dup := g.segs[h.Seq]; dup {
 		return
@@ -303,7 +307,8 @@ func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
 	pend.ackMask = (1 << pend.reqPkts) - 1
 	if pend.resp == nil {
 		pend.resp = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total}
-		t.armGroupTimer(pend.resp, func() { t.nackResponse(h, pend) })
+		hc := *h
+		t.armGroupTimer(pend.resp, func() { t.nackResponse(&hc, pend) })
 	}
 	if _, dup := pend.resp.segs[h.Seq]; dup {
 		return
