@@ -64,6 +64,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"cabs", *cabs, 1}, {"hubs", *hubs, 1}, {"rows", *rows, 1}, {"cols", *cols, 1}, {"per", *per, 1},
+		{"msgs", *msgs, 0}, {"size", *size, 0}, {"senders", *senders, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(stderr, "-%s %d: must be at least %d\n", f.name, f.val, f.min)
+			return 2
+		}
+	}
 
 	if *chaos == "comb" {
 		return runCombChaos(stdout, stderr, *seed, *rows, *cols, *msgs, *dump)
@@ -264,13 +274,13 @@ const overloadSLO = 2 * sim.Millisecond
 // with application-level retry, the named scenario scheduled against it,
 // and the detection/recovery stack (link probing, heartbeats, backoff)
 // doing all repair. Returns a nonzero exit status if any message goes
-// undelivered — CI's chaos smoke job keys off this. The overload scenario
+// undelivered; TestChaosGolden keys off this. The overload scenario
 // arms the overload-control subsystem, sends the application traffic at
 // ClassCritical, and additionally fails the run if the critical-class
 // per-message p99 violates overloadSLO while the bulk storm rages. On
 // failure the flight-recorder post-mortem (recent events plus the
 // link-state timeline) goes to stderr; dumpPath, when set, receives a copy
-// of the post-mortem whatever the outcome, so CI can archive it.
+// of the post-mortem whatever the outcome.
 func runChaos(stdout, stderr io.Writer, name string, seed int64, rows, cols, msgs int, dumpPath string) int {
 	if rows < 2 {
 		rows = 2
@@ -374,7 +384,7 @@ func runChaos(stdout, stderr io.Writer, name string, seed int64, rows, cols, msg
 	return 0
 }
 
-// runCombChaos is the combining-under-link-flaps chaos smoke: every CAB of
+// runCombChaos is the combining-under-link-flaps chaos scenario: every CAB of
 // a mesh joins one collective group forced onto the HUB-combining
 // algorithm, an inter-hub link flaps while allreduces and barriers stream
 // through it, and each iteration's result is checked for exactness. Slots

@@ -41,6 +41,11 @@ func TestBadArgumentsExit2(t *testing.T) {
 		{"-topo", "bogus"},
 		{"-transport", "bogus"},
 		{"-nosuchflag"},
+		{"-size", "-1"},
+		{"-cabs", "0"},
+		{"-topo", "line", "-hubs", "0"},
+		{"-topo", "mesh", "-rows", "0"},
+		{"-topo", "mesh", "-per", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if rc := run(args, &stdout, &stderr); rc != 2 || stderr.Len() == 0 {

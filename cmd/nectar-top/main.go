@@ -12,7 +12,7 @@
 //	nectar-top -rows 1 -cols 2     # smaller fabric
 //	nectar-top -storm=false        # just the background request traffic
 //	nectar-top -json               # machine-readable report
-//	nectar-top -out report.txt     # also write the report to a file (CI artifact)
+//	nectar-top -out report.txt     # also write the report to a file
 package main
 
 import (
@@ -89,6 +89,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"rows", *rows, 1}, {"cols", *cols, 1}, {"per", *per, 1}, {"size", *size, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(stderr, "-%s %d: must be at least %d\n", f.name, f.val, f.min)
+			return 2
+		}
+	}
+	if *durMs <= 0 {
+		fmt.Fprintf(stderr, "-duration %v: must be positive\n", *durMs)
 		return 2
 	}
 

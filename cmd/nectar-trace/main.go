@@ -53,6 +53,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"limit", *limit}, {"size", *size}} {
+		if f.val < 0 {
+			fmt.Fprintf(stderr, "-%s %d: must not be negative\n", f.name, f.val)
+			return 2
+		}
+	}
 
 	switch *mode {
 	case "reqresp", "circuit", "packet", "multicast":

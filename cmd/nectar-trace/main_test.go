@@ -29,11 +29,20 @@ func TestGolden(t *testing.T) {
 }
 
 func TestUnknownModeExits2(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if rc := run([]string{"-mode", "bogus"}, &stdout, &stderr); rc != 2 {
-		t.Fatalf("exit status %d, want 2", rc)
-	}
-	if stdout.Len() != 0 || !bytes.Contains(stderr.Bytes(), []byte(`unknown mode "bogus"`)) {
-		t.Fatalf("stdout %q, stderr %q", stdout.String(), stderr.String())
+	for _, c := range []struct {
+		args []string
+		diag string
+	}{
+		{[]string{"-mode", "bogus"}, `unknown mode "bogus"`},
+		{[]string{"-size", "-1"}, "-size -1: must not be negative"},
+		{[]string{"-limit", "-1"}, "-limit -1: must not be negative"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if rc := run(c.args, &stdout, &stderr); rc != 2 {
+			t.Errorf("%v: exit status %d, want 2", c.args, rc)
+		}
+		if stdout.Len() != 0 || !bytes.Contains(stderr.Bytes(), []byte(c.diag)) {
+			t.Errorf("%v: stdout %q, stderr %q", c.args, stdout.String(), stderr.String())
+		}
 	}
 }

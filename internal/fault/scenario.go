@@ -18,8 +18,8 @@ import (
 // named catalogue, the at-least-once message train and the train of
 // collectives that must survive them, and the hot-spot scenario a
 // congestion storm is observed through. cmd/nectar-sim -chaos,
-// cmd/nectar-top and experiments R1, S1, C1, C2, O1, O2, O3 all call these;
-// none of them carries a copy.
+// cmd/nectar-top and experiments S1, C1, C2, O2, O3 all call these; none of
+// them carries a copy.
 
 // Names lists the catalogue's scenarios in the order CI runs them.
 func Names() []string {
@@ -66,10 +66,10 @@ func Named(name string, seed int64, sys *core.System) (Scenario, error) {
 	return Scenario{Name: name, Actions: []Action{a}}, nil
 }
 
-// DrainStorm registers a sink on stack's StormBox that consumes storm
+// drainStorm registers a sink on stack's StormBox that consumes storm
 // datagrams as they arrive, so a CongestionStorm keeps its pressure on the
 // network instead of dying in mailbox drops.
-func DrainStorm(stack *core.CABStack) {
+func drainStorm(stack *core.CABStack) {
 	sink := stack.Kernel.NewMailbox("storm-sink", 8<<20)
 	stack.TP.Register(StormBox, sink)
 	stack.Kernel.SpawnDaemon("storm-sink", func(th *kernel.Thread) {
@@ -266,7 +266,7 @@ func StartHotSpot(sys *core.System, sc HotSpot) *HotSpotRun {
 	run := &HotSpotRun{Digest: trace.NewDigest(), sys: sys, sc: sc}
 	victim := sys.CAB(sc.Victim)
 	if sc.Duration > 0 {
-		DrainStorm(victim)
+		drainStorm(victim)
 	}
 
 	srv := victim.Kernel.NewMailbox("hotspot-server", 1<<20)

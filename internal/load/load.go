@@ -1,5 +1,5 @@
 // Package load generates deterministic synthetic workloads against an
-// assembled Nectar system. It is the traffic source behind P1, R2, S1 and
+// assembled Nectar system. It is the traffic source behind R2, S1 and
 // bench/: every CAB runs client threads issuing a configurable mix of
 // request-response, byte-stream, and VMTP transaction operations against
 // servers on the other CABs, with either closed-loop (fixed concurrency)
@@ -189,11 +189,10 @@ func (c Config) withDefaults() Config {
 
 // Result summarizes one load run.
 type Result struct {
-	Ops      int64    // completed operations in the measured window
-	Errors   int64    // operations that returned an error
-	Shed     int64    // open-loop arrivals dropped at MaxOutstanding
-	Bytes    int64    // payload bytes moved by completed operations
-	Elapsed  sim.Time // measured window length
+	Ops      int64 // completed operations in the measured window
+	Errors   int64 // operations that returned an error
+	Shed     int64 // open-loop arrivals dropped at MaxOutstanding
+	Bytes    int64 // payload bytes moved by completed operations
 	OpCounts [numOps]int64
 	// CollSteps is the number of BSP supersteps (collective allreduces)
 	// completed in the measured window (0 unless Config.BSPSupersteps).
@@ -218,22 +217,6 @@ type Result struct {
 	// same seed and config produce the same digest, whatever the host,
 	// and whatever else runs concurrently in the same process.
 	Digest uint64
-}
-
-// OpsPerSec is completed operations per simulated second.
-func (r *Result) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
-}
-
-// MBps is payload megabytes moved per simulated second.
-func (r *Result) MBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / r.Elapsed.Seconds() / 1e6
 }
 
 // Mailbox numbers used by the generator on every CAB. Client source boxes
@@ -508,7 +491,6 @@ func Run(sys *core.System, cfg Config) *Result {
 		sys.Eng.After(cfg.TickEvery, tick)
 	}
 	sys.Eng.RunUntil(r.end)
-	r.res.Elapsed = cfg.Duration
 	r.res.Digest = uint64(r.digest)
 	return r.res
 }

@@ -34,29 +34,31 @@ func TestClosedLoopGeneratesAllOpKinds(t *testing.T) {
 	if res.Latency.Count() != int(res.Ops) {
 		t.Fatalf("latency samples %d != ops %d", res.Latency.Count(), res.Ops)
 	}
-	if got := res.OpsPerSec(); got <= 0 {
-		t.Fatalf("OpsPerSec = %v", got)
-	}
 }
 
 // The same seed and config must reproduce the run exactly — digest, op
-// count, byte count, and every latency sample.
+// count, byte count, and every latency sample — under either arrival mode
+// and under zipfian destination skew.
 func TestSameSeedSameDigest(t *testing.T) {
-	for _, arrival := range []Arrival{ClosedLoop, OpenLoop} {
+	for _, c := range []struct {
+		arrival Arrival
+		zipf    float64
+	}{{ClosedLoop, 0}, {OpenLoop, 0}, {ClosedLoop, 1.5}} {
 		cfg := shortCfg(42)
-		cfg.Arrival = arrival
+		cfg.Arrival = c.arrival
+		cfg.ZipfS = c.zipf
 		a := Run(core.New(core.SingleHub(4)), cfg)
 		b := Run(core.New(core.SingleHub(4)), cfg)
 		if a.Digest != b.Digest {
-			t.Fatalf("arrival=%d: same seed diverged: %x vs %x", arrival, a.Digest, b.Digest)
+			t.Fatalf("%+v: same seed diverged: %x vs %x", c, a.Digest, b.Digest)
 		}
 		if a.Ops != b.Ops || a.Bytes != b.Bytes || a.Shed != b.Shed {
-			t.Fatalf("arrival=%d: same seed, different counts: %+v vs %+v", arrival, a, b)
+			t.Fatalf("%+v: same seed, different counts: %+v vs %+v", c, a, b)
 		}
 		sa, sb := a.Latency.Samples(), b.Latency.Samples()
 		for i := range sa {
 			if sa[i] != sb[i] {
-				t.Fatalf("arrival=%d: latency sample %d differs: %v vs %v", arrival, i, sa[i], sb[i])
+				t.Fatalf("%+v: latency sample %d differs: %v vs %v", c, i, sa[i], sb[i])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package obs_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -22,9 +24,14 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 
 	bare := load.Run(core.New(core.SingleHub(4)), cfg)
 
-	sys := core.New(core.SingleHub(4), core.WithMetrics(), core.WithTelemetry())
-	full := load.Run(sys, cfg)
-	sys.StopTelemetry()
+	armed := func() (*core.System, *load.Result) {
+		sys := core.New(core.SingleHub(4), core.WithMetrics(), core.WithTelemetry())
+		res := load.Run(sys, cfg)
+		sys.StopTelemetry()
+		return sys, res
+	}
+	sys, full := armed()
+	again, _ := armed()
 
 	if bare.Digest != full.Digest {
 		t.Fatalf("telemetry changed the run: digest %x (off) vs %x (on)", bare.Digest, full.Digest)
@@ -49,5 +56,21 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	}
 	if sys.FR.Total() == 0 {
 		t.Fatal("flight recorder armed but saw no events")
+	}
+	congested := false
+	for _, s := range sys.Sampler.Series() {
+		congested = congested || strings.HasSuffix(s.Name(), ".queue_bytes") && s.Max() > 0
+	}
+	if !congested {
+		t.Fatal("no sampled queue_bytes series saw a queued byte")
+	}
+
+	// The plane itself is deterministic: the same armed run twice exports
+	// byte-identical series and records the same number of events.
+	if !bytes.Equal(sys.Sampler.CSV(), again.Sampler.CSV()) {
+		t.Fatal("sampler CSV differs between two identical armed runs")
+	}
+	if a, b := sys.FR.Total(), again.FR.Total(); a != b {
+		t.Fatalf("flight recorder totals differ between two identical armed runs: %d vs %d", a, b)
 	}
 }

@@ -26,5 +26,6 @@
 // every layer can be instrumented unconditionally. Because the sampler and
 // watchdog only read component state, enabling them never perturbs
 // simulated time: a run with telemetry on is byte-identical to the same
-// run with telemetry off (experiment O1 checks exactly this).
+// run with telemetry off (TestTelemetryDoesNotPerturbSimulation checks
+// exactly this).
 package obs

@@ -37,14 +37,6 @@ func newSeries(name string, capacity int) *Series {
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
 
-// Stride returns the current downsampling stride (1 = every offered
-// sample is retained).
-func (s *Series) Stride() int { return s.stride }
-
-// Points returns the retained points in time order. The slice is the
-// series' own backing store; callers must not mutate it.
-func (s *Series) Points() []Point { return s.pts }
-
 // Max returns the largest value ever offered (including samples the
 // stride skipped), or 0 for an empty series.
 func (s *Series) Max() int64 { return s.max }

@@ -13,10 +13,10 @@ func TestSeriesDownsampling(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.add(sim.Time(i)*10, int64(i))
 	}
-	if s.Stride() <= 1 {
-		t.Fatalf("expected stride growth after overflow, got %d", s.Stride())
+	if s.stride <= 1 {
+		t.Fatalf("expected stride growth after overflow, got %d", s.stride)
 	}
-	pts := s.Points()
+	pts := s.pts
 	if len(pts) > 8 {
 		t.Fatalf("series exceeded capacity: %d points", len(pts))
 	}
@@ -64,12 +64,12 @@ func TestSamplerCollectsAndExports(t *testing.T) {
 		t.Fatalf("Ticks = %d, want 5", got)
 	}
 	a := s.Lookup("a.b")
-	if a == nil || len(a.Points()) != 5 {
+	if a == nil || len(a.pts) != 5 {
 		t.Fatalf("series a.b missing or wrong length: %+v", a)
 	}
 	// v became 7 at t=35, so samples at 40 and 50 read 7.
 	want := []int64{0, 0, 0, 7, 7}
-	for i, p := range a.Points() {
+	for i, p := range a.pts {
 		if p.V != want[i] {
 			t.Fatalf("a.b point %d = %d, want %d", i, p.V, want[i])
 		}
