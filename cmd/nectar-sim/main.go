@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *listen != "" {
 		params.Metrics = true
-		params.FlowTopK = core.DefaultFlowTopK
+		params.Flows = true
 	}
 
 	opts := []core.Option{core.WithParams(params)}
@@ -183,17 +183,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
+	// The armed SLO engine ticks in virtual time forever; stop the
+	// telemetry plane when the last sender finishes (at once when there is
+	// none) so Run drains.
 	var sent, failed int
 	active := *senders
+	idle := func() {
+		if active == 0 && *sloOn {
+			sys.StopTelemetry()
+		}
+	}
 	for s := 1; s <= *senders; s++ {
 		st := sys.CAB(s)
 		st.Kernel.Spawn("tx", func(th *kernel.Thread) {
-			// The armed SLO engine ticks in virtual time forever; stop the
-			// telemetry plane when the last sender finishes so Run drains.
 			defer func() {
-				if active--; active == 0 && *sloOn {
-					sys.StopTelemetry()
-				}
+				active--
+				idle()
 			}()
 			for i := 0; i < *msgs; i++ {
 				payload := make([]byte, *size)
@@ -217,6 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
+	idle()
 	end := sys.Run()
 	fmt.Fprintf(stdout, "\nfinished at %v (%d events)\n", end, sys.Eng.Executed())
 	fmt.Fprintf(stdout, "sent=%d failed=%d delivered=%d\n", sent, failed, delivered)

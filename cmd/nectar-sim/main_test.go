@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/obs/slo"
 	"repro/internal/trace"
 )
 
@@ -51,5 +54,38 @@ func TestBadArgumentsExit2(t *testing.T) {
 		if rc := run(args, &stdout, &stderr); rc != 2 || stderr.Len() == 0 {
 			t.Errorf("%v: exit status %d, stderr %q; want 2 and a diagnostic", args, rc, stderr.String())
 		}
+	}
+}
+
+// TestSLO drives -slo end to end. A run whose requests breach the bound
+// fires the reqresp objective, and -slodump writes that alert's diagnosis
+// bundle as JSON. A run with no sender (none asked for, or one CAB to send
+// from) must still return: the armed engine ticks until it is stopped.
+func TestSLO(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "bundle.json")
+	for _, args := range [][]string{
+		{"-transport", "reqresp", "-senders", "3", "-msgs", "200", "-slo", "-slobound", "50us", "-slodump", dump},
+		{"-senders", "0", "-slo", "-transport", "reqresp"},
+		{"-cabs", "1", "-slo"},
+	} {
+		var stdout, stderr bytes.Buffer
+		rc := make(chan int, 1)
+		go func() { rc <- run(args, &stdout, &stderr) }()
+		select {
+		case got := <-rc:
+			if got != 0 {
+				t.Fatalf("%v: exit status %d, stderr:\n%s", args, got, stderr.String())
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%v: still running after 20s", args)
+		}
+	}
+	var b slo.Bundle
+	file, err := os.ReadFile(dump)
+	if err == nil {
+		err = json.Unmarshal(file, &b)
+	}
+	if err != nil || b.Alert.Objective != "reqresp" {
+		t.Fatalf("-slodump: bundle for objective %q (err %v), want reqresp", b.Alert.Objective, err)
 	}
 }

@@ -54,11 +54,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, f := range []struct {
-		name string
-		val  int
-	}{{"limit", *limit}, {"size", *size}} {
-		if f.val < 0 {
-			fmt.Fprintf(stderr, "-%s %d: must not be negative\n", f.name, f.val)
+		name     string
+		val, min int
+	}{{"limit", *limit, 1}, {"size", *size, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(stderr, "-%s %d: must be at least %d\n", f.name, f.val, f.min)
 			return 2
 		}
 	}

@@ -34,8 +34,9 @@ func TestUnknownModeExits2(t *testing.T) {
 		diag string
 	}{
 		{[]string{"-mode", "bogus"}, `unknown mode "bogus"`},
-		{[]string{"-size", "-1"}, "-size -1: must not be negative"},
-		{[]string{"-limit", "-1"}, "-limit -1: must not be negative"},
+		{[]string{"-size", "-1"}, "-size -1: must be at least 0"},
+		{[]string{"-limit", "-1"}, "-limit -1: must be at least 1"},
+		{[]string{"-limit", "0"}, "-limit 0: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if rc := run(c.args, &stdout, &stderr); rc != 2 {

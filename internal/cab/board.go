@@ -37,27 +37,8 @@ type Board struct {
 	// fiber interface neither receives nor transmits.
 	powered bool
 
-	itemsIn, itemsDropped int64
-	crashes               int64
-
-	// Class-segregated send accounting (index = priority class & 3), fed
-	// by the transport when overload control is armed.
-	classOutBytes [4]int64
-	classOutPkts  [4]int64
+	crashes int64
 }
-
-// AccountClassSend records one outbound wire packet against its priority
-// class (class-segregated occupancy accounting for overload control).
-func (b *Board) AccountClassSend(class uint8, bytes int) {
-	b.classOutBytes[class&3] += int64(bytes)
-	b.classOutPkts[class&3]++
-}
-
-// ClassSentBytes returns the bytes sent so far in the given class.
-func (b *Board) ClassSentBytes(class uint8) int64 { return b.classOutBytes[class&3] }
-
-// ClassSentPkts returns the packets sent so far in the given class.
-func (b *Board) ClassSentPkts(class uint8) int64 { return b.classOutPkts[class&3] }
 
 // NewBoard creates a CAB board with all devices.
 func NewBoard(eng *sim.Engine, id int, name string) *Board {
@@ -126,13 +107,11 @@ func (b *Board) Crashes() int64 { return b.crashes }
 // A packet the board cannot take is discarded and drains at once.
 func (b *Board) Receive(it *fiber.Item) {
 	if b.powered {
-		b.itemsIn++
 		if b.itemHandler != nil {
 			b.itemHandler(it)
 			return
 		}
 	}
-	b.itemsDropped++
 	if it.Kind == fiber.KindPacket {
 		b.DrainedPacket()
 	}
@@ -150,10 +129,6 @@ func (b *Board) Send(items ...*fiber.Item) {
 		b.out.Send(it, b.eng.Now())
 	}
 }
-
-// OutBusyUntil returns when the outgoing fiber finishes currently queued
-// transmissions.
-func (b *Board) OutBusyUntil() sim.Time { return b.out.BusyUntil() }
 
 // NetReady reports the outgoing ready bit (the attached HUB input queue can
 // accept another packet).
@@ -185,6 +160,3 @@ func (b *Board) DrainedPacket() {
 		b.drainUpstream()
 	}
 }
-
-// ItemsReceived returns the count of items that arrived on the input fiber.
-func (b *Board) ItemsReceived() int64 { return b.itemsIn }

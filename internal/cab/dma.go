@@ -80,9 +80,6 @@ func (d *DMA) Transfers(ch Channel) int64 { return d.transfers[ch] }
 // Bytes returns the bytes moved on ch.
 func (d *DMA) Bytes(ch Channel) int64 { return d.bytes[ch] }
 
-// BusyUntil returns when ch finishes its queued work.
-func (d *DMA) BusyUntil(ch Channel) sim.Time { return d.busyUntil[ch] }
-
 // Transfer queues n bytes on ch; done (optional) runs at completion.
 // It returns the completion time. The CPU is not involved: the kernel
 // charges only its own setup cost.

@@ -55,12 +55,12 @@ type Params struct {
 	// transport operations are making progress, and dumps the flight
 	// recorder when they are not.
 	StallWatchdog bool
-	// FlowTopK enables the flow observatory (System.Flows): NetFlow-style
+	// Flows enables the flow observatory (System.Flows): NetFlow-style
 	// per-(src CAB, dst CAB, protocol) accounting on the datalink and
-	// transport hot paths, with a space-saving heavy-hitter sketch of this
-	// many entries. 0 disables it (the default: accounting calls hit a nil
-	// table and cost nothing).
-	FlowTopK int
+	// transport hot paths, with a space-saving heavy-hitter sketch of
+	// flow.DefaultTopK entries. Off by default: accounting calls hit a nil
+	// table and cost nothing.
+	Flows bool
 	// SLO configures the service-level-objective engine (System.SLO):
 	// declared latency/success objectives evaluated in virtual time with
 	// multi-window burn-rate alerting and diagnosis-bundle capture. Empty
@@ -167,7 +167,7 @@ type System struct {
 	FR       *obs.FlightRecorder
 	Watchdog *obs.Watchdog
 	// Flows is the flow observatory's accounting table (nil unless
-	// Params.FlowTopK > 0): per-(src, dst, proto) flow records fed by the
+	// Params.Flows): per-(src, dst, proto) flow records fed by the
 	// datalink/transport hot paths, with a heavy-hitter sketch. Snapshot
 	// the link side with Weathermap.
 	Flows *flow.Table
@@ -233,8 +233,8 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 	if p.FlightRecorder {
 		s.FR = obs.NewFlightRecorder(eng, obs.DefaultFlightEvents)
 	}
-	if p.FlowTopK > 0 {
-		s.Flows = flow.NewTable(p.FlowTopK, func(b byte) string {
+	if p.Flows {
+		s.Flows = flow.NewTable(flow.DefaultTopK, func(b byte) string {
 			return transport.Proto(b).String()
 		})
 	}

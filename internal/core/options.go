@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs/flow"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -256,22 +255,14 @@ func WithTelemetry() Option {
 	}
 }
 
-// DefaultFlowTopK is the heavy-hitter sketch size WithFlows enables.
-const DefaultFlowTopK = flow.DefaultTopK
-
 // WithFlows enables the flow observatory (System.Flows): NetFlow-style
 // per-(src CAB, dst CAB, protocol) flow records accumulated on the
-// datalink/transport hot paths, with a space-saving top-k sketch of k
-// entries for heavy-hitter detection (k <= 0: DefaultFlowTopK). Accounting
-// only mutates counters — an observed run is byte-identical to an
-// unobserved one.
-func WithFlows(k int) Option {
-	return func(p *Params) {
-		if k <= 0 {
-			k = DefaultFlowTopK
-		}
-		p.FlowTopK = k
-	}
+// datalink/transport hot paths, with a space-saving top-k sketch of
+// flow.DefaultTopK entries for heavy-hitter detection. Accounting only
+// mutates counters — an observed run is byte-identical to an unobserved
+// one.
+func WithFlows() Option {
+	return func(p *Params) { p.Flows = true }
 }
 
 // WithObservatory arms the full congestion observatory: flow records with
@@ -281,7 +272,7 @@ func WithFlows(k int) Option {
 // Combine with WithTraceSpans for critical-path latency attribution.
 func WithObservatory() Option {
 	return func(p *Params) {
-		WithFlows(0)(p)
+		WithFlows()(p)
 		WithSampler()(p)
 		WithFlightRecorder()(p)
 	}
@@ -300,7 +291,7 @@ func WithSLO(sp slo.Params) Option {
 		p.SLO = sp
 		WithTraceSpans()(p)
 		WithFlightRecorder()(p)
-		WithFlows(0)(p)
+		WithFlows()(p)
 	}
 }
 
@@ -345,9 +336,6 @@ func validateSLO(p Params) {
 // negative value is always a caller bug that would otherwise silently
 // disable the instrument.
 func validateTelemetry(p Params) {
-	if p.FlowTopK < 0 {
-		panic(fmt.Sprintf("nectar: FlowTopK %d is negative (0 disables the flow observatory)", p.FlowTopK))
-	}
 	if p.TraceSpans < 0 {
 		panic(fmt.Sprintf("nectar: TraceSpans %d is negative (0 disables span tracing)", p.TraceSpans))
 	}

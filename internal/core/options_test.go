@@ -190,7 +190,6 @@ func TestNewValidatesTelemetryParams(t *testing.T) {
 			New(SingleHub(2), WithParams(p))
 		}
 	}
-	mustPanic(t, "FlowTopK", bad(func(p *Params) { p.FlowTopK = -2 }))
 	mustPanic(t, "TraceSpans", bad(func(p *Params) { p.TraceSpans = -1 }))
 	mustPanic(t, "RecorderLimit", bad(func(p *Params) { p.RecorderLimit = -1 }))
 
@@ -202,13 +201,9 @@ func TestNewValidatesTelemetryParams(t *testing.T) {
 }
 
 func TestWithFlowsAndObservatory(t *testing.T) {
-	sys := New(SingleHub(2), WithFlows(7))
-	if sys.Flows == nil {
+	sys := New(SingleHub(2), WithFlows())
+	if sys.Flows == nil || !sys.Params.Flows {
 		t.Fatal("WithFlows did not arm the flow table")
-	}
-	def := New(SingleHub(2), WithFlows(0))
-	if def.Flows == nil || def.Params.FlowTopK != DefaultFlowTopK {
-		t.Fatalf("WithFlows(0) should select the default sketch size, got %d", def.Params.FlowTopK)
 	}
 	obs := New(SingleHub(2), WithObservatory())
 	if obs.Flows == nil || obs.Sampler == nil || obs.FR == nil {

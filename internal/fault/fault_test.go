@@ -293,14 +293,17 @@ func TestTrainAndHotSpot(t *testing.T) {
 		t.Fatal("the storm left no mark on the request latencies")
 	}
 	p99 := a.CriticalPath(0.99)
-	if p99 == nil || len(a.CriticalPaths()) == 0 {
+	if p99 == nil {
 		t.Fatal("no traced request completed inside the storm window")
 	}
 	if q := p99.MaxQueue(); !strings.HasPrefix(q.Comp, "hub2.") {
 		t.Fatalf("p99 queueing hotspot %q is not on the victim's HUB", q.Comp)
 	}
-	if got, whole := len(a.CriticalPaths()), len(calm.CriticalPaths()); got >= whole {
-		t.Fatalf("storm window holds %d requests, whole calm run %d", got, whole)
+	// The fastest and the slowest request of the window both began in it.
+	for _, q := range []float64{0, 1} {
+		if at := a.CriticalPath(q).Root.Start(); at < sim.Millisecond || at > 3*sim.Millisecond {
+			t.Fatalf("quantile %v request began at %v, outside the storm window [1ms, 3ms]", q, at)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // This file holds the scenarios the fault actions are run against: the
 // named catalogue, the at-least-once message train and the train of
 // collectives that must survive them, and the hot-spot scenario a
-// congestion storm is observed through. cmd/nectar-sim -chaos,
-// cmd/nectar-top and experiments S1, C1, C2, O2, O3 all call these; none of
-// them carries a copy.
+// congestion storm is observed through. cmd/nectar-sim -chaos and
+// experiments S1, C1, C2, O2, O3 all call these; none of them carries a
+// copy.
 
 // Names lists the catalogue's scenarios in the order CI runs them.
 func Names() []string {
@@ -337,14 +337,4 @@ func (r *HotSpotRun) CriticalPath(q float64) *trace.PathBreakdown {
 	r.windowRoots()
 	root := trace.QuantileRoot(r.roots, q)
 	return trace.CriticalPathIn(r.byRoot[root], root, hub.TransferLatency)
-}
-
-// CriticalPaths decomposes every request of the storm window.
-func (r *HotSpotRun) CriticalPaths() []*trace.PathBreakdown {
-	r.windowRoots()
-	var all []*trace.PathBreakdown
-	for _, root := range r.roots {
-		all = append(all, trace.CriticalPathIn(r.byRoot[root], root, hub.TransferLatency))
-	}
-	return all
 }

@@ -116,9 +116,6 @@ func (k *Kernel) SetInstrumentation(tr *trace.Tracer, reg *trace.Registry) {
 	}
 }
 
-// Current returns the running thread (nil if the CAB is idle).
-func (k *Kernel) Current() *Thread { return k.cur }
-
 // Reboot models the kernel restart after a board crash: all mailbox
 // contents — message buffers in CAB memory — are lost. Threads themselves
 // survive in this model (the simulation cannot unwind a blocked coroutine);
@@ -131,9 +128,6 @@ func (k *Kernel) Reboot() {
 		mb.Purge()
 	}
 }
-
-// Reboots returns the number of kernel restarts.
-func (k *Kernel) Reboots() int64 { return k.reboots }
 
 // Thread is a lightweight CAB kernel thread ("threads have little state
 // associated with them, [so] the cost of context switching is low").
@@ -177,9 +171,6 @@ func (t *Thread) SetSpan(s *trace.Span) *trace.Span {
 
 // Name returns the thread name.
 func (t *Thread) Name() string { return t.name }
-
-// State returns the scheduling state.
-func (t *Thread) State() ThreadState { return t.state }
 
 // Kernel returns the owning kernel.
 func (t *Thread) Kernel() *Kernel { return t.k }
@@ -419,19 +410,6 @@ func (s *Sem) P(t *Thread) {
 		s.avail.Wait(t)
 	}
 	s.count--
-}
-
-// PTimeout is P with a deadline; it reports false (without decrementing)
-// on timeout.
-func (s *Sem) PTimeout(t *Thread, d sim.Time) bool {
-	deadline := t.k.eng.Now() + d
-	for s.count == 0 {
-		if !s.avail.WaitUntil(t, deadline) {
-			return false
-		}
-	}
-	s.count--
-	return true
 }
 
 // TryP decrements the semaphore without blocking; it reports false when

@@ -69,12 +69,6 @@ type Mailbox struct {
 	notFull  *Cond
 
 	puts, gets int64
-
-	// Class-segregated occupancy (index = priority class & 3; classes are
-	// stamped by the transport after Commit via Classify). Everything
-	// lands in class 0 until reclassified.
-	classBytes [4]int
-	classMsgs  [4]int
 }
 
 // NewMailbox creates a mailbox bounded to capacity bytes of CAB memory.
@@ -111,26 +105,12 @@ func (m *Mailbox) UsedBytes() int { return m.used }
 // Capacity returns the mailbox's byte bound.
 func (m *Mailbox) Capacity() int { return m.capacity }
 
-// ClassBytes returns the committed bytes currently held by messages of the
-// given priority class (class-segregated occupancy accounting).
-func (m *Mailbox) ClassBytes(class uint8) int { return m.classBytes[class&3] }
-
-// ClassMsgs returns the committed message count of the given class.
-func (m *Mailbox) ClassMsgs(class uint8) int { return m.classMsgs[class&3] }
-
-// Classify re-labels a committed message's priority class and deadline and
-// moves its occupancy into the class's bucket. The transport calls it right
-// after delivery (TryPut commits before the wire header's class is known).
+// Classify labels a committed message with its priority class and
+// deadline. The transport calls it right after delivery (TryPut commits
+// before the wire header's class is known).
 func (m *Mailbox) Classify(msg *Message, class uint8, deadline sim.Time) {
-	old := msg.Class & 3
 	msg.Class = class
 	msg.Deadline = deadline
-	if msg.committed && old != class&3 {
-		m.classBytes[old] -= msg.Len
-		m.classMsgs[old]--
-		m.classBytes[class&3] += msg.Len
-		m.classMsgs[class&3]++
-	}
 }
 
 // Reserve allocates space for an incoming message before its data arrives
@@ -165,8 +145,6 @@ func (m *Mailbox) Commit(msg *Message) {
 	msg.Arrived = m.k.eng.Now()
 	m.msgs = append(m.msgs, msg)
 	m.puts++
-	m.classBytes[msg.Class&3] += msg.Len
-	m.classMsgs[msg.Class&3]++
 	m.notEmpty.Signal()
 }
 
@@ -272,8 +250,6 @@ func (m *Mailbox) pop(i int) *Message {
 	msg := m.msgs[i]
 	m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
 	m.gets++
-	m.classBytes[msg.Class&3] -= msg.Len
-	m.classMsgs[msg.Class&3]--
 	return msg
 }
 

@@ -97,9 +97,6 @@ func (e *Ethernet) Collisions() int64 { return e.collisions }
 // Frames returns successfully transmitted frames.
 func (e *Ethernet) Frames() int64 { return e.frames }
 
-// BytesCarried returns payload+overhead bytes successfully carried.
-func (e *Ethernet) BytesCarried() int64 { return e.bytes }
-
 // Drops returns frames abandoned after maxAttempts excessive collisions.
 func (e *Ethernet) Drops() int64 { return e.drops }
 

@@ -12,10 +12,8 @@ import (
 // bodies — like every collective subsystem, the calls are SPMD: every
 // member task must invoke the same sequence of operations.
 type Collective struct {
-	app   *App
 	g     *coll.Group
 	ranks map[string]int // member task name -> canonical rank
-	names []string       // rank -> member task name
 }
 
 // NewCollective declares collective group id over the named CAB-resident
@@ -35,13 +33,9 @@ func (a *App) NewCollective(id int, taskNames []string, opts ...coll.Option) *Co
 		cabs[i] = t.cabID
 	}
 	g := coll.NewGroup(a.sys, id, cabs, opts...)
-	cl := &Collective{app: a, g: g,
-		ranks: make(map[string]int, len(taskNames)),
-		names: make([]string, len(taskNames))}
+	cl := &Collective{g: g, ranks: make(map[string]int, len(taskNames))}
 	for i, name := range taskNames {
-		r := g.RankOf(i)
-		cl.ranks[name] = r
-		cl.names[r] = name
+		cl.ranks[name] = g.RankOf(i)
 	}
 	return cl
 }
@@ -56,9 +50,6 @@ func (cl *Collective) RankOf(taskName string) int {
 	}
 	return -1
 }
-
-// TaskAt returns the member task name holding a rank.
-func (cl *Collective) TaskAt(rank int) string { return cl.names[rank] }
 
 // comm resolves the calling task's endpoint, panicking on misuse (calls
 // from a non-member or node task are programming errors, like Nectarine's

@@ -218,9 +218,6 @@ func (n *Node) Name() string { return n.name }
 // address).
 func (n *Node) CABID() int { return n.stack.Board.ID() }
 
-// Stack returns the attached CAB stack.
-func (n *Node) Stack() *core.CABStack { return n.stack }
-
 // proxyLoop is the CAB-side thread serving the node's command mailbox
 // ("Node processes invoke services by placing a command in a special
 // mailbox on the CAB", §6.2.3).

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -71,7 +70,7 @@ type Record struct {
 
 // Table accumulates flow records. Accounting is zero-alloc in steady state:
 // a seen flow is one map lookup plus counter adds; only the first frame of
-// a new flow allocates its entry. Every reader (Records, Top, CSV, Text)
+// a new flow allocates its entry. Every reader (Records, Top, CSV, WriteProm)
 // orders output deterministically.
 type Table struct {
 	flows     map[Key]*Counters
@@ -205,37 +204,4 @@ func (t *Table) CSV() []byte {
 			r.Frames, r.Bytes, r.Retransmits, int64(r.Queue))
 	}
 	return b.Bytes()
-}
-
-// Text renders a fixed-width flow table of the heaviest limit flows
-// (limit <= 0: all), with the sketch's view appended.
-func (t *Table) Text(limit int) string {
-	var b strings.Builder
-	recs := t.Records()
-	if limit > 0 && len(recs) > limit {
-		recs = recs[:limit]
-	}
-	fmt.Fprintf(&b, "flows: %d tracked, showing %d (by bytes)\n", t.Len(), len(recs))
-	fmt.Fprintf(&b, "  %-8s %-8s %-12s %10s %12s %8s %14s\n",
-		"src", "dst", "proto", "frames", "bytes", "rexmit", "queue")
-	for _, r := range recs {
-		fmt.Fprintf(&b, "  %-8s %-8s %-12s %10d %12d %8d %14v\n",
-			fmt.Sprintf("cab%d", r.Src), dstName(r.Dst), t.ProtoName(r.Proto),
-			r.Frames, r.Bytes, r.Retransmits, r.Queue)
-	}
-	top := t.Top()
-	fmt.Fprintf(&b, "heavy hitters (space-saving sketch, k=%d):\n", t.sketchK())
-	for i, e := range top {
-		fmt.Fprintf(&b, "  #%-3d %-8s -> %-8s %-12s ~%d bytes (overcount <= %d)\n",
-			i+1, fmt.Sprintf("cab%d", e.Key.Src), dstName(e.Key.Dst),
-			t.ProtoName(e.Key.Proto), e.Count, e.Err)
-	}
-	return b.String()
-}
-
-func (t *Table) sketchK() int {
-	if t == nil || t.sketch == nil {
-		return 0
-	}
-	return t.sketch.k
 }

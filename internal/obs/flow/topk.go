@@ -30,14 +30,6 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, idx: make(map[Key]int, k)}
 }
 
-// K returns the sketch capacity.
-func (t *TopK) K() int {
-	if t == nil {
-		return 0
-	}
-	return t.k
-}
-
 // Offer adds weight w to key. Zero-alloc once the sketch is warm: hits and
 // evictions only update the preallocated entry array.
 func (t *TopK) Offer(key Key, w int64) {

@@ -1,39 +1,33 @@
 package flow
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // PortWeather is one HUB port's congestion state in a weathermap snapshot.
 type PortWeather struct {
-	Hub  string `json:"hub"`
-	Port int    `json:"port"`
-	Name string `json:"name"` // "hub4.p1"
+	Hub  string
+	Port int
+	Name string // "hub4.p1"
 	// QueueBytes is the input queue's occupancy at snapshot time;
 	// QueuePeak its high-water mark over the run so far.
-	QueueBytes int64 `json:"queue_bytes"`
-	QueuePeak  int64 `json:"queue_peak"`
+	QueueBytes int64
+	QueuePeak  int64
 	// Connected reports whether the output register is owned by an input
 	// (a crossbar connection is established through it).
-	Connected bool  `json:"connected"`
-	Drops     int64 `json:"drops"`
-	PktsIn    int64 `json:"pkts_in"`
-	PktsOut   int64 `json:"pkts_out"`
+	Connected bool
+	Drops     int64
+	PktsIn    int64
+	PktsOut   int64
 	// Congested marks ports whose queue peak crossed the high-water mark.
-	Congested bool `json:"congested"`
+	Congested bool
 }
 
-// Weathermap is a congestion snapshot of every HUB port, rendered as text
-// or JSON. Build one with core.System.Weathermap.
+// Weathermap is a congestion snapshot of every HUB port. Build one with
+// core.System.Weathermap.
 type Weathermap struct {
-	At sim.Time `json:"at_ns"`
-	// QueueCap is the input queue capacity the heat bars are scaled to.
-	QueueCap int64         `json:"queue_cap"`
-	Ports    []PortWeather `json:"ports"`
+	At sim.Time
+	// QueueCap is the input queue capacity, the scale of every QueuePeak.
+	QueueCap int64
+	Ports    []PortWeather
 }
 
 // Hottest returns the port with the highest queue peak (first in snapshot
@@ -63,63 +57,4 @@ func (w *Weathermap) Hottest() *PortWeather {
 		return nil
 	}
 	return &w.Ports[best]
-}
-
-// heatBar renders an 8-cell occupancy bar.
-func heatBar(v, max int64) string {
-	const cells = 8
-	if max <= 0 {
-		max = 1
-	}
-	n := int((v*cells + max - 1) / max)
-	if n > cells {
-		n = cells
-	}
-	return "[" + strings.Repeat("#", n) + strings.Repeat(".", cells-n) + "]"
-}
-
-// Text renders the weathermap as a fixed-width table: one row per port
-// that saw traffic (idle ports are tallied, not listed), heat bars scaled
-// to the queue capacity.
-func (w *Weathermap) Text() string {
-	if w == nil {
-		return "weathermap: not armed\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "congestion weathermap at %v (queue capacity %d bytes)\n", w.At, w.QueueCap)
-	fmt.Fprintf(&b, "  %-12s %-10s %10s %10s %6s %8s %8s %8s\n",
-		"port", "peak", "queue", "peak_b", "conn", "in", "out", "drops")
-	idle := 0
-	for _, p := range w.Ports {
-		if p.QueuePeak == 0 && p.PktsIn == 0 && p.PktsOut == 0 && p.Drops == 0 {
-			idle++
-			continue
-		}
-		conn := "-"
-		if p.Connected {
-			conn = "conn"
-		}
-		mark := ""
-		if p.Congested {
-			mark = " HOT"
-		}
-		fmt.Fprintf(&b, "  %-12s %-10s %10d %10d %6s %8d %8d %8d%s\n",
-			p.Name, heatBar(p.QueuePeak, w.QueueCap),
-			p.QueueBytes, p.QueuePeak, conn, p.PktsIn, p.PktsOut, p.Drops, mark)
-	}
-	if idle > 0 {
-		fmt.Fprintf(&b, "  (%d idle ports omitted)\n", idle)
-	}
-	if h := w.Hottest(); h != nil {
-		fmt.Fprintf(&b, "  hottest: %s (peak %d bytes, %d drops)\n", h.Name, h.QueuePeak, h.Drops)
-	}
-	return b.String()
-}
-
-// JSON renders the weathermap as indented JSON.
-func (w *Weathermap) JSON() ([]byte, error) {
-	if w == nil {
-		return json.MarshalIndent(Weathermap{Ports: []PortWeather{}}, "", "  ")
-	}
-	return json.MarshalIndent(w, "", "  ")
 }

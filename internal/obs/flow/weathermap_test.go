@@ -1,10 +1,6 @@
 package flow
 
-import (
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func wmap() *Weathermap {
 	return &Weathermap{
@@ -32,40 +28,5 @@ func TestWeathermapHottest(t *testing.T) {
 	var nilMap *Weathermap
 	if nilMap.Hottest() != nil {
 		t.Fatal("nil map should have no hottest port")
-	}
-}
-
-func TestWeathermapText(t *testing.T) {
-	txt := wmap().Text()
-	if !strings.Contains(txt, "hub2.p0") || !strings.Contains(txt, "HOT") {
-		t.Fatalf("Text missing congested port:\n%s", txt)
-	}
-	if !strings.Contains(txt, "(1 idle ports omitted)") {
-		t.Fatalf("Text should tally idle ports:\n%s", txt)
-	}
-	if !strings.Contains(txt, "hottest: hub2.p0") {
-		t.Fatalf("Text missing hottest footer:\n%s", txt)
-	}
-	var nilMap *Weathermap
-	if !strings.Contains(nilMap.Text(), "not armed") {
-		t.Fatal("nil map Text should say not armed")
-	}
-}
-
-func TestWeathermapJSON(t *testing.T) {
-	blob, err := wmap().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Weathermap
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Ports) != 4 || back.Ports[2].QueuePeak != 900 || !back.Ports[2].Congested {
-		t.Fatalf("JSON round trip lost data: %+v", back.Ports)
-	}
-	var nilMap *Weathermap
-	if blob, err = nilMap.JSON(); err != nil || !json.Valid(blob) {
-		t.Fatalf("nil map JSON = %s, %v", blob, err)
 	}
 }

@@ -2,7 +2,6 @@ package slo
 
 import (
 	"encoding/json"
-	"io"
 
 	"repro/internal/sim"
 )
@@ -109,16 +108,9 @@ type Bundle struct {
 	Sampling BundleSampling `json:"sampling"`
 }
 
-// WriteJSON marshals the bundle as one indented JSON document. Field
-// order follows the struct, slices were built in deterministic order, so
-// two armed runs write identical bytes.
-func (b *Bundle) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// JSON returns the bundle as indented JSON bytes.
+// JSON returns the bundle as one indented JSON document. Field order
+// follows the struct, slices were built in deterministic order, so two
+// armed runs write identical bytes.
 func (b *Bundle) JSON() []byte {
 	out, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

@@ -515,9 +515,8 @@ func (e *Engine) Status() []ObjectiveStatus {
 }
 
 // Text renders the engine's status and alert stream as a fixed-width
-// console block — the shared view behind nectar-sim -slo and nectar-top
-// -slo. Deterministic: objectives in declaration order, alerts in fire
-// order.
+// console block — the view behind nectar-sim -slo. Deterministic:
+// objectives in declaration order, alerts in fire order.
 func (e *Engine) Text() string {
 	if e == nil {
 		return "slo: engine not armed\n"

@@ -146,15 +146,6 @@ func (n *Network) setLevel(h, level int) {
 	n.invalidateRoutes()
 }
 
-// HubCoord returns hub h's grid coordinate and whether coordinates were
-// recorded for this network.
-func (n *Network) HubCoord(h int) ([3]int, bool) {
-	if h < len(n.coords) {
-		return n.coords[h], true
-	}
-	return [3]int{}, false
-}
-
 // Hub returns hub i.
 func (n *Network) Hub(i int) *hub.Hub { return n.hubs[i] }
 

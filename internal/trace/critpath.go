@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -191,48 +189,4 @@ func QuantileRoot(roots []*Span, q float64) *Span {
 		idx = len(ended) - 1
 	}
 	return ended[idx]
-}
-
-// AggregatePaths sums attribution slices across many breakdowns — the
-// "where did the p99 go" table rows. Output is largest first.
-func AggregatePaths(pbs []*PathBreakdown) []PathSlice {
-	type ck struct{ comp, kind string }
-	acc := make(map[ck]sim.Time)
-	order := []ck{}
-	for _, pb := range pbs {
-		if pb == nil {
-			continue
-		}
-		for _, s := range pb.Slices {
-			k := ck{s.Comp, s.Kind}
-			if _, ok := acc[k]; !ok {
-				order = append(order, k)
-			}
-			acc[k] += s.Time
-		}
-	}
-	out := make([]PathSlice, 0, len(order))
-	for _, k := range order {
-		out = append(out, PathSlice{Comp: k.comp, Kind: k.kind, Time: acc[k]})
-	}
-	sortSlices(out)
-	return out
-}
-
-// String renders the breakdown as an indented attribution list.
-func (p *PathBreakdown) String() string {
-	if p == nil {
-		return "critical path: no trace\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "critical path of %s %s (total %v): queue %v, service %v, propagation %v, software %v\n",
-		p.Root.Comp(), p.Root.Name(), p.Total, p.Queue, p.Service, p.Propagation, p.Software)
-	for _, s := range p.Slices {
-		pct := float64(0)
-		if p.Total > 0 {
-			pct = 100 * float64(s.Time) / float64(p.Total)
-		}
-		fmt.Fprintf(&b, "  %-16s %-12s %12v  %5.1f%%\n", s.Comp, s.Kind, s.Time, pct)
-	}
-	return b.String()
 }

@@ -65,13 +65,12 @@ type Recorder struct {
 	eng     *sim.Engine
 	events  []Record
 	counts  map[EventKind]int64
-	limit   int   // maximum retained events (0 = unlimited)
+	limit   int   // maximum retained events
 	dropped int64 // events not retained because the limit was hit
 }
 
-// NewRecorder returns a recorder bound to the engine. limit bounds the
-// number of retained event records (counters are always exact); 0 means
-// unlimited.
+// NewRecorder returns a recorder bound to the engine. limit (positive)
+// bounds the number of retained event records; counters are always exact.
 func NewRecorder(eng *sim.Engine, limit int) *Recorder {
 	return &Recorder{eng: eng, counts: make(map[EventKind]int64), limit: limit}
 }
@@ -82,7 +81,7 @@ func (r *Recorder) Record(kind EventKind, where, format string, args ...interfac
 		return
 	}
 	r.counts[kind]++
-	if r.limit > 0 && len(r.events) >= r.limit {
+	if len(r.events) >= r.limit {
 		r.dropped++
 		return
 	}

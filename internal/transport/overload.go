@@ -20,8 +20,7 @@ import (
 //     kernel mailbox via Message.Expired), so expired work is shed before
 //     it burns CAB CPU or fiber credit;
 //   - priority classes (critical/normal/bulk) get weighted-deficit
-//     scheduling of the CAB send queue and class-segregated occupancy
-//     accounting in the kernel mailboxes and the CAB board;
+//     scheduling of the CAB send queue;
 //   - admission control is a CoDel-style sojourn-time controller on the
 //     send queue, shedding lowest-class-first with a deterministic
 //     ErrOverload fast-reject (the caller learns in one RTT, not after
@@ -292,7 +291,6 @@ func (t *Transport) serviceClassed(th *kernel.Thread) {
 		return
 	}
 	o.observeSojourn(now, now-it.enq)
-	t.k.Board().AccountClassSend(uint8(wireClass(it.wire)), len(it.wire))
 	prev := th.SetSpan(it.sp)
 	t.sendWire(th, it.dst, it.wire)
 	th.SetSpan(prev)

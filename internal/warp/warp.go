@@ -42,9 +42,6 @@ func New(eng *sim.Engine, name string) *Array {
 	return &Array{eng: eng, name: name, cells: DefaultCells, opTime: DefaultCellOpTime}
 }
 
-// Cells returns the array length.
-func (a *Array) Cells() int { return a.cells }
-
 // KernelsRun returns the number of kernels executed.
 func (a *Array) KernelsRun() int64 { return a.kernelsRun }
 
