@@ -68,30 +68,28 @@ func BenchmarkProcSleepWake(b *testing.B) {
 	e.RunUntil(e.Now() + 2)
 }
 
+// BenchmarkSignalHandoff times one Signal round trip between two procs.
 func BenchmarkSignalHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	ping := NewSignal(e)
-	pong := NewSignal(e)
-	stop := false
-	e.GoDaemon("a", func(p *Proc) {
-		for !stop {
-			pong.Signal()
-			ping.Wait(p)
-		}
-	})
-	e.GoDaemon("b", func(p *Proc) {
-		for !stop {
+	ping, pong := NewSignal(e), NewSignal(e)
+	// pong starts first, so it is already waiting when ping signals.
+	e.GoDaemon("pong", func(p *Proc) {
+		for {
 			pong.Wait(p)
 			ping.Signal()
 		}
 	})
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Signal()
+			ping.Wait(p)
+		}
+	})
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(e.Now() + 1)
+	e.Run()
+	// Two start events, then one wake-up each way per round trip.
+	if got, want := e.Executed(), uint64(2+2*b.N); got != want {
+		b.Fatalf("%d events ran, want %d: a signal was lost", got, want)
 	}
-	stop = true
-	ping.Broadcast()
-	pong.Broadcast()
-	e.RunUntil(e.Now() + 2)
 }

@@ -7,7 +7,7 @@
 // and on synchronization primitives (Signal, Queue).
 //
 // Determinism: events fire in (time, sequence) order, exactly one process
-// goroutine runs at a time, and all randomness is drawn from seeded
+// coroutine runs at a time, and all randomness is drawn from seeded
 // math/rand sources owned by individual components. Two runs with the same
 // seeds produce identical event orders and identical results.
 //
@@ -111,6 +111,10 @@ type Engine struct {
 	// versus deadlock. live tracks them by name for diagnostics.
 	procs int
 	live  map[*Proc]bool
+
+	// idle holds the coroutines of finished processes, each parked until
+	// GoAt hands it a new process.
+	idle []*coro
 
 	// executed counts events fired, for diagnostics and tests.
 	executed uint64

@@ -1,23 +1,27 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulation process: sequential code that runs in virtual time.
 //
-// A Proc is backed by a goroutine, but the engine guarantees that exactly one
-// process goroutine executes at any moment, and only while the engine itself
-// is paused waiting for it. The result is fully deterministic cooperative
-// scheduling: a process runs until it blocks (Sleep, Wait, Queue ops, ...),
-// at which point control returns to the event loop.
+// A Proc runs on a coroutine (iter.Pull): the engine switches to it for a
+// slice and it switches straight back when it blocks (Sleep, Wait, Queue
+// ops, ...), so exactly one of them executes at any moment and scheduling is
+// fully deterministic and cooperative. Coroutines are pooled per engine: a
+// finished proc's coroutine waits on Engine.idle and runs the next proc
+// started with Go.
 //
 // All Proc methods must be called from within the process's own body.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	wake chan struct{} // engine -> proc: run a slice
-	park chan struct{} // proc -> engine: slice done (blocked or finished)
-
+	// co runs the body; done is set when the body returns, after which co
+	// may already be running another process.
+	co   *coro
 	done bool
 
 	// daemon processes are expected to block forever (service loops);
@@ -59,12 +63,7 @@ func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
 
 // GoAt starts a new process at absolute time t.
 func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		wake: make(chan struct{}),
-		park: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	e.procs++
 	if e.live == nil {
 		e.live = make(map[*Proc]bool)
@@ -72,36 +71,60 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 	e.live[p] = true
 	p.resume = func() { e.runSlice(p) }
 	p.waitTimedOut = p.timedOut
-	go func() {
-		<-p.wake // wait for the start event
-		body(p)
-		p.done = true
-		delete(e.live, p)
-		if !p.daemon {
-			e.procs--
-		}
-		p.park <- struct{}{}
-	}()
+	if n := len(e.idle); n > 0 {
+		p.co, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		p.co = e.newCoro()
+	}
+	p.co.p, p.co.body = p, body
 	e.At(t, p.resume)
 	return p
 }
 
-// runSlice hands control to the process goroutine and waits for it to block
-// again or finish. Must only be called from event context.
+// coro is a pooled coroutine that runs proc bodies one after another. When
+// a body returns, the coroutine marks its Proc done, puts itself on
+// Engine.idle and yields until GoAt hands it the next (Proc, body) pair.
+// A body that panics ends its coroutine: the panic surfaces from next, on
+// the engine's goroutine, and the coroutine never returns to the pool.
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc
+	body  func(*Proc)
+}
+
+func (e *Engine) newCoro() *coro {
+	c := &coro{}
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			c.body(p)
+			p.done = true
+			delete(e.live, p)
+			if !p.daemon {
+				e.procs--
+			}
+			c.p, c.body = nil, nil
+			e.idle = append(e.idle, c)
+			yield(struct{}{})
+		}
+	})
+	return c
+}
+
+// runSlice switches to the process's coroutine and returns when it blocks
+// again or finishes. Must only be called from event context.
 func (e *Engine) runSlice(p *Proc) {
 	if p.done {
 		return
 	}
-	p.wake <- struct{}{}
-	<-p.park
+	p.co.next()
 }
 
-// block parks the calling process goroutine and returns control to the
-// engine; it returns when the engine next resumes the process.
-func (p *Proc) block() {
-	p.park <- struct{}{}
-	<-p.wake
-}
+// block switches from the process's coroutine back to the engine; it
+// returns when the engine next resumes the process.
+func (p *Proc) block() { p.co.yield(struct{}{}) }
 
 // resumeAt schedules the process to resume at absolute time t and returns
 // the resume event (so it can be canceled, e.g. for timeouts).
