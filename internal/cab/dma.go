@@ -114,13 +114,6 @@ func (d *DMA) TransferSpan(ch Channel, n int, done func(), parent *trace.Span) s
 	return end
 }
 
-// TransferWait is Transfer for process context: it blocks until completion.
-func (d *DMA) TransferWait(p *sim.Proc, ch Channel, n int) {
-	sig := sim.NewSignal(p.Engine())
-	d.Transfer(ch, n, func() { sig.Broadcast() })
-	sig.Wait(p)
-}
-
 // Timer is a cancellable hardware timer ("hardware timers allow time-outs
 // to be set by the software with low overhead", paper §5.1).
 type Timer struct {

@@ -76,14 +76,8 @@ func (v *VME) TransferSpan(n int, done func(), parent *trace.Span) sim.Time {
 	return end
 }
 
-// TransferWait blocks the calling process for an n-byte block transfer.
-func (v *VME) TransferWait(p *sim.Proc, n int) {
-	sig := sim.NewSignal(p.Engine())
-	v.Transfer(n, func() { sig.Broadcast() })
-	sig.Wait(p)
-}
-
-// TransferWaitSpan is TransferWait with trace attribution.
+// TransferWaitSpan blocks the calling process for an n-byte block transfer,
+// with trace attribution.
 func (v *VME) TransferWaitSpan(p *sim.Proc, n int, parent *trace.Span) {
 	sig := sim.NewSignal(p.Engine())
 	v.TransferSpan(n, func() { sig.Broadcast() }, parent)

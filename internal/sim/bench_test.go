@@ -31,7 +31,8 @@ func BenchmarkEventHeapChurn(b *testing.B) {
 
 // BenchmarkEventChurnCancelHeavy models a retransmission-timer workload:
 // most scheduled events are canceled before they fire (a healthy network
-// acks almost everything), so the heap must recycle dead slots cheaply.
+// acks almost everything), so Cancel must take events out of the heap
+// cheaply.
 func BenchmarkEventChurnCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

@@ -16,11 +16,10 @@
 // The event queue is a monomorphic 4-ary min-heap over pooled event slots:
 // no interface boxing, no container/heap indirection, and near-zero
 // allocations per event in steady state (slots are recycled through a free
-// list; new slots are allocated in chunks). Cancellation is lazy — Cancel
-// marks the slot dead and the slot is skipped and recycled when it
-// surfaces — with an O(n) compaction pass when dead slots dominate the
-// heap, so timer-heavy workloads (retransmission timers that almost always
-// cancel) stay compact.
+// list; new slots are allocated in chunks). Every pending slot knows its heap
+// index, so Cancel takes the event out of the heap at once and recycles its
+// slot: the heap holds only events that will fire, however many timers a
+// workload arms and cancels (retransmission timers almost always cancel).
 package sim
 
 import "fmt"
@@ -54,14 +53,16 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // slot is the pooled storage behind a scheduled event. Slots are owned by
-// the engine: after the callback fires (or a canceled slot surfaces at the
-// top of the heap) the slot returns to the free list and is reused by a
-// later At/After. seq is unique per schedule and doubles as the FIFO
-// tie-break and the Event handle validity token.
+// the engine: once the callback fires or the event is canceled the slot
+// returns to the free list and is reused by a later At/After. seq is unique
+// per schedule and doubles as the FIFO tie-break and the Event handle
+// validity token; idx is the slot's position in the heap while it is
+// pending, kept current by every sift.
 type slot struct {
 	at  Time
 	seq uint64
 	fn  func()
+	idx int
 }
 
 // Event is a cancellation handle for a scheduled callback, returned by
@@ -76,15 +77,6 @@ type Event struct {
 
 // live reports whether the handle still refers to its pending event.
 func (ev Event) live() bool { return ev.s != nil && ev.s.seq == ev.seq && ev.s.fn != nil }
-
-// Time returns the simulated time at which the event is scheduled to fire,
-// or 0 if it already fired or was canceled.
-func (ev Event) Time() Time {
-	if !ev.live() {
-		return 0
-	}
-	return ev.s.at
-}
 
 // Canceled reports whether the event is no longer pending (it was canceled
 // or has already fired).
@@ -101,11 +93,10 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq); free is the slot
-	// free list; dead counts canceled slots still parked in the heap.
+	// events is a 4-ary min-heap ordered by (at, seq) holding exactly the
+	// pending events; free is the slot free list.
 	events []*slot
 	free   []*slot
-	dead   int
 
 	// procs counts live processes, used by Run to detect termination
 	// versus deadlock. live tracks them by name for diagnostics.
@@ -132,7 +123,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled (uncanceled) events.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.
@@ -176,15 +167,7 @@ func (e *Engine) Cancel(ev Event) {
 	if !ev.live() {
 		return
 	}
-	ev.s.fn = nil
-	e.dead++
-	// Timer-heavy workloads cancel almost every event they schedule
-	// (retransmission timers on a healthy network). When dead slots
-	// dominate a non-trivial heap, compact it in one O(n) pass instead of
-	// letting them surface one by one.
-	if e.dead > 64 && e.dead > len(e.events)/2 {
-		e.compact()
-	}
+	e.recycle(e.remove(ev.s.idx))
 }
 
 // recycle returns a spent slot to the free list.
@@ -199,128 +182,93 @@ func less(a, b *slot) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push adds a slot to the 4-ary heap (sift up).
+// push adds a slot to the 4-ary heap.
 func (e *Engine) push(s *slot) {
+	e.events = append(e.events, nil)
+	e.up(len(e.events)-1, s)
+}
+
+// remove takes the slot at heap index i out of the heap and returns it. The
+// last entry fills the hole and sifts down, or up if it is smaller than its
+// new parent; removing index 0 is the heap's pop.
+func (e *Engine) remove(i int) *slot {
 	h := e.events
-	i := len(h)
-	h = append(h, s)
+	s := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	e.events = h[:n]
+	if i < n {
+		e.down(i, last)
+		if last.idx == i {
+			e.up(i, last)
+		}
+	}
+	return s
+}
+
+// up places s at index i or above it, moving larger parents down.
+func (e *Engine) up(i int, s *slot) {
+	h := e.events
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !less(s, h[p]) {
 			break
 		}
 		h[i] = h[p]
+		h[i].idx = i
 		i = p
 	}
 	h[i] = s
-	e.events = h
+	s.idx = i
 }
 
-// pop removes and returns the minimum slot (sift down over 4 children).
-func (e *Engine) pop() *slot {
+// down places s at index i or below it, moving the least of up to four
+// children up.
+func (e *Engine) down(i int, s *slot) {
 	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1 // first child
-			if c >= n {
-				break
-			}
-			// Find the least of up to four children.
-			m := c
-			if c+1 < n && less(h[c+1], h[m]) {
-				m = c + 1
-			}
-			if c+2 < n && less(h[c+2], h[m]) {
-				m = c + 2
-			}
-			if c+3 < n && less(h[c+3], h[m]) {
-				m = c + 3
-			}
-			if !less(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return top
-}
-
-// compact removes canceled slots from the heap in one pass and restores the
-// heap invariant (Floyd heapify, bottom-up over 4-ary nodes).
-func (e *Engine) compact() {
-	h := e.events[:0]
-	for _, s := range e.events {
-		if s.fn != nil {
-			h = append(h, s)
-		} else {
-			e.recycle(s)
-		}
-	}
-	// Clear the tail so recycled slots are not retained by the backing
-	// array.
-	for i := len(h); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = h
-	e.dead = 0
 	n := len(h)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		s := h[i]
-		j := i
-		for {
-			c := j<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			if c+1 < n && less(h[c+1], h[m]) {
-				m = c + 1
-			}
-			if c+2 < n && less(h[c+2], h[m]) {
-				m = c + 2
-			}
-			if c+3 < n && less(h[c+3], h[m]) {
-				m = c + 3
-			}
-			if !less(h[m], s) {
-				break
-			}
-			h[j] = h[m]
-			j = m
+	for {
+		c := i<<2 + 1 // first child
+		if c >= n {
+			break
 		}
-		h[j] = s
+		m := c
+		if c+1 < n && less(h[c+1], h[m]) {
+			m = c + 1
+		}
+		if c+2 < n && less(h[c+2], h[m]) {
+			m = c + 2
+		}
+		if c+3 < n && less(h[c+3], h[m]) {
+			m = c + 3
+		}
+		if !less(h[m], s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].idx = i
+		i = m
 	}
+	h[i] = s
+	s.idx = i
 }
 
 // step fires the next event. It reports false when no events remain.
 func (e *Engine) step() bool {
-	for len(e.events) > 0 {
-		s := e.pop()
-		if s.fn == nil { // canceled: recycle lazily
-			e.dead--
-			e.recycle(s)
-			continue
-		}
-		if s.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = s.at
-		fn := s.fn
-		e.recycle(s)
-		e.executed++
-		fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	s := e.remove(0)
+	if s.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = s.at
+	fn := s.fn
+	e.recycle(s)
+	e.executed++
+	fn()
+	return true
 }
 
 // Run processes events until none remain. It returns the final time.
@@ -345,17 +293,7 @@ func (e *Engine) Run() Time {
 // RunUntil processes events with firing time <= t, then sets the clock to t.
 // Processes may still be blocked; RunUntil does not treat that as deadlock.
 func (e *Engine) RunUntil(t Time) Time {
-	for len(e.events) > 0 {
-		// Peek at the earliest event.
-		next := e.events[0]
-		if next.fn == nil {
-			e.dead--
-			e.recycle(e.pop())
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for len(e.events) > 0 && e.events[0].at <= t {
 		e.step()
 	}
 	if t > e.now {

@@ -1,9 +1,10 @@
 package sim_test
 
-// Equivalence between the optimized engine and the preserved pre-PR event
-// loop (internal/sim/baseline): on randomized schedules — including
-// cancellations, same-time ties, and callbacks that schedule more events —
-// both must fire the same callbacks at the same times in the same order.
+// Equivalence between the engine and the reference event loop preserved in
+// internal/sim/baseline: on randomized schedules — same-time ties,
+// callbacks that schedule more events, cancellations before the run and
+// from inside callbacks, whole runs and RunUntil steps — both must fire the
+// same callbacks at the same times in the same order.
 
 import (
 	"math/rand"
@@ -13,99 +14,230 @@ import (
 	"repro/internal/sim/baseline"
 )
 
-// script is a deterministic schedule: ops are replayed identically against
-// both engines.
+// maxDelay bounds an op's delay; small, so that ties are common.
+const maxDelay = 40
+
+// cancelKind names the event an op cancels just before it is scheduled.
+type cancelKind uint8
+
+const (
+	cancelNone    cancelKind = iota
+	cancelAny                // any earlier op: pending, fired (its slot maybe reused) or canceled
+	cancelSibling            // a pending event due at the current instant
+	cancelTop                // the pending event due to fire next
+	cancelLatest             // the most recently scheduled event
+	cancelKinds
+)
+
+// scriptOp is one scheduled event.
 type scriptOp struct {
-	delay  sim.Time // After(delay) relative to the op's issue time
-	cancel int      // if >= 0, cancel the event created by op `cancel`
-	nested int      // how many extra events the callback schedules
+	delay  sim.Time   // After(delay) relative to the op's issue time
+	cancel cancelKind // what to cancel just before scheduling this op
+	pick   int        // chooses among the cancel candidates
+	nested int        // how many of the following ops the callback issues
 }
 
-func makeScript(rng *rand.Rand, n int) []scriptOp {
-	ops := make([]scriptOp, n)
-	for i := range ops {
-		ops[i] = scriptOp{delay: sim.Time(rng.Intn(40)), cancel: -1}
-		if i > 0 && rng.Intn(4) == 0 {
-			ops[i].cancel = rng.Intn(i)
-		}
-		if rng.Intn(8) == 0 {
-			ops[i].nested = 1 + rng.Intn(3)
-		}
+// script is a deterministic schedule, replayed identically on both
+// engines. Ops are issued in order: the first initial ones before the run,
+// each later one from the callback of an earlier op.
+type script struct {
+	ops     []scriptOp
+	initial int
+	stride  sim.Time // 0: advance with Run; otherwise RunUntil steps of stride
+}
+
+func makeScript(rng *rand.Rand, n int) script {
+	s := script{ops: make([]scriptOp, n), initial: n/2 + 1 + rng.Intn((n+1)/2)}
+	if rng.Intn(3) == 0 {
+		s.stride = sim.Time(1 + rng.Intn(2*maxDelay))
 	}
-	return ops
+	for i := range s.ops {
+		op := scriptOp{delay: sim.Time(rng.Intn(maxDelay)), pick: rng.Intn(1 << 16)}
+		if rng.Intn(4) == 0 {
+			op.cancel = cancelKind(1 + rng.Intn(int(cancelKinds)-1))
+		}
+		if rng.Intn(4) == 0 {
+			op.nested = 1 + rng.Intn(3)
+		}
+		s.ops[i] = op
+	}
+	return s
 }
 
+// decodeScript reads a script from fuzz input: two header bytes (initial
+// ops, RunUntil stride), then four bytes per op (delay, cancel kind, pick,
+// nested).
+func decodeScript(data []byte) script {
+	var s script
+	if len(data) < 2 {
+		return s
+	}
+	s.initial, s.stride = int(data[0]), sim.Time(data[1]%(2*maxDelay))
+	for b := data[2:]; len(b) >= 4 && len(s.ops) < 256; b = b[4:] {
+		s.ops = append(s.ops, scriptOp{
+			delay:  sim.Time(b[0] % maxDelay),
+			cancel: cancelKind(b[1]) % cancelKinds,
+			pick:   int(b[2]),
+			nested: int(b[3] % 4),
+		})
+	}
+	return s
+}
+
+// engine is what replay needs of an engine; handles are named by op index.
+type engine interface {
+	now() sim.Time
+	schedule(d sim.Time, fn func())
+	cancel(id int)
+	run()
+	runUntil(t sim.Time)
+}
+
+type newEngine struct {
+	e *sim.Engine
+	h []sim.Event
+}
+
+func (n *newEngine) now() sim.Time                  { return n.e.Now() }
+func (n *newEngine) schedule(d sim.Time, fn func()) { n.h = append(n.h, n.e.After(d, fn)) }
+func (n *newEngine) cancel(id int)                  { n.e.Cancel(n.h[id]) }
+func (n *newEngine) run()                           { n.e.Run() }
+func (n *newEngine) runUntil(t sim.Time)            { n.e.RunUntil(t) }
+
+type baseEngine struct {
+	e *baseline.Engine
+	h []*baseline.Event
+}
+
+func (b *baseEngine) now() sim.Time                  { return b.e.Now() }
+func (b *baseEngine) schedule(d sim.Time, fn func()) { b.h = append(b.h, b.e.After(d, fn)) }
+func (b *baseEngine) cancel(id int)                  { b.e.Cancel(b.h[id]) }
+func (b *baseEngine) run()                           { b.e.Run() }
+func (b *baseEngine) runUntil(t sim.Time)            { b.e.RunUntil(t) }
+
+// firing records an op's callback (id -1: the clock after a RunUntil step
+// or the run).
 type firing struct {
 	id int
 	at sim.Time
 }
 
-func TestEngineMatchesBaselineOnRandomSchedules(t *testing.T) {
-	for trial := int64(0); trial < 25; trial++ {
-		rng := rand.New(rand.NewSource(trial))
-		ops := makeScript(rng, 1+rng.Intn(400))
-
-		runNew := func() []firing {
-			e := sim.NewEngine()
-			var fired []firing
-			handles := make([]sim.Event, len(ops))
-			nextID := len(ops)
-			for i, op := range ops {
-				i, op := i, op
-				handles[i] = e.After(op.delay, func() {
-					fired = append(fired, firing{i, e.Now()})
-					for k := 0; k < op.nested; k++ {
-						id := nextID
-						nextID++
-						e.After(sim.Time(k*3), func() {
-							fired = append(fired, firing{id, e.Now()})
-						})
-					}
-				})
-				if op.cancel >= 0 {
-					e.Cancel(handles[op.cancel])
+// replay runs s on e and returns what fired, in order. Cancel targets are
+// chosen from the script's own record of which ops are pending, so both
+// engines cancel the same events for as long as they agree.
+func replay(s script, e engine) []firing {
+	const (
+		pending = iota
+		fired
+		canceled
+	)
+	var (
+		log   []firing
+		due   []sim.Time // per issued op
+		state []int      // per issued op
+		live  int        // pending ops
+	)
+	target := func(op scriptOp) int {
+		switch op.cancel {
+		case cancelAny:
+			if len(due) > 0 {
+				return op.pick % len(due)
+			}
+		case cancelLatest:
+			return len(due) - 1
+		case cancelTop:
+			top := -1
+			for id := range due {
+				if state[id] == pending && (top < 0 || due[id] < due[top]) {
+					top = id
 				}
 			}
-			e.Run()
-			return fired
-		}
-
-		runBaseline := func() []firing {
-			e := baseline.NewEngine()
-			var fired []firing
-			handles := make([]*baseline.Event, len(ops))
-			nextID := len(ops)
-			for i, op := range ops {
-				i, op := i, op
-				handles[i] = e.After(op.delay, func() {
-					fired = append(fired, firing{i, e.Now()})
-					for k := 0; k < op.nested; k++ {
-						id := nextID
-						nextID++
-						e.After(sim.Time(k*3), func() {
-							fired = append(fired, firing{id, e.Now()})
-						})
-					}
-				})
-				if op.cancel >= 0 {
-					e.Cancel(handles[op.cancel])
+			return top
+		case cancelSibling:
+			var now []int
+			for id := range due {
+				if state[id] == pending && due[id] == e.now() {
+					now = append(now, id)
 				}
 			}
-			e.Run()
-			return fired
-		}
-
-		got, want := runNew(), runBaseline()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d events, baseline fired %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: divergence at firing %d: new %+v, baseline %+v",
-					trial, i, got[i], want[i])
+			if len(now) > 0 {
+				return now[op.pick%len(now)]
 			}
+		}
+		return -1
+	}
+	var issue func()
+	issue = func() {
+		id := len(due)
+		op := s.ops[id]
+		if c := target(op); c >= 0 {
+			e.cancel(c)
+			if state[c] == pending {
+				state[c] = canceled
+				live--
+			}
+		}
+		due = append(due, e.now()+op.delay)
+		state = append(state, pending)
+		live++
+		e.schedule(op.delay, func() {
+			state[id] = fired
+			live--
+			log = append(log, firing{id, e.now()})
+			for k := 0; k < op.nested && len(due) < len(s.ops); k++ {
+				issue()
+			}
+		})
+	}
+	for len(due) < s.initial && len(due) < len(s.ops) {
+		issue()
+	}
+	if s.stride > 0 {
+		// Every op is due within maxDelay of its issuer, so the horizon
+		// only stops the loop when an engine lost an event.
+		horizon := sim.Time(maxDelay * (len(s.ops) + 1))
+		for live > 0 && e.now() < horizon {
+			e.runUntil(e.now() + s.stride)
+			log = append(log, firing{-1, e.now()})
 		}
 	}
+	e.run()
+	return append(log, firing{-1, e.now()})
+}
+
+func checkMatchesBaseline(t *testing.T, s script) {
+	t.Helper()
+	got := replay(s, &newEngine{e: sim.NewEngine()})
+	want := replay(s, &baseEngine{e: baseline.NewEngine()})
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("divergence at firing %d: new %+v, baseline %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("logged %d firings, baseline %d", len(got), len(want))
+	}
+}
+
+func TestEngineMatchesBaselineOnRandomSchedules(t *testing.T) {
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		s := makeScript(rng, 1+rng.Intn(400))
+		t.Logf("trial %d: %d ops, %d initial, stride %d", trial, len(s.ops), s.initial, s.stride)
+		checkMatchesBaseline(t, s)
+	}
+}
+
+func FuzzEngineMatchesBaseline(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 128; n *= 2 {
+		b := make([]byte, 2+4*n)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMatchesBaseline(t, decodeScript(data))
+	})
 }
 
 // FIFO tie-break: a burst of same-time events interleaved with cancels must

@@ -19,9 +19,6 @@ func TestStaleHandleCancelIsSafe(t *testing.T) {
 	if !ev1.Canceled() {
 		t.Fatal("fired event's handle should report Canceled")
 	}
-	if ev1.Time() != 0 {
-		t.Fatalf("fired event's Time = %v, want 0", ev1.Time())
-	}
 
 	// The slot behind ev1 is now on the free list; schedule enough events
 	// to guarantee it is reused, then cancel through the stale handle.
@@ -42,9 +39,6 @@ func TestZeroEventHandle(t *testing.T) {
 	if !ev.Canceled() {
 		t.Fatal("zero Event should report Canceled")
 	}
-	if ev.Time() != 0 {
-		t.Fatal("zero Event should have Time 0")
-	}
 	e.Cancel(ev) // no-op, must not panic
 }
 
@@ -64,27 +58,61 @@ func TestSlotReuseZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestCancelAccountingAndCompaction(t *testing.T) {
+// checkHeap asserts that the heap holds exactly the pending events and that
+// every slot's recorded index is its position in the heap.
+func checkHeap(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	if len(e.events) != e.Pending() {
+		t.Fatalf("%s: heap holds %d slots, Pending = %d", when, len(e.events), e.Pending())
+	}
+	for i, s := range e.events {
+		if s.idx != i {
+			t.Fatalf("%s: slot at heap index %d records index %d", when, i, s.idx)
+		}
+		if s.fn == nil {
+			t.Fatalf("%s: heap index %d holds a canceled slot", when, i)
+		}
+	}
+}
+
+func TestCancelAccounting(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
 	handles := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		handles = append(handles, e.At(Time(i+1), func() {}))
+		// Scrambled times, so a removal's hole can need a sift up as well
+		// as down.
+		handles = append(handles, e.At(Time(1+i*7919%n), func() {}))
 	}
-	// Cancel a big majority; compaction must keep Pending exact and the
+	checkHeap(t, e, "after scheduling")
+	// Cancel a big majority; the heap must shrink with every cancel and the
 	// survivors must still fire in order.
 	canceled := 0
 	for i, ev := range handles {
 		if i%5 != 0 {
 			e.Cancel(ev)
 			canceled++
+			checkHeap(t, e, "after cancel")
 		}
 	}
+	e.Cancel(handles[1]) // double cancel
+	checkHeap(t, e, "after double cancel")
+	top := e.events[0] // cancel the heap's top
+	e.Cancel(Event{s: top, seq: top.seq})
+	canceled++
+	checkHeap(t, e, "after canceling the top")
 	if got, want := e.Pending(), n-canceled; got != want {
 		t.Fatalf("Pending after cancels = %d, want %d", got, want)
 	}
 	before := e.Executed()
-	e.Run()
+	last := Time(0)
+	for e.step() {
+		if e.Now() < last {
+			t.Fatalf("event at %v fired after one at %v", e.Now(), last)
+		}
+		last = e.Now()
+		checkHeap(t, e, "after firing")
+	}
 	if fired := e.Executed() - before; fired != uint64(n-canceled) {
 		t.Fatalf("fired %d events, want %d", fired, n-canceled)
 	}
@@ -94,7 +122,7 @@ func TestCancelPendingTwice(t *testing.T) {
 	e := NewEngine()
 	ev := e.At(5, func() { t.Error("canceled event fired") })
 	e.Cancel(ev)
-	e.Cancel(ev) // double cancel must not corrupt the dead count
+	e.Cancel(ev) // double cancel must not remove anything else
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", e.Pending())
 	}
