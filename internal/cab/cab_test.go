@@ -2,6 +2,7 @@ package cab
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -320,23 +321,40 @@ func TestDMAChannelFIFO(t *testing.T) {
 
 func TestTimers(t *testing.T) {
 	eng := sim.NewEngine()
-	tm := NewTimers(eng)
-	fired := 0
-	var canceled *Timer
+	bank := NewTimers(eng)
+	var tm, idle Timer
+	var fires []string
+	fire := func(what string) func() {
+		return func() { fires = append(fires, fmt.Sprintf("%s@%v", what, eng.Now())) }
+	}
+	var stale Timer
 	eng.At(0, func() {
-		tm.Set(100, func() { fired++ })
-		canceled = tm.Set(200, func() { fired++ })
+		idle.Cancel() // never armed: a no-op
+		bank.Arm(&tm, 100, fire("first"))
+		bank.Arm(&tm, 150, fire("rearmed")) // pending: only this expiry fires
 	})
-	eng.At(50, func() { canceled.Cancel() })
+	eng.At(200, func() {
+		bank.Arm(&tm, 100, fire("canceled"))
+		tm.Cancel()
+		tm.Cancel() // twice: a no-op
+	})
+	eng.At(300, func() {
+		bank.Arm(&tm, 50, func() {
+			fire("fired")()
+			// The engine reuses the fired event's slot for this arm; the
+			// stale handle to the fired expiry must not cancel it.
+			bank.Arm(&tm, 50, fire("after-stale"))
+			stale.Cancel()
+		})
+		stale = tm // a copy holds the handle of this expiry
+	})
 	eng.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	want := "[rearmed@150ns fired@350ns after-stale@400ns]"
+	if got := fmt.Sprint(fires); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
 	}
-	if tm.Armed() != 2 || tm.Expired() != 1 {
-		t.Fatalf("Armed=%d Expired=%d", tm.Armed(), tm.Expired())
-	}
-	if canceled.Fired() {
-		t.Fatal("canceled timer reports fired")
+	if bank.Armed() != 5 || bank.Expired() != 3 {
+		t.Fatalf("Armed=%d Expired=%d, want 5 and 3", bank.Armed(), bank.Expired())
 	}
 }
 

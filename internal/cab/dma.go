@@ -115,27 +115,26 @@ func (d *DMA) TransferSpan(ch Channel, n int, done func(), parent *trace.Span) s
 }
 
 // Timer is a cancellable hardware timer ("hardware timers allow time-outs
-// to be set by the software with low overhead", paper §5.1).
+// to be set by the software with low overhead", paper §5.1). Its owner
+// keeps it and re-arms it with Timers.Arm, so arming allocates nothing once
+// the timer has been armed the first time. The zero Timer is idle.
 type Timer struct {
-	ev    sim.Event
-	bank  *Timers
-	fn    func()
-	fired bool
+	ev       sim.Event
+	bank     *Timers
+	fn       func()
+	expireFn func() // expire, bound on the first Arm
 }
 
-// Cancel stops the timer if it has not fired.
+// Cancel stops the timer if it is pending. Canceling an idle timer, or one
+// that already fired, does nothing.
 func (t *Timer) Cancel() {
-	if t != nil {
+	if t.bank != nil {
 		t.bank.eng.Cancel(t.ev)
 	}
 }
 
-// Fired reports whether the timer expired.
-func (t *Timer) Fired() bool { return t.fired }
-
 // expire runs the timer's function when it fires.
 func (t *Timer) expire() {
-	t.fired = true
 	t.bank.fired++
 	t.fn()
 }
@@ -152,14 +151,18 @@ func NewTimers(eng *sim.Engine) *Timers {
 	return &Timers{eng: eng}
 }
 
-// Set arms a timer to run fn after d.
-func (t *Timers) Set(d sim.Time, fn func()) *Timer {
+// Arm cancels tm if it is pending, then arms it to run fn after d.
+func (t *Timers) Arm(tm *Timer, d sim.Time, fn func()) {
+	tm.Cancel()
+	if tm.expireFn == nil {
+		tm.bank = t
+		tm.expireFn = tm.expire
+	}
 	t.set++
-	tm := &Timer{bank: t, fn: fn}
-	tm.ev = t.eng.After(d, tm.expire)
-	return tm
+	tm.fn = fn
+	tm.ev = t.eng.After(d, tm.expireFn)
 }
 
-// Armed returns how many timers were set; Expired how many fired.
+// Armed returns how many times a timer was armed; Expired how many fired.
 func (t *Timers) Armed() int64   { return t.set }
 func (t *Timers) Expired() int64 { return t.fired }

@@ -161,14 +161,14 @@ type pendingOpen struct {
 	want  int // replies still expected
 	ok    bool
 	val   uint64 // combining result (ReplyData of the last reply)
-	cond  *kernel.Cond
+	cond  kernel.Cond
 }
 
 // expect registers a fresh token under which want command replies are
 // awaited; the commands carrying pend.token may then be sent.
 func (d *Datalink) expect(want int) *pendingOpen {
 	d.nextToken++
-	pend := &pendingOpen{token: d.nextToken, want: want, ok: true, cond: d.k.NewCond()}
+	pend := &pendingOpen{token: d.nextToken, want: want, ok: true}
 	d.pending[pend.token] = pend
 	return pend
 }
@@ -358,14 +358,20 @@ func (d *Datalink) route(dst int) ([]topo.Hop, error) {
 	return r, nil
 }
 
-// command builds a command item.
-func (d *Datalink) command(op hub.Opcode, hubID, param byte, token uint64) *fiber.Item {
-	return &fiber.Item{
+// commandItem returns a command item.
+func (d *Datalink) commandItem(op hub.Opcode, hubID, param byte, token uint64) fiber.Item {
+	return fiber.Item{
 		Kind:    fiber.KindCommand,
 		Cmd:     fiber.Command{Op: byte(op), Hub: hubID, Param: param},
 		ReplyTo: d.board,
 		Token:   token,
 	}
+}
+
+// command builds a command item in an allocation of its own.
+func (d *Datalink) command(op hub.Opcode, hubID, param byte, token uint64) *fiber.Item {
+	it := d.commandItem(op, hubID, param, token)
+	return &it
 }
 
 // closeAll builds the route-teardown command.
@@ -380,13 +386,19 @@ func (d *Datalink) localHubID() byte {
 
 // sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4): a
 // test open with retry per hop of the route or multicast tree, the packet,
-// close all.
+// close all. The frame's items share one allocation; each is still a
+// struct of its own, which links and ports update as it moves.
 func (d *Datalink) sendPacketFrame(hops []topo.Hop, payload []byte, sp *trace.Span) {
-	for _, hp := range hops {
-		d.board.Send(d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
+	n := len(hops)
+	frame := make([]fiber.Item, n+2)
+	for i, hp := range hops {
+		frame[i] = d.commandItem(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0)
 	}
-	d.board.Send(&fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	d.board.Send(d.closeAll())
+	frame[n] = fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp}
+	frame[n+1] = d.commandItem(hub.OpCloseAll, 0xFF, 0, 0)
+	for i := range frame {
+		d.board.Send(&frame[i])
+	}
 }
 
 // queuedSince returns the sender-side queueing time of a send entered at

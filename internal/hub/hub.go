@@ -79,7 +79,7 @@ type Hub struct {
 type lockState struct {
 	held    bool
 	holder  int // port id through which the lock was acquired
-	waiters []*pendingCmd
+	waiters []pendingCmd
 }
 
 // New creates a HUB with nports ports. rec may be nil.
@@ -222,10 +222,21 @@ func (h *Hub) reply(orig *fiber.Item, ok bool, val uint64) {
 }
 
 // pendingCmd is a serialized command waiting at the controller for its
-// target (output register or lock) to become available.
+// target (output register or lock) to become available. Queues hold it by
+// value.
 type pendingCmd struct {
 	item *fiber.Item
 	in   *Port // input port the command arrived on
+}
+
+// popWaiter removes and returns the head of a FIFO of parked commands,
+// shifting rather than reslicing so the queue keeps its capacity.
+func popWaiter(q *[]pendingCmd) pendingCmd {
+	w := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = pendingCmd{}
+	*q = (*q)[:n]
+	return w
 }
 
 // execSerialized runs a controller command (opens and locks) for input
@@ -266,7 +277,7 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
 		}
 		if op.retries() {
-			out.waiters = append(out.waiters, &pendingCmd{item: it, in: in})
+			out.waiters = append(out.waiters, pendingCmd{item: it, in: in})
 			return false // input stalls behind the pending open
 		}
 		h.reply(it, false, 0xFF)
@@ -321,7 +332,7 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 			return true
 		}
 		if op == OpLockRetry {
-			lk.waiters = append(lk.waiters, &pendingCmd{item: it, in: in})
+			lk.waiters = append(lk.waiters, pendingCmd{item: it, in: in})
 			return false
 		}
 		h.reply(it, false, uint64(lk.holder))
@@ -368,8 +379,7 @@ func (h *Hub) unlock(id int) {
 		h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
 	}
 	if len(lk.waiters) > 0 {
-		w := lk.waiters[0]
-		lk.waiters = lk.waiters[1:]
+		w := popWaiter(&lk.waiters)
 		lk.held = true
 		lk.holder = w.in.id
 		if h.rec != nil {
@@ -378,7 +388,7 @@ func (h *Hub) unlock(id int) {
 		h.reply(w.item, true, uint64(id))
 		// The waiter's input port was stalled on this command; resume it
 		// one controller cycle later.
-		h.eng.After(CycleTime, w.in.advance)
+		h.eng.After(CycleTime, w.in.advanceFn)
 	}
 }
 
@@ -391,18 +401,18 @@ func (h *Hub) serveWaiters(out *Port) {
 		if op.wantsReady() && out.failed {
 			// The link went down while this test-open was parked: fail
 			// it and free its input (see execOpen).
-			out.waiters = out.waiters[1:]
+			popWaiter(&out.waiters)
 			if op.replies() {
 				h.reply(w.item, false, 0xFF)
 			}
-			h.eng.After(CycleTime, w.in.advance)
+			h.eng.After(CycleTime, w.in.advanceFn)
 			continue
 		}
 		if !h.openable(w.in, out, op) {
 			return
 		}
-		out.waiters = out.waiters[1:]
-		h.eng.At(h.grant(w.in, out, w.item, " (retried)"), w.in.advance)
+		popWaiter(&out.waiters)
+		h.eng.At(h.grant(w.in, out, w.item, " (retried)"), w.in.advanceFn)
 		// A granted open with multicast semantics leaves the output
 		// owned; further waiters for this output stay parked.
 	}
@@ -431,7 +441,7 @@ func (h *Hub) ResetOutput(i int, ready bool) {
 		if h.rec != nil {
 			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d abandoned (output reset)", w.in.id, i)
 		}
-		h.eng.After(CycleTime, w.in.advance)
+		h.eng.After(CycleTime, w.in.advanceFn)
 	}
 }
 
@@ -473,6 +483,6 @@ func (h *Hub) closeConn(in *Port, out *Port) {
 	}
 	// Serve parked opens after one cycle.
 	if len(out.waiters) > 0 {
-		h.eng.After(CycleTime, func() { h.serveWaiters(out) })
+		h.eng.After(CycleTime, out.serveFn)
 	}
 }

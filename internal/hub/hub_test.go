@@ -235,13 +235,16 @@ func TestOpenBusyFailsAndRetryWaits(t *testing.T) {
 	a := attachCAB(eng, h, 0, "cabA")
 	b := attachCAB(eng, h, 1, "cabB")
 	c := attachCAB(eng, h, 2, "cabC")
-	_ = b
+	d := attachCAB(eng, h, 3, "cabD")
 	eng.At(0, func() { a.send(a.cmd(OpOpenRetry, 0, 1)) })
 	// c's plain open at t=5000 fails: port 1 is owned by a.
 	eng.At(5000, func() { c.send(c.cmd(OpOpenReply, 0, 1)) })
-	// c retries with the retry variant at t=10000; a closes at t=50000.
+	// c retries with the retry variant at t=10000, and d parks a retry
+	// behind it at t=20000; a closes at t=50000 and c at t=80000.
 	eng.At(10_000, func() { c.send(c.cmd(OpOpenRetryReply, 0, 1), packet(8)) })
+	eng.At(20_000, func() { d.send(d.cmd(OpOpenRetryReply, 0, 1), packet(16)) })
 	eng.At(50_000, func() { a.send(a.cmd(OpClose, 0, 1)) })
+	eng.At(80_000, func() { c.send(c.cmd(OpClose, 0, 1)) })
 	eng.Run()
 
 	if len(c.replies) != 2 {
@@ -257,9 +260,18 @@ func TestOpenBusyFailsAndRetryWaits(t *testing.T) {
 	if c.repTimes[1] < 50_000 {
 		t.Fatalf("retried open granted at %v, before the close", c.repTimes[1])
 	}
-	// And c's queued packet flowed afterward.
-	if len(b.packets) != 1 || b.pktTimes[0] < 50_000 {
-		t.Fatalf("queued packet: %d at %v", len(b.packets), b.pktTimes)
+	// The two parked opens are granted in arrival order: d's only after
+	// c's close.
+	if len(d.replies) != 1 || !d.replies[0].ReplyOK || d.repTimes[0] < 80_000 {
+		t.Fatalf("cabD's parked open: %d replies at %v, want one success after c's close", len(d.replies), d.repTimes)
+	}
+	// And each queued packet flowed after its open, c's first.
+	if len(b.packets) != 2 || len(b.packets[0].Payload) != 8 || len(b.packets[1].Payload) != 16 ||
+		b.pktTimes[0] < 50_000 || b.pktTimes[1] < 80_000 {
+		t.Fatalf("queued packets: %d at %v", len(b.packets), b.pktTimes)
+	}
+	if err := h.CheckInvariants(); err != nil || len(h.Port(1).waiters) != 0 {
+		t.Fatalf("after both grants: %v, %d parked", err, len(h.Port(1).waiters))
 	}
 }
 

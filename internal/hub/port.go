@@ -38,15 +38,19 @@ type Port struct {
 	// upstreamReady returns a drained (paper §4.2.3) or discarded packet's
 	// credit to the upstream output register (wired to the incoming link).
 	upstreamReady func()
-	// stepFn is p.step, bound once so scheduling it allocates nothing.
-	stepFn func()
+	// stepFn is p.step and advanceFn p.advance, bound once so scheduling
+	// them allocates nothing.
+	stepFn    func()
+	advanceFn func()
 
 	// Output side.
 	out       *fiber.Link
 	owner     *Port
 	connReady sim.Time
 	ready     bool
-	waiters   []*pendingCmd
+	waiters   []pendingCmd
+	// serveFn retries the opens parked on this output; bound once.
+	serveFn func()
 	// stuck models a failed output register (paper §4: recovery from
 	// hardware failures): items reaching it are lost instead of leaving on
 	// the fiber. The fault is visible through the status table (the owner
@@ -88,6 +92,8 @@ func newPort(h *Hub, id int) *Port {
 		ready:   true,
 	}
 	p.stepFn = p.step
+	p.advanceFn = p.advance
+	p.serveFn = func() { h.serveWaiters(p) }
 	return p
 }
 

@@ -153,6 +153,11 @@ type Thread struct {
 	cw           condWaiter
 	condTimedOut func()
 
+	// timer serves Sleep and WaitTimeout, which a thread is in at most
+	// one of at a time; readyFn, bound once, ends a Sleep.
+	timer   cab.Timer
+	readyFn func()
+
 	// span is the thread's current trace context: sends started while it
 	// is set become children of it. nil when tracing is off.
 	span *trace.Span
@@ -206,6 +211,7 @@ func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 		t.wakeSig.Broadcast()
 	}
 	t.condTimedOut = t.timedOut
+	t.readyFn = t.ready
 	k.spawned++
 	run := func(p *sim.Proc) {
 		t.parkUntilDispatched(p)
@@ -293,59 +299,81 @@ func (t *Thread) Compute(name string, d sim.Time) {
 
 // Sleep blocks the thread for d using a hardware timer.
 func (t *Thread) Sleep(d sim.Time) {
-	t.k.board.Timers.Set(d, func() { t.ready() })
+	t.k.board.Timers.Arm(&t.timer, d, t.readyFn)
 	t.block()
 }
 
 // condWaiter tracks one blocked thread and whether it was signaled (as
-// opposed to timed out).
+// opposed to timed out). While queued it is a link of its Cond's FIFO.
 type condWaiter struct {
 	t        *Thread
 	c        *Cond
+	next     *condWaiter
 	signaled bool
-	timer    *cab.Timer
 }
 
 // Cond is a condition variable for kernel threads. Signal/Broadcast may be
-// called from any context, including interrupt handlers.
+// called from any context, including interrupt handlers. Its waiters form
+// an intrusive FIFO through the threads' own waiters, so waiting allocates
+// nothing; the zero Cond has no waiters and is ready to use.
 type Cond struct {
-	k       *Kernel
-	waiters []*condWaiter
+	head, tail *condWaiter
+	n          int
 }
-
-// NewCond returns a condition variable.
-func (k *Kernel) NewCond() *Cond { return &Cond{k: k} }
 
 // Wait blocks the calling thread until signaled.
 func (c *Cond) Wait(t *Thread) {
-	t.cw = condWaiter{t: t, c: c}
-	c.waiters = append(c.waiters, &t.cw)
+	c.enqueue(t)
 	t.block()
 }
 
 // WaitTimeout blocks until signaled or until d elapses; reports true if
-// signaled.
+// signaled. A signal cancels the timeout (see wake).
 func (c *Cond) WaitTimeout(t *Thread, d sim.Time) bool {
-	t.cw = condWaiter{t: t, c: c}
-	t.cw.timer = t.k.board.Timers.Set(d, t.condTimedOut)
-	c.waiters = append(c.waiters, &t.cw)
+	c.enqueue(t)
+	t.k.board.Timers.Arm(&t.timer, d, t.condTimedOut)
 	t.block()
-	t.cw.timer.Cancel()
 	return t.cw.signaled
 }
 
-// timedOut runs when the thread's WaitTimeout expires: it removes the
-// waiter and readies the thread, unless a signal got there first.
+// enqueue appends t's waiter to the FIFO.
+func (c *Cond) enqueue(t *Thread) {
+	t.cw = condWaiter{t: t, c: c}
+	if c.tail == nil {
+		c.head = &t.cw
+	} else {
+		c.tail.next = &t.cw
+	}
+	c.tail = &t.cw
+	c.n++
+}
+
+// dequeue unlinks w, whose predecessor in the FIFO is prev (nil: w is the
+// head).
+func (c *Cond) dequeue(prev, w *condWaiter) {
+	if prev == nil {
+		c.head = w.next
+	} else {
+		prev.next = w.next
+	}
+	if c.tail == w {
+		c.tail = prev
+	}
+	w.next = nil
+	c.n--
+}
+
+// timedOut runs when the thread's WaitTimeout expires: it unlinks the
+// waiter, still queued because a signal would have canceled the timer, and
+// readies the thread.
 func (t *Thread) timedOut() {
 	c := t.cw.c
-	for i, x := range c.waiters {
-		if x == &t.cw {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			t.ready()
-			return
-		}
+	var prev *condWaiter
+	for w := c.head; w != &t.cw; w = w.next {
+		prev = w
 	}
-	// Already signaled: nothing to do.
+	c.dequeue(prev, &t.cw)
+	t.ready()
 }
 
 // WaitUntil blocks until signaled or until the absolute virtual time
@@ -360,48 +388,45 @@ func (c *Cond) WaitUntil(t *Thread, deadline sim.Time) bool {
 
 // Signal wakes one waiting thread (FIFO).
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if w := c.head; w != nil {
+		c.dequeue(nil, w)
+		w.wake()
 	}
-	w := c.waiters[0]
-	// Shift rather than reslice, so the list keeps its capacity.
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	w.wake()
 }
 
 // Broadcast wakes all waiting threads.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	for i, w := range ws {
+	w := c.head
+	c.head, c.tail, c.n = nil, nil, 0
+	for w != nil {
+		next := w.next
+		w.next = nil
 		w.wake()
-		ws[i] = nil
+		w = next
 	}
-	c.waiters = ws[:0]
 }
 
 // wake readies a waiter already removed from its Cond.
 func (w *condWaiter) wake() {
 	w.signaled = true
-	w.timer.Cancel()
+	w.t.timer.Cancel()
 	w.t.ready()
 }
 
 // Waiters returns the number of blocked threads.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return c.n }
 
 // Sem is a counting semaphore for kernel threads. Unlike Cond, posts are
 // never lost: V from any context (including interrupts) increments the
 // count, and P consumes it.
 type Sem struct {
 	count int
-	avail *Cond
+	avail Cond
 }
 
 // NewSem returns a semaphore with an initial count.
 func (k *Kernel) NewSem(initial int) *Sem {
-	return &Sem{count: initial, avail: k.NewCond()}
+	return &Sem{count: initial}
 }
 
 // P decrements the semaphore, blocking while it is zero.

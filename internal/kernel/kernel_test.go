@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cab"
@@ -105,9 +106,9 @@ func TestThreadSleep(t *testing.T) {
 
 func TestCondSignalFIFO(t *testing.T) {
 	eng, k := newKernel()
-	c := k.NewCond()
+	var c Cond
 	var woke []string
-	for _, name := range []string{"x", "y"} {
+	for _, name := range []string{"x", "y", "z"} {
 		name := name
 		k.Spawn(name, func(th *Thread) {
 			c.Wait(th)
@@ -116,38 +117,131 @@ func TestCondSignalFIFO(t *testing.T) {
 	}
 	k.Spawn("signaler", func(th *Thread) {
 		th.Sleep(sim.Millisecond)
-		if c.Waiters() != 2 {
-			t.Errorf("Waiters = %d", c.Waiters())
+		if c.Waiters() != 3 {
+			t.Errorf("Waiters = %d, want 3", c.Waiters())
 		}
 		c.Signal()
 		c.Signal()
+		if c.Waiters() != 1 {
+			t.Errorf("Waiters after two Signals = %d, want 1", c.Waiters())
+		}
+		c.Broadcast()
+		c.Signal() // no waiters left: a no-op
 	})
 	eng.Run()
-	if len(woke) != 2 || woke[0] != "x" || woke[1] != "y" {
-		t.Fatalf("wake order %v", woke)
+	if got := strings.Join(woke, ""); got != "xyz" {
+		t.Fatalf("wake order %q, want xyz", got)
+	}
+	if c.Waiters() != 0 {
+		t.Fatalf("Waiters after Broadcast = %d", c.Waiters())
 	}
 }
 
+// Three threads wait on one Cond with timeouts; one of them — the head,
+// the middle or the tail of the FIFO — times out, each case at its own
+// instant. The survivors keep their order, a thread that starts waiting
+// after the timeout queues behind them, and Broadcast wakes exactly the
+// rest.
 func TestCondWaitTimeout(t *testing.T) {
-	eng, k := newKernel()
-	c := k.NewCond()
-	var gotSignaled, gotTimedOut bool
-	k.Spawn("signaled", func(th *Thread) {
-		gotSignaled = c.WaitTimeout(th, 10*sim.Millisecond)
-	})
-	k.Spawn("timedout", func(th *Thread) {
-		gotTimedOut = c.WaitTimeout(th, 100*sim.Microsecond)
-	})
-	k.Spawn("signaler", func(th *Thread) {
-		th.Sleep(sim.Millisecond)
-		c.Signal() // wakes "signaled"... but it is FIFO-first? "signaled" waited first.
-	})
-	eng.Run()
-	if !gotSignaled {
-		t.Fatal("first waiter should have been signaled")
+	const long = 10 * sim.Millisecond
+	for _, tc := range []struct {
+		name    string
+		expires int      // which waiter times out
+		after   sim.Time // its timeout
+		order   string   // wake order of the survivors and the latecomer
+	}{
+		{"head", 0, 100 * sim.Microsecond, "bcL"},
+		{"middle", 1, 250 * sim.Microsecond, "acL"},
+		{"tail", 2, 400 * sim.Microsecond, "abL"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k := newKernel()
+			var c Cond
+			var woke []byte
+			got := map[byte]bool{}
+			wait := func(name byte, d sim.Time) {
+				k.Spawn(string(name), func(th *Thread) {
+					got[name] = c.WaitTimeout(th, d)
+					woke = append(woke, name)
+				})
+			}
+			for i, name := range []byte("abc") {
+				d := long
+				if i == tc.expires {
+					d = tc.after
+				}
+				wait(name, d)
+			}
+			expired := "abc"[tc.expires]
+			k.Spawn("signaler", func(th *Thread) {
+				th.Sleep(tc.after + 100*sim.Microsecond)
+				if string(woke) != string(expired) || got[expired] {
+					t.Errorf("after the timeout: woke %q (signaled %v), want %c timed out", woke, got[expired], expired)
+				}
+				if c.Waiters() != 2 {
+					t.Errorf("Waiters after the timeout = %d, want 2", c.Waiters())
+				}
+				wait('L', long)
+				th.Sleep(100 * sim.Microsecond)
+				if c.Waiters() != 3 {
+					t.Errorf("Waiters with the latecomer = %d, want 3", c.Waiters())
+				}
+				c.Signal()
+				if c.Waiters() != 2 {
+					t.Errorf("Waiters after Signal = %d, want 2", c.Waiters())
+				}
+				th.Sleep(100 * sim.Microsecond)
+				if want := string(expired) + tc.order[:1]; string(woke) != want {
+					t.Errorf("after Signal: woke %q, want %q", woke, want)
+				}
+				c.Broadcast()
+				if c.Waiters() != 0 {
+					t.Errorf("Waiters after Broadcast = %d, want 0", c.Waiters())
+				}
+			})
+			eng.Run()
+			if want := string(expired) + tc.order; string(woke) != want {
+				t.Fatalf("wake order %q, want %q", woke, want)
+			}
+			for _, name := range []byte(tc.order) {
+				if !got[name] {
+					t.Errorf("%c reports a timeout, want signaled", name)
+				}
+			}
+			if eng.Now() >= long {
+				t.Errorf("run ended at %v: a canceled timeout fired", eng.Now())
+			}
+		})
 	}
-	if gotTimedOut {
-		t.Fatal("second waiter should have timed out")
+}
+
+// A thread's Sleep and WaitTimeout share its own timer and waiter, so once
+// the engine's event pool is warm a round of both allocates nothing.
+func TestSleepAndWaitTimeoutAllocateNothing(t *testing.T) {
+	eng, k := newKernel()
+	var c Cond
+	start := k.NewSem(0)
+	rounds := 0
+	k.SpawnDaemon("sleeper", func(th *Thread) {
+		for {
+			start.P(th)
+			th.Sleep(10 * sim.Microsecond)
+			if c.WaitTimeout(th, 10*sim.Microsecond) {
+				t.Error("WaitTimeout with no signaler reports signaled")
+			}
+			rounds++
+		}
+	})
+	round := func() {
+		start.V()
+		eng.Run()
+	}
+	round() // warm the engine's event pool
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("%v allocations per Sleep + WaitTimeout round, want 0", got)
+	}
+	if rounds != 102 {
+		t.Fatalf("%d rounds, want 102", rounds)
 	}
 }
 
@@ -156,7 +250,7 @@ func TestCondWaitTimeout(t *testing.T) {
 // passed deadline returns false without blocking.
 func TestCondWaitUntil(t *testing.T) {
 	eng, k := newKernel()
-	c := k.NewCond()
+	var c Cond
 	ready := false
 	var wakes int
 	var gaveUpAt, pastAt sim.Time

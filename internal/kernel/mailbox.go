@@ -65,8 +65,8 @@ type Mailbox struct {
 	msgs     []*Message
 	nextID   uint64
 
-	notEmpty *Cond
-	notFull  *Cond
+	notEmpty Cond
+	notFull  Cond
 
 	puts, gets int64
 }
@@ -79,8 +79,6 @@ func (k *Kernel) NewMailbox(name string, capacity int) *Mailbox {
 		k:        k,
 		name:     name,
 		capacity: capacity,
-		notEmpty: k.NewCond(),
-		notFull:  k.NewCond(),
 	}
 	if k.reg != nil {
 		prefix := k.board.Name() + ".mailbox." + name

@@ -85,7 +85,7 @@ func (t *Transport) armHeartbeat() {
 		return
 	}
 	t.hbArmed = true
-	t.k.Board().Timers.Set(t.params.HeartbeatInterval, t.heartbeatTick)
+	t.k.Board().Timers.Arm(&t.hb, t.params.HeartbeatInterval, t.heartbeatTick)
 }
 
 // heartbeatTick runs at every heartbeat interval while peers are watched:

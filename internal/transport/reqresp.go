@@ -20,7 +20,7 @@ import (
 // what its retry loop waits on and what the answer, or an out-of-band
 // failure, sets.
 type pendingOp struct {
-	cond    *kernel.Cond
+	cond    kernel.Cond
 	dst     int
 	done    bool
 	err     error  // fatal failure (peer dead, local crash); set out of band
@@ -76,7 +76,7 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
 		t.nextReq++
 		reqID := t.nextReq
-		pend := &pendingReq{pendingOp: pendingOp{cond: t.k.NewCond(), dst: dst}}
+		pend := &pendingReq{pendingOp: pendingOp{dst: dst}}
 		t.pending[reqID] = pend
 		defer delete(t.pending, reqID)
 

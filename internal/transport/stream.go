@@ -30,7 +30,7 @@ type streamKey struct {
 // streamSender is the send side of one connection.
 type streamSender struct {
 	mu      *kernel.Sem // one in-flight message per connection
-	cond    *kernel.Cond
+	cond    kernel.Cond
 	curMsg  uint32
 	acked   int   // packets cumulatively acknowledged for curMsg
 	done    bool  // AckDone received for curMsg
@@ -66,7 +66,7 @@ type streamRecv struct {
 func (t *Transport) streamOut(key streamKey) *streamSender {
 	s, ok := t.streamsOut[key]
 	if !ok {
-		s = &streamSender{mu: t.k.NewSem(1), cond: t.k.NewCond()}
+		s = &streamSender{mu: t.k.NewSem(1)}
 		t.streamsOut[key] = s
 	}
 	return s

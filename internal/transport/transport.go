@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 
+	"repro/internal/cab"
 	"repro/internal/datalink"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -131,8 +132,9 @@ type Transport struct {
 	vm *vmtpState
 
 	// Peer liveness (health.go): peers with reliable ops outstanding,
-	// plus dead peers watched for revival.
+	// plus dead peers watched for revival, and the heartbeat's timer.
 	watch   map[int]*peerState
+	hb      cab.Timer
 	hbArmed bool
 
 	// Continuous telemetry (telemetry.go): flight-recorder board plus

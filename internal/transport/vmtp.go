@@ -5,6 +5,7 @@ import (
 
 	"encoding/binary"
 
+	"repro/internal/cab"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
@@ -48,16 +49,18 @@ const (
 	vmtpRetries = 8
 )
 
-// vmtpGroup reassembles one packet group.
+// vmtpGroup reassembles one packet group. Its gap timer NACKs with the
+// header of the group's first packet; nack, bound once per group, is the
+// timer's function.
 type vmtpGroup struct {
 	segs     map[uint32][]byte
 	nPkts    uint32
 	total    uint32
-	timer    *timerRef
 	deadline sim.Time // the group's wire deadline (0: none)
+	hdr      Header
+	timer    cab.Timer
+	nack     func()
 }
-
-type timerRef struct{ cancel func() }
 
 func (g *vmtpGroup) mask() uint32 {
 	var m uint32
@@ -155,7 +158,7 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		vm := t.vmtp()
 		vm.nextTxn++
 		txn := vm.nextTxn
-		pend := &vmtpPending{pendingOp: pendingOp{cond: t.k.NewCond(), dst: dst}}
+		pend := &vmtpPending{pendingOp: pendingOp{dst: dst}}
 		vm.pending[txn] = pend
 		defer delete(vm.pending, txn)
 
@@ -251,11 +254,10 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 			// Expired or pressure-shed: the client got a fast-reject.
 			return
 		}
-		g = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, deadline: h.Deadline}
+		g = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, deadline: h.Deadline, hdr: *h}
+		g.nack = func() { t.nackRequest(g) }
 		vm.reqs[key] = g
-		// The timer outlives the packet: give it its own header.
-		hc := *h
-		t.armGroupTimer(g, func() { t.nackRequest(&hc, g) })
+		t.armGroupTimer(g)
 	}
 	if _, dup := g.segs[h.Seq]; dup {
 		return
@@ -264,7 +266,7 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 	if !g.complete() {
 		return
 	}
-	g.cancelTimer()
+	g.timer.Cancel()
 	delete(vm.reqs, key)
 	if t.deliver(h, g.assemble(), sp) {
 		vm.once.begin(key)
@@ -273,13 +275,13 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 
 // nackRequest reports the server's delivery mask so the client
 // retransmits selectively.
-func (t *Transport) nackRequest(h *Header, g *vmtpGroup) {
+func (t *Transport) nackRequest(g *vmtpGroup) {
+	h := &g.hdr
 	if t.ovl != nil && g.deadline != 0 && t.k.Engine().Now() >= g.deadline {
 		// The group expired while half-assembled: shed it instead of
 		// NACKing for packets nobody should retransmit.
 		t.ovl.expired++
 		t.fr.Note(obs.FDeadlineExpired, t.frName, int64(h.Src), int64(h.Class))
-		g.cancelTimer()
 		delete(t.vmtp().reqs, reqKey{src: h.Src, reqID: h.MsgID})
 		t.sendReject(h, rejectExpired, nil)
 		return
@@ -293,7 +295,7 @@ func (t *Transport) nackRequest(h *Header, g *vmtpGroup) {
 	t.stats.AcksSent++
 	t.enqueueControl(int(h.Src), Encode(nh, body), nil)
 	// Re-arm while the group stays incomplete.
-	t.armGroupTimer(g, func() { t.nackRequest(h, g) })
+	t.armGroupTimer(g)
 }
 
 // recvVResp handles an arriving response-group packet at the client.
@@ -306,16 +308,16 @@ func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
 	// Any response packet confirms the full request group.
 	pend.ackMask = (1 << pend.reqPkts) - 1
 	if pend.resp == nil {
-		pend.resp = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total}
-		hc := *h
-		t.armGroupTimer(pend.resp, func() { t.nackResponse(&hc, pend) })
+		pend.resp = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, hdr: *h}
+		pend.resp.nack = func() { t.nackResponse(pend) }
+		t.armGroupTimer(pend.resp)
 	}
 	if _, dup := pend.resp.segs[h.Seq]; dup {
 		return
 	}
 	pend.resp.segs[h.Seq] = append([]byte(nil), payload...)
 	if pend.resp.complete() {
-		pend.resp.cancelTimer()
+		pend.resp.timer.Cancel()
 		pend.done = true
 		t.noteSuccess(pend.dst)
 		pend.traceID = sp.Root().ID()
@@ -328,10 +330,11 @@ func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
 }
 
 // nackResponse asks the server for the response packets still missing.
-func (t *Transport) nackResponse(h *Header, pend *vmtpPending) {
+func (t *Transport) nackResponse(pend *vmtpPending) {
 	if pend.done {
 		return
 	}
+	h := &pend.resp.hdr
 	body := make([]byte, 4)
 	binary.BigEndian.PutUint32(body, pend.resp.mask())
 	nh := &Header{
@@ -341,7 +344,7 @@ func (t *Transport) nackResponse(h *Header, pend *vmtpPending) {
 	}
 	t.stats.AcksSent++
 	t.enqueueControl(int(h.Src), Encode(nh, body), nil)
-	t.armGroupTimer(pend.resp, func() { t.nackResponse(h, pend) })
+	t.armGroupTimer(pend.resp)
 }
 
 // recvVNack handles a selective NACK at either end.
@@ -377,15 +380,6 @@ func (t *Transport) recvVNack(h *Header, payload []byte, sp *trace.Span) {
 }
 
 // armGroupTimer (re)arms a group's gap timer.
-func (t *Transport) armGroupTimer(g *vmtpGroup, fire func()) {
-	g.cancelTimer()
-	timer := t.k.Board().Timers.Set(vmtpGroupTimeout, fire)
-	g.timer = &timerRef{cancel: timer.Cancel}
-}
-
-func (g *vmtpGroup) cancelTimer() {
-	if g.timer != nil {
-		g.timer.cancel()
-		g.timer = nil
-	}
+func (t *Transport) armGroupTimer(g *vmtpGroup) {
+	t.k.Board().Timers.Arm(&g.timer, vmtpGroupTimeout, g.nack)
 }
