@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/transport"
 )
 
 // datagramAllocs is what one 64-byte datagram costs from SendDatagram to
@@ -55,37 +56,95 @@ func TestDatagramReceivePathAllocations(t *testing.T) {
 
 // requestAllocs is what a warmed 64-byte Request and its Respond cost on one
 // HUB, with no instrumentation. Timers belong to the threads that arm them,
-// Cond waiters are the threads' own and the pending request holds its Cond
-// by value, so seven allocations remain: per direction the Encode wire and
-// the frame, the server mailbox's Message, the client's pendingReq and its
-// copy of the response (15 while timers, Conds and frame items were
-// allocated per use).
-const requestAllocs = 7
+// Cond waiters are the threads' own, the pending request holds its Cond by
+// value and the pendingReq itself is reused from the transport's free list,
+// so six allocations remain: per direction the Encode wire and the frame,
+// the server mailbox's Message and the client's copy of the response (15
+// while timers, Conds and frame items were allocated per use, 7 while each
+// request made its own pendingReq).
+const requestAllocs = 6
 
 func TestRequestRoundTripAllocations(t *testing.T) {
+	resp, data := make([]byte, 64), make([]byte, 64)
+	got := roundTripAllocs(t, len(resp),
+		func(srv *core.CABStack, th *kernel.Thread, req *kernel.Message) error {
+			return srv.TP.Respond(th, req, resp)
+		},
+		func(cl *core.CABStack, th *kernel.Thread) ([]byte, error) {
+			return cl.TP.Request(th, 1, 1, 2, data)
+		})
+	if got > requestAllocs {
+		t.Fatalf("%v allocations per request round trip, want <= %d", got, requestAllocs)
+	}
+}
+
+// VMTP transactions on one HUB, warmed, with no instrumentation. A
+// one-packet group is complete on arrival, so neither end makes a group, a
+// segment map, a closure or a gap timer, and the client's vmtpPending comes
+// off the free list. Eight allocations remain: per direction the
+// groupPackets slice, the Encode wire and the frame, the server mailbox's
+// Message and the client's one copy of the response (22 while every group
+// went through map-based reassembly). A 3-packet response adds a wire and a
+// frame per extra packet; the buffer it is reassembled into is the response,
+// in place of the one-packet copy: 12 (28 before).
+const (
+	vtransactAllocs      = 8
+	vtransact3PktsAllocs = 12
+)
+
+func TestVTransactRoundTripAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		respSize int
+		want     float64
+	}{
+		{"one-packet", 256, vtransactAllocs},
+		{"three-packet-response", 2*transport.MaxData + 256, vtransact3PktsAllocs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := make([]byte, tc.respSize), make([]byte, 64)
+			got := roundTripAllocs(t, len(resp),
+				func(srv *core.CABStack, th *kernel.Thread, req *kernel.Message) error {
+					return srv.TP.VRespond(th, req, resp)
+				},
+				func(cl *core.CABStack, th *kernel.Thread) ([]byte, error) {
+					return cl.TP.VTransact(th, 1, 1, 2, data)
+				})
+			if got > tc.want {
+				t.Fatalf("%v allocations per transaction, want <= %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// roundTripAllocs is what one warmed client call costs on one HUB, against
+// a server on CAB 1 that answers each message in its mailbox 1 with
+// respond. Every call must return wantLen bytes.
+func roundTripAllocs(t *testing.T, wantLen int,
+	respond func(srv *core.CABStack, th *kernel.Thread, req *kernel.Message) error,
+	call func(cl *core.CABStack, th *kernel.Thread) ([]byte, error)) float64 {
+	t.Helper()
 	sys := core.New(core.SingleHub(2))
 	cl, srv := sys.CAB(0), sys.CAB(1)
 	mb := srv.Kernel.NewMailbox("req", 64<<10)
 	srv.TP.Register(1, mb)
-	resp := make([]byte, 64)
 	srv.Kernel.SpawnDaemon("server", func(th *kernel.Thread) {
 		for {
 			req := mb.Get(th)
-			if err := srv.TP.Respond(th, req, resp); err != nil {
+			if err := respond(srv, th, req); err != nil {
 				t.Errorf("respond: %v", err)
 			}
 			mb.Release(req)
 		}
 	})
-	data := make([]byte, 64)
 	start := cl.Kernel.NewSem(0)
 	answered := 0
 	cl.Kernel.SpawnDaemon("client", func(th *kernel.Thread) {
 		for {
 			start.P(th)
-			got, err := cl.TP.Request(th, 1, 1, 2, data)
-			if err != nil || len(got) != len(resp) {
-				t.Errorf("request: %d bytes, %v", len(got), err)
+			got, err := call(cl, th)
+			if err != nil || len(got) != wantLen {
+				t.Errorf("call: %d bytes, %v", len(got), err)
 			}
 			answered++
 		}
@@ -94,11 +153,10 @@ func TestRequestRoundTripAllocations(t *testing.T) {
 		start.V()
 		sys.Run()
 	}
-	round() // warm the engine's event pool, the FIFOs, maps and route cache
-	if got := testing.AllocsPerRun(100, round); got > requestAllocs {
-		t.Fatalf("%v allocations per request round trip, want <= %d", got, requestAllocs)
-	}
+	round() // warm the engine's event pool, the FIFOs, maps, free lists and route cache
+	allocs := testing.AllocsPerRun(100, round)
 	if answered != 102 {
-		t.Fatalf("%d requests answered, want 102", answered)
+		t.Fatalf("%d calls answered, want 102", answered)
 	}
+	return allocs
 }

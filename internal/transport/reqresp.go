@@ -40,10 +40,22 @@ func (t *Transport) awaitReply(th *kernel.Thread, p *pendingOp, wait sim.Time) {
 	}
 }
 
-// pendingReq tracks a client-side outstanding request.
+// pendingReq tracks a client-side outstanding request. It is reused (see
+// releaseReq).
 type pendingReq struct {
 	pendingOp
 	resp []byte
+}
+
+// takeFree pops a record off a free list, or makes one.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	p := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return p
 }
 
 // ErrTimeout is returned when a request exhausts its retries.
@@ -76,9 +88,10 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
 		t.nextReq++
 		reqID := t.nextReq
-		pend := &pendingReq{pendingOp: pendingOp{dst: dst}}
+		pend := takeFree(&t.freeReqs)
+		pend.pendingOp = pendingOp{dst: dst}
 		t.pending[reqID] = pend
-		defer delete(t.pending, reqID)
+		defer t.releaseReq(reqID, pend)
 
 		h := &Header{
 			Proto: ProtoRequest, Src: uint16(t.self), Dst: uint16(dst),
@@ -116,6 +129,14 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 		return pend.traceID, &ErrTimeout{Dst: dst, ReqID: reqID}
 	})
 	return resp, err
+}
+
+// releaseReq ends a request's client record: it leaves the pending map,
+// which was the only way to reach it, and goes on the free list.
+func (t *Transport) releaseReq(reqID uint32, pend *pendingReq) {
+	delete(t.pending, reqID)
+	pend.resp = nil
+	t.freeReqs = append(t.freeReqs, pend)
 }
 
 // recvRequest handles an arriving request at the server (interrupt level).

@@ -131,6 +131,10 @@ type Transport struct {
 	// vm holds the VMTP transaction state (created on first use).
 	vm *vmtpState
 
+	// Client operation records whose operations have ended, for reuse.
+	freeReqs []*pendingReq
+	freeVMTP []*vmtpPending
+
 	// Peer liveness (health.go): peers with reliable ops outstanding,
 	// plus dead peers watched for revival, and the heartbeat's timer.
 	watch   map[int]*peerState

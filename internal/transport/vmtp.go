@@ -49,43 +49,65 @@ const (
 	vmtpRetries = 8
 )
 
-// vmtpGroup reassembles one packet group. Its gap timer NACKs with the
-// header of the group's first packet; nack, bound once per group, is the
-// timer's function.
+// vmtpGroup reassembles one multi-packet group in place: the message buffer
+// is allocated at the group's first packet, and each segment is copied once,
+// to its offset in it; a one-packet group is complete on arrival and needs
+// no vmtpGroup. The gap timer NACKs with the header of the group's first
+// packet, whose Offset (the group size), Total and Deadline every later
+// packet must match; nack, bound once, is the timer's function.
 type vmtpGroup struct {
-	segs     map[uint32][]byte
-	nPkts    uint32
-	total    uint32
-	deadline sim.Time // the group's wire deadline (0: none)
-	hdr      Header
-	timer    cab.Timer
-	nack     func()
+	buf   []byte // the message (nil: no group under way)
+	got   uint32 // bitmask of the segments that have arrived
+	hdr   Header
+	timer cab.Timer
+	nack  func()
 }
 
-func (g *vmtpGroup) mask() uint32 {
-	var m uint32
-	for i := uint32(0); i < g.nPkts && i < 32; i++ {
-		if _, ok := g.segs[i]; ok {
-			m |= 1 << i
-		}
+// start opens the group at its first packet.
+func (g *vmtpGroup) start(h *Header) {
+	g.buf = make([]byte, h.Total)
+	g.got = 0
+	g.hdr = *h
+}
+
+// joins reports whether a well-formed packet belongs to the group under
+// way. Its group size follows from Total and Deadline (groupPacketOK).
+func (g *vmtpGroup) joins(h *Header) bool {
+	return h.Total == g.hdr.Total && h.Deadline == g.hdr.Deadline
+}
+
+// add copies a segment into place; it reports false for a duplicate.
+func (g *vmtpGroup) add(h *Header, payload []byte) bool {
+	bit := uint32(1) << h.Seq
+	if g.got&bit != 0 {
+		return false
 	}
-	return m
+	g.got |= bit
+	copy(g.buf[int(h.Seq)*maxSeg(h.Deadline):], payload)
+	return true
 }
 
-func (g *vmtpGroup) complete() bool { return uint32(len(g.segs)) == g.nPkts }
+func (g *vmtpGroup) complete() bool { return g.got == uint32(1)<<g.hdr.Offset-1 }
 
-func (g *vmtpGroup) assemble() []byte {
-	out := make([]byte, 0, g.total)
-	for i := uint32(0); i < g.nPkts; i++ {
-		out = append(out, g.segs[i]...)
+// groupPacketOK reports whether a packet is well formed for a group: its
+// group size (Offset) is 1..MaxGroupPackets and is the number of segments
+// Total takes, Seq names one of them, and payload is exactly that segment.
+// Anything else would corrupt a reassembly, or pin one that never
+// completes.
+func groupPacketOK(h *Header, payload []byte) bool {
+	seg := uint64(maxSeg(h.Deadline))
+	n := max(1, (uint64(h.Total)+seg-1)/seg)
+	if n > MaxGroupPackets || uint64(h.Offset) != n || h.Seq >= h.Offset {
+		return false
 	}
-	return out
+	return uint64(len(payload)) == min(seg, uint64(h.Total)-uint64(h.Seq)*seg)
 }
 
-// vmtpPending is a client-side outstanding transaction.
+// vmtpPending is a client-side outstanding transaction. It is reused (see
+// releaseVMTP), keeping its response group's timer and NACK closure.
 type vmtpPending struct {
 	pendingOp
-	resp    *vmtpGroup
+	resp    vmtpGroup
 	ackMask uint32 // request packets the server has confirmed
 	reqPkts uint32
 }
@@ -158,9 +180,11 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		vm := t.vmtp()
 		vm.nextTxn++
 		txn := vm.nextTxn
-		pend := &vmtpPending{pendingOp: pendingOp{dst: dst}}
+		pend := takeFree(&t.freeVMTP)
+		pend.pendingOp = pendingOp{dst: dst}
+		pend.ackMask = 0
 		vm.pending[txn] = pend
-		defer delete(vm.pending, txn)
+		defer t.releaseVMTP(vm, txn, pend)
 
 		wires := t.groupPackets(ProtoVSend, dst, dstBox, srcBox, txn, req, opts)
 		pend.reqPkts = uint32(len(wires))
@@ -185,7 +209,7 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 			t.awaitReply(th, &pend.pendingOp,
 				backoffWait(vmtpClientTimeout, attempt, t.self, dst, txn))
 			if pend.done {
-				resp = pend.resp.assemble()
+				resp = pend.resp.buf
 				return pend.traceID, nil
 			}
 			if pend.err != nil {
@@ -204,6 +228,18 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		return pend.traceID, &ErrTimeout{Dst: dst, ReqID: txn}
 	})
 	return resp, err
+}
+
+// releaseVMTP ends a transaction's client record. Its response-gap timer is
+// canceled first: a transaction that ended while holding part of a response
+// would otherwise NACK for the rest for good. The record then leaves the
+// pending map, which was the only way to reach it, and goes on the free
+// list.
+func (t *Transport) releaseVMTP(vm *vmtpState, txn uint32, pend *vmtpPending) {
+	pend.resp.timer.Cancel()
+	delete(vm.pending, txn)
+	pend.resp.buf = nil
+	t.freeVMTP = append(t.freeVMTP, pend)
 }
 
 // VRespond answers a transaction previously delivered to a server mailbox.
@@ -235,6 +271,9 @@ func (t *Transport) VRespond(th *kernel.Thread, req *kernel.Message, data []byte
 
 // recvVSend handles an arriving request-group packet at the server.
 func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
+	if !groupPacketOK(h, payload) {
+		return
+	}
 	vm := t.vmtp()
 	key := reqKey{src: h.Src, reqID: h.MsgID}
 	if wires, st := vm.once.lookup(key); st != onceNew {
@@ -254,21 +293,28 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 			// Expired or pressure-shed: the client got a fast-reject.
 			return
 		}
-		g = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, deadline: h.Deadline, hdr: *h}
+		if h.Offset == 1 {
+			// Complete on arrival: TryPut copies the payload into CAB
+			// memory.
+			if t.deliver(h, payload, sp) {
+				vm.once.begin(key)
+			}
+			return
+		}
+		g = &vmtpGroup{}
 		g.nack = func() { t.nackRequest(g) }
+		g.start(h)
 		vm.reqs[key] = g
 		t.armGroupTimer(g)
-	}
-	if _, dup := g.segs[h.Seq]; dup {
+	} else if !g.joins(h) {
 		return
 	}
-	g.segs[h.Seq] = append([]byte(nil), payload...)
-	if !g.complete() {
+	if !g.add(h, payload) || !g.complete() {
 		return
 	}
 	g.timer.Cancel()
 	delete(vm.reqs, key)
-	if t.deliver(h, g.assemble(), sp) {
+	if t.deliver(h, g.buf, sp) {
 		vm.once.begin(key)
 	}
 }
@@ -277,7 +323,7 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 // retransmits selectively.
 func (t *Transport) nackRequest(g *vmtpGroup) {
 	h := &g.hdr
-	if t.ovl != nil && g.deadline != 0 && t.k.Engine().Now() >= g.deadline {
+	if t.ovl != nil && h.Deadline != 0 && t.k.Engine().Now() >= h.Deadline {
 		// The group expired while half-assembled: shed it instead of
 		// NACKing for packets nobody should retransmit.
 		t.ovl.expired++
@@ -287,7 +333,7 @@ func (t *Transport) nackRequest(g *vmtpGroup) {
 		return
 	}
 	body := make([]byte, 4)
-	binary.BigEndian.PutUint32(body, g.mask())
+	binary.BigEndian.PutUint32(body, g.got)
 	nh := &Header{
 		Proto: ProtoVNack, Src: uint16(t.self), Dst: h.Src,
 		SrcBox: h.DstBox, DstBox: h.SrcBox, MsgID: h.MsgID,
@@ -300,43 +346,53 @@ func (t *Transport) nackRequest(g *vmtpGroup) {
 
 // recvVResp handles an arriving response-group packet at the client.
 func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
+	if !groupPacketOK(h, payload) {
+		return
+	}
 	vm := t.vmtp()
 	pend, ok := vm.pending[h.MsgID]
 	if !ok || pend.done {
 		return
 	}
-	// Any response packet confirms the full request group.
-	pend.ackMask = (1 << pend.reqPkts) - 1
-	if pend.resp == nil {
-		pend.resp = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, hdr: *h}
-		pend.resp.nack = func() { t.nackResponse(pend) }
-		t.armGroupTimer(pend.resp)
-	}
-	if _, dup := pend.resp.segs[h.Seq]; dup {
+	g := &pend.resp
+	if g.buf != nil && !g.joins(h) {
 		return
 	}
-	pend.resp.segs[h.Seq] = append([]byte(nil), payload...)
-	if pend.resp.complete() {
-		pend.resp.timer.Cancel()
-		pend.done = true
-		t.noteSuccess(pend.dst)
-		pend.traceID = sp.Root().ID()
-		// See recvResponse: close the chained response-leg spans, extend
-		// the transaction root to cover the full round trip.
-		t.endOpenAncestors(sp)
-		sp.Root().End()
-		pend.cond.Broadcast()
+	// Any response packet confirms the full request group.
+	pend.ackMask = (1 << pend.reqPkts) - 1
+	if h.Offset == 1 {
+		// Complete on arrival: the payload's one copy is the response.
+		g.buf = append([]byte(nil), payload...)
+	} else {
+		if g.buf == nil {
+			if g.nack == nil {
+				g.nack = func() { t.nackResponse(pend) }
+			}
+			g.start(h)
+			t.armGroupTimer(g)
+		}
+		if !g.add(h, payload) || !g.complete() {
+			return
+		}
+		g.timer.Cancel()
 	}
+	pend.done = true
+	t.noteSuccess(pend.dst)
+	pend.traceID = sp.Root().ID()
+	// See recvResponse: close the chained response-leg spans, extend
+	// the transaction root to cover the full round trip.
+	t.endOpenAncestors(sp)
+	sp.Root().End()
+	pend.cond.Broadcast()
 }
 
 // nackResponse asks the server for the response packets still missing.
+// The timer that runs it is canceled when the response completes and when
+// the transaction ends.
 func (t *Transport) nackResponse(pend *vmtpPending) {
-	if pend.done {
-		return
-	}
 	h := &pend.resp.hdr
 	body := make([]byte, 4)
-	binary.BigEndian.PutUint32(body, pend.resp.mask())
+	binary.BigEndian.PutUint32(body, pend.resp.got)
 	nh := &Header{
 		Proto: ProtoVNack, Src: uint16(t.self), Dst: h.Src,
 		SrcBox: h.DstBox, DstBox: h.SrcBox, MsgID: h.MsgID,
@@ -344,7 +400,7 @@ func (t *Transport) nackResponse(pend *vmtpPending) {
 	}
 	t.stats.AcksSent++
 	t.enqueueControl(int(h.Src), Encode(nh, body), nil)
-	t.armGroupTimer(pend.resp)
+	t.armGroupTimer(&pend.resp)
 }
 
 // recvVNack handles a selective NACK at either end.
