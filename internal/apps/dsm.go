@@ -241,7 +241,7 @@ func RunDSM(sys *core.System, cfg DSMConfig) (*DSMResult, error) {
 					verb = dsmWriteFault
 				}
 				for {
-					th.Compute("fault", cfg.FaultCost)
+					th.Compute(cfg.FaultCost)
 					e0 := epochs[w][page]
 					data, err := st.TP.Request(th, 0, dsmManagerBox, myBox,
 						dsmMsg(verb, page, uint32(w), nil))
@@ -288,7 +288,7 @@ func RunDSM(sys *core.System, cfg DSMConfig) (*DSMResult, error) {
 						_ = c.data[int(next(uint32(cfg.PageBytes)))]
 					}
 				}
-				th.Compute("work", 20*sim.Microsecond)
+				th.Compute(20 * sim.Microsecond)
 			}
 			done++
 			if done == cfg.Workers {

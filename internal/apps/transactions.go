@@ -105,7 +105,7 @@ func RunTransactions(sys *core.System, cfg TxnConfig) (*TxnResult, error) {
 				val := binary.BigEndian.Uint32(b[9:])
 				switch verb {
 				case txnPrepare:
-					th.Compute("prepare", cfg.PrepareCost)
+					th.Compute(cfg.PrepareCost)
 					holder, locked := locks[key]
 					if locked && holder != txn {
 						st.TP.Respond(th, req, txnMsg(txnVoteNo, txn, key, 0))
@@ -115,7 +115,7 @@ func RunTransactions(sys *core.System, cfg TxnConfig) (*TxnResult, error) {
 						st.TP.Respond(th, req, txnMsg(txnVoteYes, txn, key, 0))
 					}
 				case txnCommit:
-					th.Compute("commit", cfg.CommitCost)
+					th.Compute(cfg.CommitCost)
 					for _, kv := range prepared[txn] {
 						store[kv[0]] = kv[1]
 						delete(locks, kv[0])

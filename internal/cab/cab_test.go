@@ -15,8 +15,8 @@ func TestCPUSequentialJobs(t *testing.T) {
 	cpu := NewCPU(eng)
 	var done []sim.Time
 	eng.At(0, func() {
-		cpu.Submit(PrioThread, "a", 100, func() { done = append(done, eng.Now()) })
-		cpu.Submit(PrioThread, "b", 50, func() { done = append(done, eng.Now()) })
+		cpu.Submit(PrioThread, 100, func() { done = append(done, eng.Now()) })
+		cpu.Submit(PrioThread, 50, func() { done = append(done, eng.Now()) })
 	})
 	eng.Run()
 	if len(done) != 2 || done[0] != 100 || done[1] != 150 {
@@ -35,10 +35,10 @@ func TestCPUInterruptPreemptsThread(t *testing.T) {
 	cpu := NewCPU(eng)
 	var thDone, intDone sim.Time
 	eng.At(0, func() {
-		cpu.Submit(PrioThread, "thread", 1000, func() { thDone = eng.Now() })
+		cpu.Submit(PrioThread, 1000, func() { thDone = eng.Now() })
 	})
 	eng.At(300, func() {
-		cpu.Submit(PrioInterrupt, "intr", 200, func() { intDone = eng.Now() })
+		cpu.Submit(PrioInterrupt, 200, func() { intDone = eng.Now() })
 	})
 	eng.Run()
 	if intDone != 500 {
@@ -58,10 +58,10 @@ func TestCPUInterruptsDoNotPreemptEachOther(t *testing.T) {
 	cpu := NewCPU(eng)
 	var order []string
 	eng.At(0, func() {
-		cpu.Submit(PrioInterrupt, "i1", 100, func() { order = append(order, "i1") })
+		cpu.Submit(PrioInterrupt, 100, func() { order = append(order, "i1") })
 	})
 	eng.At(10, func() {
-		cpu.Submit(PrioInterrupt, "i2", 100, func() { order = append(order, "i2") })
+		cpu.Submit(PrioInterrupt, 100, func() { order = append(order, "i2") })
 	})
 	eng.Run()
 	if len(order) != 2 || order[0] != "i1" || order[1] != "i2" {
@@ -77,10 +77,10 @@ func TestCPUComputeFromProc(t *testing.T) {
 	cpu := NewCPU(eng)
 	var at sim.Time
 	eng.Go("worker", func(p *sim.Proc) {
-		cpu.Compute(p, "work", 500)
+		cpu.Compute(p, 500)
 		at = p.Now()
 	})
-	eng.At(100, func() { cpu.Submit(PrioInterrupt, "i", 50, nil) })
+	eng.At(100, func() { cpu.Submit(PrioInterrupt, 50, nil) })
 	eng.Run()
 	if at != 550 {
 		t.Fatalf("compute finished at %v, want 550 (500 + 50 stolen)", at)
@@ -488,8 +488,8 @@ func TestCPUZeroDurationJobOrdering(t *testing.T) {
 	cpu := NewCPU(eng)
 	var order []string
 	eng.At(0, func() {
-		cpu.Submit(PrioThread, "a", 0, func() { order = append(order, "a") })
-		cpu.Submit(PrioThread, "b", 0, func() { order = append(order, "b") })
+		cpu.Submit(PrioThread, 0, func() { order = append(order, "a") })
+		cpu.Submit(PrioThread, 0, func() { order = append(order, "b") })
 	})
 	eng.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -502,12 +502,12 @@ func TestCPUManyInterruptsStretchThread(t *testing.T) {
 	cpu := NewCPU(eng)
 	var thDone sim.Time
 	eng.At(0, func() {
-		cpu.Submit(PrioThread, "th", 1000, func() { thDone = eng.Now() })
+		cpu.Submit(PrioThread, 1000, func() { thDone = eng.Now() })
 	})
 	// Five 100ns interrupts land during the computation.
 	for i := 1; i <= 5; i++ {
 		at := sim.Time(i * 150)
-		eng.At(at, func() { cpu.Submit(PrioInterrupt, "i", 100, nil) })
+		eng.At(at, func() { cpu.Submit(PrioInterrupt, 100, nil) })
 	}
 	eng.Run()
 	if thDone != 1500 {
@@ -522,9 +522,9 @@ func TestCPUInterruptAfterThreadQueueDrains(t *testing.T) {
 	cpu := NewCPU(eng)
 	var order []string
 	eng.At(0, func() {
-		cpu.Submit(PrioInterrupt, "i", 100, func() {
+		cpu.Submit(PrioInterrupt, 100, func() {
 			order = append(order, "i")
-			cpu.Submit(PrioThread, "t", 50, func() { order = append(order, "t") })
+			cpu.Submit(PrioThread, 50, func() { order = append(order, "t") })
 		})
 	})
 	eng.Run()
@@ -544,5 +544,5 @@ func TestCPUNegativeWorkPanics(t *testing.T) {
 			t.Fatal("negative work did not panic")
 		}
 	}()
-	cpu.Submit(PrioThread, "bad", -1, nil)
+	cpu.Submit(PrioThread, -1, nil)
 }

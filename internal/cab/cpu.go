@@ -28,12 +28,13 @@ const (
 	PrioThread
 )
 
-// job is one unit of CPU work.
+// job is one unit of CPU work. On completion it runs done, then wakes
+// proc: the process a Compute parked.
 type job struct {
 	prio      Priority
 	remaining sim.Time
 	done      func()
-	name      string
+	proc      *sim.Proc
 }
 
 // CPU is a preemptible work server. Work is submitted with a duration and a
@@ -52,10 +53,6 @@ type CPU struct {
 
 	intq []job // pending interrupt-level jobs (FIFO)
 	thq  []job // pending thread-level jobs (FIFO)
-
-	// waits are Compute's idle completion signals, reused so a Compute
-	// allocates nothing.
-	waits []*computeWait
 
 	busy     sim.Time // accumulated busy time
 	jobsDone int64
@@ -80,12 +77,15 @@ func (c *CPU) Idle() bool { return !c.running && len(c.intq) == 0 && len(c.thq) 
 
 // Submit schedules work of the given duration; done runs on completion.
 // Zero-duration work completes via the event queue (preserving ordering).
-func (c *CPU) Submit(prio Priority, name string, d sim.Time, done func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("cab: negative CPU work %v", d))
+func (c *CPU) Submit(prio Priority, d sim.Time, done func()) {
+	c.submit(job{prio: prio, remaining: d, done: done})
+}
+
+func (c *CPU) submit(j job) {
+	if j.remaining < 0 {
+		panic(fmt.Sprintf("cab: negative CPU work %v", j.remaining))
 	}
-	j := job{prio: prio, remaining: d, done: done, name: name}
-	if prio == PrioInterrupt {
+	if j.prio == PrioInterrupt {
 		c.intq = append(c.intq, j)
 		// Preempt thread-level work.
 		if c.running && c.cur.prio == PrioThread {
@@ -145,7 +145,7 @@ func popJob(q *[]job) job {
 // finish completes the current job (its event fired; a preempted job's
 // event is canceled) and starts the next.
 func (c *CPU) finish() {
-	done := c.cur.done
+	done, proc := c.cur.done, c.cur.proc
 	c.busy += c.eng.Now() - c.curStart
 	c.cur, c.running = job{}, false
 	c.curEvent = sim.Event{}
@@ -153,35 +153,21 @@ func (c *CPU) finish() {
 	if done != nil {
 		done()
 	}
+	if proc != nil {
+		proc.Wake()
+	}
 	c.dispatch()
 }
 
 // RunInterrupt is a convenience for interrupt handlers: charge `d` of
 // interrupt-level CPU time, then run fn.
-func (c *CPU) RunInterrupt(name string, d sim.Time, fn func()) {
-	c.Submit(PrioInterrupt, name, d, fn)
-}
-
-// computeWait is one blocked Compute: the signal its process waits on and
-// the completion callback, bound once, that broadcasts it.
-type computeWait struct {
-	sig  *sim.Signal
-	done func()
+func (c *CPU) RunInterrupt(d sim.Time, fn func()) {
+	c.Submit(PrioInterrupt, d, fn)
 }
 
 // Compute blocks the calling process for d of thread-level CPU time
 // (stretched by any interrupts that arrive meanwhile).
-func (c *CPU) Compute(p *sim.Proc, name string, d sim.Time) {
-	var w *computeWait
-	if n := len(c.waits); n > 0 {
-		w = c.waits[n-1]
-		c.waits = c.waits[:n-1]
-	} else {
-		w = &computeWait{sig: sim.NewSignal(p.Engine())}
-		w.done = w.sig.Broadcast
-	}
-	c.Submit(PrioThread, name, d, w.done)
-	w.sig.Wait(p)
-	// The job completed and its broadcast emptied the signal: reusable.
-	c.waits = append(c.waits, w)
+func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
+	c.submit(job{prio: PrioThread, remaining: d, proc: p})
+	p.Park()
 }

@@ -79,9 +79,8 @@ func (v *VME) TransferSpan(n int, done func(), parent *trace.Span) sim.Time {
 // TransferWaitSpan blocks the calling process for an n-byte block transfer,
 // with trace attribution.
 func (v *VME) TransferWaitSpan(p *sim.Proc, n int, parent *trace.Span) {
-	sig := sim.NewSignal(p.Engine())
-	v.TransferSpan(n, func() { sig.Broadcast() }, parent)
-	sig.Wait(p)
+	v.TransferSpan(n, p.Wake, parent)
+	p.Park()
 }
 
 // PIOTime returns the bus time to move n bytes with programmed I/O

@@ -300,7 +300,7 @@ func (d *Datalink) Crash() {
 func (d *Datalink) Probe(th *kernel.Thread, hubHere, hubThere byte, port byte, timeout sim.Time) bool {
 	d.mu.P(th)
 	defer d.mu.V()
-	th.Compute("dl-probe", sendSetup)
+	th.Compute(sendSetup)
 	pend := d.expect(1)
 	d.stats.ProbesSent++
 	d.board.Send(
@@ -331,7 +331,7 @@ func (d *Datalink) CombContribute(th *kernel.Thread, op hub.Opcode, group, lane 
 	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-comb")
 	defer sp.End()
 	d.mu.P(th)
-	th.Compute("dl-comb", sendSetup)
+	th.Compute(sendSetup)
 	pend := d.expect(1)
 	it := d.command(op, d.localHubID(), group, pend.token)
 	it.Comb = &fiber.CombData{Lane: lane, Tag: tag, Count: count, Seq: seq, Operand: operand}
@@ -439,7 +439,7 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 	sp := th.Span().Child(trace.LayerDatalink, d.board.Name(), "dl-send-packet")
 	t0 := d.k.Engine().Now()
 	d.mu.P(th)
-	th.Compute("dl-send-setup", sendSetup)
+	th.Compute(sendSetup)
 	// Our own output's flow control: the attached HUB input queue must be
 	// ready for a new packet.
 	d.board.WaitNetReady(th.Proc())
@@ -474,7 +474,7 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
 	d.isend = intrSend{dst: dst, hops: hops, payload: payload, sp: sp}
-	d.board.CPU.RunInterrupt("dl-intr-send", extra+sendSetup, d.intrSendFn)
+	d.board.CPU.RunInterrupt(extra+sendSetup, d.intrSendFn)
 	return true
 }
 
@@ -548,7 +548,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 	d.mu.P(th)
 	defer d.mu.V()
 	for attempt := 0; attempt < openAttempts; attempt++ {
-		th.Compute("dl-send-setup", sendSetup)
+		th.Compute(sendSetup)
 		d.board.WaitNetReady(th.Proc())
 
 		pend := d.expect(wantReplies)
@@ -588,7 +588,7 @@ func (d *Datalink) sendCircuitHops(th *kernel.Thread, dst int, hops []topo.Hop, 
 func (d *Datalink) receiveItem(it *fiber.Item) {
 	switch it.Kind {
 	case fiber.KindReply:
-		d.board.CPU.RunInterrupt("dl-reply-intr", replyInterrupt, func() {
+		d.board.CPU.RunInterrupt(replyInterrupt, func() {
 			if pend, ok := d.pending[it.Token]; ok {
 				if !it.ReplyOK {
 					pend.ok = false
@@ -637,7 +637,7 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 func (d *Datalink) receivePacket(it *fiber.Item) {
 	rsp := it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
 	d.rxIntr = append(d.rxIntr, rxEntry{it: it, rsp: rsp})
-	d.board.CPU.RunInterrupt("dl-recv-intr", recvInterrupt+upcall, d.rxInterruptFn)
+	d.board.CPU.RunInterrupt(recvInterrupt+upcall, d.rxInterruptFn)
 }
 
 // rxInterrupt is the start-of-packet interrupt of the oldest packet.
@@ -715,7 +715,7 @@ var errLockHeld = fmt.Errorf("datalink: hub lock held")
 func (d *Datalink) lockOp(th *kernel.Thread, op hub.Opcode, lock byte) error {
 	d.mu.P(th)
 	defer d.mu.V()
-	th.Compute("dl-lock", sendSetup)
+	th.Compute(sendSetup)
 	pend := d.expect(1)
 	d.board.Send(d.command(op, d.localHubID(), lock, pend.token))
 

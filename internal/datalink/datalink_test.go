@@ -238,7 +238,7 @@ func TestQueuedReceiveInterruptsKeepOrder(t *testing.T) {
 	var got [][]byte
 	collect(sys, 1, &got)
 	// Hold the receiver's CPU at interrupt level past both arrivals.
-	sys.CAB(1).Board.CPU.RunInterrupt("busy", sim.Millisecond, nil)
+	sys.CAB(1).Board.CPU.RunInterrupt(sim.Millisecond, nil)
 	a, b := pattern(2000), pattern(1500)
 	for i := range b {
 		b[i] ^= 0xA5

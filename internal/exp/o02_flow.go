@@ -59,7 +59,6 @@ func o2Run(observe bool) o2Outcome {
 		opts = append(opts,
 			core.WithMetrics(),
 			core.WithObservatory(),
-			core.WithSampler(),
 			func(p *core.Params) { p.TraceSpans = 200000 },
 		)
 	}

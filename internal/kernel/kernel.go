@@ -132,12 +132,12 @@ func (k *Kernel) Reboot() {
 // Thread is a lightweight CAB kernel thread ("threads have little state
 // associated with them, [so] the cost of context switching is low").
 type Thread struct {
-	k       *Kernel
-	name    string
-	proc    *sim.Proc
-	state   ThreadState
-	wakeSig *sim.Signal
-	runNow  bool
+	k      *Kernel
+	name   string
+	proc   *sim.Proc
+	state  ThreadState
+	parked bool // the process is parked in parkUntilDispatched
+	runNow bool
 
 	// switchSpan is the span of the pending context switch into this
 	// thread (nil when untraced); switchedIn, bound once at spawn, ends it
@@ -199,16 +199,18 @@ func (k *Kernel) SpawnDaemon(name string, body func(t *Thread)) *Thread {
 
 func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 	t := &Thread{
-		k:       k,
-		name:    name,
-		state:   StateReady,
-		wakeSig: sim.NewSignal(k.eng),
+		k:     k,
+		name:  name,
+		state: StateReady,
 	}
 	t.switchedIn = func() {
 		t.switchSpan.End()
 		t.switchSpan = nil
 		t.runNow = true
-		t.wakeSig.Broadcast()
+		if t.parked {
+			t.parked = false
+			t.proc.Wake()
+		}
 	}
 	t.condTimedOut = t.timedOut
 	t.readyFn = t.ready
@@ -231,10 +233,12 @@ func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 }
 
 // parkUntilDispatched blocks the thread's process until the scheduler runs
-// it. The runNow flag avoids missed wakeups.
+// it. runNow records a switch that completed before the thread parked, and
+// parked tells switchedIn that there is a process to wake.
 func (t *Thread) parkUntilDispatched(p *sim.Proc) {
-	for !t.runNow {
-		t.wakeSig.Wait(p)
+	if !t.runNow {
+		t.parked = true
+		p.Park()
 	}
 	t.runNow = false
 	t.state = StateRunning
@@ -256,7 +260,7 @@ func (k *Kernel) dispatch() {
 	if k.tr != nil {
 		t.switchSpan = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
 	}
-	k.board.CPU.Submit(cab.PrioThread, "context-switch", contextSwitch, t.switchedIn)
+	k.board.CPU.Submit(cab.PrioThread, contextSwitch, t.switchedIn)
 }
 
 // ready marks a blocked thread runnable.
@@ -293,8 +297,8 @@ func (t *Thread) Yield() {
 
 // Compute charges d of thread-level CPU time to the calling thread
 // (stretched by any interrupt-level work that arrives meanwhile).
-func (t *Thread) Compute(name string, d sim.Time) {
-	t.k.board.CPU.Compute(t.proc, name, d)
+func (t *Thread) Compute(d sim.Time) {
+	t.k.board.CPU.Compute(t.proc, d)
 }
 
 // Sleep blocks the thread for d using a hardware timer.

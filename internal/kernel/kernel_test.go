@@ -35,7 +35,7 @@ func TestThreadsAreCoroutines(t *testing.T) {
 	var order []string
 	k.Spawn("a", func(th *Thread) {
 		order = append(order, "a1")
-		th.Compute("work", 100*sim.Microsecond)
+		th.Compute(100 * sim.Microsecond)
 		order = append(order, "a2") // non-preemptive: b has not run yet
 		th.Yield()
 		order = append(order, "a3")
@@ -242,6 +242,27 @@ func TestSleepAndWaitTimeoutAllocateNothing(t *testing.T) {
 	}
 	if rounds != 102 {
 		t.Fatalf("%d rounds, want 102", rounds)
+	}
+}
+
+// spawnComputeAllocs is what spawning a thread that runs one Compute costs
+// once the engine and the CPU are warm: the Thread with its three bound
+// callbacks (switchedIn, condTimedOut, readyFn), the closure that runs its
+// body, and the sim.Proc with its resume callback. A wait that allocates,
+// such as a Signal per thread or per Compute, shows up here.
+const spawnComputeAllocs = 7
+
+func computeOnce(th *Thread) { th.Compute(10 * sim.Microsecond) }
+
+func TestSpawnComputeAllocations(t *testing.T) {
+	eng, k := newKernel()
+	spawn := func() {
+		k.Spawn("w", computeOnce)
+		eng.Run()
+	}
+	spawn() // warm the coroutine pool, the event pool and the CPU's queues
+	if got := testing.AllocsPerRun(100, spawn); got > spawnComputeAllocs {
+		t.Fatalf("%v allocations per thread spawn and Compute, want <= %d", got, spawnComputeAllocs)
 	}
 }
 
@@ -470,7 +491,7 @@ func TestInterruptDeliversToThread(t *testing.T) {
 		mb.Release(msg)
 	})
 	eng.At(500*sim.Microsecond, func() {
-		k.Board().CPU.RunInterrupt("rx-intr", 3*sim.Microsecond, func() {
+		k.Board().CPU.RunInterrupt(3*sim.Microsecond, func() {
 			mb.TryPut([]byte("pkt"), 1, 0)
 		})
 	})
@@ -498,7 +519,7 @@ func TestManyThreadsDeterministic(t *testing.T) {
 			name := string(rune('a' + i))
 			k.Spawn(name, func(th *Thread) {
 				for j := 0; j < 3; j++ {
-					th.Compute("w", sim.Time(10+i)*sim.Microsecond)
+					th.Compute(sim.Time(10+i) * sim.Microsecond)
 					log = append(log, name)
 					th.Yield()
 				}

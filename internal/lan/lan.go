@@ -202,7 +202,7 @@ func (s *Station) ID() int { return s.id }
 // OpenBox creates a receive endpoint.
 func (s *Station) OpenBox(box uint16) {
 	s.boxes[box] = &boxState{
-		delivered: sim.NewQueue[Message](s.eth.eng, 0),
+		delivered: sim.NewQueue[Message](s.eth.eng),
 		partial:   make(map[partialKey]*partialMsg),
 	}
 }
@@ -224,8 +224,8 @@ func encodeHdr(box uint16, msgID, seq, total uint32, payload []byte) []byte {
 // system call, kernel copy, per-packet protocol processing, CSMA/CD
 // medium, receive interrupt and processing per packet.
 func (s *Station) Send(p *sim.Proc, dst *Station, box uint16, data []byte) {
-	s.CPU.Compute(p, "syscall", s.eth.params.Syscall)
-	s.CPU.Compute(p, "copyin", sim.Time(len(data))*s.eth.params.CopyByteTime)
+	s.CPU.Compute(p, s.eth.params.Syscall)
+	s.CPU.Compute(p, sim.Time(len(data))*s.eth.params.CopyByteTime)
 	s.nextMsg++
 	msgID := s.nextMsg
 	maxp := s.eth.params.MaxPayload
@@ -239,7 +239,7 @@ func (s *Station) Send(p *sim.Proc, dst *Station, box uint16, data []byte) {
 		if hi > len(data) {
 			hi = len(data)
 		}
-		s.CPU.Compute(p, "proto-out", s.eth.params.PerPacket)
+		s.CPU.Compute(p, s.eth.params.PerPacket)
 		wire := encodeHdr(box, msgID, uint32(i), uint32(len(data)), data[lo:hi])
 		frameBytes := len(wire) + s.eth.params.FrameOverhead
 		if frameBytes < 64 {
@@ -260,8 +260,8 @@ func (s *Station) Send(p *sim.Proc, dst *Station, box uint16, data []byte) {
 // receiveFrame runs the destination's interrupt-level receive path.
 func (s *Station) receiveFrame(src int, wire []byte) {
 	arrived := s.eth.eng.Now()
-	s.CPU.Submit(cab.PrioInterrupt, "rx-intr", s.eth.params.Interrupt, func() {
-		s.CPU.Submit(cab.PrioInterrupt, "proto-in", s.eth.params.PerPacket, func() {
+	s.CPU.Submit(cab.PrioInterrupt, s.eth.params.Interrupt, func() {
+		s.CPU.Submit(cab.PrioInterrupt, s.eth.params.PerPacket, func() {
 			s.reassemble(src, wire, arrived)
 		})
 	})
@@ -303,7 +303,7 @@ func (s *Station) reassemble(src int, wire []byte, arrived sim.Time) {
 		data = append(data, sg...)
 	}
 	delete(bx.partial, key)
-	bx.delivered.TryPut(Message{Src: src, Data: data, Arrived: arrived})
+	bx.delivered.Put(Message{Src: src, Data: data, Arrived: arrived})
 }
 
 // Recv blocks until a message arrives at box, paying the read-side system
@@ -313,8 +313,8 @@ func (s *Station) Recv(p *sim.Proc, box uint16) Message {
 	if bx == nil {
 		panic(fmt.Sprintf("lan: box %d not open on %s", box, s.name))
 	}
-	s.CPU.Compute(p, "syscall", s.eth.params.Syscall)
+	s.CPU.Compute(p, s.eth.params.Syscall)
 	m := bx.delivered.Get(p)
-	s.CPU.Compute(p, "copyout", sim.Time(len(m.Data))*s.eth.params.CopyByteTime)
+	s.CPU.Compute(p, sim.Time(len(m.Data))*s.eth.params.CopyByteTime)
 	return m
 }

@@ -583,7 +583,7 @@ func (r *run) startBSP() {
 		rng := rand.New(rand.NewSource(workerSeed(r.cfg.Seed, cab, 1<<20)))
 		r.sys.CAB(cab).Kernel.SpawnDaemon(fmt.Sprintf("load-bsp-%d", rank), func(th *kernel.Thread) {
 			for s := 0; s < r.cfg.BSPSupersteps; s++ {
-				th.Compute("bsp-compute", sim.Time(rng.ExpFloat64()*float64(r.cfg.BSPCompute)))
+				th.Compute(sim.Time(rng.ExpFloat64() * float64(r.cfg.BSPCompute)))
 				in := make([]int64, vals)
 				for j := range in {
 					in[j] = bspIn(rank, s, j)

@@ -256,9 +256,9 @@ func (tc *TaskCtx) CAB() int { return tc.task.cabID }
 // Compute charges d of processing on the task's processor.
 func (tc *TaskCtx) Compute(d sim.Time) {
 	if tc.th != nil {
-		tc.th.Compute("task-"+tc.task.name, d)
+		tc.th.Compute(d)
 	} else {
-		tc.task.nd.Compute(tc.proc, "task-"+tc.task.name, d)
+		tc.task.nd.Compute(tc.proc, d)
 	}
 }
 

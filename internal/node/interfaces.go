@@ -43,7 +43,7 @@ func (n *Node) sendSegments(p *sim.Proc, dstCAB int, dstBox uint16, data []byte,
 		if pio {
 			// Build the message in place in CAB memory with
 			// processor writes (fine for small messages).
-			n.CPU.Compute(p, "build-in-cab", n.VME.PIOTime(len(wire)))
+			n.CPU.Compute(p, n.VME.PIOTime(len(wire)))
 		} else {
 			n.VME.TransferWaitSpan(p, len(wire), sp)
 		}
@@ -76,7 +76,7 @@ func (n *Node) SendSharedWhole(p *sim.Proc, dstCAB int, dstBox uint16, data []by
 		sp = tr.Start(nil, trace.LayerNode, n.name, "node-send")
 	}
 	if len(wire) <= 256 {
-		n.CPU.Compute(p, "build-in-cab", n.VME.PIOTime(len(wire)))
+		n.CPU.Compute(p, n.VME.PIOTime(len(wire)))
 	} else {
 		n.VME.TransferWaitSpan(p, len(wire), sp)
 	}
@@ -99,7 +99,7 @@ func (n *Node) RecvShared(p *sim.Proc, boxID uint16) Message {
 	}
 	for {
 		// One poll: a few programmed-I/O reads of the mailbox header.
-		n.CPU.Compute(p, "poll", n.VME.PIOTime(8))
+		n.CPU.Compute(p, n.VME.PIOTime(8))
 		msg, ok := bx.mb.TryGet()
 		if !ok {
 			if m, ok := bx.delivered.TryGet(); ok {
@@ -135,8 +135,8 @@ func (n *Node) RecvShared(p *sim.Proc, boxID uint16) Message {
 // SendSocket transmits via the Berkeley-socket interface: system call and a
 // kernel copy on the node, then the off-loaded CAB transport.
 func (n *Node) SendSocket(p *sim.Proc, dstCAB int, dstBox uint16, data []byte) {
-	n.CPU.Compute(p, "syscall", n.params.Syscall)
-	n.CPU.Compute(p, "copyin", sim.Time(len(data))*n.params.CopyByteTime)
+	n.CPU.Compute(p, n.params.Syscall)
+	n.CPU.Compute(p, sim.Time(len(data))*n.params.CopyByteTime)
 	n.sendSegments(p, dstCAB, dstBox, data, false, false)
 }
 
@@ -147,16 +147,16 @@ func (n *Node) RecvSocket(p *sim.Proc, boxID uint16) Message {
 	if bx == nil || bx.mode != ModeSocket {
 		panic(fmt.Sprintf("node: box %d not open in socket mode", boxID))
 	}
-	n.CPU.Compute(p, "syscall", n.params.Syscall)
+	n.CPU.Compute(p, n.params.Syscall)
 	m := bx.delivered.Get(p)
-	n.CPU.Compute(p, "copyout", sim.Time(len(m.Data))*n.params.CopyByteTime)
+	n.CPU.Compute(p, sim.Time(len(m.Data))*n.params.CopyByteTime)
 	return m
 }
 
 // SendDriver transmits with Nectar as a "dumb" network: the node performs
 // the transport processing per packet and hands raw datagrams to the CAB.
 func (n *Node) SendDriver(p *sim.Proc, dstCAB int, dstBox uint16, data []byte) {
-	n.CPU.Compute(p, "syscall", n.params.Syscall)
+	n.CPU.Compute(p, n.params.Syscall)
 	// The node-resident transport fragments to packet-sized datagrams.
 	const frag = 976 // node hdr + transport hdr + frag fits a 1 KB packet
 	n.nextMsg++
@@ -175,8 +175,8 @@ func (n *Node) SendDriver(p *sim.Proc, dstCAB int, dstBox uint16, data []byte) {
 		if hi > len(data) {
 			hi = len(data)
 		}
-		n.CPU.Compute(p, "driver-proto", n.params.DriverPerPacket)
-		n.CPU.Compute(p, "copyin", sim.Time(hi-lo)*n.params.CopyByteTime)
+		n.CPU.Compute(p, n.params.DriverPerPacket)
+		n.CPU.Compute(p, sim.Time(hi-lo)*n.params.CopyByteTime)
 		wire := encodeNodeHdr(msgID, uint32(i), uint32(len(data)), 1, data[lo:hi])
 		n.VME.TransferWaitSpan(p, len(wire), sp)
 		n.postCommand(p, sendReq{
@@ -195,9 +195,9 @@ func (n *Node) RecvDriver(p *sim.Proc, boxID uint16) Message {
 	if bx == nil || bx.mode != ModeDriver {
 		panic(fmt.Sprintf("node: box %d not open in driver mode", boxID))
 	}
-	n.CPU.Compute(p, "syscall", n.params.Syscall)
+	n.CPU.Compute(p, n.params.Syscall)
 	m := bx.delivered.Get(p)
-	n.CPU.Compute(p, "copyout", sim.Time(len(m.Data))*n.params.CopyByteTime)
+	n.CPU.Compute(p, sim.Time(len(m.Data))*n.params.CopyByteTime)
 	return m
 }
 
@@ -212,6 +212,6 @@ func (n *Node) GoDaemon(name string, body func(p *sim.Proc)) *sim.Proc {
 }
 
 // Compute charges d to the node CPU from process context.
-func (n *Node) Compute(p *sim.Proc, name string, d sim.Time) {
-	n.CPU.Compute(p, name, d)
+func (n *Node) Compute(p *sim.Proc, d sim.Time) {
+	n.CPU.Compute(p, d)
 }

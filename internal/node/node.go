@@ -242,7 +242,7 @@ func (n *Node) proxyLoop(th *kernel.Thread) {
 // postCommand places a command descriptor in the CAB command mailbox (a
 // handful of programmed-I/O words over VME, charged to the node CPU).
 func (n *Node) postCommand(p *sim.Proc, req sendReq) {
-	n.CPU.Compute(p, "post-cmd", n.VME.PIOTime(16))
+	n.CPU.Compute(p, n.VME.PIOTime(16))
 	n.cmds = append(n.cmds, req)
 	n.cmdSem.V()
 }
@@ -255,7 +255,7 @@ func (n *Node) OpenBox(boxID uint16, mode RecvMode, capacity int) {
 	bx := &box{
 		mode:      mode,
 		mb:        mb,
-		delivered: sim.NewQueue[Message](n.eng, 0),
+		delivered: sim.NewQueue[Message](n.eng),
 		partial:   make(map[partialKey]*partialMsg),
 	}
 	n.boxes[boxID] = bx
@@ -282,7 +282,7 @@ func (n *Node) pushLoop(th *kernel.Thread, bx *box) {
 		arrived := n.eng.Now()
 		// Node-side interrupt handling, charged to the node CPU.
 		isp := sp.Child(trace.LayerNode, n.name, "net-intr")
-		n.CPU.Submit(cab.PrioInterrupt, "net-intr", n.params.Interrupt, func() {
+		n.CPU.Submit(cab.PrioInterrupt, n.params.Interrupt, func() {
 			isp.End()
 			n.nodeDeliver(bx, src, data, arrived)
 		})
@@ -299,7 +299,7 @@ func (n *Node) nodeDeliver(bx *box, src int, wire []byte, arrived sim.Time) {
 	if bx.mode == ModeDriver {
 		// "All transport protocol processing is performed on the node":
 		// charge it per packet, then reassemble.
-		n.CPU.Submit(cab.PrioInterrupt, "driver-proto", n.params.DriverPerPacket, func() {
+		n.CPU.Submit(cab.PrioInterrupt, n.params.DriverPerPacket, func() {
 			n.driverReassemble(bx, src, msgID, seq, total, payload, arrived)
 		})
 		return
@@ -337,5 +337,5 @@ func (n *Node) driverReassemble(bx *box, src int, msgID, seq, total uint32, payl
 		data = append(data, sg...)
 	}
 	delete(bx.partial, key)
-	bx.delivered.TryPut(Message{Src: src, Data: data, Arrived: arrived})
+	bx.delivered.Put(Message{Src: src, Data: data, Arrived: arrived})
 }

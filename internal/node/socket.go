@@ -53,7 +53,7 @@ func (n *Node) nextSocketBox() uint16 {
 // Listen opens a well-known box for incoming connections.
 func (n *Node) Listen(box uint16) *Listener {
 	n.OpenBox(box, ModeSocket, 1<<20)
-	l := &Listener{n: n, box: box, backlog: sim.NewQueue[*Conn](n.eng, 0)}
+	l := &Listener{n: n, box: box, backlog: sim.NewQueue[*Conn](n.eng)}
 	// The accept daemon turns SYNs into established connections.
 	n.GoDaemon(fmt.Sprintf("accept%d", box), func(p *sim.Proc) {
 		for {
@@ -69,7 +69,7 @@ func (n *Node) Listen(box uint16) *Listener {
 			resp[0] = sockSYNACK
 			binary.BigEndian.PutUint16(resp[1:], localBox)
 			n.SendSocket(p, m.Src, peerBox, resp)
-			l.backlog.Put(p, &Conn{
+			l.backlog.Put(&Conn{
 				n: n, localBox: localBox, peer: m.Src, peerBox: peerBox,
 			})
 		}

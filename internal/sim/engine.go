@@ -4,7 +4,7 @@
 // components (HUB ports, DMA engines, fiber links) schedule plain events,
 // while software components (CAB kernel threads, node processes) run as
 // cooperative processes (Proc) whose sequential code blocks on virtual time
-// and on synchronization primitives (Signal, Queue).
+// and on synchronization primitives (Park/Wake, Signal, Queue).
 //
 // Determinism: events fire in (time, sequence) order, exactly one process
 // coroutine runs at a time, and all randomness is drawn from seeded

@@ -228,39 +228,9 @@ func TestSignalFIFO(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var gotSignal, gotTimeout bool
-	var tSignal, tTimeout Time
-	e.Go("signaled", func(p *Proc) {
-		gotSignal = s.WaitTimeout(p, 100)
-		tSignal = p.Now()
-	})
-	e.Go("timedout", func(p *Proc) {
-		p.Sleep(1)
-		gotTimeout = s.WaitTimeout(p, 30)
-		tTimeout = p.Now()
-	})
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(10)
-		s.Signal() // wakes "signaled" (FIFO head)
-	})
-	e.Run()
-	if !gotSignal || tSignal != 10 {
-		t.Fatalf("signaled: ok=%v at %v, want true at 10", gotSignal, tSignal)
-	}
-	if gotTimeout || tTimeout != 31 {
-		t.Fatalf("timedout: ok=%v at %v, want false at 31", gotTimeout, tTimeout)
-	}
-	if s.Waiters() != 0 {
-		t.Fatalf("Waiters = %d after timeout, want 0", s.Waiters())
-	}
-}
-
 func TestQueueBlockingGet(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, 0)
+	q := NewQueue[int](e)
 	var got int
 	var at Time
 	e.Go("consumer", func(p *Proc) {
@@ -269,7 +239,7 @@ func TestQueueBlockingGet(t *testing.T) {
 	})
 	e.Go("producer", func(p *Proc) {
 		p.Sleep(42)
-		q.Put(p, 7)
+		q.Put(7)
 	})
 	e.Run()
 	if got != 7 || at != 42 {
@@ -277,70 +247,24 @@ func TestQueueBlockingGet(t *testing.T) {
 	}
 }
 
-func TestQueueCapacityBlocksPut(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, 2)
-	var putDone Time
-	e.Go("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // must block until consumer drains one
-		putDone = p.Now()
-	})
-	e.Go("consumer", func(p *Proc) {
-		p.Sleep(100)
-		if v := q.Get(p); v != 1 {
-			t.Errorf("Get = %d, want 1", v)
-		}
-	})
-	e.Run()
-	if putDone != 100 {
-		t.Fatalf("third Put completed at %v, want 100", putDone)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-}
-
 func TestQueueTryOps(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[string](e, 1)
+	q := NewQueue[string](e)
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue succeeded")
 	}
-	if !q.TryPut("a") {
-		t.Fatal("TryPut on empty queue failed")
+	q.Put("a")
+	q.Put("b")
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", q.Len())
 	}
-	if q.TryPut("b") {
-		t.Fatal("TryPut on full queue succeeded")
+	for _, want := range []string{"a", "b"} {
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Fatalf("TryGet = %q,%v, want %q,true", v, ok, want)
+		}
 	}
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek = %q,%v", v, ok)
-	}
-	if v, ok := q.TryGet(); !ok || v != "a" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-}
-
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, 0)
-	var ok1, ok2 bool
-	var v2 int
-	e.Go("consumer", func(p *Proc) {
-		_, ok1 = q.GetTimeout(p, 10)   // nothing arrives: timeout
-		v2, ok2 = q.GetTimeout(p, 100) // producer delivers at t=50
-	})
-	e.Go("producer", func(p *Proc) {
-		p.Sleep(50)
-		q.Put(p, 9)
-	})
-	e.Run()
-	if ok1 {
-		t.Fatal("first GetTimeout should have timed out")
-	}
-	if !ok2 || v2 != 9 {
-		t.Fatalf("second GetTimeout = %d,%v want 9,true", v2, ok2)
+	if _, ok := q.TryGet(); ok || q.Len() != 0 {
+		t.Fatalf("TryGet on drained queue succeeded (Len %d)", q.Len())
 	}
 }
 

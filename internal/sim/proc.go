@@ -8,13 +8,14 @@ import (
 // Proc is a simulation process: sequential code that runs in virtual time.
 //
 // A Proc runs on a coroutine (iter.Pull): the engine switches to it for a
-// slice and it switches straight back when it blocks (Sleep, Wait, Queue
-// ops, ...), so exactly one of them executes at any moment and scheduling is
-// fully deterministic and cooperative. Coroutines are pooled per engine: a
-// finished proc's coroutine waits on Engine.idle and runs the next proc
-// started with Go.
+// slice and it switches straight back when it blocks (Sleep, Park, Wait,
+// Queue ops, ...), so exactly one of them executes at any moment and
+// scheduling is fully deterministic and cooperative. Coroutines are pooled
+// per engine: a finished proc's coroutine waits on Engine.idle and runs the
+// next proc started with Go.
 //
-// All Proc methods must be called from within the process's own body.
+// All Proc methods but Wake must be called from within the process's own
+// body.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -28,17 +29,10 @@ type Proc struct {
 	// they are excluded from the engine's deadlock accounting.
 	daemon bool
 
-	// resume runs the next slice; waitTimedOut ends a WaitTimeout. Both
-	// are bound once so scheduling them allocates nothing.
-	resume, waitTimedOut func()
-
-	// w is the process's waiter: a blocked process waits on at most one
-	// Signal, so every Wait reuses it.
-	w waiter
+	// resume runs the next slice; it is bound once so scheduling it
+	// allocates nothing.
+	resume func()
 }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the process name given at Go time.
 func (p *Proc) Name() string { return p.name }
@@ -70,7 +64,6 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 	}
 	e.live[p] = true
 	p.resume = func() { e.runSlice(p) }
-	p.waitTimedOut = p.timedOut
 	if n := len(e.idle); n > 0 {
 		p.co, e.idle = e.idle[n-1], e.idle[:n-1]
 	} else {
@@ -122,15 +115,15 @@ func (e *Engine) runSlice(p *Proc) {
 	p.co.next()
 }
 
-// block switches from the process's coroutine back to the engine; it
-// returns when the engine next resumes the process.
-func (p *Proc) block() { p.co.yield(struct{}{}) }
+// Park blocks the process until Wake resumes it. Whoever parks must have
+// arranged for that Wake: a process nobody wakes stays blocked for good.
+func (p *Proc) Park() { p.co.yield(struct{}{}) }
 
-// resumeAt schedules the process to resume at absolute time t and returns
-// the resume event (so it can be canceled, e.g. for timeouts).
-func (p *Proc) resumeAt(t Time) Event {
-	return p.eng.At(t, p.resume)
-}
+// Wake schedules a parked process to resume at the current time, once per
+// Park. The resume goes through the event queue, so the caller continues
+// first and same-time events scheduled earlier run before the process.
+// It may be called from event context or from another process.
+func (p *Proc) Wake() { p.eng.At(p.eng.now, p.resume) }
 
 // Sleep blocks the process for d nanoseconds of simulated time.
 func (p *Proc) Sleep(d Time) {
@@ -139,73 +132,30 @@ func (p *Proc) Sleep(d Time) {
 	}
 	// d == 0 still yields through the event queue, so same-time events
 	// scheduled earlier run first.
-	p.resumeAt(p.eng.now + d)
-	p.block()
+	p.eng.At(p.eng.now+d, p.resume)
+	p.Park()
 }
 
 // Yield reschedules the process at the current time, letting other pending
 // same-time events run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// waiter is a parked process plus the signal it waits on and an optional
-// timeout event.
-type waiter struct {
-	p       *Proc
-	sig     *Signal
-	timeout Event
-	fired   bool // set when the signal (not the timeout) woke the waiter
-}
-
 // Signal is a broadcast/wakeup primitive for processes (a condition
-// variable in virtual time). The zero value is invalid; use NewSignal.
+// variable in virtual time). The zero value is ready to use.
 type Signal struct {
-	eng     *Engine
-	waiters []*waiter
+	waiters []*Proc
 }
 
-// NewSignal returns a Signal bound to the engine.
-func NewSignal(e *Engine) *Signal {
-	return &Signal{eng: e}
-}
+// NewSignal returns an empty Signal for the engine's processes.
+func NewSignal(*Engine) *Signal { return &Signal{} }
 
 // Waiters returns the number of processes currently blocked on the signal.
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
 // Wait blocks the process until Signal or Broadcast wakes it.
 func (s *Signal) Wait(p *Proc) {
-	p.w = waiter{p: p, sig: s}
-	s.waiters = append(s.waiters, &p.w)
-	p.block()
-}
-
-// WaitTimeout blocks until woken or until d elapses. It reports true if the
-// process was woken by the signal and false on timeout.
-func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
-	p.w = waiter{p: p, sig: s}
-	p.w.timeout = p.eng.At(p.eng.now+d, p.waitTimedOut)
-	s.waiters = append(s.waiters, &p.w)
-	p.block()
-	return p.w.fired
-}
-
-// timedOut runs when a WaitTimeout's timeout fires before the signal:
-// it removes the waiter and resumes the process.
-func (p *Proc) timedOut() {
-	s := p.w.sig
-	for i, x := range s.waiters {
-		if x == &p.w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			break
-		}
-	}
-	p.eng.runSlice(p)
-}
-
-// wake schedules the resume of a waiter already removed from the list.
-func (s *Signal) wake(w *waiter) {
-	w.fired = true
-	s.eng.Cancel(w.timeout) // no-op for the zero Event (no timeout armed)
-	w.p.resumeAt(s.eng.now)
+	s.waiters = append(s.waiters, p)
+	p.Park()
 }
 
 // Signal wakes one waiting process (FIFO), if any. The wakeup is delivered
@@ -214,20 +164,20 @@ func (s *Signal) Signal() {
 	if len(s.waiters) == 0 {
 		return
 	}
-	w := s.waiters[0]
+	p := s.waiters[0]
 	// Shift rather than reslice, so the list keeps its capacity.
 	n := copy(s.waiters, s.waiters[1:])
 	s.waiters[n] = nil
 	s.waiters = s.waiters[:n]
-	s.wake(w)
+	p.Wake()
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	for i, w := range ws {
-		s.wake(w)
-		ws[i] = nil
+	ps := s.waiters
+	for i, p := range ps {
+		p.Wake()
+		ps[i] = nil
 	}
-	s.waiters = ws[:0]
+	s.waiters = ps[:0]
 }

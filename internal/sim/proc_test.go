@@ -2,16 +2,17 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 )
 
 // spawnAllocs is what starting and finishing a one-Sleep process costs once
-// the engine has an idle coroutine: the Proc and its two bound callbacks
-// (resume, waitTimedOut). A coroutine made per process instead of taken
-// from Engine.idle shows up here (8 with a goroutine and two channels per
-// process, 17 with a fresh iter.Pull per process).
-const spawnAllocs = 3
+// the engine has an idle coroutine: the Proc and its bound resume callback.
+// A coroutine made per process instead of taken from Engine.idle shows up
+// here (8 with a goroutine and two channels per process, 17 with a fresh
+// iter.Pull per process).
+const spawnAllocs = 2
 
 func sleepOne(p *Proc) { p.Sleep(1) }
 
@@ -24,6 +25,33 @@ func TestSpawnAllocations(t *testing.T) {
 	spawn() // warm the coroutine pool, the event pool and the live map
 	if got := testing.AllocsPerRun(100, spawn); got > spawnAllocs {
 		t.Fatalf("%v allocations per spawned process, want <= %d", got, spawnAllocs)
+	}
+}
+
+// Wake resumes a parked process through the event queue: the waker runs on
+// to its own next block first, and an event scheduled earlier for the same
+// instant fires before the resume.
+func TestParkWake(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	parked := e.Go("parked", func(p *Proc) {
+		order = append(order, "park")
+		p.Park()
+		order = append(order, "resumed")
+	})
+	e.Go("waker", func(p *Proc) {
+		p.Sleep(10)
+		e.At(10, func() { order = append(order, "earlier event") })
+		parked.Wake()
+		order = append(order, "waker continues")
+	})
+	e.Run()
+	want := []string{"park", "waker continues", "earlier event", "resumed"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %q, want %q", order, want)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("resumed at %v, want 10", e.Now())
 	}
 }
 

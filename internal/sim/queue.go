@@ -1,55 +1,23 @@
 package sim
 
-// Queue is a bounded FIFO channel for processes in virtual time. Put blocks
-// while the queue is full (capacity > 0) and Get blocks while it is empty.
-// A capacity of 0 means unbounded.
+// Queue is an unbounded FIFO channel for processes in virtual time: Put
+// never blocks, and Get blocks while the queue is empty.
 type Queue[T any] struct {
-	eng      *Engine
 	items    []T
-	capacity int
-	notEmpty *Signal
-	notFull  *Signal
+	notEmpty Signal
 }
 
-// NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
-	return &Queue[T]{
-		eng:      e,
-		capacity: capacity,
-		notEmpty: NewSignal(e),
-		notFull:  NewSignal(e),
-	}
-}
+// NewQueue returns an empty queue for the engine's processes.
+func NewQueue[T any](*Engine) *Queue[T] { return &Queue[T]{} }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Cap returns the capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.capacity }
-
-// Full reports whether the queue is at capacity.
-func (q *Queue[T]) Full() bool {
-	return q.capacity > 0 && len(q.items) >= q.capacity
-}
-
-// Put appends v, blocking while the queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.Full() {
-		q.notFull.Wait(p)
-	}
+// Put appends v and wakes the longest-waiting Get, if any. It never blocks
+// and may be called from event context.
+func (q *Queue[T]) Put(v T) {
 	q.items = append(q.items, v)
 	q.notEmpty.Signal()
-}
-
-// TryPut appends v if there is room, reporting whether it was stored. It
-// never blocks and may be called from event context.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.Full() {
-		return false
-	}
-	q.items = append(q.items, v)
-	q.notEmpty.Signal()
-	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
@@ -58,18 +26,6 @@ func (q *Queue[T]) Get(p *Proc) T {
 		q.notEmpty.Wait(p)
 	}
 	return q.pop()
-}
-
-// GetTimeout is like Get but gives up after d; ok is false on timeout.
-func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
-	deadline := q.eng.now + d
-	for len(q.items) == 0 {
-		remain := deadline - q.eng.now
-		if remain <= 0 || !q.notEmpty.WaitTimeout(p, remain) {
-			return v, false
-		}
-	}
-	return q.pop(), true
 }
 
 // TryGet removes and returns the head item without blocking; ok reports
@@ -81,19 +37,10 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.pop(), true
 }
 
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	return q.items[0], true
-}
-
 func (q *Queue[T]) pop() T {
 	v := q.items[0]
 	var zero T
 	q.items[0] = zero
 	q.items = q.items[1:]
-	q.notFull.Signal()
 	return v
 }

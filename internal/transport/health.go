@@ -202,9 +202,18 @@ func failOps[P interface{ op() *pendingOp }](ops map[uint32]P, peer int, err err
 // server-side reassembly, duplicate-suppression caches, queued control
 // packets, and the peer watch set are lost — so a request answered before
 // the crash may be re-executed after it, exactly the at-most-once window a
-// real response-cache loss opens.
+// real response-cache loss opens. The gap timers of the lost groups stop
+// with them; a timer left armed would NACK for the rest for good.
 func (t *Transport) Crash() {
 	t.failSenders(-1, fmt.Errorf("transport: CAB %d crashed", t.self))
+	if vm := t.vm; vm != nil {
+		for _, g := range vm.reqs {
+			g.timer.Cancel()
+		}
+		for _, pend := range vm.pending {
+			pend.resp.timer.Cancel()
+		}
+	}
 	t.vm = nil
 	t.streamsIn = make(map[streamKey]*streamRecv)
 	t.once = newAtMostOnce[[]byte]()

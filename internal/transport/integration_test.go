@@ -234,7 +234,7 @@ func TestRequestResponse(t *testing.T) {
 			for i, b := range body {
 				rev[len(body)-1-i] = b
 			}
-			th.Compute("serve", 5*sim.Microsecond)
+			th.Compute(5 * sim.Microsecond)
 			if err := srv.TP.Respond(th, req, rev); err != nil {
 				t.Errorf("respond: %v", err)
 			}

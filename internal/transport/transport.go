@@ -309,7 +309,7 @@ func (t *Transport) sendWire(th *kernel.Thread, dst int, wire []byte) error {
 		defer th.SetSpan(prev)
 	}
 	tsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-send")
-	th.Compute("tp-send", procSend)
+	th.Compute(procSend)
 	tsp.End()
 	if dst == t.self {
 		t.fl.Account(t.self, dst, wire[0], len(wire), 0)
@@ -375,7 +375,7 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
 	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
 	t.rx = append(t.rx, rxPacket{wire: wire, sp: sp, rsp: rsp})
-	t.k.Board().CPU.RunInterrupt("tp-recv", procRecv, t.recvPacketFn)
+	t.k.Board().CPU.RunInterrupt(procRecv, t.recvPacketFn)
 }
 
 // recvPacket is the receive interrupt of the oldest queued packet: it
@@ -500,7 +500,7 @@ func (t *Transport) SendDatagramMulticast(th *kernel.Thread, dsts []int, dstBox,
 		MsgID: t.nextMsg, Total: uint32(len(data)),
 	}
 	wire := Encode(h, data)
-	th.Compute("tp-mcast", procSend)
+	th.Compute(procSend)
 	t.stats.DatagramsSent++
 	t.stats.McastsSent++
 	if len(wire) <= datalink.MaxPacketPayload {

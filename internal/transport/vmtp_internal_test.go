@@ -315,3 +315,26 @@ func FuzzVMTPReassembly(f *testing.F) {
 		}
 	})
 }
+
+// TestVMTPCrashStopsReassemblyTimers crashes a server holding half a request
+// group: the crash discards the group, so its gap timer must not go on
+// NACKing for the rest.
+func TestVMTPCrashStopsReassemblyTimers(t *testing.T) {
+	r := newVMTPRig()
+	srv := r.tp[1]
+	full := bytes.Repeat([]byte{0xCD}, MaxData)
+	r.feed(vsend(1, 0, 2, MaxData+10, 0, full))
+	if len(srv.vm.reqs) != 1 {
+		t.Fatalf("%d groups under reassembly, want 1", len(srv.vm.reqs))
+	}
+	nacks := srv.stats.AcksSent
+	srv.k.Board().PowerOff()
+	srv.Crash()
+	r.eng.RunUntil(r.eng.Now() + 50*sim.Millisecond)
+	if d := srv.stats.AcksSent - nacks; d != 0 {
+		t.Fatalf("%d NACKs sent after the crash, want 0", d)
+	}
+	if n := r.eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending after the crash, want 0", n)
+	}
+}
