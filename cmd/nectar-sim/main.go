@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fiber"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -33,8 +33,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: flags from args, the report on stdout,
-// diagnostics on stderr, the exit status returned. (With -listen it never
-// returns: the final snapshot is served until the process is interrupted.)
+// diagnostics on stderr, the exit status returned.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nectar-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos     = fs.String("chaos", "", "chaos scenario: linkflap | corruption | portstuck | crash | storm | overload | comb | random (runs a fault-injected mesh; exits 1 on any undelivered message, for overload on a critical-class SLO violation, or for comb on any inexact collective result)")
 		seed      = fs.Int64("seed", 1, "chaos scenario seed (runs are byte-reproducible per seed)")
 		dump      = fs.String("dump", "", "chaos only: also write the flight-recorder post-mortem to this file")
-		listen    = fs.String("listen", "", "serve Prometheus metrics on this address during the run, then keep serving the final snapshot until interrupted")
 		sloOn     = fs.Bool("slo", false, "arm the SLO engine with a latency objective on the workload (see -slobound) and print status, burn rates, and the alert stream")
 		sloBound  = fs.Duration("slobound", 500*time.Microsecond, "SLO latency bound for -slo")
 		sloDump   = fs.String("slodump", "", "with -slo: write the first diagnosis bundle captured at alert time to this file as JSON")
@@ -92,10 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ber > 0 {
 		params.Topo.Errors = fiber.ErrorModel{BitErrorRate: *ber, Seed: 1}
 	}
-	if *listen != "" {
-		params.Metrics = true
-		params.Flows = true
-	}
 
 	opts := []core.Option{core.WithParams(params)}
 	if *sloOn {
@@ -115,16 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var sys *core.System
+	var t core.Topology
 	switch *topoKind {
 	case "single":
-		sys = core.New(core.SingleHub(*cabs), opts...)
+		t = core.SingleHub(*cabs)
 	case "line":
-		sys = core.New(core.Line(*hubs, *per), opts...)
+		t = core.Line(*hubs, *per)
 	case "mesh":
-		sys = core.New(core.Mesh(*rows, *cols, *per), opts...)
+		t = core.Mesh(*rows, *cols, *per)
 	default:
 		fmt.Fprintf(stderr, "unknown topology %q\n", *topoKind)
+		return 2
+	}
+	sys, err := build(t, opts)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	n := sys.NumCABs()
@@ -132,27 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*senders = n - 1
 	}
 
-	// With -listen, publish the exposition on a periodic engine tick while
-	// other events remain (so Run still terminates) and once more at the
-	// end; the handler only ever reads published snapshots.
-	var live *obs.Page
-	if *listen != "" {
-		live = &obs.Page{}
-		addr, err := obs.Serve(*listen, live)
-		if err != nil {
-			fmt.Fprintln(stderr, "listen:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "serving live metrics on http://%s/metrics\n", addr)
-		var tick func()
-		tick = func() {
-			live.Publish(sys.PromText())
-			if sys.Eng.Pending() > 0 {
-				sys.Eng.After(50*sim.Microsecond, tick)
-			}
-		}
-		sys.Eng.After(50*sim.Microsecond, tick)
-	}
 	fmt.Fprintf(stdout, "topology %s: %d HUBs, %d CABs; %d sender(s) -> CAB 0, %d x %dB via %s\n",
 		*topoKind, len(sys.Net.Hubs()), n, *senders, *msgs, *size, *transport)
 
@@ -177,7 +155,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for {
 				req := srv.Get(th)
 				delivered++
-				rx.TP.Respond(th, req, req.Bytes()[:1])
+				b := req.Bytes()
+				rx.TP.Respond(th, req, b[:min(1, len(b))])
 				srv.Release(req)
 			}
 		})
@@ -258,13 +237,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "slodump: no alert fired, no bundle captured")
 		}
 	}
-
-	if live != nil {
-		live.Publish(sys.PromText())
-		fmt.Fprintf(stdout, "\nrun complete; still serving the final snapshot on http://%s/metrics — interrupt to exit\n", *listen)
-		select {}
-	}
 	return 0
+}
+
+// build constructs the system. core.New panics with a "nectar: ..."
+// message on a configuration it rejects (a topology that does not fit a
+// HUB, say); build returns that message as an error so the command can
+// exit 2 with it like any other bad argument. Other panics pass through.
+func build(t core.Topology, opts []core.Option) (sys *core.System, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok || !strings.HasPrefix(msg, "nectar: ") {
+				panic(r)
+			}
+			err = errors.New(msg)
+		}
+	}()
+	return core.New(t, opts...), nil
 }
 
 // chaosHorizon bounds a chaos run; ample time for every scenario's fault

@@ -49,11 +49,25 @@ func TestBadArgumentsExit2(t *testing.T) {
 		{"-topo", "line", "-hubs", "0"},
 		{"-topo", "mesh", "-rows", "0"},
 		{"-topo", "mesh", "-per", "0"},
+		{"-cabs", "17"},                 // more CABs than a HUB has ports
+		{"-topo", "mesh", "-per", "15"}, // no ports left for the mesh links
 	} {
 		var stdout, stderr bytes.Buffer
 		if rc := run(args, &stdout, &stderr); rc != 2 || stderr.Len() == 0 {
 			t.Errorf("%v: exit status %d, stderr %q; want 2 and a diagnostic", args, rc, stderr.String())
 		}
+	}
+}
+
+// TestEmptyRequests runs request-response with empty requests: the echo
+// server answers each with at most one byte, so every request completes.
+func TestEmptyRequests(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if rc := run([]string{"-transport", "reqresp", "-size", "0", "-msgs", "3"}, &stdout, &stderr); rc != 0 {
+		t.Fatalf("exit status %d, stderr:\n%s", rc, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "sent=3 failed=0") {
+		t.Fatalf("want sent=3 failed=0 in:\n%s", stdout.String())
 	}
 }
 

@@ -18,7 +18,6 @@
 //	nectar-trace -limit 200       # retain more events
 //	nectar-trace -out trace.json  # write Chrome trace-event JSON
 //	nectar-trace -metrics         # print the metrics registry snapshot
-//	nectar-trace -prom            # print the registry as Prometheus text
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -46,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	size := fs.Int("size", 128, "payload bytes")
 	out := fs.String("out", "", "write spans as Chrome trace-event JSON to this file")
 	metrics := fs.Bool("metrics", false, "print the metrics registry snapshot")
-	prom := fs.Bool("prom", false, "print the metrics registry as Prometheus text exposition")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -155,14 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *metrics {
 		fmt.Fprintf(stdout, "\nmetrics registry snapshot:\n%s", sys.Reg.Text())
-	}
-
-	if *prom {
-		fmt.Fprintln(stdout)
-		if err := obs.WriteProm(stdout, sys.Reg.Snapshot()); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	}
 
 	if *out != "" {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/trace"
@@ -45,5 +48,37 @@ func TestUnknownModeExits2(t *testing.T) {
 		if stdout.Len() != 0 || !bytes.Contains(stderr.Bytes(), []byte(c.diag)) {
 			t.Errorf("%v: stdout %q, stderr %q", c.args, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// TestMetricsAndChromeExport drives the two exports: -metrics prints the
+// registry with a nonzero counter, and -out writes Chrome trace-event JSON
+// that holds events and is byte-identical across two runs.
+func TestMetricsAndChromeExport(t *testing.T) {
+	var files [2][]byte
+	for i := range files {
+		out := filepath.Join(t.TempDir(), "t.json")
+		var stdout, stderr bytes.Buffer
+		if rc := run([]string{"-mode", "reqresp", "-metrics", "-out", out}, &stdout, &stderr); rc != 0 {
+			t.Fatalf("exit status %d, stderr:\n%s", rc, stderr.String())
+		}
+		_, snap, ok := bytes.Cut(stdout.Bytes(), []byte("\nmetrics registry snapshot:\n"))
+		if !ok || !regexp.MustCompile(`(?m)^  \S+ +[1-9][0-9]*$`).Match(snap) {
+			t.Fatalf("no registry snapshot with a nonzero counter in:\n%s", stdout.String())
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Fatalf("-out: %d trace events (err %v)", len(doc.TraceEvents), err)
+		}
+		files[i] = b
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("-out differs between two runs of the same command")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -132,16 +131,4 @@ func buildTelemetry(s *System) {
 		s.Watchdog = w
 	}
 	buildSLO(s)
-}
-
-// PromText renders everything the system exposes to a Prometheus scrape —
-// the metrics registry, the sampler's latest readings and the flow table,
-// each present only when armed. Call from the simulation goroutine (or
-// after the run).
-func (s *System) PromText() []byte {
-	var b bytes.Buffer
-	_ = obs.WriteProm(&b, s.Reg.Snapshot())
-	obs.WriteSamplerProm(&b, s.Sampler)
-	s.Flows.WriteProm(&b)
-	return b.Bytes()
 }

@@ -26,9 +26,11 @@ import (
 // The load is open-loop by design: closed-loop saturation on wrap-around
 // tori wedges into the classic torus credit deadlock (cyclic channel
 // dependencies — exactly the failure mode the adaptive policy's escape
-// subnetwork is shaped to avoid, see topo.CheckEscapeAcyclic), and
-// open-loop arrival is also the measurement discipline that avoids
-// coordinated omission in the latency curves.
+// subnetwork is shaped to avoid, see topo.CheckEscapeAcyclic). The open
+// loop does not remove coordinated omission from the latency curves,
+// though: arrivals are slept on the CPU that each CAB's own load
+// saturates, and latency counts from the moment the spawned client first
+// runs, so queueing ahead of that moment goes unmeasured.
 
 // S1Full widens the sweep to the 2048-CAB 3-D torus (set by
 // cmd/nectar-bench -full; the default short ladder tops out at 1024).

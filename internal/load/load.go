@@ -35,10 +35,14 @@ const (
 	// saturation mode.
 	ClosedLoop Arrival = iota
 	// OpenLoop draws exponential interarrival times at Config.RatePerCAB
-	// per CAB and spawns one client thread per arrival, independent of
-	// completions — the paper-style fixed-rate injection. Arrivals beyond
-	// Config.MaxOutstanding in flight are shed (counted in Result.Shed),
-	// modeling a full connection backlog rather than unbounded queueing.
+	// per CAB and spawns one client thread per arrival. It is not a pure
+	// fixed-rate injection: a dispatcher thread sleeps each gap on the
+	// CAB's own CPU, which that CAB's load saturates, so arrivals drift
+	// late under load, and an operation's latency counts from the moment
+	// its spawned client first runs, not from its scheduled arrival.
+	// Arrivals beyond Config.MaxOutstanding in flight are shed (counted
+	// in Result.Shed), modeling a full connection backlog rather than
+	// unbounded queueing.
 	OpenLoop
 )
 
@@ -532,6 +536,9 @@ func (r *run) startOpen() {
 		outstanding := 0
 		seq := 0
 		k := r.sys.CAB(i).Kernel
+		// Every arrival's client thread shares one name: nothing but a
+		// traced run's switch spans reads it.
+		opName := fmt.Sprintf("load-%d.op", i)
 		k.SpawnDaemon(fmt.Sprintf("load-arrivals-%d", i), func(th *kernel.Thread) {
 			for {
 				th.Sleep(interArrival(pk.rng))
@@ -551,7 +558,7 @@ func (r *run) startOpen() {
 				worker := seq % r.cfg.MaxOutstanding
 				seq++
 				outstanding++
-				k.Spawn(fmt.Sprintf("load-%d.op%d", i, seq), func(th *kernel.Thread) {
+				k.Spawn(opName, func(th *kernel.Thread) {
 					opStart := th.Proc().Now()
 					bytes, err := r.doOp(th, kind, i, dst, worker, opts)
 					r.record(kind, i, dst, opStart, bytes, err, opts)

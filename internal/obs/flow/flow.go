@@ -70,8 +70,8 @@ type Record struct {
 
 // Table accumulates flow records. Accounting is zero-alloc in steady state:
 // a seen flow is one map lookup plus counter adds; only the first frame of
-// a new flow allocates its entry. Every reader (Records, Top, CSV, WriteProm)
-// orders output deterministically.
+// a new flow allocates its entry. Every reader (Records, Top, CSV) orders
+// output deterministically.
 type Table struct {
 	flows     map[Key]*Counters
 	order     []Key // first-seen order (kept for the records cap)

@@ -39,8 +39,6 @@ func TestTableNilIsNoOp(t *testing.T) {
 	if tb.Len() != 0 || tb.Records() != nil || tb.Top() != nil {
 		t.Fatal("nil table should observe nothing")
 	}
-	var b bytes.Buffer
-	tb.WriteProm(&b) // must not panic
 	if tb.ProtoName(3) != "proto(3)" {
 		t.Fatalf("nil ProtoName = %q", tb.ProtoName(3))
 	}
@@ -90,19 +88,6 @@ func TestTableTextAndProtoNamer(t *testing.T) {
 	tb.Account(0, 1, 7, 10, 0)
 	if csv := string(tb.CSV()); !strings.Contains(csv, "cab0,cab1,lucky,1,10,0,0\n") {
 		t.Fatalf("CSV did not use the proto namer:\n%s", csv)
-	}
-}
-
-// Label values go out escaped per the exposition format: a protocol name
-// carrying a quote, backslash and newline must not break the sample line.
-func TestWritePromEscapesLabelValues(t *testing.T) {
-	tb := NewTable(4, func(byte) string { return "a\"b\\c\nd" })
-	tb.Account(2, 3, 1, 200, 0)
-	var b bytes.Buffer
-	tb.WriteProm(&b)
-	want := `nectar_flow_bytes{src="cab2",dst="cab3",proto="a\"b\\c\nd"} 200`
-	if !strings.Contains(b.String(), want+"\n") {
-		t.Fatalf("exposition missing %s:\n%s", want, b.String())
 	}
 }
 

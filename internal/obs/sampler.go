@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 
 	"repro/internal/sim"
 )
@@ -144,19 +143,4 @@ func (s *Sampler) CSV() []byte {
 		sr.CSV(&b)
 	}
 	return b.Bytes()
-}
-
-// JSON renders the sampler state (period, tick count, all series with
-// their strides) as indented JSON.
-func (s *Sampler) JSON() ([]byte, error) {
-	if s == nil {
-		return json.MarshalIndent(struct {
-			Series []*Series `json:"series"`
-		}{Series: []*Series{}}, "", "  ")
-	}
-	return json.MarshalIndent(struct {
-		PeriodNs int64     `json:"period_ns"`
-		Ticks    int64     `json:"ticks"`
-		Series   []*Series `json:"series"`
-	}{PeriodNs: int64(s.period), Ticks: s.ticks, Series: s.series}, "", "  ")
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/sim"
@@ -10,8 +9,8 @@ import (
 
 // Point is one sample of a time series.
 type Point struct {
-	At sim.Time `json:"at"`
-	V  int64    `json:"v"`
+	At sim.Time
+	V  int64
 }
 
 // Series is a bounded time series. When the ring fills, the series
@@ -40,14 +39,6 @@ func (s *Series) Name() string { return s.name }
 // Max returns the largest value ever offered (including samples the
 // stride skipped), or 0 for an empty series.
 func (s *Series) Max() int64 { return s.max }
-
-// Last returns the most recently retained point (zero Point if empty).
-func (s *Series) Last() Point {
-	if len(s.pts) == 0 {
-		return Point{}
-	}
-	return s.pts[len(s.pts)-1]
-}
 
 // add offers one sample. The stride decides whether it is retained; the
 // max tracks every offer regardless.
@@ -82,22 +73,4 @@ func (s *Series) CSV(b *bytes.Buffer) {
 	for _, p := range s.pts {
 		fmt.Fprintf(b, "%s,%d,%d\n", s.name, int64(p.At), p.V)
 	}
-}
-
-// seriesJSON is the JSON shape of one exported series.
-type seriesJSON struct {
-	Name   string  `json:"name"`
-	Stride int     `json:"stride"`
-	Max    int64   `json:"max"`
-	Points []Point `json:"points"`
-}
-
-// MarshalJSON exports the series with its downsampling stride. A series
-// that never collected a point exports "points": [] rather than null.
-func (s *Series) MarshalJSON() ([]byte, error) {
-	pts := s.pts
-	if pts == nil {
-		pts = []Point{}
-	}
-	return json.Marshal(seriesJSON{Name: s.name, Stride: s.stride, Max: s.max, Points: pts})
 }

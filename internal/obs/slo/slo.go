@@ -5,7 +5,7 @@
 // the engine maintains streaming windowed quantile sketches and error
 // budgets over the transport's per-operation outcome stream, computes
 // multi-window burn rates (fast and slow), and emits a deterministic
-// alert stream as flight-recorder events, metrics, and Prometheus gauges.
+// alert stream as flight-recorder events and registry metrics.
 // When an alert fires it captures a diagnosis bundle — the worst retained
 // trace trees with critical-path attribution, the top-k flows, the
 // hottest weathermap port, and the flight-recorder window — as one JSON
@@ -74,7 +74,7 @@ func ClassName(c uint8) string {
 // neither failing nor breaching, measured over a sliding Window.
 type Objective struct {
 	// Name labels the objective everywhere: alerts, metrics
-	// (slo.<name>.*), Prometheus gauges, flight events. Required, unique.
+	// (slo.<name>.*), flight events. Required, unique.
 	Name string
 	// Kind is the operation kind the objective covers.
 	Kind OpKind

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -165,28 +164,28 @@ func (r *Registry) Func(name string, fn func() float64) {
 
 // HistSummary is a histogram's exported summary.
 type HistSummary struct {
-	Count int      `json:"count"`
-	Min   sim.Time `json:"min"`
-	P50   sim.Time `json:"p50"`
-	Mean  sim.Time `json:"mean"`
-	P95   sim.Time `json:"p95"`
-	Max   sim.Time `json:"max"`
+	Count int
+	Min   sim.Time
+	P50   sim.Time
+	Mean  sim.Time
+	P95   sim.Time
+	Max   sim.Time
 }
 
 // GaugeValue is a gauge's exported state.
 type GaugeValue struct {
-	Value int64   `json:"value"`
-	Max   int64   `json:"max"`
-	Mean  float64 `json:"mean"`
+	Value int64
+	Max   int64
+	Mean  float64
 }
 
 // Snapshot is a point-in-time copy of every registered metric.
 type Snapshot struct {
-	At       sim.Time               `json:"at"`
-	Counters map[string]int64       `json:"counters,omitempty"`
-	Gauges   map[string]GaugeValue  `json:"gauges,omitempty"`
-	Hists    map[string]HistSummary `json:"histograms,omitempty"`
-	Funcs    map[string]float64     `json:"metrics,omitempty"`
+	At       sim.Time
+	Counters map[string]int64
+	Gauges   map[string]GaugeValue
+	Hists    map[string]HistSummary
+	Funcs    map[string]float64
 }
 
 // Snapshot captures every metric at the current simulated time.
@@ -276,14 +275,5 @@ func (s *Snapshot) Text() string {
 	return b.String()
 }
 
-// JSON renders the snapshot as indented JSON. Map keys are emitted in
-// sorted order (encoding/json), so output is byte-deterministic.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Text snapshots the registry and renders it.
 func (r *Registry) Text() string { return r.Snapshot().Text() }
-
-// JSON snapshots the registry and renders it as JSON.
-func (r *Registry) JSON() ([]byte, error) { return r.Snapshot().JSON() }

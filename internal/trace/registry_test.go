@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -108,24 +107,6 @@ func TestRegistryTextDeterministicAndSorted(t *testing.T) {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("Text missing %q:\n%s", want, txt)
 		}
-	}
-}
-
-func TestRegistryJSONRoundTrip(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRegistry(e)
-	r.Counter("sent").Add(2)
-	r.Histogram("lat").Add(70)
-	raw, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(raw, &s); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, raw)
-	}
-	if s.Counters["sent"] != 2 || s.Hists["lat"].Count != 1 {
-		t.Fatalf("round-tripped snapshot = %+v", s)
 	}
 }
 

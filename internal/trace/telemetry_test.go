@@ -6,9 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The continuous-telemetry plane snapshots the registry repeatedly during
-// a run (nectar-sim -listen renders one exposition per tick). These tests
-// pin the semantics that makes that safe: snapshotting is read-only — a
+// A registry may be snapshotted repeatedly during a run (Snapshot, then
+// Diff against a later one). These tests pin the semantics that makes
+// that safe: snapshotting is read-only — a
 // gauge's time-weighted mean keeps integrating across snapshot and diff
 // boundaries exactly as if nobody had looked.
 
