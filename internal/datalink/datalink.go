@@ -384,20 +384,34 @@ func (d *Datalink) localHubID() byte {
 	return d.net.Hub(d.net.HubOf(d.board.ID())).ID()
 }
 
-// sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4): a
-// test open with retry per hop of the route or multicast tree, the packet,
-// close all. The frame's items share one allocation; each is still a
-// struct of its own, which links and ports update as it moves.
-func (d *Datalink) sendPacketFrame(hops []topo.Hop, payload []byte, sp *trace.Span) {
+// sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4) to
+// dst, or over a multicast tree with dst -1: a test open with retry per hop
+// of the route or tree, the packet, close all. The frame comes from the
+// system's frame store. A unicast frame goes back to the store once the
+// destination's datalink has consumed its packet and its close all (see
+// receiveItem and rxUpcall); a multicast frame, and a frame lost on the
+// way, are left to the garbage collector.
+func (d *Datalink) sendPacketFrame(dst int, hops []topo.Hop, payload []byte, sp *trace.Span) {
 	n := len(hops)
-	frame := make([]fiber.Item, n+2)
+	f := d.net.Frames().Get(n + 2)
 	for i, hp := range hops {
-		frame[i] = d.commandItem(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0)
+		f.Items[i] = d.commandItem(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0)
 	}
-	frame[n] = fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp}
-	frame[n+1] = d.commandItem(hub.OpCloseAll, 0xFF, 0, 0)
-	for i := range frame {
-		d.board.Send(&frame[i])
+	f.Items[n] = fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp}
+	f.Items[n+1] = d.commandItem(hub.OpCloseAll, 0xFF, 0, 0)
+	if dst >= 0 {
+		// The test opens need no tracking: a HUB input queue is FIFO, so
+		// each test open is executed at its HUB before that HUB forwards
+		// the packet behind it (a parked open stalls the input until it is
+		// granted), and nothing keeps an executed OpTestOpenRetry — it
+		// asks for no reply, so Hub.grant captures no closure for it. By
+		// the time the destination consumes the packet and the close all,
+		// no device holds any item of the frame.
+		f.Track(n)
+		f.Track(n + 1)
+	}
+	for i := range f.Items {
+		d.board.Send(&f.Items[i])
 	}
 }
 
@@ -445,7 +459,7 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 	d.board.WaitNetReady(th.Proc())
 	queued := d.queuedSince(t0)
 	d.board.ClearNetReady()
-	d.sendPacketFrame(hops, payload, sp)
+	d.sendPacketFrame(dst, hops, payload, sp)
 	d.sent(dst, payload, queued)
 	sp.End()
 	d.mu.V()
@@ -483,7 +497,7 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 func (d *Datalink) intrSendRun() {
 	s := d.isend
 	d.isend = intrSend{}
-	d.sendPacketFrame(s.hops, s.payload, s.sp)
+	d.sendPacketFrame(s.dst, s.hops, s.payload, s.sp)
 	// Interrupt-level sends only go out when credit is already there, so
 	// their queueing time is zero by construction.
 	d.sent(s.dst, s.payload, 0)
@@ -604,6 +618,7 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 			// damaged packet; the transport's retransmission recovers.
 			d.stats.FramingErrors++
 			d.board.DrainedPacket()
+			it.Consume()
 			return
 		}
 		d.receivePacket(it)
@@ -612,9 +627,10 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 		// strays addressed to other HUBs) are filtered by hardware.
 		if it.FrameError {
 			d.stats.FramingErrors++
-			return
+		} else {
+			d.stats.StrayCommands++
 		}
-		d.stats.StrayCommands++
+		it.Consume()
 	}
 }
 
@@ -666,6 +682,7 @@ func (d *Datalink) rxUpcall() {
 	if d.recv != nil {
 		d.recv(e.it.Payload, e.it.Span)
 	}
+	e.it.Consume()
 }
 
 // popRx removes the head of a receive FIFO. It shifts rather than

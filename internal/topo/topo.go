@@ -79,6 +79,11 @@ type Network struct {
 
 	linkSeed int64
 
+	// frames is the system's one store of packet-switched frames: every
+	// datalink takes its frames from it, and the destination's datalink
+	// returns them (see fiber.Frame).
+	frames fiber.FrameStore
+
 	// fields[to] caches the adaptive router's route field toward HUB to
 	// (nil until first routed toward; the slice is nil after every
 	// invalidateRoutes).
@@ -102,6 +107,9 @@ func NewNetwork(eng *sim.Engine, rec *trace.Recorder, opts Options) *Network {
 
 // Engine returns the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
+
+// Frames returns the network's packet-switched frame store.
+func (n *Network) Frames() *fiber.FrameStore { return &n.frames }
 
 // AddHub creates a HUB and returns its index. HUB IDs are assigned
 // sequentially starting at 1 (0 is reserved); adding more than MaxHubs

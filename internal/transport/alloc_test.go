@@ -12,12 +12,13 @@ import (
 // the receiver's mailbox on one HUB, with no instrumentation. The receive
 // path between the fiber and the mailbox allocates nothing of its own: each
 // receive stage takes its packet from a FIFO with a method bound once, and
-// the decoded header lives on the stack. Three allocations remain: the
-// Encode wire, the frame (its test open, packet and close all share one
-// array) and the Message the receiving mailbox reserves. A per-packet
-// closure in a receive stage, a heap header or an item allocated on its own
-// shows up here (10 before they went).
-const datagramAllocs = 3
+// the decoded header lives on the stack, and the frame (its test open,
+// packet and close all) comes back to the system's frame store once the
+// receiver has consumed it. Two allocations remain: the Encode wire and the
+// Message the receiving mailbox reserves. A per-packet closure in a receive
+// stage, a heap header, an item allocated on its own or a frame that is not
+// reused shows up here (10 before they went, 3 while every frame was new).
+const datagramAllocs = 2
 
 func TestDatagramReceivePathAllocations(t *testing.T) {
 	sys := core.New(core.SingleHub(2))
@@ -57,12 +58,13 @@ func TestDatagramReceivePathAllocations(t *testing.T) {
 // requestAllocs is what a warmed 64-byte Request and its Respond cost on one
 // HUB, with no instrumentation. Timers belong to the threads that arm them,
 // Cond waiters are the threads' own, the pending request holds its Cond by
-// value and the pendingReq itself is reused from the transport's free list,
-// so six allocations remain: per direction the Encode wire and the frame,
-// the server mailbox's Message and the client's copy of the response (15
-// while timers, Conds and frame items were allocated per use, 7 while each
-// request made its own pendingReq).
-const requestAllocs = 6
+// value, the pendingReq itself is reused from the transport's free list and
+// each direction's frame from the frame store, so four allocations remain:
+// per direction the Encode wire, the server mailbox's Message and the
+// client's copy of the response (15 while timers, Conds and frame items
+// were allocated per use, 7 while each request made its own pendingReq, 6
+// while every frame was new).
+const requestAllocs = 4
 
 func TestRequestRoundTripAllocations(t *testing.T) {
 	resp, data := make([]byte, 64), make([]byte, 64)
@@ -80,16 +82,17 @@ func TestRequestRoundTripAllocations(t *testing.T) {
 
 // VMTP transactions on one HUB, warmed, with no instrumentation. A
 // one-packet group is complete on arrival, so neither end makes a group, a
-// segment map, a closure or a gap timer, and the client's vmtpPending comes
-// off the free list. Eight allocations remain: per direction the
-// groupPackets slice, the Encode wire and the frame, the server mailbox's
-// Message and the client's one copy of the response (22 while every group
-// went through map-based reassembly). A 3-packet response adds a wire and a
-// frame per extra packet; the buffer it is reassembled into is the response,
-// in place of the one-packet copy: 12 (28 before).
+// segment map, a closure or a gap timer, the client's vmtpPending comes off
+// the free list and every frame comes back to the frame store. Six
+// allocations remain: per direction the groupPackets slice and the Encode
+// wire, the server mailbox's Message and the client's one copy of the
+// response (22 while every group went through map-based reassembly, 8 while
+// every frame was new). A 3-packet response adds a wire per extra packet;
+// the buffer it is reassembled into is the response, in place of the
+// one-packet copy: 8 (28 with map-based reassembly, 12 with new frames).
 const (
-	vtransactAllocs      = 8
-	vtransact3PktsAllocs = 12
+	vtransactAllocs      = 6
+	vtransact3PktsAllocs = 8
 )
 
 func TestVTransactRoundTripAllocations(t *testing.T) {
