@@ -184,7 +184,7 @@ func (g *Group) pick(fam string, size int, op *Op) algo {
 	default: // gather, scatter, alltoall: tree / pairwise only
 		a = aTree
 	}
-	g.reg.Counter("coll." + fam + ".algo." + algoName(a)).Inc()
+	g.countAlgo(fam, a)
 	return a
 }
 

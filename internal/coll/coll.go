@@ -80,6 +80,24 @@ type Group struct {
 	tr  *trace.Tracer
 	reg *trace.Registry
 	fr  *obs.FlightRecorder
+
+	// The metric instruments of each collective and of each algorithm
+	// choice, looked up in reg on first use and kept, so a collective
+	// builds no instrument name. Both stay nil while reg is nil.
+	opMetrics  map[string]opMetrics
+	algoCounts map[algoChoice]*trace.Counter
+}
+
+// opMetrics are one collective's latency histogram and call count.
+type opMetrics struct {
+	latency *trace.Histogram
+	count   *trace.Counter
+}
+
+// algoChoice names one algorithm picked for one collective family.
+type algoChoice struct {
+	fam string
+	a   algo
 }
 
 // Option refines a group under construction.
@@ -375,12 +393,50 @@ func (c *Comm) op(th *kernel.Thread, name string, body func(seq uint32) error) e
 	}
 	t0 := th.Proc().Now()
 	err := body(seq)
-	g.reg.Histogram("coll." + name + ".latency").Add(th.Proc().Now() - t0)
-	g.reg.Counter("coll." + name + ".count").Inc()
-	if err != nil {
-		g.reg.Counter("coll.errors").Inc()
+	if g.reg != nil {
+		m := g.metricsOf(name)
+		m.latency.Add(th.Proc().Now() - t0)
+		m.count.Inc()
+		if err != nil {
+			g.reg.Counter("coll.errors").Inc()
+		}
 	}
 	return err
+}
+
+// metricsOf returns collective name's instruments, registering them on
+// the group's first use of name. g.reg must not be nil.
+func (g *Group) metricsOf(name string) opMetrics {
+	m, ok := g.opMetrics[name]
+	if !ok {
+		m = opMetrics{
+			latency: g.reg.Histogram("coll." + name + ".latency"),
+			count:   g.reg.Counter("coll." + name + ".count"),
+		}
+		if g.opMetrics == nil {
+			g.opMetrics = make(map[string]opMetrics)
+		}
+		g.opMetrics[name] = m
+	}
+	return m
+}
+
+// countAlgo counts one choice of algorithm a for family fam, registering
+// the counter on the group's first such choice.
+func (g *Group) countAlgo(fam string, a algo) {
+	if g.reg == nil {
+		return
+	}
+	k := algoChoice{fam, a}
+	c, ok := g.algoCounts[k]
+	if !ok {
+		c = g.reg.Counter("coll." + fam + ".algo." + algoName(a))
+		if g.algoCounts == nil {
+			g.algoCounts = make(map[algoChoice]*trace.Counter)
+		}
+		g.algoCounts[k] = c
+	}
+	c.Inc()
 }
 
 // Op is a reduction operator over fixed-size elements. Combine folds src

@@ -29,6 +29,7 @@ type Sampler struct {
 	series []*Series
 
 	ev      sim.Event
+	tickFn  func() // tick, bound once: re-arming allocates nothing
 	running bool
 	ticks   int64
 }
@@ -43,7 +44,9 @@ func NewSampler(eng *sim.Engine, period sim.Time, capacity int) *Sampler {
 	if capacity <= 0 {
 		capacity = DefaultSamplerCap
 	}
-	return &Sampler{eng: eng, period: period, cap: capacity}
+	s := &Sampler{eng: eng, period: period, cap: capacity}
+	s.tickFn = s.tick
+	return s
 }
 
 // Register adds a named state source. fn is called at each tick and must
@@ -84,7 +87,7 @@ func (s *Sampler) Start() {
 		return
 	}
 	s.running = true
-	s.ev = s.eng.After(s.period, s.tick)
+	s.ev = s.eng.After(s.period, s.tickFn)
 }
 
 // Stop disarms the sampler. Already-collected series remain readable.
@@ -105,7 +108,7 @@ func (s *Sampler) tick() {
 	for i, fn := range s.fns {
 		s.series[i].add(now, fn())
 	}
-	s.ev = s.eng.After(s.period, s.tick)
+	s.ev = s.eng.After(s.period, s.tickFn)
 }
 
 // Series returns the collected series in registration order. Callers must

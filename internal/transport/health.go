@@ -217,7 +217,7 @@ func (t *Transport) Crash() {
 	t.vm = nil
 	t.streamsIn = make(map[streamKey]*streamRecv)
 	t.once = newAtMostOnce[[]byte]()
-	t.outq = nil
+	t.outq.Clear()
 	t.watch = make(map[int]*peerState)
 	if t.ovl != nil {
 		// The classed send queue and breakers live in CAB memory: a

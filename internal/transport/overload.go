@@ -114,7 +114,7 @@ type overload struct {
 
 	// Classed CAB send queue, drained by the service thread in
 	// weighted-deficit-round-robin order.
-	q       [NumClasses][]ovItem
+	q       [NumClasses]sim.FIFO[ovItem]
 	deficit [NumClasses]int
 	queued  int
 
@@ -150,7 +150,7 @@ func (o *overload) enqueue(it ovItem, c Class) {
 	if c >= NumClasses {
 		c = ClassNormal
 	}
-	o.q[c] = append(o.q[c], it)
+	o.q[c].Push(it)
 	o.queued++
 }
 
@@ -164,23 +164,23 @@ func (o *overload) dequeue() (ovItem, bool) {
 	}
 	for {
 		for _, c := range classPrecedence {
-			if len(o.q[c]) == 0 {
+			if o.q[c].Len() == 0 {
 				continue
 			}
-			head := o.q[c][0]
+			head := o.q[c].Peek()
 			if o.deficit[c] < len(head.wire) {
 				continue
 			}
 			o.deficit[c] -= len(head.wire)
-			o.q[c] = o.q[c][1:]
+			o.q[c].Pop()
 			o.queued--
-			if len(o.q[c]) == 0 {
+			if o.q[c].Len() == 0 {
 				o.deficit[c] = 0 // classic DRR: empty queues hold no credit
 			}
 			return head, true
 		}
 		for _, c := range classPrecedence {
-			if len(o.q[c]) > 0 {
+			if o.q[c].Len() > 0 {
 				o.deficit[c] += quantum[c]
 			}
 		}

@@ -36,7 +36,7 @@ type streamSender struct {
 	done    bool  // AckDone received for curMsg
 	err     error // fatal failure (peer dead, local crash); set out of band
 	nextMsg uint32
-	window  int // unacked packets in flight (sampler read-out)
+	window  int // unacked packets in flight; set only through setWindow
 }
 
 // ErrStreamTimeout is returned when a stream message exhausts
@@ -100,7 +100,7 @@ func (t *Transport) StreamSend(th *kernel.Thread, dst int, dstBox, srcBox uint16
 func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) error {
 	s := t.streamOut(streamKey{peer: dst, lbox: srcBox, rbox: dstBox})
 	return t.reliableOp(th, slo.KindStream, dst, opts, s.mu, func() (uint64, error) {
-		defer func() { s.window = 0 }()
+		defer t.setWindow(s, 0)
 
 		msgID := s.nextMsg
 		s.nextMsg++
@@ -140,7 +140,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 					return 0, err
 				}
 				next++
-				s.window = next - base
+				t.setWindow(s, next-base)
 			}
 			got := s.cond.WaitTimeout(th, rto)
 			if s.done {
@@ -151,7 +151,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 			}
 			if s.acked > base {
 				base = s.acked
-				s.window = next - base
+				t.setWindow(s, next-base)
 				expiries = 0
 				continue
 			}
@@ -171,7 +171,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 					return 0, &ErrStreamTimeout{Dst: dst, MsgID: msgID, Expiries: expiries}
 				}
 				next = base
-				s.window = 0
+				t.setWindow(s, 0)
 			}
 		}
 		t.stats.StreamMsgsSent++

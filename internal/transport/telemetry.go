@@ -64,12 +64,16 @@ func (t *Transport) InFlight() int64 { return t.inflightOps }
 func (t *Transport) Completed() int64 { return t.completedOps }
 
 // WindowInFlight returns the total unacknowledged go-back-N packets
-// across this transport's outgoing streams (sampler read-out). Summing is
-// map-order independent, so the reading is deterministic.
-func (t *Transport) WindowInFlight() int64 {
-	var n int64
-	for _, s := range t.streamsOut {
-		n += int64(s.window)
-	}
-	return n
+// across this transport's outgoing streams (sampler read-out). It reads a
+// running sum, so a sampler tick costs the same however many connections
+// the transport has opened.
+func (t *Transport) WindowInFlight() int64 { return t.windowInFlight }
+
+// setWindow sets a sender's count of unacknowledged packets and keeps the
+// running sum WindowInFlight reads. Every write of a window goes through
+// here, and streamsOut never drops a sender (Crash keeps it), so the sum
+// always equals the sum over streamsOut.
+func (t *Transport) setWindow(s *streamSender, n int) {
+	t.windowInFlight += int64(n - s.window)
+	s.window = n
 }

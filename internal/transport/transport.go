@@ -124,7 +124,7 @@ type Transport struct {
 
 	// Service thread: sends control packets (acks, cached responses)
 	// that originate at interrupt level.
-	outq    []outItem
+	outq    sim.FIFO[outItem]
 	outSem  *kernel.Sem
 	nextMsg uint32
 
@@ -147,6 +147,9 @@ type Transport struct {
 	frName       string
 	inflightOps  int64
 	completedOps int64
+	// windowInFlight is the sum of every outgoing stream's window
+	// (setWindow keeps it).
+	windowInFlight int64
 	// fl is the system flow table (nil when the observatory is off).
 	fl *flow.Table
 	// slo receives per-operation outcomes (nil when the SLO engine is
@@ -160,7 +163,7 @@ type Transport struct {
 	// rx holds the received packets whose receive interrupt is queued,
 	// oldest first. The CPU runs interrupts in submission order and never
 	// drops one, so recvPacketFn, bound once, pops its own packet.
-	rx           []rxPacket
+	rx           sim.FIFO[rxPacket]
 	recvPacketFn func()
 
 	stats Stats
@@ -252,11 +255,10 @@ func (t *Transport) serviceLoop(th *kernel.Thread) {
 			t.serviceClassed(th)
 			continue
 		}
-		if len(t.outq) == 0 {
+		if t.outq.Len() == 0 {
 			continue
 		}
-		it := t.outq[0]
-		t.outq = t.outq[1:]
+		it := t.outq.Pop()
 		prev := th.SetSpan(it.sp)
 		t.sendWire(th, it.dst, it.wire)
 		th.SetSpan(prev)
@@ -281,7 +283,7 @@ func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 		t.outSem.V()
 		return
 	}
-	t.outq = append(t.outq, outItem{dst: dst, wire: wire, sp: sp})
+	t.outq.Push(outItem{dst: dst, wire: wire, sp: sp})
 	t.outSem.V()
 }
 
@@ -374,18 +376,14 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 // trace span carried across the wire (nil when untraced).
 func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
 	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
-	t.rx = append(t.rx, rxPacket{wire: wire, sp: sp, rsp: rsp})
+	t.rx.Push(rxPacket{wire: wire, sp: sp, rsp: rsp})
 	t.k.Board().CPU.RunInterrupt(procRecv, t.recvPacketFn)
 }
 
 // recvPacket is the receive interrupt of the oldest queued packet: it
 // decodes the header, on the stack, and dispatches on the protocol.
 func (t *Transport) recvPacket() {
-	p := t.rx[0]
-	// Shift rather than reslice, so the queue keeps its capacity.
-	n := copy(t.rx, t.rx[1:])
-	t.rx[n] = rxPacket{}
-	t.rx = t.rx[:n]
+	p := t.rx.Pop()
 	defer p.rsp.End()
 	h, payload, err := Decode(p.wire)
 	if err != nil {
