@@ -33,9 +33,10 @@ func TestCPUSequentialJobs(t *testing.T) {
 func TestCPUInterruptPreemptsThread(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := NewCPU(eng)
-	var thDone, intDone sim.Time
+	var thDone, queuedDone, intDone sim.Time
 	eng.At(0, func() {
 		cpu.Submit(PrioThread, 1000, func() { thDone = eng.Now() })
+		cpu.Submit(PrioThread, 400, func() { queuedDone = eng.Now() })
 	})
 	eng.At(300, func() {
 		cpu.Submit(PrioInterrupt, 200, func() { intDone = eng.Now() })
@@ -44,12 +45,16 @@ func TestCPUInterruptPreemptsThread(t *testing.T) {
 	if intDone != 500 {
 		t.Fatalf("interrupt done at %v, want 500 (runs immediately)", intDone)
 	}
-	// Thread had 700 remaining at preemption; resumes at 500 -> 1200.
+	// Thread had 700 remaining at preemption; it goes back ahead of the
+	// queued job and resumes at 500 -> 1200.
 	if thDone != 1200 {
-		t.Fatalf("thread done at %v, want 1200 (stretched by interrupt)", thDone)
+		t.Fatalf("preempted thread done at %v, want 1200 (stretched by interrupt, resumed first)", thDone)
 	}
-	if cpu.BusyTime() != 1200 {
-		t.Fatalf("BusyTime = %v, want 1200 (no idle gaps)", cpu.BusyTime())
+	if queuedDone != 1600 {
+		t.Fatalf("queued thread done at %v, want 1600 (after the preempted one)", queuedDone)
+	}
+	if cpu.BusyTime() != 1600 {
+		t.Fatalf("BusyTime = %v, want 1600 (no idle gaps)", cpu.BusyTime())
 	}
 }
 

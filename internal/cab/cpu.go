@@ -51,8 +51,8 @@ type CPU struct {
 	curStart sim.Time
 	finishFn func() // c.finish, bound once
 
-	intq []job // pending interrupt-level jobs (FIFO)
-	thq  []job // pending thread-level jobs (FIFO)
+	intq sim.FIFO[job] // pending interrupt-level jobs
+	thq  sim.FIFO[job] // pending thread-level jobs
 
 	busy     sim.Time // accumulated busy time
 	jobsDone int64
@@ -73,7 +73,7 @@ func (c *CPU) BusyTime() sim.Time { return c.busy }
 func (c *CPU) JobsDone() int64 { return c.jobsDone }
 
 // Idle reports whether the CPU has no running or queued work.
-func (c *CPU) Idle() bool { return !c.running && len(c.intq) == 0 && len(c.thq) == 0 }
+func (c *CPU) Idle() bool { return !c.running && c.intq.Len() == 0 && c.thq.Len() == 0 }
 
 // Submit schedules work of the given duration; done runs on completion.
 // Zero-duration work completes via the event queue (preserving ordering).
@@ -86,13 +86,13 @@ func (c *CPU) submit(j job) {
 		panic(fmt.Sprintf("cab: negative CPU work %v", j.remaining))
 	}
 	if j.prio == PrioInterrupt {
-		c.intq = append(c.intq, j)
+		c.intq.Push(j)
 		// Preempt thread-level work.
 		if c.running && c.cur.prio == PrioThread {
 			c.preempt()
 		}
 	} else {
-		c.thq = append(c.thq, j)
+		c.thq.Push(j)
 	}
 	c.dispatch()
 }
@@ -107,9 +107,7 @@ func (c *CPU) preempt() {
 		c.cur.remaining = 0
 	}
 	c.eng.Cancel(c.curEvent)
-	c.thq = append(c.thq, job{})
-	copy(c.thq[1:], c.thq)
-	c.thq[0] = c.cur
+	c.thq.PushFront(c.cur)
 	c.cur, c.running = job{}, false
 	c.curEvent = sim.Event{}
 }
@@ -120,26 +118,16 @@ func (c *CPU) dispatch() {
 		return
 	}
 	switch {
-	case len(c.intq) > 0:
-		c.cur = popJob(&c.intq)
-	case len(c.thq) > 0:
-		c.cur = popJob(&c.thq)
+	case c.intq.Len() > 0:
+		c.cur = c.intq.Pop()
+	case c.thq.Len() > 0:
+		c.cur = c.thq.Pop()
 	default:
 		return
 	}
 	c.running = true
 	c.curStart = c.eng.Now()
 	c.curEvent = c.eng.After(c.cur.remaining, c.finishFn)
-}
-
-// popJob removes the head of a job queue. It shifts rather than reslices,
-// so the queue keeps its capacity and appends stop allocating.
-func popJob(q *[]job) job {
-	j := (*q)[0]
-	n := copy(*q, (*q)[1:])
-	(*q)[n] = job{}
-	*q = (*q)[:n]
-	return j
 }
 
 // finish completes the current job (its event fired; a preempted job's

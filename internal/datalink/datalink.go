@@ -130,7 +130,7 @@ type Datalink struct {
 	// FIFO per datalink, so each stage's one bound method (rxInterruptFn,
 	// rxUpcallFn) pops the oldest entry instead of closing over its own
 	// packet (see receivePacket).
-	rxIntr, rxDone []rxEntry
+	rxIntr, rxDone sim.FIFO[rxEntry]
 	rxInterruptFn  func()
 	rxUpcallFn     func()
 
@@ -652,13 +652,13 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 //   - events at equal times fire in the order they were scheduled.
 func (d *Datalink) receivePacket(it *fiber.Item) {
 	rsp := it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
-	d.rxIntr = append(d.rxIntr, rxEntry{it: it, rsp: rsp})
+	d.rxIntr.Push(rxEntry{it: it, rsp: rsp})
 	d.board.CPU.RunInterrupt(recvInterrupt+upcall, d.rxInterruptFn)
 }
 
 // rxInterrupt is the start-of-packet interrupt of the oldest packet.
 func (d *Datalink) rxInterrupt() {
-	e := popRx(&d.rxIntr)
+	e := d.rxIntr.Pop()
 	// DMA out of the input queue into CAB memory. The start of packet
 	// emerges now; the upstream output register's ready bit is restored.
 	d.board.DrainedPacket()
@@ -667,13 +667,13 @@ func (d *Datalink) rxInterrupt() {
 	eng := d.k.Engine()
 	dmaDone := d.board.DMA.TransferSpan(cab.ChanFiberIn, len(e.it.Payload), nil, e.it.Span)
 	done := max(e.it.End(), dmaDone, eng.Now())
-	d.rxDone = append(d.rxDone, e)
+	d.rxDone.Push(e)
 	eng.At(done, d.rxUpcallFn)
 }
 
 // rxUpcall delivers the oldest drained packet to the transport.
 func (d *Datalink) rxUpcall() {
-	e := popRx(&d.rxDone)
+	e := d.rxDone.Pop()
 	e.rsp.End()
 	n := len(e.it.Payload)
 	d.stats.PacketsReceived++
@@ -683,16 +683,6 @@ func (d *Datalink) rxUpcall() {
 		d.recv(e.it.Payload, e.it.Span)
 	}
 	e.it.Consume()
-}
-
-// popRx removes the head of a receive FIFO. It shifts rather than
-// reslices, so the FIFO keeps its capacity and appends stop allocating.
-func popRx(q *[]rxEntry) rxEntry {
-	e := (*q)[0]
-	n := copy(*q, (*q)[1:])
-	(*q)[n] = rxEntry{}
-	*q = (*q)[:n]
-	return e
 }
 
 // AcquireHubLock acquires hardware lock `lock` on the HUB this CAB attaches

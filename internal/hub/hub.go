@@ -79,7 +79,7 @@ type Hub struct {
 type lockState struct {
 	held    bool
 	holder  int // port id through which the lock was acquired
-	waiters []pendingCmd
+	waiters sim.FIFO[pendingCmd]
 }
 
 // New creates a HUB with nports ports. rec may be nil.
@@ -229,16 +229,6 @@ type pendingCmd struct {
 	in   *Port // input port the command arrived on
 }
 
-// popWaiter removes and returns the head of a FIFO of parked commands,
-// shifting rather than reslicing so the queue keeps its capacity.
-func popWaiter(q *[]pendingCmd) pendingCmd {
-	w := (*q)[0]
-	n := copy(*q, (*q)[1:])
-	(*q)[n] = pendingCmd{}
-	*q = (*q)[:n]
-	return w
-}
-
 // execSerialized runs a controller command (opens and locks) for input
 // port in. It returns true when the command is complete and the input may
 // advance; false when the command is parked (retry) and the input stalls.
@@ -277,7 +267,7 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
 		}
 		if op.retries() {
-			out.waiters = append(out.waiters, pendingCmd{item: it, in: in})
+			out.waiters.Push(pendingCmd{item: it, in: in})
 			return false // input stalls behind the pending open
 		}
 		h.reply(it, false, 0xFF)
@@ -332,7 +322,7 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 			return true
 		}
 		if op == OpLockRetry {
-			lk.waiters = append(lk.waiters, pendingCmd{item: it, in: in})
+			lk.waiters.Push(pendingCmd{item: it, in: in})
 			return false
 		}
 		h.reply(it, false, uint64(lk.holder))
@@ -378,8 +368,8 @@ func (h *Hub) unlock(id int) {
 	if h.rec != nil {
 		h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
 	}
-	if len(lk.waiters) > 0 {
-		w := popWaiter(&lk.waiters)
+	if lk.waiters.Len() > 0 {
+		w := lk.waiters.Pop()
 		lk.held = true
 		lk.holder = w.in.id
 		if h.rec != nil {
@@ -395,13 +385,13 @@ func (h *Hub) unlock(id int) {
 // serveWaiters retries opens parked on output out, in FIFO order, after the
 // output frees or its ready bit sets. Each granted open resumes its input.
 func (h *Hub) serveWaiters(out *Port) {
-	for len(out.waiters) > 0 {
-		w := out.waiters[0]
+	for out.waiters.Len() > 0 {
+		w := out.waiters.Peek()
 		op := Opcode(w.item.Cmd.Op)
 		if op.wantsReady() && out.failed {
 			// The link went down while this test-open was parked: fail
 			// it and free its input (see execOpen).
-			popWaiter(&out.waiters)
+			out.waiters.Pop()
 			if op.replies() {
 				h.reply(w.item, false, 0xFF)
 			}
@@ -411,7 +401,7 @@ func (h *Hub) serveWaiters(out *Port) {
 		if !h.openable(w.in, out, op) {
 			return
 		}
-		popWaiter(&out.waiters)
+		out.waiters.Pop()
 		h.eng.At(h.grant(w.in, out, w.item, " (retried)"), w.in.advanceFn)
 		// A granted open with multicast semantics leaves the output
 		// owned; further waiters for this output stay parked.
@@ -429,12 +419,13 @@ func (h *Hub) serveWaiters(out *Port) {
 func (h *Hub) ResetOutput(i int, ready bool) {
 	out := h.ports[i]
 	waiters := out.waiters
-	out.waiters = nil
+	out.waiters = sim.FIFO[pendingCmd]{}
 	if out.owner != nil {
 		h.closeConn(out.owner, out)
 	}
 	out.ready = ready
-	for _, w := range waiters {
+	for waiters.Len() > 0 {
+		w := waiters.Pop()
 		if Opcode(w.item.Cmd.Op).replies() {
 			h.reply(w.item, false, 0xFF)
 		}
@@ -482,7 +473,7 @@ func (h *Hub) closeConn(in *Port, out *Port) {
 		h.rec.Record(trace.EvConnClose, h.name, "p%d->p%d", in.id, out.id)
 	}
 	// Serve parked opens after one cycle.
-	if len(out.waiters) > 0 {
+	if out.waiters.Len() > 0 {
 		h.eng.After(CycleTime, out.serveFn)
 	}
 }

@@ -1,10 +1,13 @@
 package hub
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fiber"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // tcab is a minimal CAB-side fiber endpoint for exercising the HUB: it can
@@ -270,8 +273,63 @@ func TestOpenBusyFailsAndRetryWaits(t *testing.T) {
 		b.pktTimes[0] < 50_000 || b.pktTimes[1] < 80_000 {
 		t.Fatalf("queued packets: %d at %v", len(b.packets), b.pktTimes)
 	}
-	if err := h.CheckInvariants(); err != nil || len(h.Port(1).waiters) != 0 {
-		t.Fatalf("after both grants: %v, %d parked", err, len(h.Port(1).waiters))
+	if err := h.CheckInvariants(); err != nil || h.Port(1).waiters.Len() != 0 {
+		t.Fatalf("after both grants: %v, %d parked", err, h.Port(1).waiters.Len())
+	}
+}
+
+// TestResetOutputAbandonsParkedOpens: resetting an output fails every
+// open parked on it with a no-retry reply, in parking order, and resumes
+// each stalled input one controller cycle later.
+func TestResetOutputAbandonsParkedOpens(t *testing.T) {
+	eng := sim.NewEngine()
+	rec := trace.NewRecorder(eng, 1000)
+	h := New(eng, 0, 5, rec)
+	a := attachCAB(eng, h, 0, "cabA")
+	attachCAB(eng, h, 1, "cabB")
+	parked := []*tcab{attachCAB(eng, h, 2, "cabC"), attachCAB(eng, h, 3, "cabD"), attachCAB(eng, h, 4, "cabE")}
+	eng.At(0, func() { a.send(a.cmd(OpOpenRetry, 0, 1)) })
+	// Park the three in the order E, C, D, so parking order is not port order.
+	for i, c := range []*tcab{parked[2], parked[0], parked[1]} {
+		eng.At(sim.Time(10_000*(i+1)), func() { c.send(c.cmd(OpOpenRetryReply, 0, 1)) })
+	}
+	const reset = 50_000
+	eng.At(reset, func() {
+		if n := h.Port(1).waiters.Len(); n != 3 {
+			t.Fatalf("%d opens parked before the reset, want 3", n)
+		}
+		h.ResetOutput(1, false)
+	})
+	stalled := func(at sim.Time, want bool) {
+		eng.At(at, func() {
+			for _, c := range parked {
+				if c.hubPort.stalled != want {
+					t.Errorf("at %v: %s's input stalled = %v, want %v", at, c.name, c.hubPort.stalled, want)
+				}
+			}
+		})
+	}
+	stalled(reset+CycleTime-1, true)
+	stalled(reset+CycleTime+1, false)
+	eng.Run()
+
+	for _, c := range parked {
+		if len(c.replies) != 1 || c.replies[0].ReplyOK {
+			t.Fatalf("%s got %d replies (first ok=%v), want one failure", c.name, len(c.replies), len(c.replies) > 0 && c.replies[0].ReplyOK)
+		}
+	}
+	var abandoned []string
+	for _, r := range rec.Events() {
+		if r.Kind == trace.EvConnRetry && strings.Contains(r.Detail, "abandoned") {
+			abandoned = append(abandoned, r.Detail)
+		}
+	}
+	want := []string{"p4->p1 abandoned (output reset)", "p2->p1 abandoned (output reset)", "p3->p1 abandoned (output reset)"}
+	if !slices.Equal(abandoned, want) {
+		t.Fatalf("abandoned %q, want parking order %q", abandoned, want)
+	}
+	if err := h.CheckInvariants(); err != nil || h.Port(1).waiters.Len() != 0 || h.Port(1).owner != nil {
+		t.Fatalf("after reset: %v, %d parked, owner %v", err, h.Port(1).waiters.Len(), h.Port(1).owner)
 	}
 }
 

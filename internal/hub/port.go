@@ -27,7 +27,7 @@ type Port struct {
 	loopback bool
 
 	// Input side.
-	inq []*fiber.Item
+	inq sim.FIFO[*fiber.Item]
 	// inBytes counts queued PACKET bytes. Commands (3 bytes each) are
 	// consumed at line rate by the port hardware and never accumulate,
 	// so only packets count against the 1 KB queue.
@@ -48,7 +48,7 @@ type Port struct {
 	owner     *Port
 	connReady sim.Time
 	ready     bool
-	waiters   []pendingCmd
+	waiters   sim.FIFO[pendingCmd]
 	// serveFn retries the opens parked on this output; bound once.
 	serveFn func()
 	// stuck models a failed output register (paper §4: recovery from
@@ -158,7 +158,7 @@ func (p *Port) Failed() bool { return p.failed }
 // test-opens.
 func (p *Port) SetReady() {
 	p.ready = true
-	if len(p.waiters) > 0 {
+	if p.waiters.Len() > 0 {
 		p.hub.serveWaiters(p)
 	}
 }
@@ -181,13 +181,13 @@ func (p *Port) Receive(it *fiber.Item) {
 		// connection streams the packet without occupying the queue,
 		// which is how circuit switching carries packets larger than
 		// the 1 KB input queue (paper §4.2.3).
-		cutThrough := len(p.inq) == 0 && !p.stalled && len(p.conn) > 0
+		cutThrough := p.inq.Len() == 0 && !p.stalled && len(p.conn) > 0
 		if !cutThrough && p.inBytes+it.Bytes() > InputQueueBytes {
 			p.drop(it, "input queue overflow")
 			return
 		}
 	}
-	p.inq = append(p.inq, it)
+	p.inq.Push(it)
 	if it.Kind == fiber.KindPacket {
 		p.inBytes += it.Bytes()
 		p.occ.Set(int64(p.inBytes))
@@ -216,7 +216,7 @@ func (p *Port) drop(it *fiber.Item, why string) {
 
 // flushInput discards every queued item (see drop).
 func (p *Port) flushInput(why string) {
-	for len(p.inq) > 0 {
+	for p.inq.Len() > 0 {
 		p.drop(p.pop(), why)
 	}
 }
@@ -231,7 +231,7 @@ func (p *Port) returnCredit(it *fiber.Item) {
 
 // kick starts the input processing chain if it is idle.
 func (p *Port) kick() {
-	if p.running || p.stalled || len(p.inq) == 0 {
+	if p.running || p.stalled || p.inq.Len() == 0 {
 		return
 	}
 	p.running = true
@@ -251,11 +251,11 @@ func (p *Port) step() {
 		p.running = false
 		return
 	}
-	if len(p.inq) == 0 {
+	if p.inq.Len() == 0 {
 		p.running = false
 		return
 	}
-	it := p.inq[0]
+	it := p.inq.Peek()
 	now := p.hub.eng.Now()
 	if it.Kind == fiber.KindCommand && Opcode(it.Cmd.Op) != OpCloseAll &&
 		Opcode(it.Cmd.Op) != OpCloseAllReply && it.Cmd.Hub == p.hub.id {
@@ -276,11 +276,7 @@ func (p *Port) step() {
 
 // pop removes the head item.
 func (p *Port) pop() *fiber.Item {
-	it := p.inq[0]
-	// Shift rather than reslice, so the queue keeps its capacity.
-	n := copy(p.inq, p.inq[1:])
-	p.inq[n] = nil
-	p.inq = p.inq[:n]
+	it := p.inq.Pop()
 	if it.Kind == fiber.KindPacket {
 		p.inBytes -= it.Bytes()
 		p.occ.Set(int64(p.inBytes))
@@ -462,7 +458,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 			q.enabled = true
 			// Opens that parked while the port was disabled can now be
 			// granted.
-			if len(q.waiters) > 0 {
+			if q.waiters.Len() > 0 {
 				h.serveWaiters(q)
 			}
 		}
@@ -503,7 +499,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 	case SupThaw:
 		h.frozen = false
 		for _, out := range h.ports {
-			if len(out.waiters) > 0 {
+			if out.waiters.Len() > 0 {
 				h.serveWaiters(out)
 			}
 		}

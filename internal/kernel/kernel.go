@@ -53,7 +53,7 @@ type Kernel struct {
 	eng   *sim.Engine
 	board *cab.Board
 
-	runq []*Thread
+	runq sim.FIFO[*Thread]
 	cur  *Thread
 
 	// boxes tracks every mailbox for crash recovery (Reboot purges them:
@@ -227,7 +227,7 @@ func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 	} else {
 		t.proc = k.eng.Go(name, run)
 	}
-	k.runq = append(k.runq, t)
+	k.runq.Push(t)
 	k.dispatch()
 	return t
 }
@@ -247,14 +247,10 @@ func (t *Thread) parkUntilDispatched(p *sim.Proc) {
 // dispatch picks the next ready thread if the CPU's thread level is free,
 // charging the context-switch cost.
 func (k *Kernel) dispatch() {
-	if k.cur != nil || len(k.runq) == 0 {
+	if k.cur != nil || k.runq.Len() == 0 {
 		return
 	}
-	t := k.runq[0]
-	// Shift rather than reslice, so the queue keeps its capacity.
-	n := copy(k.runq, k.runq[1:])
-	k.runq[n] = nil
-	k.runq = k.runq[:n]
+	t := k.runq.Pop()
 	k.cur = t
 	k.switches++
 	if k.tr != nil {
@@ -269,7 +265,7 @@ func (t *Thread) ready() {
 		return
 	}
 	t.state = StateReady
-	t.k.runq = append(t.k.runq, t)
+	t.k.runq.Push(t)
 	t.k.dispatch()
 }
 

@@ -17,6 +17,7 @@ package nectarine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -228,7 +229,8 @@ type TaskCtx struct {
 	proc *sim.Proc
 
 	// pending holds messages a node task drained past while waiting for
-	// a specific tag (CAB tasks use the mailbox's matching reads).
+	// a specific tag (CAB tasks use the mailbox's matching reads). It is a
+	// slice, not a FIFO: RecvTag takes messages out of the middle.
 	pending []Message
 }
 
@@ -341,7 +343,7 @@ func (tc *TaskCtx) decode(wire []byte, arrived sim.Time) Message {
 func (tc *TaskCtx) Recv() Message {
 	if len(tc.pending) > 0 {
 		m := tc.pending[0]
-		tc.pending = tc.pending[1:]
+		tc.pending = slices.Delete(tc.pending, 0, 1)
 		return m
 	}
 	if tc.th != nil {
@@ -381,7 +383,7 @@ func (tc *TaskCtx) RecvTag(tag uint32) Message {
 	// Node task: drain into a local pending list until the tag appears.
 	for i, m := range tc.pending {
 		if m.Tag == tag {
-			tc.pending = append(tc.pending[:i], tc.pending[i+1:]...)
+			tc.pending = slices.Delete(tc.pending, i, i+1)
 			return m
 		}
 	}

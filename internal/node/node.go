@@ -186,7 +186,7 @@ type Node struct {
 	boxes map[uint16]*box
 
 	// Command mailbox plumbing: requests to the CAB proxy thread.
-	cmds   []sendReq
+	cmds   sim.FIFO[sendReq]
 	cmdSem *kernel.Sem
 
 	nextMsg uint32
@@ -224,11 +224,10 @@ func (n *Node) CABID() int { return n.stack.Board.ID() }
 func (n *Node) proxyLoop(th *kernel.Thread) {
 	for {
 		n.cmdSem.P(th)
-		if len(n.cmds) == 0 {
+		if n.cmds.Len() == 0 {
 			continue
 		}
-		req := n.cmds[0]
-		n.cmds = n.cmds[1:]
+		req := n.cmds.Pop()
 		prev := th.SetSpan(req.sp)
 		if req.datagram {
 			n.stack.TP.SendDatagram(th, req.dst, req.dstBox, req.srcBox, req.wire)
@@ -243,7 +242,7 @@ func (n *Node) proxyLoop(th *kernel.Thread) {
 // handful of programmed-I/O words over VME, charged to the node CPU).
 func (n *Node) postCommand(p *sim.Proc, req sendReq) {
 	n.CPU.Compute(p, n.VME.PIOTime(16))
-	n.cmds = append(n.cmds, req)
+	n.cmds.Push(req)
 	n.cmdSem.V()
 }
 

@@ -143,41 +143,32 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Signal is a broadcast/wakeup primitive for processes (a condition
 // variable in virtual time). The zero value is ready to use.
 type Signal struct {
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewSignal returns an empty Signal for the engine's processes.
 func NewSignal(*Engine) *Signal { return &Signal{} }
 
 // Waiters returns the number of processes currently blocked on the signal.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.Len() }
 
 // Wait blocks the process until Signal or Broadcast wakes it.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.waiters.Push(p)
 	p.Park()
 }
 
 // Signal wakes one waiting process (FIFO), if any. The wakeup is delivered
 // through the event queue, so the caller continues first.
 func (s *Signal) Signal() {
-	if len(s.waiters) == 0 {
-		return
+	if s.waiters.Len() > 0 {
+		s.waiters.Pop().Wake()
 	}
-	p := s.waiters[0]
-	// Shift rather than reslice, so the list keeps its capacity.
-	n := copy(s.waiters, s.waiters[1:])
-	s.waiters[n] = nil
-	s.waiters = s.waiters[:n]
-	p.Wake()
 }
 
-// Broadcast wakes all waiting processes in FIFO order.
+// Broadcast wakes, in FIFO order, the processes waiting at the call.
 func (s *Signal) Broadcast() {
-	ps := s.waiters
-	for i, p := range ps {
-		p.Wake()
-		ps[i] = nil
+	for n := s.waiters.Len(); n > 0; n-- {
+		s.waiters.Pop().Wake()
 	}
-	s.waiters = ps[:0]
 }

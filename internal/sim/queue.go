@@ -7,23 +7,36 @@ package sim
 // FIFO is empty and ready to use.
 type FIFO[T any] struct {
 	buf  []T
-	head int // slot of the oldest item
-	n    int // items held
+	head int32 // slot of the oldest item
+	n    int32 // items held
 }
 
 // Len returns the number of items held.
-func (f *FIFO[T]) Len() int { return f.n }
+func (f *FIFO[T]) Len() int { return int(f.n) }
 
 // Push appends v.
 func (f *FIFO[T]) Push(v T) {
-	if f.n == len(f.buf) {
+	if int(f.n) == len(f.buf) {
 		f.grow()
 	}
-	i := f.head + f.n
+	i := int(f.head + f.n)
 	if i >= len(f.buf) {
 		i -= len(f.buf)
 	}
 	f.buf[i] = v
+	f.n++
+}
+
+// PushFront puts v ahead of every item held, so the next Pop returns it.
+func (f *FIFO[T]) PushFront(v T) {
+	if int(f.n) == len(f.buf) {
+		f.grow()
+	}
+	if f.head == 0 {
+		f.head = int32(len(f.buf))
+	}
+	f.head--
+	f.buf[f.head] = v
 	f.n++
 }
 
@@ -42,7 +55,7 @@ func (f *FIFO[T]) Pop() T {
 	var zero T
 	f.buf[f.head] = zero
 	f.head++
-	if f.head == len(f.buf) {
+	if int(f.head) == len(f.buf) {
 		f.head = 0
 	}
 	f.n--
@@ -57,7 +70,8 @@ func (f *FIFO[T]) Clear() {
 
 // grow doubles the ring, moving the items to its front in order. It starts
 // at one slot: most of a system's queues never hold more than a couple of
-// items, and a 1024-CAB system has thousands of them.
+// items, and a 1024-CAB system has thousands of them, which is also why
+// the indices are 32-bit.
 func (f *FIFO[T]) grow() {
 	buf := make([]T, max(1, 2*len(f.buf)))
 	n := copy(buf, f.buf[f.head:])

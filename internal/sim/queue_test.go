@@ -87,3 +87,88 @@ func TestFIFOEmptyPopPanics(t *testing.T) {
 	}()
 	f.Pop()
 }
+
+// FuzzFIFOMatchesSlice decodes each input byte into one operation (Push,
+// PushFront, Pop, Peek or Clear) and checks every result against a plain
+// slice model. After each step the ring must hold exactly the model's
+// items, every other slot zeroed.
+func FuzzFIFOMatchesSlice(f *testing.F) {
+	const (
+		opPush = iota
+		opPushFront
+		opPop
+		opPeek
+		opClear
+		nOps
+	)
+	// PushFront on an empty ring.
+	f.Add([]byte{opPushFront, opPop, opPushFront})
+	// PushFront on a full ring with its head at slot 0.
+	f.Add([]byte{opPush, opPush, opPushFront, opPush, opPushFront})
+	// PushFront on a full, wrapped ring (head at slot 2 of 4), so grow
+	// must unwrap it.
+	f.Add([]byte{opPush, opPush, opPush, opPush, opPop, opPop, opPush, opPush,
+		opPushFront, opPop, opPushFront, opPushFront})
+	// Clear, then PushFront into the kept ring.
+	f.Add([]byte{opPush, opPushFront, opClear, opPushFront, opPeek, opPop})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q FIFO[int]
+		var model []int
+		empty := func(name string, fn func()) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on an empty FIFO did not panic", name)
+				}
+			}()
+			fn()
+		}
+		for step, b := range ops {
+			v := step + 1 // never the zero value, so cleared slots show
+			switch b % nOps {
+			case opPush:
+				q.Push(v)
+				model = append(model, v)
+			case opPushFront:
+				q.PushFront(v)
+				model = append([]int{v}, model...)
+			case opPop:
+				if len(model) == 0 {
+					empty("Pop", func() { q.Pop() })
+					break
+				}
+				if got := q.Pop(); got != model[0] {
+					t.Fatalf("step %d: Pop = %d, want %d", step, got, model[0])
+				}
+				model = model[1:]
+			case opPeek:
+				if len(model) == 0 {
+					empty("Peek", func() { q.Peek() })
+					break
+				}
+				if got := q.Peek(); got != model[0] {
+					t.Fatalf("step %d: Peek = %d, want %d", step, got, model[0])
+				}
+			case opClear:
+				q.Clear()
+				model = model[:0]
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(model))
+			}
+			for i, want := range model {
+				if got := q.buf[(int(q.head)+i)%len(q.buf)]; got != want {
+					t.Fatalf("step %d: item %d = %d, want %d", step, i, got, want)
+				}
+			}
+			held := 0
+			for _, x := range q.buf {
+				if x != 0 {
+					held++
+				}
+			}
+			if held != len(model) {
+				t.Fatalf("step %d: %d slots hold items, want %d", step, held, len(model))
+			}
+		}
+	})
+}

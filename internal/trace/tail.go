@@ -76,7 +76,7 @@ type tailState struct {
 	trees map[*Span]*tailTree
 	// order is the undecided-root FIFO (decided roots are skipped when
 	// popped; trees keeps the authoritative set).
-	order   []*Span
+	order   sim.FIFO[*Span]
 	rootSeq uint64
 
 	treesKept    int64
@@ -110,7 +110,7 @@ func (t *Tracer) tailAdmit(s *Span) {
 		ts.rootSeq++
 		tree := &tailTree{root: s, seq: ts.rootSeq, spans: []*Span{s}}
 		ts.trees[s] = tree
-		ts.order = append(ts.order, s)
+		ts.order.Push(s)
 		t.tailEvict()
 		return
 	}
@@ -131,10 +131,8 @@ func (t *Tracer) tailAdmit(s *Span) {
 // overflows, using latency-so-far for still-open roots.
 func (t *Tracer) tailEvict() {
 	ts := t.tail
-	for len(ts.trees) > ts.cfg.MaxBuffered && len(ts.order) > 0 {
-		root := ts.order[0]
-		ts.order = ts.order[1:]
-		if tree, ok := ts.trees[root]; ok {
+	for len(ts.trees) > ts.cfg.MaxBuffered && ts.order.Len() > 0 {
+		if tree, ok := ts.trees[ts.order.Pop()]; ok {
 			t.tailFinish(tree)
 		}
 	}
@@ -198,10 +196,8 @@ func (t *Tracer) FlushTail() {
 		return
 	}
 	ts := t.tail
-	for len(ts.order) > 0 {
-		root := ts.order[0]
-		ts.order = ts.order[1:]
-		if tree, ok := ts.trees[root]; ok {
+	for ts.order.Len() > 0 {
+		if tree, ok := ts.trees[ts.order.Pop()]; ok {
 			t.tailFinish(tree)
 		}
 	}

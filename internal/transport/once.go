@@ -1,5 +1,7 @@
 package transport
 
+import "repro/internal/sim"
+
 // respCacheMax bounds the answers one at-most-once table retains.
 const respCacheMax = 256
 
@@ -27,7 +29,7 @@ const (
 type atMostOnce[A any] struct {
 	inflight map[reqKey]bool
 	answers  map[reqKey]A
-	order    []reqKey // answered keys, oldest first
+	order    sim.FIFO[reqKey] // answered keys, oldest first
 }
 
 func newAtMostOnce[A any]() atMostOnce[A] {
@@ -55,11 +57,10 @@ func (o *atMostOnce[A]) begin(key reqKey) { o.inflight[key] = true }
 func (o *atMostOnce[A]) answer(key reqKey, a A) {
 	delete(o.inflight, key)
 	if _, ok := o.answers[key]; !ok {
-		o.order = append(o.order, key)
-		if len(o.order) > respCacheMax {
-			delete(o.answers, o.order[0])
-			o.order = o.order[1:]
+		if o.order.Len() == respCacheMax {
+			delete(o.answers, o.order.Pop())
 		}
+		o.order.Push(key)
 	}
 	o.answers[key] = a
 }

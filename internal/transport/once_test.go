@@ -35,8 +35,8 @@ func TestAtMostOnceBoundAndFIFOEviction(t *testing.T) {
 	for i := 0; i < respCacheMax; i++ {
 		o.answer(onceKey(i), i)
 	}
-	if len(o.answers) != respCacheMax || len(o.order) != respCacheMax {
-		t.Fatalf("full table holds %d answers, %d order entries", len(o.answers), len(o.order))
+	if len(o.answers) != respCacheMax || o.order.Len() != respCacheMax {
+		t.Fatalf("full table holds %d answers, %d order entries", len(o.answers), o.order.Len())
 	}
 	// One more evicts exactly the oldest.
 	o.answer(onceKey(respCacheMax), respCacheMax)
@@ -48,8 +48,8 @@ func TestAtMostOnceBoundAndFIFOEviction(t *testing.T) {
 			t.Fatalf("key %d: answer %d state %v, want cached", i, a, st)
 		}
 	}
-	if len(o.answers) != respCacheMax || len(o.order) != respCacheMax {
-		t.Fatalf("after eviction: %d answers, %d order entries", len(o.answers), len(o.order))
+	if len(o.answers) != respCacheMax || o.order.Len() != respCacheMax {
+		t.Fatalf("after eviction: %d answers, %d order entries", len(o.answers), o.order.Len())
 	}
 }
 
@@ -62,8 +62,8 @@ func TestAtMostOnceReanswerDoesNotAge(t *testing.T) {
 		o.answer(onceKey(i), i)
 	}
 	o.answer(onceKey(5), 500)
-	if len(o.order) != respCacheMax {
-		t.Fatalf("re-answer grew the order to %d", len(o.order))
+	if o.order.Len() != respCacheMax {
+		t.Fatalf("re-answer grew the order to %d", o.order.Len())
 	}
 	if a, st := o.lookup(onceKey(0)); st != onceAnswered || a != 0 {
 		t.Fatalf("re-answer evicted the oldest live entry (state %v)", st)
