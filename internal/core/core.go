@@ -109,10 +109,6 @@ type CABStack struct {
 	Kernel *kernel.Kernel
 	DL     *datalink.Datalink
 	TP     *transport.Transport
-
-	// fr is the system flight recorder (nil when telemetry is off);
-	// crash and reboot are exactly the events a post-mortem needs.
-	fr *obs.FlightRecorder
 }
 
 // Crash halts the CAB: the board stops sending and receiving, and both
@@ -120,7 +116,8 @@ type CABStack struct {
 // woken with errors — the threads themselves survive, a simplification of a
 // real crash where they would be destroyed outright).
 func (c *CABStack) Crash() {
-	c.fr.Note(obs.FCrash, c.Board.Name(), int64(c.Board.ID()), 0)
+	// Crash and reboot are exactly the events a post-mortem needs.
+	c.Kernel.FlightRecorder().Note(obs.FCrash, c.Board.Name(), int64(c.Board.ID()), 0)
 	c.Board.PowerOff()
 	c.TP.Crash()
 	c.DL.Crash()
@@ -132,7 +129,7 @@ func (c *CABStack) Crash() {
 // Flow-control credit needs no repair: power-on sets the board's ready bit,
 // and the port reset returns the credit of every packet it discards.
 func (c *CABStack) Reboot(net *topo.Network) {
-	c.fr.Note(obs.FReboot, c.Board.Name(), int64(c.Board.ID()), 0)
+	c.Kernel.FlightRecorder().Note(obs.FReboot, c.Board.Name(), int64(c.Board.ID()), 0)
 	c.Board.PowerOn()
 	c.Kernel.Reboot()
 	net.ResetCABPort(c.Board.ID())
@@ -238,27 +235,24 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 			return transport.Proto(b).String()
 		})
 	}
+	if len(p.SLO.Objectives) > 0 {
+		// The engine only keeps its params here; buildSLO arms it once
+		// the rest of the system exists.
+		s.SLO = slo.NewEngine(eng, p.SLO)
+	}
 	for _, h := range net.Hubs() {
 		if p.HubCombining {
 			h.EnableCombining(comb.Params{})
 		}
-		h.RegisterMetrics(s.Reg)
-		h.SetFlightRecorder(s.FR)
+		h.Instrument(s.Reg, s.FR)
 	}
 	router := topo.NewRouter(net, p.Routing)
 	for _, b := range net.Boards() {
 		k := kernel.New(b)
-		k.SetInstrumentation(s.Tr, s.Reg)
-		dl := datalink.New(k, net)
-		dl.SetRouter(router)
-		dl.RegisterMetrics(s.Reg)
-		dl.SetFlightRecorder(s.FR)
-		dl.SetFlowTable(s.Flows)
+		k.SetInstrumentation(s.Tr, s.Reg, s.FR, s.Flows, s.SLO)
+		dl := datalink.New(k, net, router)
 		tp := transport.New(k, dl, p.Transport)
-		tp.RegisterMetrics(s.Reg)
-		tp.SetFlightRecorder(s.FR)
-		tp.SetFlowTable(s.Flows)
-		s.CABs = append(s.CABs, &CABStack{Board: b, Kernel: k, DL: dl, TP: tp, fr: s.FR})
+		s.CABs = append(s.CABs, &CABStack{Board: b, Kernel: k, DL: dl, TP: tp})
 	}
 	// Topology changes (links failed or restored, by the probe layer or an
 	// operator) invalidate cached routes everywhere — and feed the
@@ -283,7 +277,7 @@ func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Para
 				continue
 			}
 			probed[h] = true
-			pr := datalink.NewProber(c.DL, p.Datalink, s.Reg)
+			pr := datalink.NewProber(c.DL, p.Datalink)
 			if pr.Edges() == 0 {
 				continue
 			}

@@ -49,20 +49,17 @@ func sloTailConfig(sp slo.Params) trace.TailConfig {
 	return cfg
 }
 
-// buildSLO assembles the SLO engine implied by the params: outcome hooks
-// on every transport, alert notes into the flight recorder, slo.* metrics,
-// and the diagnosis bundler. Called from buildTelemetry; a params set with
-// no objectives builds nothing.
+// buildSLO arms the SLO engine that buildStacks created and handed to
+// every CAB's kernel (the transports' outcome hooks): alert notes into the
+// flight recorder, slo.* metrics, and the diagnosis bundler. Called from
+// buildTelemetry; a params set with no objectives has no engine.
 func buildSLO(s *System) {
 	p := s.Params
-	if len(p.SLO.Objectives) == 0 {
+	e := s.SLO
+	if e == nil {
 		return
 	}
-	e := slo.NewEngine(s.Eng, p.SLO)
 	e.SetFlightRecorder(s.FR)
-	for _, c := range s.CABs {
-		c.TP.SetSLO(e)
-	}
 	e.SetBundler(func(a slo.Alert) *slo.Bundle { return buildBundle(s, e, a) })
 	if s.Reg != nil {
 		s.Reg.Func("slo.alerts", func() float64 { return float64(e.AlertCount()) })
@@ -81,7 +78,6 @@ func buildSLO(s *System) {
 		}
 	}
 	e.Start()
-	s.SLO = e
 }
 
 // Bundle capture bounds: enough evidence to diagnose, small enough to dump

@@ -190,45 +190,32 @@ func (d *Datalink) await(th *kernel.Thread, pend *pendingOpen, timeout sim.Time)
 	return pend.want == 0
 }
 
-// New creates the datalink for a board and registers its receive interrupt
-// handler.
-func New(k *kernel.Kernel, net *topo.Network) *Datalink {
+// New creates the datalink for a board, routing by router, and registers
+// its receive interrupt handler. It copies its instruments from the
+// kernel, so kernel.SetInstrumentation comes first.
+func New(k *kernel.Kernel, net *topo.Network, router topo.Router) *Datalink {
 	d := &Datalink{
 		k:       k,
 		board:   k.Board(),
 		net:     net,
-		router:  topo.NewRouter(net, topo.PolicyBFS),
+		router:  router,
 		mu:      k.NewSem(1),
 		pending: make(map[uint64]*pendingOpen),
 		routes:  make(map[int][]topo.Hop),
+		fr:      k.FlightRecorder(),
+		frName:  k.Board().Name() + ".dl",
+		fl:      k.Flows(),
 	}
 	d.rxInterruptFn = d.rxInterrupt
 	d.rxUpcallFn = d.rxUpcall
 	d.intrSendFn = d.intrSendRun
 	d.board.SetItemHandler(d.receiveItem)
+	d.registerMetrics(k.Registry())
 	return d
-}
-
-// SetRouter replaces the route-computation policy and flushes the route
-// cache. The cache, FlushRoutes, and the fault-recovery OnChange flush
-// behave identically under every policy — only the hop lists differ.
-func (d *Datalink) SetRouter(r topo.Router) {
-	d.router = r
-	d.FlushRoutes()
 }
 
 // SetReceiver registers the transport's packet consumer.
 func (d *Datalink) SetReceiver(r Receiver) { d.recv = r }
-
-// SetFlightRecorder arms flight-recorder event notes for this datalink.
-// The label is precomputed so recording never allocates.
-func (d *Datalink) SetFlightRecorder(fr *obs.FlightRecorder) {
-	d.fr = fr
-	d.frName = d.board.Name() + ".dl"
-}
-
-// SetFlowTable arms flow accounting for this datalink's outgoing frames.
-func (d *Datalink) SetFlowTable(fl *flow.Table) { d.fl = fl }
 
 // wireProto classifies a frame for flow accounting: every datalink payload
 // is an encoded transport packet, whose first wire byte is the protocol.
@@ -242,9 +229,9 @@ func wireProto(payload []byte) byte {
 // Stats returns a copy of the datalink counters.
 func (d *Datalink) Stats() Stats { return d.stats }
 
-// RegisterMetrics auto-registers the datalink's counters as read-out
+// registerMetrics auto-registers the datalink's counters as read-out
 // metrics under <board>.datalink.*.
-func (d *Datalink) RegisterMetrics(reg *trace.Registry) {
+func (d *Datalink) registerMetrics(reg *trace.Registry) {
 	if reg == nil {
 		return
 	}

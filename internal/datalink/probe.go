@@ -40,14 +40,14 @@ type probeEdge struct {
 }
 
 // NewProber creates (but does not start) a prober for the links of the HUB
-// this datalink's CAB attaches to. reg may be nil.
-func NewProber(d *Datalink, p Params, reg *trace.Registry) *Prober {
+// this datalink's CAB attaches to.
+func NewProber(d *Datalink, p Params) *Prober {
 	pr := &Prober{
 		d:        d,
 		hubIdx:   d.net.HubOf(d.board.ID()),
 		interval: p.ProbeInterval,
-		failed:   reg.Counter("net.links_failed"),
-		restored: reg.Counter("net.links_restored"),
+		failed:   d.k.Registry().Counter("net.links_failed"),
+		restored: d.k.Registry().Counter("net.links_restored"),
 	}
 	var neighbors []int
 	for _, e := range d.net.InterHubEdges() {

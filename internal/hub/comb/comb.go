@@ -101,7 +101,7 @@ type Engine struct {
 	water map[uint64]uint32 // (tag,lane) -> highest resolved seq
 	gen   uint64
 
-	// Counters (read via RegisterMetrics funcs).
+	// Counters (read via the funcs Instrument registers).
 	contribs  int64 // operands accepted
 	combines  int64 // slots resolved fully
 	timeouts  int64 // slots flushed by the straggler timeout
@@ -121,28 +121,27 @@ func New(eng *sim.Engine, name string, p Params) *Engine {
 	}
 }
 
-// SetFlightRecorder arms FCombine/FCombTimeout notes.
-func (e *Engine) SetFlightRecorder(fr *obs.FlightRecorder) { e.fr = fr }
-
 // Timeout returns the straggler timeout the engine runs with.
 func (e *Engine) Timeout() sim.Time { return e.p.Timeout }
 
 // SlotsInUse returns the current table occupancy (sampler series).
 func (e *Engine) SlotsInUse() float64 { return float64(len(e.slots)) }
 
-// RegisterMetrics registers the engine's counters under prefix
-// ("<hub>.comb."). A nil registry registers nothing.
-func (e *Engine) RegisterMetrics(reg *trace.Registry, prefix string) {
+// Instrument registers the engine's counters on reg under
+// "<name>.comb." and arms FCombine/FCombTimeout notes on fr. Either may be
+// nil; a nil registry registers nothing.
+func (e *Engine) Instrument(reg *trace.Registry, fr *obs.FlightRecorder) {
+	e.fr = fr
 	if reg == nil {
 		return
 	}
-	reg.Func(prefix+".comb.contribs", func() float64 { return float64(e.contribs) })
-	reg.Func(prefix+".comb.combines", func() float64 { return float64(e.combines) })
-	reg.Func(prefix+".comb.timeouts", func() float64 { return float64(e.timeouts) })
-	reg.Func(prefix+".comb.evictions", func() float64 { return float64(e.evictions) })
-	reg.Func(prefix+".comb.late", func() float64 { return float64(e.lates) })
-	reg.Func(prefix+".comb.mismatch", func() float64 { return float64(e.mismatch) })
-	reg.Func(prefix+".comb.slots_inuse", e.SlotsInUse)
+	reg.Func(e.name+".comb.contribs", func() float64 { return float64(e.contribs) })
+	reg.Func(e.name+".comb.combines", func() float64 { return float64(e.combines) })
+	reg.Func(e.name+".comb.timeouts", func() float64 { return float64(e.timeouts) })
+	reg.Func(e.name+".comb.evictions", func() float64 { return float64(e.evictions) })
+	reg.Func(e.name+".comb.late", func() float64 { return float64(e.lates) })
+	reg.Func(e.name+".comb.mismatch", func() float64 { return float64(e.mismatch) })
+	reg.Func(e.name+".comb.slots_inuse", e.SlotsInUse)
 }
 
 // merge folds operand b into a under op.

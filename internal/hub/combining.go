@@ -21,7 +21,8 @@ func combOpKind(op Opcode) comb.OpKind {
 }
 
 // EnableCombining arms the in-network combining engine on this HUB. Call
-// before traffic; a HUB without an engine declines combining commands
+// before traffic and before Instrument, which instruments the engine only
+// if it is armed; a HUB without an engine declines combining commands
 // (reply ok=false), so contributors fall back to endpoint algorithms.
 func (h *Hub) EnableCombining(p comb.Params) {
 	h.comb = comb.New(h.eng, h.name, p)

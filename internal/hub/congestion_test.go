@@ -15,7 +15,7 @@ func TestCongestionHighWaterEvent(t *testing.T) {
 	eng := sim.NewEngine()
 	h := New(eng, 0, 4, nil)
 	fr := obs.NewFlightRecorder(eng, 64)
-	h.SetFlightRecorder(fr)
+	h.Instrument(nil, fr)
 	a := attachCAB(eng, h, 0, "cabA")
 	b := attachCAB(eng, h, 1, "cabB")
 	c := attachCAB(eng, h, 2, "cabC")

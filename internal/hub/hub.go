@@ -109,10 +109,16 @@ func (h *Hub) NumPorts() int { return len(h.ports) }
 // Port returns port i.
 func (h *Hub) Port(i int) *Port { return h.ports[i] }
 
-// RegisterMetrics registers this HUB's per-port metrics: a time-weighted
-// input-queue occupancy gauge plus packet/drop read-outs. A nil registry
-// leaves the ports' gauges nil (recording nothing).
-func (h *Hub) RegisterMetrics(reg *trace.Registry) {
+// Instrument is the HUB's one instrumentation seam: it arms the ports'
+// flight-recorder drop and congestion notes on fr, registers their metrics
+// on reg (a time-weighted input-queue occupancy gauge plus packet/drop
+// read-outs), and hands both to the combining engine. Either may be nil; a
+// nil registry leaves the gauges nil. Call EnableCombining first.
+func (h *Hub) Instrument(reg *trace.Registry, fr *obs.FlightRecorder) {
+	h.fr = fr
+	if h.comb != nil {
+		h.comb.Instrument(reg, fr)
+	}
 	if reg == nil {
 		return
 	}
@@ -123,17 +129,6 @@ func (h *Hub) RegisterMetrics(reg *trace.Registry) {
 		reg.Func(p.name+".pkts_out", func() float64 { return float64(p.pktOut) })
 		reg.Func(p.name+".drops", func() float64 { return float64(p.drops) })
 		reg.Func(p.name+".frame_errs", func() float64 { return float64(p.frameErrs) })
-	}
-	if h.comb != nil {
-		h.comb.RegisterMetrics(reg, h.name)
-	}
-}
-
-// SetFlightRecorder arms flight-recorder drop notes for every port.
-func (h *Hub) SetFlightRecorder(fr *obs.FlightRecorder) {
-	h.fr = fr
-	if h.comb != nil {
-		h.comb.SetFlightRecorder(fr)
 	}
 }
 

@@ -12,6 +12,9 @@ import (
 	"fmt"
 
 	"repro/internal/cab"
+	"repro/internal/obs"
+	"repro/internal/obs/flow"
+	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -64,9 +67,12 @@ type Kernel struct {
 	spawned  int64
 	reboots  int64
 
-	// tr/reg are the observability hooks (both may be nil: disabled).
-	tr  *trace.Tracer
-	reg *trace.Registry
+	// The CAB's instruments (each may be nil: disabled).
+	tr    *trace.Tracer
+	reg   *trace.Registry
+	fr    *obs.FlightRecorder
+	flows *flow.Table
+	slo   *slo.Engine
 
 	// lastDomain tracks protection-domain assignment for user tasks.
 	lastDomain int
@@ -92,12 +98,21 @@ func (k *Kernel) Tracer() *trace.Tracer { return k.tr }
 // Registry returns the kernel's metrics registry (may be nil).
 func (k *Kernel) Registry() *trace.Registry { return k.reg }
 
-// SetInstrumentation attaches a span tracer and metrics registry (either
-// may be nil) and auto-registers the kernel's and board's metrics. Called
-// by the system builder before any traffic runs.
-func (k *Kernel) SetInstrumentation(tr *trace.Tracer, reg *trace.Registry) {
-	k.tr = tr
-	k.reg = reg
+// FlightRecorder returns the CAB's flight recorder (may be nil).
+func (k *Kernel) FlightRecorder() *obs.FlightRecorder { return k.fr }
+
+// Flows returns the system flow table (may be nil).
+func (k *Kernel) Flows() *flow.Table { return k.flows }
+
+// SLO returns the SLO engine of the CAB's operations (may be nil).
+func (k *Kernel) SLO() *slo.Engine { return k.slo }
+
+// SetInstrumentation is the CAB's one instrumentation seam: it attaches
+// the instruments every layer on the CAB shares (each may be nil) and
+// registers the kernel's and board's metrics. Call it before datalink.New
+// and transport.New, which copy the instruments they use.
+func (k *Kernel) SetInstrumentation(tr *trace.Tracer, reg *trace.Registry, fr *obs.FlightRecorder, flows *flow.Table, e *slo.Engine) {
+	k.tr, k.reg, k.fr, k.flows, k.slo = tr, reg, fr, flows, e
 	if reg == nil {
 		return
 	}

@@ -112,6 +112,9 @@ func (t *Tracer) tailAdmit(s *Span) {
 		ts.trees[s] = tree
 		ts.order.Push(s)
 		t.tailEvict()
+		if ts.order.Len() > 2*ts.cfg.MaxBuffered {
+			ts.compactOrder()
+		}
 		return
 	}
 	root := s.Root()
@@ -134,6 +137,17 @@ func (t *Tracer) tailEvict() {
 	for len(ts.trees) > ts.cfg.MaxBuffered && ts.order.Len() > 0 {
 		if tree, ok := ts.trees[ts.order.Pop()]; ok {
 			t.tailFinish(tree)
+		}
+	}
+}
+
+// compactOrder drops the decided roots from order, which tailEvict never
+// pops when they decide on time, and keeps the rest in order. Run once
+// order holds twice MaxBuffered, it costs O(1) per root.
+func (ts *tailState) compactOrder() {
+	for n := ts.order.Len(); n > 0; n-- {
+		if r := ts.order.Pop(); ts.trees[r] != nil {
+			ts.order.Push(r)
 		}
 	}
 }

@@ -205,3 +205,39 @@ func BenchmarkDisabledTracingSpan(b *testing.B) {
 		sp.End()
 	}
 }
+
+// TestTailOrderStaysBounded: roots that decide on time leave the
+// undecided-root queue within a bounded number of admissions, whether or
+// not an older root stays open ahead of them, and a root that never
+// closes is still decided by FlushTail.
+func TestTailOrderStaysBounded(t *testing.T) {
+	const maxBuffered, roots = 64, 100_000
+	for _, tc := range []struct {
+		name  string
+		stuck bool
+	}{{"on-time", false}, {"behind-stuck-root", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, tr := tailTracer(TailConfig{Bound: 1000, MaxBuffered: maxBuffered})
+			var stuck *Span
+			if tc.stuck {
+				stuck = tr.StartAt(nil, 0, LayerApp, "cab0", "msg")
+			}
+			for i := 0; i < roots; i++ {
+				oneTree(tr, sim.Time(i)*1000, 10)
+				if n := tr.tail.order.Len(); n > 2*maxBuffered {
+					t.Fatalf("after %d roots the queue holds %d, want <= %d", i+1, n, 2*maxBuffered)
+				}
+			}
+			if tc.stuck && stuck.tailMark != 0 {
+				t.Fatal("the open root was decided before FlushTail")
+			}
+			tr.FlushTail()
+			if tr.TailPending() != 0 || tr.tail.order.Len() != 0 {
+				t.Fatalf("after FlushTail: %d trees pending, %d queued", tr.TailPending(), tr.tail.order.Len())
+			}
+			if tc.stuck && stuck.tailMark == 0 {
+				t.Fatal("FlushTail left the open root undecided")
+			}
+		})
+	}
+}

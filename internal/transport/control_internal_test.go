@@ -33,7 +33,7 @@ func TestControlQueueAllocations(t *testing.T) {
 			var tp [2]*Transport
 			for i := range tp {
 				k := kernel.New(net.Board(i))
-				tp[i] = New(k, datalink.New(k, net), params)
+				tp[i] = New(k, datalink.New(k, net, topo.NewRouter(net, topo.PolicyBFS)), params)
 			}
 			classes := [...]Class{ClassNormal, ClassBulk, ClassCritical}
 			round := func() {

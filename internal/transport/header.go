@@ -10,6 +10,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/cab"
@@ -179,6 +180,11 @@ func Encode(h *Header, payload []byte) []byte {
 	return buf
 }
 
+// errChecksum reports a packet damaged in transit. Damage is routine on a
+// lossy fiber, so the one error value is shared rather than built per
+// packet.
+var errChecksum = errors.New("transport: checksum mismatch")
+
 // Decode parses and verifies a wire packet. A checksum mismatch (payload
 // damaged in transit) is reported as an error; the caller drops the packet
 // and relies on protocol recovery. Malformed class or deadline fields —
@@ -193,7 +199,7 @@ func Decode(buf []byte) (Header, []byte, error) {
 	// Verify with the checksum field excluded from the sum, the way the
 	// hardware does on the fly during DMA — no scratch copy per packet.
 	if cab.ChecksumExcluding(buf, 30) != sum {
-		return Header{}, nil, fmt.Errorf("transport: checksum mismatch")
+		return Header{}, nil, errChecksum
 	}
 	h := Header{
 		Proto:  Proto(buf[0]),

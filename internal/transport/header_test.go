@@ -47,6 +47,20 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeDamagedPacketAllocs: a damaged packet is rejected without
+// allocating, since a lossy fiber damages packets routinely.
+func TestDecodeDamagedPacketAllocs(t *testing.T) {
+	wire := Encode(&Header{Proto: ProtoDatagram, Src: 1, Dst: 2}, []byte("payload"))
+	wire[len(wire)-1] ^= 0x40
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := Decode(wire); err == nil {
+			t.Fatal("damaged packet accepted")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Decode of a damaged packet allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestDecodeLengthMismatch(t *testing.T) {
 	h := &Header{Proto: ProtoDatagram}
 	wire := Encode(h, []byte("abc"))

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"repro/internal/obs"
-	"repro/internal/obs/flow"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 )
@@ -13,24 +11,6 @@ import (
 // flight recorder. Everything here is free when telemetry is off: the
 // counters are plain integer fields maintained unconditionally, and a nil
 // recorder's Note is a no-op.
-
-// SetFlightRecorder arms flight-recorder event notes for this transport.
-// The label is precomputed so recording never allocates.
-func (t *Transport) SetFlightRecorder(fr *obs.FlightRecorder) {
-	t.fr = fr
-	t.frName = t.k.Board().Name() + ".tp"
-}
-
-// SetFlowTable arms flow accounting: protocol retransmissions are charged
-// to their (src, dst, proto) flow, and local loopback deliveries — which
-// bypass the datalink — are accounted here so every frame shows up exactly
-// once.
-func (t *Transport) SetFlowTable(fl *flow.Table) { t.fl = fl }
-
-// SetSLO arms per-operation outcome reporting into the SLO engine: every
-// reliable operation (request, stream message, VMTP transaction) reports
-// its kind, priority class, end-to-end latency, and success.
-func (t *Transport) SetSLO(e *slo.Engine) { t.slo = e }
 
 // observe reports one finished reliable operation to the SLO engine.
 // traceID is the root span id of the operation's span tree (0 untraced),

@@ -150,7 +150,8 @@ type Transport struct {
 	// windowInFlight is the sum of every outgoing stream's window
 	// (setWindow keeps it).
 	windowInFlight int64
-	// fl is the system flow table (nil when the observatory is off).
+	// fl is the system flow table (nil when the observatory is off). It
+	// is charged retransmissions and local loopback deliveries.
 	fl *flow.Table
 	// slo receives per-operation outcomes (nil when the SLO engine is
 	// off; the hot path is one pointer compare).
@@ -177,6 +178,7 @@ type rxPacket struct {
 }
 
 // New creates the transport on a datalink and starts its service thread.
+// Like datalink.New, it copies its instruments from the kernel.
 func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 	t := &Transport{
 		k:          k,
@@ -190,6 +192,10 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 		once:       newAtMostOnce[[]byte](),
 		outSem:     k.NewSem(0),
 		watch:      make(map[int]*peerState),
+		fr:         k.FlightRecorder(),
+		frName:     k.Board().Name() + ".tp",
+		fl:         k.Flows(),
+		slo:        k.SLO(),
 	}
 	if params.Overload {
 		t.ovl = newOverload(params.HeartbeatInterval)
@@ -197,15 +203,16 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 	t.recvPacketFn = t.recvPacket
 	dl.SetReceiver(t.handlePacket)
 	k.SpawnDaemon("transport-service", t.serviceLoop)
+	t.registerMetrics(k.Registry())
 	return t
 }
 
 // Stats returns a copy of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
 
-// RegisterMetrics auto-registers the transport's counters as read-out
+// registerMetrics auto-registers the transport's counters as read-out
 // metrics under <board>.transport.*.
-func (t *Transport) RegisterMetrics(reg *trace.Registry) {
+func (t *Transport) registerMetrics(reg *trace.Registry) {
 	if reg == nil {
 		return
 	}

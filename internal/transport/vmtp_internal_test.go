@@ -27,7 +27,7 @@ func newVMTPRig() *vmtpRig {
 	r := &vmtpRig{eng: eng, net: topo.Single(2).Build(eng, nil)}
 	for i := range r.tp {
 		k := kernel.New(r.net.Board(i))
-		r.tp[i] = New(k, datalink.New(k, r.net), DefaultParams())
+		r.tp[i] = New(k, datalink.New(k, r.net, topo.NewRouter(r.net, topo.PolicyBFS)), DefaultParams())
 	}
 	r.mb = r.tp[1].k.NewMailbox("vmtp", 1<<20)
 	r.tp[1].Register(7, r.mb)
