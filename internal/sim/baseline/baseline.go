@@ -1,8 +1,8 @@
 // Package baseline preserves the pre-optimization event loop of
 // internal/sim: an interface{}-boxed container/heap binary heap with one
 // Event allocation per schedule. It exists only as the reference the
-// engine equivalence tests (../equiv_test.go) replay against: the 4-ary
-// pooled heap must fire events in exactly the same order. Nothing outside
+// engine equivalence tests (../equiv_test.go) replay against: the radix
+// queue over pooled slots must fire events in exactly the same order. Nothing outside
 // tests imports it; do not use it in models.
 package baseline
 

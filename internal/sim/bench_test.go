@@ -1,10 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Wall-clock micro-benchmarks of the engine itself, for measuring while
 // working on it (CI runs each once as a smoke test). The committed figure
 // for the event loop is bench/'s sim.probe.event_ns.
+//
+// BenchmarkEventQueueDeep is the one whose queue looks like a workload's:
+// about 1500 events pending, as on the 1024-CAB torus, with ties, HUB-cycle
+// delays and far timers. The others keep one to a few dozen events pending,
+// so they time the fixed cost of a schedule and a fire, and can rank a
+// change to the queue differently from the workloads.
 
 func BenchmarkEventScheduleAndFire(b *testing.B) {
 	b.ReportAllocs()
@@ -31,7 +40,7 @@ func BenchmarkEventHeapChurn(b *testing.B) {
 
 // BenchmarkEventChurnCancelHeavy models a retransmission-timer workload:
 // most scheduled events are canceled before they fire (a healthy network
-// acks almost everything), so Cancel must take events out of the heap
+// acks almost everything), so Cancel must take events out of the queue
 // cheaply.
 func BenchmarkEventChurnCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
@@ -93,4 +102,55 @@ func BenchmarkSignalHandoff(b *testing.B) {
 	if got, want := e.Executed(), uint64(2+2*b.N); got != want {
 		b.Fatalf("%d events ran, want %d: a signal was lost", got, want)
 	}
+}
+
+// BenchmarkEventQueueDeep fires events from a queue held at about 1500
+// pending: 1436 callbacks that each schedule their successor, and 64
+// retransmission timers of 1 ms. Delays come from a fixed-seed mix: 30 %
+// at the same instant, 50 % multiples of the 70 ns HUB cycle up to 1.4 µs,
+// and 20 % of 1 µs to 1 ms. One schedule in 20 re-arms a timer, canceling
+// it first.
+func BenchmarkEventQueueDeep(b *testing.B) {
+	b.ReportAllocs()
+	const depth, nTimers = 1500, 64
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, 4096)
+	for i := range delays {
+		switch r := rng.Intn(10); {
+		case r < 3:
+		case r < 8:
+			delays[i] = 70 * Time(1+rng.Intn(20))
+		default:
+			delays[i] = Microsecond * Time(1+rng.Intn(1000))
+		}
+	}
+	e := NewEngine()
+	var (
+		timers [nTimers]Event
+		k      int
+		left   = b.N
+		fire   func()
+	)
+	expire := func() {}
+	fire = func() {
+		if left--; left <= 0 {
+			b.StopTimer() // the rest drain untimed
+			return
+		}
+		k++
+		e.After(delays[k%len(delays)], fire)
+		if k%19 == 0 {
+			i := k / 19 % nTimers
+			e.Cancel(timers[i])
+			timers[i] = e.After(Millisecond, expire)
+		}
+	}
+	for i := range timers {
+		timers[i] = e.After(Millisecond, expire)
+	}
+	for i := nTimers; i < depth; i++ {
+		e.After(delays[i], fire)
+	}
+	b.ResetTimer()
+	e.Run()
 }

@@ -13,16 +13,33 @@
 //
 // # Fast path
 //
-// The event queue is a monomorphic 4-ary min-heap over pooled event slots:
-// no interface boxing, no container/heap indirection, and near-zero
-// allocations per event in steady state (slots are recycled through a free
-// list; new slots are allocated in chunks). Every pending slot knows its heap
-// index, so Cancel takes the event out of the heap at once and recycles its
-// slot: the heap holds only events that will fire, however many timers a
-// workload arms and cancels (retransmission timers almost always cancel).
+// The event queue is a monotone radix queue over pooled event slots: no
+// interface boxing, and near-zero allocations per event in steady state
+// (slots are recycled through a free list; new slots are allocated in
+// chunks). It relies on the queue only moving forward: every key pushed,
+// (time, sequence), is at least the last key taken. Slots sit in 64
+// buckets by the highest bit in which their time differs from the last
+// minimum, so a push is an append, and each slot is moved to a lower bucket
+// at most a few times before it fires. Bucket 0 holds the events due at the
+// last minimum in sequence order. Every pending slot knows its bucket and
+// index, so Cancel takes the event out at once and recycles its slot:
+// however many timers a workload arms and cancels (retransmission timers
+// almost always cancel), the queue holds only events that will fire.
+//
+// Two invariants keep the order exact. The minimum moves only to an event
+// that is due, so it never passes the clock and At(Now()) after RunUntil
+// files at or above it (TestEngineMatchesBaselineOnRandomSchedules). Bucket
+// 0 is emptied as soon as its last pending event fires, so a chain of events
+// at one instant reuses its storage (TestSameInstantChainAllocatesNothing).
 package sim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Time is simulated time in nanoseconds.
 type Time int64
@@ -56,13 +73,14 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // the engine: once the callback fires or the event is canceled the slot
 // returns to the free list and is reused by a later At/After. seq is unique
 // per schedule and doubles as the FIFO tie-break and the Event handle
-// validity token; idx is the slot's position in the heap while it is
-// pending, kept current by every sift.
+// validity token; bucket and idx are the slot's position in the queue while
+// it is pending.
 type slot struct {
-	at  Time
-	seq uint64
-	fn  func()
-	idx int
+	at     Time
+	seq    uint64
+	fn     func()
+	bucket int32
+	idx    int32
 }
 
 // Event is a cancellation handle for a scheduled callback, returned by
@@ -93,10 +111,19 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq) holding exactly the
-	// pending events; free is the slot free list.
-	events []*slot
-	free   []*slot
+	// The queue is a monotone radix queue of the pending slots. last is
+	// the time of the last minimum taken, and a slot due at t sits in
+	// bucket bits.Len64(t ^ last). Bucket 0 holds the slots due at last in
+	// seq order, with a nil in place of each canceled one; head is its
+	// first pending entry. mask has bit b set when bucket b is not empty,
+	// and pending counts the slots in the queue. free is the slot free
+	// list.
+	last    Time
+	buckets [64][]*slot
+	head    int
+	mask    uint64
+	pending int
+	free    []*slot
 
 	// procs counts live processes, used by Run to detect termination
 	// versus deadlock. live tracks them by name for diagnostics.
@@ -123,7 +150,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled (uncanceled) events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.
@@ -148,7 +175,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	e.seq++
 	s.at, s.seq, s.fn = t, e.seq, fn
-	e.push(s)
+	e.file(s)
+	e.pending++
 	return Event{s: s, seq: s.seq}
 }
 
@@ -167,7 +195,25 @@ func (e *Engine) Cancel(ev Event) {
 	if !ev.live() {
 		return
 	}
-	e.recycle(e.remove(ev.s.idx))
+	s := ev.s
+	if s.bucket == 0 {
+		// Bucket 0 is in seq order, so the hole stays.
+		e.buckets[0][s.idx] = nil
+		if int(s.idx) == e.head {
+			e.skip()
+		}
+	} else {
+		b := e.buckets[s.bucket]
+		n := len(b) - 1
+		b[s.idx] = b[n]
+		b[s.idx].idx = s.idx
+		e.buckets[s.bucket] = b[:n]
+		if n == 0 {
+			e.mask &^= 1 << s.bucket
+		}
+	}
+	e.pending--
+	e.recycle(s)
 }
 
 // recycle returns a spent slot to the free list.
@@ -176,90 +222,90 @@ func (e *Engine) recycle(s *slot) {
 	e.free = append(e.free, s)
 }
 
-// less orders slots by (time, schedule sequence): the FIFO tie-break makes
-// same-time events fire in scheduling order.
-func less(a, b *slot) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// file puts s into the bucket of its time. Every pending time is at least
+// last, and a slot due at last has the largest seq yet, so appending keeps
+// bucket 0 in seq order.
+func (e *Engine) file(s *slot) {
+	b := bits.Len64(uint64(s.at ^ e.last))
+	s.bucket, s.idx = int32(b), int32(len(e.buckets[b]))
+	e.buckets[b] = append(e.buckets[b], s)
+	e.mask |= 1 << b
 }
 
-// push adds a slot to the 4-ary heap.
-func (e *Engine) push(s *slot) {
-	e.events = append(e.events, nil)
-	e.up(len(e.events)-1, s)
-}
-
-// remove takes the slot at heap index i out of the heap and returns it. The
-// last entry fills the hole and sifts down, or up if it is smaller than its
-// new parent; removing index 0 is the heap's pop.
-func (e *Engine) remove(i int) *slot {
-	h := e.events
-	s := h[i]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.events = h[:n]
-	if i < n {
-		e.down(i, last)
-		if last.idx == i {
-			e.up(i, last)
-		}
+// skip moves head past canceled entries. When bucket 0 has none left it is
+// emptied at once, so events that keep scheduling at one instant reuse its
+// storage instead of appending forever.
+func (e *Engine) skip() {
+	b := e.buckets[0]
+	for e.head < len(b) && b[e.head] == nil {
+		e.head++
 	}
+	if e.head == len(b) {
+		e.buckets[0], e.head = b[:0], 0
+		e.mask &^= 1
+	}
+}
+
+// next takes the earliest pending event out of the queue and returns it, if
+// it is due by limit; otherwise it returns nil and leaves the queue as it
+// is. When bucket 0 is empty, the lowest other bucket's minimum becomes
+// last and that bucket is spread into the buckets below it. last moves only
+// to an event that is due, so it never passes the clock: a later At(now)
+// files at or above it.
+func (e *Engine) next(limit Time) *slot {
+	if e.mask&1 == 0 {
+		if e.mask == 0 {
+			return nil
+		}
+		b := bits.TrailingZeros64(e.mask)
+		spread := e.buckets[b]
+		if len(spread) == 1 { // a lone minimum leaves at once
+			s := spread[0]
+			if s.at > limit {
+				return nil
+			}
+			e.last = s.at
+			e.buckets[b] = spread[:0]
+			e.mask &^= 1 << b
+			e.pending--
+			return s
+		}
+		m := spread[0].at
+		for _, s := range spread[1:] {
+			m = min(m, s.at)
+		}
+		if m > limit {
+			return nil
+		}
+		e.last = m
+		e.buckets[b] = spread[:0]
+		e.mask &^= 1 << b
+		for _, s := range spread {
+			e.file(s)
+		}
+		if b0 := e.buckets[0]; len(b0) > 1 {
+			slices.SortFunc(b0, func(x, y *slot) int { return cmp.Compare(x.seq, y.seq) })
+			for i, s := range b0 {
+				s.idx = int32(i)
+			}
+		}
+	} else if e.last > limit {
+		return nil
+	}
+	s := e.buckets[0][e.head]
+	e.head++
+	e.skip()
+	e.pending--
 	return s
 }
 
-// up places s at index i or above it, moving larger parents down.
-func (e *Engine) up(i int, s *slot) {
-	h := e.events
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(s, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].idx = i
-		i = p
-	}
-	h[i] = s
-	s.idx = i
-}
-
-// down places s at index i or below it, moving the least of up to four
-// children up.
-func (e *Engine) down(i int, s *slot) {
-	h := e.events
-	n := len(h)
-	for {
-		c := i<<2 + 1 // first child
-		if c >= n {
-			break
-		}
-		m := c
-		if c+1 < n && less(h[c+1], h[m]) {
-			m = c + 1
-		}
-		if c+2 < n && less(h[c+2], h[m]) {
-			m = c + 2
-		}
-		if c+3 < n && less(h[c+3], h[m]) {
-			m = c + 3
-		}
-		if !less(h[m], s) {
-			break
-		}
-		h[i] = h[m]
-		h[i].idx = i
-		i = m
-	}
-	h[i] = s
-	s.idx = i
-}
-
-// step fires the next event. It reports false when no events remain.
-func (e *Engine) step() bool {
-	if len(e.events) == 0 {
+// step fires the next event if it is due by limit, and reports whether it
+// fired one.
+func (e *Engine) step(limit Time) bool {
+	s := e.next(limit)
+	if s == nil {
 		return false
 	}
-	s := e.remove(0)
 	if s.at < e.now {
 		panic("sim: time went backwards")
 	}
@@ -276,7 +322,7 @@ func (e *Engine) step() bool {
 // deadlocked and Run panics with a diagnostic (a silent hang would otherwise
 // be indistinguishable from completion).
 func (e *Engine) Run() Time {
-	for e.step() {
+	for e.step(math.MaxInt64) {
 	}
 	if e.procs > 0 {
 		names := ""
@@ -293,8 +339,7 @@ func (e *Engine) Run() Time {
 // RunUntil processes events with firing time <= t, then sets the clock to t.
 // Processes may still be blocked; RunUntil does not treat that as deadlock.
 func (e *Engine) RunUntil(t Time) Time {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.step()
+	for e.step(t) {
 	}
 	if t > e.now {
 		e.now = t

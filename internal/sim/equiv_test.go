@@ -1,10 +1,12 @@
 package sim_test
 
 // Equivalence between the engine and the reference event loop preserved in
-// internal/sim/baseline: on randomized schedules — same-time ties,
+// internal/sim/baseline: on randomized schedules — same-time ties, delays
+// from nanoseconds to hours (so every bucket of the radix queue is used),
 // callbacks that schedule more events, cancellations before the run and
-// from inside callbacks, whole runs and RunUntil steps — both must fire the
-// same callbacks at the same times in the same order.
+// from inside callbacks, whole runs and RunUntil steps with events
+// scheduled between them — both must fire the same callbacks at the same
+// times in the same order.
 
 import (
 	"math/rand"
@@ -14,8 +16,13 @@ import (
 	"repro/internal/sim/baseline"
 )
 
-// maxDelay bounds an op's delay; small, so that ties are common.
-const maxDelay = 40
+// maxDelay bounds an op's delay before its scale; small, so that ties are
+// common. maxScale bounds the scale: a delay is multiplied by up to 2^40,
+// which makes 1 ns about 18 simulated minutes.
+const (
+	maxDelay = 40
+	maxScale = 40
+)
 
 // cancelKind names the event an op cancels just before it is scheduled.
 type cancelKind uint8
@@ -31,7 +38,8 @@ const (
 
 // scriptOp is one scheduled event.
 type scriptOp struct {
-	delay  sim.Time   // After(delay) relative to the op's issue time
+	delay  sim.Time   // After(delay<<scale) relative to the op's issue time
+	scale  uint8      // 0 for most ops
 	cancel cancelKind // what to cancel just before scheduling this op
 	pick   int        // chooses among the cancel candidates
 	nested int        // how many of the following ops the callback issues
@@ -39,20 +47,26 @@ type scriptOp struct {
 
 // script is a deterministic schedule, replayed identically on both
 // engines. Ops are issued in order: the first initial ones before the run,
-// each later one from the callback of an earlier op.
+// each later one from the callback of an earlier op or, in RunUntil mode,
+// between two steps, at the clock the step left behind.
 type script struct {
 	ops     []scriptOp
 	initial int
 	stride  sim.Time // 0: advance with Run; otherwise RunUntil steps of stride
+	between int      // ops issued after each RunUntil step
 }
 
 func makeScript(rng *rand.Rand, n int) script {
 	s := script{ops: make([]scriptOp, n), initial: n/2 + 1 + rng.Intn((n+1)/2)}
 	if rng.Intn(3) == 0 {
-		s.stride = sim.Time(1 + rng.Intn(2*maxDelay))
+		s.stride = sim.Time(1 + rng.Intn(2*maxDelay-1))
+		s.between = rng.Intn(3)
 	}
 	for i := range s.ops {
 		op := scriptOp{delay: sim.Time(rng.Intn(maxDelay)), pick: rng.Intn(1 << 16)}
+		if rng.Intn(4) == 0 {
+			op.scale = uint8(1 + rng.Intn(maxScale))
+		}
 		if rng.Intn(4) == 0 {
 			op.cancel = cancelKind(1 + rng.Intn(int(cancelKinds)-1))
 		}
@@ -64,24 +78,38 @@ func makeScript(rng *rand.Rand, n int) script {
 	return s
 }
 
-// decodeScript reads a script from fuzz input: two header bytes (initial
-// ops, RunUntil stride), then four bytes per op (delay, cancel kind, pick,
-// nested).
+// decodeScript reads a script from fuzz input: three header bytes (initial
+// ops, RunUntil stride, ops between steps), then five bytes per op (delay,
+// scale, cancel kind, pick, nested). A scale byte above maxScale reads as 0.
 func decodeScript(data []byte) script {
 	var s script
-	if len(data) < 2 {
+	if len(data) < 3 {
 		return s
 	}
-	s.initial, s.stride = int(data[0]), sim.Time(data[1]%(2*maxDelay))
-	for b := data[2:]; len(b) >= 4 && len(s.ops) < 256; b = b[4:] {
-		s.ops = append(s.ops, scriptOp{
+	s.initial, s.stride, s.between = int(data[0]), sim.Time(data[1]%(2*maxDelay)), int(data[2]%4)
+	for b := data[3:]; len(b) >= 5 && len(s.ops) < 256; b = b[5:] {
+		op := scriptOp{
 			delay:  sim.Time(b[0] % maxDelay),
-			cancel: cancelKind(b[1]) % cancelKinds,
-			pick:   int(b[2]),
-			nested: int(b[3] % 4),
-		})
+			cancel: cancelKind(b[2]) % cancelKinds,
+			pick:   int(b[3]),
+			nested: int(b[4] % 4),
+		}
+		if b[1] <= maxScale {
+			op.scale = b[1]
+		}
+		s.ops = append(s.ops, op)
 	}
 	return s
+}
+
+// encodeScript is decodeScript's inverse for scripts of at most 255 initial
+// and 256 ops, except that a pick keeps only its low byte.
+func encodeScript(s script) []byte {
+	b := []byte{byte(s.initial), byte(s.stride), byte(s.between)}
+	for _, op := range s.ops {
+		b = append(b, byte(op.delay), op.scale, byte(op.cancel), byte(op.pick), byte(op.nested))
+	}
+	return b
 }
 
 // engine is what replay needs of an engine; handles are named by op index.
@@ -177,10 +205,11 @@ func replay(s script, e engine) []firing {
 				live--
 			}
 		}
-		due = append(due, e.now()+op.delay)
+		d := op.delay << op.scale
+		due = append(due, e.now()+d)
 		state = append(state, pending)
 		live++
-		e.schedule(op.delay, func() {
+		e.schedule(d, func() {
 			state[id] = fired
 			live--
 			log = append(log, firing{id, e.now()})
@@ -193,12 +222,14 @@ func replay(s script, e engine) []firing {
 		issue()
 	}
 	if s.stride > 0 {
-		// Every op is due within maxDelay of its issuer, so the horizon
-		// only stops the loop when an engine lost an event.
-		horizon := sim.Time(maxDelay * (len(s.ops) + 1))
-		for live > 0 && e.now() < horizon {
+		// The step bound only ends the loop early when far events or a
+		// lost event keep it from draining; Run fires the rest.
+		for steps := 0; live > 0 && steps < 4*len(s.ops); steps++ {
 			e.runUntil(e.now() + s.stride)
 			log = append(log, firing{-1, e.now()})
+			for k := 0; k < s.between && len(due) < len(s.ops); k++ {
+				issue()
+			}
 		}
 	}
 	e.run()
@@ -223,7 +254,7 @@ func TestEngineMatchesBaselineOnRandomSchedules(t *testing.T) {
 	for trial := int64(0); trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(trial))
 		s := makeScript(rng, 1+rng.Intn(400))
-		t.Logf("trial %d: %d ops, %d initial, stride %d", trial, len(s.ops), s.initial, s.stride)
+		t.Logf("trial %d: %d ops, %d initial, stride %d, %d between steps", trial, len(s.ops), s.initial, s.stride, s.between)
 		checkMatchesBaseline(t, s)
 	}
 }
@@ -231,9 +262,16 @@ func TestEngineMatchesBaselineOnRandomSchedules(t *testing.T) {
 func FuzzEngineMatchesBaseline(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 1; n <= 128; n *= 2 {
-		b := make([]byte, 2+4*n)
+		b := make([]byte, 3+5*n)
 		rng.Read(b)
 		f.Add(b)
+	}
+	// Random bytes mostly make scripts whose ops are all issued before the
+	// run; makeScript's also nest ops in callbacks and between RunUntil
+	// steps.
+	for trial := int64(0); trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		f.Add(encodeScript(makeScript(rng, 1+rng.Intn(200))))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMatchesBaseline(t, decodeScript(data))

@@ -138,7 +138,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (registering on first use) the named histogram.
+// histogramCap bounds the samples a registry histogram retains, so that
+// its memory does not grow with the length of a run. 1<<17 samples still
+// resolve p99.9 with more than ten samples beyond it.
+const histogramCap = 1 << 17
+
+// Histogram returns (registering on first use) the named histogram. It
+// retains at most histogramCap samples (see Histogram.SetCap).
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -147,6 +153,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return h
 	}
 	h := NewHistogram(name)
+	h.SetCap(histogramCap)
 	r.hists[name] = h
 	return h
 }

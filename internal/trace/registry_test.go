@@ -136,3 +136,23 @@ func TestNilRegistryAllocationFree(t *testing.T) {
 		t.Fatalf("disabled metrics allocated %.1f per op", allocs)
 	}
 }
+
+// A registry histogram keeps at most histogramCap samples however long a
+// run adds to it, while its count and moments stay exact.
+func TestRegistryHistogramIsBounded(t *testing.T) {
+	h := NewRegistry(sim.NewEngine()).Histogram("coll.x.latency")
+	const n = 1 << 18
+	var sum float64
+	for i := 0; i < n; i++ {
+		v := sim.Time(1 + i*7919%n)
+		sum += float64(v)
+		h.Add(v)
+	}
+	if got := len(h.Samples()); got > histogramCap {
+		t.Fatalf("retained %d samples, cap %d", got, histogramCap)
+	}
+	if h.Count() != n || h.Min() != 1 || h.Max() != n || h.Mean() != sim.Time(sum/n) {
+		t.Fatalf("Count %d, Min %v, Max %v, Mean %v; want %d, 1, %d, %v",
+			h.Count(), h.Min(), h.Max(), h.Mean(), n, n, sim.Time(sum/n))
+	}
+}
