@@ -1,5 +1,11 @@
 package fiber
 
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
 // Frame is the items of one packet-switched frame in a single allocation,
 // taken from a FrameStore. Each item is still a struct of its own, which
 // links and ports update as it moves. The sender marks the items whose
@@ -40,12 +46,16 @@ func (it *Item) Consume() {
 	f.store.put(f)
 }
 
-// FrameStore keeps released frames for reuse, by length. One store serves
-// a whole system, so it holds at most the system's peak number of frames in
-// flight. The zero value is ready to use.
+// FrameStore keeps released frames for reuse, by length, and released
+// packet bodies, by size class. One store serves a whole system, so it holds
+// at most the system's peak number of frames and bodies in flight. The zero
+// value is ready to use.
 type FrameStore struct {
 	free [][]*Frame // free[n]: released frames of n items
 	made int
+
+	bodies [bodyClasses][][]byte // bodies[c]: released bodies of class c
+	held   sim.FIFO[[]byte]      // test binaries: released bodies not yet reusable
 }
 
 // Get returns a frame of n zero items: a released one of that length if
@@ -74,4 +84,108 @@ func (s *FrameStore) put(f *Frame) {
 		s.free = append(s.free, nil)
 	}
 	s.free[n] = append(s.free[n], f)
+}
+
+// Packet bodies come in power-of-two size classes from 32 bytes to maxBody.
+// The largest packet-switched payload (1022 bytes) fits the largest class.
+const (
+	minBodyShift = 5 // the smallest class holds 32 bytes
+	bodyClasses  = 6
+	// maxBody is the largest body a class holds. Body makes a larger one
+	// as a plain allocation, which PutBody ignores.
+	maxBody = 1 << (minBodyShift + bodyClasses - 1)
+)
+
+// bodyClass returns the class of the smallest body that holds n bytes, or
+// -1 when n exceeds maxBody.
+func bodyClass(n int) int {
+	if n > maxBody {
+		return -1
+	}
+	c := 0
+	for 1<<(minBodyShift+c) < n {
+		c++
+	}
+	return c
+}
+
+// Body returns a buffer of n bytes whose contents are undefined: a released
+// body of n's class if there is one, else a new one of the class's
+// capacity. The caller writes every byte it sends. As the paper's CAB
+// builds each packet in CAB memory it reuses (§6.2.1), a body's one holder
+// at a time gives it back with PutBody once it is done with it.
+func (s *FrameStore) Body(n int) []byte {
+	c := bodyClass(n)
+	if c < 0 {
+		return make([]byte, n)
+	}
+	if bs := s.bodies[c]; len(bs) > 0 {
+		b := bs[len(bs)-1]
+		bs[len(bs)-1] = nil
+		s.bodies[c] = bs[:len(bs)-1]
+		return b[:n]
+	}
+	return make([]byte, n, 1<<(minBodyShift+c))
+}
+
+// PutBody takes a body back for reuse by the next Body of its class. A
+// slice whose capacity is not exactly a class size was not made by Body
+// and is left to the garbage collector. The caller must hold the only
+// reference to b.
+//
+// In a test binary a released body is checked the way the CAB's protection
+// hardware checks memory (§5.2): it is filled with poison and held in a
+// FIFO quarantine of bodyQuarantine bodies before it can be reused.
+// PutBody panics when a body is released twice (it is already all poison)
+// or was written after its release (it leaves the quarantine changed).
+func (s *FrameStore) PutBody(b []byte) {
+	if c := bodyClass(cap(b)); c < 0 || cap(b) != 1<<(minBodyShift+c) {
+		return
+	}
+	b = b[:cap(b)]
+	if checkBodies {
+		if b = s.quarantine(b); b == nil {
+			return
+		}
+	}
+	c := bodyClass(len(b))
+	s.bodies[c] = append(s.bodies[c], b)
+}
+
+// checkBodies arms PutBody's poison and quarantine in test binaries only.
+var checkBodies = testing.Testing()
+
+const (
+	bodyPoison     = 0xDB // no transport wire is all this byte: its first is the protocol
+	bodyQuarantine = 64
+)
+
+// quarantine poisons a released body and parks it, and returns the body
+// that leaves the quarantine to make room (nil while it fills).
+func (s *FrameStore) quarantine(b []byte) []byte {
+	if poisoned(b) {
+		panic("fiber: packet body released twice")
+	}
+	for i := range b {
+		b[i] = bodyPoison
+	}
+	s.held.Push(b)
+	if s.held.Len() <= bodyQuarantine {
+		return nil
+	}
+	old := s.held.Pop()
+	if !poisoned(old) {
+		panic("fiber: packet body written after its release")
+	}
+	return old
+}
+
+// poisoned reports whether every byte of b is the poison byte.
+func poisoned(b []byte) bool {
+	for _, x := range b {
+		if x != bodyPoison {
+			return false
+		}
+	}
+	return true
 }

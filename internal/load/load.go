@@ -244,8 +244,8 @@ type run struct {
 	digest  trace.Digest
 	// zeros is every operation's payload: one read-only buffer sized to
 	// the largest payload the mix sends. The transport copies a caller's
-	// data at Encode and never keeps or writes it, so all operations in
-	// flight can share it.
+	// data into its wires and never keeps or writes it, so all operations
+	// in flight can share it.
 	zeros []byte
 }
 

@@ -8,17 +8,26 @@ import (
 	"repro/internal/transport"
 )
 
+// warmRounds warms an allocation test past the frame store's body
+// quarantine: in a test binary a released body waits behind 64 others
+// before it is reused, and the quarantine's own ring grows while it fills.
+// testing.AllocsPerRun truncates its mean, so those one-off allocations
+// could otherwise hide a steady one.
+const warmRounds = 70
+
 // datagramAllocs is what one 64-byte datagram costs from SendDatagram to
 // the receiver's mailbox on one HUB, with no instrumentation. The receive
 // path between the fiber and the mailbox allocates nothing of its own: each
 // receive stage takes its packet from a FIFO with a method bound once, and
-// the decoded header lives on the stack, and the frame (its test open,
-// packet and close all) comes back to the system's frame store once the
-// receiver has consumed it. Two allocations remain: the Encode wire and the
-// Message the receiving mailbox reserves. A per-packet closure in a receive
-// stage, a heap header, an item allocated on its own or a frame that is not
-// reused shows up here (10 before they went, 3 while every frame was new).
-const datagramAllocs = 2
+// the decoded header lives on the stack, the frame (its test open, packet
+// and close all) comes back to the system's frame store once the receiver
+// has consumed it, and so does the wire's body once the receiver has
+// dispatched it. One allocation remains: the Message the receiving mailbox
+// reserves. A per-packet closure in a receive stage, a heap header, an item
+// allocated on its own, or a frame or wire that is not reused shows up here
+// (10 before they went, 3 while every frame was new, 2 while every wire
+// was).
+const datagramAllocs = 1
 
 func TestDatagramReceivePathAllocations(t *testing.T) {
 	sys := core.New(core.SingleHub(2))
@@ -46,12 +55,14 @@ func TestDatagramReceivePathAllocations(t *testing.T) {
 		send.V()
 		sys.Run()
 	}
-	round() // warm the engine's event pool, the FIFOs and the route cache
+	for range warmRounds { // the engine's event pool, the FIFOs, the stores and the route cache
+		round()
+	}
 	if got := testing.AllocsPerRun(100, round); got > datagramAllocs {
 		t.Fatalf("%v allocations per delivered datagram, want <= %d", got, datagramAllocs)
 	}
-	if delivered != 102 {
-		t.Fatalf("%d datagrams delivered, want 102", delivered)
+	if delivered != warmRounds+101 {
+		t.Fatalf("%d datagrams delivered, want %d", delivered, warmRounds+101)
 	}
 }
 
@@ -59,12 +70,13 @@ func TestDatagramReceivePathAllocations(t *testing.T) {
 // HUB, with no instrumentation. Timers belong to the threads that arm them,
 // Cond waiters are the threads' own, the pending request holds its Cond by
 // value, the pendingReq itself is reused from the transport's free list and
-// each direction's frame from the frame store, so four allocations remain:
-// per direction the Encode wire, the server mailbox's Message and the
-// client's copy of the response (15 while timers, Conds and frame items
-// were allocated per use, 7 while each request made its own pendingReq, 6
-// while every frame was new).
-const requestAllocs = 4
+// each direction's frame from the frame store, and the request's wire is
+// built in a body from the store. Three allocations remain: the response
+// wire, which the server's at-most-once table keeps, the server mailbox's
+// Message and the client's copy of the response (15 while timers, Conds and
+// frame items were allocated per use, 7 while each request made its own
+// pendingReq, 6 while every frame was new, 4 while every wire was).
+const requestAllocs = 3
 
 func TestRequestRoundTripAllocations(t *testing.T) {
 	resp, data := make([]byte, 64), make([]byte, 64)
@@ -84,8 +96,9 @@ func TestRequestRoundTripAllocations(t *testing.T) {
 // one-packet group is complete on arrival, so neither end makes a group, a
 // segment map, a closure or a gap timer, the client's vmtpPending comes off
 // the free list and every frame comes back to the frame store. Six
-// allocations remain: per direction the groupPackets slice and the Encode
-// wire, the server mailbox's Message and the client's one copy of the
+// allocations remain: per direction the groupPackets slice and the wire,
+// which the sender keeps for selective retransmission, the server mailbox's
+// Message and the client's one copy of the
 // response (22 while every group went through map-based reassembly, 8 while
 // every frame was new). A 3-packet response adds a wire per extra packet;
 // the buffer it is reassembled into is the response, in place of the
@@ -156,10 +169,56 @@ func roundTripAllocs(t *testing.T, wantLen int,
 		start.V()
 		sys.Run()
 	}
-	round() // warm the engine's event pool, the FIFOs, maps, free lists and route cache
+	for range warmRounds { // the engine's event pool, the FIFOs, maps, free lists, stores and route cache
+		round()
+	}
 	allocs := testing.AllocsPerRun(100, round)
-	if answered != 102 {
-		t.Fatalf("%d calls answered, want 102", answered)
+	if answered != warmRounds+101 {
+		t.Fatalf("%d calls answered, want %d", answered, warmRounds+101)
 	}
 	return allocs
+}
+
+// streamMsgAllocs is what a warmed 64 KB StreamSend costs on one HUB, with
+// no instrumentation: 67 data packets and their acks, every wire built in a
+// body from the system's store and given back by its receiver. What remains
+// is per message, not per packet: the Message the receiving mailbox reserves
+// (135 while every wire was a new allocation).
+const streamMsgAllocs = 1
+
+func TestStreamMessageAllocations(t *testing.T) {
+	sys := core.New(core.SingleHub(2))
+	tx, rx := sys.CAB(0), sys.CAB(1)
+	mb := rx.Kernel.NewMailbox("in", 256<<10)
+	rx.TP.Register(2, mb)
+	delivered := 0
+	rx.Kernel.SpawnDaemon("receiver", func(th *kernel.Thread) {
+		for {
+			mb.Release(mb.Get(th))
+			delivered++
+		}
+	})
+	data := make([]byte, 64<<10)
+	send := tx.Kernel.NewSem(0)
+	tx.Kernel.SpawnDaemon("sender", func(th *kernel.Thread) {
+		for {
+			send.P(th)
+			if err := tx.TP.StreamSend(th, 1, 2, 5, data); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
+	round := func() {
+		send.V()
+		sys.Run()
+	}
+	for range 2 { // more than the quarantine's worth of bodies, each way
+		round()
+	}
+	if got := testing.AllocsPerRun(20, round); got > streamMsgAllocs {
+		t.Fatalf("%v allocations per 64 KB stream message, want <= %d", got, streamMsgAllocs)
+	}
+	if delivered != 23 {
+		t.Fatalf("%d messages delivered, want 23", delivered)
+	}
 }

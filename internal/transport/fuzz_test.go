@@ -128,6 +128,7 @@ func FuzzHeaderDecode(f *testing.F) {
 	corrupt := Encode(&Header{Proto: ProtoResponse, MsgID: 9}, []byte("abc"))
 	corrupt[12] ^= 0xFF
 	f.Add(corrupt)
+	f.Add(Encode(&Header{Proto: ProtoDatagram, Src: 7, Dst: 8, MsgID: 0xFFFF}, bytes.Repeat([]byte{0xFF}, 40)))
 	trunc := Encode(&Header{Proto: ProtoStream, Class: ClassNormal, Deadline: sim.Second}, []byte("abcdef"))
 	f.Add(trunc[:HeaderSize+3])
 
@@ -146,6 +147,12 @@ func FuzzHeaderDecode(f *testing.F) {
 		re := Encode(&h, payload)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode not byte-identical:\n in  %x\n out %x", data, re)
+		}
+		// Built in a reused body, whose stale bytes read 0x5A, the wire
+		// must come out the same (0xFF would hide a stale checksum field:
+		// 0xFFFF is zero to a ones'-complement sum).
+		if into := encodeInto(bytes.Repeat([]byte{0x5A}, len(data)), &h, payload); !bytes.Equal(into, data) {
+			t.Fatalf("encodeInto over a used body not byte-identical:\n in  %x\n out %x", data, into)
 		}
 	})
 }

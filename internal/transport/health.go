@@ -113,13 +113,13 @@ func (t *Transport) heartbeatTick() {
 func (t *Transport) sendPing(dst int) {
 	h := &Header{Proto: ProtoPing, Src: uint16(t.self), Dst: uint16(dst)}
 	t.stats.PingsSent++
-	t.enqueueControl(dst, Encode(h, nil), nil)
+	t.enqueueControl(dst, t.wire(h, nil), nil)
 }
 
 // recvPing answers a heartbeat.
 func (t *Transport) recvPing(h *Header, sp *trace.Span) {
 	ph := &Header{Proto: ProtoPong, Src: uint16(t.self), Dst: uint16(h.Src)}
-	t.enqueueControl(int(h.Src), Encode(ph, nil), sp)
+	t.enqueueControl(int(h.Src), t.wire(ph, nil), sp)
 }
 
 // recvPong processes a heartbeat reply: the peer is alive.

@@ -375,7 +375,7 @@ func (t *Transport) sendReject(h *Header, reason uint32, sp *trace.Span) {
 		Deadline: h.Deadline,
 	}
 	t.ovl.rejectsSent++
-	t.enqueueControl(int(h.Src), Encode(rh, nil), sp)
+	t.enqueueControl(int(h.Src), t.wire(rh, nil), sp)
 }
 
 // recvReject wakes the waiter of a fast-rejected operation with a

@@ -81,9 +81,10 @@ func (t *Transport) Request(th *kernel.Thread, dst int, dstBox, srcBox uint16, d
 // fail fast with ErrOverload or ErrDeadlineExpired; the class and deadline
 // ride the wire header to the server. The outcome — latency, success, and
 // the root trace id — is reported to the SLO engine when one is armed.
-// data is copied at Encode, and retransmissions resend that copy; it is
-// never kept or written, so the caller may reuse it as soon as the call
-// returns.
+// data is copied into a wire of its own for each attempt, so that every
+// wire has one holder (Header.pooled); the caller is blocked in the call
+// meanwhile. data is never kept or written, so the caller may reuse it as
+// soon as the call returns.
 func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) (resp []byte, err error) {
 	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
 		t.nextReq++
@@ -99,7 +100,6 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 			MsgID: reqID, Total: uint32(len(data)),
 			Class: opts.Class, Deadline: opts.Deadline,
 		}
-		wire := Encode(h, data)
 		t.stats.Requests++
 
 		for attempt := 0; attempt <= reqRetries; attempt++ {
@@ -113,7 +113,7 @@ func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint1
 				t.fr.Note(obs.FRetransmit, t.frName, int64(dst), int64(attempt))
 				t.fl.Retrans(t.self, dst, byte(ProtoRequest))
 			}
-			if err := t.sendData(th, dst, wire, opts); err != nil {
+			if err := t.sendData(th, dst, t.wire(h, data), opts); err != nil {
 				return pend.traceID, err
 			}
 			t.awaitReply(th, &pend.pendingOp,
@@ -173,7 +173,7 @@ func (t *Transport) Respond(th *kernel.Thread, req *kernel.Message, data []byte)
 		// dropping a late response would only force a retransmission.
 		Class: Class(req.Class),
 	}
-	wire := Encode(h, data)
+	wire := t.wire(h, data)
 	t.once.answer(reqKey{src: uint16(req.Src), reqID: req.Tag}, wire)
 	t.stats.Responses++
 	// Chain the response into the request's trace tree: with the request's

@@ -95,7 +95,7 @@ func (t *Transport) StreamSend(th *kernel.Thread, dst int, dstBox, srcBox uint16
 // (ErrOverload / ErrDeadlineExpired fast-fail) and every fragment carries
 // the class and deadline on the wire. The outcome is reported to the SLO
 // engine when one is armed (streams carry no response, so no trace id).
-// data is copied at Encode, once per fragment sent or resent; it is never
+// data is copied into a wire once per fragment sent or resent; it is never
 // kept or written, so the caller may reuse it as soon as the call returns.
 func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) error {
 	s := t.streamOut(streamKey{peer: dst, lbox: srcBox, rbox: dstBox})
@@ -130,7 +130,7 @@ func (t *Transport) StreamSendOpts(th *kernel.Thread, dst int, dstBox, srcBox ui
 				Total: uint32(len(data)), Offset: uint32(lo),
 				Class: opts.Class, Deadline: opts.Deadline,
 			}
-			return t.sendData(th, dst, Encode(h, data[lo:hi]), opts)
+			return t.sendData(th, dst, t.wire(h, data[lo:hi]), opts)
 		}
 
 		base, next := 0, 0
@@ -191,7 +191,7 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 			MsgID: h.MsgID, Seq: seq,
 		}
 		t.stats.AcksSent++
-		t.enqueueControl(int(h.Src), Encode(ah, nil), sp)
+		t.enqueueControl(int(h.Src), t.wire(ah, nil), sp)
 	}
 
 	switch {

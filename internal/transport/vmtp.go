@@ -154,7 +154,7 @@ func (t *Transport) groupPackets(proto Proto, dst int, dstBox, srcBox uint16, tx
 			Total: uint32(len(data)), Offset: uint32(n), // Offset carries group size
 			Class: opts.Class, Deadline: opts.Deadline,
 		}
-		wires[i] = Encode(h, data[lo:hi])
+		wires[i] = t.wire(h, data[lo:hi])
 	}
 	return wires
 }
@@ -169,8 +169,8 @@ func (t *Transport) VTransact(th *kernel.Thread, dst int, dstBox, srcBox uint16,
 // VTransactOpts is VTransact with a priority class and deadline (the
 // per-packet deadline extension slightly lowers the group's payload
 // ceiling). The outcome — latency, success, and the root trace id — is
-// reported to the SLO engine when one is armed. req is copied at Encode
-// into the request group, which retransmissions resend; it is never kept or
+// reported to the SLO engine when one is armed. req is copied into the
+// request group, which retransmissions resend; it is never kept or
 // written, so the caller may reuse it as soon as the call returns.
 func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) (resp []byte, err error) {
 	if limit := MaxGroupPackets * maxSeg(opts.Deadline); len(req) > limit {
@@ -332,14 +332,14 @@ func (t *Transport) nackRequest(g *vmtpGroup) {
 		t.sendReject(h, rejectExpired, nil)
 		return
 	}
-	body := make([]byte, 4)
-	binary.BigEndian.PutUint32(body, g.got)
+	var body [4]byte
+	binary.BigEndian.PutUint32(body[:], g.got)
 	nh := &Header{
 		Proto: ProtoVNack, Src: uint16(t.self), Dst: h.Src,
 		SrcBox: h.DstBox, DstBox: h.SrcBox, MsgID: h.MsgID,
 	}
 	t.stats.AcksSent++
-	t.enqueueControl(int(h.Src), Encode(nh, body), nil)
+	t.enqueueControl(int(h.Src), t.wire(nh, body[:]), nil)
 	// Re-arm while the group stays incomplete.
 	t.armGroupTimer(g)
 }
@@ -391,15 +391,15 @@ func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
 // the transaction ends.
 func (t *Transport) nackResponse(pend *vmtpPending) {
 	h := &pend.resp.hdr
-	body := make([]byte, 4)
-	binary.BigEndian.PutUint32(body, pend.resp.got)
+	var body [4]byte
+	binary.BigEndian.PutUint32(body[:], pend.resp.got)
 	nh := &Header{
 		Proto: ProtoVNack, Src: uint16(t.self), Dst: h.Src,
 		SrcBox: h.DstBox, DstBox: h.SrcBox, MsgID: h.MsgID,
 		Seq: 1, // direction flag: NACK of a response
 	}
 	t.stats.AcksSent++
-	t.enqueueControl(int(h.Src), Encode(nh, body), nil)
+	t.enqueueControl(int(h.Src), t.wire(nh, body[:]), nil)
 	t.armGroupTimer(&pend.resp)
 }
 
