@@ -119,6 +119,12 @@ type Item struct {
 	ReplyOK  bool
 	ReplyVal byte
 
+	// Shared marks a packet whose payload another item also carries:
+	// Clone sets it on the original and on the copy, so every branch of a
+	// fan-out has it. A receiver of a shared packet is not the payload's
+	// only holder and must not reuse its buffer.
+	Shared bool
+
 	// Comb holds the combining extension for combining commands
 	// (nil for every other command; see package hub).
 	Comb *CombData
@@ -162,11 +168,13 @@ type Item struct {
 	frame *Frame
 }
 
-// Clone returns a shallow copy of the item (payload shared). Forwarding
-// devices clone before re-sending so per-copy timing fields do not alias,
-// e.g. one copy per multicast branch. The copy is never tracked: only the
-// original returns its frame to the store (see Consume).
+// Clone returns a shallow copy of the item (payload shared) and marks both
+// the item and the copy Shared. Forwarding devices clone before re-sending
+// so per-copy timing fields do not alias, e.g. one copy per multicast
+// branch. The copy is never tracked: only the original returns its frame to
+// the store (see Consume).
 func (it *Item) Clone() *Item {
+	it.Shared = true
 	c := *it
 	c.frame = nil
 	return &c
