@@ -117,7 +117,9 @@ func (d *DMA) TransferSpan(ch Channel, n int, done func(), parent *trace.Span) s
 // Timer is a cancellable hardware timer ("hardware timers allow time-outs
 // to be set by the software with low overhead", paper §5.1). Its owner
 // keeps it and re-arms it with Timers.Arm, so arming allocates nothing once
-// the timer has been armed the first time. The zero Timer is idle.
+// the timer has been armed the first time. The zero Timer is idle. An idle
+// timer may be armed on another bank of the same engine: bank is the bank
+// of the last Arm.
 type Timer struct {
 	ev       sim.Event
 	bank     *Timers
@@ -132,6 +134,9 @@ func (t *Timer) Cancel() {
 		t.bank.eng.Cancel(t.ev)
 	}
 }
+
+// Pending reports whether the timer is armed and has not fired.
+func (t *Timer) Pending() bool { return !t.ev.Canceled() }
 
 // expire runs the timer's function when it fires.
 func (t *Timer) expire() {
@@ -154,8 +159,8 @@ func NewTimers(eng *sim.Engine) *Timers {
 // Arm cancels tm if it is pending, then arms it to run fn after d.
 func (t *Timers) Arm(tm *Timer, d sim.Time, fn func()) {
 	tm.Cancel()
+	tm.bank = t
 	if tm.expireFn == nil {
-		tm.bank = t
 		tm.expireFn = tm.expire
 	}
 	t.set++

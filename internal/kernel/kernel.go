@@ -67,6 +67,10 @@ type Kernel struct {
 	spawned  int64
 	reboots  int64
 
+	// live counts the threads whose bodies have not returned; daemons
+	// counts every daemon thread spawned.
+	live, daemons int
+
 	// The CAB's instruments (each may be nil: disabled).
 	tr    *trace.Tracer
 	reg   *trace.Registry
@@ -91,6 +95,10 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // Switches returns the number of context switches performed.
 func (k *Kernel) Switches() int64 { return k.switches }
+
+// Threads returns the number of threads spawned and not yet finished, and
+// the number of daemon threads ever spawned.
+func (k *Kernel) Threads() (live, daemons int) { return k.live, k.daemons }
 
 // Tracer returns the kernel's span tracer (may be nil).
 func (k *Kernel) Tracer() *trace.Tracer { return k.tr }
@@ -146,17 +154,24 @@ func (k *Kernel) Reboot() {
 
 // Thread is a lightweight CAB kernel thread ("threads have little state
 // associated with them, [so] the cost of context switching is low").
+//
+// A Thread rides its sim.Proc (as the proc's Owner): when the body
+// returns, both go back to the engine's pool together, and a later Spawn
+// on any of the engine's kernels resets and reuses them, bound callbacks
+// and all. A *Thread is therefore valid until its body returns
+// (TestReusedThreadStartsClean).
 type Thread struct {
 	k      *Kernel
 	name   string
 	proc   *sim.Proc
+	body   func(*Thread)
 	state  ThreadState
 	parked bool // the process is parked in parkUntilDispatched
 	runNow bool
 
 	// switchSpan is the span of the pending context switch into this
-	// thread (nil when untraced); switchedIn, bound once at spawn, ends it
-	// and wakes the thread when the switch's CPU time is spent. A thread
+	// thread (nil when untraced); switchedIn, bound to switchIn once, ends
+	// it and wakes the thread when the switch's CPU time is spent. A thread
 	// has at most one switch pending: it is dispatched only when not
 	// current, and stops being current only while running.
 	switchSpan *trace.Span
@@ -200,51 +215,66 @@ func (t *Thread) Kernel() *Kernel { return t.k }
 func (t *Thread) Proc() *sim.Proc { return t.proc }
 
 // Spawn creates a thread and makes it ready. The body runs when the
-// scheduler first dispatches it.
+// scheduler first dispatches it. The returned *Thread is valid until the
+// body returns.
 func (k *Kernel) Spawn(name string, body func(t *Thread)) *Thread {
 	return k.spawn(name, body, false)
 }
 
 // SpawnDaemon creates a service thread that may block forever (e.g. a
 // protocol server loop); it is excluded from simulation deadlock
-// accounting.
+// accounting. The returned *Thread is valid until the body returns.
 func (k *Kernel) SpawnDaemon(name string, body func(t *Thread)) *Thread {
 	return k.spawn(name, body, true)
 }
 
 func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
-	t := &Thread{
-		k:     k,
-		name:  name,
-		state: StateReady,
-	}
-	t.switchedIn = func() {
-		t.switchSpan.End()
-		t.switchSpan = nil
-		t.runNow = true
-		if t.parked {
-			t.parked = false
-			t.proc.Wake()
-		}
-	}
-	t.condTimedOut = t.timedOut
-	t.readyFn = t.ready
-	k.spawned++
-	run := func(p *sim.Proc) {
-		t.parkUntilDispatched(p)
-		body(t)
-		t.state = StateDone
-		k.cur = nil
-		k.dispatch()
-	}
+	var p *sim.Proc
 	if daemon {
-		t.proc = k.eng.GoDaemon(name, run)
+		p = k.eng.GoDaemon(name, runThread)
+		k.daemons++
 	} else {
-		t.proc = k.eng.Go(name, run)
+		p = k.eng.Go(name, runThread)
 	}
+	t, _ := p.Owner.(*Thread)
+	if t == nil {
+		t = &Thread{proc: p}
+		t.switchedIn = t.switchIn
+		t.condTimedOut = t.timedOut
+		t.readyFn = t.ready
+		p.Owner = t
+	}
+	t.k, t.name, t.state, t.body, t.span = k, name, StateReady, body, nil
+	k.spawned++
+	k.live++
 	k.runq.Push(t)
 	k.dispatch()
 	return t
+}
+
+// runThread is the body of every thread's process: it waits for the first
+// dispatch, runs the thread's body and hands the CPU on.
+func runThread(p *sim.Proc) {
+	t := p.Owner.(*Thread)
+	t.parkUntilDispatched(p)
+	t.body(t)
+	t.body = nil
+	t.state = StateDone
+	t.k.live--
+	t.k.cur = nil
+	t.k.dispatch()
+}
+
+// switchIn ends the pending context switch into the thread and lets it
+// run, waking its process if it is parked.
+func (t *Thread) switchIn() {
+	t.switchSpan.End()
+	t.switchSpan = nil
+	t.runNow = true
+	if t.parked {
+		t.parked = false
+		t.proc.Wake()
+	}
 }
 
 // parkUntilDispatched blocks the thread's process until the scheduler runs

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cab"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var _ = cab.PageSize
@@ -246,23 +247,81 @@ func TestSleepAndWaitTimeoutAllocateNothing(t *testing.T) {
 }
 
 // spawnComputeAllocs is what spawning a thread that runs one Compute costs
-// once the engine and the CPU are warm: the Thread with its three bound
-// callbacks (switchedIn, condTimedOut, readyFn), the closure that runs its
-// body, and the sim.Proc with its resume callback. A wait that allocates,
-// such as a Signal per thread or per Compute, shows up here.
-const spawnComputeAllocs = 7
+// once the engine and the CPU are warm: nothing. The thread rides a
+// finished sim.Proc back out of the engine's pool, with its coroutine, its
+// resume and the Thread record whose callbacks (switchedIn, condTimedOut,
+// readyFn) were bound when it was made. A body closure that captures costs
+// the caller its own object (spawnClosureAllocs). A record made per spawn
+// shows up here (7 before threads rode their procs), and so does a wait
+// that allocates, such as a Signal per thread or per Compute.
+const (
+	spawnComputeAllocs = 0
+	spawnClosureAllocs = 1
+)
 
 func computeOnce(th *Thread) { th.Compute(10 * sim.Microsecond) }
 
 func TestSpawnComputeAllocations(t *testing.T) {
 	eng, k := newKernel()
-	spawn := func() {
-		k.Spawn("w", computeOnce)
-		eng.Run()
+	d := 10 * sim.Microsecond
+	for _, c := range []struct {
+		name  string
+		spawn func()
+		want  float64
+	}{
+		{"static body", func() { k.Spawn("w", computeOnce) }, spawnComputeAllocs},
+		{"capturing body", func() { k.Spawn("w", func(th *Thread) { th.Compute(d) }) }, spawnClosureAllocs},
+	} {
+		run := func() {
+			c.spawn()
+			eng.Run()
+		}
+		run() // warm the proc pool, the event pool and the CPU's queues
+		if got := testing.AllocsPerRun(100, run); got > c.want {
+			t.Fatalf("%s: %v allocations per thread spawn and Compute, want <= %v", c.name, got, c.want)
+		}
 	}
-	spawn() // warm the coroutine pool, the event pool and the CPU's queues
-	if got := testing.AllocsPerRun(100, spawn); got > spawnComputeAllocs {
-		t.Fatalf("%v allocations per thread spawn and Compute, want <= %d", got, spawnComputeAllocs)
+}
+
+// The handle-validity rule for threads: a *Thread is valid until its body
+// returns, after which a Spawn on any kernel of the engine may reuse it. A
+// reused record starts clean: the new name and kernel, ready, no trace
+// context and no pending timer, and its timer fires on the new board's
+// bank.
+func TestReusedThreadStartsClean(t *testing.T) {
+	eng, ka := newKernel()
+	kb := New(cab.NewBoard(eng, 1, "cab1"))
+	tr := trace.NewTracer(eng, 0)
+	first := ka.SpawnDaemon("first", func(th *Thread) {
+		th.SetSpan(tr.Start(nil, trace.LayerKernel, "cab0", "left behind"))
+		th.Sleep(sim.Microsecond)
+	})
+	eng.Run()
+	if first.state != StateDone {
+		t.Fatalf("first thread %v after its body returned, want done", first.state)
+	}
+	var inBody *trace.Span
+	second := kb.Spawn("second", func(th *Thread) {
+		inBody = th.Span()
+		th.Sleep(sim.Microsecond)
+	})
+	if second != first {
+		t.Fatal("Spawn made a new record, want the finished thread back")
+	}
+	if second.Name() != "second" || second.Kernel() != kb || second.state != StateReady ||
+		second.Span() != nil || second.timer.Pending() || second.Proc().Name() != "second" {
+		t.Fatalf("reused thread: name %q, own kernel %v, state %v, span %v, timer pending %v",
+			second.Name(), second.Kernel() == kb, second.state, second.Span(), second.timer.Pending())
+	}
+	eng.Run() // a reused daemon bit would leave "second" out of deadlock accounting; a live one would deadlock here
+	if inBody != nil {
+		t.Fatalf("the reused thread's body saw span %v, want none", inBody)
+	}
+	if a, b := ka.Board().Timers.Expired(), kb.Board().Timers.Expired(); a != 1 || b != 1 {
+		t.Fatalf("timers expired: cab0 %d, cab1 %d; want 1 each", a, b)
+	}
+	if live, daemons := ka.Threads(); live != 0 || daemons != 1 {
+		t.Fatalf("cab0 threads: %d live, %d daemons; want 0, 1", live, daemons)
 	}
 }
 
@@ -603,12 +662,15 @@ func TestUserTaskExitRevokes(t *testing.T) {
 	eng, k := newKernel()
 	var addr cab.Addr
 	var afterExit error
-	k.SpawnUser("task", func(ut *UserTask) {
+	ut, _ := k.SpawnUser("task", func(ut *UserTask) {
 		addr, _ = ut.Alloc(64)
 		ut.Exit()
 		_, afterExit = ut.Read(addr, 16)
 	})
 	eng.Run()
+	if ut.Thread != nil {
+		t.Fatal("a finished task still holds its thread, which the next Spawn may reuse")
+	}
 	if afterExit == nil {
 		t.Fatal("read after Exit should fault")
 	}

@@ -52,6 +52,9 @@ func (k *Kernel) SpawnUser(name string, body func(t *UserTask)) (*UserTask, erro
 	ut := &UserTask{k: k, domain: domain, allocations: make(map[cab.Addr]int)}
 	ut.Thread = k.Spawn(name, func(th *Thread) {
 		body(ut)
+		// The thread may be reused once the body returns: a late use
+		// of ut.Thread fails at once instead of reaching its next owner.
+		ut.Thread = nil
 	})
 	return ut, nil
 }

@@ -152,6 +152,10 @@ type Config struct {
 type Tick struct {
 	Now sim.Time // current simulated time
 	Ops int64    // operations completed so far in the measured window
+	// Outstanding[i] is the number of CAB i's open-loop operations in
+	// flight (nil in closed loop). The slice is the run's own: read it
+	// during the call only.
+	Outstanding []int
 }
 
 func (c Config) withDefaults() Config {
@@ -242,6 +246,8 @@ type run struct {
 	classed bool     // Config.Classes non-zero: draw classes and deadlines
 	res     *Result
 	digest  trace.Digest
+	// outstanding counts each CAB's open-loop operations in flight.
+	outstanding []int
 	// zeros is every operation's payload: one read-only buffer sized to
 	// the largest payload the mix sends. The transport copies a caller's
 	// data into its wires and never keeps or writes it, so all operations
@@ -487,7 +493,7 @@ func Run(sys *core.System, cfg Config) *Result {
 	if cfg.TickEvery > 0 && cfg.OnTick != nil {
 		var tick func()
 		tick = func() {
-			cfg.OnTick(Tick{Now: sys.Eng.Now(), Ops: r.res.Ops})
+			cfg.OnTick(Tick{Now: sys.Eng.Now(), Ops: r.res.Ops, Outstanding: r.outstanding})
 			if sys.Eng.Now() < r.end {
 				sys.Eng.After(cfg.TickEvery, tick)
 			}
@@ -530,10 +536,11 @@ func (r *run) startOpen() {
 		}
 		return d
 	}
+	r.outstanding = make([]int, r.sys.NumCABs())
 	for i := 0; i < r.sys.NumCABs(); i++ {
 		i := i
 		pk := newPicker(workerSeed(r.cfg.Seed, i, 0), i, r.sys.NumCABs(), r.cfg)
-		outstanding := 0
+		outstanding := &r.outstanding[i]
 		seq := 0
 		k := r.sys.CAB(i).Kernel
 		// Every arrival's client thread shares one name: nothing but a
@@ -545,7 +552,7 @@ func (r *run) startOpen() {
 				if th.Proc().Now() >= r.end {
 					return
 				}
-				if outstanding >= r.cfg.MaxOutstanding {
+				if *outstanding >= r.cfg.MaxOutstanding {
 					if now := th.Proc().Now(); now >= r.mark && now <= r.end {
 						r.res.Shed++
 					}
@@ -557,12 +564,12 @@ func (r *run) startOpen() {
 				// distinct stream connections.
 				worker := seq % r.cfg.MaxOutstanding
 				seq++
-				outstanding++
+				*outstanding++
 				k.Spawn(opName, func(th *kernel.Thread) {
 					opStart := th.Proc().Now()
 					bytes, err := r.doOp(th, kind, i, dst, worker, opts)
 					r.record(kind, i, dst, opStart, bytes, err, opts)
-					outstanding--
+					*outstanding--
 				})
 			}
 		})

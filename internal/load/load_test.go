@@ -1,12 +1,14 @@
 package load
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func shortCfg(seed int64) Config {
@@ -247,4 +249,45 @@ func TestCustomMixExcludesDisabledKinds(t *testing.T) {
 	if res.OpCounts[OpReqResp] == 0 {
 		t.Fatal("enabled op kind did not run")
 	}
+}
+
+// The engine keeps no process beyond what the load needs: on the bench
+// torus's short shape under its open-loop load, every live proc is a
+// kernel thread, and each CAB holds at most the daemons it installed
+// (transport service, three servers, arrivals) plus its operations in
+// flight. A thread that outlived its operation would show here.
+func TestOpenLoopTorusKeepsNoStrayProcs(t *testing.T) {
+	sys := core.New(core.Torus3D(2, 2, 2, 8), core.WithRouting(topo.PolicyAdaptive))
+	cfg := Config{
+		Seed: 1, Arrival: OpenLoop, RatePerCAB: 2000,
+		Mix:      Mix{ReqResp: 1},
+		ReqBytes: 64, RespBytes: 64,
+		Warmup: sim.Millisecond, Duration: 5 * sim.Millisecond,
+		TickEvery: 250 * sim.Microsecond,
+	}
+	ticks, peak := 0, 0
+	cfg.OnTick = func(tk Tick) {
+		ticks++
+		total, inFlight := 0, 0
+		for i, out := range tk.Outstanding {
+			live, daemons := sys.CAB(i).Kernel.Threads()
+			if live > daemons+out {
+				t.Errorf("%v: CAB %d holds %d threads, want at most %d daemons + %d in flight", tk.Now, i, live, daemons, out)
+			}
+			total += live
+			inFlight += out
+		}
+		if got := sys.Eng.Live(); got != total {
+			t.Errorf("%v: engine holds %d live procs, its kernels %d threads", tk.Now, got, total)
+		}
+		peak = max(peak, inFlight)
+	}
+	res := Run(sys, cfg)
+	if res.Ops == 0 || ticks < 20 || peak == 0 {
+		t.Fatalf("%d ops, %d ticks, peak %d in flight: the check saw no load", res.Ops, ticks, peak)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("%d CABs: %d live and %d idle procs at the end, peak %d operations in flight, %d goroutines, stacks in use %.2f MB",
+		sys.NumCABs(), sys.Eng.Live(), sys.Eng.Idle(), peak, runtime.NumGoroutine(), float64(ms.StackInuse)/(1<<20))
 }

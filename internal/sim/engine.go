@@ -125,14 +125,17 @@ type Engine struct {
 	pending int
 	free    []*slot
 
-	// procs counts live processes, used by Run to detect termination
-	// versus deadlock. live tracks them by name for diagnostics.
-	procs int
-	live  map[*Proc]bool
+	// procs counts live non-daemon processes, used by Run to detect
+	// termination versus deadlock. firstLive and lastLive end the list of
+	// all live processes in spawn order, nlive long, which Run's deadlock
+	// diagnostic walks.
+	procs               int
+	firstLive, lastLive *Proc
+	nlive               int
 
-	// idle holds the coroutines of finished processes, each parked until
-	// GoAt hands it a new process.
-	idle []*coro
+	// idle holds finished processes, each with its coroutine parked until
+	// start hands it a new body.
+	idle []*Proc
 
 	// executed counts events fired, for diagnostics and tests.
 	executed uint64
@@ -151,6 +154,41 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of scheduled (uncanceled) events.
 func (e *Engine) Pending() int { return e.pending }
+
+// Live returns the number of processes started and not yet finished,
+// daemons included.
+func (e *Engine) Live() int { return e.nlive }
+
+// Idle returns the number of finished processes waiting for reuse.
+func (e *Engine) Idle() int { return len(e.idle) }
+
+// link appends p to the live list.
+func (e *Engine) link(p *Proc) {
+	p.prev = e.lastLive
+	if e.lastLive == nil {
+		e.firstLive = p
+	} else {
+		e.lastLive.next = p
+	}
+	e.lastLive = p
+	e.nlive++
+}
+
+// unlink takes p out of the live list.
+func (e *Engine) unlink(p *Proc) {
+	if p.prev == nil {
+		e.firstLive = p.next
+	} else {
+		p.prev.next = p.next
+	}
+	if p.next == nil {
+		e.lastLive = p.prev
+	} else {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+	e.nlive--
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.
@@ -319,15 +357,16 @@ func (e *Engine) step(limit Time) bool {
 
 // Run processes events until none remain. It returns the final time.
 // If live processes remain blocked with no pending events, the simulation is
-// deadlocked and Run panics with a diagnostic (a silent hang would otherwise
-// be indistinguishable from completion).
+// deadlocked and Run panics with a diagnostic that names them in spawn
+// order (a silent hang would otherwise be indistinguishable from
+// completion).
 func (e *Engine) Run() Time {
 	for e.step(math.MaxInt64) {
 	}
 	if e.procs > 0 {
 		names := ""
-		for p := range e.live {
-			if !p.daemon && !p.done {
+		for p := e.firstLive; p != nil; p = p.next {
+			if !p.daemon {
 				names += " " + p.name
 			}
 		}

@@ -10,9 +10,13 @@ import (
 // A Proc runs on a coroutine (iter.Pull): the engine switches to it for a
 // slice and it switches straight back when it blocks (Sleep, Park, Wait,
 // Queue ops, ...), so exactly one of them executes at any moment and
-// scheduling is fully deterministic and cooperative. Coroutines are pooled
-// per engine: a finished proc's coroutine waits on Engine.idle and runs the
-// next proc started with Go.
+// scheduling is fully deterministic and cooperative. Procs are pooled per
+// engine: a finished proc waits on Engine.idle with its coroutine and its
+// bound resume, and Go hands it the next body.
+//
+// A *Proc is valid until its body returns; after that the engine may reuse
+// it for another process. Resuming a proc that finished and was not reused
+// panics (TestResumeOfFinishedProcPanics).
 //
 // All Proc methods but Wake must be called from within the process's own
 // body.
@@ -20,10 +24,17 @@ type Proc struct {
 	eng  *Engine
 	name string
 
-	// co runs the body; done is set when the body returns, after which co
-	// may already be running another process.
-	co   *coro
-	done bool
+	// Owner is the spawner's record riding on the process. The engine
+	// never touches it, so it survives reuse: a spawner that finds its
+	// own record there from an earlier process may reset and reuse it.
+	Owner any
+
+	// pull switches to the coroutine, which runs body; yield, called on
+	// the coroutine, switches back. done is set when the body returns.
+	pull  func() (struct{}, bool)
+	yield func(struct{}) bool
+	body  func(*Proc)
+	done  bool
 
 	// daemon processes are expected to block forever (service loops);
 	// they are excluded from the engine's deadlock accounting.
@@ -32,6 +43,9 @@ type Proc struct {
 	// resume runs the next slice; it is bound once so scheduling it
 	// allocates nothing.
 	resume func()
+
+	// prev and next link the engine's live processes in spawn order.
+	prev, next *Proc
 }
 
 // Name returns the process name given at Go time.
@@ -41,83 +55,85 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Go starts a new process at the current simulated time. The body begins
-// executing when the engine reaches the start event.
+// executing when the engine reaches the start event. The returned *Proc is
+// valid until the body returns.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	return e.GoAt(e.now, name, body)
+	return e.start(e.now, name, body, false)
 }
 
 // GoDaemon starts a process excluded from deadlock accounting: a service
 // loop that legitimately blocks forever (e.g. a protocol server thread).
+// The returned *Proc is valid until the body returns.
 func (e *Engine) GoDaemon(name string, body func(p *Proc)) *Proc {
-	p := e.GoAt(e.now, name, body)
-	p.daemon = true
-	e.procs--
-	return p
+	return e.start(e.now, name, body, true)
 }
 
-// GoAt starts a new process at absolute time t.
+// GoAt starts a new process at absolute time t. The returned *Proc is
+// valid until the body returns.
 func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
-	e.procs++
-	if e.live == nil {
-		e.live = make(map[*Proc]bool)
-	}
-	e.live[p] = true
-	p.resume = func() { e.runSlice(p) }
+	return e.start(t, name, body, false)
+}
+
+// start takes a finished proc from the pool, or makes one, and schedules
+// its first slice at t.
+func (e *Engine) start(t Time, name string, body func(p *Proc), daemon bool) *Proc {
+	var p *Proc
 	if n := len(e.idle); n > 0 {
-		p.co, e.idle = e.idle[n-1], e.idle[:n-1]
+		p = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		p.done = false
 	} else {
-		p.co = e.newCoro()
+		p = e.newProc()
 	}
-	p.co.p, p.co.body = p, body
+	p.name, p.body, p.daemon = name, body, daemon
+	e.link(p)
+	if !daemon {
+		e.procs++
+	}
 	e.At(t, p.resume)
 	return p
 }
 
-// coro is a pooled coroutine that runs proc bodies one after another. When
-// a body returns, the coroutine marks its Proc done, puts itself on
-// Engine.idle and yields until GoAt hands it the next (Proc, body) pair.
-// A body that panics ends its coroutine: the panic surfaces from next, on
-// the engine's goroutine, and the coroutine never returns to the pool.
-type coro struct {
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	p     *Proc
-	body  func(*Proc)
-}
-
-func (e *Engine) newCoro() *coro {
-	c := &coro{}
-	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
+// newProc makes a proc with its coroutine. The coroutine runs bodies one
+// after another: when a body returns, it marks the proc done, moves it from
+// the live list to Engine.idle and yields until start hands it the next
+// body. A body that panics ends the coroutine: the panic surfaces from
+// pull, on the engine's goroutine, and the proc never returns to the pool.
+func (e *Engine) newProc() *Proc {
+	p := &Proc{eng: e}
+	p.resume = p.runSlice
+	p.pull, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		for {
-			p := c.p
-			c.body(p)
+			p.body(p)
+			p.body = nil
 			p.done = true
-			delete(e.live, p)
+			e.unlink(p)
 			if !p.daemon {
 				e.procs--
 			}
-			c.p, c.body = nil, nil
-			e.idle = append(e.idle, c)
+			e.idle = append(e.idle, p)
 			yield(struct{}{})
 		}
 	})
-	return c
+	return p
 }
 
 // runSlice switches to the process's coroutine and returns when it blocks
-// again or finishes. Must only be called from event context.
-func (e *Engine) runSlice(p *Proc) {
+// again or finishes. Must only be called from event context. A finished
+// proc has nothing to resume: a resume of one is a stale handle, which
+// would run the next body early once the proc is reused.
+func (p *Proc) runSlice() {
 	if p.done {
-		return
+		panic("sim: resume of a finished process " + p.name)
 	}
-	p.co.next()
+	p.pull()
 }
 
 // Park blocks the process until Wake resumes it. Whoever parks must have
 // arranged for that Wake: a process nobody wakes stays blocked for good.
-func (p *Proc) Park() { p.co.yield(struct{}{}) }
+func (p *Proc) Park() { p.yield(struct{}{}) }
 
 // Wake schedules a parked process to resume at the current time, once per
 // Park. The resume goes through the event queue, so the caller continues
