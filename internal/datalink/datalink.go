@@ -76,9 +76,10 @@ type Params struct {
 
 // Receiver consumes packets delivered by the datalink. It is invoked at
 // interrupt level once the packet has been DMAed out of the input queue;
-// implementations charge their own CPU costs. sp is the originating send's
-// trace span (nil when the message is untraced); receivers parent their
-// own processing spans under it.
+// implementations charge their own CPU costs. payload is valid only until
+// the receiver returns; one that keeps it copies it. sp is the originating
+// send's trace span (nil when the message is untraced); receivers parent
+// their own processing spans under it.
 type Receiver func(payload []byte, sp *trace.Span)
 
 // Stats are datalink counters.
@@ -103,7 +104,7 @@ type Datalink struct {
 	net    *topo.Network
 	router topo.Router
 
-	recv func(payload []byte, sp *trace.Span, sole bool)
+	recv Receiver
 
 	// mu serializes frame transmission so two threads cannot interleave
 	// route state on the outgoing fiber.
@@ -150,10 +151,10 @@ type rxEntry struct {
 
 // intrSend is a packet-switched send waiting for its interrupt to run.
 type intrSend struct {
-	dst     int
-	hops    []topo.Hop
-	payload []byte
-	sp      *trace.Span
+	dst  int
+	hops []topo.Hop
+	body []byte // taken when the send was accepted
+	sp   *trace.Span
 }
 
 type pendingOpen struct {
@@ -215,22 +216,16 @@ func New(k *kernel.Kernel, net *topo.Network, router topo.Router) *Datalink {
 }
 
 // SetReceiver registers a packet consumer.
-func (d *Datalink) SetReceiver(r Receiver) {
-	d.recv = func(payload []byte, sp *trace.Span, _ bool) { r(payload, sp) }
-}
-
-// SetOwningReceiver registers a packet consumer that is also told whether
-// it holds the only copy of each payload. sole is false when the HUBs fanned
-// the packet out (fiber.Item.Shared): a multicast, or a unicast that a lost
-// close all let reach a second output, whose other branches read the same
-// buffer. The transport registers this way, to give its pooled wires'
-// bodies back to the store.
-func (d *Datalink) SetOwningReceiver(r func(payload []byte, sp *trace.Span, sole bool)) {
-	d.recv = r
-}
+func (d *Datalink) SetReceiver(r Receiver) { d.recv = r }
 
 // Frames returns the system's frame store, which also keeps packet bodies.
 func (d *Datalink) Frames() *fiber.FrameStore { return d.net.Frames() }
+
+// take copies a packet-switched payload into a body from the store, which
+// goes back with the frame that carries it.
+func (d *Datalink) take(payload []byte) []byte {
+	return append(d.net.Frames().Body(len(payload))[:0], payload...)
+}
 
 // wireProto classifies a frame for flow accounting: every datalink payload
 // is an encoded transport packet, whose first wire byte is the protocol.
@@ -386,32 +381,26 @@ func (d *Datalink) localHubID() byte {
 	return d.net.Hub(d.net.HubOf(d.board.ID())).ID()
 }
 
-// sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4) to
-// dst, or over a multicast tree with dst -1: a test open with retry per hop
-// of the route or tree, the packet, close all. The frame comes from the
-// system's frame store. A unicast frame goes back to the store once the
-// destination's datalink has consumed its packet and its close all (see
-// receiveItem and rxUpcall); a multicast frame, and a frame lost on the
-// way, are left to the garbage collector.
-func (d *Datalink) sendPacketFrame(dst int, hops []topo.Hop, payload []byte, sp *trace.Span) {
+// sendPacketFrame transmits a packet-switched frame (§4.2.3, §4.2.4) over a
+// unicast route or a multicast tree: test opens with retry, the packet
+// carrying body, close all. Frame and body go back to the store once every
+// CAB reached has consumed its copies (receiveItem, rxUpcall, Item.Clone).
+// The test opens need no tracking: a HUB input queue is FIFO, so each test
+// open is executed at its HUB before that HUB forwards the packet behind it
+// (a parked open stalls the input until it is granted), and nothing keeps
+// an executed OpTestOpenRetry — it asks for no reply, so Hub.grant captures
+// no closure for it.
+func (d *Datalink) sendPacketFrame(hops []topo.Hop, body []byte, sp *trace.Span) {
 	n := len(hops)
 	f := d.net.Frames().Get(n + 2)
+	f.Body = body
 	for i, hp := range hops {
 		f.Items[i] = d.commandItem(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0)
 	}
-	f.Items[n] = fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp}
+	f.Items[n] = fiber.Item{Kind: fiber.KindPacket, Payload: body, Span: sp}
 	f.Items[n+1] = d.commandItem(hub.OpCloseAll, 0xFF, 0, 0)
-	if dst >= 0 {
-		// The test opens need no tracking: a HUB input queue is FIFO, so
-		// each test open is executed at its HUB before that HUB forwards
-		// the packet behind it (a parked open stalls the input until it is
-		// granted), and nothing keeps an executed OpTestOpenRetry — it
-		// asks for no reply, so Hub.grant captures no closure for it. By
-		// the time the destination consumes the packet and the close all,
-		// no device holds any item of the frame.
-		f.Track(n)
-		f.Track(n + 1)
-	}
+	f.Track(n)
+	f.Track(n + 1)
 	for i := range f.Items {
 		d.board.Send(&f.Items[i])
 	}
@@ -436,7 +425,7 @@ func (d *Datalink) sent(dst int, payload []byte, queued sim.Time) {
 
 // SendPacket transmits payload to dst using packet switching (§4.2.3):
 // test opens with retry enforce hop-by-hop flow control; no reply is
-// awaited. payload must fit the input queues.
+// awaited. payload must fit the input queues; the datalink sends a copy.
 func (d *Datalink) SendPacket(th *kernel.Thread, dst int, payload []byte) error {
 	hops, err := d.route(dst)
 	if err != nil {
@@ -461,7 +450,7 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 	d.board.WaitNetReady(th.Proc())
 	queued := d.queuedSince(t0)
 	d.board.ClearNetReady()
-	d.sendPacketFrame(dst, hops, payload, sp)
+	d.sendPacketFrame(hops, d.take(payload), sp)
 	d.sent(dst, payload, queued)
 	sp.End()
 	d.mu.V()
@@ -475,7 +464,8 @@ func (d *Datalink) sendPacketHops(th *kernel.Thread, dst int, hops []topo.Hop, p
 // thread-level frame or the outgoing flow control is not ready; the caller
 // then falls back to a protocol thread. extra is additional interrupt-level
 // processing charged with the send. parent is the trace span (nil when
-// untraced) the interrupt-level send is attributed to.
+// untraced) the interrupt-level send is attributed to. An accepted payload
+// is copied at once, before the interrupt that transmits it runs.
 func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Time, parent *trace.Span) bool {
 	if len(payload) > MaxPacketPayload {
 		return false
@@ -489,7 +479,7 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	}
 	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
-	d.isend = intrSend{dst: dst, hops: hops, payload: payload, sp: sp}
+	d.isend = intrSend{dst: dst, hops: hops, body: d.take(payload), sp: sp}
 	d.board.CPU.RunInterrupt(extra+sendSetup, d.intrSendFn)
 	return true
 }
@@ -499,10 +489,10 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 func (d *Datalink) intrSendRun() {
 	s := d.isend
 	d.isend = intrSend{}
-	d.sendPacketFrame(s.dst, s.hops, s.payload, s.sp)
+	d.sendPacketFrame(s.hops, s.body, s.sp)
 	// Interrupt-level sends only go out when credit is already there, so
 	// their queueing time is zero by construction.
-	d.sent(s.dst, s.payload, 0)
+	d.sent(s.dst, s.body, 0)
 	s.sp.End()
 	d.mu.V()
 }
@@ -510,7 +500,8 @@ func (d *Datalink) intrSendRun() {
 // SendCircuit transmits payload to dst using circuit switching (§4.2.1):
 // the route is opened with a reply requested from the last HUB; data flows
 // only after the reply arrives; close all tears the circuit down. Payload
-// size is unlimited (large packets cut through the input queues).
+// size is unlimited (large packets cut through the input queues). payload
+// itself travels, so the caller must not change it.
 func (d *Datalink) SendCircuit(th *kernel.Thread, dst int, payload []byte) error {
 	hops, err := d.route(dst)
 	if err != nil {
@@ -531,7 +522,7 @@ func (d *Datalink) SendMulticastCircuit(th *kernel.Thread, dsts []int, payload [
 }
 
 // SendMulticastPacket is the §4.2.4 packet-switched multicast: test opens
-// over the tree, then the packet.
+// over the tree, then the packet, sent as a copy like SendPacket's.
 func (d *Datalink) SendMulticastPacket(th *kernel.Thread, dsts []int, payload []byte) error {
 	hops, err := d.router.MulticastTree(d.board.ID(), dsts)
 	if err == nil {
@@ -682,7 +673,7 @@ func (d *Datalink) rxUpcall() {
 	d.stats.BytesReceived += int64(n)
 	d.fr.Note(obs.FRecv, d.frName, 0, int64(n))
 	if d.recv != nil {
-		d.recv(e.it.Payload, e.it.Span, !e.it.Shared)
+		d.recv(e.it.Payload, e.it.Span)
 	}
 	e.it.Consume()
 }

@@ -2,7 +2,6 @@ package datalink_test
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -378,27 +377,5 @@ func TestHubLockAcrossTraffic(t *testing.T) {
 		if !bytes.Equal(g, pattern(100+i)) {
 			t.Fatalf("packet %d corrupted", i)
 		}
-	}
-}
-
-// TestOwningReceiverSeesFanOut checks the sole bit: a unicast packet is its
-// receiver's alone, and every branch of a multicast shares its payload.
-func TestOwningReceiverSeesFanOut(t *testing.T) {
-	sys := core.New(core.SingleHub(3))
-	var sole []bool
-	for i := 1; i < 3; i++ {
-		sys.CAB(i).DL.SetOwningReceiver(func(_ []byte, _ *trace.Span, s bool) { sole = append(sole, s) })
-	}
-	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
-		if err := sys.CAB(0).DL.SendPacket(th, 1, pattern(100)); err != nil {
-			t.Errorf("unicast: %v", err)
-		}
-		if err := sys.CAB(0).DL.SendMulticastPacket(th, []int{1, 2}, pattern(100)); err != nil {
-			t.Errorf("multicast: %v", err)
-		}
-	})
-	sys.Run()
-	if want := []bool{true, false, false}; !slices.Equal(sole, want) {
-		t.Fatalf("sole bits %v, want %v (the unicast, then both multicast branches)", sole, want)
 	}
 }

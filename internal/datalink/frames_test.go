@@ -1,6 +1,7 @@
 package datalink_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -68,7 +69,10 @@ func TestFramingErrorFrameIsReused(t *testing.T) {
 	}
 }
 
-func TestMulticastFrameIsNeverReused(t *testing.T) {
+// TestMulticastFrameIsReused: the HUB's copies of a multicast packet are
+// tracked by its frame, so the frame comes back once every branch has
+// consumed its copy, and each send after the first reuses it.
+func TestMulticastFrameIsReused(t *testing.T) {
 	sys := core.New(core.SingleHub(3))
 	var got1, got2 [][]byte
 	collect(sys, 1, &got1)
@@ -83,11 +87,42 @@ func TestMulticastFrameIsNeverReused(t *testing.T) {
 		}
 	})
 	sys.Run()
-	if n := sys.Net.Frames().Made() - made; n != 3 {
-		t.Fatalf("3 multicast sends allocated %d frames, want 3", n)
+	if n := sys.Net.Frames().Made() - made; n != 1 {
+		t.Fatalf("3 multicast sends allocated %d frames, want 1", n)
 	}
 	if len(got1) != 3 || len(got2) != 3 {
 		t.Fatalf("delivered %d and %d packets, want 3 each", len(got1), len(got2))
+	}
+	for i := range 3 {
+		if !bytes.Equal(got1[i], pattern(200)) || !bytes.Equal(got2[i], pattern(200)) {
+			t.Fatalf("multicast %d arrived changed", i)
+		}
+	}
+	if frames, bodies := sys.Net.Frames().Out(); frames != 0 || bodies != 0 {
+		t.Fatalf("%d frames and %d bodies out after every branch consumed its copies", frames, bodies)
+	}
+}
+
+// TestInterruptSendCopiesItsPayload: TrySendPacketInterrupt returns before
+// the interrupt that builds the frame runs, so it copies an accepted payload
+// at once. A caller that overwrites its buffer as soon as the call returns
+// true must not change the packet on its way.
+func TestInterruptSendCopiesItsPayload(t *testing.T) {
+	sys := core.New(core.SingleHub(2))
+	var got [][]byte
+	collect(sys, 1, &got)
+	buf := pattern(200)
+	sys.Eng.At(0, func() {
+		if !sys.CAB(0).DL.TrySendPacketInterrupt(1, buf, 0, nil) {
+			t.Fatal("an idle datalink refused the interrupt-level send")
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	})
+	sys.Run()
+	if len(got) != 1 || !bytes.Equal(got[0], pattern(200)) {
+		t.Fatalf("delivered %d packets, the first changed: %v; want the payload as it was sent", len(got), len(got) == 1)
 	}
 }
 

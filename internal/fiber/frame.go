@@ -1,25 +1,27 @@
 package fiber
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // Frame is the items of one packet-switched frame in a single allocation,
-// taken from a FrameStore. Each item is still a struct of its own, which
-// links and ports update as it moves. The sender marks the items whose
-// consumption ends the frame's life (Track); once every tracked item has
-// been consumed, the items are cleared and the frame goes back to its store
-// for the next frame of the same length — as the paper's CAB reuses the
-// memory a packet's commands and body were built in (§6.2.1). A frame with a
-// tracked item that is never consumed (lost on the way) is never reused and
-// is left to the garbage collector.
+// taken from a FrameStore, and the body they carry. Each item is still a
+// struct of its own, which links and ports update as it moves. The sender
+// marks the items whose consumption ends the frame's life (Track), and a
+// HUB's copy of a tracked item is tracked too (Clone); once all have been
+// consumed, the items are cleared and the frame and its body go back to the
+// store — as the paper's CAB reuses the memory a packet's commands and body
+// were built in (§6.2.1). A frame with a tracked item that is never consumed
+// (lost on the way) is left to the garbage collector, body and all.
 type Frame struct {
 	Items []Item
+	Body  []byte // the packet body, from the store (nil: none)
 
 	store *FrameStore
-	live  int // tracked items not yet consumed
+	live  int // tracked items and copies not yet consumed
 }
 
 // Track marks item i as one the frame waits for: the frame is released once
@@ -30,9 +32,9 @@ func (f *Frame) Track(i int) {
 }
 
 // Consume records that the item's receiver is done with it. Consuming the
-// last outstanding tracked item of a frame releases the frame: its items
-// are cleared, so a released item reads as zero, and the frame goes back to
-// its store. Consuming an untracked item (a Clone among them) does nothing.
+// last outstanding tracked item or copy of a frame releases the frame: its
+// items are cleared, so a released item reads as zero, and the frame and its
+// body go back to the store. Consuming an untracked item does nothing.
 func (it *Item) Consume() {
 	f := it.frame
 	if f == nil {
@@ -43,6 +45,8 @@ func (it *Item) Consume() {
 		return
 	}
 	clear(f.Items)
+	f.store.PutBody(f.Body)
+	f.Body = nil
 	f.store.put(f)
 }
 
@@ -54,6 +58,8 @@ type FrameStore struct {
 	free [][]*Frame // free[n]: released frames of n items
 	made int
 
+	framesOut, bodiesOut int // taken and not given back
+
 	bodies [bodyClasses][][]byte // bodies[c]: released bodies of class c
 	held   sim.FIFO[[]byte]      // test binaries: released bodies not yet reusable
 }
@@ -61,6 +67,7 @@ type FrameStore struct {
 // Get returns a frame of n zero items: a released one of that length if
 // there is one, else a new one.
 func (s *FrameStore) Get(n int) *Frame {
+	s.framesOut++
 	if n < len(s.free) {
 		if fs := s.free[n]; len(fs) > 0 {
 			f := fs[len(fs)-1]
@@ -77,8 +84,13 @@ func (s *FrameStore) Get(n int) *Frame {
 // released frame of the requested length was free.
 func (s *FrameStore) Made() int { return s.made }
 
+// Out returns the frames and the bodies taken and not given back. A body
+// larger than maxBody is a plain allocation and is not counted.
+func (s *FrameStore) Out() (frames, bodies int) { return s.framesOut, s.bodiesOut }
+
 // put keeps a released frame for the next Get of its length.
 func (s *FrameStore) put(f *Frame) {
+	s.framesOut--
 	n := len(f.Items)
 	for len(s.free) <= n {
 		s.free = append(s.free, nil)
@@ -102,27 +114,29 @@ func bodyClass(n int) int {
 	if n > maxBody {
 		return -1
 	}
-	c := 0
-	for 1<<(minBodyShift+c) < n {
-		c++
-	}
-	return c
+	return bits.Len(uint(max(n, 1)-1) >> minBodyShift)
 }
 
 // Body returns a buffer of n bytes whose contents are undefined: a released
 // body of n's class if there is one, else a new one of the class's
 // capacity. The caller writes every byte it sends. As the paper's CAB
-// builds each packet in CAB memory it reuses (§6.2.1), a body's one holder
-// at a time gives it back with PutBody once it is done with it.
+// builds each packet in CAB memory it reuses (§6.2.1), a body has one
+// holder, the layer that took it, which gives it back with PutBody once it
+// is done with it; another layer that needs the bytes copies them.
 func (s *FrameStore) Body(n int) []byte {
 	c := bodyClass(n)
 	if c < 0 {
 		return make([]byte, n)
 	}
+	s.bodiesOut++
 	if bs := s.bodies[c]; len(bs) > 0 {
 		b := bs[len(bs)-1]
 		bs[len(bs)-1] = nil
 		s.bodies[c] = bs[:len(bs)-1]
+		if checkBodies {
+			// Unwritten poison past n would read as a second release.
+			clear(b[n:])
+		}
 		return b[:n]
 	}
 	return make([]byte, n, 1<<(minBodyShift+c))
@@ -139,16 +153,18 @@ func (s *FrameStore) Body(n int) []byte {
 // PutBody panics when a body is released twice (it is already all poison)
 // or was written after its release (it leaves the quarantine changed).
 func (s *FrameStore) PutBody(b []byte) {
-	if c := bodyClass(cap(b)); c < 0 || cap(b) != 1<<(minBodyShift+c) {
+	c := bodyClass(cap(b))
+	if c < 0 || cap(b) != 1<<(minBodyShift+c) {
 		return
 	}
+	s.bodiesOut--
 	b = b[:cap(b)]
 	if checkBodies {
 		if b = s.quarantine(b); b == nil {
 			return
 		}
+		c = bodyClass(len(b)) // the body leaving the quarantine may differ
 	}
-	c := bodyClass(len(b))
 	s.bodies[c] = append(s.bodies[c], b)
 }
 
@@ -156,7 +172,9 @@ func (s *FrameStore) PutBody(b []byte) {
 var checkBodies = testing.Testing()
 
 const (
-	bodyPoison     = 0xDB // no transport wire is all this byte: its first is the protocol
+	// No wire is all bodyPoison (its first byte is the protocol); other
+	// data is all poison only if it fills its class with nothing else.
+	bodyPoison     = 0xDB
 	bodyQuarantine = 64
 )
 

@@ -291,3 +291,52 @@ func TestOpenLoopTorusKeepsNoStrayProcs(t *testing.T) {
 	t.Logf("%d CABs: %d live and %d idle procs at the end, peak %d operations in flight, %d goroutines, stacks in use %.2f MB",
 		sys.NumCABs(), sys.Eng.Live(), sys.Eng.Idle(), peak, runtime.NumGoroutine(), float64(ms.StackInuse)/(1<<20))
 }
+
+// Every layer gives back the packet memory it takes: after a fault-free run
+// has drained, no frame is out of the system's store, and the only bodies
+// out are the answers the transports keep for duplicate suppression. The
+// shapes are the bench's rpc_1hub (closed loop, request-response and VMTP),
+// run long enough that each server answers about 480 requests, so its
+// 256-answer request-response table is full and evicting, and the bench
+// torus's short shape (open loop, adaptive routing, multi-hop frames).
+func TestDrainedStoreHoldsOnlyKeptAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sys  func() *core.System
+		cfg  Config
+	}{
+		{"rpc_1hub", func() *core.System { return core.New(core.SingleHub(8)) }, Config{
+			Seed: 1, Arrival: ClosedLoop, Workers: 2,
+			Mix:      Mix{ReqResp: 3, VMTP: 1},
+			ReqBytes: 64, RespBytes: 256,
+			Warmup: sim.Millisecond, Duration: 40 * sim.Millisecond,
+		}},
+		{"torus", func() *core.System {
+			return core.New(core.Torus3D(2, 2, 2, 8), core.WithRouting(topo.PolicyAdaptive))
+		}, Config{
+			Seed: 1, Arrival: OpenLoop, RatePerCAB: 2000,
+			Mix:      Mix{ReqResp: 1},
+			ReqBytes: 64, RespBytes: 64,
+			Warmup: sim.Millisecond, Duration: 5 * sim.Millisecond,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.sys()
+			res := Run(sys, tc.cfg)
+			sys.Run()
+			answers := 0
+			for i := range sys.NumCABs() {
+				answers += sys.CAB(i).TP.AnswersHeld()
+			}
+			frames, bodies := sys.Net.Frames().Out()
+			if res.Ops == 0 || res.Errors != 0 || answers == 0 {
+				t.Fatalf("%d ops, %d errors, %d answers held: the check saw no load", res.Ops, res.Errors, answers)
+			}
+			if frames != 0 || bodies != answers {
+				t.Fatalf("drained: %d frames and %d bodies out, %d answers held; want no frame, a body per answer",
+					frames, bodies, answers)
+			}
+			t.Logf("%d ops, %d answers held", res.Ops, answers)
+		})
+	}
+}

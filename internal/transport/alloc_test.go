@@ -20,10 +20,10 @@ const warmRounds = 70
 // path between the fiber and the mailbox allocates nothing of its own: each
 // receive stage takes its packet from a FIFO with a method bound once, and
 // the decoded header lives on the stack, the frame (its test open, packet
-// and close all) comes back to the system's frame store once the receiver
-// has consumed it, and so does the wire's body once the receiver has
-// dispatched it. One allocation remains: the Message the receiving mailbox
-// reserves. A per-packet closure in a receive stage, a heap header, an item
+// and close all, and the datalink's copy of the wire) comes back to the
+// system's frame store once the receiver has consumed it, and the sender's
+// wire and the receiving transport's copy come back once each is done with.
+// One allocation remains: the Message the receiving mailbox reserves. A per-packet closure in a receive stage, a heap header, an item
 // allocated on its own, or a frame or wire that is not reused shows up here
 // (10 before they went, 3 while every frame was new, 2 while every wire
 // was).
@@ -70,12 +70,15 @@ func TestDatagramReceivePathAllocations(t *testing.T) {
 // HUB, with no instrumentation. Timers belong to the threads that arm them,
 // Cond waiters are the threads' own, the pending request holds its Cond by
 // value, the pendingReq itself is reused from the transport's free list and
-// each direction's frame from the frame store, and the request's wire is
-// built in a body from the store. Three allocations remain: the response
-// wire, which the server's at-most-once table keeps, the server mailbox's
+// each direction's frame from the frame store, and every wire is built in a
+// body from the store. Three allocations remain: the body the server's
+// at-most-once table keeps the response's data in, the server mailbox's
 // Message and the client's copy of the response (15 while timers, Conds and
 // frame items were allocated per use, 7 while each request made its own
-// pendingReq, 6 while every frame was new, 4 while every wire was).
+// pendingReq, 6 while every frame was new, 4 while every wire was). The
+// kept body stays a new one here: the test's 171 round trips, warm-up
+// included, never fill the 256-answer table, so no answer is evicted and
+// no kept body comes back.
 const requestAllocs = 3
 
 func TestRequestRoundTripAllocations(t *testing.T) {
@@ -95,17 +98,19 @@ func TestRequestRoundTripAllocations(t *testing.T) {
 // VMTP transactions on one HUB, warmed, with no instrumentation. A
 // one-packet group is complete on arrival, so neither end makes a group, a
 // segment map, a closure or a gap timer, the client's vmtpPending comes off
-// the free list and every frame comes back to the frame store. Six
-// allocations remain: per direction the groupPackets slice and the wire,
-// which the sender keeps for selective retransmission, the server mailbox's
-// Message and the client's one copy of the
-// response (22 while every group went through map-based reassembly, 8 while
-// every frame was new). A 3-packet response adds a wire per extra packet;
-// the buffer it is reassembled into is the response, in place of the
-// one-packet copy: 8 (28 with map-based reassembly, 12 with new frames).
+// the free list, every frame comes back to the frame store, and each group
+// packet is encoded in a body from the store as it is sent. Three
+// allocations remain, as for a request: the body the server's at-most-once
+// table keeps the response's data in (a new one while the table fills; see
+// requestAllocs), the server mailbox's Message and the client's one copy of
+// the response (22 while every group went through map-based reassembly, 8
+// while every frame was new, 6 while the sender kept its group's wires). A
+// 3-packet response costs no more: the buffer it is reassembled into is the
+// response, in place of the one-packet copy (28 with map-based reassembly,
+// 12 with new frames, 8 with kept wires).
 const (
-	vtransactAllocs      = 6
-	vtransact3PktsAllocs = 8
+	vtransactAllocs      = 3
+	vtransact3PktsAllocs = 3
 )
 
 func TestVTransactRoundTripAllocations(t *testing.T) {
@@ -180,8 +185,9 @@ func roundTripAllocs(t *testing.T, wantLen int,
 }
 
 // streamMsgAllocs is what a warmed 64 KB StreamSend costs on one HUB, with
-// no instrumentation: 67 data packets and their acks, every wire built in a
-// body from the system's store and given back by its receiver. What remains
+// no instrumentation: 67 data packets and their acks, every wire, every
+// datalink copy and every received copy built in a body from the system's
+// store and given back by the layer that took it. What remains
 // is per message, not per packet: the Message the receiving mailbox reserves
 // (135 while every wire was a new allocation).
 const streamMsgAllocs = 1

@@ -9,3 +9,8 @@ func (t *Transport) StreamWindowSum() int64 {
 	}
 	return n
 }
+
+// Encode builds the wire packet of h and payload in a buffer of its own.
+func Encode(h *Header, payload []byte) []byte {
+	return encodeInto(make([]byte, HeaderSize+h.extSize()+len(payload)), h, payload)
+}

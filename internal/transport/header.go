@@ -150,14 +150,9 @@ func (h *Header) extSize() int {
 	return 0
 }
 
-// Encode builds the wire packet: header, optional deadline extension,
-// checksum, payload, in a buffer of its own.
-func Encode(h *Header, payload []byte) []byte {
-	return encodeInto(make([]byte, HeaderSize+h.extSize()+len(payload)), h, payload)
-}
-
-// encodeInto builds the wire packet in buf, whose length is the wire's and
-// whose bytes may hold anything (a reused body), and returns buf.
+// encodeInto builds the wire packet in buf: header, optional deadline
+// extension, checksum, payload. buf's length is the wire's, and its bytes
+// may hold anything (a reused body). It returns buf.
 func encodeInto(buf []byte, h *Header, payload []byte) []byte {
 	ext := h.extSize()
 	buf[0] = byte(h.Proto)
@@ -185,23 +180,6 @@ func encodeInto(buf []byte, h *Header, payload []byte) []byte {
 	buf[30], buf[31] = 0, 0
 	binary.BigEndian.PutUint16(buf[30:], cab.Checksum(buf))
 	return buf
-}
-
-// pooled reports whether a wire with this header has one holder at a time:
-// the sender keeps no reference to it once sent, and it is addressed to
-// exactly one CAB. Such a wire is built in a body from the system's store,
-// and its receiver gives the body back once it has dispatched the packet,
-// unless the HUBs fanned that copy out to another CAB too (recvPacket).
-// Three kinds of wire are kept by more than one holder: a response, which
-// at-most-once keeps to answer duplicates; the VMTP groups, which their
-// sender keeps for selective retransmission; and a multicast, whose
-// branches share the one payload.
-func (h *Header) pooled() bool {
-	switch h.Proto {
-	case ProtoResponse, ProtoVSend, ProtoVResp:
-		return false
-	}
-	return h.Dst != BroadcastDst
 }
 
 // errChecksum reports a packet damaged in transit. Damage is routine on a

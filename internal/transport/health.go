@@ -216,7 +216,7 @@ func (t *Transport) Crash() {
 	}
 	t.vm = nil
 	t.streamsIn = make(map[streamKey]*streamRecv)
-	t.once = newAtMostOnce[[]byte]()
+	t.once = newAtMostOnce(t.store)
 	t.outq.Clear()
 	t.watch = make(map[int]*peerState)
 	if t.ovl != nil {

@@ -1,6 +1,9 @@
 package transport
 
-import "repro/internal/sim"
+import (
+	"repro/internal/fiber"
+	"repro/internal/sim"
+)
 
 // respCacheMax bounds the answers one at-most-once table retains.
 const respCacheMax = 256
@@ -18,49 +21,60 @@ type onceState int
 const (
 	onceNew      onceState = iota // never seen (or evicted): execute it
 	onceInFlight                  // delivered, not yet answered: suppress
-	onceAnswered                  // answered: resend the cached answer
+	onceAnswered                  // answered: resend the kept answer
 )
 
+// answer is a kept answer: its data, in a body from the store, and its
+// class, which Transport.resend re-encodes.
+type answer struct {
+	data  []byte
+	class Class
+}
+
 // atMostOnce is the server half of at-most-once execution under client
-// retransmission, shared by request-response (A is one wire packet) and
-// VMTP (A is a packet group): a duplicate of a request still being served
-// is suppressed, a duplicate of an answered one gets the cached answer
-// again, and answers are evicted oldest-first beyond respCacheMax.
-type atMostOnce[A any] struct {
+// retransmission, shared by request-response and VMTP: a duplicate of a
+// request still being served is suppressed, a duplicate of an answered one
+// gets the kept answer again, and answers are evicted oldest-first beyond
+// respCacheMax. Each answer's body goes back when it is evicted or replaced.
+type atMostOnce struct {
+	store    *fiber.FrameStore
 	inflight map[reqKey]bool
-	answers  map[reqKey]A
+	answers  map[reqKey]answer
 	order    sim.FIFO[reqKey] // answered keys, oldest first
 }
 
-func newAtMostOnce[A any]() atMostOnce[A] {
-	return atMostOnce[A]{inflight: make(map[reqKey]bool), answers: make(map[reqKey]A)}
+func newAtMostOnce(store *fiber.FrameStore) atMostOnce {
+	return atMostOnce{store: store, inflight: make(map[reqKey]bool), answers: make(map[reqKey]answer)}
 }
 
-// lookup classifies an arriving key, returning the cached answer when
-// there is one.
-func (o *atMostOnce[A]) lookup(key reqKey) (A, onceState) {
+// lookup classifies an arriving key, returning the kept answer when there
+// is one.
+func (o *atMostOnce) lookup(key reqKey) (answer, onceState) {
 	if a, ok := o.answers[key]; ok {
 		return a, onceAnswered
 	}
-	var none A
 	if o.inflight[key] {
-		return none, onceInFlight
+		return answer{}, onceInFlight
 	}
-	return none, onceNew
+	return answer{}, onceNew
 }
 
 // begin marks key delivered to the server.
-func (o *atMostOnce[A]) begin(key reqKey) { o.inflight[key] = true }
+func (o *atMostOnce) begin(key reqKey) { o.inflight[key] = true }
 
-// answer records the server's answer to key. Answering a key twice
-// replaces the answer without aging the rest of the cache.
-func (o *atMostOnce[A]) answer(key reqKey, a A) {
+// answer keeps a copy of data, with its class, as key's answer. Answering a
+// key twice replaces the answer without aging the rest of the table.
+func (o *atMostOnce) answer(key reqKey, data []byte, class Class) {
 	delete(o.inflight, key)
-	if _, ok := o.answers[key]; !ok {
+	if old, ok := o.answers[key]; ok {
+		o.store.PutBody(old.data)
+	} else {
 		if o.order.Len() == respCacheMax {
-			delete(o.answers, o.order.Pop())
+			evict := o.order.Pop()
+			o.store.PutBody(o.answers[evict].data)
+			delete(o.answers, evict)
 		}
 		o.order.Push(key)
 	}
-	o.answers[key] = a
+	o.answers[key] = answer{data: append(o.store.Body(len(data))[:0], data...), class: class}
 }

@@ -81,10 +81,9 @@ func (t *Transport) Request(th *kernel.Thread, dst int, dstBox, srcBox uint16, d
 // fail fast with ErrOverload or ErrDeadlineExpired; the class and deadline
 // ride the wire header to the server. The outcome — latency, success, and
 // the root trace id — is reported to the SLO engine when one is armed.
-// data is copied into a wire of its own for each attempt, so that every
-// wire has one holder (Header.pooled); the caller is blocked in the call
-// meanwhile. data is never kept or written, so the caller may reuse it as
-// soon as the call returns.
+// data is copied into a wire of its own for each attempt; the caller is
+// blocked in the call meanwhile. data is never kept or written, so the
+// caller may reuse it as soon as the call returns.
 func (t *Transport) RequestOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, data []byte, opts SendOpts) (resp []byte, err error) {
 	err = t.reliableOp(th, slo.KindReqResp, dst, opts, nil, func() (uint64, error) {
 		t.nextReq++
@@ -142,12 +141,12 @@ func (t *Transport) releaseReq(reqID uint32, pend *pendingReq) {
 // recvRequest handles an arriving request at the server (interrupt level).
 func (t *Transport) recvRequest(h *Header, payload []byte, sp *trace.Span) {
 	key := reqKey{src: h.Src, reqID: h.MsgID}
-	if wire, st := t.once.lookup(key); st != onceNew {
-		// Duplicate: of an answered request — retransmit the response —
-		// or of one still being served — suppress.
+	if a, st := t.once.lookup(key); st != onceNew {
+		// Duplicate: of an answered request — resend the response — or
+		// of one still being served — suppress.
 		t.stats.DupRequests++
 		if st == onceAnswered {
-			t.enqueueControl(int(h.Src), wire, sp)
+			t.resend(ProtoResponse, h, a, 0, sp)
 		}
 		return
 	}
@@ -162,29 +161,57 @@ func (t *Transport) recvRequest(h *Header, payload []byte, sp *trace.Span) {
 }
 
 // Respond sends the response for a request message previously taken out of
-// a server mailbox, and caches it for duplicate suppression.
+// a server mailbox, and keeps a copy of data for duplicate suppression.
 func (t *Transport) Respond(th *kernel.Thread, req *kernel.Message, data []byte) error {
-	h := &Header{
-		Proto: ProtoResponse, Src: uint16(t.self), Dst: uint16(req.Src),
-		SrcBox: 0, DstBox: req.SrcBox,
-		MsgID: req.Tag, Total: uint32(len(data)),
-		// The response inherits the request's scheduling class but not
-		// its deadline: the client is already blocked waiting, so
-		// dropping a late response would only force a retransmission.
-		Class: Class(req.Class),
-	}
-	wire := t.wire(h, data)
-	t.once.answer(reqKey{src: uint16(req.Src), reqID: req.Tag}, wire)
+	return t.respond(th, ProtoResponse, &t.once, req, data)
+}
+
+// respond keeps data in once as the answer to req and sends it, as one
+// response packet or a VMTP response group. The answer inherits the
+// request's scheduling class but not its deadline: the client is already
+// blocked waiting, so dropping a late answer would only force a
+// retransmission.
+func (t *Transport) respond(th *kernel.Thread, proto Proto, once *atMostOnce, req *kernel.Message, data []byte) error {
+	opts := SendOpts{Class: Class(req.Class)}
+	h := t.answerHeader(proto, uint16(req.Src), req.SrcBox, req.Tag, data, opts.Class)
+	once.answer(reqKey{src: uint16(req.Src), reqID: req.Tag}, data, opts.Class)
 	t.stats.Responses++
-	// Chain the response into the request's trace tree: with the request's
-	// root as the thread span, sendWire creates the response message span
-	// as a child, so the whole RPC is one causality tree. The tail sampler
-	// decides the tree at the request's delivery (its first root close) and
-	// late response spans follow that verdict; the client's SLO exemplar
-	// (the root id it sees at recvResponse) then names the same tree.
+	// Chain the answer into the request's trace tree: with the request's
+	// root as the thread span, sendWire creates the answer's message span
+	// as a child, so the whole operation is one causality tree. The tail
+	// sampler decides the tree at the request's delivery (its first root
+	// close) and late answer spans follow that verdict; the client's SLO
+	// exemplar (the root id it sees on the answer) then names the same tree.
 	prev := th.SetSpan(req.Span)
 	defer th.SetSpan(prev)
-	return t.sendData(th, int(req.Src), wire, SendOpts{Class: Class(req.Class)})
+	if proto == ProtoResponse {
+		return t.sendData(th, int(req.Src), t.wire(&h, data), opts)
+	}
+	return t.sendGroup(th, int(req.Src), &h, data, 0, opts)
+}
+
+// answerHeader heads an answer to request id from (dst, dstBox) alike on its
+// first send and every resend (a group's packet fields come from groupWire).
+func (t *Transport) answerHeader(proto Proto, dst, dstBox uint16, id uint32, data []byte, class Class) Header {
+	return Header{
+		Proto: proto, Src: uint16(t.self), Dst: dst, DstBox: dstBox,
+		MsgID: id, Total: uint32(len(data)), Class: class,
+	}
+}
+
+// resend re-encodes a kept answer for h, a duplicate of its request or a
+// NACK, and queues the packets mask does not name.
+func (t *Transport) resend(proto Proto, h *Header, a answer, mask uint32, sp *trace.Span) {
+	rh := t.answerHeader(proto, h.Src, h.SrcBox, h.MsgID, a.data, a.class)
+	if proto == ProtoResponse {
+		t.enqueueControl(int(h.Src), t.wire(&rh, a.data), sp)
+		return
+	}
+	for i := range groupSize(len(a.data), 0) {
+		if mask&(1<<i) == 0 {
+			t.enqueueControl(int(h.Src), t.groupWire(&rh, a.data, i), sp)
+		}
+	}
 }
 
 // recvResponse handles an arriving response at the client (interrupt

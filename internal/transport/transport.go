@@ -116,8 +116,8 @@ type Transport struct {
 	params Params
 	self   int
 
-	// store is the system's frame store, which keeps the bodies that
-	// pooled wires are built in (see wire and recvPacket).
+	// store is the system's frame store: the transport's wires, received
+	// copies and kept answers are bodies from it, given back once done.
 	store *fiber.FrameStore
 
 	boxes map[uint16]*kernel.Mailbox
@@ -129,7 +129,7 @@ type Transport struct {
 	// Request-response state.
 	nextReq uint32
 	pending map[uint32]*pendingReq
-	once    atMostOnce[[]byte] // server side: answered and in-service requests
+	once    atMostOnce // server side: answered and in-service requests
 
 	// Service thread: sends control packets (acks, cached responses)
 	// that originate at interrupt level.
@@ -179,13 +179,11 @@ type Transport struct {
 	stats Stats
 }
 
-// rxPacket is one received wire packet: the sender's span it carries, the
-// transport's receive span under it, and whether this CAB holds the only
-// copy of the wire.
+// rxPacket is one received wire packet, the sender's span it carries, and
+// the transport's receive span under it.
 type rxPacket struct {
 	wire    []byte
 	sp, rsp *trace.Span
-	sole    bool
 }
 
 // New creates the transport on a datalink and starts its service thread.
@@ -201,7 +199,7 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 		streamsOut: make(map[streamKey]*streamSender),
 		streamsIn:  make(map[streamKey]*streamRecv),
 		pending:    make(map[uint32]*pendingReq),
-		once:       newAtMostOnce[[]byte](),
+		once:       newAtMostOnce(dl.Frames()),
 		outSem:     k.NewSem(0),
 		watch:      make(map[int]*peerState),
 		fr:         k.FlightRecorder(),
@@ -213,7 +211,7 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 		t.ovl = newOverload(params.HeartbeatInterval)
 	}
 	t.recvPacketFn = t.recvPacket
-	dl.SetOwningReceiver(t.handlePacket)
+	dl.SetReceiver(t.handlePacket)
 	k.SpawnDaemon("transport-service", t.serviceLoop)
 	t.registerMetrics(k.Registry())
 	return t
@@ -221,6 +219,16 @@ func New(k *kernel.Kernel, dl *datalink.Datalink, params Params) *Transport {
 
 // Stats returns a copy of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
+
+// AnswersHeld returns the number of answers the transport keeps, each in a
+// body from the store, for duplicate suppression.
+func (t *Transport) AnswersHeld() int {
+	n := len(t.once.answers)
+	if t.vm != nil {
+		n += len(t.vm.once.answers)
+	}
+	return n
+}
 
 // registerMetrics auto-registers the transport's counters as read-out
 // metrics under <board>.transport.*.
@@ -284,14 +292,15 @@ func (t *Transport) serviceLoop(th *kernel.Thread) {
 	}
 }
 
-// enqueueControl sends a control packet (ack, cached response). The fast
-// path transmits straight from interrupt context; when the datalink is
-// busy or flow-controlled, the packet is handed to the service thread.
+// enqueueControl sends a control packet (ack, resent answer), taking its
+// wire. The fast path transmits straight from interrupt context; when the
+// datalink is busy or flow-controlled, the packet goes to the service thread.
 // sp is the trace span of the message being answered (nil when untraced).
 func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 	if !t.params.DisableAckFastPath && dst != t.self &&
 		len(wire) <= datalink.MaxPacketPayload &&
 		t.dl.TrySendPacketInterrupt(dst, wire, procSend, sp) {
+		t.store.PutBody(wire)
 		return
 	}
 	if t.ovl != nil {
@@ -306,13 +315,9 @@ func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 	t.outSem.V()
 }
 
-// wire encodes a packet of h and payload. A pooled wire is built in a body
-// from the system's store, and its receiver gives the body back; any other
-// wire gets a buffer of its own.
+// wire encodes a packet of h and payload in a body from the store, which
+// sendWire or enqueueControl gives back once the datalink has copied it.
 func (t *Transport) wire(h *Header, payload []byte) []byte {
-	if !h.pooled() {
-		return Encode(h, payload)
-	}
 	return encodeInto(t.store.Body(HeaderSize+h.extSize()+len(payload)), h, payload)
 }
 
@@ -322,9 +327,10 @@ func (t *Transport) wire(h *Header, payload []byte) []byte {
 const loopbackDelay = 2 * sim.Microsecond
 
 // sendWire transmits an encoded packet, choosing packet switching for
-// anything that fits an input queue and circuit switching otherwise.
-// Packets addressed to this CAB (tasks co-resident on one CAB) are looped
-// back locally.
+// anything that fits an input queue and circuit switching otherwise, and
+// takes the wire (a circuit's goes to the garbage collector). Packets
+// addressed to this CAB (tasks co-resident on one CAB) are looped back
+// locally.
 // With tracing on, each sendWire starts a message span: a root when the
 // calling thread carries no span (a fresh one-way message), a child when it
 // does (e.g. a control packet answering a traced message). The span rides
@@ -344,13 +350,17 @@ func (t *Transport) sendWire(th *kernel.Thread, dst int, wire []byte) error {
 	tsp.End()
 	if dst == t.self {
 		t.fl.Account(t.self, dst, wire[0], len(wire), 0)
-		t.k.Engine().After(loopbackDelay, func() { t.handlePacket(wire, sp, true) })
+		t.k.Engine().After(loopbackDelay, func() {
+			t.handlePacket(wire, sp)
+			t.store.PutBody(wire)
+		})
 		return nil
 	}
-	if len(wire) <= datalink.MaxPacketPayload {
-		return t.dl.SendPacket(th, dst, wire)
+	if len(wire) > datalink.MaxPacketPayload {
+		return t.dl.SendCircuit(th, dst, wire)
 	}
-	return t.dl.SendCircuit(th, dst, wire)
+	defer t.store.PutBody(wire)
+	return t.dl.SendPacket(th, dst, wire)
 }
 
 // reliableOp is the frame every reliable operation (request, stream
@@ -401,30 +411,24 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 }
 
 // handlePacket is the datalink receiver: it runs at interrupt level after
-// the packet has been DMAed out of the input queue. sp is the sender's
-// trace span carried across the wire (nil when untraced). sole is false
-// when other CABs received the same wire (see recvPacket).
-func (t *Transport) handlePacket(wire []byte, sp *trace.Span, sole bool) {
+// the packet has been DMAed out of the input queue, and copies the wire,
+// which must wait on rx for its receive interrupt. sp is the sender's trace
+// span carried across the wire (nil when untraced).
+func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
 	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
-	t.rx.Push(rxPacket{wire: wire, sp: sp, rsp: rsp, sole: sole})
+	t.rx.Push(rxPacket{wire: append(t.store.Body(len(wire))[:0], wire...), sp: sp, rsp: rsp})
 	t.k.Board().CPU.RunInterrupt(procRecv, t.recvPacketFn)
 }
 
 // recvPacket is the receive interrupt of the oldest queued packet: it
 // decodes the header, on the stack, and dispatches on the protocol. A
 // unicast wire for another CAB is dropped first: the HUBs fanned it out to
-// this CAB as well as its destination (see Stats.Misdelivered).
-//
-// A pooled wire that this CAB alone received has no other holder once it is
-// dispatched, and every protocol has copied what it keeps, so its body goes
-// back to the store. The hold does not end earlier, at the datalink's
-// upcall: from there the wire waits on rx until this interrupt runs. A wire
-// that never gets here decoded (damaged, discarded on a framing error,
-// dropped or lost to a crash) is left to the garbage collector, and so is
-// one the HUBs fanned out (not sole): its other copies may not have been
-// read yet.
+// this CAB as well as its destination (see Stats.Misdelivered). Every
+// protocol copies what it keeps, so the wire goes back to the store on
+// every path.
 func (t *Transport) recvPacket() {
 	p := t.rx.Pop()
+	defer t.store.PutBody(p.wire)
 	defer p.rsp.End()
 	h, payload, err := Decode(p.wire)
 	if err != nil {
@@ -463,9 +467,6 @@ func (t *Transport) recvPacket() {
 		t.recvPong(&h)
 	case ProtoReject:
 		t.recvReject(&h)
-	}
-	if p.sole && h.pooled() {
-		t.store.PutBody(p.wire)
 	}
 }
 
@@ -550,8 +551,9 @@ func (t *Transport) SendDatagramMulticast(th *kernel.Thread, dsts []int, dstBox,
 	th.Compute(procSend)
 	t.stats.DatagramsSent++
 	t.stats.McastsSent++
-	if len(wire) <= datalink.MaxPacketPayload {
-		return t.dl.SendMulticastPacket(th, dsts, wire)
+	if len(wire) > datalink.MaxPacketPayload {
+		return t.dl.SendMulticastCircuit(th, dsts, wire)
 	}
-	return t.dl.SendMulticastCircuit(th, dsts, wire)
+	defer t.store.PutBody(wire)
+	return t.dl.SendMulticastPacket(th, dsts, wire)
 }

@@ -117,9 +117,9 @@ type vmtpState struct {
 	nextTxn uint32
 	pending map[uint32]*vmtpPending
 	// Server side: requests under reassembly, then in service or answered
-	// (the cached answer is the response group's wire packets).
+	// (the kept answer is the response group's data).
 	reqs map[reqKey]*vmtpGroup
-	once atMostOnce[[][]byte]
+	once atMostOnce
 }
 
 func (t *Transport) vmtp() *vmtpState {
@@ -127,36 +127,25 @@ func (t *Transport) vmtp() *vmtpState {
 		t.vm = &vmtpState{
 			pending: make(map[uint32]*vmtpPending),
 			reqs:    make(map[reqKey]*vmtpGroup),
-			once:    newAtMostOnce[[][]byte](),
+			once:    newAtMostOnce(t.store),
 		}
 	}
 	return t.vm
 }
 
-// groupPackets fragments data into a packet group's wire packets.
-func (t *Transport) groupPackets(proto Proto, dst int, dstBox, srcBox uint16, txn uint32, data []byte, opts SendOpts) [][]byte {
-	seg := maxSeg(opts.Deadline)
-	n := (len(data) + seg - 1) / seg
-	if n == 0 {
-		n = 1
-	}
-	wires := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		lo := i * seg
-		hi := lo + seg
-		if hi > len(data) {
-			hi = len(data)
-		}
-		h := &Header{
-			Proto: proto, Src: uint16(t.self), Dst: uint16(dst),
-			SrcBox: srcBox, DstBox: dstBox,
-			MsgID: txn, Seq: uint32(i),
-			Total: uint32(len(data)), Offset: uint32(n), // Offset carries group size
-			Class: opts.Class, Deadline: opts.Deadline,
-		}
-		wires[i] = t.wire(h, data[lo:hi])
-	}
-	return wires
+// groupSize returns the number of packets a group of n bytes takes.
+func groupSize(n int, deadline sim.Time) int {
+	seg := maxSeg(deadline)
+	return max(1, (n+seg-1)/seg)
+}
+
+// groupWire encodes packet i of the group carrying data under h, setting
+// h's Seq, Total and Offset (the group size).
+func (t *Transport) groupWire(h *Header, data []byte, i int) []byte {
+	seg := maxSeg(h.Deadline)
+	lo := i * seg
+	h.Seq, h.Total, h.Offset = uint32(i), uint32(len(data)), uint32(groupSize(len(data), h.Deadline))
+	return t.wire(h, data[lo:min(lo+seg, len(data))])
 }
 
 // VTransact runs one VMTP message transaction: the request group is sent
@@ -169,9 +158,8 @@ func (t *Transport) VTransact(th *kernel.Thread, dst int, dstBox, srcBox uint16,
 // VTransactOpts is VTransact with a priority class and deadline (the
 // per-packet deadline extension slightly lowers the group's payload
 // ceiling). The outcome — latency, success, and the root trace id — is
-// reported to the SLO engine when one is armed. req is copied into the
-// request group, which retransmissions resend; it is never kept or
-// written, so the caller may reuse it as soon as the call returns.
+// reported to the SLO engine when one is armed. Every send of a request
+// packet encodes it from req, which is never kept or written.
 func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uint16, req []byte, opts SendOpts) (resp []byte, err error) {
 	if limit := MaxGroupPackets * maxSeg(opts.Deadline); len(req) > limit {
 		return nil, fmt.Errorf("transport: request exceeds the %d-byte transaction limit", limit)
@@ -186,23 +174,15 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 		vm.pending[txn] = pend
 		defer t.releaseVMTP(vm, txn, pend)
 
-		wires := t.groupPackets(ProtoVSend, dst, dstBox, srcBox, txn, req, opts)
-		pend.reqPkts = uint32(len(wires))
+		h := Header{
+			Proto: ProtoVSend, Src: uint16(t.self), Dst: uint16(dst),
+			SrcBox: srcBox, DstBox: dstBox, MsgID: txn,
+			Class: opts.Class, Deadline: opts.Deadline,
+		}
+		pend.reqPkts = uint32(groupSize(len(req), opts.Deadline))
 		t.stats.Requests++
 
-		send := func(mask uint32) error {
-			// Blast the group — only packets absent from mask.
-			for i, w := range wires {
-				if mask&(1<<uint(i)) != 0 {
-					continue
-				}
-				if err := t.sendData(th, dst, w, opts); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := send(0); err != nil {
+		if err := t.sendGroup(th, dst, &h, req, 0, opts); err != nil {
 			return pend.traceID, err
 		}
 		for attempt := 0; attempt <= vmtpRetries; attempt++ {
@@ -221,7 +201,7 @@ func (t *Transport) VTransactOpts(th *kernel.Thread, dst int, dstBox, srcBox uin
 			}
 			t.stats.Retransmits++
 			t.fl.Retrans(t.self, dst, byte(ProtoVSend))
-			if err := send(pend.ackMask); err != nil {
+			if err := t.sendGroup(th, dst, &h, req, pend.ackMask, opts); err != nil {
 				return pend.traceID, err
 			}
 		}
@@ -248,21 +228,17 @@ func (t *Transport) VRespond(th *kernel.Thread, req *kernel.Message, data []byte
 	if len(data) > MaxTransaction {
 		return fmt.Errorf("transport: response exceeds the %d-byte transaction limit", MaxTransaction)
 	}
-	vm := t.vmtp()
-	key := reqKey{src: uint16(req.Src), reqID: req.Tag}
-	// The response inherits the request's scheduling class but not its
-	// deadline (the client is blocked waiting; see Respond).
-	ropts := SendOpts{Class: Class(req.Class)}
-	wires := t.groupPackets(ProtoVResp, int(req.Src), req.SrcBox, 0, req.Tag, data, ropts)
-	vm.once.answer(key, wires)
-	t.stats.Responses++
-	// Chain the response group into the transaction's trace tree (see
-	// Respond): the client's SLO exemplar then names the request tree the
-	// tail sampler actually decided on.
-	prev := th.SetSpan(req.Span)
-	defer th.SetSpan(prev)
-	for _, w := range wires {
-		if err := t.sendData(th, int(req.Src), w, ropts); err != nil {
+	return t.respond(th, ProtoVResp, &t.vmtp().once, req, data)
+}
+
+// sendGroup blasts the packets of the group carrying data under h that mask
+// does not name.
+func (t *Transport) sendGroup(th *kernel.Thread, dst int, h *Header, data []byte, mask uint32, opts SendOpts) error {
+	for i := range groupSize(len(data), h.Deadline) {
+		if mask&(1<<i) != 0 {
+			continue
+		}
+		if err := t.sendData(th, dst, t.groupWire(h, data, i), opts); err != nil {
 			return err
 		}
 	}
@@ -276,12 +252,12 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 	}
 	vm := t.vmtp()
 	key := reqKey{src: h.Src, reqID: h.MsgID}
-	if wires, st := vm.once.lookup(key); st != onceNew {
+	if a, st := vm.once.lookup(key); st != onceNew {
 		// Duplicate: of an answered transaction — resend the response
 		// group — or of one still being served — suppress.
 		t.stats.DupRequests++
-		for _, w := range wires {
-			t.enqueueControl(int(h.Src), w, sp)
+		if st == onceAnswered {
+			t.resend(ProtoVResp, h, a, 0, sp)
 		}
 		return
 	}
@@ -411,19 +387,15 @@ func (t *Transport) recvVNack(h *Header, payload []byte, sp *trace.Span) {
 	mask := binary.BigEndian.Uint32(payload)
 	vm := t.vmtp()
 	if h.Seq == 1 {
-		// NACK of a response: the server retransmits missing packets
-		// from its cache.
-		wires, st := vm.once.lookup(reqKey{src: h.Src, reqID: h.MsgID})
+		// NACK of a response: the server resends the missing packets
+		// of its kept answer.
+		a, st := vm.once.lookup(reqKey{src: h.Src, reqID: h.MsgID})
 		if st != onceAnswered {
 			return
 		}
 		t.stats.Retransmits++
 		t.fl.Retrans(t.self, int(h.Src), byte(ProtoVResp))
-		for i, w := range wires {
-			if mask&(1<<uint(i)) == 0 {
-				t.enqueueControl(int(h.Src), w, sp)
-			}
-		}
+		t.resend(ProtoVResp, h, a, mask, sp)
 		return
 	}
 	// NACK of a request: wake the client to retransmit selectively.

@@ -35,11 +35,11 @@ func newVMTPRig() *vmtpRig {
 }
 
 // feed hands wires to the server's receive path as the datalink would and
-// runs their receive interrupts. The caller keeps the wires, so none is the
-// server's alone.
+// runs their receive interrupts. The server copies each wire, so the caller
+// keeps its own.
 func (r *vmtpRig) feed(wires ...[]byte) {
 	for _, w := range wires {
-		r.tp[1].handlePacket(w, nil, false)
+		r.tp[1].handlePacket(w, nil)
 	}
 	r.eng.RunUntil(r.eng.Now() + 100*sim.Microsecond)
 }
@@ -290,9 +290,9 @@ func FuzzVMTPReassembly(f *testing.F) {
 				wellFormed[msgLen{msgID, total}] = true
 			}
 			w := vsend(msgID, uint32(seq), groupSize, total, deadline, payload)
-			r.tp[1].handlePacket(w, nil, false)
+			r.tp[1].handlePacket(w, nil)
 			if c&32 != 0 {
-				r.tp[1].handlePacket(w, nil, false)
+				r.tp[1].handlePacket(w, nil)
 			}
 		}
 		r.eng.RunUntil(sim.Millisecond)
