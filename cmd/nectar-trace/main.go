@@ -15,7 +15,7 @@
 //	nectar-trace -mode circuit    # circuit-switched datalink send
 //	nectar-trace -mode packet     # packet-switched datalink send
 //	nectar-trace -mode multicast  # multicast over two HUBs
-//	nectar-trace -limit 200       # retain more events
+//	nectar-trace -limit 200       # retain the last 200 events
 //	nectar-trace -out trace.json  # write Chrome trace-event JSON
 //	nectar-trace -metrics         # print the metrics registry snapshot
 package main
@@ -28,7 +28,9 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/hub"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -40,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nectar-trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "reqresp", "reqresp | circuit | packet | multicast")
-	limit := fs.Int("limit", 100, "max retained events")
+	limit := fs.Int("limit", 100, "retain the last N events")
 	size := fs.Int("size", 128, "payload bytes")
 	out := fs.String("out", "", "write spans as Chrome trace-event JSON to this file")
 	metrics := fs.Bool("metrics", false, "print the metrics registry snapshot")
@@ -135,11 +137,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sys.Run()
 
 	fmt.Fprintf(stdout, "\ninstrumentation board event log (%s send):\n", *mode)
-	fmt.Fprint(stdout, sys.Rec.Dump())
+	hub.WriteLog(stdout, sys.Board)
 	fmt.Fprintf(stdout, "\nevent counts: conn-open=%d conn-close=%d command=%d packet-out=%d reply=%d drops=%d\n",
-		sys.Rec.Count(trace.EvConnOpen), sys.Rec.Count(trace.EvConnClose),
-		sys.Rec.Count(trace.EvCommand), sys.Rec.Count(trace.EvPacketOut),
-		sys.Rec.Count(trace.EvReply), sys.Rec.Count(trace.EvPacketDrop))
+		sys.Board.Count(obs.FConnOpen), sys.Board.Count(obs.FConnClose),
+		sys.Board.Count(obs.FCommand), sys.Board.Count(obs.FPacketOut),
+		sys.Board.Count(obs.FReply), sys.Board.Count(obs.FPacketDrop))
 
 	if spans := sys.Tr.Spans(); len(spans) > 0 {
 		fmt.Fprintf(stdout, "\nper-layer span breakdown (%d spans, %d dropped):\n", len(spans), sys.Tr.Dropped())

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -80,5 +81,33 @@ func TestMetricsAndChromeExport(t *testing.T) {
 	}
 	if !bytes.Equal(files[0], files[1]) {
 		t.Fatal("-out differs between two runs of the same command")
+	}
+}
+
+// TestLimitKeepsLastEvents pins the board's overflow: -limit 3 keeps the
+// last three events of the circuit send, says how many earlier ones it no
+// longer holds, and still counts every event, so its counts line is the
+// one a run that keeps everything prints.
+func TestLimitKeepsLastEvents(t *testing.T) {
+	log := func(args ...string) (events, counts string) {
+		var stdout, stderr bytes.Buffer
+		if rc := run(append([]string{"-mode", "circuit"}, args...), &stdout, &stderr); rc != 0 {
+			t.Fatalf("%v: exit status %d, stderr:\n%s", args, rc, stderr.String())
+		}
+		_, rest, _ := strings.Cut(stdout.String(), "instrumentation board event log (circuit send):\n")
+		events, rest, _ = strings.Cut(rest, "\n\n")
+		counts, _, _ = strings.Cut(rest, "\n")
+		return events, counts
+	}
+	events, counts := log("-limit", "3")
+	want := "     26.64us reply        hub1         cmd{op=4 hub=1 param=1} ok=true val=1\n" +
+		"     40.33us packet-out   hub1.p1      packet[128B]\n" +
+		"     50.73us conn-close   hub1         p0->p1\n" +
+		"… 2 more events not retained (limit 3)"
+	if events != want {
+		t.Errorf("-limit 3 event log:\n%s\nwant:\n%s", events, want)
+	}
+	if _, all := log(); counts != all {
+		t.Errorf("-limit 3 counts %q, want the full run's %q", counts, all)
 	}
 }

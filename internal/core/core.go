@@ -30,8 +30,9 @@ type Params struct {
 	// Routing selects the route-computation policy every CAB's datalink
 	// uses (empty: topo.PolicyBFS). Set it with WithRouting.
 	Routing topo.Policy
-	// RecorderLimit bounds retained instrumentation events (0 disables
-	// the recorder entirely).
+	// RecorderLimit arms the HUBs' instrumentation board, a flight
+	// recorder that keeps the last RecorderLimit crossbar events and exact
+	// counts of all of them (0 leaves it off).
 	RecorderLimit int
 	// TraceSpans bounds retained latency spans (0 disables span tracing:
 	// the send path stays allocation-free).
@@ -139,10 +140,13 @@ func (c *CABStack) Reboot(net *topo.Network) {
 // System is an assembled Nectar system.
 type System struct {
 	Eng    *sim.Engine
-	Rec    *trace.Recorder
 	Net    *topo.Network
 	Params Params
 	CABs   []*CABStack
+
+	// Board is the HUBs' instrumentation board (nil unless
+	// Params.RecorderLimit > 0); hub.WriteLog renders it.
+	Board *obs.FlightRecorder
 
 	// Tr is the system-wide span tracer (nil unless Params.TraceSpans > 0).
 	Tr *trace.Tracer
@@ -216,8 +220,8 @@ func (s *System) StopTelemetry() {
 // buildStacks layers kernel/datalink/transport onto every board and wires
 // the observability layer (span tracer and metrics registry) through every
 // component that supports it.
-func buildStacks(eng *sim.Engine, rec *trace.Recorder, net *topo.Network, p Params) *System {
-	s := &System{Eng: eng, Rec: rec, Net: net, Params: p}
+func buildStacks(eng *sim.Engine, board *obs.FlightRecorder, net *topo.Network, p Params) *System {
+	s := &System{Eng: eng, Board: board, Net: net, Params: p}
 	if p.TraceSpans > 0 {
 		s.Tr = trace.NewTracer(eng, p.TraceSpans)
 		if len(p.SLO.Objectives) > 0 {

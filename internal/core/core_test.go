@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 func TestSingleHubAssembly(t *testing.T) {
@@ -68,14 +68,14 @@ func TestRecorderEnabled(t *testing.T) {
 	p := core.DefaultParams()
 	p.RecorderLimit = 50
 	sys := core.New(core.SingleHub(2), core.WithParams(p))
-	if sys.Rec == nil {
+	if sys.Board == nil {
 		t.Fatal("recorder not created")
 	}
 	sys.CAB(0).Kernel.Spawn("tx", func(th *kernel.Thread) {
 		sys.CAB(0).TP.SendDatagram(th, 1, 1, 0, []byte("x"))
 	})
 	sys.Run()
-	if sys.Rec.Count(trace.EvCommand) == 0 {
+	if sys.Board.Count(obs.FCommand) == 0 {
 		t.Fatal("recorder captured no HUB commands")
 	}
 }

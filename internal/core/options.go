@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -340,7 +340,7 @@ func validateTelemetry(p Params) {
 		panic(fmt.Sprintf("nectar: TraceSpans %d is negative (0 disables span tracing)", p.TraceSpans))
 	}
 	if p.RecorderLimit < 0 {
-		panic(fmt.Sprintf("nectar: RecorderLimit %d is negative (0 disables the event recorder)", p.RecorderLimit))
+		panic(fmt.Sprintf("nectar: RecorderLimit %d is negative (0 disables the instrumentation board)", p.RecorderLimit))
 	}
 }
 
@@ -362,15 +362,10 @@ func New(t Topology, opts ...Option) *System {
 	validateTelemetry(p)
 	validateSLO(p)
 	eng := sim.NewEngine()
-	rec := newRecorder(eng, p)
-	net := t.spec.Build(eng, rec, topo.WithOptions(p.Topo))
-	return buildStacks(eng, rec, net, p)
-}
-
-// newRecorder builds the recorder implied by the params.
-func newRecorder(eng *sim.Engine, p Params) *trace.Recorder {
-	if p.RecorderLimit == 0 {
-		return nil
+	var board *obs.FlightRecorder
+	if p.RecorderLimit > 0 {
+		board = obs.NewFlightRecorder(eng, p.RecorderLimit)
 	}
-	return trace.NewRecorder(eng, p.RecorderLimit)
+	net := t.spec.Build(eng, board, topo.WithOptions(p.Topo))
+	return buildStacks(eng, board, net, p)
 }

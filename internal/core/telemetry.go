@@ -18,11 +18,12 @@ func buildTelemetry(s *System) {
 	p := s.Params
 	if s.Reg != nil {
 		// Instrumentation self-observability: how much the bounded
-		// buffers themselves have shed. trace.dropped is the event
-		// recorder's overflow count; trace.spans_dropped counts spans not
-		// retained by the tracer (hard limit plus tail-sampling discards).
-		if s.Rec != nil {
-			s.Reg.Func("trace.dropped", func() float64 { return float64(s.Rec.Dropped()) })
+		// buffers themselves have shed. trace.dropped counts the board
+		// events the instrumentation board's ring no longer holds;
+		// trace.spans_dropped counts spans not retained by the tracer
+		// (hard limit plus tail-sampling discards).
+		if s.Board != nil {
+			s.Reg.Func("trace.dropped", func() float64 { return float64(s.Board.Dropped()) })
 		}
 		if s.Tr != nil {
 			s.Reg.Func("trace.spans_dropped", func() float64 {

@@ -56,7 +56,6 @@ type Hub struct {
 	eng   *sim.Engine
 	id    byte
 	name  string
-	rec   *trace.Recorder
 	ports []*Port
 
 	// ctrlFree is when the central controller can accept the next
@@ -65,9 +64,10 @@ type Hub struct {
 	// frozen stops the controller granting opens (SupFreeze).
 	frozen bool
 
-	// fr is the flight-recorder board (nil when telemetry is off; a nil
-	// recorder's Note is a no-op).
-	fr *obs.FlightRecorder
+	// fr is the system's flight recorder and board the instrumentation
+	// board (board.go); either is nil when off, and a nil recorder's Note
+	// is a no-op.
+	fr, board *obs.FlightRecorder
 
 	// comb is the in-network combining engine (nil unless armed via
 	// EnableCombining; a dark HUB declines combining commands).
@@ -82,13 +82,14 @@ type lockState struct {
 	waiters sim.FIFO[pendingCmd]
 }
 
-// New creates a HUB with nports ports. rec may be nil.
-func New(eng *sim.Engine, id byte, nports int, rec *trace.Recorder) *Hub {
+// New creates a HUB with nports ports whose crossbar events go to the
+// instrumentation board (nil: none).
+func New(eng *sim.Engine, id byte, nports int, board *obs.FlightRecorder) *Hub {
 	h := &Hub{
-		eng:  eng,
-		id:   id,
-		name: fmt.Sprintf("hub%d", id),
-		rec:  rec,
+		eng:   eng,
+		id:    id,
+		name:  fmt.Sprintf("hub%d", id),
+		board: board,
 	}
 	h.ports = make([]*Port, nports)
 	for i := range h.ports {
@@ -201,16 +202,13 @@ func (h *Hub) reply(orig *fiber.Item, ok bool, val uint64) {
 		ReplyOK: ok,
 		Token:   orig.Token,
 	}
-	label := "val"
 	if Opcode(orig.Cmd.Op).IsComb() {
-		rep.ReplyData, label = val, "data"
+		rep.ReplyData = val
 	} else {
 		rep.ReplyVal = byte(val)
 		val = uint64(rep.ReplyVal)
 	}
-	if h.rec != nil {
-		h.rec.Record(trace.EvReply, h.name, "%v ok=%v %s=%d", orig.Cmd, ok, label, val)
-	}
+	h.board.Note(obs.FReply, h.name, cmdWord(orig.Cmd)|bit(ok, 24), int64(val))
 	delay := sim.Time(orig.Hops+1) * ReplyHopDelay
 	dst := orig.ReplyTo
 	h.eng.After(delay, func() { dst.Receive(rep) })
@@ -249,18 +247,14 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 		// The status table marks this output's link down: a test-open
 		// consults the status and fails at once — parking would stall
 		// the input queue forever behind a dead link.
-		if h.rec != nil {
-			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v output failed", in.id, outID, op)
-		}
+		h.board.Note(obs.FConnRetry, h.name, portPair(in.id, outID), int64(op)|retryFailed<<8)
 		if op.replies() {
 			h.reply(it, false, 0xFF)
 		}
 		return true
 	}
 	if !h.openable(in, out, op) {
-		if h.rec != nil {
-			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
-		}
+		h.board.Note(obs.FConnRetry, h.name, portPair(in.id, outID), int64(op)|retryBusy<<8)
 		if op.retries() {
 			out.waiters.Push(pendingCmd{item: it, in: in})
 			return false // input stalls behind the pending open
@@ -268,7 +262,7 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 		h.reply(it, false, 0xFF)
 		return true
 	}
-	h.grant(in, out, it, "")
+	h.grant(in, out, it, false)
 	return true
 }
 
@@ -282,18 +276,16 @@ func (h *Hub) openable(in, out *Port, op Opcode) bool {
 
 // grant establishes in->out for open command it at the controller's next
 // slot and returns when crossbar setup completes: the connection is usable,
-// and the reply (if the opcode asks for one) generated, at that point. note
-// is appended to the recorder line.
-func (h *Hub) grant(in, out *Port, it *fiber.Item, note string) sim.Time {
+// and the reply (if the opcode asks for one) generated, at that point.
+// retried marks an open that was parked first.
+func (h *Hub) grant(in, out *Port, it *fiber.Item, retried bool) sim.Time {
 	done := h.controllerSlot(h.eng.Now())
 	if out.owner != in {
 		out.owner = in
 		in.conn = append(in.conn, out)
 	}
 	out.connReady = done
-	if h.rec != nil {
-		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v%s", in.id, out.id, done, note)
-	}
+	h.board.Note(obs.FConnOpen, h.name, portPair(in.id, out.id)|bit(retried, 32), int64(done))
 	if Opcode(it.Cmd.Op).replies() {
 		h.eng.At(done, func() { h.reply(it, true, uint64(out.id)) })
 	}
@@ -310,9 +302,7 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 		if !lk.held {
 			lk.held = true
 			lk.holder = in.id
-			if h.rec != nil {
-				h.rec.Record(trace.EvLock, h.name, "lock%d by p%d", id, in.id)
-			}
+			h.board.Note(obs.FLock, h.name, int64(id), int64(in.id))
 			h.reply(it, true, uint64(id))
 			return true
 		}
@@ -360,16 +350,12 @@ func (h *Hub) unlock(id int) {
 		return
 	}
 	lk.held = false
-	if h.rec != nil {
-		h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
-	}
+	h.board.Note(obs.FUnlock, h.name, int64(id), 0)
 	if lk.waiters.Len() > 0 {
 		w := lk.waiters.Pop()
 		lk.held = true
 		lk.holder = w.in.id
-		if h.rec != nil {
-			h.rec.Record(trace.EvLock, h.name, "lock%d by p%d (queued)", id, w.in.id)
-		}
+		h.board.Note(obs.FLock, h.name, int64(id)|1<<8, int64(w.in.id))
 		h.reply(w.item, true, uint64(id))
 		// The waiter's input port was stalled on this command; resume it
 		// one controller cycle later.
@@ -397,7 +383,7 @@ func (h *Hub) serveWaiters(out *Port) {
 			return
 		}
 		out.waiters.Pop()
-		h.eng.At(h.grant(w.in, out, w.item, " (retried)"), w.in.advanceFn)
+		h.eng.At(h.grant(w.in, out, w.item, true), w.in.advanceFn)
 		// A granted open with multicast semantics leaves the output
 		// owned; further waiters for this output stay parked.
 	}
@@ -424,9 +410,7 @@ func (h *Hub) ResetOutput(i int, ready bool) {
 		if Opcode(w.item.Cmd.Op).replies() {
 			h.reply(w.item, false, 0xFF)
 		}
-		if h.rec != nil {
-			h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d abandoned (output reset)", w.in.id, i)
-		}
+		h.board.Note(obs.FConnRetry, h.name, portPair(w.in.id, i), retryAbandoned<<8)
 		h.eng.After(CycleTime, w.in.advanceFn)
 	}
 }
@@ -447,7 +431,7 @@ func (h *Hub) resetInput(q *Port) {
 	for len(q.conn) > 0 {
 		h.closeConn(q, q.conn[0])
 	}
-	q.flushInput("port reset")
+	q.flushInput(dropReset)
 	q.stalled = false
 	q.SetReady()
 }
@@ -464,9 +448,7 @@ func (h *Hub) closeConn(in *Port, out *Port) {
 			break
 		}
 	}
-	if h.rec != nil {
-		h.rec.Record(trace.EvConnClose, h.name, "p%d->p%d", in.id, out.id)
-	}
+	h.board.Note(obs.FConnClose, h.name, portPair(in.id, out.id), 0)
 	// Serve parked opens after one cycle.
 	if out.waiters.Len() > 0 {
 		h.eng.After(CycleTime, out.serveFn)

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/fiber"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // tcab is a minimal CAB-side fiber endpoint for exercising the HUB: it can
@@ -283,8 +283,8 @@ func TestOpenBusyFailsAndRetryWaits(t *testing.T) {
 // each stalled input one controller cycle later.
 func TestResetOutputAbandonsParkedOpens(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := trace.NewRecorder(eng, 1000)
-	h := New(eng, 0, 5, rec)
+	board := obs.NewFlightRecorder(eng, 1000)
+	h := New(eng, 0, 5, board)
 	a := attachCAB(eng, h, 0, "cabA")
 	attachCAB(eng, h, 1, "cabB")
 	parked := []*tcab{attachCAB(eng, h, 2, "cabC"), attachCAB(eng, h, 3, "cabD"), attachCAB(eng, h, 4, "cabE")}
@@ -319,9 +319,9 @@ func TestResetOutputAbandonsParkedOpens(t *testing.T) {
 		}
 	}
 	var abandoned []string
-	for _, r := range rec.Events() {
-		if r.Kind == trace.EvConnRetry && strings.Contains(r.Detail, "abandoned") {
-			abandoned = append(abandoned, r.Detail)
+	for _, ev := range board.Events() {
+		if d := describe(ev); ev.Kind == obs.FConnRetry && strings.Contains(d, "abandoned") {
+			abandoned = append(abandoned, d)
 		}
 	}
 	want := []string{"p4->p1 abandoned (output reset)", "p2->p1 abandoned (output reset)", "p3->p1 abandoned (output reset)"}

@@ -167,7 +167,7 @@ func (p *Port) SetReady() {
 // this input.
 func (p *Port) Receive(it *fiber.Item) {
 	if !p.enabled {
-		p.drop(it, "port disabled")
+		p.drop(it, dropDisabled)
 		return
 	}
 	if p.loopback {
@@ -183,7 +183,7 @@ func (p *Port) Receive(it *fiber.Item) {
 		// the 1 KB input queue (paper §4.2.3).
 		cutThrough := p.inq.Len() == 0 && !p.stalled && len(p.conn) > 0
 		if !cutThrough && p.inBytes+it.Bytes() > InputQueueBytes {
-			p.drop(it, "input queue overflow")
+			p.drop(it, dropOverflow)
 			return
 		}
 	}
@@ -205,17 +205,15 @@ func (p *Port) Receive(it *fiber.Item) {
 // drop discards an item, keeping the flow-control protocol consistent: a
 // dropped packet will never emerge from this queue, so its credit goes back
 // upstream here.
-func (p *Port) drop(it *fiber.Item, why string) {
+func (p *Port) drop(it *fiber.Item, why int) {
 	p.drops++
-	if p.hub.rec != nil {
-		p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: %s", it, why)
-	}
+	p.hub.board.Note(obs.FPacketDrop, p.name, itemWord(it), int64(why))
 	p.hub.fr.Note(obs.FDrop, p.name, int64(p.id), int64(it.Bytes()))
 	p.returnCredit(it)
 }
 
 // flushInput discards every queued item (see drop).
-func (p *Port) flushInput(why string) {
+func (p *Port) flushInput(why int) {
 	for p.inq.Len() > 0 {
 		p.drop(p.pop(), why)
 	}
@@ -296,15 +294,11 @@ func (p *Port) execHead(it *fiber.Item) {
 		// A damaged command is not recognized by the hardware: this is
 		// the "lost HUB command" case the datalink must recover from.
 		p.frameErrs++
-		if p.hub.rec != nil {
-			p.hub.rec.Record(trace.EvFrameError, p.name, "lost command %v", it.Cmd)
-		}
+		p.hub.board.Note(obs.FFrameError, p.name, cmdWord(it.Cmd), 0)
 		p.step()
 		return
 	}
-	if p.hub.rec != nil {
-		p.hub.rec.Record(trace.EvCommand, p.name, "%v", it.Cmd)
-	}
+	p.hub.board.Note(obs.FCommand, p.name, cmdWord(it.Cmd), 0)
 	if op.IsComb() {
 		// Combining commands execute at the controller's combining engine
 		// but never park the input: the engine either merges the operand
@@ -407,7 +401,7 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		// The mark is at the head of the queue, i.e. it has drained.
 		h.reply(it, true, uint64(it.Cmd.Param))
 	case OpFlush:
-		p.flushInput("flushed")
+		p.flushInput(dropFlushed)
 	case OpAbort:
 		for len(p.conn) > 0 {
 			h.closeConn(p, p.conn[0])
@@ -527,7 +521,7 @@ func (p *Port) forwardHead(it *fiber.Item) {
 				p.hub.reply(it, true, 0)
 			}
 		} else {
-			p.drop(it, "no connection")
+			p.drop(it, dropNoConn)
 		}
 		p.step()
 		return
@@ -585,13 +579,13 @@ func (p *Port) forwardHead(it *fiber.Item) {
 // sendOut transmits an item through this port's output register onto its
 // outgoing fiber.
 func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
-	if p.out == nil || p.stuck {
+	if p.stuck {
 		p.drops++
-		if p.stuck {
-			if p.hub.rec != nil {
-				p.hub.rec.Record(trace.EvPacketDrop, p.name, "%v: output register stuck", it)
-			}
-		}
+		p.hub.board.Note(obs.FPacketDrop, p.name, itemWord(it), dropStuck)
+		return
+	}
+	if p.out == nil {
+		p.drops++
 		return
 	}
 	if it.Kind == fiber.KindPacket {
@@ -600,9 +594,7 @@ func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
 		p.ready = false
 		p.pktOut++
 		p.bytesOut += int64(it.Bytes())
-		if p.hub.rec != nil {
-			p.hub.rec.Record(trace.EvPacketOut, p.name, "%v", it)
-		}
+		p.hub.board.Note(obs.FPacketOut, p.name, int64(len(it.Payload)), 0)
 	}
 	p.out.Send(it, earliest)
 }

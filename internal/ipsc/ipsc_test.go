@@ -232,3 +232,24 @@ func TestAllgather(t *testing.T) {
 		}
 	})
 }
+
+// TestCrecvAny receives whatever arrives first: node 0 collects one typed
+// message from each other node, in any order, with its type and body.
+func TestCrecvAny(t *testing.T) {
+	sys := core.New(core.SingleHub(4))
+	got := map[uint32]string{}
+	ipsc.Run(sys, 4, func(c *ipsc.Ctx) {
+		if me := c.Mynode(); me != 0 {
+			c.Csend(uint32(10+me), []byte(fmt.Sprintf("from %d", me)), 0)
+			return
+		}
+		for range c.Numnodes() - 1 {
+			typ, data := c.CrecvAny()
+			got[typ] = string(data)
+		}
+	})
+	want := map[uint32]string{11: "from 1", 12: "from 2", 13: "from 3"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("CrecvAny got %v, want %v", got, want)
+	}
+}

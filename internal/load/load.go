@@ -54,8 +54,6 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{"reqresp", "stream", "vmtp"}
-
 // Mix weights the operation types. Weights are relative; zero disables a
 // type. The zero Mix is replaced by DefaultMix.
 type Mix struct {
@@ -648,12 +646,4 @@ func seqInts(n int) []int {
 		s[i] = i
 	}
 	return s
-}
-
-// OpName returns the display name of an op kind.
-func OpName(kind int) string {
-	if kind < 0 || kind >= numOps {
-		return fmt.Sprintf("op(%d)", kind)
-	}
-	return opNames[kind]
 }

@@ -30,7 +30,7 @@ func TestClosedLoopGeneratesAllOpKinds(t *testing.T) {
 	}
 	for kind, c := range res.OpCounts {
 		if c == 0 {
-			t.Errorf("mix produced zero %s operations", OpName(kind))
+			t.Errorf("mix produced zero %s operations", [...]string{"reqresp", "stream", "vmtp"}[kind])
 		}
 	}
 	if res.Latency.Count() != int(res.Ops) {

@@ -338,3 +338,97 @@ func TestCollective(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectiveDataMovement drives the rest of the collective surface
+// through the task API on four CABs: Size, a rooted Reduce, Gather and
+// Scatter, and the Alltoall and Allgather exchanges, checking every
+// member's result by rank.
+func TestCollectiveDataMovement(t *testing.T) {
+	sys := core.New(core.SingleHub(4))
+	app := nectarine.NewApp(sys)
+	names := []string{"w0", "w1", "w2", "w3"}
+	var cl *nectarine.Collective
+	done := 0
+	for i, name := range names {
+		app.NewCABTask(name, i, func(tc *nectarine.TaskCtx) {
+			if cl.Size() != len(names) {
+				t.Errorf("task %s: Size = %d", name, cl.Size())
+			}
+			me := cl.Rank(tc)
+			byRank := func(op string, got [][]byte, want func(r int) string) {
+				if len(got) != len(names) {
+					t.Errorf("task %s: %s returned %d parts", name, op, len(got))
+					return
+				}
+				for _, n := range names {
+					if r := cl.RankOf(n); string(got[r]) != want(r) {
+						t.Errorf("task %s: %s part %d = %q, want %q", name, op, r, got[r], want(r))
+					}
+				}
+			}
+			nameOf := func(r int) string {
+				for _, n := range names {
+					if cl.RankOf(n) == r {
+						return n
+					}
+				}
+				return ""
+			}
+
+			sum, err := cl.Reduce(tc, "w1", coll.SumInt64, coll.Int64Bytes([]int64{int64(i + 1)}))
+			switch {
+			case err != nil:
+				t.Errorf("task %s: reduce: %v", name, err)
+			case name == "w1" && coll.BytesInt64(sum)[0] != 10:
+				t.Errorf("root reduce = %d, want 10", coll.BytesInt64(sum)[0])
+			case name != "w1" && sum != nil:
+				t.Errorf("task %s: non-root reduce returned %v", name, sum)
+			}
+
+			gathered, err := cl.Gather(tc, "w0", []byte(name))
+			switch {
+			case err != nil:
+				t.Errorf("task %s: gather: %v", name, err)
+			case name == "w0":
+				byRank("gather", gathered, nameOf)
+			case gathered != nil:
+				t.Errorf("task %s: non-root gather returned %q", name, gathered)
+			}
+
+			var parts [][]byte
+			if name == "w3" {
+				for r := range names {
+					parts = append(parts, []byte(fmt.Sprintf("part%d", r)))
+				}
+			}
+			part, err := cl.Scatter(tc, "w3", parts)
+			if want := fmt.Sprintf("part%d", me); err != nil || string(part) != want {
+				t.Errorf("task %s: scatter = %q, %v; want %q", name, part, err, want)
+			}
+
+			out := make([][]byte, len(names))
+			for r := range out {
+				out[r] = []byte(fmt.Sprintf("%d>%d", me, r))
+			}
+			in, err := cl.Alltoall(tc, out)
+			if err != nil {
+				t.Errorf("task %s: alltoall: %v", name, err)
+			} else {
+				byRank("alltoall", in, func(r int) string { return fmt.Sprintf("%d>%d", r, me) })
+			}
+
+			all, err := cl.Allgather(tc, []byte(name))
+			if err != nil {
+				t.Errorf("task %s: allgather: %v", name, err)
+			} else {
+				byRank("allgather", all, nameOf)
+			}
+			done++
+		})
+	}
+	cl = app.NewCollective(9, names)
+	app.Run()
+	if done != len(names) {
+		t.Fatalf("%d of %d tasks finished", done, len(names))
+	}
+}

@@ -40,6 +40,19 @@ const (
 	FSLOClear             // SLO burn-rate alert cleared     A=fast burn x100
 	FCombine              // HUB combining slot completed    A=slot tag  B=seq
 	FCombTimeout          // HUB combining slot flushed partial  A=slot tag  B=contributors present
+
+	// The HUB instrumentation board's crossbar events (paper §4.1). Their
+	// operands are packed by package hub, whose WriteLog renders them.
+	FCommand    // HUB command executed
+	FConnOpen   // crossbar connection established
+	FConnClose  // crossbar connection closed
+	FConnRetry  // open deferred or abandoned (output busy, failed, reset)
+	FPacketOut  // packet left through an output register
+	FPacketDrop // packet or command discarded at a port
+	FReply      // command reply generated
+	FFrameError // damaged command lost at a port
+	FLock       // HUB lock acquired
+	FUnlock     // HUB lock released
 	kindCount
 )
 
@@ -70,6 +83,16 @@ var kindNames = [kindCount]string{
 	FSLOClear:        "slo-clear",
 	FCombine:         "combine",
 	FCombTimeout:     "comb-timeout",
+	FCommand:         "command",
+	FConnOpen:        "conn-open",
+	FConnClose:       "conn-close",
+	FConnRetry:       "conn-retry",
+	FPacketOut:       "packet-out",
+	FPacketDrop:      "packet-drop",
+	FReply:           "reply",
+	FFrameError:      "frame-error",
+	FLock:            "lock",
+	FUnlock:          "unlock",
 }
 
 // String returns the kind's display name.
@@ -96,18 +119,21 @@ type Event struct {
 const DefaultFlightEvents = 512
 
 // FlightRecorder keeps a bounded ring of the most recent structured
-// events across every layer of a System. The ring is preallocated and
-// entries hold only scalars plus static strings, so Note is zero-alloc:
-// the recorder can stay armed through a full chaos run without touching
-// the allocator or perturbing simulated time.
+// events, and exact counts of every event by kind. The ring is
+// preallocated and entries hold only scalars plus static strings, so Note
+// is zero-alloc: the recorder can stay armed through a full chaos run
+// without touching the allocator or perturbing simulated time. A System
+// has one across every layer, and the HUBs' instrumentation board is a
+// second instance.
 //
 // A nil *FlightRecorder is valid: Note records nothing, so every layer
 // can call it unconditionally.
 type FlightRecorder struct {
-	eng   *sim.Engine
-	ring  []Event
-	next  int
-	total uint64
+	eng    *sim.Engine
+	ring   []Event
+	next   int
+	total  uint64
+	counts [kindCount]uint64
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity events
@@ -126,6 +152,7 @@ func (f *FlightRecorder) Note(kind Kind, where string, a, b int64) {
 		return
 	}
 	f.total++
+	f.counts[kind]++
 	f.ring[f.next] = Event{At: f.eng.Now(), Kind: kind, Seq: f.total, A: a, B: b, Where: where}
 	f.next++
 	if f.next == len(f.ring) {
@@ -140,6 +167,22 @@ func (f *FlightRecorder) Total() uint64 {
 		return 0
 	}
 	return f.total
+}
+
+// Count returns how many events of kind have ever been recorded.
+func (f *FlightRecorder) Count(kind Kind) uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.counts[kind]
+}
+
+// Dropped returns how many recorded events the ring no longer holds.
+func (f *FlightRecorder) Dropped() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.total - min(f.total, uint64(len(f.ring)))
 }
 
 // Cap returns the ring capacity.
@@ -171,8 +214,8 @@ func (f *FlightRecorder) Events() []Event {
 	return out
 }
 
-// counts tallies retained events by kind.
-func (f *FlightRecorder) counts() [kindCount]int {
+// retained tallies retained events by kind.
+func (f *FlightRecorder) retained() [kindCount]int {
 	var c [kindCount]int
 	for _, ev := range f.Events() {
 		c[ev.Kind]++
@@ -218,7 +261,7 @@ func (f *FlightRecorder) Dump(w io.Writer) {
 		}
 	}
 
-	c := f.counts()
+	c := f.retained()
 	fmt.Fprintf(w, "\nevent tally:\n")
 	for k := Kind(1); k < kindCount; k++ {
 		if c[k] > 0 {

@@ -39,6 +39,50 @@ func TestFlightRecorderPartialRing(t *testing.T) {
 	}
 }
 
+// FuzzFlightRecorder feeds a sequence of notes to a ring of capacity 1-8
+// (the first byte) and compares it with a slice of every note: the ring
+// holds the last min(n, cap) notes oldest first with their sequence
+// numbers, and Total, Dropped and every per-kind Count are exact.
+func FuzzFlightRecorder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 1, 2, 3})
+	f.Add([]byte{1, 5, 5, 6, 5, 7, 0, 255})
+	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		eng := sim.NewEngine()
+		fr := NewFlightRecorder(eng, int(data[0])%8+1)
+		var all []Event
+		var counts [kindCount]uint64
+		for i, b := range data[1:] {
+			ev := Event{Kind: Kind(b) % kindCount, Seq: uint64(i + 1), A: int64(i), B: -int64(b), Where: "w"}
+			fr.Note(ev.Kind, ev.Where, ev.A, ev.B)
+			all = append(all, ev)
+			counts[ev.Kind]++
+		}
+		want := all[len(all)-min(len(all), fr.Cap()):]
+		got := fr.Events()
+		if len(got) != len(want) {
+			t.Fatalf("cap %d, %d notes: %d events, want %d", fr.Cap(), len(all), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		if fr.Total() != uint64(len(all)) || fr.Dropped() != uint64(len(all)-len(want)) {
+			t.Fatalf("Total %d Dropped %d, want %d and %d", fr.Total(), fr.Dropped(), len(all), len(all)-len(want))
+		}
+		for k := range Kind(kindCount) {
+			if fr.Count(k) != counts[k] {
+				t.Fatalf("Count(%v) = %d, want %d", k, fr.Count(k), counts[k])
+			}
+		}
+	})
+}
+
 func TestPostMortemContents(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFlightRecorder(eng, 0)
@@ -72,7 +116,7 @@ func TestPostMortemTalliesOverloadKinds(t *testing.T) {
 	f.Note(FDeadlineExpired, "cab0.tp", 1, 0)
 	f.Note(FBreakerTrip, "cab0.tp", 1, 1)
 	f.Note(FBreakerClose, "cab0.tp", 1, 0)
-	c := f.counts()
+	c := f.retained()
 	if c[FShed] != 2 || c[FDeadlineExpired] != 1 || c[FBreakerTrip] != 1 || c[FBreakerClose] != 1 {
 		t.Fatalf("tally = shed %d expired %d trip %d close %d", c[FShed], c[FDeadlineExpired], c[FBreakerTrip], c[FBreakerClose])
 	}
@@ -92,7 +136,7 @@ func TestPostMortemTalliesOverloadKinds(t *testing.T) {
 func TestNilFlightRecorderSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Note(FSend, "dl", 1, 2)
-	if f.Total() != 0 || f.Cap() != 0 || f.Events() != nil {
+	if f.Total() != 0 || f.Cap() != 0 || f.Events() != nil || f.Count(FSend) != 0 || f.Dropped() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	if pm := f.PostMortem(); !strings.Contains(pm, "not armed") {

@@ -26,8 +26,6 @@ const (
 // datalink holds one and caches its results; FlushRoutes and the
 // fault-recovery OnChange flush work identically under every policy.
 type Router interface {
-	// Name returns the policy name.
-	Name() Policy
 	// Route computes the hop list from CAB src to CAB dst.
 	Route(src, dst int) ([]Hop, error)
 	// MulticastTree computes the DFS-ordered open list reaching dsts.
@@ -51,7 +49,6 @@ func NewRouter(n *Network, p Policy) Router {
 // bfsRouter is the default policy: Network.Route / Network.MulticastTree.
 type bfsRouter struct{ n *Network }
 
-func (r bfsRouter) Name() Policy                      { return PolicyBFS }
 func (r bfsRouter) Route(src, dst int) ([]Hop, error) { return r.n.Route(src, dst) }
 func (r bfsRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
 	return r.n.MulticastTree(src, dsts)
@@ -69,8 +66,6 @@ func (r bfsRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
 // and a blocked packet always has the escape path available — the Duato
 // condition for deadlock freedom.
 type adaptiveRouter struct{ n *Network }
-
-func (r adaptiveRouter) Name() Policy { return PolicyAdaptive }
 
 func (r adaptiveRouter) Route(src, dst int) ([]Hop, error) {
 	if src == dst {

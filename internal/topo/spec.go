@@ -3,8 +3,8 @@ package topo
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // MaxHubs is the largest HUB count any topology may have: Hop.HubID is one
@@ -213,13 +213,13 @@ func WithOptions(o Options) Option {
 // DefaultOptions. Build panics with a descriptive "nectar: ..." message
 // when the spec exceeds the 255-HUB ID space; port-fit validation happens
 // in core.New against the final parameter set.
-func (s Spec) Build(eng *sim.Engine, rec *trace.Recorder, opts ...Option) *Network {
+func (s Spec) Build(eng *sim.Engine, board *obs.FlightRecorder, opts ...Option) *Network {
 	o := DefaultOptions()
 	for _, f := range opts {
 		f(&o)
 	}
 	s.checkHubLimit()
-	n := NewNetwork(eng, rec, o)
+	n := NewNetwork(eng, board, o)
 	n.shape = s
 	switch s.Kind {
 	case KindSingleHub:

@@ -13,8 +13,8 @@ import (
 	"repro/internal/cab"
 	"repro/internal/fiber"
 	"repro/internal/hub"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Options configure network construction.
@@ -43,9 +43,9 @@ type Hop struct {
 
 // Network is a wired Nectar system.
 type Network struct {
-	eng  *sim.Engine
-	rec  *trace.Recorder
-	opts Options
+	eng   *sim.Engine
+	board *obs.FlightRecorder
+	opts  Options
 
 	hubs   []*hub.Hub
 	boards []*cab.Board
@@ -97,12 +97,13 @@ type edge struct {
 	link     *fiber.Link // outgoing fiber toward the neighbor
 }
 
-// NewNetwork returns an empty network.
-func NewNetwork(eng *sim.Engine, rec *trace.Recorder, opts Options) *Network {
+// NewNetwork returns an empty network whose HUBs note their crossbar
+// events on board (nil: none).
+func NewNetwork(eng *sim.Engine, board *obs.FlightRecorder, opts Options) *Network {
 	if opts.HubPorts == 0 {
 		opts.HubPorts = hub.DefaultPorts
 	}
-	return &Network{eng: eng, rec: rec, opts: opts}
+	return &Network{eng: eng, board: board, opts: opts}
 }
 
 // Engine returns the simulation engine.
@@ -120,7 +121,7 @@ func (n *Network) AddHub() int {
 			len(n.hubs)+1, MaxHubs))
 	}
 	id := byte(len(n.hubs) + 1)
-	h := hub.New(n.eng, id, n.opts.HubPorts, n.rec)
+	h := hub.New(n.eng, id, n.opts.HubPorts, n.board)
 	n.hubs = append(n.hubs, h)
 	n.adj = append(n.adj, nil)
 	n.invalidateRoutes()

@@ -225,26 +225,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Diff returns a snapshot whose counters and read-out metrics are the
-// deltas since prev (gauges and histograms carry the newer state: they are
-// levels, not rates).
-func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
-	d := &Snapshot{
-		At:       s.At,
-		Counters: make(map[string]int64, len(s.Counters)),
-		Gauges:   s.Gauges,
-		Hists:    s.Hists,
-		Funcs:    make(map[string]float64, len(s.Funcs)),
-	}
-	for n, v := range s.Counters {
-		d.Counters[n] = v - prev.Counters[n]
-	}
-	for n, v := range s.Funcs {
-		d.Funcs[n] = v - prev.Funcs[n]
-	}
-	return d
-}
-
 // sortedKeys returns m's keys in sorted order for deterministic rendering.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -71,24 +71,6 @@ func TestRegistryInstrumentsAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRegistry(e)
-	v := 10.0
-	r.Func("busy", func() float64 { return v })
-	r.Counter("sent").Add(5)
-	before := r.Snapshot()
-	r.Counter("sent").Add(7)
-	v = 25
-	d := r.Snapshot().Diff(before)
-	if d.Counters["sent"] != 7 {
-		t.Fatalf("diffed counter = %d, want 7", d.Counters["sent"])
-	}
-	if d.Funcs["busy"] != 15 {
-		t.Fatalf("diffed func = %v, want 15", d.Funcs["busy"])
-	}
-}
-
 func TestRegistryTextDeterministicAndSorted(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRegistry(e)

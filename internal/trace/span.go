@@ -194,14 +194,6 @@ func (s *Span) SetTag(tag uint8) {
 	s.tag = tag
 }
 
-// Tag returns the span's classification tag (0 for nil or untagged).
-func (s *Span) Tag() uint8 {
-	if s == nil {
-		return 0
-	}
-	return s.tag
-}
-
 // Child opens a sub-span starting now. A nil receiver yields a nil child,
 // so causality chains cost nothing when tracing is off.
 func (s *Span) Child(layer, comp, name string) *Span {

@@ -63,22 +63,6 @@ func (h *Histogram) SetCap(cap int) {
 	}
 }
 
-// Cap returns the retained-sample bound (0: exact retention).
-func (h *Histogram) Cap() int {
-	if h == nil {
-		return 0
-	}
-	return h.cap
-}
-
-// Name returns the histogram's display name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Add records one sample. A nil *Histogram is valid and records nothing
 // (the registry hands out nil instruments when metrics are disabled).
 func (h *Histogram) Add(v sim.Time) {

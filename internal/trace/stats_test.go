@@ -117,71 +117,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRecorder(e, 2)
-	e.At(10, func() { r.Record(EvConnOpen, "hub0.p1", "in=%d out=%d", 1, 2) })
-	e.At(20, func() { r.Record(EvConnClose, "hub0.p1", "out=%d", 2) })
-	e.At(30, func() { r.Record(EvConnOpen, "hub0.p2", "in=%d out=%d", 2, 3) })
-	e.Run()
-	if r.Count(EvConnOpen) != 2 {
-		t.Fatalf("Count(open) = %d", r.Count(EvConnOpen))
-	}
-	if len(r.Events()) != 2 { // limited to 2 retained
-		t.Fatalf("retained %d events", len(r.Events()))
-	}
-	if r.Events()[0].At != 10 {
-		t.Fatalf("first event at %v", r.Events()[0].At)
-	}
-	if !strings.Contains(r.Dump(), "conn-open") {
-		t.Fatalf("Dump:\n%s", r.Dump())
-	}
-}
-
-func TestRecorderDroppedAndDumpSuffix(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewRecorder(e, 2)
-	for i := 0; i < 5; i++ {
-		i := i
-		e.At(sim.Time(10*(i+1)), func() { r.Record(EvCommand, "hub0", "cmd %d", i) })
-	}
-	e.Run()
-	if r.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", r.Dropped())
-	}
-	if r.Count(EvCommand) != 5 {
-		t.Fatalf("counters must stay exact: Count = %d", r.Count(EvCommand))
-	}
-	d := r.Dump()
-	if !strings.Contains(d, "3 more events not retained") {
-		t.Fatalf("Dump missing dropped-events suffix:\n%s", d)
-	}
-
-	// No drops -> no suffix.
-	r2 := NewRecorder(e, 10)
-	r2.Record(EvCommand, "hub0", "cmd")
-	if strings.Contains(r2.Dump(), "not retained") {
-		t.Fatalf("Dump should omit the suffix when nothing was dropped:\n%s", r2.Dump())
-	}
-}
-
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(EvCommand, "x", "y")
-	if r.Count(EvCommand) != 0 || r.Events() != nil || r.Dump() != "" {
-		t.Fatal("nil recorder should be inert")
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if EvPacketDrop.String() != "packet-drop" {
-		t.Fatalf("String = %q", EvPacketDrop.String())
-	}
-	if !strings.Contains(EventKind(99).String(), "99") {
-		t.Fatalf("unknown kind String = %q", EventKind(99).String())
-	}
-}
-
 func TestDigestIsFNV1a(t *testing.T) {
 	// FNV-1a 64 of "a" is the published test vector af63dc4c8601ec8c.
 	d := NewDigest()

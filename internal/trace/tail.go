@@ -53,11 +53,6 @@ type TailConfig struct {
 	MaxBuffered int
 }
 
-// Enabled reports whether the config arms any retention rule.
-func (c TailConfig) Enabled() bool {
-	return c.HeadEvery > 0 || c.Bound > 0 || len(c.TagBounds) > 0
-}
-
 // tailTree is one undecided buffered causality tree.
 type tailTree struct {
 	root  *Span
@@ -86,8 +81,8 @@ type tailState struct {
 
 // EnableTailSampling arms tail-based sampling with cfg. Call it before the
 // first span is created; enabling it on a tracer that already holds spans
-// leaves those retained. A config with no retention rule at all
-// (cfg.Enabled() == false) still arms buffering — every tree is then
+// leaves those retained. A config with no retention rule at all (no
+// HeadEvery, Bound or TagBounds) still arms buffering — every tree is then
 // discarded except errored ones.
 func (t *Tracer) EnableTailSampling(cfg TailConfig) {
 	if t == nil {

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -226,5 +227,46 @@ func TestStreamMessageAllocations(t *testing.T) {
 	}
 	if delivered != 23 {
 		t.Fatalf("%d messages delivered, want 23", delivered)
+	}
+}
+
+// TestCircuitWiresLeaveNoBodyOut sends datagrams whose wires (992 bytes of
+// data and the 32-byte header) are too large for packet switching but fit
+// the largest store body. A circuit holds its wire by reference and never
+// gives it back, so such a wire must not be a store body, or the store
+// counts it as out for good.
+func TestCircuitWiresLeaveNoBodyOut(t *testing.T) {
+	sys := core.New(core.SingleHub(2))
+	tx, rx := sys.CAB(0), sys.CAB(1)
+	mb := rx.Kernel.NewMailbox("in", 64<<10)
+	rx.TP.Register(1, mb)
+	var got [][]byte
+	rx.Kernel.SpawnDaemon("receiver", func(th *kernel.Thread) {
+		for {
+			m := mb.Get(th)
+			got = append(got, bytes.Clone(m.Bytes()))
+			mb.Release(m)
+		}
+	})
+	const n = 3
+	data := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 992) }
+	tx.Kernel.Spawn("sender", func(th *kernel.Thread) {
+		for i := range n {
+			if err := tx.TP.SendDatagram(th, 1, 1, 9, data(i)); err != nil {
+				t.Errorf("datagram %d: %v", i, err)
+			}
+		}
+	})
+	sys.Run()
+	if len(got) != n {
+		t.Fatalf("%d datagrams delivered, want %d", len(got), n)
+	}
+	for i, m := range got {
+		if !bytes.Equal(m, data(i)) {
+			t.Fatalf("datagram %d arrived changed", i)
+		}
+	}
+	if frames, bodies := sys.Net.Frames().Out(); frames != 0 || bodies != 0 {
+		t.Fatalf("%d frames and %d bodies out after every datagram arrived, want 0 and 0", frames, bodies)
 	}
 }

@@ -288,7 +288,7 @@ func (t *Transport) serviceClassed(th *kernel.Thread) {
 	if it.deadline != 0 && now >= it.deadline {
 		o.expired++
 		t.fr.Note(obs.FDeadlineExpired, t.frName, int64(it.dst), int64(wireClass(it.wire)))
-		t.store.PutBody(it.wire)
+		t.putWire(it.wire)
 		return
 	}
 	o.observeSojourn(now, now-it.enq)

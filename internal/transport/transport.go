@@ -316,9 +316,23 @@ func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 }
 
 // wire encodes a packet of h and payload in a body from the store, which
-// sendWire or enqueueControl gives back once the datalink has copied it.
+// sendWire or enqueueControl gives back once the datalink has copied it. A
+// wire too large for packet switching goes by circuit, which holds it by
+// reference and never gives it back, so it is a plain allocation.
 func (t *Transport) wire(h *Header, payload []byte) []byte {
-	return encodeInto(t.store.Body(HeaderSize+h.extSize()+len(payload)), h, payload)
+	n := HeaderSize + h.extSize() + len(payload)
+	if n > datalink.MaxPacketPayload {
+		return encodeInto(make([]byte, n), h, payload)
+	}
+	return encodeInto(t.store.Body(n), h, payload)
+}
+
+// putWire gives a wire from wire back to the store; the garbage collector
+// takes a circuit's.
+func (t *Transport) putWire(w []byte) {
+	if len(w) <= datalink.MaxPacketPayload {
+		t.store.PutBody(w)
+	}
 }
 
 // loopbackDelay approximates the cost of a packet looping through the CAB's
@@ -352,7 +366,7 @@ func (t *Transport) sendWire(th *kernel.Thread, dst int, wire []byte) error {
 		t.fl.Account(t.self, dst, wire[0], len(wire), 0)
 		t.k.Engine().After(loopbackDelay, func() {
 			t.handlePacket(wire, sp)
-			t.store.PutBody(wire)
+			t.putWire(wire)
 		})
 		return nil
 	}
