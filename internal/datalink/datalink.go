@@ -114,7 +114,13 @@ type Datalink struct {
 	nextToken uint64
 	pending   map[uint64]*pendingOpen
 
-	routes map[int][]topo.Hop
+	// The route cache: routes[dst] locates dst's route in slab, its offset
+	// shifted left 8 bits over its hop count. Both fit: a route crosses at
+	// most topo.MaxHubs HUBs, and with one-byte HUB IDs and ports the slab
+	// holds under 1<<24 hops. A miss appends the route to slab, and a flush
+	// drops slab whole, so every route handed out stays as it was.
+	routes map[int32]uint32
+	slab   []topo.Hop
 
 	// Flight-recorder board (nil when telemetry is off; Note is a no-op).
 	fr     *obs.FlightRecorder
@@ -202,7 +208,7 @@ func New(k *kernel.Kernel, net *topo.Network, router topo.Router) *Datalink {
 		router:  router,
 		mu:      k.NewSem(1),
 		pending: make(map[uint64]*pendingOpen),
-		routes:  make(map[int][]topo.Hop),
+		routes:  make(map[int32]uint32),
 		fr:      k.FlightRecorder(),
 		frName:  k.Board().Name() + ".dl",
 		fl:      k.Flows(),
@@ -262,9 +268,17 @@ func (d *Datalink) registerMetrics(reg *trace.Registry) {
 // FlushRoutes discards cached routes, forcing recomputation against the
 // current topology state (used after a link fails over, automatically via
 // topo.Network.OnChange or by an operator).
+//
+// The slab is dropped, not truncated: a send that holds a route across the
+// flush (a parked interrupt-level send) still holds its own opens.
 func (d *Datalink) FlushRoutes() {
-	d.routes = make(map[int][]topo.Hop)
+	clear(d.routes)
+	d.slab = nil
 }
+
+// CachedRoutes returns the route cache's length: the destinations it holds
+// a route to, and the hops those routes take in its slab.
+func (d *Datalink) CachedRoutes() (routes, hops int) { return len(d.routes), len(d.slab) }
 
 // Crash discards the datalink's in-flight state after a board crash: every
 // pending open fails (its waiting thread observes a failed circuit) and the
@@ -342,17 +356,22 @@ func (d *Datalink) CombContribute(th *kernel.Thread, op hub.Opcode, group, lane 
 	return pend.val, pend.ok, nil
 }
 
-// route returns (and caches) the unicast route to dst.
+// route returns (and caches) the unicast route to dst, as a view of the
+// slab whose capacity ends with the route, so no holder appends over
+// another route.
 func (d *Datalink) route(dst int) ([]topo.Hop, error) {
-	if r, ok := d.routes[dst]; ok {
-		return r, nil
+	if at, ok := d.routes[int32(dst)]; ok {
+		off, n := at>>8, at&0xFF
+		return d.slab[off : off+n : off+n], nil
 	}
-	r, err := d.router.Route(d.board.ID(), dst)
+	off := len(d.slab)
+	slab, err := d.router.RouteInto(d.slab, d.board.ID(), dst)
 	if err != nil {
 		return nil, err
 	}
-	d.routes[dst] = r
-	return r, nil
+	d.slab = slab
+	d.routes[int32(dst)] = uint32(off)<<8 | uint32(len(slab)-off)
+	return slab[off:len(slab):len(slab)], nil
 }
 
 // commandItem returns a command item.

@@ -140,3 +140,34 @@ func TestSteadyStreamReusesFrames(t *testing.T) {
 		t.Fatalf("%d packets delivered, want 110", len(got))
 	}
 }
+
+// TestParkedSendKeepsItsRouteAcrossFlush: an interrupt-level send holds
+// its route until its interrupt runs. A FlushRoutes in between, then a
+// route to another CAB computed into the emptied cache, must leave the
+// parked frame with the opens it was accepted with: the packet reaches
+// CAB 1, not CAB 2.
+func TestParkedSendKeepsItsRouteAcrossFlush(t *testing.T) {
+	sys := core.New(core.SingleHub(3))
+	var got1, got2 [][]byte
+	collect(sys, 1, &got1)
+	collect(sys, 2, &got2)
+	dl := sys.CAB(0).DL
+	sys.Eng.At(0, func() {
+		if !dl.TrySendPacketInterrupt(1, pattern(200), 0, nil) {
+			t.Fatal("an idle datalink refused the interrupt-level send")
+		}
+		dl.FlushRoutes()
+		// The parked send holds the transmit mutex, so this send is
+		// refused, but only after it has routed to CAB 2.
+		if dl.TrySendPacketInterrupt(2, pattern(100), 0, nil) {
+			t.Fatal("a busy datalink accepted a second interrupt-level send")
+		}
+		if routes, hops := dl.CachedRoutes(); routes != 1 || hops != 1 {
+			t.Fatalf("cache holds %d routes of %d hops after the flush, want the route to CAB 2", routes, hops)
+		}
+	})
+	sys.Run()
+	if len(got1) != 1 || !bytes.Equal(got1[0], pattern(200)) || len(got2) != 0 {
+		t.Fatalf("CAB 1 got %d packets and CAB 2 %d; want the parked packet at CAB 1 only", len(got1), len(got2))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs/flow"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -251,20 +252,31 @@ func TestCustomMixExcludesDisabledKinds(t *testing.T) {
 	}
 }
 
+// torusShort is the bench torus's short shape: 64 CABs on a 2x2x2 torus,
+// routed adaptively.
+func torusShort(opts ...core.Option) *core.System {
+	return core.New(core.Torus3D(2, 2, 2, 8), append(opts, core.WithRouting(topo.PolicyAdaptive))...)
+}
+
+// torusShortCfg is the bench torus's open-loop load, run for 5 ms.
+func torusShortCfg() Config {
+	return Config{
+		Seed: 1, Arrival: OpenLoop, RatePerCAB: 2000,
+		Mix:      Mix{ReqResp: 1},
+		ReqBytes: 64, RespBytes: 64,
+		Warmup: sim.Millisecond, Duration: 5 * sim.Millisecond,
+	}
+}
+
 // The engine keeps no process beyond what the load needs: on the bench
 // torus's short shape under its open-loop load, every live proc is a
 // kernel thread, and each CAB holds at most the daemons it installed
 // (transport service, three servers, arrivals) plus its operations in
 // flight. A thread that outlived its operation would show here.
 func TestOpenLoopTorusKeepsNoStrayProcs(t *testing.T) {
-	sys := core.New(core.Torus3D(2, 2, 2, 8), core.WithRouting(topo.PolicyAdaptive))
-	cfg := Config{
-		Seed: 1, Arrival: OpenLoop, RatePerCAB: 2000,
-		Mix:      Mix{ReqResp: 1},
-		ReqBytes: 64, RespBytes: 64,
-		Warmup: sim.Millisecond, Duration: 5 * sim.Millisecond,
-		TickEvery: 250 * sim.Microsecond,
-	}
+	sys := torusShort()
+	cfg := torusShortCfg()
+	cfg.TickEvery = 250 * sim.Microsecond
 	ticks, peak := 0, 0
 	cfg.OnTick = func(tk Tick) {
 		ticks++
@@ -311,14 +323,7 @@ func TestDrainedStoreHoldsOnlyKeptAnswers(t *testing.T) {
 			ReqBytes: 64, RespBytes: 256,
 			Warmup: sim.Millisecond, Duration: 40 * sim.Millisecond,
 		}},
-		{"torus", func() *core.System {
-			return core.New(core.Torus3D(2, 2, 2, 8), core.WithRouting(topo.PolicyAdaptive))
-		}, Config{
-			Seed: 1, Arrival: OpenLoop, RatePerCAB: 2000,
-			Mix:      Mix{ReqResp: 1},
-			ReqBytes: 64, RespBytes: 64,
-			Warmup: sim.Millisecond, Duration: 5 * sim.Millisecond,
-		}},
+		{"torus", func() *core.System { return torusShort() }, torusShortCfg()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := tc.sys()
@@ -339,4 +344,49 @@ func TestDrainedStoreHoldsOnlyKeptAnswers(t *testing.T) {
 			t.Logf("%d ops, %d answers held", res.Ops, answers)
 		})
 	}
+}
+
+// Each datalink's route cache holds one route per destination its CAB sent
+// to, and nothing after a flush. On the bench torus's short shape under its
+// open-loop load, run until it drains, a CAB's cached routes are the
+// distinct unicast destinations of its frames in the flow table, and its
+// cached hops are those routes' lengths: adaptive routes are minimal, so
+// each is as long as the BFS route.
+func TestRouteCacheHoldsOneRoutePerDestination(t *testing.T) {
+	sys := torusShort(core.WithFlows())
+	res := Run(sys, torusShortCfg())
+	sys.Run()
+	if res.Ops == 0 || res.Errors != 0 {
+		t.Fatalf("%d ops, %d errors: the check saw no load", res.Ops, res.Errors)
+	}
+	sentTo := make([]map[int]bool, sys.NumCABs())
+	for i := range sentTo {
+		sentTo[i] = make(map[int]bool)
+	}
+	for _, r := range sys.Flows.Records() {
+		if r.Dst != flow.McastDst {
+			sentTo[r.Src][int(r.Dst)] = true
+		}
+	}
+	total := 0
+	for i, dsts := range sentTo {
+		want := 0
+		for dst := range dsts {
+			route, err := sys.Net.Route(i, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += len(route)
+		}
+		dl := sys.CAB(i).DL
+		if routes, hops := dl.CachedRoutes(); routes != len(dsts) || hops != want {
+			t.Errorf("CAB %d caches %d routes of %d hops; it sent to %d CABs over %d hops", i, routes, hops, len(dsts), want)
+		}
+		total += len(dsts)
+		dl.FlushRoutes()
+		if routes, hops := dl.CachedRoutes(); routes != 0 || hops != 0 {
+			t.Errorf("CAB %d caches %d routes of %d hops after FlushRoutes, want none", i, routes, hops)
+		}
+	}
+	t.Logf("%d ops; %d routes cached over %d CABs", res.Ops, total, sys.NumCABs())
 }

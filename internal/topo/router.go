@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hub"
 )
@@ -26,32 +27,30 @@ const (
 // datalink holds one and caches its results; FlushRoutes and the
 // fault-recovery OnChange flush work identically under every policy.
 type Router interface {
-	// Route computes the hop list from CAB src to CAB dst.
+	// Route computes the hop list from CAB src to CAB dst in a slice of
+	// its own.
 	Route(src, dst int) ([]Hop, error)
+	// RouteInto appends the hop list from CAB src to CAB dst to buf,
+	// allocating only when buf has no room; on error it returns buf
+	// unchanged.
+	RouteInto(buf []Hop, src, dst int) ([]Hop, error)
 	// MulticastTree computes the DFS-ordered open list reaching dsts.
 	MulticastTree(src int, dsts []int) ([]Hop, error)
 }
 
 // NewRouter returns the router implementing policy p over network n. The
-// empty policy selects PolicyBFS; an unknown policy panics.
+// empty policy selects PolicyBFS, which the Network itself implements; an
+// unknown policy panics.
 func NewRouter(n *Network, p Policy) Router {
 	switch p {
 	case "", PolicyBFS:
-		return bfsRouter{n}
+		return n
 	case PolicyAdaptive:
 		return adaptiveRouter{n}
 	default:
 		panic(fmt.Sprintf("nectar: unknown routing policy %q: use %q or %q",
 			p, PolicyBFS, PolicyAdaptive))
 	}
-}
-
-// bfsRouter is the default policy: Network.Route / Network.MulticastTree.
-type bfsRouter struct{ n *Network }
-
-func (r bfsRouter) Route(src, dst int) ([]Hop, error) { return r.n.Route(src, dst) }
-func (r bfsRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
-	return r.n.MulticastTree(src, dsts)
 }
 
 // adaptiveRouter is the deadlock-free minimal-adaptive policy. It computes
@@ -64,36 +63,37 @@ func (r bfsRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
 // dimension-order escape hop, then the lowest HUB index, so an idle network
 // routes exactly along the acyclic escape subnetwork (CheckEscapeAcyclic)
 // and a blocked packet always has the escape path available — the Duato
-// condition for deadlock freedom.
-type adaptiveRouter struct{ n *Network }
+// condition for deadlock freedom. Multicast trees are the Network's.
+type adaptiveRouter struct{ *Network }
 
-func (r adaptiveRouter) Route(src, dst int) ([]Hop, error) {
+func (r adaptiveRouter) Route(src, dst int) ([]Hop, error) { return r.RouteInto(nil, src, dst) }
+
+// RouteInto writes each open as the walk takes its step: the field's
+// distance sizes the route before the walk starts, so no HUB path is kept.
+func (r adaptiveRouter) RouteInto(buf []Hop, src, dst int) ([]Hop, error) {
 	if src == dst {
-		return nil, fmt.Errorf("topo: route from CAB %d to itself", src)
+		return buf, routeError(src, dst)
 	}
-	n := r.n
+	n := r.Network
 	from, to := n.attachHub[src], n.attachHub[dst]
-	if from == to {
-		return n.hopsForPath([]int{from}, dst), nil
-	}
-	f := n.fieldTo(to)
-	if f.dist[from] < 0 {
-		return nil, fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
-	}
-	path := []int{from}
-	for cur := from; cur != to; {
-		next, ok := n.adaptiveStep(cur, f)
-		if !ok {
-			return nil, fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
+	hops := buf
+	if from != to {
+		f := n.fieldTo(to)
+		if f.dist[from] < 0 {
+			return buf, routeError(src, dst)
 		}
-		path = append(path, next)
-		cur = next
+		// The walk is minimal: dist[from] opens, then the terminal one.
+		hops = slices.Grow(hops, f.dist[from]+1)
+		for cur := from; cur != to; {
+			next, ok := n.adaptiveStep(cur, f)
+			if !ok {
+				return buf, routeError(src, dst)
+			}
+			hops = append(hops, n.hopToward(cur, next))
+			cur = next
+		}
 	}
-	return n.hopsForPath(path, dst), nil
-}
-
-func (r adaptiveRouter) MulticastTree(src int, dsts []int) ([]Hop, error) {
-	return r.n.MulticastTree(src, dsts)
+	return append(hops, n.terminalHop(dst)), nil
 }
 
 // routeField is the load-independent part of adaptive routing toward one
@@ -118,10 +118,7 @@ func (n *Network) fieldTo(to int) *routeField {
 	}
 	f := &routeField{dist: n.bfsDistancesTo(to), escape: make([]int, len(n.hubs))}
 	for cur := range f.escape {
-		f.escape[cur] = -1
-		if path, ok := n.structuredPath(cur, to); ok && len(path) > 1 {
-			f.escape[cur] = path[1]
-		}
+		f.escape[cur] = n.structuredHop(cur, to)
 	}
 	n.fields[to] = f
 	return f
@@ -140,10 +137,10 @@ func (n *Network) bfsDistancesTo(to int) []int {
 		dist[i] = -1
 	}
 	dist[to] = 0
-	queue := []int{to}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue, _ := n.scratch()
+	queue = append(queue, to)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, e := range n.adj[cur] {
 			if e.down || dist[e.to] >= 0 {
 				continue
@@ -203,67 +200,66 @@ func (s Spec) grid() bool {
 	return false
 }
 
-// structuredPath returns the shape-aware HUB path from HUB `from` to HUB
-// `to`: wrap-free dimension-order on grids, up/down over the lowest-index
-// live spine on fat trees. It reports false when the network has no shape
-// metadata or a needed link is down.
-func (n *Network) structuredPath(from, to int) ([]int, bool) {
+// structuredHop returns the first hop of the shape-aware HUB path from
+// HUB `from` to HUB `to`: wrap-free dimension-order on grids, up/down over
+// the lowest-index live spine on fat trees. It returns -1 at `to`, on a
+// network with no shape metadata, and where any link of the path is down;
+// it builds no path.
+func (n *Network) structuredHop(from, to int) int {
 	switch {
 	case n.shape.grid() && len(n.coords) == len(n.hubs):
-		return n.dimOrderPath(from, to)
-	case n.shape.Kind == KindFatTree && len(n.levels) == len(n.hubs):
-		return n.upDownPath(from, to)
+		first := -1
+		if !n.dimOrderWalk(from, to, func(cur, next int) bool {
+			if first < 0 {
+				first = next
+			}
+			return n.LinkUp(cur, next)
+		}) {
+			return -1
+		}
+		return first
+	case n.shape.Kind == KindFatTree && len(n.levels) == len(n.hubs) && from != to:
+		return n.spineBetween(from, to, n.LinkUp)
 	}
-	return nil, false
+	return -1
 }
 
-// dimOrderPath walks from HUB `from` to HUB `to` correcting x, then y,
+// dimOrderWalk steps from HUB `from` to HUB `to` correcting x, then y,
 // then z. Each step moves one unit along the current dimension, in the
-// direction of the remaining offset, so wrap links are never taken.
-func (n *Network) dimOrderPath(from, to int) ([]int, bool) {
+// direction of the remaining offset, so wrap links are never taken. It
+// calls step for each hop in order and stops, reporting false, at the
+// first one step refuses.
+func (n *Network) dimOrderWalk(from, to int, step func(cur, next int) bool) bool {
 	s := n.shape
-	at := n.coords[from]
-	want := n.coords[to]
+	at, want := n.coords[from], n.coords[to]
 	idx := func(c [3]int) int { return (c[2]*s.Y+c[1])*s.X + c[0] }
-	path := []int{from}
+	cur := idx(at)
 	for d := 0; d < 3; d++ {
 		for at[d] != want[d] {
-			step := 1
 			if want[d] < at[d] {
-				step = -1
+				at[d]--
+			} else {
+				at[d]++
 			}
-			next := at
-			next[d] = at[d] + step
-			cur, nxt := idx(at), idx(next)
-			if _, ok := n.portToward(cur, nxt); !ok {
-				return nil, false
+			next := idx(at)
+			if !step(cur, next) {
+				return false
 			}
-			path = append(path, nxt)
-			at = next
+			cur = next
 		}
 	}
-	return path, true
+	return true
 }
 
-// upDownPath routes a fat tree: same leaf is trivial, otherwise up to the
-// lowest-index spine with live links both ways, then down.
-func (n *Network) upDownPath(from, to int) ([]int, bool) {
-	if from == to {
-		return []int{from}, true
-	}
+// spineBetween returns the lowest-index spine that linked joins to both
+// leaves of a fat tree, or -1 if none does.
+func (n *Network) spineBetween(from, to int, linked func(a, b int) bool) int {
 	for spine := range n.hubs {
-		if n.levels[spine] != 1 {
-			continue
+		if n.levels[spine] == 1 && linked(from, spine) && linked(spine, to) {
+			return spine
 		}
-		if _, up := n.portToward(from, spine); !up {
-			continue
-		}
-		if _, down := n.portToward(spine, to); !down {
-			continue
-		}
-		return []int{from, spine, to}, true
 	}
-	return nil, false
+	return -1
 }
 
 // escapePath is the escape subnetwork's route between two HUBs: wrap-free
@@ -273,34 +269,19 @@ func (n *Network) upDownPath(from, to int) ([]int, bool) {
 func (n *Network) escapePath(from, to int) ([]int, bool) {
 	switch {
 	case n.shape.grid() && len(n.coords) == len(n.hubs):
-		s := n.shape
-		at := n.coords[from]
-		want := n.coords[to]
-		idx := func(c [3]int) int { return (c[2]*s.Y+c[1])*s.X + c[0] }
 		path := []int{from}
-		for d := 0; d < 3; d++ {
-			for at[d] != want[d] {
-				step := 1
-				if want[d] < at[d] {
-					step = -1
-				}
-				next := at
-				next[d] = at[d] + step
-				path = append(path, idx(next))
-				at = next
-			}
-		}
+		n.dimOrderWalk(from, to, func(_, next int) bool {
+			path = append(path, next)
+			return true
+		})
 		return path, true
 	case n.shape.Kind == KindFatTree && len(n.levels) == len(n.hubs):
 		if from == to {
 			return []int{from}, true
 		}
-		for spine := range n.hubs {
-			if n.levels[spine] == 1 && n.edgeBetween(from, spine) != nil && n.edgeBetween(spine, to) != nil {
-				return []int{from, spine, to}, true
-			}
+		if spine := n.spineBetween(from, to, func(a, b int) bool { return n.edgeBetween(a, b) != nil }); spine >= 0 {
+			return []int{from, spine, to}, true
 		}
-		return nil, false
 	}
 	return nil, false
 }

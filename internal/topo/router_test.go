@@ -2,6 +2,8 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,7 +198,7 @@ func TestEscapeAcyclicAllShapes(t *testing.T) {
 // exists to avoid.
 func TestBFSOnTorusRingIsCyclic(t *testing.T) {
 	n := Torus(1, 5, 1).Build(sim.NewEngine(), nil)
-	err := n.checkRoutesAcyclic(n.hubPath)
+	err := n.checkRoutesAcyclic(n.refHubPath)
 	if err == nil {
 		t.Fatal("BFS routes around a 5-ring should form a dependency cycle")
 	}
@@ -327,4 +329,108 @@ func TestRouteFieldCacheMatchesFresh(t *testing.T) {
 	check("after RestoreLink")
 	n.SetLinkState(silent[0], silent[1], false)
 	check("after silent SetLinkState")
+}
+
+// RouteInto writes exactly the opens of the path-based reference
+// (reference_test.go) for every ordered CAB pair, under both policies, on
+// an idle network, with bytes in random input queues and random output
+// registers not ready, and with random links down. It keeps what buf held
+// and returns buf unchanged on error; Route returns the same opens, and
+// MulticastTree the reference's tree for a random destination list from
+// each source. Once the route fields are warm, a buffer with room costs no
+// allocation.
+func TestRouteIntoMatchesReference(t *testing.T) {
+	shapes := []Spec{Torus3D(2, 2, 2, 8), Mesh(4, 4, 2), Chain(5, 2), FatTree(4, 2, 2)}
+	policies := []Policy{PolicyBFS, PolicyAdaptive}
+	loads := map[string]func(n *Network, rng *rand.Rand){
+		"idle": func(*Network, *rand.Rand) {},
+		"queues": func(n *Network, rng *rand.Rand) {
+			for _, h := range n.Hubs() {
+				for p := 0; p < n.opts.HubPorts; p++ {
+					switch rng.Intn(4) {
+					case 0:
+						// Start lies in the future, so the packet stays queued.
+						h.Port(p).Receive(&fiber.Item{
+							Kind:    fiber.KindPacket,
+							Payload: make([]byte, 100*(1+rng.Intn(8))),
+							Start:   sim.Millisecond,
+						})
+					case 1:
+						h.ResetOutput(p, false)
+					}
+				}
+			}
+		},
+		"links down": func(n *Network, rng *rand.Rand) {
+			for _, e := range n.InterHubEdges() {
+				if rng.Intn(4) == 0 {
+					n.SetLinkState(e[0], e[1], false)
+				}
+			}
+		},
+	}
+	mark := Hop{HubID: 0xEE, Port: 0xEE}
+	for _, s := range shapes {
+		for _, p := range policies {
+			for name, load := range loads {
+				n := s.Build(sim.NewEngine(), nil)
+				rng := rand.New(rand.NewSource(int64(len(name))))
+				load(n, rng)
+				r := NewRouter(n, p)
+				cabs := len(n.Boards())
+				for src := 0; src < cabs; src++ {
+					for dst := 0; dst < cabs; dst++ {
+						want, wantErr := n.refRoute(p, src, dst)
+						buf := append(make([]Hop, 0, 1+rng.Intn(4)), mark)
+						got, err := r.RouteInto(buf, src, dst)
+						where := fmt.Sprintf("%v %s %s: %d->%d", s, p, name, src, dst)
+						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s: error %v, reference %v", where, err, wantErr)
+						}
+						if err != nil {
+							if len(got) != len(buf) || cap(got) != cap(buf) || &got[0] != &buf[0] {
+								t.Fatalf("%s: failed RouteInto changed buf", where)
+							}
+							continue
+						}
+						if got[0] != mark || !slices.Equal(got[1:], want) {
+							t.Fatalf("%s: RouteInto %v, reference %v after %v", where, got[1:], want, mark)
+						}
+						if route, _ := r.Route(src, dst); !slices.Equal(route, want) {
+							t.Fatalf("%s: Route %v, reference %v", where, route, want)
+						}
+					}
+					dsts := make([]int, 1+rng.Intn(cabs))
+					for i := range dsts {
+						dsts[i] = rng.Intn(cabs)
+					}
+					tree, err := r.MulticastTree(src, dsts)
+					want, wantErr := n.refMulticastTree(src, dsts)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(tree, want) {
+						t.Fatalf("%v %s %s: tree from %d to %v is %v (%v), reference %v (%v)",
+							s, p, name, src, dsts, tree, err, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+	for _, p := range policies {
+		n := Torus3D(2, 2, 2, 8).Build(sim.NewEngine(), nil)
+		r := NewRouter(n, p)
+		cabs := len(n.Boards())
+		buf := make([]Hop, 0, 8)
+		all := func() {
+			for src := 0; src < cabs; src++ {
+				for dst := 0; dst < cabs; dst++ {
+					if src != dst {
+						buf, _ = r.RouteInto(buf[:0], src, dst)
+					}
+				}
+			}
+		}
+		all()
+		if allocs := testing.AllocsPerRun(5, all); allocs != 0 {
+			t.Errorf("%s: %v allocations routing every pair into a buffer with room, want 0", p, allocs)
+		}
+	}
 }

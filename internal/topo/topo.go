@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cab"
 	"repro/internal/fiber"
@@ -88,6 +89,9 @@ type Network struct {
 	// (nil until first routed toward; the slice is nil after every
 	// invalidateRoutes).
 	fields []*routeField
+
+	// The breadth-first searches' scratch, reused by every search.
+	queue, prev []int
 }
 
 type edge struct {
@@ -389,39 +393,43 @@ func (n *Network) ResetCABPort(cabID int) {
 	n.hubs[n.attachHub[cabID]].ResetPort(n.attachPort[cabID])
 }
 
-// hubPath returns the hub-index path from hub `from` to hub `to` (BFS,
-// fewest hops), including both endpoints.
-func (n *Network) hubPath(from, to int) ([]int, bool) {
-	if from == to {
-		return []int{from}, true
+// scratch returns the breadth-first searches' queue, empty, and their
+// predecessor table, both sized to the HUB count (each HUB enters the
+// queue at most once).
+func (n *Network) scratch() (queue, prev []int) {
+	if len(n.prev) != len(n.hubs) {
+		n.queue, n.prev = make([]int, 0, len(n.hubs)), make([]int, len(n.hubs))
 	}
-	prev := make([]int, len(n.hubs))
+	return n.queue[:0], n.prev
+}
+
+// bfsPath runs the fewest-hop breadth-first search from hub `from` over the
+// up links until it reaches hub `to`, leaving each HUB's predecessor on the
+// path in n.prev.
+func (n *Network) bfsPath(from, to int) bool {
+	if from == to {
+		return true
+	}
+	queue, prev := n.scratch()
 	for i := range prev {
 		prev[i] = -1
 	}
 	prev[from] = from
-	queue := []int{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue = append(queue, from)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, e := range n.adj[cur] {
 			if e.down || prev[e.to] != -1 {
 				continue
 			}
 			prev[e.to] = cur
 			if e.to == to {
-				// Reconstruct.
-				path := []int{to}
-				for at := to; at != from; {
-					at = prev[at]
-					path = append([]int{at}, path...)
-				}
-				return path, true
+				return true
 			}
 			queue = append(queue, e.to)
 		}
 	}
-	return nil, false
+	return false
 }
 
 // portToward returns the output port on hub a leading to adjacent hub b.
@@ -434,35 +442,48 @@ func (n *Network) portToward(a, b int) (int, bool) {
 	return 0, false
 }
 
+// hopToward is the open on hub a of its output toward adjacent hub b.
+func (n *Network) hopToward(a, b int) Hop {
+	port, _ := n.portToward(a, b)
+	return Hop{HubID: n.hubs[a].ID(), Port: byte(port)}
+}
+
+// terminalHop is the open onto CAB dst's port, the last of every route.
+func (n *Network) terminalHop(dst int) Hop {
+	return Hop{HubID: n.hubs[n.attachHub[dst]].ID(), Port: byte(n.attachPort[dst]), Terminal: true}
+}
+
+// routeError reports why no route leads from CAB src to CAB dst.
+func routeError(src, dst int) error {
+	if src == dst {
+		return fmt.Errorf("topo: route from CAB %d to itself", src)
+	}
+	return fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
+}
+
 // Route computes the hop list from CAB src to CAB dst: one open per HUB on
 // the path, ending with the open onto the destination CAB's port. This is
 // the deterministic BFS shortest-path policy; NewRouter selects others.
-func (n *Network) Route(src, dst int) ([]Hop, error) {
-	if src == dst {
-		return nil, fmt.Errorf("topo: route from CAB %d to itself", src)
-	}
-	path, ok := n.hubPath(n.attachHub[src], n.attachHub[dst])
-	if !ok {
-		return nil, fmt.Errorf("topo: no path from CAB %d to CAB %d", src, dst)
-	}
-	return n.hopsForPath(path, dst), nil
-}
+func (n *Network) Route(src, dst int) ([]Hop, error) { return n.RouteInto(nil, src, dst) }
 
-// hopsForPath converts a hub-index path (source hub through the destination
-// CAB's hub) into the datalink's hop list: one open per inter-HUB step plus
-// the terminal open onto the destination CAB's port.
-func (n *Network) hopsForPath(path []int, dst int) []Hop {
-	hops := make([]Hop, 0, len(path))
-	for i := 0; i < len(path)-1; i++ {
-		port, _ := n.portToward(path[i], path[i+1])
-		hops = append(hops, Hop{HubID: n.hubs[path[i]].ID(), Port: byte(port)})
+// RouteInto appends Route(src, dst) to buf, writing the opens from the
+// search's predecessor chain, last first; on error it returns buf
+// unchanged.
+func (n *Network) RouteInto(buf []Hop, src, dst int) ([]Hop, error) {
+	from, to := n.attachHub[src], n.attachHub[dst]
+	if src == dst || !n.bfsPath(from, to) {
+		return buf, routeError(src, dst)
 	}
-	last := path[len(path)-1]
-	return append(hops, Hop{
-		HubID:    n.hubs[last].ID(),
-		Port:     byte(n.attachPort[dst]),
-		Terminal: true,
-	})
+	k := 1
+	for at := to; at != from; at = n.prev[at] {
+		k++
+	}
+	hops := slices.Grow(buf, k)[:len(buf)+k]
+	hops[len(hops)-1] = n.terminalHop(dst)
+	for i, at := len(hops)-2, to; at != from; i, at = i-1, n.prev[at] {
+		hops[i] = n.hopToward(n.prev[at], at)
+	}
+	return hops, nil
 }
 
 // MulticastTree computes the DFS-ordered open list reaching every
@@ -489,18 +510,17 @@ func (n *Network) MulticastTree(src int, dsts []int) ([]Hop, error) {
 			continue
 		}
 		seen[d] = true
-		path, ok := n.hubPath(root, n.attachHub[d])
-		if !ok {
+		leaf := n.attachHub[d]
+		if !n.bfsPath(root, leaf) {
 			return nil, fmt.Errorf("topo: no path to CAB %d", d)
 		}
 		reached++
-		for i := 1; i < len(path); i++ {
-			if !inTree[path[i]] {
-				inTree[path[i]] = true
-				children[path[i-1]] = append(children[path[i-1]], path[i])
-			}
+		// Every search from root picks the same predecessors, so the
+		// paths join into one tree: climb until it is reached.
+		for at := leaf; !inTree[at]; at = n.prev[at] {
+			inTree[at] = true
+			children[n.prev[at]] = append(children[n.prev[at]], at)
 		}
-		leaf := path[len(path)-1]
 		terminals[leaf] = append(terminals[leaf], n.attachPort[d])
 	}
 	if reached == 0 {
@@ -513,8 +533,7 @@ func (n *Network) MulticastTree(src int, dsts []int) ([]Hop, error) {
 			hops = append(hops, Hop{HubID: n.hubs[h].ID(), Port: byte(p), Terminal: true})
 		}
 		for _, c := range children[h] {
-			port, _ := n.portToward(h, c)
-			hops = append(hops, Hop{HubID: n.hubs[h].ID(), Port: byte(port)})
+			hops = append(hops, n.hopToward(h, c))
 			dfs(c)
 		}
 	}
